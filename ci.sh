@@ -6,8 +6,10 @@
 #                         rules, layer graph, wire registry (DESIGN.md
 #                         §14); also emits lint-report.json for tooling
 #   3. release build    — the whole workspace compiles
-#   4. cluster docs     — `cargo doc -p cluster` stays warning-free
-#                         (the layered-engine seams are documented API)
+#   4. docs             — `cargo doc -p cluster -p zap -p simos` stays
+#                         warning-free (the layered-engine seams, the
+#                         image codec and the memory model are documented
+#                         API; a dangling intra-doc link fails here)
 #   5. tests            — every suite, including the same-seed
 #                         byte-identical-images regression test
 #   6. bench smoke      — `--quick` runs of the store-ablation,
@@ -66,8 +68,8 @@ cargo run --offline -q -p cruz-lint -- --workspace
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
-echo "== cargo doc -p cluster"
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q -p cluster
+echo "== cargo doc -p cluster -p zap -p simos"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q -p cluster -p zap -p simos
 
 echo "== cargo test"
 cargo test --offline --workspace -q

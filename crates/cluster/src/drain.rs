@@ -23,7 +23,7 @@ impl World {
     /// snapshots and serializing the image skeletons (registers, sockets,
     /// pipes, shm) — O(non-memory state) instead of O(image bytes). Pages
     /// drain in the background at the [`Deadline::CkptDrain`] firing.
-    pub(crate) fn begin_local_checkpoint_cow(&mut self, node: usize, op: u64, base: Option<u64>) {
+    pub(crate) fn begin_local_checkpoint_cow(&mut self, node: usize, op: u64) {
         let pods = self.job_pods_on_node(op, node);
         let mut armed: Vec<(String, ArmedPodCheckpoint)> = Vec::new();
         let mut arm_bytes: u64 = 0;
@@ -33,7 +33,7 @@ impl World {
             let slot = &mut self.nodes[node];
             match slot
                 .zap
-                .checkpoint_pod_arm(&mut slot.kernel, pod_id, self.now, base)
+                .checkpoint_pod_arm(&mut slot.kernel, pod_id, self.now)
             {
                 Ok(a) => {
                     arm_bytes += a.arm_bytes();

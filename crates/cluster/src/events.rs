@@ -1,19 +1,19 @@
 //! The engine's event vocabulary and per-event trace fingerprints.
 //!
 //! Every state change in the simulated cluster is one [`Event`] popped off
-//! the world's queue; the layers above (ops, drain, heartbeat) communicate
-//! with the future exclusively by pushing these. Each dispatched event
-//! folds a cheap [`fingerprint`](Event::fingerprint) into the world's
-//! running trace digest, which is how two runs of the same seed prove they
-//! took the same path.
+//! the world's queue. An event is either a substrate step the world
+//! drives itself (a node's run slice or timer, a frame on a link) or
+//! [`Event::Deadline`]: a protocol [`Deadline`] the layers above (ops,
+//! drain, heartbeat) armed through [`crate::runtime::Timers`], carried
+//! unchanged. Each dispatched event folds a cheap
+//! [`fingerprint`](Event::fingerprint) into the world's running trace
+//! digest, which is how two runs of the same seed prove they took the
+//! same path.
 
-use des::{digest, SimDuration, SimTime};
+use des::digest;
 use simnet::EthFrame;
-use zap::image::PodImage;
 
-use cruz::proto::{CtlMsg, ProtocolMode};
-
-use crate::runtime::CtlAddr;
+use crate::runtime::Deadline;
 
 /// One scheduled occurrence in the simulated cluster.
 #[allow(missing_docs)] // variant fields are documented where non-obvious
@@ -26,60 +26,11 @@ pub enum Event {
     FrameAtSwitch { from_port: usize, frame: EthFrame },
     /// A frame reaches a node's NIC from its downlink.
     FrameAtNode { port: usize, frame: EthFrame },
-    /// A decoded control frame is handed to a node's agent after its
-    /// control-CPU service delay.
-    AgentCtl {
-        node: usize,
-        msg: CtlMsg,
-        reply_to: CtlAddr,
-    },
-    /// A node's local save/restore work completes.
-    AgentLocalDone { node: usize, op: u64 },
-    /// A node's checkpoint images become durable on disk (the §5.2 commit
-    /// gate when capture and durability are split).
-    AgentDurable { node: usize, op: u64 },
-    /// COW capture: the background drain of a node's armed memory snapshots
-    /// completes (pages encoded, chunked, and handed to the disk).
-    CkptDrain { node: usize, op: u64 },
-    /// A decoded agent reply is handed to an operation's coordinator after
-    /// its control-CPU service delay.
-    CoordCtl { op: u64, from: usize, msg: CtlMsg },
-    /// The coordinator CPU frees up to transmit one queued protocol message.
-    CoordSend { op: u64, to: usize, msg: CtlMsg },
-    /// An operation's failure-detection deadline expires.
-    CoordTimeout { op: u64 },
-    /// A backed-off retransmission round for an operation's unacked sends.
-    CoordRetry { op: u64, attempt: u32 },
-    /// One heartbeat round for a job: ping every app node, arm the timeout.
-    Heartbeat { job: String },
-    /// The deadline of one heartbeat round: any pinged node that has not
-    /// ponged since `sent_at` is declared dead.
-    HeartbeatTimeout {
-        job: String,
-        sent_at: SimTime,
-        pinged: Vec<usize>,
-    },
     /// A duplicated or reordered frame copy re-entering a node's NIC; never
     /// re-rolled against the fault plan (one fate per original frame).
     FrameAtNodeInjected { port: usize, frame: EthFrame },
-    /// The periodic-checkpoint driver's next tick for a job.
-    PeriodicCkpt {
-        job: String,
-        interval: SimDuration,
-        mode: ProtocolMode,
-        cow: bool,
-    },
-    /// A migrated pod's image finishes its transfer and restores at the
-    /// destination.
-    MigrateFinish {
-        job: String,
-        pod: String,
-        dst: usize,
-        image: Box<PodImage>,
-    },
-    /// A periodic background scrub of a job's replicated checkpoint store:
-    /// compare replica logs and tree digests, repair divergence, re-arm.
-    StoreScrub { job: String, interval: SimDuration },
+    /// A protocol deadline firing.
+    Deadline(Deadline),
 }
 
 impl Event {
@@ -100,54 +51,56 @@ impl Event {
                 mix(3, *from_port as u64, frame.wire_len() as u64)
             }
             Event::FrameAtNode { port, frame } => mix(4, *port as u64, frame.wire_len() as u64),
-            Event::AgentCtl { node, msg, .. } => mix(5, *node as u64, msg.epoch()),
-            Event::AgentLocalDone { node, op } => mix(6, *node as u64, *op),
-            Event::AgentDurable { node, op } => mix(7, *node as u64, *op),
-            Event::CkptDrain { node, op } => mix(14, *node as u64, *op),
-            Event::CoordCtl { op, from, msg } => {
+            Event::FrameAtNodeInjected { port, frame } => {
+                mix(17, *port as u64, frame.wire_len() as u64)
+            }
+            Event::Deadline(Deadline::AgentCtl { node, msg, .. }) => {
+                mix(5, *node as u64, msg.epoch())
+            }
+            Event::Deadline(Deadline::AgentLocalDone { node, op }) => mix(6, *node as u64, *op),
+            Event::Deadline(Deadline::AgentDurable { node, op }) => mix(7, *node as u64, *op),
+            Event::Deadline(Deadline::CkptDrain { node, op }) => mix(14, *node as u64, *op),
+            Event::Deadline(Deadline::CoordCtl { op, from, msg }) => {
                 digest::fold_u64(mix(8, *op, *from as u64), msg.epoch())
             }
-            Event::CoordSend { op, to, msg } => {
+            Event::Deadline(Deadline::CoordSend { op, to, msg }) => {
                 digest::fold_u64(mix(9, *op, *to as u64), msg.epoch())
             }
-            Event::CoordTimeout { op } => mix(10, *op, 0),
-            Event::CoordRetry { op, attempt } => mix(11, *op, *attempt as u64),
-            Event::Heartbeat { job } => {
+            Event::Deadline(Deadline::CoordTimeout { op }) => mix(10, *op, 0),
+            Event::Deadline(Deadline::CoordRetry { op, attempt }) => mix(11, *op, *attempt as u64),
+            Event::Deadline(Deadline::Heartbeat { job }) => {
                 let mut h = mix(15, 0, 0);
                 for b in job.bytes() {
                     h = digest::fold_u64(h, b as u64);
                 }
                 h
             }
-            Event::HeartbeatTimeout {
+            Event::Deadline(Deadline::HeartbeatTimeout {
                 job,
                 sent_at,
                 pinged,
-            } => {
+            }) => {
                 let mut h = mix(16, sent_at.as_nanos(), pinged.len() as u64);
                 for b in job.bytes() {
                     h = digest::fold_u64(h, b as u64);
                 }
                 h
             }
-            Event::FrameAtNodeInjected { port, frame } => {
-                mix(17, *port as u64, frame.wire_len() as u64)
-            }
-            Event::PeriodicCkpt { job, interval, .. } => {
+            Event::Deadline(Deadline::PeriodicCkpt { job, interval, .. }) => {
                 let mut h = mix(12, interval.as_nanos(), 0);
                 for b in job.bytes() {
                     h = digest::fold_u64(h, b as u64);
                 }
                 h
             }
-            Event::MigrateFinish { job, pod, dst, .. } => {
+            Event::Deadline(Deadline::MigrateFinish { job, pod, dst, .. }) => {
                 let mut h = mix(13, *dst as u64, 0);
                 for b in job.bytes().chain(pod.bytes()) {
                     h = digest::fold_u64(h, b as u64);
                 }
                 h
             }
-            Event::StoreScrub { job, interval } => {
+            Event::Deadline(Deadline::StoreScrub { job, interval }) => {
                 let mut h = mix(18, interval.as_nanos(), 0);
                 for b in job.bytes() {
                     h = digest::fold_u64(h, b as u64);
@@ -173,14 +126,14 @@ mod tests {
             Event::NodeTick(3).fingerprint()
         );
         assert_ne!(
-            Event::CoordTimeout { op: 1 }.fingerprint(),
-            Event::CoordRetry { op: 1, attempt: 0 }.fingerprint()
+            Event::Deadline(Deadline::CoordTimeout { op: 1 }).fingerprint(),
+            Event::Deadline(Deadline::CoordRetry { op: 1, attempt: 0 }).fingerprint()
         );
     }
 
     #[test]
     fn fingerprint_is_pure() {
-        let ev = Event::Heartbeat { job: "j".into() };
+        let ev = Event::Deadline(Deadline::Heartbeat { job: "j".into() });
         assert_eq!(ev.fingerprint(), ev.fingerprint());
     }
 }

@@ -31,8 +31,9 @@
 //!   of control frames over [`runtime::CtlAddr`]s, with the simulated-UDP
 //!   backend as its first implementation and the net runtime's loopback
 //!   transport as its second;
-//! * [`events`] — the sim backend's internal DES step log and the
-//!   per-event fingerprint folded into the trace digest;
+//! * [`events`] — the sim backend's DES step log (substrate steps plus
+//!   every armed [`runtime::Deadline`]) and the per-event fingerprint
+//!   folded into the trace digest;
 //! * [`ops`] — coordinated-operation runtime, coordinator side: install,
 //!   message flow, retry/timeout, abort, migration;
 //! * [`ops_agent`] — coordinated-operation runtime, agent side: freeze,

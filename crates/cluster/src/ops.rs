@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use des::{SimDuration, SimTime};
-use zap::ArmedPodCheckpoint;
+use zap::{ArmedPodCheckpoint, PodImage};
 
 use cruz::coordinator::{CoordEffect, CoordStats, Coordinator};
 use cruz::error::CruzError;
@@ -35,8 +35,6 @@ pub(crate) struct OpRuntime {
     pub(crate) cow: bool,
     /// How this checkpoint captures memory (stop-the-world or COW arm/drain).
     pub(crate) capture: CkptCaptureMode,
-    /// Base epoch for incremental image capture (`None` = full).
-    pub(crate) incremental_base: Option<u64>,
     pub(crate) job: String,
     /// Epoch used for image storage (for restarts: the epoch restored).
     pub(crate) image_epoch: u64,
@@ -50,7 +48,7 @@ pub(crate) struct OpRuntime {
     /// COW capture: pre-image bytes copied on each node because post-resume
     /// guest writes raced the drain.
     pub(crate) cow_copied: BTreeMap<usize, u64>,
-    pub(crate) pending_restore: BTreeMap<usize, Vec<(String, Vec<u8>)>>,
+    pub(crate) pending_restore: BTreeMap<usize, Vec<(String, PodImage)>>,
     pub(crate) local_ops: BTreeMap<usize, (SimTime, SimTime)>,
     pub(crate) resumed_at: BTreeMap<usize, SimTime>,
     pub(crate) complete: bool,
@@ -98,9 +96,6 @@ pub struct CkptOptions {
     /// §5.2 copy-on-write: blackout covers capture only; `durable` gates
     /// the commit.
     pub cow: bool,
-    /// Incremental: save only pages dirtied since the job's latest
-    /// committed epoch (falls back to full when none exists).
-    pub incremental: bool,
     /// Memory-capture mode override; `None` uses `ClusterParams::capture`.
     /// [`CkptCaptureMode::Cow`] shrinks the freeze to the snapshot-arm
     /// window and implies the §5.2 durability split (`cow` above).
@@ -114,7 +109,6 @@ impl Default for CkptOptions {
         CkptOptions {
             mode: ProtocolMode::Blocking,
             cow: false,
-            incremental: false,
             capture: None,
             timeout: None,
         }
@@ -228,13 +222,6 @@ impl World {
         let jr = self.jobs.get(job).ok_or(ClusterError::NoSuchJob)?;
         let agents_nodes = jr.app_nodes();
         let coord_node = jr.coordinator_node;
-        // The dedup store makes every epoch full-fidelity while writing only
-        // novel chunks, so it subsumes incremental delta chains.
-        let incremental_base = if opts.incremental && !self.params.store.dedup {
-            self.store(job).latest_committed_epoch()
-        } else {
-            None
-        };
         let capture = opts.capture.unwrap_or(self.params.capture);
         let op = self.next_op;
         self.next_op += 1;
@@ -262,7 +249,7 @@ impl World {
         if opts.cow || capture == CkptCaptureMode::Cow {
             coord = coord.with_cow();
         }
-        self.install_op_inc(
+        self.install_op(
             op,
             op,
             OpKind::Checkpoint,
@@ -270,7 +257,6 @@ impl World {
             coord_node,
             agents_nodes,
             coord,
-            incremental_base,
             capture,
         )?;
         Ok(op)
@@ -355,6 +341,7 @@ impl World {
             coord_node,
             agents_nodes,
             coord,
+            CkptCaptureMode::StopTheWorld,
         )?;
         Ok(op)
     }
@@ -368,32 +355,7 @@ impl World {
         job: &str,
         coord_node: usize,
         agents_nodes: Vec<usize>,
-        coord: Coordinator,
-    ) -> Result<(), ClusterError> {
-        self.install_op_inc(
-            op,
-            image_epoch,
-            kind,
-            job,
-            coord_node,
-            agents_nodes,
-            coord,
-            None,
-            CkptCaptureMode::StopTheWorld,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn install_op_inc(
-        &mut self,
-        op: u64,
-        image_epoch: u64,
-        kind: OpKind,
-        job: &str,
-        coord_node: usize,
-        agents_nodes: Vec<usize>,
         mut coord: Coordinator,
-        incremental_base: Option<u64>,
         capture: CkptCaptureMode,
     ) -> Result<(), ClusterError> {
         let coord_sock = self.bind_ctl_sock(coord_node)?;
@@ -407,7 +369,6 @@ impl World {
                 kind,
                 cow,
                 capture,
-                incremental_base,
                 job: job.to_owned(),
                 image_epoch,
                 coord_node,

@@ -143,14 +143,7 @@ impl World {
                 }) else {
                     return;
                 };
-                for (pod_name, bytes) in images {
-                    let image = match PodImage::decode(&bytes) {
-                        Ok(img) => img,
-                        Err(e) => {
-                            self.fail_op(op, CruzError::BadImage(e));
-                            return;
-                        }
-                    };
+                for (pod_name, image) in images {
                     let slot = &mut self.nodes[node];
                     let pod_id = match slot.zap.restart_pod(&mut slot.kernel, &image, self.now) {
                         Ok(id) => id,
@@ -209,15 +202,13 @@ impl World {
     }
 
     fn begin_local_checkpoint(&mut self, node: usize, op: u64) {
-        let Some((cow, capture, base, job)) = self
-            .ops
-            .get(&op)
-            .map(|o| (o.cow, o.capture, o.incremental_base, o.job.clone()))
+        let Some((cow, capture, job)) =
+            self.ops.get(&op).map(|o| (o.cow, o.capture, o.job.clone()))
         else {
             return;
         };
         if capture == CkptCaptureMode::Cow {
-            self.begin_local_checkpoint_cow(node, op, base);
+            self.begin_local_checkpoint_cow(node, op);
             return;
         }
         let pods = self.job_pods_on_node(op, node);
@@ -235,18 +226,13 @@ impl World {
         for p in &pods {
             let Some(pod_id) = p.pod_id else { continue };
             let slot = &mut self.nodes[node];
-            let extracted = match base {
-                Some(b) => slot
-                    .zap
-                    .checkpoint_pod_incremental(&mut slot.kernel, pod_id, self.now, b)
-                    .map(|img| (img, Vec::new())),
-                None if dedup => slot
-                    .zap
-                    .checkpoint_pod_dirty(&mut slot.kernel, pod_id, self.now),
-                None => slot
-                    .zap
+            let extracted = if dedup {
+                slot.zap
+                    .checkpoint_pod_dirty(&mut slot.kernel, pod_id, self.now)
+            } else {
+                slot.zap
                     .checkpoint_pod(&mut slot.kernel, pod_id, self.now)
-                    .map(|img| (img, Vec::new())),
+                    .map(|img| (img, Vec::new()))
             };
             let (img, dirty) = match extracted {
                 Ok(v) => v,
@@ -356,56 +342,21 @@ impl World {
         let mut images = Vec::new();
         let mut total: u64 = 0;
         for p in &pods {
-            // Walk the incremental chain down to the full base image; the
-            // restore reads (and pays for) every link.
-            let mut chain: Vec<Vec<u8>> = Vec::new();
-            let mut epoch = Some(image_epoch);
-            while let Some(e) = epoch {
-                let Some(bytes) = store.get_image(&p.name, e) else {
-                    break;
-                };
-                // Charge what the disk actually serves: the plain file, or
-                // the manifest plus every distinct chunk it references.
-                total += store.stored_len(&p.name, e).unwrap_or(bytes.len() as u64);
-                let base = match PodImage::decode(&bytes) {
-                    Ok(img) => img.base_epoch,
-                    Err(e) => {
-                        self.fail_op(op, CruzError::BadImage(e));
-                        return;
-                    }
-                };
-                chain.push(bytes);
-                epoch = base;
-            }
-            if chain.is_empty() {
+            let Some(bytes) = store.get_image(&p.name, image_epoch) else {
                 continue;
-            }
-            // Fold base-first. The chain is non-empty, so the fold seed is
-            // the bottom (full) image.
-            let merged = chain
-                .pop()
-                .ok_or(CruzError::Protocol("image chain emptied mid-fold"))
-                .and_then(|base_bytes| PodImage::decode(&base_bytes).map_err(CruzError::from))
-                .and_then(|mut merged| {
-                    if merged.base_epoch.is_some() {
-                        return Err(CruzError::Protocol(
-                            "image chain does not bottom out at a full image",
-                        ));
-                    }
-                    while let Some(delta_bytes) = chain.pop() {
-                        let delta = PodImage::decode(&delta_bytes)?;
-                        merged = merged.apply_delta(&delta)?;
-                    }
-                    Ok(merged)
-                });
-            let merged = match merged {
-                Ok(m) => m,
+            };
+            // Charge what the disk actually serves: the plain file, or the
+            // manifest plus every distinct chunk it references.
+            total += store
+                .stored_len(&p.name, image_epoch)
+                .unwrap_or(bytes.len() as u64);
+            match PodImage::decode(&bytes) {
+                Ok(img) => images.push((p.name.clone(), img)),
                 Err(e) => {
-                    self.fail_op(op, e);
+                    self.fail_op(op, CruzError::BadImage(e));
                     return;
                 }
-            };
-            images.push((p.name.clone(), merged.encode()));
+            }
         }
         let done_at = self.nodes[node].kernel.disk.submit_read(self.now, total);
         if let Some(o) = self.ops.get_mut(&op) {

@@ -163,17 +163,18 @@ pub struct ClusterParams {
     /// Checkpoint-store representation: plain monolithic images (default,
     /// the paper's testbed behavior) or the content-addressed
     /// deduplicating store, with chunk size and per-chunk compression
-    /// selectable for ablation. When dedup is on, manifests are
-    /// full-fidelity, so it subsumes (and disables) incremental
-    /// delta-chain capture. `store.threads` sizes the capture/restore
-    /// worker pool (`0` = auto via `CRUZ_THREADS`/host parallelism, `1` =
-    /// serial reference path) — a wall-clock knob only: produced bytes and
-    /// trace digests are identical at every width. `store.replicas` sets
-    /// the replication factor k: every store mutation fans out through the
-    /// per-replica operation log, reads are digest-checked quorum reads,
-    /// and recovery scrubs/repairs replicas before rolling back, so a
-    /// restart survives the loss of up to k−1 replica stores (`1` = the
-    /// plain unreplicated store, byte-identical to earlier versions).
+    /// selectable for ablation. The dedup store is the one way to write
+    /// only what changed: every manifest is full-fidelity, yet a steady
+    /// epoch stores only its novel chunks. `store.threads` sizes the
+    /// capture/restore worker pool (`0` = auto via `CRUZ_THREADS`/host
+    /// parallelism, `1` = serial reference path) — a wall-clock knob
+    /// only: produced bytes and trace digests are identical at every
+    /// width. `store.replicas` sets the replication factor k: every store
+    /// mutation fans out through the per-replica operation log, reads are
+    /// digest-checked quorum reads, and recovery scrubs/repairs replicas
+    /// before rolling back, so a restart survives the loss of up to k−1
+    /// replica stores (`1` = the plain unreplicated store, byte-identical
+    /// to earlier versions).
     pub store: StoreConfig,
     /// Default capture mode for checkpoint operations (overridable per-op
     /// via `CkptOptions::capture`).

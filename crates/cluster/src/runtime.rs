@@ -13,9 +13,9 @@
 //!   `10.0.0.x` socket address, a real loopback UDP port).
 //! * [`Deadline`] + [`Timers`] — the protocol registers *what should
 //!   happen when* and the runtime owns *how that firing is driven*: the
-//!   sim backend turns each deadline into a DES event (its internal step
-//!   log), the net backend keeps a deadline heap polled against the real
-//!   clock.
+//!   sim backend queues each deadline unchanged as one
+//!   [`crate::events::Event::Deadline`] step, the net backend keeps a
+//!   deadline heap polled against the real clock.
 //!
 //! This is the split DMTCP's coordinator/plugin architecture proved out:
 //! swap the transport and clock, keep the protocol. `SimRuntime` remains
@@ -129,9 +129,9 @@ impl CtlAddr {
 /// action — service-delay completions, failure-detection deadlines, retry
 /// rounds, periodic drivers — is armed as one of these through
 /// [`Timers::arm`] rather than scheduled as a raw DES event. The sim
-/// backend maps each variant 1:1 onto its internal `Event` step log (same
-/// times, same order, so golden traces are unchanged); the net backend
-/// fires them from a deadline heap against the wall clock.
+/// backend carries each one as [`crate::events::Event::Deadline`] on its
+/// event queue; the net backend fires them from a deadline heap against
+/// the wall clock.
 #[allow(missing_docs)] // variant fields are documented where non-obvious
 pub enum Deadline {
     /// A decoded control frame is handed to a node's agent after its

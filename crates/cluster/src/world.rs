@@ -337,38 +337,44 @@ impl World {
             Event::NodeTick(n) => self.on_node_tick(n),
             Event::FrameAtSwitch { from_port, frame } => self.on_frame_at_switch(from_port, frame),
             Event::FrameAtNode { port, frame } => self.on_frame_at_node(port, frame),
-            Event::AgentCtl {
+            Event::FrameAtNodeInjected { port, frame } => self.on_frame_injected(port, frame),
+            Event::Deadline(d) => self.on_deadline(d),
+        }
+    }
+
+    fn on_deadline(&mut self, d: Deadline) {
+        match d {
+            Deadline::AgentCtl {
                 node,
                 msg,
                 reply_to,
             } => self.on_agent_ctl(node, msg, reply_to),
-            Event::AgentLocalDone { node, op } => self.on_agent_local_done(node, op),
-            Event::AgentDurable { node, op } => self.on_agent_durable(node, op),
-            Event::CkptDrain { node, op } => self.on_ckpt_drain(node, op),
-            Event::CoordCtl { op, from, msg } => self.on_coord_ctl(op, from, msg),
-            Event::CoordSend { op, to, msg } => self.on_coord_send(op, to, msg),
-            Event::CoordTimeout { op } => self.on_coord_timeout(op),
-            Event::CoordRetry { op, attempt } => self.on_coord_retry(op, attempt),
-            Event::Heartbeat { job } => self.on_heartbeat(&job),
-            Event::HeartbeatTimeout {
+            Deadline::AgentLocalDone { node, op } => self.on_agent_local_done(node, op),
+            Deadline::AgentDurable { node, op } => self.on_agent_durable(node, op),
+            Deadline::CkptDrain { node, op } => self.on_ckpt_drain(node, op),
+            Deadline::CoordCtl { op, from, msg } => self.on_coord_ctl(op, from, msg),
+            Deadline::CoordSend { op, to, msg } => self.on_coord_send(op, to, msg),
+            Deadline::CoordTimeout { op } => self.on_coord_timeout(op),
+            Deadline::CoordRetry { op, attempt } => self.on_coord_retry(op, attempt),
+            Deadline::Heartbeat { job } => self.on_heartbeat(&job),
+            Deadline::HeartbeatTimeout {
                 job,
                 sent_at,
                 pinged,
-            } => self.on_heartbeat_timeout(&job, sent_at, pinged),
-            Event::FrameAtNodeInjected { port, frame } => self.on_frame_injected(port, frame),
-            Event::PeriodicCkpt {
+            } => self.on_heartbeat_timeout(&job, sent_at.into(), pinged),
+            Deadline::PeriodicCkpt {
                 job,
                 interval,
                 mode,
                 cow,
-            } => self.on_periodic_ckpt(&job, interval, mode, cow),
-            Event::MigrateFinish {
+            } => self.on_periodic_ckpt(&job, interval.into(), mode, cow),
+            Deadline::MigrateFinish {
                 job,
                 pod,
                 dst,
                 image,
             } => self.on_migrate_finish(&job, &pod, dst, &image),
-            Event::StoreScrub { job, interval } => self.on_store_scrub(&job, interval),
+            Deadline::StoreScrub { job, interval } => self.on_store_scrub(&job, interval.into()),
         }
     }
 
@@ -509,67 +515,6 @@ impl World {
     }
 }
 
-/// The sim backend's 1:1 mapping from the protocol's portable deadline
-/// vocabulary onto its internal [`Event`] step log. Same variant, same
-/// fields, lossless time conversion — which is how the `Timers` refactor
-/// leaves every pinned golden-trace digest untouched.
-fn deadline_event(d: Deadline) -> Event {
-    match d {
-        Deadline::AgentCtl {
-            node,
-            msg,
-            reply_to,
-        } => Event::AgentCtl {
-            node,
-            msg,
-            reply_to,
-        },
-        Deadline::AgentLocalDone { node, op } => Event::AgentLocalDone { node, op },
-        Deadline::AgentDurable { node, op } => Event::AgentDurable { node, op },
-        Deadline::CkptDrain { node, op } => Event::CkptDrain { node, op },
-        Deadline::CoordCtl { op, from, msg } => Event::CoordCtl { op, from, msg },
-        Deadline::CoordSend { op, to, msg } => Event::CoordSend { op, to, msg },
-        Deadline::CoordTimeout { op } => Event::CoordTimeout { op },
-        Deadline::CoordRetry { op, attempt } => Event::CoordRetry { op, attempt },
-        Deadline::Heartbeat { job } => Event::Heartbeat { job },
-        Deadline::HeartbeatTimeout {
-            job,
-            sent_at,
-            pinged,
-        } => Event::HeartbeatTimeout {
-            job,
-            sent_at: sent_at.into(),
-            pinged,
-        },
-        Deadline::PeriodicCkpt {
-            job,
-            interval,
-            mode,
-            cow,
-        } => Event::PeriodicCkpt {
-            job,
-            interval: interval.into(),
-            mode,
-            cow,
-        },
-        Deadline::MigrateFinish {
-            job,
-            pod,
-            dst,
-            image,
-        } => Event::MigrateFinish {
-            job,
-            pod,
-            dst,
-            image,
-        },
-        Deadline::StoreScrub { job, interval } => Event::StoreScrub {
-            job,
-            interval: interval.into(),
-        },
-    }
-}
-
 /// The DES backend of the runtime seam: `now` is virtual time and `arm`
 /// appends to the deterministic event queue (insertion order breaks time
 /// ties, satisfying the [`Timers`] ordering contract exactly).
@@ -579,6 +524,6 @@ impl Timers for World {
     }
 
     fn arm(&mut self, at: CtlInstant, d: Deadline) {
-        self.queue.push(at.into(), deadline_event(d));
+        self.queue.push(at.into(), Event::Deadline(d));
     }
 }

@@ -21,9 +21,8 @@
 //! Reads are representation-transparent: [`CheckpointStore::get_image`]
 //! returns the full image bytes either way, so a restart from a dedup
 //! epoch is byte-equivalent to a restart from a plain image. Manifests are
-//! always *full-fidelity* (they describe the complete image), which is why
-//! the dedup store subsumes incremental checkpointing: there is no delta
-//! chain to fold at restore time.
+//! always *full-fidelity* (they describe the complete image): a restart
+//! reads one epoch, never a chain of deltas.
 //!
 //! Chunks are garbage-collected by reference counting: every manifest
 //! reference bumps the chunk's count in the job's `chunks/REFS` table, and
@@ -917,7 +916,7 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Option<(u64, Vec<(ChunkId, u32, u
         }
         let raw_len = r.u64()?;
         let n = r.u32()?;
-        let mut recs = Vec::with_capacity(n as usize);
+        let mut recs = r.vec_for(n);
         for _ in 0..n {
             let id = ChunkId(r.u64()?, r.u64()?);
             let seg_len = r.u32()?;
@@ -932,6 +931,16 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Option<(u64, Vec<(ChunkId, u32, u
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn manifest_with_a_huge_count_is_rejected_without_reserving_it() {
+        let mut w = ImageWriter::new();
+        w.u32(MANIFEST_MAGIC);
+        w.u16(STORE_VERSION);
+        w.u64(0);
+        w.u32(u32::MAX);
+        assert_eq!(decode_manifest(&w.finish()), None);
+    }
 
     #[test]
     fn latest_cache_tracks_discard() {

@@ -279,8 +279,10 @@ fn extract_ctlmsg(sf: &SourceFile, out: &mut Vec<WireEntry>) {
 
 /// Extracts `Event` fingerprint tags: each non-test `Event::Ident` token
 /// pairs with the first `mix(<int>` at or after it, before the next
-/// candidate and within 8 lines. Unpaired candidates (uses of `Event`
-/// outside the fingerprint match) are dropped.
+/// candidate and within 8 lines. A wrapping variant names what it wraps:
+/// `Event::Deadline(Deadline::Ident ..)` is extracted as `Ident`.
+/// Unpaired candidates (uses of `Event` outside the fingerprint match)
+/// are dropped.
 fn extract_events(sf: &SourceFile, out: &mut Vec<WireEntry>) {
     let lines: Vec<&str> = sf.clean.lines().collect();
     let mut cands: Vec<(usize, String)> = Vec::new();
@@ -298,13 +300,21 @@ fn extract_events(sf: &SourceFile, out: &mut Vec<WireEntry>) {
             }
         }
         let rest = &l[at + "Event::".len()..];
-        let end = rest
-            .char_indices()
-            .find(|(_, c)| !(c.is_ascii_alphanumeric() || *c == '_'))
-            .map_or(rest.len(), |(i, _)| i);
-        if end > 0 && rest.as_bytes()[0].is_ascii_uppercase() {
-            cands.push((i, rest[..end].to_string()));
+        let end = ident_len(rest);
+        if end == 0 || !rest.as_bytes()[0].is_ascii_uppercase() {
+            continue;
         }
+        let mut name = &rest[..end];
+        if let Some(inner) = rest[end..].strip_prefix('(') {
+            let path = ident_len(inner);
+            if let Some(variant) = inner[path..].strip_prefix("::").filter(|_| path > 0) {
+                let n = ident_len(variant);
+                if n > 0 && variant.as_bytes()[0].is_ascii_uppercase() {
+                    name = &variant[..n];
+                }
+            }
+        }
+        cands.push((i, name.to_string()));
     }
     for k in 0..cands.len() {
         let (i, ref name) = cands[k];
@@ -328,6 +338,13 @@ fn extract_events(sf: &SourceFile, out: &mut Vec<WireEntry>) {
             });
         }
     }
+}
+
+/// Length of the identifier at the start of `s` (0 if none).
+fn ident_len(s: &str) -> usize {
+    s.char_indices()
+        .find(|(_, c)| !(c.is_ascii_alphanumeric() || *c == '_'))
+        .map_or(s.len(), |(i, _)| i)
 }
 
 /// Extracts `const` items whose names mention `MAGIC`/`VERSION`/`PORT`,
@@ -658,6 +675,13 @@ impl Event {
                 let mut h = mix(16, sent_at.as_nanos(), 0);
                 h
             }
+            Event::Deadline(Deadline::CoordRetry { op, attempt }) => mix(11, *op, 0),
+            Event::Deadline(Deadline::HeartbeatTimeout {
+                job,
+            }) => {
+                let mut h = mix(17, 0, 0);
+                h
+            }
             Event::Quiet { .. } => 0,
         }
     }
@@ -671,8 +695,10 @@ impl Event {
             vec![
                 ("NodeRun".to_string(), "1".to_string()),
                 ("HeartbeatTimeout".to_string(), "16".to_string()),
+                ("CoordRetry".to_string(), "11".to_string()),
+                ("HeartbeatTimeout".to_string(), "17".to_string()),
             ],
-            "unpaired Quiet candidate dropped"
+            "nested deadlines name the wrapped variant; unpaired Quiet dropped"
         );
     }
 

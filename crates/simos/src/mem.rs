@@ -112,7 +112,7 @@ pub struct AddressSpace {
     /// Private pages, keyed by page-aligned address.
     pages: BTreeMap<u64, Page>,
     /// Pages written since the last [`AddressSpace::clear_dirty`] — the
-    /// book-keeping incremental checkpointing consumes.
+    /// book-keeping the capture path's page-digest cache consumes.
     dirty: std::collections::BTreeSet<u64>,
     /// An armed copy-on-write snapshot, if a checkpoint drain is pending.
     cow: Option<CowSnapshot>,
@@ -169,8 +169,6 @@ struct CowSnapshot {
     /// not resident (demand-zero) at arm time and must not appear in the
     /// snapshot even though it is resident now.
     preserved: BTreeMap<u64, Option<Box<[u8]>>>,
-    /// The dirty set at arm time (what an incremental drain captures).
-    dirty_at_arm: std::collections::BTreeSet<u64>,
     /// Bytes of pre-image copies forced by post-arm writes — the extra
     /// copy cost COW trades for a short freeze.
     copied_bytes: u64,
@@ -310,15 +308,6 @@ impl AddressSpace {
         self.dirty.insert(page_addr);
     }
 
-    /// Pages written since the last [`AddressSpace::clear_dirty`], with
-    /// their current contents (zero-filled pages included — a page that
-    /// *became* zero must still appear in an incremental image).
-    pub fn dirty_pages(&self) -> impl Iterator<Item = (u64, &[u8])> {
-        self.dirty
-            .iter()
-            .filter_map(|&a| self.pages.get(&a).map(|p| (a, &p.bytes[..])))
-    }
-
     /// Number of dirty pages.
     pub fn dirty_count(&self) -> usize {
         self.dirty.len()
@@ -379,7 +368,6 @@ impl AddressSpace {
     pub fn cow_arm(&mut self) {
         self.cow = Some(CowSnapshot {
             preserved: BTreeMap::new(),
-            dirty_at_arm: self.dirty.clone(),
             copied_bytes: 0,
         });
     }
@@ -442,44 +430,16 @@ impl AddressSpace {
             .collect()
     }
 
-    /// Drains the pages that were dirty at arm time, with their arm-time
-    /// contents — the incremental counterpart of
-    /// [`AddressSpace::dirty_pages`] (zero pages included, non-resident
-    /// ones skipped, exactly as there).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no snapshot is armed.
-    pub fn cow_snapshot_dirty_pages(&self) -> Vec<(u64, Vec<u8>)> {
-        let snap = self.cow.as_ref().expect("no armed snapshot to drain");
-        snap.dirty_at_arm
-            .iter()
-            .filter_map(|&a| self.cow_page_at_arm(a).map(|p| (a, p.to_vec())))
-            .collect()
-    }
-
-    /// Payload bytes a drain will produce (`dirty_only` selects the
-    /// incremental page set), without materializing any copy — what the
-    /// checkpoint scheduler needs at arm time to plan the background
-    /// encode.
-    pub fn cow_pending_bytes(&self, dirty_only: bool) -> u64 {
-        let Some(snap) = self.cow.as_ref() else {
-            return 0;
-        };
-        if dirty_only {
-            snap.dirty_at_arm
-                .iter()
-                .filter(|&&a| self.cow_page_at_arm(a).is_some())
-                .count() as u64
-                * PAGE_SIZE
-        } else {
-            self.cow_candidate_addrs()
-                .into_iter()
-                .filter_map(|a| self.cow_page_at_arm(a))
-                .filter(|p| p.iter().any(|&b| b != 0))
-                .count() as u64
-                * PAGE_SIZE
-        }
+    /// Payload bytes a drain will produce, without materializing any
+    /// copy — what the checkpoint scheduler needs at arm time to plan the
+    /// background encode.
+    pub fn cow_pending_bytes(&self) -> u64 {
+        self.cow_candidate_addrs()
+            .into_iter()
+            .filter_map(|a| self.cow_page_at_arm(a))
+            .filter(|p| p.iter().any(|&b| b != 0))
+            .count() as u64
+            * PAGE_SIZE
     }
 
     /// Preserves a page's pre-image before its first post-arm mutation
@@ -765,7 +725,7 @@ mod tests {
         assert_eq!(s.dirty_count(), 0);
         s.store_u64(0x1000, 1).unwrap();
         s.store_u64(0x3000, 2).unwrap();
-        let dirty: Vec<u64> = s.dirty_pages().map(|(a, _)| a).collect();
+        let dirty: Vec<u64> = s.dirty_set().iter().copied().collect();
         assert_eq!(dirty, vec![0x1000, 0x3000]);
         s.clear_dirty();
         assert_eq!(s.dirty_count(), 0);
@@ -842,23 +802,15 @@ mod tests {
     fn cow_pending_bytes_sizes_the_drain() {
         let mut s = AddressSpace::new();
         s.map(0x1000, PAGE_SIZE * 4, "data").unwrap();
+        assert_eq!(s.cow_pending_bytes(), 0, "nothing armed");
         s.store_u8(0x1000, 1).unwrap();
         s.store_u8(0x2000, 2).unwrap();
-        s.clear_dirty();
-        s.store_u8(0x2000, 3).unwrap(); // dirty again
+        s.store_u8(0x4000, 0).unwrap(); // resident but zero: not drained
         s.cow_arm();
-        s.store_u8(0x3000, 4).unwrap(); // post-arm: excluded everywhere
-        assert_eq!(s.cow_pending_bytes(false), 2 * PAGE_SIZE);
-        assert_eq!(s.cow_pending_bytes(true), PAGE_SIZE);
+        s.store_u8(0x3000, 4).unwrap(); // post-arm: excluded
+        assert_eq!(s.cow_pending_bytes(), 2 * PAGE_SIZE);
         assert_eq!(
-            s.cow_snapshot_dirty_pages()
-                .iter()
-                .map(|(a, _)| *a)
-                .collect::<Vec<_>>(),
-            vec![0x2000]
-        );
-        assert_eq!(
-            s.cow_pending_bytes(false),
+            s.cow_pending_bytes(),
             s.cow_snapshot_pages()
                 .iter()
                 .map(|(_, p)| p.len() as u64)

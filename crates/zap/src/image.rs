@@ -153,12 +153,21 @@ impl<'a> ImageReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], ImageError> {
-        if self.pos + n > self.data.len() {
-            return Err(ImageError::Truncated);
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.data.len())
+            .ok_or(ImageError::Truncated)?;
+        let s = &self.data[self.pos..end];
+        self.pos = end;
         Ok(s)
+    }
+
+    /// An empty vector with room for `n` decoded elements, capped at the
+    /// unread input length: every element occupies at least one byte, so
+    /// a corrupt count can never reserve more than the input could fill.
+    pub fn vec_for<T>(&self, n: u32) -> Vec<T> {
+        Vec::with_capacity((n as usize).min(self.data.len() - self.pos))
     }
 
     /// Reads a `u8`.
@@ -188,7 +197,7 @@ impl<'a> ImageReader<'a> {
 
     /// Reads a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<Vec<u8>, ImageError> {
-        let n = self.u64()? as usize;
+        let n = usize::try_from(self.u64()?).map_err(|_| ImageError::Truncated)?;
         Ok(self.take(n)?.to_vec())
     }
 
@@ -484,15 +493,9 @@ pub struct ProcImage {
     pub console: Vec<String>,
 }
 
-/// A complete pod checkpoint (or, when `base_epoch` is set, an
-/// *incremental* delta carrying only pages dirtied since that base).
+/// A complete pod checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PodImage {
-    /// The epoch this image is a delta against (`None` = full image).
-    /// Kernel-object state (sockets, pipes, semaphores, shared memory,
-    /// processes) is always carried in full — it is small; only private
-    /// pages are delta-encoded.
-    pub base_epoch: Option<u64>,
     /// Pod name.
     pub name: String,
     /// The pod's externally routable IP (preserved across migration).
@@ -538,13 +541,8 @@ impl PodImage {
         let mut w = ImageWriter::new();
         w.u32(MAGIC);
         w.u16(VERSION);
-        match self.base_epoch {
-            Some(e) => {
-                w.bool(true);
-                w.u64(e);
-            }
-            None => w.bool(false),
-        }
+        // Reserved flag byte, always 0 (keeps image bytes stable).
+        w.u8(0);
         w.str(&self.name);
         w.u32(self.ip.to_bits());
         match self.mac_mode {
@@ -610,7 +608,11 @@ impl PodImage {
         if version != VERSION {
             return Err(ImageError::BadVersion(version));
         }
-        let base_epoch = if r.bool()? { Some(r.u64()?) } else { None };
+        // A nonzero flag marks a delta image, which nothing can restore.
+        match r.u8()? {
+            0 => {}
+            t => return Err(ImageError::BadTag(t)),
+        }
         let name = r.str()?;
         let ip = IpAddr::from_bits(r.u32()?);
         let mac_mode = match r.u8()? {
@@ -623,7 +625,7 @@ impl PodImage {
         let next_vpid = r.u32()?;
 
         let n = r.u32()?;
-        let mut shm = Vec::with_capacity(n as usize);
+        let mut shm = r.vec_for(n);
         for _ in 0..n {
             shm.push(ShmImage {
                 key: r.u64()?,
@@ -631,18 +633,18 @@ impl PodImage {
             });
         }
         let n = r.u32()?;
-        let mut sems = Vec::with_capacity(n as usize);
+        let mut sems = r.vec_for(n);
         for _ in 0..n {
             let key = r.u64()?;
             let m = r.u32()?;
-            let mut values = Vec::with_capacity(m as usize);
+            let mut values = r.vec_for(m);
             for _ in 0..m {
                 values.push(r.i64()?);
             }
             sems.push(SemImage { key, values });
         }
         let n = r.u32()?;
-        let mut pipes = Vec::with_capacity(n as usize);
+        let mut pipes = r.vec_for(n);
         for _ in 0..n {
             pipes.push(PipeImage {
                 data: r.bytes()?,
@@ -651,22 +653,21 @@ impl PodImage {
             });
         }
         let n = r.u32()?;
-        let mut sockets = Vec::with_capacity(n as usize);
+        let mut sockets = r.vec_for(n);
         for _ in 0..n {
             sockets.push(decode_sock(&mut r)?);
         }
         let n = r.u32()?;
-        let mut groups = Vec::with_capacity(n as usize);
+        let mut groups = r.vec_for(n);
         for _ in 0..n {
             groups.push(decode_group(&mut r)?);
         }
         let n = r.u32()?;
-        let mut procs = Vec::with_capacity(n as usize);
+        let mut procs = r.vec_for(n);
         for _ in 0..n {
             procs.push(decode_proc(&mut r)?);
         }
         Ok(PodImage {
-            base_epoch,
             name,
             ip,
             mac_mode,
@@ -695,39 +696,6 @@ impl PodImage {
             .flat_map(|g| g.pages.iter())
             .map(|(_, data)| data.len() as u64)
             .sum()
-    }
-
-    /// Applies an incremental `delta` on top of this (full) image,
-    /// producing the full image the delta represents: every small object
-    /// (processes, sockets, pipes, semaphores, shared memory, identity)
-    /// comes from the delta; private pages are the base's overlaid with the
-    /// delta's dirty pages.
-    ///
-    /// # Errors
-    ///
-    /// [`ImageError::BadTag`] (reused as a structural-mismatch signal) if
-    /// the delta's thread-group count differs from the base's — incremental
-    /// chains are only valid while the group structure is stable.
-    pub fn apply_delta(&self, delta: &PodImage) -> Result<PodImage, ImageError> {
-        if delta.groups.len() != self.groups.len() {
-            return Err(ImageError::BadTag(0xfe));
-        }
-        let mut merged = delta.clone();
-        merged.base_epoch = None;
-        for (gi, group) in merged.groups.iter_mut().enumerate() {
-            let mut pages: std::collections::BTreeMap<u64, Vec<u8>> =
-                self.groups[gi].pages.iter().cloned().collect();
-            for (addr, data) in &delta.groups[gi].pages {
-                pages.insert(*addr, data.clone());
-            }
-            // Drop pages that fell entirely to zero: they are demand-zero
-            // again and need no image entry.
-            group.pages = pages
-                .into_iter()
-                .filter(|(_, d)| d.iter().any(|&b| b != 0))
-                .collect();
-        }
-        Ok(merged)
     }
 }
 
@@ -825,7 +793,7 @@ fn decode_conn(r: &mut ImageReader<'_>) -> Result<TcpConnImage, ImageError> {
     let nodelay = r.bool()?;
     let cork = r.bool()?;
     let n = r.u32()?;
-    let mut inflight = Vec::with_capacity(n as usize);
+    let mut inflight = r.vec_for(n);
     for _ in 0..n {
         inflight.push(r.bytes()?);
     }
@@ -850,7 +818,7 @@ fn decode_sock(r: &mut ImageReader<'_>) -> Result<SockImage, ImageError> {
             let local = read_sockaddr(r)?;
             let backlog = r.u32()?;
             let n = r.u32()?;
-            let mut pending = Vec::with_capacity(n as usize);
+            let mut pending = r.vec_for(n);
             for _ in 0..n {
                 let snap = decode_conn(r)?;
                 pending.push((snap, r.bytes()?));
@@ -873,7 +841,7 @@ fn decode_sock(r: &mut ImageReader<'_>) -> Result<SockImage, ImageError> {
                 None
             };
             let n = r.u32()?;
-            let mut queue = Vec::with_capacity(n as usize);
+            let mut queue = r.vec_for(n);
             for _ in 0..n {
                 let from = read_sockaddr(r)?;
                 queue.push((from, r.bytes()?));
@@ -937,7 +905,7 @@ fn encode_group(w: &mut ImageWriter, g: &GroupImage, cuts: &mut Vec<(usize, usiz
 
 fn decode_group(r: &mut ImageReader<'_>) -> Result<GroupImage, ImageError> {
     let n = r.u32()?;
-    let mut areas = Vec::with_capacity(n as usize);
+    let mut areas = r.vec_for(n);
     for _ in 0..n {
         let start = r.u64()?;
         let len = r.u64()?;
@@ -951,13 +919,13 @@ fn decode_group(r: &mut ImageReader<'_>) -> Result<GroupImage, ImageError> {
         });
     }
     let n = r.u32()?;
-    let mut pages = Vec::with_capacity(n as usize);
+    let mut pages = r.vec_for(n);
     for _ in 0..n {
         let addr = r.u64()?;
         pages.push((addr, r.bytes()?));
     }
     let n = r.u32()?;
-    let mut fds = Vec::with_capacity(n as usize);
+    let mut fds = r.vec_for(n);
     for _ in 0..n {
         let fd = r.u32()?;
         let d = match r.u8()? {
@@ -1041,7 +1009,7 @@ fn decode_proc(r: &mut ImageReader<'_>) -> Result<ProcImage, ImageError> {
         t => return Err(ImageError::BadTag(t)),
     };
     let n = r.u32()?;
-    let mut console = Vec::with_capacity(n as usize);
+    let mut console = r.vec_for(n);
     for _ in 0..n {
         console.push(r.str()?);
     }
@@ -1064,7 +1032,6 @@ mod tests {
 
     fn sample_image() -> PodImage {
         PodImage {
-            base_epoch: Some(41),
             name: "pod0".into(),
             ip: IpAddr::from_octets([10, 0, 0, 50]),
             mac_mode: MacMode::SharedPhysical {
@@ -1255,37 +1222,6 @@ mod tests {
         assert_eq!(back.snd_una, snap.snd_una);
         assert_eq!(back.inflight, snap.inflight);
         assert!(back.recv_stream.is_empty());
-    }
-
-    #[test]
-    fn apply_delta_overlays_pages_and_takes_delta_objects() {
-        let mut base = sample_image();
-        base.base_epoch = None;
-        base.groups[0].pages = vec![(0x1000, vec![1; 4096]), (0x2000, vec![2; 4096])];
-        let mut delta = base.clone();
-        delta.base_epoch = Some(1);
-        delta.next_vpid = 99;
-        delta.groups[0].pages = vec![(0x2000, vec![9; 4096]), (0x3000, vec![3; 4096])];
-        let merged = base.apply_delta(&delta).unwrap();
-        assert_eq!(merged.base_epoch, None);
-        assert_eq!(merged.next_vpid, 99, "small state comes from the delta");
-        assert_eq!(
-            merged.groups[0].pages,
-            vec![
-                (0x1000, vec![1; 4096]),
-                (0x2000, vec![9; 4096]),
-                (0x3000, vec![3; 4096])
-            ]
-        );
-        // A page zeroed in the delta disappears from the merged image.
-        let mut zeroing = delta.clone();
-        zeroing.groups[0].pages = vec![(0x1000, vec![0; 4096])];
-        let merged = base.apply_delta(&zeroing).unwrap();
-        assert_eq!(merged.groups[0].pages, vec![(0x2000, vec![2; 4096])]);
-        // Structural mismatch is rejected.
-        let mut bad = delta.clone();
-        bad.groups.clear();
-        assert!(base.apply_delta(&bad).is_err());
     }
 
     #[test]

@@ -534,9 +534,9 @@ fn checkpoint_preserves_zombies_for_waitpid() {
     assert_eq!(zombie_code(&k2, &z2, pod2, vpid), Some(44));
 }
 
-/// A program with a large (rarely-touched) resident array and a small hot
-/// page, for incremental-checkpoint tests: phase 1 bumps a counter, then a
-/// long sleep (checkpoint window), then more bumps and exit(counter).
+/// A program with a large (never-touched) resident array and a small hot
+/// page, for dirty-tracking tests: phase 1 bumps a counter, then a long
+/// sleep (checkpoint window), then more bumps and exit(counter).
 fn counter_program(big_bytes: usize) -> Program {
     let counter = DATA_BASE as i64;
     let mut a = Asm::new(CODE_BASE);
@@ -544,13 +544,13 @@ fn counter_program(big_bytes: usize) -> Program {
     a.movi(R6, counter);
     a.movi(R7, 5);
     a.st(R6, R7, 0);
-    a.sys1(nr::SLEEP, 10_000_000); // full checkpoint lands here
+    a.sys1(nr::SLEEP, 10_000_000); // first checkpoint lands here
                                    // counter += 2  (dirties exactly one data page)
     a.movi(R6, counter);
     a.ld(R7, R6, 0);
     a.addi(R7, R7, 2);
     a.st(R6, R7, 0);
-    a.sys1(nr::SLEEP, 10_000_000); // incremental checkpoint lands here
+    a.sys1(nr::SLEEP, 10_000_000); // second checkpoint lands here
     a.movi(R6, counter);
     a.ld(R7, R6, 0);
     a.addi(R7, R7, 100);
@@ -573,40 +573,40 @@ fn incremental_checkpoint_chain_restores_correctly() {
         .spawn_in_pod(&mut k1, pod, &counter_program(big))
         .unwrap();
 
-    // Into the first sleep: full checkpoint.
+    // Into the first sleep: the first capture re-baselines dirty tracking.
     let mut now = SimTime::ZERO;
     run_until(&mut k1, &mut now, 1_000_000, |k| {
         !k.has_runnable() && k.next_timer().is_some()
     });
-    let full = z1.checkpoint_pod(&mut k1, pod, now).unwrap();
-    assert_eq!(full.base_epoch, None);
+    z1.checkpoint_pod(&mut k1, pod, now).unwrap();
     z1.resume_pod(&mut k1, pod, now).unwrap();
 
-    // Run into the second sleep: incremental checkpoint.
+    // Run into the second sleep (its timer lies past the first one's):
+    // a second, full capture with its dirty set.
     let resumed_at = now;
-    run_until(&mut k1, &mut now, 1_000_000, |k| {
+    assert!(run_until(&mut k1, &mut now, 1_000_000, |k| {
         !k.has_runnable()
             && k.next_timer()
-                .map(|t| t > resumed_at + SimDuration::from_millis(5))
+                .map(|t| t > resumed_at + SimDuration::from_millis(15))
                 .unwrap_or(false)
-    });
-    let delta = z1.checkpoint_pod_incremental(&mut k1, pod, now, 1).unwrap();
-    assert_eq!(delta.base_epoch, Some(1));
+    }));
+    let (second, dirty) = z1.checkpoint_pod_dirty(&mut k1, pod, now).unwrap();
 
-    // The delta is a tiny fraction of the full image: the 1 MiB array was
-    // untouched between the checkpoints.
-    let full_len = full.encoded_len();
-    let delta_len = delta.encoded_len();
-    assert!(
-        delta_len * 10 < full_len,
-        "delta {delta_len} B should be far below full {full_len} B"
-    );
+    // Only the counter page changed between the captures. The 1 MiB array
+    // the guest never touched is absent from the dirty set, which is what
+    // lets the store's page-digest cache skip re-chunking it.
+    assert!(dirty.iter().any(|g| g.contains(&DATA_BASE)));
+    for page in (0..big as u64).step_by(4096).map(|off| 0x0200_0000 + off) {
+        assert!(
+            dirty.iter().all(|g| !g.contains(&page)),
+            "untouched page {page:#x} reported dirty"
+        );
+    }
 
-    // Fold the chain and restore on a different node; the program finishes
+    // Restore the second capture on a different node; the program finishes
     // with the counter evolved across BOTH checkpoints: 5 + 2 + 100.
-    let merged = full.apply_delta(&delta).unwrap();
     z1.destroy_pod(&mut k1, pod).unwrap();
-    let pod2 = z2.restart_pod(&mut k2, &merged, now).unwrap();
+    let pod2 = z2.restart_pod(&mut k2, &second, now).unwrap();
     z2.resume_pod(&mut k2, pod2, now).unwrap();
     let mut now2 = now;
     assert!(run_until(&mut k2, &mut now2, 1_000_000, |k| {
@@ -617,8 +617,8 @@ fn incremental_checkpoint_chain_restores_correctly() {
 
 #[test]
 fn incremental_after_restore_starts_clean() {
-    // Restore marks everything clean: an incremental taken right after a
-    // restart carries (almost) nothing, not the whole address space.
+    // A restored space equals its image: a capture taken right after a
+    // restart reports nothing dirty, not the whole address space.
     let fs = NetFs::new();
     let (mut k1, z1) = node(1, 1, &fs);
     let (mut k2, z2) = node(2, 2, &fs);
@@ -633,13 +633,14 @@ fn incremental_after_restore_starts_clean() {
     let full = z1.checkpoint_pod(&mut k1, pod, now).unwrap();
     z1.destroy_pod(&mut k1, pod).unwrap();
     let pod2 = z2.restart_pod(&mut k2, &full, now).unwrap();
-    // Immediately take an incremental without resuming: nothing ran, so
-    // nothing is dirty.
-    let delta = z2
-        .checkpoint_pod_incremental(&mut k2, pod2, now, 1)
-        .unwrap();
-    let pages: usize = delta.groups.iter().map(|g| g.pages.len()).sum();
-    assert_eq!(pages, 0, "clean restore ⇒ empty delta");
+    // Capture immediately without resuming: nothing ran, so nothing is
+    // dirty.
+    let (_, dirty) = z2.checkpoint_pod_dirty(&mut k2, pod2, now).unwrap();
+    assert!(!dirty.is_empty());
+    assert!(
+        dirty.iter().all(|g| g.is_empty()),
+        "clean restore ⇒ empty dirty sets"
+    );
 }
 
 #[test]
@@ -1068,7 +1069,7 @@ fn cow_arm_drain_matches_eager_capture() {
     assert_eq!(now1, now2, "twin kernels diverged before capture");
 
     let eager = z1.checkpoint_pod(&mut k1, pod1, now1).unwrap();
-    let armed = z2.checkpoint_pod_arm(&mut k2, pod2, now2, None).unwrap();
+    let armed = z2.checkpoint_pod_arm(&mut k2, pod2, now2).unwrap();
 
     // The arm phase hands back only the image skeleton: far smaller than the
     // full image, with the page payload still pending.
@@ -1112,7 +1113,7 @@ fn cow_arm_cancel_leaves_pod_running() {
     for _ in 0..3 {
         now += k.run_slice(now).elapsed;
     }
-    let armed = z.checkpoint_pod_arm(&mut k, pod, now, None).unwrap();
+    let armed = z.checkpoint_pod_arm(&mut k, pod, now).unwrap();
     z.resume_pod(&mut k, pod, now).unwrap();
     now += k.run_slice(now).elapsed;
     armed.cancel();

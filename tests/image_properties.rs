@@ -1,10 +1,12 @@
 //! Property tests on the checkpoint image codec: arbitrary images
-//! round-trip exactly, and corruption is always detected.
+//! round-trip exactly, corruption is always detected, and a body that
+//! carries a valid checksum but malformed structure is an error, never a
+//! panic or an unbounded allocation.
 
 use cruz_repro::simnet::addr::{IpAddr, MacAddr, SockAddr};
 use cruz_repro::zap::image::{
-    AreaImage, DescImage, GroupImage, ImageError, MacMode, PipeImage, PodImage, ProcImage,
-    RunStateImage, SemImage, ShmImage, SockImage, TcpConnImage,
+    AreaImage, DescImage, GroupImage, ImageError, ImageWriter, MacMode, PipeImage, PodImage,
+    ProcImage, RunStateImage, SemImage, ShmImage, SockImage, TcpConnImage, MAGIC, VERSION,
 };
 use proptest::prelude::*;
 
@@ -159,7 +161,6 @@ fn arb_proc() -> impl Strategy<Value = ProcImage> {
 
 fn arb_image() -> impl Strategy<Value = PodImage> {
     (
-        proptest::option::of(any::<u64>()),
         "[a-z0-9:]{1,16}",
         any::<u32>(),
         prop_oneof![
@@ -198,20 +199,7 @@ fn arb_image() -> impl Strategy<Value = PodImage> {
         proptest::collection::vec(arb_proc(), 0..4),
     )
         .prop_map(
-            |(
-                base_epoch,
-                name,
-                ip,
-                mac_mode,
-                next_vpid,
-                shm,
-                sems,
-                pipes,
-                sockets,
-                groups,
-                procs,
-            )| PodImage {
-                base_epoch,
+            |(name, ip, mac_mode, next_vpid, shm, sems, pipes, sockets, groups, procs)| PodImage {
                 name,
                 ip: IpAddr::from_bits(ip),
                 mac_mode,
@@ -226,8 +214,114 @@ fn arb_image() -> impl Strategy<Value = PodImage> {
         )
 }
 
+/// Seals `body` with a valid trailing checksum, as the encoder would.
+fn seal(body: &[u8]) -> Vec<u8> {
+    let mut w = ImageWriter::new();
+    for &b in body {
+        w.u8(b);
+    }
+    w.finish()
+}
+
+/// One structural mutation of an image body.
+#[derive(Debug, Clone)]
+enum Mutation {
+    /// Flip one bit.
+    Flip { at: f64, bit: u8 },
+    /// Cut the body short.
+    Truncate { at: f64 },
+    /// Replace `cut` bytes at a position with `with` (length fields full
+    /// of `0xff` are the interesting case, so it is weighted in).
+    Splice { at: f64, cut: usize, with: Vec<u8> },
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (0.0f64..1.0, 0u8..8).prop_map(|(at, bit)| Mutation::Flip { at, bit }),
+        (0.0f64..1.0).prop_map(|at| Mutation::Truncate { at }),
+        (
+            0.0f64..1.0,
+            0usize..16,
+            proptest::collection::vec(prop_oneof![any::<u8>(), Just(0xff)], 0..16)
+        )
+            .prop_map(|(at, cut, with)| Mutation::Splice { at, cut, with }),
+    ]
+}
+
+fn mutate(body: &mut Vec<u8>, m: &Mutation) {
+    let pos = |at: f64| ((body.len() as f64) * at) as usize;
+    match m {
+        Mutation::Flip { at, bit } => {
+            let p = pos(*at).min(body.len() - 1);
+            body[p] ^= 1 << bit;
+        }
+        Mutation::Truncate { at } => body.truncate(pos(*at)),
+        Mutation::Splice { at, cut, with } => {
+            let p = pos(*at);
+            let end = (p + cut).min(body.len());
+            body.splice(p..end, with.iter().copied());
+        }
+    }
+}
+
+/// The start of an image body: magic, version, the (always zero) delta
+/// flag.
+fn header() -> ImageWriter {
+    let mut w = ImageWriter::new();
+    w.u32(MAGIC);
+    w.u16(VERSION);
+    w.u8(0);
+    w
+}
+
+#[test]
+fn malformed_bodies_with_valid_checksums_are_errors() {
+    // A name length of u64::MAX used to overflow the reader's bounds check.
+    let mut w = header();
+    w.u64(u64::MAX);
+    assert_eq!(PodImage::decode(&w.finish()), Err(ImageError::Truncated));
+
+    // A shared-memory count of u32::MAX used to reserve 128 GiB up front.
+    let mut w = header();
+    w.str("p");
+    w.u32(0);
+    w.u8(0);
+    w.bytes(&[0; 6]);
+    w.u32(1);
+    w.u32(u32::MAX);
+    assert_eq!(PodImage::decode(&w.finish()), Err(ImageError::Truncated));
+
+    // A stored delta image (nonzero flag) is refused.
+    let img = PodImage {
+        name: "p".into(),
+        ip: IpAddr::from_bits(0),
+        mac_mode: MacMode::Dedicated(MacAddr::new([0; 6])),
+        next_vpid: 1,
+        shm: vec![],
+        sems: vec![],
+        pipes: vec![],
+        sockets: vec![],
+        groups: vec![],
+        procs: vec![],
+    };
+    let bytes = img.encode();
+    assert_eq!(bytes[6], 0, "the flag byte follows magic and version");
+    let mut body = bytes[..bytes.len() - 8].to_vec();
+    body[6] = 1;
+    assert_eq!(PodImage::decode(&seal(&body)), Err(ImageError::BadTag(1)));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn resealed_mutations_decode_or_fail_cleanly(img in arb_image(), m in arb_mutation()) {
+        let bytes = img.encode();
+        let mut body = bytes[..bytes.len() - 8].to_vec();
+        mutate(&mut body, &m);
+        // Ok or Err are both fine; a panic or an abort fails the test.
+        let _ = PodImage::decode(&seal(&body));
+    }
 
     #[test]
     fn arbitrary_images_round_trip(img in arb_image()) {
