@@ -6,10 +6,12 @@
 #                         rules, layer graph, wire registry (DESIGN.md
 #                         §14); also emits lint-report.json for tooling
 #   3. release build    — the whole workspace compiles
-#   4. docs             — `cargo doc -p cluster -p zap -p simos` stays
-#                         warning-free (the layered-engine seams, the
-#                         image codec and the memory model are documented
-#                         API; a dangling intra-doc link fails here)
+#   4. docs             — `cargo doc` of every library crate of the
+#                         engine (cluster, zap, simos, cruz, des, simnet,
+#                         simcpu) stays warning-free: the layered-engine
+#                         seams, the image codec, the store and the
+#                         memory model are documented API, and a dangling
+#                         or private intra-doc link fails here
 #   5. tests            — every suite, including the same-seed
 #                         byte-identical-images regression test
 #   6. bench smoke      — `--quick` runs of the store-ablation,
@@ -30,12 +32,14 @@
 #  10. chaos smoke      — replays three pinned fault-plan seeds and
 #                         demands byte-identical event traces, then the
 #                         same for three pinned replica-kill plans at k=3
-#  11. loopback smoke   — the twin-runtime demo: the full checkpoint →
-#                         kill-node → recover → restore cycle over real
-#                         loopback UDP sockets must restore the exact
-#                         bytes the simulated run pins (the bin prints
-#                         SKIPPED and exits 0 where the sandbox forbids
-#                         even 127.0.0.1 sockets)
+#  11. loopback smoke   — the twin-carrier demo: one checkpoint →
+#                         crash → restore cycle on the sim carrier and
+#                         the same engine on the loopback carrier (real
+#                         UDP sockets, wall clock) must restore the exact
+#                         same bytes; prints each carrier's checkpoint
+#                         latency and coordination overhead (the bin
+#                         prints SKIPPED and exits 0 where the sandbox
+#                         forbids even 127.0.0.1 sockets)
 #  12. ledger smoke     — the benchmark's own tests (BENCHMARK.json and
 #                         its code agree), then a 2 s `compute` run that
 #                         must report "correct": true: the pinned
@@ -68,8 +72,9 @@ cargo run --offline -q -p cruz-lint -- --workspace
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
-echo "== cargo doc -p cluster -p zap -p simos"
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q -p cluster -p zap -p simos
+echo "== cargo doc (engine crates)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q \
+    -p cluster -p zap -p simos -p cruz -p des -p simnet -p simcpu
 
 echo "== cargo test"
 cargo test --offline --workspace -q
@@ -100,7 +105,7 @@ cargo run --offline -q --release -p bench --bin chaos
 cargo run --offline -q --release -p bench --bin bench_replication -- --chaos
 
 echo "== loopback smoke (real-socket twin-runtime demo)"
-# The NetRuntime caps each cycle with a 30 s wall budget of its own, so
+# The loopback carrier stops stepping after a fixed 30 s wall budget, so
 # a wedged socket path fails the stage instead of hanging it. The bin
 # skips cleanly (exit 0) when loopback sockets are unavailable.
 cargo run --offline -q --release -p bench --bin loopback_demo

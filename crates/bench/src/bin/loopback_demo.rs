@@ -1,20 +1,22 @@
-//! End-to-end demo of the runtime seam: the same checkpoint → fault →
-//! recover → restore cycle run twice — once in the deterministic DES
-//! backend, once over real loopback-UDP sockets and OS threads — and the
+//! End-to-end demo of the two carriers: the same checkpoint → crash →
+//! restore cycle ([`World::run_cycle`]) run once on the deterministic sim
+//! carrier and once on the loopback carrier — control frames over real
+//! UDP sockets on `127.0.0.1`, time from the wall clock — with the
 //! restored-image digests compared.
 //!
-//! This is the acceptance demo of the sim-agnostic protocol engine: the
-//! coordinator/agent state machines, the transport seam and the store
-//! are shared; only the carrier (event queue vs. `std::net::UdpSocket`)
-//! and the clock (virtual vs. wall) differ. A matching digest means the
-//! loopback run froze, captured, committed, detected the fail-stop crash
-//! by heartbeat, and restored the *same bytes* the simulator pins.
+//! Both runs drive one protocol engine; only the transport and the clock
+//! differ. For each carrier the demo prints the checkpoint's Fig. 5(b)
+//! numbers from its `OpReport`: total checkpoint latency and the
+//! coordination overhead (latency minus the slowest local save). On the
+//! sim carrier they are simulated time; on the loopback carrier they are
+//! real time on the host that ran the demo.
 //!
 //! Prints `SKIPPED` and exits 0 where the sandbox forbids loopback
 //! sockets, so CI can run it unconditionally.
 
-use cluster::netrt::loopback_available;
-use cluster::{ClusterParams, JobSpec, NetRuntime, PodSpec, SimRuntime};
+use cluster::{
+    loopback_available, CkptOptions, ClusterParams, CycleReport, JobSpec, PodSpec, World,
+};
 use simnet::addr::{IpAddr, MacAddr};
 use workloads::compute::ComputeConfig;
 use zap::image::MacMode;
@@ -41,48 +43,39 @@ fn demo_spec() -> JobSpec {
     }
 }
 
+/// Runs the cycle on `world` and prints its line of the comparison.
+fn cycle(carrier: &str, mut world: World) -> CycleReport {
+    let rep = world
+        .run_cycle(&demo_spec(), SPARE, CkptOptions::default())
+        .unwrap_or_else(|e| panic!("{carrier} cycle failed: {e}"));
+    let ckpt = world
+        .op_report(rep.checkpoint_op)
+        .expect("checkpoint report");
+    let us = |d: Option<des::SimDuration>| d.map_or(f64::NAN, |d| d.as_nanos() as f64 / 1e3);
+    println!(
+        "{carrier:<4}: epoch {}  pods {:?}  digest {:#018x}  ckpt latency {:.0} us  coordination overhead {:.0} us  ({} events)",
+        rep.epoch,
+        rep.restored_pods,
+        rep.restored_digest,
+        us(ckpt.stats.checkpoint_latency()),
+        us(ckpt.coordination_overhead()),
+        rep.events_processed
+    );
+    rep
+}
+
 fn main() {
     if !loopback_available() {
         println!("SKIPPED: loopback UDP sockets unavailable in this environment");
         return;
     }
-    let spec = demo_spec();
-
-    println!("# twin cycle: run to completion, checkpoint, kill node 0, heartbeat-detect, restore on spare");
-    let mut sim = SimRuntime::new(NODES, ClusterParams::default());
-    let sim_rep = sim.run_cycle(&spec, SPARE).expect("sim cycle completes");
-    println!(
-        "sim : epoch {}  pods {:?}  digest {:#018x}  ({} DES events)",
-        sim_rep.epoch, sim_rep.restored_pods, sim_rep.restored_digest, sim_rep.events_processed
-    );
-
-    let net = NetRuntime::new(NODES, ClusterParams::default());
-    let net_rep = net
-        .run_cycle(&spec, SPARE)
-        .expect("loopback cycle completes");
-    println!(
-        "net : epoch {}  pods {:?}  digest {:#018x}  ({} pings, {} pongs, {} threads joined)",
-        net_rep.epoch,
-        net_rep.restored_pods,
-        net_rep.restored_digest,
-        net_rep.pings_sent,
-        net_rep.pongs_received,
-        net_rep.joined_threads
-    );
-
+    println!("# twin cycle: run to completion, checkpoint, crash node 0, restore on the spare");
+    let sim = cycle("sim", World::new(NODES, ClusterParams::default()));
+    let world = World::new_loopback(NODES, ClusterParams::default()).expect("loopback carrier");
+    let net = cycle("net", world);
     assert_eq!(
-        net_rep.failed_nodes,
-        vec![0],
-        "heartbeat pass must converge on the killed node"
-    );
-    assert_eq!(
-        net_rep.joined_threads,
-        NODES + 1,
-        "every node thread and the store service must join"
-    );
-    assert_eq!(
-        net_rep.restored_digest, sim_rep.restored_digest,
+        net.restored_digest, sim.restored_digest,
         "loopback restore must be byte-identical to the simulated restore"
     );
-    println!("# digests match: the loopback-UDP backend restored the simulator's exact bytes");
+    println!("# digests match: the loopback carrier restored the sim carrier's exact bytes");
 }

@@ -205,6 +205,9 @@ impl FaultPlan {
         let u64_at = |at: &mut usize| -> Option<u64> {
             Some(u64::from_le_bytes(take(at, 8)?.try_into().ok()?))
         };
+        // Room for `n` records, capped by the unread input: a record is
+        // never empty, so a corrupt count cannot reserve past the bytes.
+        let room = |at: usize, n: u32| (n as usize).min(bytes.len() - at);
         if take(&mut at, 4)? != MAGIC {
             return None;
         }
@@ -216,7 +219,7 @@ impl FaultPlan {
         }
         let seed = u64_at(&mut at)?;
         let ncrash = u32_at(&mut at)?;
-        let mut crashes = Vec::with_capacity(ncrash as usize);
+        let mut crashes = Vec::with_capacity(room(at, ncrash));
         for _ in 0..ncrash {
             let node = u32_at(&mut at)? as usize;
             let point = ProtocolPoint::from_tag(take(&mut at, 1)?[0])?;
@@ -224,7 +227,7 @@ impl FaultPlan {
             crashes.push(CrashFault { node, point, nth });
         }
         let ndisk = u32_at(&mut at)?;
-        let mut disk = Vec::with_capacity(ndisk as usize);
+        let mut disk = Vec::with_capacity(room(at, ndisk));
         for _ in 0..ndisk {
             let node = u32_at(&mut at)? as usize;
             let nth_write = u64_at(&mut at)?;
@@ -320,6 +323,23 @@ mod tests {
         ok.pop();
         ok.pop();
         assert!(FaultPlan::decode(&ok).is_none(), "truncated");
+    }
+
+    #[test]
+    fn corrupt_counts_never_preallocate_past_the_input() {
+        // 18 bytes claiming u32::MAX crash records, then the same lie in
+        // the disk-fault count: both must fail to decode, not abort on a
+        // multi-gigabyte reservation.
+        let mut crashes = MAGIC.to_vec();
+        crashes.extend_from_slice(&VERSION.to_le_bytes());
+        crashes.extend_from_slice(&7u64.to_le_bytes());
+        crashes.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(crashes.len(), 18);
+        assert!(FaultPlan::decode(&crashes).is_none());
+        let mut disks = crashes[..14].to_vec();
+        disks.extend_from_slice(&0u32.to_le_bytes());
+        disks.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(FaultPlan::decode(&disks).is_none());
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! World assembly: simulated nodes, switch, control plane and job manager.
 //!
-//! This crate wires the pure layers together into one deterministic
-//! discrete-event simulation, as a layered protocol engine with an
-//! explicit transport seam (the DMTCP lesson: the coordinator protocol
-//! must not know what carries its messages):
+//! This crate wires the pure layers together into one discrete-event
+//! engine, as a layered protocol engine with an explicit transport seam
+//! (the DMTCP lesson: the coordinator protocol must not know what carries
+//! its messages). One engine runs on two carriers: the deterministic sim
+//! carrier, and the loopback carrier with real UDP sockets and the wall
+//! clock.
 //!
 //! ```text
-//!        simrt (DES oracle)          netrt (loopback UDP + OS threads)
-//!                 world (DES loop + node table)
-//!     ops ─ ops_agent ─ drain ─ heartbeat ─ recovery
-//!              transport (CtlTransport)
-//!        runtime (CtlAddr / CtlInstant / Timers)
+//!     world (event loop + node table + carrier; run_cycle)
+//!     ops ─ ops_agent ─ drain ─ heartbeat ─ jobs ─ recovery
+//!     transport (CtlTransport: SimnetCtl │ NetCtl + wall clock)
+//!     runtime (CtlAddr / CtlInstant / Timers)
 //! ```
 //!
 //! * [`params`] — cluster-wide timing parameters, calibrated to the paper's
@@ -29,9 +30,9 @@
 //!   schedule against;
 //! * [`transport`] — the [`transport::CtlTransport`] seam: bind/send/recv
 //!   of control frames over [`runtime::CtlAddr`]s, with the simulated-UDP
-//!   backend as its first implementation and the net runtime's loopback
-//!   transport as its second;
-//! * [`events`] — the sim backend's DES step log (substrate steps plus
+//!   [`transport::SimnetCtl`] and the loopback carrier's real-socket
+//!   [`transport::NetCtl`] (which also owns that carrier's wall clock);
+//! * [`events`] — the world's step log (substrate steps plus
 //!   every armed [`runtime::Deadline`]) and the per-event fingerprint
 //!   folded into the trace digest;
 //! * [`ops`] — coordinated-operation runtime, coordinator side: install,
@@ -44,13 +45,9 @@
 //!   coordinator failover;
 //! * [`recovery`] — recovery reports emitted by the self-healing manager;
 //! * [`world`] — [`world::World`]: the thin driver that owns the event
-//!   loop, the node table and the switch, and dispatches to the layers
-//!   above;
-//! * [`simrt`] — [`simrt::SimRuntime`]: the deterministic DES backend of
-//!   the runtime seam, byte-identical and pinned by the golden traces;
-//! * [`netrt`] — [`netrt::NetRuntime`]: the same protocol engine over
-//!   real `std::net::UdpSocket`s on loopback, one OS thread per node and
-//!   a wall clock.
+//!   loop, the node table, the switch and the carrier, and dispatches to
+//!   the layers above; [`world::World::run_cycle`] runs the twin
+//!   checkpoint → crash → restore cycle on either carrier.
 //!
 //! Benchmarks and examples drive a `World`; everything they measure emerges
 //! from the simulated components rather than from hard-coded results.
@@ -62,14 +59,12 @@ pub mod events;
 pub mod fault;
 pub mod heartbeat;
 pub mod jobs;
-pub mod netrt;
 pub mod node;
 pub mod ops;
 pub mod ops_agent;
 pub mod params;
 pub mod recovery;
 pub mod runtime;
-pub mod simrt;
 pub mod state;
 pub mod transport;
 pub mod world;
@@ -81,11 +76,9 @@ pub use fault::{
     CrashFault, DiskFault, FaultPlan, ProtocolPoint, ReplicaFault, ReplicaFaultKind, StoreOpPoint,
 };
 pub use jobs::{JobRuntime, JobSpec, PodPlacement, PodSpec};
-pub use netrt::{NetRuntime, NetRuntimeReport};
 pub use ops::{CkptOptions, OpReport};
 pub use params::{CkptCaptureMode, ClusterParams, RecoveryParams, RetryPolicy, SparePolicy};
 pub use recovery::{RecoveryCause, RecoveryOutcome, RecoveryReport};
 pub use runtime::{CtlAddr, CtlDuration, CtlInstant, Deadline, Timers};
-pub use simrt::{CycleReport, SimRuntime};
-pub use transport::{CtlSock, CtlTransport, SimnetCtl};
-pub use world::{ClusterError, Node, World};
+pub use transport::{loopback_available, Ctl, CtlSock, CtlTransport, NetCtl, SimnetCtl};
+pub use world::{ClusterError, CycleReport, Node, World};

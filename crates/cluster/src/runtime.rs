@@ -5,22 +5,23 @@
 //! against three small abstractions, none of which names the simulator:
 //!
 //! * [`CtlInstant`]/[`CtlDuration`] — an opaque monotonic clock reading
-//!   and span, nanosecond-granular. The DES backend feeds virtual time
-//!   through them; the `std::net` backend feeds wall-clock elapsed time.
+//!   and span, nanosecond-granular. The sim carrier feeds virtual time
+//!   through them; the loopback carrier feeds wall-clock elapsed time.
 //! * [`CtlAddr`] — stable node-index addressing for control-plane frames,
 //!   so the protocol never derives (or parses) wire addresses itself.
 //!   Each backend maps it onto its own endpoint notion (a simulated
 //!   `10.0.0.x` socket address, a real loopback UDP port).
 //! * [`Deadline`] + [`Timers`] — the protocol registers *what should
 //!   happen when* and the runtime owns *how that firing is driven*: the
-//!   sim backend queues each deadline unchanged as one
-//!   [`crate::events::Event::Deadline`] step, the net backend keeps a
-//!   deadline heap polled against the real clock.
+//!   world queues each deadline unchanged as one
+//!   [`crate::events::Event::Deadline`] step, fired in virtual time on
+//!   the sim carrier and once the wall clock reaches it on the loopback
+//!   carrier.
 //!
 //! This is the split DMTCP's coordinator/plugin architecture proved out:
-//! swap the transport and clock, keep the protocol. `SimRuntime` remains
-//! the deterministic oracle (pinned by the golden traces); `NetRuntime`
-//! carries the same engine over real sockets and OS threads.
+//! swap the transport and clock, keep the protocol. The sim carrier
+//! remains the deterministic oracle (pinned by the golden traces); the
+//! loopback carrier runs the same engine over real sockets.
 
 use des::{SimDuration, SimTime};
 use zap::image::PodImage;
@@ -103,7 +104,7 @@ impl From<CtlDuration> for SimDuration {
 ///
 /// The protocol engine only ever needs "the agent endpoint of node 3" or
 /// "reply to whoever sent this"; how that maps onto an IP/port (simnet)
-/// or a loopback UDP socket (net runtime) is the backend's business.
+/// or a real loopback UDP socket is the carrier's business.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CtlAddr {
     /// The node hosting the endpoint.
@@ -128,10 +129,9 @@ impl CtlAddr {
 /// This is the engine's *timer vocabulary*: every time-dependent protocol
 /// action — service-delay completions, failure-detection deadlines, retry
 /// rounds, periodic drivers — is armed as one of these through
-/// [`Timers::arm`] rather than scheduled as a raw DES event. The sim
-/// backend carries each one as [`crate::events::Event::Deadline`] on its
-/// event queue; the net backend fires them from a deadline heap against
-/// the wall clock.
+/// [`Timers::arm`] rather than scheduled as a raw DES event. The world
+/// carries each one as [`crate::events::Event::Deadline`] on its event
+/// queue, which the loopback carrier paces against the wall clock.
 #[allow(missing_docs)] // variant fields are documented where non-obvious
 pub enum Deadline {
     /// A decoded control frame is handed to a node's agent after its
@@ -193,9 +193,10 @@ pub enum Deadline {
 ///
 /// A runtime promises to fire each armed [`Deadline`] exactly once, at or
 /// after `at`, in `(at, arm order)` order for deadlines it fires at the
-/// same instant. The DES backend gets both properties from its event
-/// queue (insertion-order tie-breaking); the net backend approximates
-/// "at" with wall-clock polling but keeps the same ordering contract.
+/// same instant. The world gets both properties from its event queue
+/// (insertion-order tie-breaking) on either carrier; the loopback
+/// carrier fires "at or after" by the wall clock, the sim carrier at
+/// exactly `at` in virtual time.
 pub trait Timers {
     /// The engine's current instant.
     fn now(&self) -> CtlInstant;
@@ -205,14 +206,14 @@ pub trait Timers {
     fn arm(&mut self, at: CtlInstant, d: Deadline);
 }
 
-/// The cross-backend comparison point of the twin-runtime property: an
+/// The cross-carrier comparison point of the twin-runtime property: an
 /// FNV-1a digest over `(pod name, image bytes)` pairs, folded in the
 /// order given (callers sort by pod name first).
 ///
-/// Both [`crate::simrt::SimRuntime`] and [`crate::netrt::NetRuntime`]
-/// compute this over the image bytes read back from their stores after a
-/// restore; for a workload that ran to completion before capture the
-/// bytes — and therefore this digest — must match exactly.
+/// `World::run_cycle` computes this over the image bytes read back from
+/// the store after a restore; for a workload that ran to completion
+/// before capture the bytes — and therefore this digest — must match
+/// exactly on both carriers.
 pub fn image_set_digest(pods: &[(String, Vec<u8>)]) -> u64 {
     let mut h = des::digest::OFFSET;
     for (name, bytes) in pods {

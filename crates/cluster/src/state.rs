@@ -29,6 +29,7 @@ use crate::node::Node;
 use crate::ops::{OpRuntime, RetiredOp};
 use crate::params::ClusterParams;
 use crate::recovery::RecoveryReport;
+use crate::transport::NetCtl;
 
 /// Cluster-level errors.
 #[derive(Debug)]
@@ -89,10 +90,16 @@ pub(crate) struct FaultState {
     pub(crate) crash_hits: BTreeMap<(usize, u8), u32>,
 }
 
-/// The simulated cluster world.
+/// The cluster world: simulated nodes and switch, the protocol engine,
+/// and the carrier its control plane runs on.
 pub struct World {
-    /// Current simulated time.
+    /// Current engine time: simulated time on the sim carrier, wall-clock
+    /// time since construction on the loopback carrier.
     pub now: SimTime,
+    /// The loopback carrier's transport and clock; `None` on the sim
+    /// carrier, where control frames ride the simulated fabric and time
+    /// is virtual.
+    pub(crate) net: Option<NetCtl>,
     pub(crate) queue: EventQueue<Event>,
     pub(crate) nodes: Vec<Node>,
     pub(crate) switch: Switch,

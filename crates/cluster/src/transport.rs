@@ -19,9 +19,14 @@
 //! switch forwarding, seeded loss, and the fault plane's
 //! drop/duplicate/reorder injections — which is exactly why the protocol
 //! layers must tolerate delivery faults rather than assume a reliable
-//! channel. The second is the net runtime's loopback-UDP transport
-//! (`crate::netrt`), which carries the same frames over real
-//! `std::net::UdpSocket`s.
+//! channel. The second is [`NetCtl`], the loopback carrier's transport,
+//! which carries the same frames over real non-blocking
+//! `std::net::UdpSocket`s on `127.0.0.1` and owns that carrier's wall
+//! clock. [`Ctl`] is whichever of the two a world was built with.
+
+use std::collections::BTreeMap;
+use std::net::{SocketAddr, UdpSocket};
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use simnet::addr::SockAddr;
@@ -152,5 +157,240 @@ impl CtlTransport for SimnetCtl<'_> {
 
     fn agent_addr(&self, node: usize) -> CtlAddr {
         CtlAddr::new(node, AGENT_PORT)
+    }
+}
+
+/// True when this host permits binding loopback UDP sockets.
+///
+/// Sandboxed CI runners sometimes forbid even `127.0.0.1`; callers of
+/// [`crate::World::new_loopback`] (the `loopback_demo` bin, the
+/// twin-runtime test) probe this first and skip cleanly instead of
+/// failing.
+pub fn loopback_available() -> bool {
+    UdpSocket::bind(("127.0.0.1", 0)).is_ok()
+}
+
+/// How long a loopback carrier may run before it refuses to step: a
+/// wedged socket path fails its caller instead of hanging it.
+const WALL_BUDGET: Duration = Duration::from_secs(30);
+
+/// The coarsest granularity a socket read timeout may have: the kernel
+/// rounds it up to scheduler ticks (~8 ms measured on a 250 Hz Linux
+/// host). The carrier blocks only while the next event is further away
+/// than this, and spins over its endpoints for the rest.
+const COARSE_WAIT: Duration = Duration::from_millis(20);
+
+/// The loopback carrier's clock: wall-clock nanoseconds since the carrier
+/// started, read as [`CtlInstant`]s, plus a private socket whose read
+/// timeout is how the carrier blocks.
+struct NetClock {
+    t0: Instant,
+    waiter: UdpSocket,
+}
+
+impl NetClock {
+    fn start() -> std::io::Result<NetClock> {
+        let waiter = UdpSocket::bind(("127.0.0.1", 0))?;
+        // The one wall-clock read site of the crate: every other instant
+        // derives from this epoch. cruz-lint: allow(wall-clock)
+        let t0 = Instant::now();
+        Ok(NetClock { t0, waiter })
+    }
+
+    fn now(&self) -> CtlInstant {
+        CtlInstant::from_nanos(self.t0.elapsed().as_nanos() as u64)
+    }
+
+    /// Waits toward `t`: blocks on the waiter's read timeout while `t` is
+    /// more than [`COARSE_WAIT`] away, and otherwise only yields the CPU,
+    /// so the caller re-polls its endpoints at once.
+    fn wait_until(&self, t: CtlInstant) {
+        let left = Duration::from_nanos(t.as_nanos().saturating_sub(self.now().as_nanos()));
+        if left <= COARSE_WAIT {
+            std::thread::yield_now();
+            return;
+        }
+        // Nothing is ever sent to the waiter; the read times out, which
+        // is the wait. cruz-lint: allow(swallowed-error)
+        let _ = self
+            .waiter
+            .set_read_timeout(Some(left - COARSE_WAIT))
+            .and_then(|()| self.waiter.recv(&mut [0u8; 1]));
+    }
+}
+
+/// One bound loopback endpoint: its engine name, its real address and
+/// the socket.
+struct Endpoint {
+    addr: CtlAddr,
+    real: SocketAddr,
+    sock: UdpSocket,
+}
+
+/// The loopback carrier's transport: control frames ride real UDP
+/// datagrams on `127.0.0.1`, and [`CtlAddr`]s map onto real endpoints
+/// through an address table owned here.
+///
+/// The contract matches [`SimnetCtl`]: sends are fire-and-forget,
+/// sockets are non-blocking so `recv` drains at most one decodable frame
+/// and never waits, and frames from unregistered sources are discarded.
+/// A [`CtlAddr`] with port `0` binds an ephemeral endpoint named by its
+/// real port. The carrier's clock lives here too; [`crate::World`] reads
+/// it between events (see [`crate::World::new_loopback`]).
+pub struct NetCtl {
+    clock: NetClock,
+    /// Bound endpoints by [`CtlSock`] id.
+    endpoints: BTreeMap<u64, Endpoint>,
+    next_sock: u64,
+    buf: Vec<u8>,
+}
+
+fn refused(_: std::io::Error) -> CruzError {
+    CruzError::Protocol("loopback socket refused")
+}
+
+impl NetCtl {
+    /// A transport with no endpoints bound yet; its clock starts now.
+    ///
+    /// # Errors
+    ///
+    /// [`CruzError::Protocol`] when the host refuses loopback sockets.
+    pub(crate) fn new() -> Result<NetCtl, CruzError> {
+        Ok(NetCtl {
+            clock: NetClock::start().map_err(refused)?,
+            endpoints: BTreeMap::new(),
+            next_sock: 0,
+            buf: vec![0; 65536],
+        })
+    }
+
+    /// The wall clock, as an engine instant.
+    pub(crate) fn now(&self) -> CtlInstant {
+        self.clock.now()
+    }
+
+    /// Waits toward `t`; the caller re-polls and calls again until the
+    /// clock reaches it.
+    pub(crate) fn wait_until(&self, t: CtlInstant) {
+        self.clock.wait_until(t);
+    }
+
+    /// True once the carrier has run for its whole wall budget.
+    pub(crate) fn budget_spent(&self) -> bool {
+        self.clock.t0.elapsed() >= WALL_BUDGET
+    }
+
+    /// Fail-stop for a crashed node: every endpoint it hosted closes, so
+    /// frames sent to it are lost like frames to a dead host.
+    pub(crate) fn close_node(&mut self, node: usize) {
+        self.endpoints.retain(|_, e| e.addr.node as usize != node);
+    }
+
+    fn real_of(&self, addr: CtlAddr) -> Option<SocketAddr> {
+        self.endpoints
+            .values()
+            .find(|e| e.addr == addr)
+            .map(|e| e.real)
+    }
+
+    fn name_of(&self, real: SocketAddr) -> Option<CtlAddr> {
+        self.endpoints
+            .values()
+            .find(|e| e.real == real)
+            .map(|e| e.addr)
+    }
+}
+
+impl CtlTransport for NetCtl {
+    fn bind(&mut self, node: usize, port: u16) -> Result<CtlSock, CruzError> {
+        let sock = UdpSocket::bind(("127.0.0.1", 0)).map_err(refused)?;
+        sock.set_nonblocking(true).map_err(refused)?;
+        let real = sock.local_addr().map_err(refused)?;
+        let addr = CtlAddr::new(node, if port == 0 { real.port() } else { port });
+        if self.real_of(addr).is_some() {
+            return Err(CruzError::Protocol("control port already bound"));
+        }
+        let id = self.next_sock;
+        self.next_sock += 1;
+        self.endpoints.insert(id, Endpoint { addr, real, sock });
+        Ok(CtlSock(id))
+    }
+
+    fn send(&mut self, _node: usize, sock: CtlSock, dst: CtlAddr, msg: &CtlMsg, _now: CtlInstant) {
+        let (Some(real), Some(src)) = (self.real_of(dst), self.endpoints.get(&sock.0)) else {
+            return; // unroutable ≡ lost in flight, by the seam contract
+        };
+        // Fire-and-forget by contract; the protocol layers own retry.
+        // cruz-lint: allow(swallowed-error)
+        let _ = src.sock.send_to(&msg.encode(), real);
+    }
+
+    fn recv(&mut self, _node: usize, sock: CtlSock) -> Option<(CtlAddr, CtlMsg)> {
+        loop {
+            // Err is would-block (queue empty) or a refusal: nothing to read.
+            let (n, src) = self
+                .endpoints
+                .get(&sock.0)?
+                .sock
+                .recv_from(&mut self.buf)
+                .ok()?;
+            if let (Some(msg), Some(from)) = (CtlMsg::decode(&self.buf[..n]), self.name_of(src)) {
+                return Some((from, msg));
+            }
+        }
+    }
+
+    fn close(&mut self, _node: usize, sock: CtlSock, _now: CtlInstant) {
+        self.endpoints.remove(&sock.0);
+    }
+
+    fn agent_addr(&self, node: usize) -> CtlAddr {
+        CtlAddr::new(node, AGENT_PORT)
+    }
+}
+
+/// A world's control-plane transport, as [`crate::World::ctl`] hands it
+/// out: the simulated fabric, or the loopback carrier's real sockets.
+pub enum Ctl<'a> {
+    /// The sim carrier: [`SimnetCtl`] over the world's node stacks.
+    Sim(SimnetCtl<'a>),
+    /// The loopback carrier: [`NetCtl`].
+    Net(&'a mut NetCtl),
+}
+
+impl CtlTransport for Ctl<'_> {
+    fn bind(&mut self, node: usize, port: u16) -> Result<CtlSock, CruzError> {
+        match self {
+            Ctl::Sim(c) => c.bind(node, port),
+            Ctl::Net(c) => c.bind(node, port),
+        }
+    }
+
+    fn send(&mut self, node: usize, sock: CtlSock, dst: CtlAddr, msg: &CtlMsg, now: CtlInstant) {
+        match self {
+            Ctl::Sim(c) => c.send(node, sock, dst, msg, now),
+            Ctl::Net(c) => c.send(node, sock, dst, msg, now),
+        }
+    }
+
+    fn recv(&mut self, node: usize, sock: CtlSock) -> Option<(CtlAddr, CtlMsg)> {
+        match self {
+            Ctl::Sim(c) => c.recv(node, sock),
+            Ctl::Net(c) => c.recv(node, sock),
+        }
+    }
+
+    fn close(&mut self, node: usize, sock: CtlSock, now: CtlInstant) {
+        match self {
+            Ctl::Sim(c) => c.close(node, sock, now),
+            Ctl::Net(c) => c.close(node, sock, now),
+        }
+    }
+
+    fn agent_addr(&self, node: usize) -> CtlAddr {
+        match self {
+            Ctl::Sim(c) => c.agent_addr(node),
+            Ctl::Net(c) => c.agent_addr(node),
+        }
     }
 }

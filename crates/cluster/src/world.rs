@@ -1,5 +1,5 @@
-//! The thin world driver: the deterministic event loop, the node table,
-//! the switch, and nothing else.
+//! The thin world driver: the event loop, the node table, the switch,
+//! the carrier, and the twin cycle.
 //!
 //! Protocol behavior lives in the layers above — [`crate::ops`],
 //! [`crate::drain`], [`crate::heartbeat`] and [`crate::jobs`] each extend
@@ -7,6 +7,16 @@
 //! move goes through the [`crate::transport`] seam. This module only pops
 //! events, stamps the trace digest, routes frames between nodes and the
 //! switch, and re-arms per-node run/timer scheduling.
+//!
+//! A world runs on one of two carriers. [`World::new`] gives the sim
+//! carrier: control frames ride the simulated fabric and time is virtual,
+//! which is what the golden traces pin. [`World::new_loopback`] gives the
+//! loopback carrier: control frames ride real UDP sockets on `127.0.0.1`
+//! and the event queue doubles as a deadline heap paced by the wall
+//! clock. Guest traffic stays on the simulated switch either way. The
+//! protocol engine above is the same code on both, and
+//! [`World::run_cycle`] runs the same checkpoint → crash → restore cycle
+//! on either.
 
 use std::collections::BTreeMap;
 
@@ -22,26 +32,76 @@ use simos::kernel::Kernel;
 use zap::Zap;
 
 use cruz::agent::Agent;
-use cruz::proto::AGENT_PORT;
+use cruz::error::CruzError;
+use cruz::proto::{ProtocolMode, AGENT_PORT};
 use cruz::replog::{clear_replica_faults, install_replica_faults, ReplicatedStore, ScrubReport};
 
 use crate::events::Event;
 use crate::fault::{FaultPlan, ProtocolPoint};
-use crate::jobs::JobRuntime;
+use crate::jobs::{JobRuntime, JobSpec};
 use crate::params::ClusterParams;
 use crate::recovery::RecoveryReport;
-use crate::runtime::{CtlInstant, Deadline, Timers};
+use crate::runtime::{image_set_digest, CtlInstant, Deadline, Timers};
 use crate::state::FaultState;
-use crate::transport::{CtlSock, CtlTransport, SimnetCtl};
+use crate::transport::{Ctl, CtlSock, CtlTransport, NetCtl, SimnetCtl};
 
 pub use crate::node::Node;
 pub use crate::ops::{CkptOptions, OpReport};
 pub use crate::state::{ClusterError, World};
 
+/// Outcome of one [`World::run_cycle`]: run the job to completion,
+/// checkpoint it, crash the hosting node(s), restore the committed epoch
+/// onto a spare.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CycleReport {
+    /// The committed checkpoint epoch the restore rolled back to.
+    pub epoch: u64,
+    /// [`image_set_digest`] over the restored pods' image bytes as read
+    /// back from the store — the cross-carrier comparison point.
+    pub restored_digest: u64,
+    /// The pods restored onto the spare, in digest order.
+    pub restored_pods: Vec<String>,
+    /// The checkpoint operation; [`World::op_report`] has its timings.
+    pub checkpoint_op: u64,
+    /// Events processed over the whole cycle.
+    pub events_processed: u64,
+}
+
+/// Events a cycle phase may take before it counts as wedged.
+const CYCLE_EVENT_BUDGET: u64 = 50_000_000;
+
+fn stuck(what: &'static str) -> ClusterError {
+    ClusterError::Protocol(CruzError::Protocol(what))
+}
+
 impl World {
-    /// Builds a cluster of `n` nodes on one switch. Node `i` owns IP
-    /// `10.0.0.(i+1)`.
+    /// Builds a cluster of `n` nodes on one switch, on the sim carrier.
+    /// Node `i` owns IP `10.0.0.(i+1)`.
     pub fn new(n: usize, params: ClusterParams) -> World {
+        // cruz-lint: allow(silent-unwrap)
+        World::with_carrier(n, params, None).expect("agent port free on a fresh stack")
+    }
+
+    /// Builds the same cluster on the loopback carrier: every control
+    /// endpoint is a real non-blocking UDP socket on `127.0.0.1`, and
+    /// [`World::step`] serves them until the wall clock reaches the next
+    /// event, so `now` reads wall-clock time since construction. After a
+    /// fixed wall budget the world stops stepping, so a wedged socket
+    /// path fails its run loop instead of hanging it.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::Protocol`] when the host refuses loopback sockets
+    /// (probe with [`crate::transport::loopback_available`]).
+    pub fn new_loopback(n: usize, params: ClusterParams) -> Result<World, ClusterError> {
+        Ok(World::with_carrier(n, params, Some(NetCtl::new()?))?)
+    }
+
+    fn with_carrier(
+        n: usize,
+        params: ClusterParams,
+        net: Option<NetCtl>,
+    ) -> Result<World, CruzError> {
         assert!(n > 0, "a cluster needs at least one node");
         let fs = NetFs::new();
         let mut rng = SimRng::from_seed(params.seed);
@@ -67,17 +127,14 @@ impl World {
                 timer_scheduled: None,
                 ctl_cpu_free: SimTime::ZERO,
             });
-            let sock = SimnetCtl::new(&mut nodes)
-                .bind(i, AGENT_PORT)
-                .expect("agent port free on a fresh stack"); // cruz-lint: allow(silent-unwrap)
-            nodes[i].agent_sock = sock;
         }
         // Deliberate discard: burn one seed-stream draw so every later
         // draw stays aligned with the pinned golden-trace digests.
         // cruz-lint: allow(swallowed-error)
         let _ = rng.next_u64();
-        World {
+        let mut w = World {
             now: SimTime::ZERO,
+            net,
             queue: EventQueue::new(),
             nodes,
             switch: Switch::new(n),
@@ -103,7 +160,11 @@ impl World {
             soft_faults: Vec::new(),
             digest_caches: BTreeMap::new(),
             scrub_reports: Vec::new(),
+        };
+        for i in 0..n {
+            w.nodes[i].agent_sock = w.ctl().bind(i, AGENT_PORT)?;
         }
+        Ok(w)
     }
 
     /// The IP of node `i`: `10.0.0.(i+1)`.
@@ -111,11 +172,15 @@ impl World {
         crate::node::node_ip(i)
     }
 
-    /// The world's control-plane transport: every protocol layer binds,
-    /// sends and receives [`cruz::proto::CtlMsg`] frames through this seam
-    /// rather than touching a node's network stack directly.
-    pub fn ctl(&mut self) -> SimnetCtl<'_> {
-        SimnetCtl::new(&mut self.nodes)
+    /// The world's control-plane transport — its carrier's: every
+    /// protocol layer binds, sends and receives [`cruz::proto::CtlMsg`]
+    /// frames through this seam rather than touching a node's network
+    /// stack or a socket directly.
+    pub fn ctl(&mut self) -> Ctl<'_> {
+        match &mut self.net {
+            Some(net) => Ctl::Net(net),
+            None => Ctl::Sim(SimnetCtl::new(&mut self.nodes)),
+        }
     }
 
     /// Number of nodes.
@@ -175,10 +240,14 @@ impl World {
     }
 
     /// Marks a node dead: it stops processing events (fail-stop crash).
+    /// On the loopback carrier its control endpoints close as well.
     pub fn crash_node(&mut self, n: usize) {
         if self.nodes[n].alive {
             self.nodes[n].alive = false;
             self.crash_log.push((n, self.now));
+            if let Some(net) = &mut self.net {
+                net.close_node(n);
+            }
         }
     }
 
@@ -273,13 +342,17 @@ impl World {
 
     // ---- event loop -------------------------------------------------------
 
-    /// Processes one event. Returns false when the queue is empty.
+    /// Processes one event. Returns false when the queue is empty, or on
+    /// the loopback carrier once its wall budget is spent.
     pub fn step(&mut self) -> bool {
+        if self.net.is_some() && !self.pace() {
+            return false;
+        }
         let Some((at, ev)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(at >= self.now, "time went backwards");
-        self.now = at;
+        debug_assert!(at >= self.now || self.net.is_some(), "time went backwards");
+        self.now = self.now.max(at);
         self.events_processed += 1;
         self.trace_digest = digest::fold_u64(self.trace_digest, at.as_nanos());
         self.trace_digest = digest::fold_u64(self.trace_digest, ev.fingerprint());
@@ -293,13 +366,38 @@ impl World {
         self.trace_digest
     }
 
+    /// The loopback carrier's clock: serves every live node's control
+    /// endpoints, waiting on a socket read timeout, until the wall clock
+    /// reaches the next queued event. Leaves `now` at the wall clock.
+    /// False when the queue is empty or the wall budget is spent.
+    fn pace(&mut self) -> bool {
+        loop {
+            let Some(net) = &self.net else { return false };
+            if net.budget_spent() {
+                return false;
+            }
+            self.now = self.now.max(net.now().into());
+            for n in 0..self.nodes.len() {
+                if self.nodes[n].alive {
+                    self.poll_ctl(n);
+                }
+            }
+            let (Some(next), Some(net)) = (self.queue.peek_time(), &self.net) else {
+                return false;
+            };
+            if SimTime::from(net.now()) >= next {
+                return true;
+            }
+            net.wait_until(next.into());
+        }
+    }
+
     /// Runs until simulated time `t` (events at exactly `t` included).
     pub fn run_until(&mut self, t: SimTime) {
         while let Some(next) = self.queue.peek_time() {
-            if next > t {
+            if next > t || !self.step() {
                 break;
             }
-            self.step();
         }
         if self.now < t {
             self.now = t;
@@ -329,6 +427,83 @@ impl World {
     /// Runs until operation `op` finishes (or the event budget runs out).
     pub fn run_until_op(&mut self, op: u64, max_events: u64) -> bool {
         self.run_until_pred(max_events, |w| w.op_finished(op))
+    }
+
+    /// The twin cycle, on whichever carrier this world runs: launch
+    /// `spec`, run it until every process exits, checkpoint it with
+    /// `opts`, crash every node hosting a pod, restore the committed epoch
+    /// onto `spare`, and digest the restored images as the store serves
+    /// them.
+    ///
+    /// The workload must terminate on its own: capturing its finished
+    /// state makes the image bytes independent of capture timing, which
+    /// is what makes the digest comparable across carriers.
+    ///
+    /// # Errors
+    ///
+    /// Any [`ClusterError`] from launch, checkpoint or restart;
+    /// [`ClusterError::BadNode`] for an out-of-range spare;
+    /// [`ClusterError::Protocol`] when a phase aborts or runs out of
+    /// events (or, on the loopback carrier, wall time).
+    pub fn run_cycle(
+        &mut self,
+        spec: &JobSpec,
+        spare: usize,
+        opts: CkptOptions,
+    ) -> Result<CycleReport, ClusterError> {
+        let job = spec.name.as_str();
+        if spare >= self.nodes.len() {
+            return Err(ClusterError::BadNode(spare));
+        }
+        if spec.pods.iter().any(|p| p.node == spare) {
+            return Err(stuck("spare node hosts a pod of the job"));
+        }
+        self.launch_job(spec)?;
+        if !self.run_until_pred(CYCLE_EVENT_BUDGET, |w| w.job_finished(job)) {
+            return Err(stuck("workload did not finish within the cycle budget"));
+        }
+        let checkpoint_op = self.start_checkpoint_with(job, opts)?;
+        self.settle(checkpoint_op)?;
+        let epoch = self
+            .store(job)
+            .latest_committed_epoch()
+            .ok_or(stuck("no committed epoch after checkpoint"))?;
+        for n in self.job(job).map(JobRuntime::app_nodes).unwrap_or_default() {
+            self.crash_node(n);
+        }
+        let placement: Vec<(String, usize)> =
+            spec.pods.iter().map(|p| (p.name.clone(), spare)).collect();
+        let restart = self.start_restart(job, epoch, &placement, ProtocolMode::Blocking)?;
+        self.settle(restart)?;
+        let store = self.store(job);
+        let mut pods: Vec<String> = spec.pods.iter().map(|p| p.name.clone()).collect();
+        pods.sort();
+        let mut pairs: Vec<(String, Vec<u8>)> = Vec::with_capacity(pods.len());
+        for p in pods {
+            let bytes = store
+                .get_image(&p, epoch)
+                .ok_or(stuck("restored pod image missing from the store"))?;
+            pairs.push((p, bytes));
+        }
+        Ok(CycleReport {
+            epoch,
+            restored_digest: image_set_digest(&pairs),
+            restored_pods: pairs.into_iter().map(|(p, _)| p).collect(),
+            checkpoint_op,
+            events_processed: self.events_processed,
+        })
+    }
+
+    /// Runs operation `op` to its end; an abort or an exhausted budget is
+    /// an error.
+    fn settle(&mut self, op: u64) -> Result<(), ClusterError> {
+        if !self.run_until_op(op, CYCLE_EVENT_BUDGET) {
+            return Err(stuck("operation did not finish within the cycle budget"));
+        }
+        match self.op_report(op) {
+            Some(r) if !r.aborted => Ok(()),
+            _ => Err(stuck("operation aborted")),
+        }
     }
 
     fn dispatch(&mut self, ev: Event) {
@@ -515,9 +690,9 @@ impl World {
     }
 }
 
-/// The DES backend of the runtime seam: `now` is virtual time and `arm`
-/// appends to the deterministic event queue (insertion order breaks time
-/// ties, satisfying the [`Timers`] ordering contract exactly).
+/// The world's side of the runtime seam: `now` is the carrier's time and
+/// `arm` appends to the event queue (insertion order breaks time ties,
+/// satisfying the [`Timers`] ordering contract exactly).
 impl Timers for World {
     fn now(&self) -> CtlInstant {
         self.now.into()

@@ -213,7 +213,7 @@ impl CheckpointStore {
     ///
     /// Three passes: **plan** (classify every range as cache-hit or
     /// compute — pure bookkeeping), **encode** (the compute ranges through
-    /// [`encode_ranges`]' ordered pool merge), **merge** (manifest records,
+    /// `encode_ranges`' ordered pool merge), **merge** (manifest records,
     /// filesystem novelty accounting and cache replacement, serially in
     /// image order).
     pub fn prepare_chunked_hinted(

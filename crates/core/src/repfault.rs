@@ -141,7 +141,7 @@ fn load_faults(fs: &NetFs) -> Vec<(ReplicaFault, u32)> {
     };
     let mut c = Cur::new(&bytes);
     let Some(n) = c.u32() else { return Vec::new() };
-    let mut out = Vec::with_capacity(n as usize);
+    let mut out = c.vec_for(n);
     for _ in 0..n {
         let f = (|| {
             let replica = c.u32()? as usize;
@@ -277,6 +277,13 @@ impl<'a> Cur<'a> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 
+    /// An empty vector with room for `n` decoded elements, capped at the
+    /// unread input: every element occupies at least one byte, so a
+    /// corrupt count can never reserve more than the input could fill.
+    pub(crate) fn vec_for<T>(&self, n: u32) -> Vec<T> {
+        Vec::with_capacity((n as usize).min(self.b.len() - self.i))
+    }
+
     pub(crate) fn bytes(&mut self) -> Option<Vec<u8>> {
         let n = self.u32()? as usize;
         Some(self.take(n)?.to_vec())
@@ -288,5 +295,17 @@ impl<'a> Cur<'a> {
 
     pub(crate) fn done(&self) -> bool {
         self.i == self.b.len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn corrupt_fault_count_never_preallocates_past_the_input() {
+        let fs = NetFs::new();
+        fs.write_file(FAULTS_PATH, u32::MAX.to_le_bytes().to_vec());
+        assert!(load_faults(&fs).is_empty());
     }
 }

@@ -187,7 +187,7 @@ impl LogOp {
                 let manifest = c.bytes()?;
                 let image = ChunkId(c.u64()?, c.u64()?);
                 let n = c.u32()?;
-                let mut blobs = Vec::with_capacity(n as usize);
+                let mut blobs = c.vec_for(n);
                 for _ in 0..n {
                     let id = ChunkId(c.u64()?, c.u64()?);
                     blobs.push((id, c.bytes()?));

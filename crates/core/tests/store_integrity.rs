@@ -9,6 +9,8 @@
 //! re-applying a put or a discard after a replica crash must leave
 //! refcounts and on-disk state exactly as a single application would.
 
+use cruz::digest;
+use cruz::replog::{read_log, REPLOG_MAGIC, REPLOG_VERSION};
 use cruz::store::{CheckpointStore, PreparedPut, StoreConfig};
 use simos::fs::NetFs;
 
@@ -216,4 +218,31 @@ fn replayed_discard_is_a_no_op() {
     );
     assert_eq!(s.get_image("p", 1), Some(raw1), "epoch 1 still restores");
     assert_eq!(s.gc_orphan_chunks(), 0, "no strays: discard cleaned up");
+}
+
+/// A checksum-valid `CRZL` chunked-put record whose blob count claims
+/// `u32::MAX`: the log reader must stop at it, not abort the process on
+/// a 170 GB reservation.
+#[test]
+fn corrupt_log_blob_count_never_preallocates_past_the_input() {
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&4u32.to_le_bytes());
+    payload.extend_from_slice(b"pod0"); // pod
+    payload.extend_from_slice(&1u64.to_le_bytes()); // epoch
+    payload.extend_from_slice(&0u32.to_le_bytes()); // empty manifest
+    payload.extend_from_slice(&[0u8; 16]); // image id
+    payload.extend_from_slice(&u32::MAX.to_le_bytes()); // blob count
+    let mut log = REPLOG_MAGIC.to_le_bytes().to_vec();
+    log.extend_from_slice(&REPLOG_VERSION.to_le_bytes());
+    let header = log.len() as u64;
+    log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    log.push(1); // the chunked-put tag
+    log.extend_from_slice(&payload);
+    let sum = digest::fold(digest::fold(digest::OFFSET, &[1]), &payload);
+    log.extend_from_slice(&sum.to_le_bytes());
+    let fs = NetFs::new();
+    fs.write_file("/log", log);
+    let (ops, valid) = read_log(&fs, "/log");
+    assert!(ops.is_empty());
+    assert_eq!(valid, header, "the valid prefix ends before the record");
 }

@@ -12,7 +12,7 @@
 //! * **Cluster modules** — within `crates/cluster/src/`, layering is
 //!   `runtime`/`node`/`fault`/`params`/`recovery` (base) → `transport` →
 //!   `events` → `state`/`ops`/`ops_agent`/`drain`/`heartbeat`/`jobs` →
-//!   `world` → `simrt`/`netrt`. `lib.rs` is the assembly root and exempt.
+//!   `world`. `lib.rs` is the assembly root and exempt.
 //!   Modules not in the map sit at the base, so a new module that needs
 //!   to import up-stack must be added to [`CLUSTER_LAYERS`] deliberately.
 //!
@@ -56,8 +56,6 @@ pub const CLUSTER_LAYERS: &[(&str, u32)] = &[
     ("heartbeat", 3),
     ("jobs", 3),
     ("world", 4),
-    ("simrt", 5),
-    ("netrt", 5),
 ];
 
 fn crate_level(tok: &str) -> Option<u32> {
@@ -142,7 +140,7 @@ pub fn scan(sf: &SourceFile, out: &mut Vec<Finding>) {
                         "cluster module `{stem}` (layer {own_mod_level}) imports \
                          `crate::{target}` (layer {target_level}); layering is \
                          transport → events → state/ops/ops_agent/drain/heartbeat/jobs \
-                         → world → simrt/netrt (move the shared type down, or add the \
+                         → world (move the shared type down, or add the \
                          module to CLUSTER_LAYERS in crates/lint/src/graph.rs at its \
                          true level)"
                     ),
