@@ -40,4 +40,5 @@ pub use addr::{IpAddr, MacAddr, SockAddr};
 pub use fault::{FrameFate, FrameFaults};
 pub use frame::{EthFrame, EthPayload, Ipv4Packet, L4};
 pub use stack::{NetError, NetStack, RecvOutcome, SockEvent, SocketId};
+pub use tcp::buffer::take_front;
 pub use tcp::{Tcb, TcpConfig, TcpSegment, TcpSnapshot, TcpState};

@@ -92,12 +92,7 @@ impl SendBuffer {
         if self.unsent.is_empty() || max == 0 {
             return None;
         }
-        let n = self.unsent.len().min(max);
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.unsent.pop_front().expect("length checked"));
-        }
-        Some(Bytes::from(v))
+        Some(Bytes::from(take_front(&mut self.unsent, max)))
     }
 
     /// Records a packet as transmitted (in flight) at `now`.
@@ -276,8 +271,7 @@ impl RecvBuffer {
 
     /// Reads up to `max` in-order bytes, removing them from the buffer.
     pub fn read(&mut self, max: usize) -> Vec<u8> {
-        let n = self.ordered.len().min(max);
-        self.ordered.drain(..n).collect()
+        take_front(&mut self.ordered, max)
     }
 
     /// Returns all in-order bytes without removing them (the `MSG_PEEK`
@@ -285,6 +279,23 @@ impl RecvBuffer {
     pub fn peek_all(&self) -> Vec<u8> {
         self.ordered.iter().copied().collect()
     }
+}
+
+/// Removes up to `max` bytes from the front of `queue` and returns them,
+/// copying slice-wise out of the ring's (at most two) contiguous halves.
+///
+/// Every byte queue on the guest data path drains through this: the TCP
+/// send and receive buffers here, the kernel's pipes and Zap's alternate
+/// receive buffers.
+pub fn take_front(queue: &mut VecDeque<u8>, max: usize) -> Vec<u8> {
+    let n = queue.len().min(max);
+    let (head, tail) = queue.as_slices();
+    let from_head = n.min(head.len());
+    let mut out = Vec::with_capacity(n);
+    out.extend_from_slice(&head[..from_head]);
+    out.extend_from_slice(&tail[..n - from_head]);
+    queue.drain(..n);
+    out
 }
 
 /// Inserts `data` at `off` into the reassembly map, trimming overlap with

@@ -112,8 +112,7 @@ impl PipeTable {
         let Some(p) = self.pipes.get_mut(&id) else {
             return Vec::new();
         };
-        let n = p.buf.len().min(max);
-        p.buf.drain(..n).collect()
+        simnet::take_front(&mut p.buf, max)
     }
 
     /// Notes an additional reference to one end (e.g. thread spawn sharing

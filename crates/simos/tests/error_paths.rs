@@ -3,14 +3,14 @@
 
 use des::SimTime;
 use simcpu::asm::Asm;
-use simcpu::isa::{R1, R2, R3, R6, R7};
+use simcpu::isa::{R0, R1, R10, R2, R3, R6, R7, R8, R9};
 use simnet::addr::{IpAddr, MacAddr};
 use simnet::tcp::TcpConfig;
 use simnet::NetStack;
 use simos::guest::AsmOs;
-use simos::program::{Program, CODE_BASE, DATA_BASE};
+use simos::program::{Program, CODE_BASE, DATA_BASE, STACK_TOP};
 use simos::syscall::nr;
-use simos::{Disk, DiskParams, Kernel, KernelParams, NetFs, ProcState};
+use simos::{Disk, DiskParams, Kernel, KernelParams, NetFs, Pid, ProcState, WaitFor};
 
 fn kernel() -> Kernel {
     let net = NetStack::new(
@@ -205,4 +205,226 @@ fn shmat_past_the_end_of_the_address_space_is_einval() {
     a.movi(R2, -4096); // the last page: start + len overflows
     a.sys(nr::SHMAT);
     assert_eq!(run_exit(&exit_with_negated_r0(a)), 2); // Errno::Inval
+}
+
+/// An address no test program maps.
+const UNMAPPED: i64 = 0x7000_0000;
+/// The last 16 bytes of the one-page data segment: a buffer starting here
+/// and longer than 16 bytes has an unmapped tail.
+const DATA_TAIL: i64 = DATA_BASE as i64 + 4096 - 16;
+
+/// Emits a loopback TCP connection to ourselves on `port`: the client fd
+/// ends up in `r7`, the accepted server fd in `r8` (`r6` is the listener).
+fn loopback_pair(a: &mut Asm, port: i64) {
+    let ip = IpAddr::from_octets([10, 0, 0, 1]).to_bits() as i64;
+    a.sys1(nr::SOCKET, 0);
+    a.mov(R6, R0);
+    a.mov(R1, R6);
+    a.movi(R2, 0);
+    a.movi(R3, port);
+    a.sys(nr::BIND);
+    a.mov(R1, R6);
+    a.movi(R2, 1);
+    a.sys(nr::LISTEN);
+    a.sys1(nr::SOCKET, 0);
+    a.mov(R7, R0);
+    a.mov(R1, R7);
+    a.movi(R2, ip);
+    a.movi(R3, port);
+    a.sys(nr::CONNECT);
+    a.sys_r(nr::ACCEPT, &[R6]);
+    a.mov(R8, R0);
+}
+
+/// Emits `r9 = -r0`: the errno of the last syscall.
+fn save_errno(a: &mut Asm) {
+    a.movi(R9, 0);
+    a.sub(R9, R9, R0);
+}
+
+/// Emits: receive up to 64 bytes on `fd` into a valid buffer, log them,
+/// then exit with `r9`.
+fn log_one_read_and_exit_with_r9(a: &mut Asm, syscall: u64, fd: simcpu::isa::Reg) {
+    let buf = DATA_BASE as i64 + 128;
+    a.mov(R1, fd);
+    a.movi(R2, buf);
+    a.movi(R3, 64);
+    a.sys(syscall);
+    a.mov(R10, R0);
+    a.movi(R1, buf);
+    a.mov(R2, R10);
+    a.sys(nr::LOG);
+    a.mov(R1, R9);
+    a.sys(nr::EXIT);
+}
+
+/// The data segment for the stream tests: one page, with `msg` at +64.
+fn stream_program(a: &Asm, msg: &[u8]) -> Program {
+    let mut data = vec![0u8; 4096];
+    data[64..64 + msg.len()].copy_from_slice(msg);
+    Program::from_asm(a).unwrap().with_data(DATA_BASE, data)
+}
+
+/// Runs `pid` until it exits (other threads may stay blocked forever, and
+/// a zero-window connection keeps probing, so quiescence never comes).
+fn run_until_exit(k: &mut Kernel, pid: Pid) -> u64 {
+    let mut now = SimTime::ZERO;
+    for _ in 0..100_000 {
+        if let ProcState::Zombie(code) = k.process(pid).unwrap().state {
+            return code;
+        }
+        if k.has_runnable() {
+            now += k.run_slice(now).elapsed;
+        } else {
+            now = now.max(k.next_timer().expect("a blocked program waits on a timer"));
+            k.on_tick(now);
+        }
+    }
+    panic!("program did not exit");
+}
+
+#[test]
+fn recv_into_a_bad_buffer_is_efault_and_keeps_the_stream() {
+    // The fault must be found before the stream is consumed: the next
+    // recv into valid memory gets every byte, from the first.
+    let mut a = Asm::new(CODE_BASE);
+    loopback_pair(&mut a, 7100);
+    a.mov(R1, R7);
+    a.movi(R2, DATA_BASE as i64 + 64);
+    a.movi(R3, 8);
+    a.sys(nr::SEND);
+    a.mov(R1, R8);
+    a.movi(R2, UNMAPPED);
+    a.movi(R3, 64);
+    a.sys(nr::RECV);
+    save_errno(&mut a);
+    log_one_read_and_exit_with_r9(&mut a, nr::RECV, R8);
+    let mut k = kernel();
+    let pid = k.spawn(&stream_program(&a, b"abcdefgh")).unwrap();
+    assert_eq!(run_until_exit(&mut k, pid), 7); // Errno::Fault
+    assert_eq!(k.process(pid).unwrap().console, vec!["abcdefgh"]);
+}
+
+#[test]
+fn pipe_read_into_a_bad_buffer_is_efault_and_keeps_the_bytes() {
+    let fds = DATA_BASE as i64;
+    let mut a = Asm::new(CODE_BASE);
+    a.sys1(nr::PIPE, fds);
+    a.movi(R6, fds);
+    a.ld(R8, R6, 0); // read end
+    a.ld(R7, R6, 8); // write end
+    a.mov(R1, R7);
+    a.movi(R2, DATA_BASE as i64 + 64);
+    a.movi(R3, 8);
+    a.sys(nr::WRITE);
+    a.mov(R1, R8);
+    a.movi(R2, UNMAPPED);
+    a.movi(R3, 64);
+    a.sys(nr::READ);
+    save_errno(&mut a);
+    log_one_read_and_exit_with_r9(&mut a, nr::READ, R8);
+    let mut k = kernel();
+    let pid = k.spawn(&stream_program(&a, b"pipe-ful")).unwrap();
+    assert_eq!(run_until_exit(&mut k, pid), 7); // Errno::Fault
+    assert_eq!(k.process(pid).unwrap().console, vec!["pipe-ful"]);
+}
+
+#[test]
+fn send_with_an_unmapped_tail_is_efault_when_the_buffer_has_room() {
+    // Only 16 bytes of the 64-byte buffer are mapped. The send buffer has
+    // room for all of it, and nothing may reach the stream: the next
+    // valid send is the first thing the peer reads.
+    let mut a = Asm::new(CODE_BASE);
+    loopback_pair(&mut a, 7200);
+    a.mov(R1, R7);
+    a.movi(R2, DATA_TAIL);
+    a.movi(R3, 64);
+    a.sys(nr::SEND);
+    save_errno(&mut a);
+    a.mov(R1, R7);
+    a.movi(R2, DATA_BASE as i64 + 64);
+    a.movi(R3, 5);
+    a.sys(nr::SEND);
+    log_one_read_and_exit_with_r9(&mut a, nr::RECV, R8);
+    let mut k = kernel();
+    let pid = k.spawn(&stream_program(&a, b"clean")).unwrap();
+    assert_eq!(run_until_exit(&mut k, pid), 7); // Errno::Fault
+    assert_eq!(k.process(pid).unwrap().console, vec!["clean"]);
+}
+
+#[test]
+fn send_with_an_unmapped_tail_is_efault_when_the_buffer_is_full() {
+    // A filler thread sends until the peer's window and our send buffer
+    // are both full and it blocks. The bad send must still fault rather
+    // than block: the whole buffer is checked before the space is.
+    let mut a = Asm::new(CODE_BASE);
+    let filler = a.label();
+    loopback_pair(&mut a, 7300);
+    a.movi(R1, DATA_BASE as i64 + 8);
+    a.st(R1, R7, 0); // the client fd, for the test to inspect
+    a.movi_label(R1, filler);
+    a.movi(R2, STACK_TOP as i64 - 16 * 1024);
+    a.mov(R3, R7);
+    a.sys(nr::SPAWN);
+    a.sys1(nr::SLEEP, 1_000_000); // the filler runs until it blocks
+    a.mov(R1, R7);
+    a.movi(R2, DATA_TAIL);
+    a.movi(R3, 64);
+    a.sys(nr::SEND);
+    save_errno(&mut a);
+    a.mov(R1, R9);
+    a.sys(nr::EXIT);
+    a.bind(filler);
+    let again = a.label();
+    a.mov(R6, R1);
+    a.bind(again);
+    a.mov(R1, R6);
+    a.movi(R2, DATA_BASE as i64);
+    a.movi(R3, 4096);
+    a.sys(nr::SEND);
+    a.jmp(again);
+    let mut k = kernel();
+    let pid = k.spawn(&stream_program(&a, b"")).unwrap();
+    assert_eq!(run_until_exit(&mut k, pid), 7); // Errno::Fault
+    let fd = u64::from_le_bytes(
+        k.read_guest(pid, DATA_BASE + 8, 8)
+            .unwrap()
+            .try_into()
+            .unwrap(),
+    );
+    let sid = k.socket_of(pid, fd as u32).unwrap();
+    assert_eq!(k.net.tcp_send_space(sid), 0, "the send buffer was full");
+    let filler_blocked = k.pids().into_iter().any(|p| {
+        matches!(k.process(p).unwrap().state, ProcState::Blocked(WaitFor::SockWritable(s)) if s == sid)
+    });
+    assert!(filler_blocked, "the filler is blocked on the full buffer");
+}
+
+#[test]
+fn send_on_a_reset_connection_is_econnreset_after_efault() {
+    // A refused connect leaves a reset connection. A send on it is
+    // ECONNRESET; a send from a bad buffer on it is EFAULT first.
+    let mut a = Asm::new(CODE_BASE);
+    a.sys1(nr::SOCKET, 0);
+    a.mov(R6, R0);
+    a.mov(R1, R6);
+    a.movi(R2, IpAddr::from_octets([10, 0, 0, 1]).to_bits() as i64);
+    a.movi(R3, 9999);
+    a.sys(nr::CONNECT);
+    a.mov(R1, R6);
+    a.movi(R2, UNMAPPED);
+    a.movi(R3, 4);
+    a.sys(nr::SEND);
+    save_errno(&mut a);
+    a.mov(R1, R6);
+    a.movi(R2, DATA_BASE as i64);
+    a.movi(R3, 4);
+    a.sys(nr::SEND);
+    // Exit with (-second) + 16 * (-first).
+    a.movi(R1, 0);
+    a.sub(R1, R1, R0);
+    a.muli(R9, R9, 16);
+    a.add(R1, R1, R9);
+    a.sys(nr::EXIT);
+    assert_eq!(run_exit(&stream_program(&a, b"")), 5 + 16 * 7); // ConnReset, Fault
 }

@@ -184,8 +184,13 @@ impl SyscallHook for ZapState {
                 let pod = self.pods.get_mut(&pod_id).expect("owner exists");
                 let data: Vec<u8> = match pod.alt_recv.get_mut(&sid) {
                     Some(q) if !q.is_empty() => {
+                        // Probe the destination before draining, so a
+                        // fault leaves the restored bytes queued.
                         let n = q.len().min(args[2] as usize);
-                        q.drain(..n).collect()
+                        if let Err(e) = kernel.check_guest(pid, args[1], n, true) {
+                            return HookDecision::Done(e.to_ret());
+                        }
+                        simnet::take_front(q, n)
                     }
                     _ => {
                         // This socket's buffer is dry; deactivate the

@@ -300,8 +300,9 @@ fn sender_program(dst: IpAddr, port: i64, payload: &[u8]) -> Program {
 }
 
 /// Receiver pod program: accept one connection, sleep (so data queues in the
-/// kernel), then read and log it.
-fn receiver_program(port: i64) -> Program {
+/// kernel), then read and log it. With `fault_first`, it first reads into
+/// an unmapped buffer and exits with that read's errno.
+fn receiver_program(port: i64, fault_first: bool) -> Program {
     let buf = DATA_BASE as i64;
     let mut a = Asm::new(CODE_BASE);
     a.sys1(nr::SOCKET, 0);
@@ -316,6 +317,14 @@ fn receiver_program(port: i64) -> Program {
     a.sys_r(nr::ACCEPT, &[R6]);
     a.mov(R7, simcpu::isa::R0);
     a.sys1(nr::SLEEP, 20_000_000); // 20 ms: the checkpoint lands here
+    a.movi(R10, 0);
+    if fault_first {
+        a.mov(R1, R7);
+        a.movi(R2, 0x7000_0000); // unmapped
+        a.movi(R3, 64);
+        a.sys(nr::RECV);
+        a.sub(R10, R10, simcpu::isa::R0);
+    }
     a.mov(R1, R7);
     a.movi(R2, buf);
     a.movi(R3, 64);
@@ -324,30 +333,32 @@ fn receiver_program(port: i64) -> Program {
     a.movi(R1, buf);
     a.mov(R2, R9);
     a.sys(nr::LOG);
-    a.sys1(nr::EXIT, 0);
+    a.mov(R1, R10);
+    a.sys(nr::EXIT);
     Program::from_asm(&a)
         .unwrap()
         .with_data(DATA_BASE, vec![0u8; 128])
 }
 
-#[test]
-fn undelivered_socket_data_survives_restart_via_alternate_buffer() {
-    // Two pods on one node, connected over loopback. The receiver is
-    // checkpointed *after* data reached its kernel receive queue but
-    // *before* the application read it. After restart, the interposed
-    // recv must deliver exactly that data from the alternate buffer.
+/// Two pods on one node, connected over loopback. The receiver (running
+/// `receiver_program(9000, fault_first)`) is checkpointed *after* data
+/// reached its kernel receive queue but *before* the application read it,
+/// then restarted. Returns the receiver's exit code and console.
+fn restart_receiver_with_undelivered_data(
+    payload: &[u8],
+    fault_first: bool,
+) -> (Option<u64>, Vec<String>) {
     let fs = NetFs::new();
     let (mut k, z) = node(1, 1, &fs);
     let recv_ip = IpAddr::from_octets([10, 0, 0, 60]);
     let pod_s = z.create_pod(&mut k, pod_cfg("sender", 61)).unwrap();
     let pod_r = z.create_pod(&mut k, pod_cfg("receiver", 60)).unwrap();
 
-    let payload = b"precious bytes";
     let vs = z
         .spawn_in_pod(&mut k, pod_s, &sender_program(recv_ip, 9000, payload))
         .unwrap();
     let vr = z
-        .spawn_in_pod(&mut k, pod_r, &receiver_program(9000))
+        .spawn_in_pod(&mut k, pod_r, &receiver_program(9000, fault_first))
         .unwrap();
     let _ = vs;
 
@@ -381,8 +392,29 @@ fn undelivered_socket_data_survives_restart_via_alternate_buffer() {
     assert!(run_until(&mut k, &mut now, 2_000_000, |k| {
         zombie_code(k, &z, pod_r2, vr).is_some()
     }));
-    assert_eq!(zombie_code(&k, &z, pod_r2, vr), Some(0));
-    let logged = z.console_of(&k, pod_r2, vr).unwrap();
+    (
+        zombie_code(&k, &z, pod_r2, vr),
+        z.console_of(&k, pod_r2, vr).unwrap(),
+    )
+}
+
+#[test]
+fn undelivered_socket_data_survives_restart_via_alternate_buffer() {
+    // After restart, the interposed recv must deliver exactly the
+    // undelivered data from the alternate buffer.
+    let payload = b"precious bytes";
+    let (code, logged) = restart_receiver_with_undelivered_data(payload, false);
+    assert_eq!(code, Some(0));
+    assert_eq!(logged, vec![String::from_utf8_lossy(payload).to_string()]);
+}
+
+#[test]
+fn faulting_recv_leaves_the_alternate_buffer_intact() {
+    // A recv into unmapped memory fails with EFAULT before draining the
+    // alternate buffer, so the next recv still gets every byte.
+    let payload = b"precious bytes";
+    let (code, logged) = restart_receiver_with_undelivered_data(payload, true);
+    assert_eq!(code, Some(7)); // Errno::Fault
     assert_eq!(logged, vec![String::from_utf8_lossy(payload).to_string()]);
 }
 
