@@ -41,13 +41,17 @@
 #                         prints SKIPPED and exits 0 where the sandbox
 #                         forbids even 127.0.0.1 sockets)
 #  12. ledger smoke     — the benchmark's own tests (BENCHMARK.json and
-#                         its code agree), then 2 s `compute` and `stream`
-#                         runs that must each report "correct": true: the
-#                         pinned first-epoch digest and the guest-progress
+#                         its code agree), then 2 s `compute`, `stream` and
+#                         `slm-stw` runs that must each report "correct":
+#                         true with no failed operation: the pinned
+#                         first-epoch digest and the guest-progress
 #                         rewind/advance checks, so an interpreter change
 #                         that alters guest behaviour fails on `compute`,
-#                         and a guest<->TCP data-path change that breaks a
-#                         rollback with live sockets fails on `stream`
+#                         a guest<->TCP data-path change that breaks a
+#                         rollback with live sockets fails on `stream`, and
+#                         an image codec or plain-store change that breaks
+#                         the paper's checkpoint/rollback path fails on
+#                         `slm-stw`
 #
 # Everything runs offline: the only dependencies are the vendored stubs
 # under vendor/ (see DESIGN.md, "Offline builds").
@@ -112,14 +116,14 @@ echo "== loopback smoke (real-socket twin-runtime demo)"
 # skips cleanly (exit 0) when loopback sockets are unavailable.
 cargo run --offline -q --release -p bench --bin loopback_demo
 
-echo "== ledger smoke (benchmark self-tests + 2 s compute and stream runs)"
+echo "== ledger smoke (benchmark self-tests + 2 s compute, stream and slm-stw runs)"
 # The runs' reports land in the gitignored ledger/out/.
 cargo test --offline -q --release --manifest-path ledger/Cargo.toml
-for workload in compute stream; do
+for workload in compute stream slm-stw; do
     smoke=$(cargo run --offline -q --release --manifest-path ledger/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
     case "$smoke" in
-        '{"correct": true,'*) ;;
+        '{"correct": true,'*'"failed": 0,'*) ;;
         *)
             echo "error: ledger $workload smoke is not correct: $smoke" >&2
             exit 1

@@ -114,13 +114,13 @@ impl World {
             let (img, pre_copied, dirty) = a.drain_with_dirty();
             copied += pre_copied;
             if dedup {
-                let (bytes, cuts) = img.encode_with_page_cuts();
+                let (sealed, cuts) = img.seal_with_page_cuts();
                 let hints = cruz::pagecache::page_hints(&img, &cuts, &dirty);
                 // Hash/encode fans out across the store's worker pool
                 // (`params.store.threads`); clean pages skip it via the
                 // digest cache. Byte-identical at every width.
-                let prepared = store.prepare_chunked_hinted(
-                    &bytes,
+                let prepared = store.prepare_sealed_hinted(
+                    &sealed,
                     &hints,
                     &self.params.store,
                     &pod_name,
@@ -131,16 +131,16 @@ impl World {
                     let ready = t_arm + self.params.extract_time(pod_base + raw_end);
                     batch.push((ready, stored));
                 }
-                total += bytes.len() as u64;
+                total += sealed.bytes().len() as u64;
                 batch.push((
                     t_arm + self.params.extract_time(total),
                     prepared.manifest_len(),
                 ));
                 images.push((pod_name, PreparedPut::Chunked(prepared)));
             } else {
-                let bytes = img.encode();
-                total += bytes.len() as u64;
-                images.push((pod_name, PreparedPut::Plain(bytes)));
+                let sealed = img.seal();
+                total += sealed.bytes().len() as u64;
+                images.push((pod_name, PreparedPut::Sealed(sealed)));
             }
         }
         self.digest_caches.insert(job, cache);

@@ -10,12 +10,11 @@
 //! registered through the [`crate::runtime::Timers`] seam.
 
 use simos::disk::WriteFault;
-use zap::image::PodImage;
 
 use cruz::agent::AgentAction;
 use cruz::error::CruzError;
 use cruz::proto::{CtlMsg, OpKind};
-use cruz::store::PreparedPut;
+use cruz::store::{PreparedPut, ReadError};
 
 use des::SimTime;
 
@@ -242,12 +241,12 @@ impl World {
                 }
             };
             if dedup {
-                let (bytes, cuts) = img.encode_with_page_cuts();
+                let (sealed, cuts) = img.seal_with_page_cuts();
                 let hints = cruz::pagecache::page_hints(&img, &cuts, &dirty);
                 // Same pool as the COW drain: hash/encode shards across
                 // `params.store.threads` workers, clean pages skip it.
-                let prepared = store.prepare_chunked_hinted(
-                    &bytes,
+                let prepared = store.prepare_sealed_hinted(
+                    &sealed,
                     &hints,
                     &self.params.store,
                     &p.name,
@@ -258,16 +257,16 @@ impl World {
                     let ready = self.now + self.params.extract_time(pod_base + raw_end);
                     batch.push((ready, stored));
                 }
-                total += bytes.len() as u64;
+                total += sealed.bytes().len() as u64;
                 batch.push((
                     self.now + self.params.extract_time(total),
                     prepared.manifest_len(),
                 ));
                 images.push((p.name.clone(), PreparedPut::Chunked(prepared)));
             } else {
-                let bytes = img.encode();
-                total += bytes.len() as u64;
-                images.push((p.name.clone(), PreparedPut::Plain(bytes)));
+                let sealed = img.seal();
+                total += sealed.bytes().len() as u64;
+                images.push((p.name.clone(), PreparedPut::Sealed(sealed)));
             }
         }
         self.digest_caches.insert(job, cache);
@@ -342,15 +341,24 @@ impl World {
         let mut images = Vec::new();
         let mut total: u64 = 0;
         for p in &pods {
-            let Some(bytes) = store.get_image(&p.name, image_epoch) else {
-                continue;
+            // A pod the epoch holds nothing for is skipped; an image that is
+            // there but fails verification aborts the restart, which would
+            // otherwise complete without that pod.
+            let sealed = match store.read_sealed(&p.name, image_epoch) {
+                Ok(sealed) => sealed,
+                Err(ReadError::Absent) => continue,
+                Err(ReadError::Corrupt) => {
+                    let pod = p.name.clone();
+                    self.fail_op(op, CruzError::CorruptImage { pod });
+                    return;
+                }
             };
             // Charge what the disk actually serves: the plain file, or the
             // manifest plus every distinct chunk it references.
             total += store
                 .stored_len(&p.name, image_epoch)
-                .unwrap_or(bytes.len() as u64);
-            match PodImage::decode(&bytes) {
+                .unwrap_or(sealed.bytes().len() as u64);
+            match sealed.decode() {
                 Ok(img) => images.push((p.name.clone(), img)),
                 Err(e) => {
                     self.fail_op(op, CruzError::BadImage(e));

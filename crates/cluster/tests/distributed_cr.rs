@@ -2,6 +2,7 @@
 //! multi-node simulated cluster, the full Fig. 2 protocol over the wire.
 
 use cluster::{ClusterParams, JobSpec, PodSpec, StoreConfig, World};
+use cruz::error::CruzError;
 use cruz::proto::ProtocolMode;
 use des::SimDuration;
 use simnet::addr::{IpAddr, MacAddr};
@@ -697,4 +698,39 @@ fn cow_abort_cancels_armed_snapshots() {
         w.store("slm").get_image("rank0", op).is_none(),
         "aborted epoch must leave no orphan images"
     );
+}
+
+#[test]
+fn rollback_from_a_corrupt_committed_image_fails_instead_of_dropping_the_pod() {
+    // One flipped byte in a committed pod image: the store's digest check
+    // rejects it, and the restart must abort with that error rather than
+    // complete with the pod silently left out of the job.
+    let mut w = World::new(3, ClusterParams::default());
+    let (spec, _) = pingpong_job(600, 0, 1, 2);
+    w.launch_job(&spec).unwrap();
+    w.run_for(SimDuration::from_millis(6));
+    let ck = w
+        .start_checkpoint("pp", ProtocolMode::Blocking, None)
+        .unwrap();
+    assert!(w.run_until_op(ck, 10_000_000));
+    let path = w.store("pp").replica(0).image_path("server", ck);
+    let mut bytes = w.fs.read_file(&path).expect("committed server image");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    w.fs.write_file(&path, bytes);
+    assert_eq!(w.store("pp").get_image("server", ck), None);
+
+    let rs = w
+        .start_restart("pp", ck, &[], ProtocolMode::Blocking)
+        .unwrap();
+    assert!(w.run_until_op(rs, 10_000_000), "the restart settles");
+    let report = w.op_report(rs).unwrap();
+    assert!(
+        report.aborted && !report.complete,
+        "a corrupt image aborts the rollback"
+    );
+    match w.op_error(rs) {
+        Some(CruzError::CorruptImage { pod }) => assert_eq!(pod, "server"),
+        other => panic!("expected a corrupt-image error, got {other:?}"),
+    }
 }

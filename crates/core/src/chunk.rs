@@ -93,6 +93,14 @@ impl ChunkId {
     }
 }
 
+impl From<zap::image::ContentDigest> for ChunkId {
+    /// The chunk id of a sealed image's bytes, from the digest its one
+    /// sealing pass computed (bit-identical to [`ChunkId::of`] over them).
+    fn from((lo, hi): zap::image::ContentDigest) -> ChunkId {
+        ChunkId(lo, hi)
+    }
+}
+
 impl fmt::Display for ChunkId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.hex())

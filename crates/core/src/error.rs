@@ -21,6 +21,14 @@ pub enum CruzError {
     /// A stored checkpoint image failed to decode. Restarting from it must
     /// abort, not panic.
     BadImage(ImageError),
+    /// A pod's stored checkpoint image is present but fails the store's
+    /// verification (digest sidecar, manifest or chunk checks). Restarting
+    /// without that pod would resume a partial job, so the operation
+    /// aborts.
+    CorruptImage {
+        /// The pod whose image failed.
+        pod: String,
+    },
     /// The Zap layer refused a checkpoint/restore action.
     Zap(ZapError),
     /// A control-plane invariant was violated (e.g. a message referenced an
@@ -33,6 +41,9 @@ impl fmt::Display for CruzError {
         match self {
             CruzError::ControlSocket(e) => write!(f, "control socket: {e}"),
             CruzError::BadImage(e) => write!(f, "checkpoint image: {e}"),
+            CruzError::CorruptImage { pod } => {
+                write!(f, "checkpoint image of {pod} fails verification")
+            }
             CruzError::Zap(e) => write!(f, "zap layer: {e}"),
             CruzError::Protocol(what) => write!(f, "protocol invariant violated: {what}"),
         }

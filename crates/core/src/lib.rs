@@ -71,4 +71,4 @@ pub use replog::{
     install_replica_faults, CompactReport, ReplicaFault, ReplicaFaultKind, ReplicatedStore,
     ScrubReport, StoreOpPoint,
 };
-pub use store::{CheckpointStore, PreparedPut, StoreConfig};
+pub use store::{CheckpointStore, PreparedPut, ReadError, StoreConfig};

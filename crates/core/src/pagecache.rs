@@ -44,7 +44,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use zap::image::{ImageWriter, PodImage};
+use zap::image::{ImageWriter, PodImage, Sealed};
 
 use crate::chunk::{self, ChunkId};
 use crate::parpool::Pool;
@@ -224,6 +224,33 @@ impl CheckpointStore {
         pod_name: &str,
         cache: &mut DigestCache,
     ) -> PreparedChunked {
+        self.prepare_hinted(raw, ChunkId::of(raw), hints, cfg, pod_name, cache)
+    }
+
+    /// [`CheckpointStore::prepare_chunked_hinted`] for an image sealed by
+    /// its encoder: the whole-image digest the sidecar pins comes from the
+    /// seal instead of another pass over the bytes.
+    pub fn prepare_sealed_hinted(
+        &self,
+        image: &Sealed,
+        hints: &[PageHint],
+        cfg: &StoreConfig,
+        pod_name: &str,
+        cache: &mut DigestCache,
+    ) -> PreparedChunked {
+        let digest = image.digest().into();
+        self.prepare_hinted(image.bytes(), digest, hints, cfg, pod_name, cache)
+    }
+
+    fn prepare_hinted(
+        &self,
+        raw: &[u8],
+        raw_digest: ChunkId,
+        hints: &[PageHint],
+        cfg: &StoreConfig,
+        pod_name: &str,
+        cache: &mut DigestCache,
+    ) -> PreparedChunked {
         cache.ensure_cfg(cfg);
         let cuts: Vec<(usize, usize)> = hints.iter().map(|h| (h.offset, h.len)).collect();
         let ranges = chunk::split_ranges(raw.len(), &cuts, cfg.chunk_bytes);
@@ -361,7 +388,7 @@ impl CheckpointStore {
             raw_len: raw.len() as u64,
             manifest: mw.finish(),
             chunks,
-            raw_digest: ChunkId::of(raw),
+            raw_digest,
         }
     }
 }

@@ -30,14 +30,16 @@
 //! that hit zero. Retiring old epochs therefore reclaims exactly the
 //! chunks no retained epoch shares.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use simos::fs::NetFs;
-use zap::image::{ImageReader, ImageWriter};
+use zap::image::{ImageReader, ImageWriter, Sealed};
 
 use crate::chunk::{self, ChunkId, CodecScratch};
 use crate::parpool::Pool;
+
+mod refs;
 
 /// Magic number of a chunk manifest (`CRZM`).
 pub const MANIFEST_MAGIC: u32 = 0x4352_5a4d;
@@ -194,8 +196,13 @@ impl PreparedChunked {
 /// A pod-image write prepared for a specific store representation.
 #[derive(Debug, Clone)]
 pub enum PreparedPut {
-    /// Monolithic image bytes.
+    /// Monolithic image bytes; applying the write folds them once for the
+    /// digest sidecar (it is then exactly [`PreparedPut::Sealed`] of
+    /// `Sealed::open(bytes)`).
     Plain(Vec<u8>),
+    /// Monolithic image bytes sealed by their encoder, which computed the
+    /// digest sidecar in the same pass as the image checksum.
+    Sealed(Sealed),
     /// Chunked, deduplicated write.
     Chunked(PreparedChunked),
 }
@@ -205,6 +212,7 @@ impl PreparedPut {
     pub fn raw_len(&self) -> u64 {
         match self {
             PreparedPut::Plain(b) => b.len() as u64,
+            PreparedPut::Sealed(s) => s.bytes().len() as u64,
             PreparedPut::Chunked(c) => c.raw_len(),
         }
     }
@@ -212,10 +220,22 @@ impl PreparedPut {
     /// Bytes this write sends to disk.
     pub fn new_bytes(&self) -> u64 {
         match self {
-            PreparedPut::Plain(b) => b.len() as u64,
             PreparedPut::Chunked(c) => c.new_bytes(),
+            plain => plain.raw_len(),
         }
     }
+}
+
+/// Why a verified read of a pod image served no bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadError {
+    /// The epoch holds no image of the pod: no image file, manifest or
+    /// digest sidecar.
+    Absent,
+    /// An image of the pod is present but does not verify: its digest
+    /// sidecar is missing or disagrees with the bytes, or its manifest or a
+    /// chunk it references is missing or corrupt.
+    Corrupt,
 }
 
 /// Path helpers, commit bookkeeping and the dedup chunk store for one
@@ -339,8 +359,15 @@ impl CheckpointStore {
     /// Writes a pod image in the plain (monolithic) representation, plus
     /// its digest sidecar so reads can verify the body end-to-end.
     pub fn put_image(&self, pod_name: &str, epoch: u64, bytes: Vec<u8>) {
-        self.write_digest(pod_name, epoch, ChunkId::of(&bytes));
-        self.fs.write_file(&self.image_path(pod_name, epoch), bytes);
+        self.put_sealed(pod_name, epoch, Sealed::open(bytes));
+    }
+
+    /// [`CheckpointStore::put_image`] for bytes whose content digest their
+    /// encoder already computed: writes the sidecar from it, no fold.
+    fn put_sealed(&self, pod_name: &str, epoch: u64, image: Sealed) {
+        self.write_digest(pod_name, epoch, image.digest().into());
+        self.fs
+            .write_file(&self.image_path(pod_name, epoch), image.into_bytes());
     }
 
     /// Reads the digest sidecar of a pod image, if present and well-formed.
@@ -464,6 +491,7 @@ impl CheckpointStore {
     pub fn put_prepared(&self, pod_name: &str, epoch: u64, put: PreparedPut) {
         match put {
             PreparedPut::Plain(bytes) => self.put_image(pod_name, epoch, bytes),
+            PreparedPut::Sealed(image) => self.put_sealed(pod_name, epoch, image),
             PreparedPut::Chunked(c) => {
                 for ch in &c.chunks {
                     let path = self.chunk_path(ch.id);
@@ -500,14 +528,9 @@ impl CheckpointStore {
     /// be committed through this path: no durability is ever reported for
     /// a torn write.
     pub fn put_torn(&self, pod_name: &str, epoch: u64, put: &PreparedPut, frac: u8) {
-        match put {
-            PreparedPut::Plain(bytes) => {
-                let keep = (bytes.len() as u64 * frac as u64 / 256) as usize;
-                if keep > 0 {
-                    self.fs
-                        .write_file(&self.image_path(pod_name, epoch), bytes[..keep].to_vec());
-                }
-            }
+        let plain = match put {
+            PreparedPut::Plain(bytes) => bytes.as_slice(),
+            PreparedPut::Sealed(image) => image.bytes(),
             PreparedPut::Chunked(c) => {
                 let cutoff = c.raw_len * frac as u64 / 256;
                 for ch in &c.chunks {
@@ -519,7 +542,13 @@ impl CheckpointStore {
                         self.fs.write_file(&path, ch.stored.to_vec());
                     }
                 }
+                return;
             }
+        };
+        let keep = (plain.len() as u64 * frac as u64 / 256) as usize;
+        if keep > 0 {
+            self.fs
+                .write_file(&self.image_path(pod_name, epoch), plain[..keep].to_vec());
         }
     }
 
@@ -532,12 +561,45 @@ impl CheckpointStore {
     /// fails its digest sidecar — a torn prefix that still happens to
     /// decode is rejected here, not left for the caller to trip over.
     pub fn get_image(&self, pod_name: &str, epoch: u64) -> Option<Vec<u8>> {
-        if let Some(bytes) = self.fs.read_file(&self.image_path(pod_name, epoch)) {
-            return (self.read_digest(pod_name, epoch)? == ChunkId::of(&bytes)).then_some(bytes);
+        self.read_sealed(pod_name, epoch)
+            .ok()
+            .map(Sealed::into_bytes)
+    }
+
+    /// The restore-side read: the image bytes (reassembled from chunks
+    /// when the epoch holds a manifest), sealed by one hash pass that both
+    /// checks them against the digest sidecar and settles their trailing
+    /// checksum, so [`Sealed::decode`] parses them without folding again.
+    /// Serves exactly the bytes [`CheckpointStore::get_image`] does.
+    ///
+    /// # Errors
+    ///
+    /// [`ReadError::Absent`] when the epoch holds nothing for the pod;
+    /// [`ReadError::Corrupt`] when what it holds does not verify.
+    pub fn read_sealed(&self, pod_name: &str, epoch: u64) -> Result<Sealed, ReadError> {
+        let want = self.read_digest(pod_name, epoch);
+        let bytes = match self.fs.read_file(&self.image_path(pod_name, epoch)) {
+            Some(bytes) => bytes,
+            None => match self.fs.read_file(&self.manifest_path(pod_name, epoch)) {
+                // Without a sidecar there is nothing to verify against, so
+                // the chunks are not worth reading.
+                Some(manifest) if want.is_some() => {
+                    self.reconstruct(&manifest).ok_or(ReadError::Corrupt)?
+                }
+                Some(_) => return Err(ReadError::Corrupt),
+                None if self.fs.exists(&self.digest_path(pod_name, epoch)) => {
+                    return Err(ReadError::Corrupt)
+                }
+                None => return Err(ReadError::Absent),
+            },
+        };
+        let want = want.ok_or(ReadError::Corrupt)?;
+        let image = Sealed::open(bytes);
+        if ChunkId::from(image.digest()) == want {
+            Ok(image)
+        } else {
+            Err(ReadError::Corrupt)
         }
-        let manifest = self.fs.read_file(&self.manifest_path(pod_name, epoch))?;
-        let want = self.read_digest(pod_name, epoch)?;
-        self.reconstruct(&manifest, want)
     }
 
     /// Logical size of a pod image in bytes (the size of the serialized
@@ -568,15 +630,15 @@ impl CheckpointStore {
         Some(total)
     }
 
-    fn reconstruct(&self, manifest: &[u8], want: ChunkId) -> Option<Vec<u8>> {
+    fn reconstruct(&self, manifest: &[u8]) -> Option<Vec<u8>> {
         let (raw_len, recs) = decode_manifest(manifest)?;
         // Chunk files are read on the calling thread (the `NetFs` handle is
         // single-threaded); the pure decompression fans out across the
         // pool and reassembles in manifest order. Each decoded chunk must
         // re-hash to the content address the manifest named it by — a chunk
         // file whose torn tail still decodes cannot masquerade as the
-        // original — and the assembled image must match the digest sidecar,
-        // which closes the same hole for torn manifests.
+        // original — and the caller checks the assembled image against the
+        // digest sidecar, which closes the same hole for torn manifests.
         let mut stored = Vec::with_capacity(recs.len());
         for (id, seg_len, _) in recs {
             stored.push((self.fs.read_file(&self.chunk_path(id))?, id, seg_len));
@@ -595,7 +657,7 @@ impl CheckpointStore {
         for raw in decoded {
             out.extend_from_slice(&raw?);
         }
-        (out.len() as u64 == raw_len && ChunkId::of(&out) == want).then_some(out)
+        (out.len() as u64 == raw_len).then_some(out)
     }
 
     // ---- commit bookkeeping -------------------------------------------------
@@ -727,137 +789,6 @@ impl CheckpointStore {
                 }
             }
         }
-    }
-
-    fn release_manifest(&self, manifest: &[u8]) {
-        let Some((_, recs)) = decode_manifest(manifest) else {
-            return;
-        };
-        let mut refs = self.read_refs();
-        for (id, _, _) in recs {
-            match refs.get_mut(&id) {
-                Some(count) if *count > 1 => *count -= 1,
-                _ => {
-                    refs.remove(&id);
-                    self.fs.remove(&self.chunk_path(id));
-                }
-            }
-        }
-        self.write_refs(&refs);
-    }
-
-    // ---- chunk bookkeeping --------------------------------------------------
-
-    pub(crate) fn read_refs(&self) -> BTreeMap<ChunkId, u64> {
-        let Some(bytes) = self.fs.read_file(&self.refs_path()) else {
-            return BTreeMap::new();
-        };
-        let mut refs = BTreeMap::new();
-        let Ok(mut r) = ImageReader::verify(&bytes) else {
-            return refs;
-        };
-        let ok = (|| -> Result<(), zap::image::ImageError> {
-            if r.u32()? != REFS_MAGIC || r.u16()? != STORE_VERSION {
-                return Ok(());
-            }
-            let n = r.u32()?;
-            for _ in 0..n {
-                let id = ChunkId(r.u64()?, r.u64()?);
-                let count = r.u64()?;
-                refs.insert(id, count);
-            }
-            Ok(())
-        })();
-        if ok.is_err() {
-            refs.clear();
-        }
-        refs
-    }
-
-    pub(crate) fn write_refs(&self, refs: &BTreeMap<ChunkId, u64>) {
-        if refs.is_empty() {
-            self.fs.remove(&self.refs_path());
-            return;
-        }
-        let mut w = ImageWriter::new();
-        w.u32(REFS_MAGIC);
-        w.u16(STORE_VERSION);
-        w.u32(refs.len() as u32);
-        for (id, count) in refs {
-            w.u64(id.0);
-            w.u64(id.1);
-            w.u64(*count);
-        }
-        self.fs.write_file(&self.refs_path(), w.finish());
-    }
-
-    /// Every chunk file currently stored for the job, ascending by id.
-    pub fn live_chunks(&self) -> Vec<ChunkId> {
-        let prefix = format!("{}/ckpt/{}/chunks/", self.root, self.job);
-        self.fs
-            .list(&prefix)
-            .into_iter()
-            .filter_map(|p| {
-                let name = p.strip_prefix(&prefix)?.strip_suffix(".c")?;
-                if name.len() != 32 {
-                    return None;
-                }
-                let (lo, hi) = name.split_at(16);
-                Some(ChunkId(
-                    u64::from_str_radix(lo, 16).ok()?,
-                    u64::from_str_radix(hi, 16).ok()?,
-                ))
-            })
-            .collect()
-    }
-
-    /// Chunk files referenced by **no** epoch's manifest — garbage left by
-    /// a write that persisted chunks but never landed (or lost) its
-    /// manifest, e.g. a torn disk write or a node crash between the two.
-    /// A healthy store always returns an empty set.
-    pub fn orphan_chunks(&self) -> Vec<ChunkId> {
-        let mut referenced = BTreeSet::new();
-        for e in self.all_epochs() {
-            referenced.extend(self.chunks_referenced_by(e));
-        }
-        self.live_chunks()
-            .into_iter()
-            .filter(|id| !referenced.contains(id))
-            .collect()
-    }
-
-    /// Deletes orphan chunk files and scrubs their refcount entries (and
-    /// any refcount entry whose chunk file is gone). Returns the number of
-    /// chunk files reclaimed.
-    pub fn gc_orphan_chunks(&self) -> usize {
-        let orphans = self.orphan_chunks();
-        let mut refs = self.read_refs();
-        for id in &orphans {
-            self.fs.remove(&self.chunk_path(*id));
-            refs.remove(id);
-        }
-        refs.retain(|id, _| self.fs.exists(&self.chunk_path(*id)));
-        self.write_refs(&refs);
-        orphans.len()
-    }
-
-    /// Chunk ids referenced by an epoch's manifests (deduplicated).
-    pub fn chunks_referenced_by(&self, epoch: u64) -> BTreeSet<ChunkId> {
-        let prefix = format!("{}/ckpt/{}/epoch{:08}/", self.root, self.job, epoch);
-        let mut ids = BTreeSet::new();
-        for path in self.fs.list(&prefix) {
-            if !path.ends_with(".manifest") {
-                continue;
-            }
-            let Some(manifest) = self.fs.read_file(&path) else {
-                continue;
-            };
-            let Some((_, recs)) = decode_manifest(&manifest) else {
-                continue;
-            };
-            ids.extend(recs.into_iter().map(|(id, _, _)| id));
-        }
-        ids
     }
 
     /// Pod names with images (plain or chunked) in an epoch.

@@ -137,12 +137,6 @@ pub fn fold_u64(h: u64, word: u64) -> u64 {
     fold_word(h, word)
 }
 
-/// The complete FNV-1a digest of `data` (seeded with [`OFFSET`]).
-#[must_use]
-pub fn fnv1a(data: &[u8]) -> u64 {
-    fold(OFFSET, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,14 +147,14 @@ mod tests {
     // them.
     #[test]
     fn matches_published_fnv1a_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fold(OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fold(OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fold(OFFSET, b"foobar"), 0x85944171f73967e8);
     }
 
     #[test]
     fn fold_is_byte_incremental() {
-        let whole = fnv1a(b"checkpoint");
+        let whole = fold(OFFSET, b"checkpoint");
         let split = fold(fold(OFFSET, b"check"), b"point");
         assert_eq!(whole, split);
     }
@@ -196,5 +190,33 @@ mod tests {
         }
         // Arbitrary seeds, not just the two standard bases.
         assert_eq!(fold2(7, 9, b"xyz"), (fold(7, b"xyz"), fold(9, b"xyz")));
+    }
+
+    /// The identity image sealing rests on: the two-chain digest of
+    /// `body ‖ trailer` is the two chains over `body`, continued over
+    /// `trailer`. With `trailer` the checksum `fold(OFFSET, body)`, one
+    /// pass over the body therefore yields both the image checksum and
+    /// the content digest of the whole image.
+    #[test]
+    fn fold2_of_a_concatenation_continues_from_the_prefix() {
+        let bodies: Vec<Vec<u8>> = vec![
+            vec![],
+            b"a".to_vec(),
+            b"checkpoint".to_vec(),
+            (0..4099u32).map(|i| (i % 253) as u8).collect(),
+        ];
+        for body in &bodies {
+            let (h1, h2) = fold2(OFFSET, OFFSET_ALT, body);
+            for trailer in [h1.to_le_bytes().to_vec(), b"xyz".to_vec(), vec![]] {
+                let whole = [body.as_slice(), &trailer].concat();
+                assert_eq!(
+                    fold2(OFFSET, OFFSET_ALT, &whole),
+                    (fold(fold(OFFSET, body), &trailer), fold(h2, &trailer)),
+                    "body len {}, trailer len {}",
+                    body.len(),
+                    trailer.len()
+                );
+            }
+        }
     }
 }

@@ -11,9 +11,6 @@
 //! version, trailing checksum) rather than derived: the format *is* the
 //! compatibility surface a checkpoint system ships.
 
-use std::fmt;
-
-use des::digest::fnv1a;
 use simnet::addr::{IpAddr, MacAddr, SockAddr};
 use simnet::tcp::{TcpSnapshot, TcpState};
 
@@ -22,200 +19,9 @@ pub const MAGIC: u32 = 0x4352_5a31;
 /// Current format version.
 pub const VERSION: u16 = 1;
 
-/// A decode failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ImageError {
-    /// The buffer ended before the structure did.
-    Truncated,
-    /// Bad magic number.
-    BadMagic(u32),
-    /// Unsupported version.
-    BadVersion(u16),
-    /// A tag byte had no meaning.
-    BadTag(u8),
-    /// The trailing checksum did not match.
-    BadChecksum,
-    /// A string was not UTF-8.
-    BadString,
-}
+mod codec;
 
-impl fmt::Display for ImageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ImageError::Truncated => write!(f, "image truncated"),
-            ImageError::BadMagic(m) => write!(f, "bad image magic {m:#010x}"),
-            ImageError::BadVersion(v) => write!(f, "unsupported image version {v}"),
-            ImageError::BadTag(t) => write!(f, "invalid tag byte {t:#04x}"),
-            ImageError::BadChecksum => write!(f, "image checksum mismatch"),
-            ImageError::BadString => write!(f, "invalid utf-8 in image string"),
-        }
-    }
-}
-
-impl std::error::Error for ImageError {}
-
-// ---- low-level codec -------------------------------------------------------
-
-/// Serializer for image structures.
-#[derive(Debug, Default)]
-pub struct ImageWriter {
-    buf: Vec<u8>,
-}
-
-impl ImageWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a `u8`.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Appends a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `i64`.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
-    }
-
-    /// Appends a bool as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
-    /// Finishes the image: appends the FNV-1a checksum of everything so far.
-    pub fn finish(mut self) -> Vec<u8> {
-        let sum = fnv1a(&self.buf);
-        self.u64(sum);
-        self.buf
-    }
-
-    /// Bytes written so far (before `finish`).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing was written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-/// Deserializer for image structures.
-#[derive(Debug)]
-pub struct ImageReader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ImageReader<'a> {
-    /// Wraps a complete image, verifying its trailing checksum.
-    ///
-    /// # Errors
-    ///
-    /// [`ImageError::Truncated`] or [`ImageError::BadChecksum`].
-    pub fn verify(data: &'a [u8]) -> Result<Self, ImageError> {
-        if data.len() < 8 {
-            return Err(ImageError::Truncated);
-        }
-        let (body, sum_bytes) = data.split_at(data.len() - 8);
-        let stored = u64::from_le_bytes(sum_bytes.try_into().expect("8 bytes"));
-        if fnv1a(body) != stored {
-            return Err(ImageError::BadChecksum);
-        }
-        Ok(ImageReader { data: body, pos: 0 })
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ImageError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.data.len())
-            .ok_or(ImageError::Truncated)?;
-        let s = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// An empty vector with room for `n` decoded elements, capped at the
-    /// unread input length: every element occupies at least one byte, so
-    /// a corrupt count can never reserve more than the input could fill.
-    pub fn vec_for<T>(&self, n: u32) -> Vec<T> {
-        Vec::with_capacity((n as usize).min(self.data.len() - self.pos))
-    }
-
-    /// Reads a `u8`.
-    pub fn u8(&mut self) -> Result<u8, ImageError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `u16`.
-    pub fn u16(&mut self) -> Result<u16, ImageError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    /// Reads a `u32`.
-    pub fn u32(&mut self) -> Result<u32, ImageError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    /// Reads a `u64`.
-    pub fn u64(&mut self) -> Result<u64, ImageError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    /// Reads an `i64`.
-    pub fn i64(&mut self) -> Result<i64, ImageError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, ImageError> {
-        let n = usize::try_from(self.u64()?).map_err(|_| ImageError::Truncated)?;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, ImageError> {
-        String::from_utf8(self.bytes()?).map_err(|_| ImageError::BadString)
-    }
-
-    /// Reads a bool.
-    pub fn bool(&mut self) -> Result<bool, ImageError> {
-        Ok(self.u8()? != 0)
-    }
-
-    /// True if all bytes were consumed.
-    pub fn at_end(&self) -> bool {
-        self.pos == self.data.len()
-    }
-}
+pub use codec::{ContentDigest, ImageError, ImageReader, ImageWriter, Sealed};
 
 // ---- image structures --------------------------------------------------------
 
@@ -521,8 +327,14 @@ pub struct PodImage {
 impl PodImage {
     /// Serializes the image (with header and checksum).
     pub fn encode(&self) -> Vec<u8> {
-        let mut cuts = Vec::new();
-        self.encode_impl(&mut cuts)
+        self.seal().into_bytes()
+    }
+
+    /// Serializes the image and computes its checksum and content digest
+    /// in one pass ([`ImageWriter::seal`]); the bytes equal
+    /// [`PodImage::encode`]'s.
+    pub fn seal(&self) -> Sealed {
+        self.write(&mut Vec::new()).seal()
     }
 
     /// Serializes the image and reports the `(offset, len)` of every bulk
@@ -532,12 +344,21 @@ impl PodImage {
     /// even when the variable-length metadata around it shifts between
     /// epochs. Cuts are ascending and non-overlapping.
     pub fn encode_with_page_cuts(&self) -> (Vec<u8>, Vec<(usize, usize)>) {
-        let mut cuts = Vec::new();
-        let bytes = self.encode_impl(&mut cuts);
-        (bytes, cuts)
+        let (sealed, cuts) = self.seal_with_page_cuts();
+        (sealed.into_bytes(), cuts)
     }
 
-    fn encode_impl(&self, cuts: &mut Vec<(usize, usize)>) -> Vec<u8> {
+    /// [`PodImage::encode_with_page_cuts`], sealed in one pass like
+    /// [`PodImage::seal`].
+    pub fn seal_with_page_cuts(&self) -> (Sealed, Vec<(usize, usize)>) {
+        let mut cuts = Vec::new();
+        let sealed = self.write(&mut cuts).seal();
+        (sealed, cuts)
+    }
+
+    /// Serializes everything but the checksum trailer, recording the bulk
+    /// payload cuts.
+    fn write(&self, cuts: &mut Vec<(usize, usize)>) -> ImageWriter {
         let mut w = ImageWriter::new();
         w.u32(MAGIC);
         w.u16(VERSION);
@@ -590,7 +411,7 @@ impl PodImage {
         for p in &self.procs {
             encode_proc(&mut w, p);
         }
-        w.finish()
+        w
     }
 
     /// Parses an image.
@@ -599,7 +420,12 @@ impl PodImage {
     ///
     /// Any [`ImageError`] on malformed input.
     pub fn decode(data: &[u8]) -> Result<PodImage, ImageError> {
-        let mut r = ImageReader::verify(data)?;
+        Self::from_reader(ImageReader::verify(data)?)
+    }
+
+    /// Parses an image from a reader over its checksum-verified body
+    /// ([`ImageReader::verify`] or [`Sealed::reader`]).
+    fn from_reader(mut r: ImageReader<'_>) -> Result<PodImage, ImageError> {
         let magic = r.u32()?;
         if magic != MAGIC {
             return Err(ImageError::BadMagic(magic));
@@ -681,9 +507,11 @@ impl PodImage {
         })
     }
 
-    /// Total payload bytes the image will occupy (used for disk timing).
+    /// Total payload bytes the image will occupy (used for disk timing):
+    /// the body the encoder writes plus the 8-byte checksum trailer, with
+    /// no checksum pass.
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        self.write(&mut Vec::new()).len() + 8
     }
 
     /// Private-page payload bytes across all thread groups — the part of

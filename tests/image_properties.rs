@@ -1,12 +1,22 @@
 //! Property tests on the checkpoint image codec: arbitrary images
 //! round-trip exactly, corruption is always detected, and a body that
 //! carries a valid checksum but malformed structure is an error, never a
-//! panic or an unbounded allocation.
+//! panic or an unbounded allocation. The one-pass sealed codec is pinned
+//! against its two-pass definition (checksum fold + `ChunkId::of`), both
+//! in the codec and through every store read path.
 
+use std::collections::BTreeSet;
+
+use cruz_repro::cruz::chunk::ChunkId;
+use cruz_repro::cruz::pagecache::{page_hints, DigestCache};
+use cruz_repro::cruz::store::{CheckpointStore, PreparedPut, ReadError, StoreConfig};
+use cruz_repro::cruz::ReplicatedStore;
 use cruz_repro::simnet::addr::{IpAddr, MacAddr, SockAddr};
+use cruz_repro::simos::fs::NetFs;
 use cruz_repro::zap::image::{
-    AreaImage, DescImage, GroupImage, ImageError, ImageWriter, MacMode, PipeImage, PodImage,
-    ProcImage, RunStateImage, SemImage, ShmImage, SockImage, TcpConnImage, MAGIC, VERSION,
+    AreaImage, DescImage, GroupImage, ImageError, ImageReader, ImageWriter, MacMode, PipeImage,
+    PodImage, ProcImage, RunStateImage, Sealed, SemImage, ShmImage, SockImage, TcpConnImage, MAGIC,
+    VERSION,
 };
 use proptest::prelude::*;
 
@@ -274,6 +284,88 @@ fn header() -> ImageWriter {
     w
 }
 
+/// The one-pass reader check must accept and reject exactly as the two
+/// passes it replaces: `ChunkId::of` for the digest, `ImageReader::verify`
+/// (and `PodImage::decode`) for the checksum verdict and its error.
+fn assert_one_pass_matches_two(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let (digest, reader) = ImageReader::open(bytes);
+    prop_assert_eq!(ChunkId::from(digest), ChunkId::of(bytes));
+    prop_assert_eq!(reader.err(), ImageReader::verify(bytes).err());
+    let sealed = Sealed::open(bytes.to_vec());
+    prop_assert_eq!(ChunkId::from(sealed.digest()), ChunkId::of(bytes));
+    prop_assert_eq!(sealed.reader().err(), ImageReader::verify(bytes).err());
+    prop_assert_eq!(sealed.decode(), PodImage::decode(bytes));
+    Ok(())
+}
+
+/// How a store test damages the image it reads back.
+#[derive(Debug, Clone)]
+enum Damage {
+    /// Leave it intact.
+    None,
+    /// Flip a byte of the stored file after the put: the digest sidecar no
+    /// longer matches.
+    Stored { at: f64 },
+    /// Flip a byte before the put, so the sidecar pins the damaged bytes
+    /// and only the image's own checksum can catch it.
+    Written { at: f64 },
+}
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    prop_oneof![
+        Just(Damage::None),
+        (0.0f64..1.0).prop_map(|at| Damage::Stored { at }),
+        (0.0f64..1.0).prop_map(|at| Damage::Written { at }),
+    ]
+}
+
+fn flip_at(bytes: &mut [u8], at: f64) {
+    let p = ((bytes.len() - 1) as f64 * at) as usize;
+    bytes[p] ^= 0x20;
+}
+
+fn flip_file(fs: &NetFs, path: &str, at: f64) {
+    let mut bytes = fs.read_file(path).expect("stored file");
+    flip_at(&mut bytes, at);
+    fs.write_file(path, bytes);
+}
+
+/// The restore-side read agrees with decoding what `get_image` serves.
+fn assert_load_matches_get(
+    load: Result<Sealed, ReadError>,
+    got: Option<Vec<u8>>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        load.as_ref().ok().map(Sealed::decode),
+        got.as_deref().map(PodImage::decode)
+    );
+    prop_assert_eq!(load.ok().map(Sealed::into_bytes), got);
+    Ok(())
+}
+
+/// Every `(path, bytes)` under the filesystem root, in path order.
+fn tree(fs: &NetFs) -> Vec<(String, Vec<u8>)> {
+    fs.list("/")
+        .into_iter()
+        .map(|p| {
+            let b = fs.read_file(&p).unwrap_or_default();
+            (p, b)
+        })
+        .collect()
+}
+
+#[test]
+fn store_reads_tell_an_absent_image_from_a_corrupt_one() {
+    let fs = NetFs::new();
+    let store = CheckpointStore::new(fs.clone(), "j");
+    assert_eq!(store.read_sealed("p", 1).err(), Some(ReadError::Absent));
+    store.put_image("p", 1, vec![1, 2, 3]);
+    fs.remove(&store.digest_path("p", 1));
+    assert_eq!(store.read_sealed("p", 1).err(), Some(ReadError::Corrupt));
+    let rs = ReplicatedStore::new(NetFs::new(), "j", 3);
+    assert_eq!(rs.read_sealed("p", 1).err(), Some(ReadError::Absent));
+}
+
 #[test]
 fn malformed_bodies_with_valid_checksums_are_errors() {
     // A name length of u64::MAX used to overflow the reader's bounds check.
@@ -355,5 +447,121 @@ proptest! {
         let r = PodImage::decode(&bytes[..keep]);
         prop_assert!(r.is_err(), "truncated image must not decode");
         let _ = matches!(r, Err(ImageError::Truncated) | Err(ImageError::BadChecksum));
+    }
+
+    #[test]
+    fn sealed_encode_is_encode_plus_its_chunk_id(img in arb_image()) {
+        let bytes = img.encode();
+        let sealed = img.seal();
+        prop_assert_eq!(sealed.bytes(), &bytes[..]);
+        prop_assert_eq!(ChunkId::from(sealed.digest()), ChunkId::of(&bytes));
+        let (cut_sealed, cuts) = img.seal_with_page_cuts();
+        prop_assert_eq!(&cut_sealed, &sealed);
+        prop_assert_eq!((bytes.clone(), cuts), img.encode_with_page_cuts());
+        prop_assert_eq!(img.encoded_len(), bytes.len());
+        prop_assert_eq!(sealed.decode(), Ok(img));
+    }
+
+    #[test]
+    fn one_pass_reader_matches_two_passes_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        assert_one_pass_matches_two(&bytes)?;
+    }
+
+    #[test]
+    fn one_pass_reader_matches_two_passes_on_damaged_images(
+        img in arb_image(),
+        m in arb_mutation(),
+    ) {
+        let mut bytes = img.encode();
+        assert_one_pass_matches_two(&bytes)?;
+        mutate(&mut bytes, &m);
+        assert_one_pass_matches_two(&bytes)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn plain_store_load_matches_get_image(img in arb_image(), damage in arb_damage()) {
+        let sealed_fs = NetFs::new();
+        let sealed_store = CheckpointStore::new(sealed_fs.clone(), "j");
+        let plain_fs = NetFs::new();
+        let plain_store = CheckpointStore::new(plain_fs.clone(), "j");
+        let mut bytes = img.encode();
+        let sealed = match damage {
+            Damage::Written { at } => {
+                flip_at(&mut bytes, at);
+                Sealed::open(bytes.clone())
+            }
+            _ => img.seal(),
+        };
+        sealed_store.put_prepared("p", 1, PreparedPut::Sealed(sealed));
+        plain_store.put_prepared("p", 1, PreparedPut::Plain(bytes));
+        // The sealed put writes the same image and sidecar bytes.
+        prop_assert_eq!(tree(&sealed_fs), tree(&plain_fs));
+        if let Damage::Stored { at } = damage {
+            flip_file(&sealed_fs, &sealed_store.image_path("p", 1), at);
+        }
+        let got = sealed_store.get_image("p", 1);
+        if let Damage::Written { .. } = damage {
+            // The sidecar pins the damaged bytes, so they are served and
+            // the image's own checksum rejects them.
+            prop_assert_eq!(
+                got.as_deref().map(PodImage::decode),
+                Some(Err(ImageError::BadChecksum))
+            );
+        }
+        assert_load_matches_get(sealed_store.read_sealed("p", 1), got)?;
+    }
+
+    #[test]
+    fn chunked_store_load_matches_get_image(img in arb_image(), damage in arb_damage()) {
+        let fs = NetFs::new();
+        let store = CheckpointStore::new(fs.clone(), "j");
+        let cfg = StoreConfig { chunk_bytes: 64, ..StoreConfig::dedup_compress() };
+        let (sealed, cuts) = match damage {
+            Damage::Written { at } => {
+                let (mut bytes, cuts) = img.encode_with_page_cuts();
+                flip_at(&mut bytes, at);
+                (Sealed::open(bytes), cuts)
+            }
+            _ => img.seal_with_page_cuts(),
+        };
+        let dirty = vec![BTreeSet::new(); img.groups.len()];
+        let hints = page_hints(&img, &cuts, &dirty);
+        let mut cache = DigestCache::new();
+        let put = store.prepare_sealed_hinted(&sealed, &hints, &cfg, "p", &mut cache);
+        let reference = store.prepare_chunked(sealed.bytes(), &cuts, &cfg);
+        prop_assert_eq!(put.manifest(), reference.manifest());
+        prop_assert_eq!(put.image_digest(), reference.image_digest());
+        store.put_prepared("p", 1, PreparedPut::Chunked(put));
+        if let Damage::Stored { at } = damage {
+            let chunks = store.live_chunks();
+            let victim = chunks[((chunks.len() - 1) as f64 * at) as usize];
+            flip_file(&fs, &store.chunk_path(victim), at);
+        }
+        let got = store.get_image("p", 1);
+        assert_load_matches_get(store.read_sealed("p", 1), got)?;
+    }
+
+    #[test]
+    fn replicated_load_matches_get_image_with_one_corrupt_replica(
+        img in arb_image(),
+        victim in 0usize..3,
+        at in 0.0f64..1.0,
+    ) {
+        let fs = NetFs::new();
+        let rs = ReplicatedStore::new(fs.clone(), "j", 3);
+        rs.put_prepared("p", 1, PreparedPut::Sealed(img.seal()));
+        rs.commit(1);
+        flip_file(&fs, &rs.replica(victim).image_path("p", 1), at);
+        let got = rs.get_image("p", 1);
+        prop_assert_eq!(got.as_deref(), Some(&img.encode()[..]));
+        let load = rs.read_sealed("p", 1);
+        prop_assert_eq!(load.as_ref().map(Sealed::decode).ok(), Some(Ok(img)));
+        assert_load_matches_get(load, got)?;
     }
 }
