@@ -21,10 +21,11 @@
 #                         byte-for-byte, hit the speedup floors, and the
 #                         image digests pinned in the cow/recovery JSON
 #                         must be untouched by the optimization pass
-#   8. parallel smoke   — pooled capture/restore at threads 1/2/4/8 must
+#   8. parallel smoke   — pooled capture at threads 1/2/4/8 must
 #                         produce byte-identical manifests, store files
 #                         and restored images (the serial path is the
-#                         oracle), and the pinned image digests must
+#                         oracle; restore itself is serial at every
+#                         width), and the pinned image digests must
 #                         survive the pool too
 #   9. replication smoke— kill k-1 of k replica stores mid-checkpoint;
 #                         the job must heal with byte-identical rollback
@@ -41,17 +42,20 @@
 #                         prints SKIPPED and exits 0 where the sandbox
 #                         forbids even 127.0.0.1 sockets)
 #  12. ledger smoke     — the benchmark's own tests (BENCHMARK.json and
-#                         its code agree), then 2 s `compute`, `stream` and
-#                         `slm-stw` runs that must each report "correct":
-#                         true with no failed operation: the pinned
-#                         first-epoch digest and the guest-progress
-#                         rewind/advance checks, so an interpreter change
-#                         that alters guest behaviour fails on `compute`,
-#                         a guest<->TCP data-path change that breaks a
-#                         rollback with live sockets fails on `stream`, and
-#                         an image codec or plain-store change that breaks
-#                         the paper's checkpoint/rollback path fails on
-#                         `slm-stw`
+#                         its code agree), then 2 s `compute`, `stream`,
+#                         `slm-stw` and `slm-dedup-cow` runs that must each
+#                         report "correct": true with no failed operation:
+#                         the pinned first-epoch digest and the
+#                         guest-progress rewind/advance checks, so an
+#                         interpreter change that alters guest behaviour
+#                         fails on `compute`, a guest<->TCP data-path change
+#                         that breaks a rollback with live sockets fails on
+#                         `stream`, an image codec or plain-store change
+#                         that breaks the paper's checkpoint/rollback path
+#                         fails on `slm-stw`, and a change to the chunk
+#                         codec, the replicated log or the COW drain that
+#                         breaks the dedup store's rollback fails on
+#                         `slm-dedup-cow`
 #
 # Everything runs offline: the only dependencies are the vendored stubs
 # under vendor/ (see DESIGN.md, "Offline builds").
@@ -116,10 +120,10 @@ echo "== loopback smoke (real-socket twin-runtime demo)"
 # skips cleanly (exit 0) when loopback sockets are unavailable.
 cargo run --offline -q --release -p bench --bin loopback_demo
 
-echo "== ledger smoke (benchmark self-tests + 2 s compute, stream and slm-stw runs)"
+echo "== ledger smoke (benchmark self-tests + 2 s compute, stream, slm-stw and slm-dedup-cow runs)"
 # The runs' reports land in the gitignored ledger/out/.
 cargo test --offline -q --release --manifest-path ledger/Cargo.toml
-for workload in compute stream slm-stw; do
+for workload in compute stream slm-stw slm-dedup-cow; do
     smoke=$(cargo run --offline -q --release --manifest-path ledger/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
     case "$smoke" in

@@ -9,8 +9,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bench::hotpath::{
-    capture_fixture, capture_hinted, capture_reference, chunk_id_optimized, chunk_id_reference,
-    codec_inputs, codec_optimized, codec_reference, queue_optimized_churn, queue_reference_churn,
+    capture_named, chunk_id_optimized, chunk_id_reference, codec_inputs, codec_optimized,
+    codec_reference, named_fixture, named_reference, queue_optimized_churn, queue_reference_churn,
     queue_schedule, PAGE,
 };
 use cruz::chunk::{self, CodecScratch};
@@ -95,19 +95,18 @@ fn bench_queue_churn(c: &mut Criterion) {
     g.finish();
 }
 
-/// The COW drain's encode step: full re-hash/re-encode vs the page-digest
-/// cache on a steady-state epoch (20% dirty).
+/// The COW drain's prepare step: seal plus the reference prepare vs the
+/// seal that names every chunk range in its one pass, on a steady-state
+/// epoch (20% dirty).
 fn bench_cow_drain_encoding(c: &mut Criterion) {
-    let mut fixture = capture_fixture(128, 20);
-    // Warm the hinted side once so the timed iterations are steady-state.
-    let _ = capture_hinted(&mut fixture);
+    let fixture = named_fixture(128, 20);
     let mut g = c.benchmark_group("cow_drain_encoding");
     g.sample_size(20);
     g.bench_function("reference", |b| {
-        b.iter(|| capture_reference(black_box(&fixture)).manifest_len())
+        b.iter(|| named_reference(black_box(&fixture)).len())
     });
-    g.bench_function("digest_cache", |b| {
-        b.iter(|| capture_hinted(black_box(&mut fixture)).manifest_len())
+    g.bench_function("named", |b| {
+        b.iter(|| capture_named(black_box(&fixture)).manifest_len())
     });
     g.finish();
 }

@@ -1,17 +1,22 @@
 //! Hot-path micro-benchmark: times each optimized kernel against the
 //! reference implementation it replaced and proves the outputs agree.
 //!
-//! Four pairs (see `bench::hotpath`): the scratch-reusing chunk codec, the
+//! Five pairs (see `bench::hotpath`): the scratch-reusing chunk codec, the
 //! single-pass interleaved 128-bit chunk address (`fold2` vs two full
-//! folds), the packed-key event queue, and the page-digest cached capture
-//! prepare on a steady-state epoch (<30% dirty). The run fails unless at
-//! least two of the four show a ≥2× median speedup and the cached capture
-//! actually served clean pages from the cache.
+//! folds), the packed-key event queue, the page-digest cached capture
+//! prepare on a steady-state epoch (<30% dirty), and on the same epoch the
+//! fused capture (seal plus a per-range fold-and-encode prepare vs the
+//! seal that names every chunk range in its one pass). The run fails
+//! unless at least two of the first four show a ≥2× median speedup, the
+//! cached capture actually served clean pages from the cache, and the
+//! fused capture found the clean pages already stored. The fused pair is
+//! reported beside the four, not counted among them.
 //!
 //! Also re-checks the pinned image digests in `BENCH_cow_downtime.json`
 //! and `BENCH_recovery.json` — the optimizations must be invisible in
 //! every produced byte — and emits `BENCH_hotpath.json` so the perf
-//! trajectory is tracked across PRs.
+//! trajectory is tracked across PRs. Both happen before the speedup gate
+//! is checked, so a run that misses it still records what it measured.
 //!
 //! `--quick` runs smaller inputs and fewer samples as a CI smoke test; the
 //! asserts are the check either way.
@@ -19,9 +24,9 @@
 use std::time::Instant;
 
 use bench::hotpath::{
-    capture_fixture, capture_hinted, capture_reference, chunk_id_optimized, chunk_id_reference,
-    codec_inputs, codec_optimized, codec_reference, queue_optimized_churn, queue_reference_churn,
-    queue_schedule, zero_fraction,
+    capture_fixture, capture_hinted, capture_named, capture_reference, chunk_id_optimized,
+    chunk_id_reference, codec_inputs, codec_optimized, codec_reference, named_fixture,
+    named_reference, queue_optimized_churn, queue_reference_churn, queue_schedule, zero_fraction,
 };
 use bench::util::check_pinned_digests;
 use cruz::chunk::CodecScratch;
@@ -121,20 +126,37 @@ fn main() {
         "steady-state epoch never hit the page-digest cache"
     );
 
+    let mut named = named_fixture(cap_pages, dirty_pct);
+    let stored = capture_named(&named);
+    let (named_ref, named_opt, n1, n2) = time_pair(
+        iters,
+        &mut named,
+        |f| des::digest::fold(des::digest::OFFSET, &named_reference(f)),
+        |f| des::digest::fold(des::digest::OFFSET, capture_named(f).manifest()),
+    );
+    assert_eq!(n1, n2, "fused capture produced a different manifest");
+    assert!(
+        stored.novel_count() < stored.chunk_count(),
+        "steady-state epoch found no chunk already stored"
+    );
+
+    // The gated four, then the fused pair reported beside them.
     let rows = [
         ("page_encode", codec_ref, codec_opt),
         ("chunk_id", dig_ref, dig_opt),
         ("queue_churn", q_ref, q_opt),
         ("capture_cached", cap_ref, cap_opt),
+        ("capture_named", named_ref, named_opt),
     ];
+    let gated = 4;
     println!(
         "{:>16} {:>14} {:>14} {:>9}",
         "path", "ref_median_us", "opt_median_us", "speedup"
     );
     let mut at_2x = 0usize;
-    for &(name, r, o) in &rows {
+    for (i, &(name, r, o)) in rows.iter().enumerate() {
         let speedup = r as f64 / (o as f64).max(1.0);
-        if speedup >= 2.0 {
+        if i < gated && speedup >= 2.0 {
             at_2x += 1;
         }
         println!(
@@ -150,16 +172,11 @@ fn main() {
         fixture.cache.hits(),
         fixture.cache.misses()
     );
-    assert!(
-        at_2x >= 2,
-        "only {at_2x} of {} hot paths reached a 2x median speedup",
-        rows.len()
-    );
     println!(
-        "# {at_2x}/{} hot paths at >=2x; all ref/opt outputs identical",
-        rows.len()
+        "# fused capture: {} of {} chunks novel",
+        stored.novel_count(),
+        stored.chunk_count()
     );
-
     check_pinned_digests();
 
     let json_rows: Vec<String> = rows
@@ -175,11 +192,20 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"quick\": {quick},\n  \"dirty_pct\": {dirty_pct},\n  \"paths_at_2x\": {at_2x},\n  \"capture_cache_hits\": {},\n  \"capture_cache_misses\": {},\n  \"pairs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"hotpath\",\n  \"quick\": {quick},\n  \"dirty_pct\": {dirty_pct},\n  \"paths_at_2x\": {at_2x},\n  \"capture_cache_hits\": {},\n  \"capture_cache_misses\": {},\n  \"capture_chunks\": {},\n  \"capture_novel_chunks\": {},\n  \"pairs\": [\n{}\n  ]\n}}\n",
         fixture.cache.hits(),
         fixture.cache.misses(),
+        stored.chunk_count(),
+        stored.novel_count(),
         json_rows.join(",\n"),
     );
     std::fs::write("BENCH_hotpath.json", json).expect("write BENCH_hotpath.json");
     println!("# wrote BENCH_hotpath.json");
+    // The speedup gate comes last, so a run that misses it still checks
+    // the pinned digests and leaves its numbers behind.
+    assert!(
+        at_2x >= 2,
+        "only {at_2x} of {gated} hot paths reached a 2x median speedup"
+    );
+    println!("# {at_2x}/{gated} hot paths at >=2x; all ref/opt outputs identical");
 }

@@ -1,7 +1,8 @@
-//! Parallel capture/restore scaling benchmark: throughput of the pooled
-//! prepare (hash + compress) and pooled restore (decompress + reassemble)
-//! at 1/2/4/8 worker threads, with byte-identity asserted at every width
-//! before any number is reported.
+//! Parallel capture scaling benchmark: throughput of the pooled prepare
+//! (hash + compress) at 1/2/4/8 worker threads, next to restore
+//! (decompress + reassemble), which decodes serially at every width and so
+//! is the flat control. Byte-identity is asserted at every width before
+//! any number is reported.
 //!
 //! `threads == 1` is the verbatim pre-pool serial loop — the reference
 //! oracle. For every other width the run asserts the manifest, the
@@ -65,7 +66,7 @@ fn main() {
             "threads={t}: persisted store bytes diverged from serial"
         );
         assert_eq!(
-            restore_bytes(&fs, t).expect("pooled restore reconstructs"),
+            restore_bytes(&fs, t).expect("restore reconstructs"),
             image_serial,
             "threads={t}: restored image diverged from serial"
         );

@@ -1,7 +1,8 @@
 //! Shared kernels for the hot-path micro-benchmarks: each optimized path
 //! paired with the reference implementation it must match byte-for-byte.
 //!
-//! Four pairs, mirroring the optimization pass DESIGN.md §15 describes:
+//! Five pairs, mirroring the optimization passes DESIGN.md §15 and §22
+//! describe:
 //!
 //! * **codec** — fresh-allocation [`cruz::chunk::encode_chunk`] vs the
 //!   scratch-reusing [`cruz::chunk::encode_chunk_with`];
@@ -10,9 +11,13 @@
 //!   pass (what [`cruz::chunk::ChunkId::of`] now does);
 //! * **queue** — the pre-optimization two-field heap entry (kept here as
 //!   [`RefQueue`]) vs [`des::EventQueue`]'s packed `u128` key;
-//! * **capture** — [`CheckpointStore::prepare_chunked`] vs the page-digest
-//!   cached `prepare_chunked_hinted` on a steady-state epoch where most
-//!   pages are clean.
+//! * **capture_cached** — [`CheckpointStore::prepare_chunked`] vs the
+//!   page-digest cached `prepare_chunked_hinted` on a steady-state epoch
+//!   where most pages are clean;
+//! * **capture_named** — seal plus a per-range fold-and-encode prepare
+//!   ([`named_reference`]) vs the fused capture: a seal that names every
+//!   chunk range in its one pass, then `prepare_sealed`, on a steady-state
+//!   epoch whose clean pages the store already holds.
 //!
 //! Both the `hotpath` criterion harness and the `bench_hotpath` binary
 //! drive these kernels; the binary additionally asserts the ref/opt
@@ -21,12 +26,15 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use cruz::chunk::{self, CodecScratch};
+use cruz::chunk::{self, ChunkId, CodecScratch};
 use cruz::pagecache::{DigestCache, PageHint};
-use cruz::store::{CheckpointStore, PreparedChunked, StoreConfig};
+use cruz::store::{
+    CheckpointStore, PreparedChunked, PreparedPut, StoreConfig, MANIFEST_MAGIC, STORE_VERSION,
+};
 use des::digest;
 use des::{EventQueue, SimTime};
 use simos::fs::NetFs;
+use zap::image::ImageWriter;
 
 /// Page size the synthetic images use (matches the guest page size).
 pub const PAGE: usize = 4096;
@@ -277,8 +285,60 @@ fn churn(q: &mut impl Churnable, schedule: &[(u64, u64)]) -> u64 {
     sum
 }
 
-/// A steady-state capture epoch: the serialized image, its page hints,
-/// and a cache warmed by the previous epoch's prepare.
+/// Settings both capture pairs chunk under. threads: 1 pins both sides of
+/// each pair to the serial kernels: the pairs isolate the hash passes and
+/// the cache; thread scaling is bench_parallel's subject.
+fn capture_cfg() -> StoreConfig {
+    StoreConfig {
+        chunk_bytes: 1024,
+        dedup: true,
+        compress: true,
+        threads: 1,
+        replicas: 1,
+    }
+}
+
+/// The previous and current epochs of a steady-state capture: `pages`
+/// private pages between 64 bytes of header and 32 of trailer metadata,
+/// of which `dirty_pct`% were rewritten since the previous capture.
+/// Returns each epoch's unsealed image body, the page cuts (the same in
+/// both), and which pages were rewritten.
+fn capture_epochs(
+    pages: usize,
+    dirty_pct: usize,
+) -> (Vec<u8>, Vec<u8>, Vec<(usize, usize)>, Vec<bool>) {
+    let build = |rewrite: &dyn Fn(usize) -> bool| -> Vec<u8> {
+        let mut raw = vec![0xA5u8; 64]; // image header metadata
+        for i in 0..pages {
+            let mut p = vec![0u8; PAGE];
+            let flavor = [1u64, 2, 2, 3, 0][i % 5];
+            let seed = if rewrite(i) {
+                0x8000 + i as u64
+            } else {
+                1 + i as u64
+            };
+            fill_page(&mut p, flavor, seed);
+            if rewrite(i) {
+                // Every byte of a rewritten page changes, whatever its
+                // flavor (zero and text pages ignore the seed), and no
+                // two rewritten pages end up alike.
+                for (j, b) in p.iter_mut().enumerate() {
+                    *b ^= ((i * 31 + j) % 251) as u8 | 1;
+                }
+            }
+            raw.extend_from_slice(&p);
+        }
+        raw.extend_from_slice(&[0x5A; 32]); // trailer metadata
+        raw
+    };
+    let stride = (100 / dirty_pct.clamp(1, 100)).max(1);
+    let dirty: Vec<bool> = (0..pages).map(|i| i % stride == 0).collect();
+    let cuts = (0..pages).map(|i| (64 + i * PAGE, PAGE)).collect();
+    (build(&|_| false), build(&|i| dirty[i]), cuts, dirty)
+}
+
+/// The page-digest cache pair's steady-state epoch: the serialized image,
+/// its page hints, and a cache warmed by the previous epoch's prepare.
 pub struct CaptureFixture {
     /// The store both paths prepare against (nothing is ever written, so
     /// novelty accounting is identical every iteration).
@@ -291,62 +351,31 @@ pub struct CaptureFixture {
     pub hints: Vec<PageHint>,
     /// The same cuts as `(offset, len)` pairs for the reference path.
     pub cuts: Vec<(usize, usize)>,
-    /// Cache holding the previous epoch's page digests.
+    /// Cache holding the previous epoch's page digests and containers.
     pub cache: DigestCache,
 }
 
-/// Builds the steady-state epoch: `pages` private pages of which
-/// `dirty_pct`% were rewritten since the previous capture; the rest are
-/// byte-identical and marked clean. The returned cache is warm (the
-/// previous epoch was prepared through it).
+/// Builds the cache pair's steady-state epoch (see `capture_epochs`); the
+/// returned cache is warm (the previous epoch was prepared through it).
 pub fn capture_fixture(pages: usize, dirty_pct: usize) -> CaptureFixture {
-    // threads: 1 pins both paths to the serial kernels: this pair isolates
-    // the digest-cache win; thread scaling is bench_parallel's subject.
-    let cfg = StoreConfig {
-        chunk_bytes: 1024,
-        dedup: true,
-        compress: true,
-        threads: 1,
-        replicas: 1,
-    };
+    let cfg = capture_cfg();
     let store = CheckpointStore::new(NetFs::new(), "bench");
     let mut cache = DigestCache::new();
-
-    let build = |rewrite: &dyn Fn(usize) -> bool| -> (Vec<u8>, Vec<PageHint>) {
-        let mut raw = vec![0xA5u8; 64]; // image header metadata
-        let mut hints = Vec::with_capacity(pages);
-        for i in 0..pages {
-            let mut p = vec![0u8; PAGE];
-            let flavor = [1u64, 2, 2, 3, 0][i % 5];
-            let seed = if rewrite(i) {
-                0x8000 + i as u64
-            } else {
-                1 + i as u64
-            };
-            fill_page(&mut p, flavor, seed);
-            hints.push(PageHint {
-                offset: raw.len(),
-                len: PAGE,
+    let (raw0, raw, cuts, dirty) = capture_epochs(pages, dirty_pct);
+    let hints_for = |clean: &dyn Fn(usize) -> bool| -> Vec<PageHint> {
+        cuts.iter()
+            .enumerate()
+            .map(|(i, &(offset, len))| PageHint {
+                offset,
+                len,
                 key: Some((0, i as u64 * PAGE as u64)),
-                clean: !rewrite(i),
-            });
-            raw.extend_from_slice(&p);
-        }
-        raw.extend_from_slice(&[0x5A; 32]); // trailer metadata
-        (raw, hints)
+                clean: clean(i),
+            })
+            .collect()
     };
-
     // Previous epoch: everything computed fresh, warming the cache.
-    let (raw0, mut hints0) = build(&|_| false);
-    for h in &mut hints0 {
-        h.clean = false;
-    }
-    store.prepare_chunked_hinted(&raw0, &hints0, &cfg, "pod", &mut cache);
-
-    // Current epoch: a dirty_pct% slice of pages rewritten.
-    let stride = (100 / dirty_pct.clamp(1, 100)).max(1);
-    let (raw, hints) = build(&|i| i % stride == 0);
-    let cuts = hints.iter().map(|h| (h.offset, h.len)).collect();
+    store.prepare_chunked_hinted(&raw0, &hints_for(&|_| false), &cfg, "pod", &mut cache);
+    let hints = hints_for(&|i| !dirty[i]);
     CaptureFixture {
         store,
         cfg,
@@ -357,17 +386,100 @@ pub fn capture_fixture(pages: usize, dirty_pct: usize) -> CaptureFixture {
     }
 }
 
-/// Reference capture prepare: every page re-hashed and re-encoded.
+/// Reference prepare of the cache pair: every page re-hashed and
+/// re-encoded.
 pub fn capture_reference(f: &CaptureFixture) -> PreparedChunked {
     f.store.prepare_chunked(&f.raw, &f.cuts, &f.cfg)
 }
 
-/// Cached capture prepare: clean pages served from the warm digest cache.
-/// Steady state is preserved across calls — each prepare re-records the
-/// epoch's entries, so repeated invocations keep hitting.
+/// Cached prepare: clean pages served from the warm digest cache. Steady
+/// state is preserved across calls — each prepare re-records the epoch's
+/// entries, so repeated invocations keep hitting.
 pub fn capture_hinted(f: &mut CaptureFixture) -> PreparedChunked {
     f.store
         .prepare_chunked_hinted(&f.raw, &f.hints, &f.cfg, "pod", &mut f.cache)
+}
+
+/// The fused capture pair's steady-state epoch: the current epoch's
+/// serialized image body (unsealed) and its page cuts, over a store that
+/// already holds the previous epoch (as a checkpoint would have left it).
+pub struct NamedFixture {
+    /// The filesystem under `store`.
+    pub fs: NetFs,
+    /// The store both paths prepare against. It holds the previous epoch
+    /// and nothing is written while timing, so novelty accounting is
+    /// identical every iteration.
+    pub store: CheckpointStore,
+    /// Chunking/codec settings.
+    pub cfg: StoreConfig,
+    /// The current epoch's image body, before its checksum trailer.
+    pub body: ImageWriter,
+    /// Page cuts of the body.
+    pub cuts: Vec<(usize, usize)>,
+}
+
+/// Builds the fused pair's steady-state epoch (see `capture_epochs`),
+/// with the previous epoch prepared and put.
+pub fn named_fixture(pages: usize, dirty_pct: usize) -> NamedFixture {
+    let cfg = capture_cfg();
+    let fs = NetFs::new();
+    let store = CheckpointStore::new(fs.clone(), "bench");
+    let (raw0, raw, cuts, _) = capture_epochs(pages, dirty_pct);
+    let body_of = |raw: &[u8]| {
+        let mut body = ImageWriter::new();
+        raw.iter().for_each(|&b| body.u8(b));
+        body
+    };
+    let put = store.prepare_chunked(body_of(&raw0).seal().bytes(), &cuts, &cfg);
+    store
+        .put_prepared("pod", 0, PreparedPut::Chunked(put))
+        .expect("a fresh put names only chunks it carries or finds");
+    NamedFixture {
+        fs,
+        store,
+        cfg,
+        body: body_of(&raw),
+        cuts,
+    }
+}
+
+/// Reference capture of the fused pair, as checkpoints ran it before the
+/// seal named the chunks (and as every checkpoint after a restart ran it,
+/// with the page-digest cache cold): seal the image, then fold *and*
+/// encode every chunk range, consulting the store for each. Kept here,
+/// like [`RefQueue`], as the baseline the fused path is timed against.
+/// Returns the manifest.
+pub fn named_reference(f: &NamedFixture) -> Vec<u8> {
+    let sealed = f.body.clone().seal();
+    let raw = sealed.bytes();
+    let ranges = chunk::split_ranges(raw.len(), &f.cuts, f.cfg.chunk_bytes);
+    let mut w = ImageWriter::new();
+    w.u32(MANIFEST_MAGIC);
+    w.u16(STORE_VERSION);
+    w.u64(raw.len() as u64);
+    w.u32(ranges.len() as u32);
+    for (start, len) in ranges {
+        let seg = &raw[start..start + len];
+        let id = ChunkId::of(seg);
+        let stored = chunk::encode_chunk(seg, f.cfg.compress);
+        let on_disk = f.fs.len_of(&f.store.chunk_path(id));
+        w.u64(id.0);
+        w.u64(id.1);
+        w.u32(len as u32);
+        w.u32(on_disk.unwrap_or(stored.len() as u64) as u32);
+    }
+    w.finish()
+}
+
+/// Fused capture: the seal names every chunk range in its one pass and
+/// the prepare hashes nothing.
+pub fn capture_named(f: &NamedFixture) -> PreparedChunked {
+    let chunk_bytes = f.cfg.chunk_bytes;
+    let (sealed, ranges, names) = f
+        .body
+        .clone()
+        .seal_named(|len| chunk::split_ranges(len, &f.cuts, chunk_bytes));
+    f.store.prepare_sealed(&sealed, &ranges, &names, &f.cfg)
 }
 
 #[cfg(test)]
@@ -394,5 +506,18 @@ mod tests {
         let h = capture_hinted(&mut f);
         assert_eq!(r.manifest(), h.manifest());
         assert!(f.cache.hits() > 0, "steady-state epoch must hit the cache");
+
+        let f = named_fixture(64, 25);
+        let n = capture_named(&f);
+        assert_eq!(named_reference(&f), n.manifest());
+        let sealed = f.body.clone().seal();
+        let p = f.store.prepare_chunked(sealed.bytes(), &f.cuts, &f.cfg);
+        assert_eq!(p.manifest(), n.manifest());
+        assert_eq!(p.image_digest(), n.image_digest());
+        assert!(n.novel_count() > 0, "the rewritten pages are novel");
+        assert!(
+            n.novel_count() < n.chunk_count(),
+            "the store holds the clean pages"
+        );
     }
 }

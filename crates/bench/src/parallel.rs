@@ -1,9 +1,10 @@
-//! Shared fixture and kernels for the parallel capture/restore scaling
-//! benchmark (`bench_parallel`).
+//! Shared fixture and kernels for the parallel capture scaling benchmark
+//! (`bench_parallel`).
 //!
 //! The subject is `cruz::parpool`: the capture prepare (`split_ranges` →
-//! chunk-id fold → compress) and the restore reassembly (manifest-ordered
-//! chunk decompress) shard across a worker pool with an ordered merge.
+//! chunk-id fold → compress) shards across a worker pool with an ordered
+//! merge. The restore reassembly (manifest-ordered chunk decompress) is
+//! one serial loop whatever the store's width, timed as the control.
 //! The contract the bench enforces on every run — before any throughput
 //! number is reported — is **byte-identity**: the manifests, the persisted
 //! store files, and the reconstructed images must be equal at every thread
@@ -105,7 +106,9 @@ pub fn capture_store_checksum(f: &ParallelFixture, threads: usize) -> u64 {
     let store = CheckpointStore::new(fs.clone(), "par");
     let cfg = StoreConfig { threads, ..f.cfg };
     let put = store.prepare_chunked(&f.raw, &f.cuts, &cfg);
-    store.put_prepared("p", 1, PreparedPut::Chunked(put));
+    store
+        .put_prepared("p", 1, PreparedPut::Chunked(put))
+        .unwrap();
     let mut h = digest::OFFSET;
     for path in fs.list("/ckpt/") {
         let bytes = fs.read_file(&path).expect("listed file exists");
@@ -121,11 +124,13 @@ pub fn restore_setup(f: &ParallelFixture) -> NetFs {
     let fs = NetFs::new();
     let store = CheckpointStore::new(fs.clone(), "par").with_threads(1);
     let put = store.prepare_chunked(&f.raw, &f.cuts, &f.cfg);
-    store.put_prepared("p", 1, PreparedPut::Chunked(put));
+    store
+        .put_prepared("p", 1, PreparedPut::Chunked(put))
+        .unwrap();
     fs
 }
 
-/// Reconstructs the persisted image with a pool of the given width.
+/// Reconstructs the persisted image through a store of the given width.
 pub fn restore_bytes(fs: &NetFs, threads: usize) -> Option<Vec<u8>> {
     CheckpointStore::new(fs.clone(), "par")
         .with_threads(threads)
@@ -154,7 +159,7 @@ mod tests {
                 "persisted store bytes at threads={t}"
             );
             assert_eq!(
-                restore_bytes(&fs, t).expect("pooled restore"),
+                restore_bytes(&fs, t).expect("restore"),
                 image_serial,
                 "restored image at threads={t}"
             );

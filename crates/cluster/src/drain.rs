@@ -85,10 +85,7 @@ impl World {
         if aborted {
             // A failed drain (or any abort while draining) discards the
             // epoch exactly like a stop-the-world abort: drop the snapshots
-            // without materializing anything. Arming re-baselined dirty
-            // tracking without a completed prepare, so the job's remembered
-            // page digests are stale.
-            self.digest_caches.remove(&job);
+            // without materializing anything.
             for (_, a) in armed {
                 a.cancel();
             }
@@ -97,7 +94,6 @@ impl World {
         // Fault plan: die mid-drain — pods already resumed, pages still
         // flowing to the store. The armed snapshots die with the node.
         if self.maybe_crash(node, ProtocolPoint::CowDrain) {
-            self.digest_caches.remove(&job);
             for (_, a) in armed {
                 a.cancel();
             }
@@ -105,27 +101,15 @@ impl World {
         }
         let dedup = self.params.store.dedup;
         let store = self.store(&job);
-        let mut cache = self.digest_caches.remove(&job).unwrap_or_default();
         let mut images: Vec<(String, PreparedPut)> = Vec::new();
         let mut batch: Vec<(SimTime, u64)> = Vec::new();
         let mut total: u64 = 0;
         let mut copied: u64 = 0;
         for (pod_name, a) in armed {
-            let (img, pre_copied, dirty) = a.drain_with_dirty();
+            let (img, pre_copied) = a.drain();
             copied += pre_copied;
             if dedup {
-                let (sealed, cuts) = img.seal_with_page_cuts();
-                let hints = cruz::pagecache::page_hints(&img, &cuts, &dirty);
-                // Hash/encode fans out across the store's worker pool
-                // (`params.store.threads`); clean pages skip it via the
-                // digest cache. Byte-identical at every width.
-                let prepared = store.prepare_sealed_hinted(
-                    &sealed,
-                    &hints,
-                    &self.params.store,
-                    &pod_name,
-                    &mut cache,
-                );
+                let (sealed, prepared) = self.prepare_dedup(&store, &img);
                 let pod_base = total;
                 for (raw_end, stored) in prepared.novel_writes() {
                     let ready = t_arm + self.params.extract_time(pod_base + raw_end);
@@ -143,7 +127,6 @@ impl World {
                 images.push((pod_name, PreparedPut::Sealed(sealed)));
             }
         }
-        self.digest_caches.insert(job, cache);
         let durable_at = if dedup {
             self.nodes[node]
                 .kernel

@@ -284,9 +284,6 @@ impl World {
         if !self.nodes[dst].alive {
             return;
         }
-        // The restore installs image content into fresh address spaces, so
-        // any digests remembered from the source node's captures are stale.
-        self.digest_caches.remove(job);
         let slot = &mut self.nodes[dst];
         let pod_id = match slot.zap.restart_pod(&mut slot.kernel, image, self.now) {
             Ok(id) => id,

@@ -285,9 +285,6 @@ impl World {
         if !self.jobs.contains_key(job) {
             return Err(ClusterError::NoSuchJob);
         }
-        // Restored pods get their memory from the stored epoch, not from
-        // the captures the digest cache remembers.
-        self.digest_caches.remove(job);
         // Tear down surviving pods first (restart-in-place, or rolling a
         // live job back to an earlier epoch): their addresses must be free
         // before the restore recreates them.
@@ -482,11 +479,6 @@ impl World {
                 store.discard_epoch(o.image_epoch);
                 store.gc_orphan_chunks();
             }
-            // An aborted op may have re-baselined dirty tracking (e.g. a
-            // COW arm that never drained) without a completed prepare, so
-            // remembered page digests can no longer be trusted.
-            let job = o.job.clone();
-            self.digest_caches.remove(&job);
         }
         if let Some(idx) = self.pending_recovery.remove(&op) {
             if let Some(r) = self.recovery_reports.get_mut(idx) {

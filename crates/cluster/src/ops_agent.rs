@@ -14,7 +14,9 @@ use simos::disk::WriteFault;
 use cruz::agent::AgentAction;
 use cruz::error::CruzError;
 use cruz::proto::{CtlMsg, OpKind};
-use cruz::store::{PreparedPut, ReadError};
+use cruz::replog::ReplicatedStore;
+use cruz::store::{MissingChunk, PreparedChunked, PreparedPut, ReadError};
+use zap::image::{PodImage, Sealed};
 
 use des::SimTime;
 
@@ -81,9 +83,9 @@ impl World {
                 o.pending_ckpt.remove(&node).unwrap_or_default(),
             )
         };
-        let store = self.store(&job);
-        for (pod_name, put) in images {
-            store.put_prepared(&pod_name, image_epoch, put);
+        if let Err(e) = self.put_images(&job, image_epoch, images) {
+            self.fail_op(op, e);
+            return;
         }
         let actions = self.nodes[node].agent.on_local_durable(self.now);
         self.run_agent_actions(node, op, actions);
@@ -127,9 +129,9 @@ impl World {
                     // and dangling refs the store can never commit.
                     return;
                 }
-                let store = self.store(&job);
-                for (pod_name, put) in images {
-                    store.put_prepared(&pod_name, image_epoch, put);
+                if let Err(e) = self.put_images(&job, image_epoch, images) {
+                    self.fail_op(op, e);
+                    return;
                 }
             }
             OpKind::Checkpoint => {} // COW: images persist at AgentDurable
@@ -200,6 +202,44 @@ impl World {
         }
     }
 
+    /// Seals a captured pod image for the dedup store and prepares its
+    /// write. The seal names every chunk range in its one hash pass, so the
+    /// prepare hashes nothing and encodes only the chunks the store lacks.
+    /// Shared by the stop-the-world capture and the COW drain.
+    pub(crate) fn prepare_dedup(
+        &self,
+        store: &ReplicatedStore,
+        img: &PodImage,
+    ) -> (Sealed, PreparedChunked) {
+        let cfg = &self.params.store;
+        let (sealed, ranges, names) =
+            img.seal_named(|len, cuts| cruz::chunk::split_ranges(len, cuts, cfg.chunk_bytes));
+        let prepared = store.prepare_sealed(&sealed, &ranges, &names, cfg);
+        (sealed, prepared)
+    }
+
+    /// Applies one node's prepared image writes for `epoch`.
+    ///
+    /// # Errors
+    ///
+    /// [`CruzError::MissingChunk`] when a write names a chunk deleted since
+    /// its prepare; the pods before it are written, and the caller fails
+    /// the operation, whose abort discards the epoch.
+    fn put_images(
+        &self,
+        job: &str,
+        epoch: u64,
+        images: Vec<(String, PreparedPut)>,
+    ) -> Result<(), CruzError> {
+        let store = self.store(job);
+        for (pod, put) in images {
+            if let Err(MissingChunk(chunk)) = store.put_prepared(&pod, epoch, put) {
+                return Err(CruzError::MissingChunk { pod, chunk });
+            }
+        }
+        Ok(())
+    }
+
     fn begin_local_checkpoint(&mut self, node: usize, op: u64) {
         let Some((cow, capture, job)) =
             self.ops.get(&op).map(|o| (o.cow, o.capture, o.job.clone()))
@@ -213,9 +253,6 @@ impl World {
         let pods = self.job_pods_on_node(op, node);
         let dedup = self.params.store.dedup;
         let store = self.store(&job);
-        // The job's page-digest cache rides outside `self` for the loop; a
-        // capture failure drops it, which doubles as invalidation.
-        let mut cache = self.digest_caches.remove(&job).unwrap_or_default();
         let mut images: Vec<(String, PreparedPut)> = Vec::new();
         // Pipelined write-out schedule for the dedup path: each novel chunk
         // becomes available when capture has serialized up to it, and the
@@ -225,15 +262,7 @@ impl World {
         for p in &pods {
             let Some(pod_id) = p.pod_id else { continue };
             let slot = &mut self.nodes[node];
-            let extracted = if dedup {
-                slot.zap
-                    .checkpoint_pod_dirty(&mut slot.kernel, pod_id, self.now)
-            } else {
-                slot.zap
-                    .checkpoint_pod(&mut slot.kernel, pod_id, self.now)
-                    .map(|img| (img, Vec::new()))
-            };
-            let (img, dirty) = match extracted {
+            let img = match slot.zap.checkpoint_pod(&mut slot.kernel, pod_id, self.now) {
                 Ok(v) => v,
                 Err(e) => {
                     self.fail_op(op, CruzError::Zap(e));
@@ -241,17 +270,7 @@ impl World {
                 }
             };
             if dedup {
-                let (sealed, cuts) = img.seal_with_page_cuts();
-                let hints = cruz::pagecache::page_hints(&img, &cuts, &dirty);
-                // Same pool as the COW drain: hash/encode shards across
-                // `params.store.threads` workers, clean pages skip it.
-                let prepared = store.prepare_sealed_hinted(
-                    &sealed,
-                    &hints,
-                    &self.params.store,
-                    &p.name,
-                    &mut cache,
-                );
+                let (sealed, prepared) = self.prepare_dedup(&store, &img);
                 let pod_base = total;
                 for (raw_end, stored) in prepared.novel_writes() {
                     let ready = self.now + self.params.extract_time(pod_base + raw_end);
@@ -269,7 +288,6 @@ impl World {
                 images.push((p.name.clone(), PreparedPut::Sealed(sealed)));
             }
         }
-        self.digest_caches.insert(job, cache);
         let t_extract = self.params.extract_time(total);
         let captured_at = self.now + t_extract;
         // Plain: one write of the whole image, starting once capture ends.

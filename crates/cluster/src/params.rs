@@ -166,7 +166,7 @@ pub struct ClusterParams {
     /// selectable for ablation. The dedup store is the one way to write
     /// only what changed: every manifest is full-fidelity, yet a steady
     /// epoch stores only its novel chunks. `store.threads` sizes the
-    /// capture/restore worker pool (`0` = auto via `CRUZ_THREADS`/host
+    /// capture worker pool (`0` = auto via `CRUZ_THREADS`/host
     /// parallelism, `1` = serial reference path) — a wall-clock knob
     /// only: produced bytes and trace digests are identical at every
     /// width. `store.replicas` sets the replication factor k: every store

@@ -146,11 +146,6 @@ pub struct World {
     /// every discard on a protocol path to either land here or carry a
     /// reasoned `allow`.
     pub(crate) soft_faults: Vec<(SimTime, &'static str, ClusterError)>,
-    /// Per-job page-digest caches for the dedup capture path: clean pages
-    /// skip re-hash/re-encode against the pod's previous capture.
-    /// Invalidated whenever pod memory changes outside a completed capture
-    /// (restarts, migrations, aborted operations).
-    pub(crate) digest_caches: BTreeMap<String, cruz::pagecache::DigestCache>,
     /// Every replicated-store scrub pass run so far: (time, job, report).
     /// Empty when replication is off (k = 1 stores never scrub).
     pub(crate) scrub_reports: Vec<(SimTime, String, cruz::replog::ScrubReport)>,

@@ -158,7 +158,6 @@ impl World {
             recoveries: BTreeMap::new(),
             crash_log: Vec::new(),
             soft_faults: Vec::new(),
-            digest_caches: BTreeMap::new(),
             scrub_reports: Vec::new(),
         };
         for i in 0..n {
@@ -217,7 +216,7 @@ impl World {
     /// The checkpoint store for a job: `params.store.replicas` replica
     /// stores behind the one-store API (1 = the plain unreplicated store,
     /// byte-identical to earlier versions), inheriting the cluster's
-    /// worker count for the capture/restore hot paths (a wall-clock knob
+    /// worker count for the capture hot path (a wall-clock knob
     /// only — produced bytes are identical at every width).
     pub fn store(&self, job: &str) -> ReplicatedStore {
         ReplicatedStore::new(self.fs.clone(), job, self.params.store.replicas.max(1))

@@ -734,3 +734,50 @@ fn rollback_from_a_corrupt_committed_image_fails_instead_of_dropping_the_pod() {
         other => panic!("expected a corrupt-image error, got {other:?}"),
     }
 }
+
+#[test]
+fn a_chunk_deleted_between_prepare_and_put_fails_the_checkpoint_closed() {
+    // A dedup checkpoint names the chunks the store already holds instead
+    // of carrying them. If they are deleted before the put applies, the put
+    // must not write a manifest naming them: the operation aborts with the
+    // store's error and its epoch never commits.
+    let params = ClusterParams {
+        store: StoreConfig::dedup(),
+        ..ClusterParams::default()
+    };
+    let mut w = World::new(3, params);
+    let (spec, _) = pingpong_job(600, 0, 1, 2);
+    w.launch_job(&spec).unwrap();
+    w.run_for(SimDuration::from_millis(6));
+    let ck1 = w
+        .start_checkpoint("pp", ProtocolMode::Blocking, None)
+        .unwrap();
+    assert!(w.run_until_op(ck1, 10_000_000));
+    w.run_for(SimDuration::from_millis(2));
+    let written = w.kernel(0).disk.bytes_written();
+    let ck2 = w
+        .start_checkpoint("pp", ProtocolMode::Blocking, None)
+        .unwrap();
+    // The server's node submits its write-out in the event that captures
+    // and prepares; the put applies in a later one.
+    assert!(w.run_until_pred(1_000_000, |w| w.kernel(0).disk.bytes_written() > written));
+    let store = w.store("pp");
+    assert!(!w.fs.exists(&store.replica(0).manifest_path("server", ck2)));
+    for path in w.fs.list("/ckpt/pp/chunks/") {
+        if path.ends_with(".c") {
+            w.fs.remove(&path);
+        }
+    }
+    assert!(w.run_until_op(ck2, 10_000_000), "the checkpoint settles");
+    let report = w.op_report(ck2).unwrap();
+    assert!(report.aborted && !report.complete, "the put failed closed");
+    match w.op_error(ck2) {
+        Some(CruzError::MissingChunk { pod, .. }) => {
+            assert!(pod == "server" || pod == "client", "{pod}")
+        }
+        other => panic!("expected a missing-chunk error, got {other:?}"),
+    }
+    assert!(!store.is_committed(ck2));
+    assert!(!w.fs.exists(&store.replica(0).manifest_path("server", ck2)));
+    assert_eq!(store.latest_committed_epoch(), Some(ck1));
+}

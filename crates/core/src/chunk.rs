@@ -23,7 +23,7 @@
 //!   bytes back in the output, `distance` a little-endian `u16` (1..=65535).
 
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use des::digest;
 
@@ -116,8 +116,6 @@ pub const ZERO_PAGE_LEN: usize = 4096;
 static ZERO_PAGE_ID: OnceLock<ChunkId> = OnceLock::new();
 static ZERO_PAGE_LZ: OnceLock<Vec<u8>> = OnceLock::new();
 static ZERO_PAGE_RAW: OnceLock<Vec<u8>> = OnceLock::new();
-static ZERO_PAGE_LZ_ARC: OnceLock<Arc<[u8]>> = OnceLock::new();
-static ZERO_PAGE_RAW_ARC: OnceLock<Arc<[u8]>> = OnceLock::new();
 
 /// The content address of an all-zero [`ZERO_PAGE_LEN`]-byte page, computed
 /// once per process. Zero pages dominate freshly-touched guest memory, so
@@ -138,24 +136,31 @@ pub fn zero_page_encoded(compress_on: bool) -> &'static [u8] {
     }
 }
 
-/// The stored container of an all-zero page as a process-wide shared
-/// `Arc<[u8]>` (one per codec setting), so every capture path — including
-/// pool workers on different threads — aliases a single allocation instead
-/// of copying [`zero_page_encoded`] per zero page.
-pub fn zero_page_stored(compress_on: bool) -> Arc<[u8]> {
-    let slot = if compress_on {
-        &ZERO_PAGE_LZ_ARC
-    } else {
-        &ZERO_PAGE_RAW_ARC
-    };
-    slot.get_or_init(|| Arc::from(zero_page_encoded(compress_on)))
-        .clone()
-}
-
 /// True iff `data` is exactly one all-zero page. Word-at-a-time: 4096 is a
 /// multiple of 8, so the check is 512 `u64` compares with no tail loop.
 pub fn is_zero_page(data: &[u8]) -> bool {
     data.len() == ZERO_PAGE_LEN && data.chunks_exact(8).all(|w| w == [0u8; 8])
+}
+
+/// The content address of one chunk range: [`ChunkId::of`], with the
+/// all-zero page served from [`zero_page_id`] instead of folded.
+pub fn name(seg: &[u8]) -> ChunkId {
+    if is_zero_page(seg) {
+        zero_page_id()
+    } else {
+        ChunkId::of(seg)
+    }
+}
+
+/// The stored container of one chunk range: [`encode_chunk`]'s bytes,
+/// through a reusable [`CodecScratch`], with the all-zero page copied from
+/// [`zero_page_encoded`] instead of compressed.
+pub fn encode_range(seg: &[u8], compress_on: bool, scratch: &mut CodecScratch) -> Vec<u8> {
+    if is_zero_page(seg) {
+        zero_page_encoded(compress_on).to_vec()
+    } else {
+        encode_chunk_with(seg, compress_on, scratch)
+    }
 }
 
 // ---- segmentation -----------------------------------------------------------
@@ -608,12 +613,14 @@ mod tests {
         assert_eq!(zero_page_id(), ChunkId::of(&page));
         assert_eq!(zero_page_encoded(true), &encode_chunk(&page, true)[..]);
         assert_eq!(zero_page_encoded(false), &encode_chunk(&page, false)[..]);
-        // The shared Arc container is the same bytes, and repeated calls
-        // alias one allocation.
-        for on in [true, false] {
-            let a = zero_page_stored(on);
-            assert_eq!(&a[..], zero_page_encoded(on));
-            assert!(Arc::ptr_eq(&a, &zero_page_stored(on)));
+        // The per-range entry points agree with the slow path on zero and
+        // nonzero pages alike.
+        let mut scratch = CodecScratch::new();
+        for seg in [&page[..], &dirty[..]] {
+            assert_eq!(name(seg), ChunkId::of(seg));
+            for on in [true, false] {
+                assert_eq!(encode_range(seg, on, &mut scratch), encode_chunk(seg, on));
+            }
         }
     }
 

@@ -13,6 +13,8 @@ use simnet::stack::NetError;
 use zap::image::ImageError;
 use zap::manager::ZapError;
 
+use crate::chunk::ChunkId;
+
 /// An error in the checkpoint-restart control plane.
 #[derive(Debug)]
 pub enum CruzError {
@@ -29,6 +31,15 @@ pub enum CruzError {
         /// The pod whose image failed.
         pod: String,
     },
+    /// A pod's prepared checkpoint write named a stored chunk that was
+    /// deleted before the write applied. The store wrote no manifest for
+    /// the pod, so the epoch cannot commit and the operation aborts.
+    MissingChunk {
+        /// The pod whose write failed.
+        pod: String,
+        /// The chunk that vanished.
+        chunk: ChunkId,
+    },
     /// The Zap layer refused a checkpoint/restore action.
     Zap(ZapError),
     /// A control-plane invariant was violated (e.g. a message referenced an
@@ -43,6 +54,9 @@ impl fmt::Display for CruzError {
             CruzError::BadImage(e) => write!(f, "checkpoint image: {e}"),
             CruzError::CorruptImage { pod } => {
                 write!(f, "checkpoint image of {pod} fails verification")
+            }
+            CruzError::MissingChunk { pod, chunk } => {
+                write!(f, "checkpoint write of {pod} names deleted chunk {chunk}")
             }
             CruzError::Zap(e) => write!(f, "zap layer: {e}"),
             CruzError::Protocol(what) => write!(f, "protocol invariant violated: {what}"),

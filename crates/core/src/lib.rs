@@ -28,7 +28,8 @@
 //! * [`chunk`] — deterministic content addressing and the per-chunk
 //!   RLE+LZ codec the store builds on;
 //! * [`pagecache`] — the epoch-granular page-digest cache that lets clean
-//!   pages skip re-hash/re-encode on the dedup capture path;
+//!   pages skip re-hashing in `prepare_chunked_hinted` (no longer on the
+//!   capture path, whose image seal names every chunk);
 //! * [`replog`] — the k-way replicated store: every mutation goes through
 //!   a deterministic append-only operation log per replica, reads are
 //!   digest-checked quorum reads, and scrub repairs divergence by

@@ -1,56 +1,52 @@
-//! Epoch-granular page-digest cache for the dedup capture path.
+//! Epoch-granular page-digest cache: chunk names and containers for clean
+//! pages.
 //!
-//! Steady-state checkpoint epochs touch a small fraction of a pod's pages,
-//! yet the reference [`CheckpointStore::prepare_chunked`] re-hashes and
-//! re-encodes every page of every image each epoch. This module skips that
-//! work for pages the kernel's dirty tracking proves untouched since the
-//! previous capture:
+//! Capture no longer uses this module. Since the image seal names every
+//! chunk range in its single hash pass (`PodImage::seal_named` and
+//! [`CheckpointStore::prepare_sealed`]), a clean page costs capture
+//! nothing a cache could save. The module stays for the benchmark's
+//! layer replay, which measures it; it goes when that replay does.
 //!
 //! * [`page_hints`] labels each page-payload cut of a serialized
 //!   [`PodImage`] with a stable identity (`(group index, page address)`) and
 //!   a *clean* bit derived from the per-space dirty set the capture path
-//!   already maintains (every capture clears the dirty set, so "not dirty
-//!   at capture" means "byte-identical to the previous capture").
+//!   maintains (every capture clears the dirty set, so "not dirty at
+//!   capture" means "byte-identical to the previous capture").
 //! * [`DigestCache`] remembers, per pod and page identity, the chunk ids
-//!   and encoded containers the previous capture produced.
-//! * [`CheckpointStore::prepare_chunked_hinted`] reuses those entries for
-//!   clean pages and computes everything else fresh — the compute ranges
-//!   fan out across the [`crate::parpool`] worker pool (each worker with
-//!   its own `CodecScratch`, each range through the `is_zero_page` fast
-//!   path), while cache hits skip the pool entirely — producing a
-//!   [`PreparedChunked`] **byte-identical** to the reference path's.
+//!   the previous prepare computed and the containers it encoded.
+//! * [`CheckpointStore::prepare_chunked_hinted`] reuses those ids for
+//!   clean pages, folds everything else on the [`crate::parpool`] worker
+//!   pool, and hands the names to the store's one chunked prepare, which
+//!   takes a remembered container for a chunk the store lacks instead of
+//!   encoding it again. Its [`PreparedChunked`] is **byte-identical** to
+//!   the reference path's.
 //!
 //! # Determinism argument
 //!
-//! The hinted path never changes *what* is produced, only *how much work*
-//! (and on how many threads) produces it. Chunk ranges are identical (same
-//! cuts, same `split_ranges`). For a cache hit, the cut's raw bytes equal
-//! the previous capture's bytes (the clean bit), so the remembered
-//! `ChunkId` and encoded container are exactly what re-hashing and
-//! re-encoding would yield. Computed ranges go through the pool's ordered
-//! merge, so their sequence is the input sequence at every thread count.
-//! Novelty and stored-length accounting always consult the live
-//! filesystem, in range order, on the calling thread — identically on both
-//! paths. The equivalence is pinned by the `hotpath_properties` and
+//! The hinted path never changes *what* is produced, only how many folds
+//! and encodes produce it. Chunk ranges are identical (same cuts, same
+//! `split_ranges`). For a cache hit, the cut's raw bytes equal the
+//! previous capture's bytes (the clean bit), so the remembered `ChunkId`
+//! is exactly what re-hashing would yield, and the remembered container
+//! is what encoding them under the same config would yield (a config
+//! change clears the cache). Folded ranges go through the pool's ordered
+//! merge. Novelty and stored-length accounting are the shared prepare's.
+//! The equivalence is pinned by the `hotpath_properties` and
 //! `parallel_properties` twin-path proptests, and any doubt about a hint
 //! degrades safely: an unrecognized cut layout or a dirty/unkeyed page
-//! just takes the compute path.
+//! just takes the fold.
 //!
 //! Cache entries are only ever trusted for one epoch step: each prepare
-//! replaces the pod's entry map wholesale, and the cluster invalidates a
-//! job's cache whenever pod memory changes outside a completed capture
-//! (restores, migrations, aborted COW drains).
+//! replaces the pod's entry map wholesale.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use zap::image::{ImageWriter, PodImage, Sealed};
+use zap::image::PodImage;
 
 use crate::chunk::{self, ChunkId};
 use crate::parpool::Pool;
-use crate::store::{
-    encode_ranges, CheckpointStore, PreparedChunked, StoreConfig, MANIFEST_MAGIC, STORE_VERSION,
-};
+use crate::store::{CheckpointStore, PreparedChunked, StoreConfig};
 
 /// Stable identity of a page payload across epochs: `(group index within
 /// the image, guest page address)`.
@@ -119,20 +115,22 @@ pub fn page_hints(
         .collect()
 }
 
-/// What the previous capture produced for one chunk range of a page cut.
+/// What the previous prepare made of one chunk range of a page cut.
 #[derive(Debug, Clone)]
 struct CachedChunk {
     id: ChunkId,
     seg_len: usize,
-    stored: Arc<[u8]>,
+    /// The chunk's container, if that prepare encoded it (the store lacked
+    /// it); a chunk found on disk was never encoded.
+    stored: Option<Arc<[u8]>>,
 }
 
-/// Per-job page-digest cache: remembered chunk work from each pod's most
-/// recent prepare.
+/// Per-job page-digest cache: the chunk names and containers of each
+/// pod's most recent prepare.
 #[derive(Debug, Default)]
 pub struct DigestCache {
     /// The store config the entries were computed under; a config change
-    /// clears the cache (different chunking or codec → different bytes).
+    /// clears the cache.
     /// The thread count is deliberately **not** part of the key: it never
     /// changes produced bytes, so cached entries survive it.
     cfg: Option<(usize, bool)>,
@@ -145,18 +143,6 @@ impl DigestCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Drops every remembered entry (the big hammer the cluster swings
-    /// whenever pod memory may have changed outside a completed capture).
-    pub fn clear(&mut self) {
-        self.pods.clear();
-    }
-
-    /// Drops one pod's remembered entries (e.g. after a migration restores
-    /// that pod from an older epoch).
-    pub fn invalidate_pod(&mut self, pod_name: &str) {
-        self.pods.remove(pod_name);
     }
 
     /// Chunk ranges served from the cache since construction.
@@ -178,74 +164,17 @@ impl DigestCache {
     }
 }
 
-/// One unit of the hinted prepare, in image order, as classified by the
-/// plan pass: either served from the cache or owed to the compute pool.
-enum PlanStep {
-    /// Metadata between cuts: a single range, always computed, never
-    /// counted against the cache (it has no stable identity — its content
-    /// shifts with the image layout).
-    Meta { ri: usize },
-    /// A clean, keyed cut whose remembered entry still matches its range
-    /// layout: chunk ids and containers reused as-is.
-    CutHit {
-        ri: usize,
-        rj: usize,
-        key: Option<PageKey>,
-        entry: Vec<CachedChunk>,
-    },
-    /// A cut that must be (re)computed: dirty, unkeyed, or cache-missed.
-    CutCompute {
-        ri: usize,
-        rj: usize,
-        key: Option<PageKey>,
-    },
-}
-
 impl CheckpointStore {
     /// [`CheckpointStore::prepare_chunked`] with a page-digest cache:
     /// produces a byte-identical [`PreparedChunked`], but chunk ranges
-    /// covered by a clean, keyed [`PageHint`] reuse the id and encoded
-    /// container remembered from the pod's previous prepare instead of
-    /// re-hashing and re-encoding, and the ranges that *are* computed fan
-    /// out across the worker pool. The cut list is `hints` itself (each
-    /// hint's `(offset, len)`), so callers pass the same page cuts they
-    /// would hand the reference path.
-    ///
-    /// Three passes: **plan** (classify every range as cache-hit or
-    /// compute — pure bookkeeping), **encode** (the compute ranges through
-    /// `encode_ranges`' ordered pool merge), **merge** (manifest records,
-    /// filesystem novelty accounting and cache replacement, serially in
-    /// image order).
+    /// covered by a clean, keyed [`PageHint`] reuse the id remembered from
+    /// the pod's previous prepare instead of re-hashing, and the ranges
+    /// that *are* hashed fan out across the worker pool. The cut list is
+    /// `hints` itself (each hint's `(offset, len)`), so callers pass the
+    /// same page cuts they would hand the reference path.
     pub fn prepare_chunked_hinted(
         &self,
         raw: &[u8],
-        hints: &[PageHint],
-        cfg: &StoreConfig,
-        pod_name: &str,
-        cache: &mut DigestCache,
-    ) -> PreparedChunked {
-        self.prepare_hinted(raw, ChunkId::of(raw), hints, cfg, pod_name, cache)
-    }
-
-    /// [`CheckpointStore::prepare_chunked_hinted`] for an image sealed by
-    /// its encoder: the whole-image digest the sidecar pins comes from the
-    /// seal instead of another pass over the bytes.
-    pub fn prepare_sealed_hinted(
-        &self,
-        image: &Sealed,
-        hints: &[PageHint],
-        cfg: &StoreConfig,
-        pod_name: &str,
-        cache: &mut DigestCache,
-    ) -> PreparedChunked {
-        let digest = image.digest().into();
-        self.prepare_hinted(image.bytes(), digest, hints, cfg, pod_name, cache)
-    }
-
-    fn prepare_hinted(
-        &self,
-        raw: &[u8],
-        raw_digest: ChunkId,
         hints: &[PageHint],
         cfg: &StoreConfig,
         pod_name: &str,
@@ -256,9 +185,11 @@ impl CheckpointStore {
         let ranges = chunk::split_ranges(raw.len(), &cuts, cfg.chunk_bytes);
         let prev = cache.pods.remove(pod_name).unwrap_or_default();
 
-        // ---- plan: classify ranges, collecting the compute worklist ------
-        let mut steps = Vec::new();
-        let mut work: Vec<(usize, usize)> = Vec::new();
+        // Serve every clean, keyed cut whose remembered entry still
+        // matches its range layout; everything else is owed a fold.
+        let mut ids: Vec<Option<ChunkId>> = vec![None; ranges.len()];
+        let mut reused: Vec<Option<Arc<[u8]>>> = vec![None; ranges.len()];
+        let mut keyed: Vec<(PageKey, usize, usize)> = Vec::new();
         let mut ri = 0;
         let mut hi = 0;
         while ri < ranges.len() {
@@ -270,8 +201,8 @@ impl CheckpointStore {
                 && start >= hints[hi].offset
                 && start + len <= hints[hi].offset + hints[hi].len;
             if !in_hint {
-                steps.push(PlanStep::Meta { ri });
-                work.push(ranges[ri]);
+                // Metadata between cuts: no stable identity, always folded
+                // and never counted against the cache.
                 ri += 1;
                 continue;
             }
@@ -296,100 +227,70 @@ impl CheckpointStore {
                 None
             };
             match cached {
-                Some(entry) => steps.push(PlanStep::CutHit {
-                    ri,
-                    rj,
-                    key: hint.key,
-                    entry: entry.clone(),
-                }),
-                None => {
-                    work.extend_from_slice(cut_ranges);
-                    steps.push(PlanStep::CutCompute {
-                        ri,
-                        rj,
-                        key: hint.key,
-                    });
+                Some(entry) => {
+                    cache.hits += (rj - ri) as u64;
+                    for (r, c) in (ri..rj).zip(entry) {
+                        ids[r] = Some(c.id);
+                        reused[r] = c.stored.clone();
+                    }
                 }
+                None => cache.misses += (rj - ri) as u64,
+            }
+            if let Some(k) = hint.key {
+                keyed.push((k, ri, rj));
             }
             ri = rj;
         }
 
-        // ---- encode: only the compute ranges touch the pool --------------
+        // Fold the rest on the pool, in range order.
+        let owed: Vec<(usize, usize)> = ranges
+            .iter()
+            .zip(&ids)
+            .filter(|(_, id)| id.is_none())
+            .map(|(&r, _)| r)
+            .collect();
         let pool = Pool::new(self.threads_for(cfg));
-        let encoded = encode_ranges(raw, &work, cfg.compress, &pool);
-
-        // ---- merge: manifest + fs accounting + cache, in image order -----
-        let mut enc = encoded.into_iter();
-        let mut take = |s: usize, l: usize| -> (ChunkId, Arc<[u8]>) {
-            enc.next().unwrap_or_else(|| {
-                // One encoded result per compute range by construction;
-                // recompute defensively rather than ever truncate.
-                let seg = &raw[s..s + l];
-                (
-                    ChunkId::of(seg),
-                    chunk::encode_chunk(seg, cfg.compress).into(),
-                )
+        let mut folded = pool
+            .map_ordered(owed, || (), |_, (s, l)| chunk::name(&raw[s..s + l]))
+            .into_iter();
+        let ids: Vec<ChunkId> = ids
+            .into_iter()
+            .zip(&ranges)
+            .map(|(id, &(s, l))| {
+                // One fold per owed range by construction; fold again
+                // rather than ever misname a range.
+                id.or_else(|| folded.next())
+                    .unwrap_or_else(|| chunk::name(&raw[s..s + l]))
             })
-        };
-        let mut next: BTreeMap<PageKey, Vec<CachedChunk>> = BTreeMap::new();
-        let mut seen = BTreeSet::new();
-        let mut chunks = Vec::with_capacity(ranges.len());
-        let mut mw = ImageWriter::new();
-        mw.u32(MANIFEST_MAGIC);
-        mw.u16(STORE_VERSION);
-        mw.u64(raw.len() as u64);
-        mw.u32(ranges.len() as u32);
-        for step in steps {
-            match step {
-                PlanStep::Meta { ri } => {
-                    let (s, l) = ranges[ri];
-                    let (id, stored) = take(s, l);
-                    self.push_prepared(&mut mw, &mut seen, &mut chunks, id, s + l, l, stored);
-                }
-                PlanStep::CutHit { ri, rj, key, entry } => {
-                    cache.hits += (rj - ri) as u64;
-                    for (c, &(s, l)) in entry.iter().zip(&ranges[ri..rj]) {
-                        self.push_prepared(
-                            &mut mw,
-                            &mut seen,
-                            &mut chunks,
-                            c.id,
-                            s + l,
-                            l,
-                            c.stored.clone(),
-                        );
-                    }
-                    if let Some(k) = key {
-                        next.insert(k, entry);
-                    }
-                }
-                PlanStep::CutCompute { ri, rj, key } => {
-                    cache.misses += (rj - ri) as u64;
-                    let mut fresh = Vec::with_capacity(rj - ri);
-                    for &(s, l) in &ranges[ri..rj] {
-                        let (id, stored) = take(s, l);
-                        fresh.push(CachedChunk {
-                            id,
-                            seg_len: l,
-                            stored: stored.clone(),
-                        });
-                        self.push_prepared(&mut mw, &mut seen, &mut chunks, id, s + l, l, stored);
-                    }
-                    if let Some(k) = key {
-                        next.insert(k, fresh);
-                    }
-                }
-            }
-        }
+            .collect();
+
+        // A served range's remembered container stands in for encoding it
+        // if the store lacks the chunk.
+        let prepared = self.prepare_named(raw, &ranges, &ids, ChunkId::of(raw), cfg, |r| {
+            reused[r].as_deref().map(<[u8]>::to_vec)
+        });
+
         // Wholesale replacement: entries are only ever trusted for exactly
         // one epoch step (the clean bit's guarantee covers nothing older).
+        // A range keeps its served container, or else takes the one this
+        // prepare encoded for it.
+        let next = keyed
+            .into_iter()
+            .map(|(k, ri, rj)| {
+                let entry = (ri..rj)
+                    .map(|r| CachedChunk {
+                        id: ids[r],
+                        seg_len: ranges[r].1,
+                        stored: reused[r]
+                            .take()
+                            .or_else(|| prepared.chunks[r].stored.as_deref().map(Arc::from)),
+                    })
+                    .collect();
+                (k, entry)
+            })
+            .collect();
         cache.pods.insert(pod_name.to_string(), next);
-        PreparedChunked {
-            raw_len: raw.len() as u64,
-            manifest: mw.finish(),
-            chunks,
-            raw_digest,
-        }
+        prepared
     }
 }
 
@@ -437,7 +338,8 @@ mod tests {
         let r1 = s.prepare_chunked(&raw1, &cuts1, &cfg());
         assert_eq!(h1.manifest, r1.manifest);
         assert_eq!(cache.hits(), 0, "first epoch has nothing to reuse");
-        s.put_prepared("p", 1, crate::store::PreparedPut::Chunked(h1));
+        s.put_prepared("p", 1, crate::store::PreparedPut::Chunked(h1))
+            .unwrap();
 
         // Second epoch: page B rewritten, page A clean.
         let page_b2 = vec![0x55u8; 256];

@@ -1,8 +1,7 @@
-//! Deterministic worker pool for the capture/restore hot paths.
+//! Deterministic worker pool for the capture hot path.
 //!
-//! The checkpoint pipeline's expensive kernels — chunk hashing, per-chunk
-//! compression, restore-side decompression — are pure functions of their
-//! input bytes. This module shards such kernels across a pool of scoped
+//! The checkpoint pipeline's expensive kernels — chunk hashing and
+//! per-chunk compression — are pure functions of their input bytes. This module shards such kernels across a pool of scoped
 //! `std::thread` workers and merges the results **in input order**, so the
 //! output is a plain `Vec<R>` indistinguishable from what a serial loop
 //! would produce. That ordered merge is the whole determinism argument:

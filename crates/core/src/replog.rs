@@ -49,12 +49,14 @@
 use std::collections::BTreeSet;
 
 use simos::fs::NetFs;
-use zap::image::Sealed;
+use zap::image::{ContentDigest, Sealed};
 
 use crate::chunk::ChunkId;
 use crate::digest;
 use crate::pagecache::{DigestCache, PageHint};
-use crate::store::{self, CheckpointStore, PreparedChunked, PreparedPut, ReadError, StoreConfig};
+use crate::store::{
+    self, CheckpointStore, MissingChunk, PreparedChunked, PreparedPut, ReadError, StoreConfig,
+};
 
 /// Magic number of a replica operation log (`CRZL`).
 pub const REPLOG_MAGIC: u32 = 0x4352_5a4c;
@@ -229,7 +231,9 @@ fn log_header() -> Vec<u8> {
     h
 }
 
-fn encode_record(op: &LogOp) -> Vec<u8> {
+/// Encodes one op as a whole `CRZL` record: length, tag, payload and the
+/// payload checksum.
+pub fn encode_record(op: &LogOp) -> Vec<u8> {
     let (tag, payload) = op.encode_payload();
     let mut rec = Vec::with_capacity(payload.len() + 13);
     rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -240,25 +244,21 @@ fn encode_record(op: &LogOp) -> Vec<u8> {
     rec
 }
 
-/// Appends one op to the `CRZL` log at `path`, creating the file (with
-/// its header) on first use.
-pub fn append_record(fs: &NetFs, path: &str, op: &LogOp) {
+/// Appends one encoded record ([`encode_record`]) to the `CRZL` log at
+/// `path`, creating the file (with its header) on first use. A write
+/// encodes its op once and appends the same bytes to every replica's log.
+pub fn append_record(fs: &NetFs, path: &str, rec: &[u8]) {
     if !fs.exists(path) {
         fs.write_file(path, log_header());
     }
-    fs.append_file(path, &encode_record(op));
+    fs.append_file(path, rec);
 }
 
 /// Appends only the first `frac`/256 of the record's bytes — a log append
 /// torn by a mid-write crash. The valid-prefix reader will stop at the
 /// record boundary before the tear.
-pub fn append_torn_record(fs: &NetFs, path: &str, op: &LogOp, frac: u8) {
-    if !fs.exists(path) {
-        fs.write_file(path, log_header());
-    }
-    let rec = encode_record(op);
-    let keep = rec.len() * frac as usize / 256;
-    fs.append_file(path, &rec[..keep]);
+pub fn append_torn_record(fs: &NetFs, path: &str, rec: &[u8], frac: u8) {
+    append_record(fs, path, &rec[..rec.len() * frac as usize / 256]);
 }
 
 /// Reads the longest valid prefix of the log at `path`: the decoded ops
@@ -303,13 +303,22 @@ pub fn read_log(fs: &NetFs, path: &str) -> (Vec<LogOp>, u64) {
 /// Applies one log op to a replica's store tree. `torn` injects a
 /// torn-data fault: the op's log record landed whole, but chunk bodies /
 /// the plain image only got `frac`/256 of their bytes (and the plain arm's
-/// digest sidecar never lands — the disk died before the rename). Returns
-/// the GC reclaim count for [`LogOp::Gc`], `0` otherwise.
-fn apply_op(store: &CheckpointStore, op: &LogOp, torn: Option<u8>) -> usize {
+/// digest sidecar never lands — the disk died before the rename). `sealed`
+/// is a plain put's image digest when the writer already knows it (a live
+/// write of a sealed image); replay passes `None`, and the sidecar is then
+/// folded from the bytes. Returns the GC reclaim count for [`LogOp::Gc`],
+/// `0` otherwise.
+fn apply_op(
+    store: &CheckpointStore,
+    op: &LogOp,
+    torn: Option<u8>,
+    sealed: Option<ChunkId>,
+) -> usize {
     match op {
-        LogOp::PutPlain { pod, epoch, bytes } => match torn {
-            None => store.put_image(pod, *epoch, bytes.clone()),
-            Some(frac) => {
+        LogOp::PutPlain { pod, epoch, bytes } => match (torn, sealed) {
+            (None, Some(digest)) => store.put_sealed(pod, *epoch, digest, bytes.clone()),
+            (None, None) => store.put_image(pod, *epoch, bytes.clone()),
+            (Some(frac), _) => {
                 let keep = bytes.len() * frac as usize / 256;
                 if keep > 0 {
                     store
@@ -425,7 +434,7 @@ impl ReplicatedStore {
         }
     }
 
-    /// Sets the worker count for the capture/restore kernels (`0` = auto).
+    /// Sets the worker count for the capture kernels (`0` = auto).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -487,10 +496,14 @@ impl ReplicatedStore {
     }
 
     /// Fans one logical op out to every live replica: fault check, log
-    /// append, apply. Returns the primary's apply result (the GC count).
-    fn write_op(&self, op: LogOp) -> usize {
+    /// append, apply. The op is encoded once and every replica's log gets
+    /// the same record bytes. `sealed` is a plain put's known image digest
+    /// (see [`apply_op`]). Returns the primary's apply result (the GC
+    /// count).
+    fn write_op(&self, op: LogOp, sealed: Option<ChunkId>) -> usize {
         let mut dead = read_dead(&self.fs);
         let point = op.point();
+        let rec = encode_record(&op);
         let mut out = None;
         for r in 0..self.k {
             if dead.contains(&r) {
@@ -501,16 +514,16 @@ impl ReplicatedStore {
                     dead.insert(r);
                 }
                 Some(ReplicaFaultKind::TornLog(frac)) => {
-                    append_torn_record(&self.fs, &self.log_path(r), &op, frac);
+                    append_torn_record(&self.fs, &self.log_path(r), &rec, frac);
                     dead.insert(r);
                 }
                 Some(ReplicaFaultKind::TornChunk(frac)) => {
-                    append_record(&self.fs, &self.log_path(r), &op);
-                    apply_op(&self.replica(r), &op, Some(frac));
+                    append_record(&self.fs, &self.log_path(r), &rec);
+                    apply_op(&self.replica(r), &op, Some(frac), sealed);
                 }
                 None => {
-                    append_record(&self.fs, &self.log_path(r), &op);
-                    let n = apply_op(&self.replica(r), &op, None);
+                    append_record(&self.fs, &self.log_path(r), &rec);
+                    let n = apply_op(&self.replica(r), &op, None, sealed);
                     if out.is_none() {
                         out = Some(n);
                     }
@@ -524,21 +537,41 @@ impl ReplicatedStore {
     // ---- writes (logged) ------------------------------------------------
 
     /// Applies a prepared write to every live replica through the log.
-    pub fn put_prepared(&self, pod_name: &str, epoch: u64, put: PreparedPut) {
+    /// A plain image's sidecar digest is taken from its seal (or folded
+    /// once, for unsealed bytes) and handed to every replica, so no
+    /// replica folds the image again.
+    ///
+    /// # Errors
+    ///
+    /// [`MissingChunk`] when a chunked write names a chunk that was on the
+    /// primary at prepare time and has been deleted since; nothing is
+    /// logged or applied then.
+    pub fn put_prepared(
+        &self,
+        pod_name: &str,
+        epoch: u64,
+        put: PreparedPut,
+    ) -> Result<(), MissingChunk> {
         if self.k == 1 {
             return self.replica(0).put_prepared(pod_name, epoch, put);
         }
-        let op = match put {
-            PreparedPut::Plain(bytes) => LogOp::PutPlain {
-                pod: pod_name.to_owned(),
-                epoch,
-                bytes,
-            },
-            PreparedPut::Sealed(image) => LogOp::PutPlain {
-                pod: pod_name.to_owned(),
-                epoch,
-                bytes: image.into_bytes(),
-            },
+        let pod = pod_name.to_owned();
+        let plain = |image: Sealed| {
+            let digest = image.digest().into();
+            let bytes = image.into_bytes();
+            (
+                LogOp::PutPlain {
+                    pod: pod.clone(),
+                    epoch,
+                    bytes,
+                },
+                Some(digest),
+            )
+        };
+        let (op, sealed) = match put {
+            // Folded once here rather than once per replica.
+            PreparedPut::Plain(bytes) => plain(Sealed::open(bytes)),
+            PreparedPut::Sealed(image) => plain(image),
             PreparedPut::Chunked(c) => {
                 // The record carries exactly the chunk bodies absent from
                 // the live replicas' shared state right now, so replaying
@@ -549,19 +582,22 @@ impl ReplicatedStore {
                 let mut blobs = Vec::new();
                 for ch in &c.chunks {
                     if seen.insert(ch.id) && !self.fs.exists(&primary.chunk_path(ch.id)) {
-                        blobs.push((ch.id, ch.stored.to_vec()));
+                        let body = ch.stored.clone().ok_or(MissingChunk(ch.id))?;
+                        blobs.push((ch.id, body));
                     }
                 }
-                LogOp::PutChunked {
-                    pod: pod_name.to_owned(),
+                let op = LogOp::PutChunked {
+                    pod,
                     epoch,
                     manifest: c.manifest().to_vec(),
                     image: c.image_digest(),
                     blobs,
-                }
+                };
+                (op, None)
             }
         };
-        self.write_op(op);
+        self.write_op(op, sealed);
+        Ok(())
     }
 
     /// Applies only a torn prefix of a prepared write — a disk tear, not a
@@ -579,7 +615,7 @@ impl ReplicatedStore {
         if self.k == 1 {
             return self.replica(0).commit(epoch);
         }
-        self.write_op(LogOp::Commit { epoch });
+        self.write_op(LogOp::Commit { epoch }, None);
     }
 
     /// Discards every file of `epoch` on every live replica.
@@ -587,7 +623,7 @@ impl ReplicatedStore {
         if self.k == 1 {
             return self.replica(0).discard_epoch(epoch);
         }
-        self.write_op(LogOp::Discard { epoch });
+        self.write_op(LogOp::Discard { epoch }, None);
     }
 
     /// Discards every committed epoch below `keep` on every live replica.
@@ -595,7 +631,7 @@ impl ReplicatedStore {
         if self.k == 1 {
             return self.replica(0).prune_below(keep);
         }
-        self.write_op(LogOp::Prune { keep });
+        self.write_op(LogOp::Prune { keep }, None);
     }
 
     /// Reclaims orphan chunk files on every live replica; returns the
@@ -604,7 +640,7 @@ impl ReplicatedStore {
         if self.k == 1 {
             return self.replica(0).gc_orphan_chunks();
         }
-        self.write_op(LogOp::Gc)
+        self.write_op(LogOp::Gc, None)
     }
 
     // ---- prepares (pure, primary state) ---------------------------------
@@ -634,18 +670,16 @@ impl ReplicatedStore {
             .prepare_chunked_hinted(raw, hints, cfg, pod_name, cache)
     }
 
-    /// [`CheckpointStore::prepare_sealed_hinted`] against the primary
-    /// replica's chunk population.
-    pub fn prepare_sealed_hinted(
+    /// [`CheckpointStore::prepare_sealed`] against the primary replica's
+    /// chunk population.
+    pub fn prepare_sealed(
         &self,
         image: &Sealed,
-        hints: &[PageHint],
+        ranges: &[(usize, usize)],
+        names: &[ContentDigest],
         cfg: &StoreConfig,
-        pod_name: &str,
-        cache: &mut DigestCache,
     ) -> PreparedChunked {
-        self.primary()
-            .prepare_sealed_hinted(image, hints, cfg, pod_name, cache)
+        self.primary().prepare_sealed(image, ranges, names, cfg)
     }
 
     // ---- reads ----------------------------------------------------------
@@ -790,7 +824,8 @@ mod tests {
     fn put_epoch(rs: &ReplicatedStore, cfg: &StoreConfig, epoch: u64, fill: u8) {
         let raw = image(fill, 1024);
         let prepared = rs.prepare_chunked(&raw, &[], cfg);
-        rs.put_prepared("pod0", epoch, PreparedPut::Chunked(prepared));
+        rs.put_prepared("pod0", epoch, PreparedPut::Chunked(prepared))
+            .unwrap();
         rs.commit(epoch);
     }
 
@@ -820,7 +855,7 @@ mod tests {
         ];
         let fs = NetFs::new();
         for op in &ops {
-            append_record(&fs, "/replog/t.log", op);
+            append_record(&fs, "/replog/t.log", &encode_record(op));
         }
         let (back, valid) = read_log(&fs, "/replog/t.log");
         assert_eq!(back, ops);
@@ -832,8 +867,8 @@ mod tests {
         let fs = NetFs::new();
         let a = LogOp::Commit { epoch: 1 };
         let b = LogOp::Commit { epoch: 2 };
-        append_record(&fs, "/replog/t.log", &a);
-        append_torn_record(&fs, "/replog/t.log", &b, 128);
+        append_record(&fs, "/replog/t.log", &encode_record(&a));
+        append_torn_record(&fs, "/replog/t.log", &encode_record(&b), 128);
         let (ops, valid) = read_log(&fs, "/replog/t.log");
         assert_eq!(ops, vec![a]);
         assert!(valid < fs.len_of("/replog/t.log").unwrap());
@@ -855,7 +890,7 @@ mod tests {
         let (ops, _) = read_log(&fs, &rs.log_path(1));
         let store = rs.replica(1);
         for op in &ops {
-            apply_op(&store, op, None);
+            apply_op(&store, op, None, None);
         }
         assert_eq!(rs.tree_digest(1), d[1]);
         // And replaying onto an empty tree reconstructs the same bytes.
@@ -891,7 +926,8 @@ mod tests {
         );
         let raw2 = image(0x99, 1024);
         let prepared = rs.prepare_chunked(&raw2, &[], &cfg);
-        rs.put_prepared("pod0", 2, PreparedPut::Chunked(prepared));
+        rs.put_prepared("pod0", 2, PreparedPut::Chunked(prepared))
+            .unwrap();
         rs.commit(2);
         // Replica 0 crashed (stale), replica 1 is corrupt, replica 2 is
         // whole: epoch 2 must still read back exactly.
@@ -1018,12 +1054,58 @@ mod tests {
     fn k1_writes_no_control_or_log_files() {
         let fs = NetFs::new();
         let rs = ReplicatedStore::new(fs.clone(), "job", 1);
-        rs.put_prepared("pod0", 1, PreparedPut::Plain(image(0x55, 512)));
+        rs.put_prepared("pod0", 1, PreparedPut::Plain(image(0x55, 512)))
+            .unwrap();
         rs.commit(1);
         assert_eq!(rs.compact_logs(), CompactReport::default());
         assert!(fs.list("/replog/").is_empty());
         assert!(fs.list("/replctl/").is_empty());
         assert!(fs.list("/rep").is_empty());
         assert_eq!(rs.get_image("pod0", 1), Some(image(0x55, 512)));
+    }
+
+    #[test]
+    fn k3_plain_put_pins_every_sidecar_to_the_image_digest() {
+        let fs = NetFs::new();
+        let rs = ReplicatedStore::new(fs.clone(), "job", 3);
+        let mut w = zap::image::ImageWriter::new();
+        w.bytes(&image(0x42, 700));
+        let sealed = w.seal();
+        let bytes = sealed.bytes().to_vec();
+        rs.put_prepared("pod0", 1, PreparedPut::Sealed(sealed))
+            .unwrap();
+        rs.put_prepared("pod0", 2, PreparedPut::Plain(bytes.clone()))
+            .unwrap();
+        for epoch in [1, 2] {
+            for r in 0..3 {
+                let rep = rs.replica(r);
+                assert_eq!(rep.read_digest("pod0", epoch), Some(ChunkId::of(&bytes)));
+                assert_eq!(rep.get_image("pod0", epoch), Some(bytes.clone()));
+            }
+        }
+        // Replaying the log, which carries no digest, folds the same one.
+        rs.wipe_replica(2);
+        let log = fs.read_file(&rs.log_path(0)).unwrap();
+        rs.replay_log(2, &log);
+        assert_eq!(rs.tree_digest(2), rs.tree_digest(0));
+    }
+
+    #[test]
+    fn k3_put_of_a_chunk_deleted_after_prepare_logs_nothing() {
+        let fs = NetFs::new();
+        let cfg = dedup_cfg();
+        let rs = ReplicatedStore::new(fs.clone(), "job", 3).with_threads(1);
+        put_epoch(&rs, &cfg, 1, 0x11);
+        // Epoch 2 shares every chunk with epoch 1 and carries none.
+        let prepared = rs.prepare_chunked(&image(0x11, 1024), &[], &cfg);
+        assert_eq!(prepared.novel_count(), 0);
+        rs.discard_epoch(1);
+        let logs: Vec<_> = (0..3).map(|r| fs.read_file(&rs.log_path(r))).collect();
+        let err = rs.put_prepared("pod0", 2, PreparedPut::Chunked(prepared));
+        assert!(matches!(err, Err(MissingChunk(_))));
+        for r in 0..3 {
+            assert_eq!(fs.read_file(&rs.log_path(r)), logs[r], "replica {r} log");
+            assert!(!fs.exists(&rs.replica(r).manifest_path("pod0", 2)));
+        }
     }
 }

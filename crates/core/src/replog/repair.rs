@@ -151,7 +151,7 @@ impl ReplicatedStore {
         let (ops, _) = read_log(&self.fs, &self.log_path(r));
         let store = self.replica(r);
         for op in &ops {
-            apply_op(&store, op, None);
+            apply_op(&store, op, None, None);
         }
     }
 

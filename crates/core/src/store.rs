@@ -31,15 +31,17 @@
 //! chunks no retained epoch shares.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use simos::fs::NetFs;
-use zap::image::{ImageReader, ImageWriter, Sealed};
+use zap::image::Sealed;
 
-use crate::chunk::{self, ChunkId, CodecScratch};
-use crate::parpool::Pool;
+use crate::chunk::ChunkId;
 
+mod chunked;
 mod refs;
+
+pub(crate) use chunked::decode_manifest;
+pub use chunked::{MissingChunk, PreparedChunk, PreparedChunked};
 
 /// Magic number of a chunk manifest (`CRZM`).
 pub const MANIFEST_MAGIC: u32 = 0x4352_5a4d;
@@ -61,12 +63,13 @@ pub struct StoreConfig {
     pub dedup: bool,
     /// Apply the per-chunk RLE+LZ codec (only meaningful with `dedup`).
     pub compress: bool,
-    /// Worker threads for the parallel capture/restore pipeline: `0`
-    /// (default) resolves via `CRUZ_THREADS` / available parallelism, `1`
-    /// is the serial reference path, higher values shard the pure
-    /// hash/encode/decode kernels across that many workers. Produced bytes
-    /// are identical at every setting (see [`crate::parpool`]), so this is
-    /// a wall-clock knob only — never part of the digest-cache identity.
+    /// Worker threads for the parallel capture pipeline: `0` (default)
+    /// resolves via `CRUZ_THREADS` / available parallelism, `1` is the
+    /// serial reference path, higher values shard the pure hash/encode
+    /// kernels across that many workers. Restore decodes serially at
+    /// every setting. Produced bytes are identical at every setting (see
+    /// [`crate::parpool`]), so this is a wall-clock knob only — never part
+    /// of the digest-cache identity.
     pub threads: usize,
     /// Number of replica stores every logical write lands on (`1` = the
     /// unreplicated store, byte-identical to earlier versions). Values
@@ -103,93 +106,6 @@ impl StoreConfig {
             compress: true,
             ..StoreConfig::default()
         }
-    }
-}
-
-/// One chunk of a prepared (not yet applied) dedup write.
-#[derive(Debug, Clone)]
-pub struct PreparedChunk {
-    /// Content address.
-    pub id: ChunkId,
-    /// Exclusive end offset of this chunk's raw bytes within the image.
-    pub raw_end: u64,
-    /// The encoded chunk container (what the chunk file will hold).
-    /// Reference-counted so the page-digest cache can hand the same encoded
-    /// bytes to consecutive epochs without re-encoding or copying; `Arc`
-    /// (not `Rc`) so pool workers can produce segments on other threads.
-    pub stored: Arc<[u8]>,
-    /// True if the store lacked this chunk when the write was prepared —
-    /// the bytes that actually hit the disk.
-    pub novel: bool,
-}
-
-/// A dedup image write split into its cheap (hash/dedup, done at capture
-/// time) and effectful (filesystem mutation, done when the simulated disk
-/// write completes) halves, so the cluster can model the disk cost of
-/// exactly the novel bytes while deferring store mutation to the
-/// event that represents durability.
-#[derive(Debug, Clone)]
-pub struct PreparedChunked {
-    pub(crate) raw_len: u64,
-    pub(crate) manifest: Vec<u8>,
-    pub(crate) chunks: Vec<PreparedChunk>,
-    /// Content digest of the whole serialized image, written as the epoch's
-    /// digest sidecar so every read path can verify the reassembled bytes
-    /// end-to-end (a torn manifest that still decodes cleanly is caught
-    /// here, not just by the per-chunk checks).
-    pub(crate) raw_digest: ChunkId,
-}
-
-impl PreparedChunked {
-    /// Length of the original serialized image.
-    pub fn raw_len(&self) -> u64 {
-        self.raw_len
-    }
-
-    /// Content digest of the full serialized image (what the digest
-    /// sidecar will pin for end-to-end read verification).
-    pub fn image_digest(&self) -> ChunkId {
-        self.raw_digest
-    }
-
-    /// Length of the manifest file.
-    pub fn manifest_len(&self) -> u64 {
-        self.manifest.len() as u64
-    }
-
-    /// The serialized manifest. The manifest fixes every chunk id, segment
-    /// length, and stored length, so byte-equality of two manifests over
-    /// the same image proves two prepare paths did identical work — the
-    /// equivalence check the hot-path benchmarks and twin-path property
-    /// tests pin.
-    pub fn manifest(&self) -> &[u8] {
-        &self.manifest
-    }
-
-    /// The chunk writes the store will actually perform: `(raw_end,
-    /// stored_bytes)` per novel chunk, in image order. `raw_end` lets the
-    /// caller pipeline each write against the capture progress that
-    /// produces it.
-    pub fn novel_writes(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.chunks
-            .iter()
-            .filter(|c| c.novel)
-            .map(|c| (c.raw_end, c.stored.len() as u64))
-    }
-
-    /// Total bytes this write sends to disk (novel chunks + manifest).
-    pub fn new_bytes(&self) -> u64 {
-        self.novel_writes().map(|(_, b)| b).sum::<u64>() + self.manifest_len()
-    }
-
-    /// Total chunks the image splits into.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
-    /// Chunks absent from the store at prepare time.
-    pub fn novel_count(&self) -> usize {
-        self.chunks.iter().filter(|c| c.novel).count()
     }
 }
 
@@ -249,7 +165,7 @@ pub struct CheckpointStore {
     /// versions); replica stores use `/rep<i>` so k independent copies
     /// share one simulated filesystem without colliding.
     root: String,
-    /// Worker count for the pure capture/restore kernels (`0` = auto; see
+    /// Worker count for the pure capture kernels (`0` = auto; see
     /// [`StoreConfig::threads`]). Never changes produced bytes.
     threads: usize,
 }
@@ -266,7 +182,7 @@ impl CheckpointStore {
         }
     }
 
-    /// Sets the worker count for the parallel capture/restore kernels
+    /// Sets the worker count for the parallel capture kernels
     /// (`0` = auto, `1` = the serial reference path).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -359,15 +275,16 @@ impl CheckpointStore {
     /// Writes a pod image in the plain (monolithic) representation, plus
     /// its digest sidecar so reads can verify the body end-to-end.
     pub fn put_image(&self, pod_name: &str, epoch: u64, bytes: Vec<u8>) {
-        self.put_sealed(pod_name, epoch, Sealed::open(bytes));
+        let image = Sealed::open(bytes);
+        self.put_sealed(pod_name, epoch, image.digest().into(), image.into_bytes());
     }
 
-    /// [`CheckpointStore::put_image`] for bytes whose content digest their
-    /// encoder already computed: writes the sidecar from it, no fold.
-    fn put_sealed(&self, pod_name: &str, epoch: u64, image: Sealed) {
-        self.write_digest(pod_name, epoch, image.digest().into());
-        self.fs
-            .write_file(&self.image_path(pod_name, epoch), image.into_bytes());
+    /// [`CheckpointStore::put_image`] for bytes whose content digest is
+    /// already known (their encoder sealed them): writes the sidecar from
+    /// `digest`, no fold.
+    pub(crate) fn put_sealed(&self, pod_name: &str, epoch: u64, digest: ChunkId, bytes: Vec<u8>) {
+        self.write_digest(pod_name, epoch, digest);
+        self.fs.write_file(&self.image_path(pod_name, epoch), bytes);
     }
 
     /// Reads the digest sidecar of a pod image, if present and well-formed.
@@ -386,136 +303,30 @@ impl CheckpointStore {
         self.fs.write_file(&self.digest_path(pod_name, epoch), v);
     }
 
-    /// Splits a serialized image into content-addressed chunks and computes
-    /// which of them the store already holds. Pure with respect to the
-    /// store: nothing is written until [`CheckpointStore::put_prepared`].
-    /// `cuts` are the page-payload regions of `raw` (see
-    /// `PodImage::encode_with_page_cuts`), which pin chunk boundaries so
-    /// unchanged pages dedup across epochs.
-    pub fn prepare_chunked(
+    /// Applies a prepared write: stores the chunks it carries, writes the
+    /// manifest (or the plain image), and bumps chunk refcounts. Takes the
+    /// prepared write by value so its image bytes, chunk containers and
+    /// manifest move straight to the filesystem.
+    ///
+    /// # Errors
+    ///
+    /// [`MissingChunk`] when a chunked write names a chunk that was on disk
+    /// at prepare time and has been deleted since; the epoch then gets no
+    /// manifest, sidecar or chunk reference for the pod.
+    pub fn put_prepared(
         &self,
-        raw: &[u8],
-        cuts: &[(usize, usize)],
-        cfg: &StoreConfig,
-    ) -> PreparedChunked {
-        let ranges = chunk::split_ranges(raw.len(), cuts, cfg.chunk_bytes);
-        let pool = Pool::new(self.threads_for(cfg));
-        let mut seen = BTreeSet::new();
-        let mut chunks = Vec::with_capacity(ranges.len());
-        let mut mw = ImageWriter::new();
-        mw.u32(MANIFEST_MAGIC);
-        mw.u16(STORE_VERSION);
-        mw.u64(raw.len() as u64);
-        mw.u32(ranges.len() as u32);
-        if pool.threads() == 1 {
-            // The serial reference path, kept verbatim: per-range fold +
-            // fresh-allocation encode on the calling thread. This is the
-            // oracle every pooled prepare is property-tested against (and
-            // the threads=1 baseline `bench_parallel` measures from).
-            for (start, len) in ranges {
-                let seg = &raw[start..start + len];
-                let id = ChunkId::of(seg);
-                let stored: Arc<[u8]> = chunk::encode_chunk(seg, cfg.compress).into();
-                self.push_prepared(
-                    &mut mw,
-                    &mut seen,
-                    &mut chunks,
-                    id,
-                    start + len,
-                    len,
-                    stored,
-                );
-            }
-        } else {
-            // Fan the pure hash/encode work out across the pool; the
-            // ordered merge below does the filesystem-consulting novelty
-            // and size accounting in range order, exactly like the serial
-            // loop (the shared `NetFs` handle is single-threaded).
-            let encoded = encode_ranges(raw, &ranges, cfg.compress, &pool);
-            for (&(start, len), (id, stored)) in ranges.iter().zip(encoded) {
-                self.push_prepared(
-                    &mut mw,
-                    &mut seen,
-                    &mut chunks,
-                    id,
-                    start + len,
-                    len,
-                    stored,
-                );
-            }
-        }
-        PreparedChunked {
-            raw_len: raw.len() as u64,
-            manifest: mw.finish(),
-            chunks,
-            raw_digest: ChunkId::of(raw),
-        }
-    }
-
-    /// Appends one chunk's manifest record and [`PreparedChunk`], with the
-    /// live-filesystem novelty and size accounting both prepare paths
-    /// share. Size accounting prefers the bytes already on disk: a chunk
-    /// written earlier (possibly under another codec setting) is what a
-    /// restore will actually read.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn push_prepared(
-        &self,
-        mw: &mut ImageWriter,
-        seen: &mut BTreeSet<ChunkId>,
-        chunks: &mut Vec<PreparedChunk>,
-        id: ChunkId,
-        raw_end: usize,
-        seg_len: usize,
-        stored: Arc<[u8]>,
-    ) {
-        let path = self.chunk_path(id);
-        let stored_len = self.fs.len_of(&path).unwrap_or(stored.len() as u64);
-        mw.u64(id.0);
-        mw.u64(id.1);
-        mw.u32(seg_len as u32);
-        mw.u32(stored_len as u32);
-        let novel = seen.insert(id) && !self.fs.exists(&path);
-        chunks.push(PreparedChunk {
-            id,
-            raw_end: raw_end as u64,
-            stored,
-            novel,
-        });
-    }
-
-    /// Applies a prepared write: stores absent chunks, writes the manifest
-    /// (or the plain image), and bumps chunk refcounts. Takes the prepared
-    /// write by value so the plain arm moves its image bytes straight to the
-    /// filesystem (no clone of the full image) and the chunked arm moves
-    /// its manifest.
-    pub fn put_prepared(&self, pod_name: &str, epoch: u64, put: PreparedPut) {
+        pod_name: &str,
+        epoch: u64,
+        put: PreparedPut,
+    ) -> Result<(), MissingChunk> {
         match put {
             PreparedPut::Plain(bytes) => self.put_image(pod_name, epoch, bytes),
-            PreparedPut::Sealed(image) => self.put_sealed(pod_name, epoch, image),
-            PreparedPut::Chunked(c) => {
-                for ch in &c.chunks {
-                    let path = self.chunk_path(ch.id);
-                    if !self.fs.exists(&path) {
-                        self.fs.write_file(&path, ch.stored.to_vec());
-                    }
-                }
-                let mpath = self.manifest_path(pod_name, epoch);
-                // Idempotence under replay: re-applying a put whose
-                // identical manifest already landed (an operation-log
-                // replay after a replica crash) must not double-count the
-                // chunk references it already took.
-                let fresh = self.fs.read_file(&mpath).as_deref() != Some(&c.manifest[..]);
-                self.write_digest(pod_name, epoch, c.raw_digest);
-                self.fs.write_file(&mpath, c.manifest);
-                if fresh {
-                    let mut refs = self.read_refs();
-                    for ch in &c.chunks {
-                        *refs.entry(ch.id).or_insert(0) += 1;
-                    }
-                    self.write_refs(&refs);
-                }
+            PreparedPut::Sealed(image) => {
+                self.put_sealed(pod_name, epoch, image.digest().into(), image.into_bytes())
             }
+            PreparedPut::Chunked(c) => return self.put_chunked(pod_name, epoch, c),
         }
+        Ok(())
     }
 
     /// Applies only a torn prefix of a prepared write, modeling a disk
@@ -534,12 +345,12 @@ impl CheckpointStore {
             PreparedPut::Chunked(c) => {
                 let cutoff = c.raw_len * frac as u64 / 256;
                 for ch in &c.chunks {
-                    if !ch.novel || ch.raw_end > cutoff {
+                    let Some(stored) = ch.stored.as_ref().filter(|_| ch.raw_end <= cutoff) else {
                         continue;
-                    }
+                    };
                     let path = self.chunk_path(ch.id);
                     if !self.fs.exists(&path) {
-                        self.fs.write_file(&path, ch.stored.to_vec());
+                        self.fs.write_file(&path, stored.clone());
                     }
                 }
                 return;
@@ -578,8 +389,8 @@ impl CheckpointStore {
     /// [`ReadError::Corrupt`] when what it holds does not verify.
     pub fn read_sealed(&self, pod_name: &str, epoch: u64) -> Result<Sealed, ReadError> {
         let want = self.read_digest(pod_name, epoch);
-        let bytes = match self.fs.read_file(&self.image_path(pod_name, epoch)) {
-            Some(bytes) => bytes,
+        let image = match self.fs.read_file(&self.image_path(pod_name, epoch)) {
+            Some(bytes) => Sealed::open(bytes),
             None => match self.fs.read_file(&self.manifest_path(pod_name, epoch)) {
                 // Without a sidecar there is nothing to verify against, so
                 // the chunks are not worth reading.
@@ -593,9 +404,7 @@ impl CheckpointStore {
                 None => return Err(ReadError::Absent),
             },
         };
-        let want = want.ok_or(ReadError::Corrupt)?;
-        let image = Sealed::open(bytes);
-        if ChunkId::from(image.digest()) == want {
+        if Some(ChunkId::from(image.digest())) == want {
             Ok(image)
         } else {
             Err(ReadError::Corrupt)
@@ -628,36 +437,6 @@ impl CheckpointStore {
             }
         }
         Some(total)
-    }
-
-    fn reconstruct(&self, manifest: &[u8]) -> Option<Vec<u8>> {
-        let (raw_len, recs) = decode_manifest(manifest)?;
-        // Chunk files are read on the calling thread (the `NetFs` handle is
-        // single-threaded); the pure decompression fans out across the
-        // pool and reassembles in manifest order. Each decoded chunk must
-        // re-hash to the content address the manifest named it by — a chunk
-        // file whose torn tail still decodes cannot masquerade as the
-        // original — and the caller checks the assembled image against the
-        // digest sidecar, which closes the same hole for torn manifests.
-        let mut stored = Vec::with_capacity(recs.len());
-        for (id, seg_len, _) in recs {
-            stored.push((self.fs.read_file(&self.chunk_path(id))?, id, seg_len));
-        }
-        let pool = Pool::new(self.threads);
-        let decoded = pool.map_ordered(
-            stored,
-            || (),
-            |_, (bytes, id, seg_len): (Vec<u8>, ChunkId, u32)| {
-                chunk::decode_chunk(&bytes)
-                    .ok()
-                    .filter(|raw| raw.len() == seg_len as usize && ChunkId::of(raw) == id)
-            },
-        );
-        let mut out = Vec::with_capacity(raw_len as usize);
-        for raw in decoded {
-            out.extend_from_slice(&raw?);
-        }
-        (out.len() as u64 == raw_len).then_some(out)
     }
 
     // ---- commit bookkeeping -------------------------------------------------
@@ -807,61 +586,10 @@ impl CheckpointStore {
     }
 }
 
-/// Hashes and encodes image ranges through the worker pool, in input
-/// order: per-range `(ChunkId, stored container)` via the zero-page fast
-/// path and a per-worker [`CodecScratch`]. Byte-identical to the serial
-/// reference (`ChunkId::of` + fresh-allocation `encode_chunk`) — the
-/// zero-page and scratch-codec equivalences are pinned by chunk-level unit
-/// tests, the ordered merge by the `parallel_properties` twin-path
-/// proptests. Shared by [`CheckpointStore::prepare_chunked`] and the
-/// hinted prepare in [`crate::pagecache`].
-pub(crate) fn encode_ranges(
-    raw: &[u8],
-    ranges: &[(usize, usize)],
-    compress: bool,
-    pool: &Pool,
-) -> Vec<(ChunkId, Arc<[u8]>)> {
-    pool.map_ordered(
-        ranges.to_vec(),
-        CodecScratch::new,
-        |scratch, (start, len)| {
-            let seg = &raw[start..start + len];
-            if chunk::is_zero_page(seg) {
-                (chunk::zero_page_id(), chunk::zero_page_stored(compress))
-            } else {
-                (
-                    ChunkId::of(seg),
-                    chunk::encode_chunk_with(seg, compress, scratch).into(),
-                )
-            }
-        },
-    )
-}
-
-/// Parses a manifest into `(raw_len, [(id, seg_len, stored_len)])`.
-pub(crate) fn decode_manifest(bytes: &[u8]) -> Option<(u64, Vec<(ChunkId, u32, u32)>)> {
-    let mut r = ImageReader::verify(bytes).ok()?;
-    let parsed = (|| -> Result<Option<(u64, Vec<(ChunkId, u32, u32)>)>, zap::image::ImageError> {
-        if r.u32()? != MANIFEST_MAGIC || r.u16()? != STORE_VERSION {
-            return Ok(None);
-        }
-        let raw_len = r.u64()?;
-        let n = r.u32()?;
-        let mut recs = r.vec_for(n);
-        for _ in 0..n {
-            let id = ChunkId(r.u64()?, r.u64()?);
-            let seg_len = r.u32()?;
-            let stored_len = r.u32()?;
-            recs.push((id, seg_len, stored_len));
-        }
-        Ok(Some((raw_len, recs)))
-    })();
-    parsed.ok().flatten()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use zap::image::ImageWriter;
 
     #[test]
     fn manifest_with_a_huge_count_is_rejected_without_reserving_it() {
@@ -954,7 +682,7 @@ mod tests {
         let s = CheckpointStore::new(fs, "j");
         let (raw, cuts) = toy_image(32, 3, 0xaa);
         let put = s.prepare_chunked(&raw, &cuts, &cfg());
-        s.put_prepared("p", 1, PreparedPut::Chunked(put));
+        s.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
         s.commit(1);
         assert_eq!(s.get_image("p", 1), Some(raw.clone()));
         assert_eq!(s.image_len("p", 1), Some(raw.len() as u64));
@@ -972,7 +700,7 @@ mod tests {
         let (raw1, cuts1) = toy_image(32, 3, 0xaa);
         let put1 = s.prepare_chunked(&raw1, &cuts1, &cfg());
         let first_bytes = put1.new_bytes();
-        s.put_prepared("p", 1, PreparedPut::Chunked(put1));
+        s.put_prepared("p", 1, PreparedPut::Chunked(put1)).unwrap();
         s.commit(1);
         // Epoch 2: one block changed.
         let (raw2, cuts2) = toy_image(32, 3, 0xbb);
@@ -982,7 +710,7 @@ mod tests {
         // and below even the first (all-novel) dedup epoch.
         assert!(put2.new_bytes() * 5 < raw2.len() as u64);
         assert!(put2.new_bytes() < first_bytes);
-        s.put_prepared("p", 2, PreparedPut::Chunked(put2));
+        s.put_prepared("p", 2, PreparedPut::Chunked(put2)).unwrap();
         s.commit(2);
         assert_eq!(s.get_image("p", 2), Some(raw2));
         assert_eq!(s.get_image("p", 1), Some(raw1), "old epoch still intact");
@@ -995,10 +723,10 @@ mod tests {
         let (raw1, cuts1) = toy_image(16, 2, 0xaa);
         let (raw2, cuts2) = toy_image(16, 2, 0xbb);
         let put1 = PreparedPut::Chunked(s.prepare_chunked(&raw1, &cuts1, &cfg()));
-        s.put_prepared("p", 1, put1);
+        s.put_prepared("p", 1, put1).unwrap();
         s.commit(1);
         let put2 = PreparedPut::Chunked(s.prepare_chunked(&raw2, &cuts2, &cfg()));
-        s.put_prepared("p", 2, put2);
+        s.put_prepared("p", 2, put2).unwrap();
         s.commit(2);
         // Both epochs alive: the chunk set is the union of their manifests.
         let want: BTreeSet<ChunkId> = s
@@ -1029,7 +757,7 @@ mod tests {
         let s = CheckpointStore::new(fs, "j");
         let (raw, cuts) = toy_image(8, 1, 0xaa);
         let put = PreparedPut::Chunked(s.prepare_chunked(&raw, &cuts, &cfg()));
-        s.put_prepared("p", 1, put);
+        s.put_prepared("p", 1, put).unwrap();
         s.commit(1);
         assert!(s.orphan_chunks().is_empty(), "healthy store has no orphans");
         // Simulate a crash that persisted chunks but lost the manifest.
@@ -1092,7 +820,7 @@ mod tests {
         let put = s.prepare_chunked(&raw, &[], &cfg());
         assert_eq!(put.chunk_count(), 4);
         assert_eq!(put.novel_count(), 1);
-        s.put_prepared("p", 1, PreparedPut::Chunked(put));
+        s.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
         assert_eq!(s.live_chunks().len(), 1);
         s.discard_epoch(1);
         assert!(s.live_chunks().is_empty(), "all four references released");
@@ -1107,9 +835,56 @@ mod tests {
             "p",
             1,
             PreparedPut::Chunked(s.prepare_chunked(&raw, &cuts, &cfg())),
-        );
+        )
+        .unwrap();
         let victim = s.live_chunks()[0];
         s.fs.remove(&s.chunk_path(victim));
         assert_eq!(s.get_image("p", 1), None, "a torn image is not served");
+    }
+
+    #[test]
+    fn a_named_chunk_deleted_after_prepare_fails_the_put_closed() {
+        let fs = NetFs::new();
+        let s = CheckpointStore::new(fs, "j");
+        let (raw1, cuts1) = toy_image(8, 1, 0xaa);
+        let put1 = s.prepare_chunked(&raw1, &cuts1, &cfg());
+        s.put_prepared("p", 1, PreparedPut::Chunked(put1)).unwrap();
+        s.commit(1);
+        // Epoch 2 shares every chunk but the hot block's with epoch 1, so
+        // its prepare names them without carrying them.
+        let (raw2, cuts2) = toy_image(8, 1, 0xbb);
+        let put2 = s.prepare_chunked(&raw2, &cuts2, &cfg());
+        assert_eq!(put2.novel_count(), 1);
+        let shared = put2.chunks.iter().find(|c| !c.novel()).unwrap().id;
+        // Retiring epoch 1 in the gap deletes the chunks only it held.
+        s.discard_epoch(1);
+        assert!(!s.fs.exists(&s.chunk_path(shared)));
+        let refs_before = s.read_refs();
+        assert_eq!(
+            s.put_prepared("p", 2, PreparedPut::Chunked(put2)),
+            Err(MissingChunk(shared))
+        );
+        assert!(!s.fs.exists(&s.manifest_path("p", 2)), "no manifest");
+        assert!(!s.fs.exists(&s.digest_path("p", 2)), "no sidecar");
+        assert_eq!(s.read_refs(), refs_before, "no reference taken");
+        assert_eq!(s.read_sealed("p", 2), Err(ReadError::Absent));
+        // What the failed put stranded is orphaned, and GC reclaims it.
+        s.gc_orphan_chunks();
+        assert!(s.live_chunks().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "one name per range")]
+    fn a_sealed_prepare_short_of_one_name_panics() {
+        // A manifest whose header counts more records than it holds would
+        // be put and committed, then never decode: refused up front.
+        let s = CheckpointStore::new(NetFs::new(), "j");
+        let (raw, cuts) = toy_image(4, 1, 0x11);
+        let mut body = ImageWriter::new();
+        raw.iter().for_each(|&b| body.u8(b));
+        let (sealed, ranges, mut names) =
+            body.seal_named(|len| crate::chunk::split_ranges(len, &cuts, 256));
+        names.pop();
+        s.prepare_sealed(&sealed, &ranges, &names, &cfg());
     }
 }

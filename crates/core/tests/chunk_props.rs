@@ -120,7 +120,7 @@ proptest! {
             let fs = NetFs::new();
             let s = CheckpointStore::new(fs.clone(), "j");
             let put = s.prepare_chunked(&data, &cuts, &cfg);
-            s.put_prepared("p", 1, PreparedPut::Chunked(put));
+            s.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
             let mut files: Vec<(String, Vec<u8>)> = fs
                 .list("/ckpt/")
                 .into_iter()
@@ -137,7 +137,7 @@ proptest! {
         let fs = NetFs::new();
         let s = CheckpointStore::new(fs, "j");
         let put = s.prepare_chunked(&data, &cuts, &cfg);
-        s.put_prepared("p", 1, PreparedPut::Chunked(put));
+        s.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
         prop_assert_eq!(s.get_image("p", 1).expect("image reconstructs"), data);
     }
 }

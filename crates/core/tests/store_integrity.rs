@@ -42,7 +42,8 @@ fn cfg() -> StoreConfig {
 
 fn put_chunked(s: &CheckpointStore, pod: &str, epoch: u64, raw: &[u8], cuts: &[(usize, usize)]) {
     let prep = s.prepare_chunked(raw, cuts, &cfg());
-    s.put_prepared(pod, epoch, PreparedPut::Chunked(prep));
+    s.put_prepared(pod, epoch, PreparedPut::Chunked(prep))
+        .unwrap();
 }
 
 // ---- lifecycle (public API) -------------------------------------------------

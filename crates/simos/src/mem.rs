@@ -111,8 +111,8 @@ pub struct AddressSpace {
     areas: Vec<VmArea>,
     /// Private pages, keyed by page-aligned address.
     pages: BTreeMap<u64, Page>,
-    /// Pages written since the last [`AddressSpace::clear_dirty`] — the
-    /// book-keeping the capture path's page-digest cache consumes.
+    /// Pages written since the last [`AddressSpace::clear_dirty`] (every
+    /// checkpoint capture and restore re-baselines it).
     dirty: std::collections::BTreeSet<u64>,
     /// An armed copy-on-write snapshot, if a checkpoint drain is pending.
     cow: Option<CowSnapshot>,
@@ -314,8 +314,8 @@ impl AddressSpace {
     }
 
     /// Addresses of the pages written since the last
-    /// [`AddressSpace::clear_dirty`] — the set the capture path's
-    /// page-digest cache keys its clean-page reuse on.
+    /// [`AddressSpace::clear_dirty`]: a page outside the set still holds
+    /// what it held at that reset.
     pub fn dirty_set(&self) -> &std::collections::BTreeSet<u64> {
         &self.dirty
     }

@@ -21,7 +21,7 @@ pub const VERSION: u16 = 1;
 
 mod codec;
 
-pub use codec::{ContentDigest, ImageError, ImageReader, ImageWriter, Sealed};
+pub use codec::{Assembler, ContentDigest, ImageError, ImageReader, ImageWriter, Sealed};
 
 // ---- image structures --------------------------------------------------------
 
@@ -354,6 +354,24 @@ impl PodImage {
         let mut cuts = Vec::new();
         let sealed = self.write(&mut cuts).seal();
         (sealed, cuts)
+    }
+
+    /// [`PodImage::seal`], also naming the image's chunks in the same pass
+    /// ([`ImageWriter::seal_named`]). `split` receives the sealed length
+    /// and the page cuts [`PodImage::encode_with_page_cuts`] reports, and
+    /// returns the chunk ranges; the names are their content digests, in
+    /// range order.
+    ///
+    /// # Panics
+    ///
+    /// If the ranges `split` returns do not tile the sealed image.
+    pub fn seal_named(
+        &self,
+        split: impl FnOnce(usize, &[(usize, usize)]) -> Vec<(usize, usize)>,
+    ) -> (Sealed, Vec<(usize, usize)>, Vec<ContentDigest>) {
+        let mut cuts = Vec::new();
+        let w = self.write(&mut cuts);
+        w.seal_named(|len| split(len, &cuts))
     }
 
     /// Serializes everything but the checksum trailer, recording the bulk

@@ -4,7 +4,7 @@
 
 use std::fmt;
 
-use des::digest::{fold2, OFFSET, OFFSET_ALT};
+use des::digest::{fold2, fold4, OFFSET, OFFSET_ALT};
 
 use super::PodImage;
 
@@ -41,7 +41,7 @@ impl fmt::Display for ImageError {
 impl std::error::Error for ImageError {}
 
 /// Serializer for image structures.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct ImageWriter {
     buf: Vec<u8>,
 }
@@ -113,6 +113,55 @@ impl ImageWriter {
             bytes: self.buf,
             check: Ok(()),
         }
+    }
+
+    /// [`ImageWriter::seal`], also naming every chunk range of the sealed
+    /// image in the same pass.
+    ///
+    /// `split` receives the sealed length (body plus the 8-byte trailer)
+    /// and returns the `(start, len)` ranges that tile it, in order; a
+    /// range may straddle the trailer or lie inside it. Each range's name
+    /// is its own content digest, folded from [`OFFSET`] and
+    /// [`OFFSET_ALT`] (`cruz::chunk::ChunkId::of` of its bytes). The image
+    /// chains and the current range's chains advance together in one
+    /// `fold4`, so naming the chunks costs no second pass over the image.
+    ///
+    /// # Panics
+    ///
+    /// If the ranges do not tile `0..len` exactly.
+    pub fn seal_named(
+        mut self,
+        split: impl FnOnce(usize) -> Vec<(usize, usize)>,
+    ) -> (Sealed, Vec<(usize, usize)>, Vec<ContentDigest>) {
+        let body = self.buf.len();
+        let ranges = split(body + 8);
+        let mut image = [OFFSET, OFFSET_ALT];
+        let mut names = Vec::with_capacity(ranges.len());
+        let mut pos = 0;
+        for &(start, len) in &ranges {
+            assert_eq!(start, pos, "chunk ranges must tile the image");
+            let end = start + len;
+            let mut own = [OFFSET, OFFSET_ALT];
+            let head = end.min(body);
+            if start < head {
+                (image, own) = fold_both(image, own, &self.buf[start..head]);
+            }
+            if end > body {
+                if self.buf.len() == body {
+                    self.u64(image[0]);
+                }
+                (image, own) = fold_both(image, own, &self.buf[start.max(body)..end]);
+            }
+            names.push((own[0], own[1]));
+            pos = end;
+        }
+        assert_eq!(pos, body + 8, "chunk ranges must tile the image");
+        let sealed = Sealed {
+            digest: (image[0], image[1]),
+            bytes: self.buf,
+            check: Ok(()),
+        };
+        (sealed, ranges, names)
     }
 
     /// Bytes written so far (before `finish`).
@@ -224,6 +273,87 @@ impl<'a> ImageReader<'a> {
     /// True if all bytes were consumed.
     pub fn at_end(&self) -> bool {
         self.pos == self.data.len()
+    }
+}
+
+/// Advances an image's two chains and a chunk's two chains over the same
+/// bytes in one `fold4` pass.
+fn fold_both(image: [u64; 2], own: [u64; 2], data: &[u8]) -> ([u64; 2], [u64; 2]) {
+    let [a, b, c, d] = fold4([image[0], image[1], own[0], own[1]], data);
+    ([a, b], [c, d])
+}
+
+/// Reassembles an image from its chunks in order and opens it in the
+/// same pass: each [`Assembler::push`] appends a chunk, returns the
+/// chunk's own content digest and advances the image's chains, so the
+/// finished [`Sealed`] costs no further pass over the bytes.
+///
+/// The image chains are read at two points. At `len - 8` the `lo` chain
+/// is the checksum the trailer must hold; at `len` both chains are the
+/// image's [`ContentDigest`]. That is exactly what [`ImageReader::open`]
+/// computes over the same bytes.
+#[derive(Debug)]
+pub struct Assembler {
+    bytes: Vec<u8>,
+    len: usize,
+    image: [u64; 2],
+    /// The `lo` chain at `len - 8`, once the assembly has passed it.
+    sum: Option<u64>,
+}
+
+impl Assembler {
+    /// An empty assembly of an image declared to be `len` bytes long.
+    pub fn new(len: usize) -> Assembler {
+        Assembler {
+            bytes: Vec::with_capacity(len),
+            len,
+            image: [OFFSET, OFFSET_ALT],
+            sum: None,
+        }
+    }
+
+    /// Appends `piece` and returns its own content digest (folded from
+    /// [`OFFSET`] and [`OFFSET_ALT`]), computed in the pass that also
+    /// advances the image's chains.
+    pub fn push(&mut self, piece: &[u8]) -> ContentDigest {
+        let mut own = [OFFSET, OFFSET_ALT];
+        let mut rest = piece;
+        let pos = self.bytes.len();
+        if let Some(body) = self.len.checked_sub(8) {
+            if self.sum.is_none() && pos + piece.len() >= body {
+                let (head, tail) = piece.split_at(body - pos);
+                (self.image, own) = fold_both(self.image, own, head);
+                self.sum = Some(self.image[0]);
+                rest = tail;
+            }
+        }
+        (self.image, own) = fold_both(self.image, own, rest);
+        self.bytes.extend_from_slice(piece);
+        (own[0], own[1])
+    }
+
+    /// The assembled image with its digest and trailer verdict, or `None`
+    /// unless exactly the declared length was pushed.
+    pub fn finish(self) -> Option<Sealed> {
+        if self.bytes.len() != self.len {
+            return None;
+        }
+        let check = match self.sum {
+            None => Err(ImageError::Truncated),
+            Some(sum) => {
+                let trailer = &self.bytes[self.len - 8..];
+                if sum.to_le_bytes() == trailer {
+                    Ok(())
+                } else {
+                    Err(ImageError::BadChecksum)
+                }
+            }
+        };
+        Some(Sealed {
+            bytes: self.bytes,
+            digest: (self.image[0], self.image[1]),
+            check,
+        })
     }
 }
 

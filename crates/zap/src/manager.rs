@@ -20,7 +20,7 @@
 //! data in the alternate buffers served by the interposer.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -283,27 +283,8 @@ impl Zap {
         pod: PodId,
         now: SimTime,
     ) -> Result<PodImage, ZapError> {
-        let (image, _, _) = self.capture_pod(kernel, pod, now, false)?;
+        let (image, _) = self.capture_pod(kernel, pod, now, false)?;
         Ok(image)
-    }
-
-    /// Like [`Zap::checkpoint_pod`], additionally returning each thread
-    /// group's dirty-page set as of this capture (aligned with the image's
-    /// groups). Since every capture clears dirty tracking, a page *not* in
-    /// its group's set is byte-identical to the previous capture — the
-    /// invariant the store's page-digest cache reuses chunk work under.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Zap::checkpoint_pod`].
-    pub fn checkpoint_pod_dirty(
-        &self,
-        kernel: &mut Kernel,
-        pod: PodId,
-        now: SimTime,
-    ) -> Result<(PodImage, Vec<BTreeSet<u64>>), ZapError> {
-        let (image, _, dirty) = self.capture_pod(kernel, pod, now, false)?;
-        Ok((image, dirty))
     }
 
     /// The **arm** half of a copy-on-write checkpoint: freezes the pod,
@@ -326,27 +307,21 @@ impl Zap {
         pod: PodId,
         now: SimTime,
     ) -> Result<ArmedPodCheckpoint, ZapError> {
-        let (skeleton, spaces, dirty_at_arm) = self.capture_pod(kernel, pod, now, true)?;
-        Ok(ArmedPodCheckpoint {
-            skeleton,
-            spaces,
-            dirty_at_arm,
-        })
+        let (skeleton, spaces) = self.capture_pod(kernel, pod, now, true)?;
+        Ok(ArmedPodCheckpoint { skeleton, spaces })
     }
 
     /// Captures a pod. With `arm` false this is the eager §4.1 checkpoint;
     /// with `arm` true the private pages are left to a COW drain and the
     /// per-group address-space handles are returned alongside the page-less
-    /// skeleton image. The third element is each group's dirty-page set as
-    /// of this capture (collected just before the capture re-baselines
-    /// dirty tracking), aligned with the image's groups.
+    /// skeleton image.
     fn capture_pod(
         &self,
         kernel: &mut Kernel,
         pod: PodId,
         now: SimTime,
         arm: bool,
-    ) -> Result<(PodImage, Vec<Rc<RefCell<AddressSpace>>>, Vec<BTreeSet<u64>>), ZapError> {
+    ) -> Result<(PodImage, Vec<Rc<RefCell<AddressSpace>>>), ZapError> {
         self.stop_pod(kernel, pod, now)?;
         let st = self.state.borrow();
         let p = st.pods.get(&pod).ok_or(ZapError::NoSuchPod)?;
@@ -378,7 +353,6 @@ impl Zap {
         // Thread groups: unique address-space/fd-table pairs.
         let mut groups: Vec<GroupImage> = Vec::new();
         let mut group_spaces: Vec<Rc<RefCell<AddressSpace>>> = Vec::new();
-        let mut group_dirty: Vec<BTreeSet<u64>> = Vec::new();
         let mut group_index_by_leader: BTreeMap<Pid, u32> = BTreeMap::new();
         let mut pipe_index: BTreeMap<PipeId, u32> = BTreeMap::new();
         let mut pipe_images: Vec<PipeImage> = Vec::new();
@@ -416,7 +390,6 @@ impl Zap {
                     shm_index,
                 });
             }
-            group_dirty.push(mem.dirty_set().clone());
             let pages: Vec<(u64, Vec<u8>)> = if arm {
                 // COW: no page copied here — the snapshot stands in for them.
                 mem.cow_arm();
@@ -553,7 +526,6 @@ impl Zap {
                 procs: proc_images,
             },
             group_spaces,
-            group_dirty,
         ))
     }
 
@@ -695,8 +667,7 @@ impl Zap {
                 space.install_page(*addr, data);
             }
             // A restored space equals its image, so its dirty set starts
-            // empty: the next capture's set (what the store's page-digest
-            // cache trusts) names only pages written since this restore.
+            // empty and names only pages written since this restore.
             space.clear_dirty();
             let mut fds = FdTable::new();
             for (fd, di) in &g.fds {
@@ -815,10 +786,6 @@ pub struct ArmedPodCheckpoint {
     skeleton: PodImage,
     /// Armed address spaces, aligned with `skeleton.groups`.
     spaces: Vec<Rc<RefCell<AddressSpace>>>,
-    /// Per-group dirty sets as of the arm instant (the capture that armed
-    /// the snapshots also re-baselined dirty tracking), aligned with
-    /// `skeleton.groups`.
-    dirty_at_arm: Vec<BTreeSet<u64>>,
 }
 
 impl ArmedPodCheckpoint {
@@ -856,15 +823,6 @@ impl ArmedPodCheckpoint {
     /// completed image plus the pre-image copy bytes the snapshot window
     /// cost. Byte-identical to an eager checkpoint taken at arm time.
     pub fn drain(self) -> (PodImage, u64) {
-        let (image, copied, _) = self.drain_with_dirty();
-        (image, copied)
-    }
-
-    /// [`ArmedPodCheckpoint::drain`], additionally returning each group's
-    /// dirty-page set as of the arm instant. The drained pages are the
-    /// arm-time contents, so exactly as for an eager capture, a page *not*
-    /// in its group's set is byte-identical to the previous capture.
-    pub fn drain_with_dirty(self) -> (PodImage, u64, Vec<BTreeSet<u64>>) {
         let mut image = self.skeleton;
         let mut copied = 0;
         for (group, space) in image.groups.iter_mut().zip(&self.spaces) {
@@ -872,7 +830,7 @@ impl ArmedPodCheckpoint {
             group.pages = mem.cow_snapshot_pages();
             copied += mem.cow_disarm();
         }
-        (image, copied, self.dirty_at_arm)
+        (image, copied)
     }
 
     /// Abandons the checkpoint (abort path): disarms every snapshot

@@ -10,7 +10,8 @@
 //! * the packed-key event queue vs the two-field reference queue;
 //! * the page-digest-cached `prepare_chunked_hinted` vs `prepare_chunked`
 //!   across multi-epoch histories with arbitrary rewrites and false-dirty
-//!   hints.
+//!   hints, and with epochs prepared but never put (so the remembered
+//!   containers, not the store, supply clean pages the store lacks).
 
 use bench::hotpath::{queue_optimized_churn, queue_reference_churn, RefQueue};
 use cruz_repro::cruz::chunk::{self, ChunkId, CodecScratch};
@@ -132,6 +133,9 @@ struct EpochPlan {
     /// Header length for this epoch's serialization (metadata shifts the
     /// page cuts around between epochs).
     header_len: usize,
+    /// Whether the prepared epoch is put (an unput prepare leaves its
+    /// chunks absent from the store for the next epoch).
+    put: bool,
 }
 
 const PROP_PAGE: usize = 256;
@@ -158,11 +162,13 @@ fn arb_history(pages: usize) -> impl Strategy<Value = Vec<EpochPlan>> {
             proptest::collection::vec(proptest::option::of(any::<u8>()), pages..=pages),
             proptest::collection::vec(any::<bool>(), pages..=pages),
             0usize..48,
+            any::<bool>(),
         )
-            .prop_map(|(rewrites, false_dirty, header_len)| EpochPlan {
+            .prop_map(|(rewrites, false_dirty, header_len, put)| EpochPlan {
                 rewrites,
                 false_dirty,
                 header_len,
+                put,
             }),
         1..5,
     )
@@ -175,7 +181,8 @@ proptest! {
     /// unchanged pages arbitrarily claimed dirty, metadata shifting the
     /// cuts — the cached prepare produces manifests and reconstructed
     /// images byte-identical to the reference path, with the cache
-    /// contents surviving commits between epochs.
+    /// contents surviving commits between epochs and serving the
+    /// containers of epochs that were never put.
     #[test]
     fn cached_prepare_matches_reference_across_epochs(
         history in arb_history(6),
@@ -218,12 +225,15 @@ proptest! {
             prop_assert_eq!(hinted.manifest(), reference.manifest());
             prop_assert_eq!(hinted.novel_count(), reference.novel_count());
             prop_assert_eq!(hinted.new_bytes(), reference.new_bytes());
+            if !plan.put {
+                continue;
+            }
 
             // Commit both epochs so novelty accounting evolves, then prove
             // the hinted store reconstructs the exact image.
             let e = epoch as u64;
-            hinted_store.put_prepared("pod", e, PreparedPut::Chunked(hinted));
-            reference_store.put_prepared("pod", e, PreparedPut::Chunked(reference));
+            hinted_store.put_prepared("pod", e, PreparedPut::Chunked(hinted)).unwrap();
+            reference_store.put_prepared("pod", e, PreparedPut::Chunked(reference)).unwrap();
             let round = hinted_store.get_image("pod", e);
             prop_assert_eq!(round.as_deref(), Some(&raw[..]));
         }

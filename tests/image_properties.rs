@@ -5,10 +5,7 @@
 //! against its two-pass definition (checksum fold + `ChunkId::of`), both
 //! in the codec and through every store read path.
 
-use std::collections::BTreeSet;
-
-use cruz_repro::cruz::chunk::ChunkId;
-use cruz_repro::cruz::pagecache::{page_hints, DigestCache};
+use cruz_repro::cruz::chunk::{split_ranges, ChunkId};
 use cruz_repro::cruz::store::{CheckpointStore, PreparedPut, ReadError, StoreConfig};
 use cruz_repro::cruz::ReplicatedStore;
 use cruz_repro::simnet::addr::{IpAddr, MacAddr, SockAddr};
@@ -463,6 +460,19 @@ proptest! {
     }
 
     #[test]
+    fn seal_named_names_every_range_in_the_sealing_pass(img in arb_image(), chunk in 1usize..300) {
+        let (bytes, cuts) = img.encode_with_page_cuts();
+        let (sealed, ranges, names) =
+            img.seal_named(|len, cuts| split_ranges(len, cuts, chunk));
+        prop_assert_eq!(&sealed, &img.seal());
+        prop_assert_eq!(&ranges, &split_ranges(bytes.len(), &cuts, chunk));
+        prop_assert_eq!(names.len(), ranges.len());
+        for (&(s, l), &name) in ranges.iter().zip(&names) {
+            prop_assert_eq!(ChunkId::from(name), ChunkId::of(&bytes[s..s + l]));
+        }
+    }
+
+    #[test]
     fn one_pass_reader_matches_two_passes_on_arbitrary_bytes(
         bytes in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
@@ -498,8 +508,8 @@ proptest! {
             }
             _ => img.seal(),
         };
-        sealed_store.put_prepared("p", 1, PreparedPut::Sealed(sealed));
-        plain_store.put_prepared("p", 1, PreparedPut::Plain(bytes));
+        sealed_store.put_prepared("p", 1, PreparedPut::Sealed(sealed)).unwrap();
+        plain_store.put_prepared("p", 1, PreparedPut::Plain(bytes)).unwrap();
         // The sealed put writes the same image and sidecar bytes.
         prop_assert_eq!(tree(&sealed_fs), tree(&plain_fs));
         if let Damage::Stored { at } = damage {
@@ -522,22 +532,30 @@ proptest! {
         let fs = NetFs::new();
         let store = CheckpointStore::new(fs.clone(), "j");
         let cfg = StoreConfig { chunk_bytes: 64, ..StoreConfig::dedup_compress() };
-        let (sealed, cuts) = match damage {
+        let split = |len: usize, cuts: &[(usize, usize)]| split_ranges(len, cuts, cfg.chunk_bytes);
+        let (_, cuts) = img.encode_with_page_cuts();
+        let (sealed, ranges, names) = match damage {
             Damage::Written { at } => {
-                let (mut bytes, cuts) = img.encode_with_page_cuts();
+                // Damaged before the put: named by folding each range.
+                let mut bytes = img.encode();
                 flip_at(&mut bytes, at);
-                (Sealed::open(bytes), cuts)
+                let ranges = split(bytes.len(), &cuts);
+                let names = ranges
+                    .iter()
+                    .map(|&(s, l)| {
+                        let id = ChunkId::of(&bytes[s..s + l]);
+                        (id.0, id.1)
+                    })
+                    .collect::<Vec<_>>();
+                (Sealed::open(bytes), ranges, names)
             }
-            _ => img.seal_with_page_cuts(),
+            _ => img.seal_named(split),
         };
-        let dirty = vec![BTreeSet::new(); img.groups.len()];
-        let hints = page_hints(&img, &cuts, &dirty);
-        let mut cache = DigestCache::new();
-        let put = store.prepare_sealed_hinted(&sealed, &hints, &cfg, "p", &mut cache);
+        let put = store.prepare_sealed(&sealed, &ranges, &names, &cfg);
         let reference = store.prepare_chunked(sealed.bytes(), &cuts, &cfg);
         prop_assert_eq!(put.manifest(), reference.manifest());
         prop_assert_eq!(put.image_digest(), reference.image_digest());
-        store.put_prepared("p", 1, PreparedPut::Chunked(put));
+        store.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
         if let Damage::Stored { at } = damage {
             let chunks = store.live_chunks();
             let victim = chunks[((chunks.len() - 1) as f64 * at) as usize];
@@ -555,7 +573,7 @@ proptest! {
     ) {
         let fs = NetFs::new();
         let rs = ReplicatedStore::new(fs.clone(), "j", 3);
-        rs.put_prepared("p", 1, PreparedPut::Sealed(img.seal()));
+        rs.put_prepared("p", 1, PreparedPut::Sealed(img.seal())).unwrap();
         rs.commit(1);
         flip_file(&fs, &rs.replica(victim).image_path("p", 1), at);
         let got = rs.get_image("p", 1);

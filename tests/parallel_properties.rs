@@ -5,7 +5,7 @@
 //! * pooled `prepare_chunked` vs the verbatim `threads == 1` legacy loop,
 //!   across arbitrary payloads, cut layouts, chunk sizes and codec
 //!   settings;
-//! * pooled restore (`get_image`) vs serial reassembly, including images
+//! * restore (`get_image`) through stores of every width, including images
 //!   persisted by a pooled prepare and read back serially (and vice
 //!   versa — the store bytes are width-independent, so any combination
 //!   round-trips);
@@ -80,7 +80,7 @@ proptest! {
         // Persist through an arbitrary width, read back through every
         // width: store bytes and reconstruction are width-independent.
         let put = store.prepare_chunked(&data, &cuts, &StoreConfig { threads: writer_width, ..serial_cfg });
-        store.put_prepared("p", 1, PreparedPut::Chunked(put));
+        store.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
         for &t in [1usize, 2, 4, 8].iter() {
             let reader = CheckpointStore::new(fs.clone(), "j").with_threads(t);
             let round = reader.get_image("p", 1);
@@ -193,7 +193,7 @@ proptest! {
                     "manifest at threads={} epoch={}", cfg.threads, epoch
                 );
                 prop_assert_eq!(hinted.novel_count(), reference.novel_count());
-                store.put_prepared("pod", epoch as u64, PreparedPut::Chunked(hinted));
+                store.put_prepared("pod", epoch as u64, PreparedPut::Chunked(hinted)).unwrap();
                 let got = (cache.hits(), cache.misses());
                 match counts {
                     None => counts = Some(got),
@@ -203,7 +203,7 @@ proptest! {
                     ),
                 }
             }
-            reference_store.put_prepared("pod", epoch as u64, PreparedPut::Chunked(reference));
+            reference_store.put_prepared("pod", epoch as u64, PreparedPut::Chunked(reference)).unwrap();
             // Every lane reconstructs the exact image it persisted.
             for (cfg, store, _) in lanes.iter() {
                 let round = store.get_image("pod", epoch as u64);

@@ -58,12 +58,14 @@ fn apply_step(rs: &ReplicatedStore, cfg: &StoreConfig, next_epoch: &mut u64, fil
         0 => {
             let raw = image(fill, 1024);
             let prep = rs.prepare_chunked(&raw, &[], cfg);
-            rs.put_prepared("pod0", *next_epoch, PreparedPut::Chunked(prep));
+            rs.put_prepared("pod0", *next_epoch, PreparedPut::Chunked(prep))
+                .unwrap();
             rs.commit(*next_epoch);
             *next_epoch += 1;
         }
         1 => {
-            rs.put_prepared("pod0", *next_epoch, PreparedPut::Plain(image(fill, 700)));
+            rs.put_prepared("pod0", *next_epoch, PreparedPut::Plain(image(fill, 700)))
+                .unwrap();
             rs.commit(*next_epoch);
             *next_epoch += 1;
         }
@@ -123,7 +125,7 @@ proptest! {
         let rs = ReplicatedStore::new(fs.clone(), "job", 3).with_threads(1);
         let base = image(fill, 1024);
         let prep = rs.prepare_chunked(&base, &[], &cfg);
-        rs.put_prepared("pod0", 1, PreparedPut::Chunked(prep));
+        rs.put_prepared("pod0", 1, PreparedPut::Chunked(prep)).unwrap();
         rs.commit(1);
         install_replica_faults(&fs, &[ReplicaFault {
             replica: victim,
@@ -133,7 +135,7 @@ proptest! {
         }]);
         let second = image(fill.wrapping_add(0x5b), 1024);
         let prep = rs.prepare_chunked(&second, &[], &cfg);
-        rs.put_prepared("pod0", 2, PreparedPut::Chunked(prep));
+        rs.put_prepared("pod0", 2, PreparedPut::Chunked(prep)).unwrap();
         rs.commit(2);
 
         rs.scrub_and_repair();
