@@ -15,25 +15,10 @@
 #   5. tests            — every suite, including the same-seed
 #                         byte-identical-images regression test
 #   6. bench smoke      — `--quick` runs of the store-ablation,
-#                         Fig 5(a), COW-downtime and recovery binaries
-#                         (their asserts are the check)
-#   7. hotpath smoke    — ref/opt micro-bench pairs must agree
-#                         byte-for-byte, hit the speedup floors, and the
-#                         image digests pinned in the cow/recovery JSON
-#                         must be untouched by the optimization pass
-#   8. parallel smoke   — pooled capture at threads 1/2/4/8 must
-#                         produce byte-identical manifests, store files
-#                         and restored images (the serial path is the
-#                         oracle; restore itself is serial at every
-#                         width), and the pinned image digests must
-#                         survive the pool too
-#   9. replication smoke— kill k-1 of k replica stores mid-checkpoint;
-#                         the job must heal with byte-identical rollback
-#                         images and write amplification tracking k
-#  10. chaos smoke      — replays three pinned fault-plan seeds and
-#                         demands byte-identical event traces, then the
-#                         same for three pinned replica-kill plans at k=3
-#  11. loopback smoke   — the twin-carrier demo: one checkpoint →
+#                         Fig 5(a), COW-downtime, recovery and replication
+#                         experiment binaries (their asserts are the check;
+#                         they print to stdout and write no file)
+#   7. loopback smoke   — the twin-carrier demo: one checkpoint →
 #                         crash → restore cycle on the sim carrier and
 #                         the same engine on the loopback carrier (real
 #                         UDP sockets, wall clock) must restore the exact
@@ -41,7 +26,7 @@
 #                         latency and coordination overhead (the bin
 #                         prints SKIPPED and exits 0 where the sandbox
 #                         forbids even 127.0.0.1 sockets)
-#  12. ledger smoke     — the benchmark's own tests (BENCHMARK.json and
+#   8. ledger smoke     — the benchmark's own tests (BENCHMARK.json and
 #                         its code agree), then 2 s `compute`, `stream`,
 #                         `slm-stw` and `slm-dedup-cow` runs that must each
 #                         report "correct": true with no failed operation:
@@ -56,12 +41,20 @@
 #                         codec, the replicated log or the COW drain that
 #                         breaks the dedup store's rollback fails on
 #                         `slm-dedup-cow`
+#   9. clean tree       — the run changed no tracked file and left no new
+#                         untracked one (a bin or test that writes into
+#                         the repository fails here)
 #
 # Everything runs offline: the only dependencies are the vendored stubs
 # under vendor/ (see DESIGN.md, "Offline builds").
 set -eu
 
 cd "$(dirname "$0")"
+
+tree_state() {
+    { git status --porcelain; git diff HEAD; } | cksum
+}
+tree_before=$(tree_state)
 
 echo "== no build artifacts tracked"
 if git ls-files -- 'target/' '*/target/' | grep -q .; then
@@ -94,25 +87,7 @@ cargo run --offline -q --release -p bench --bin store_dedup -- --quick
 cargo run --offline -q --release -p bench --bin fig5a -- --quick
 cargo run --offline -q --release -p bench --bin cow_downtime -- --quick
 cargo run --offline -q --release -p bench --bin recovery -- --quick
-
-echo "== hotpath smoke (--quick)"
-# Runs after cow_downtime/recovery so their JSON (with the pinned image
-# digests) is fresh; bench_hotpath re-checks those digests and writes
-# BENCH_hotpath.json.
-cargo run --offline -q --release -p bench --bin bench_hotpath -- --quick
-
-echo "== parallel smoke (--quick)"
-# Byte-identity across pool widths is asserted unconditionally; the
-# throughput floor only gates on hosts with >=4 CPUs (recorded in
-# BENCH_parallel.json as host_cpus either way).
-cargo run --offline -q --release -p bench --bin bench_parallel -- --quick
-
-echo "== replication smoke (--quick)"
 cargo run --offline -q --release -p bench --bin bench_replication -- --quick
-
-echo "== chaos smoke (pinned fault-plan replay)"
-cargo run --offline -q --release -p bench --bin chaos
-cargo run --offline -q --release -p bench --bin bench_replication -- --chaos
 
 echo "== loopback smoke (real-socket twin-runtime demo)"
 # The loopback carrier stops stepping after a fixed 30 s wall budget, so
@@ -134,5 +109,12 @@ for workload in compute stream slm-stw slm-dedup-cow; do
             ;;
     esac
 done
+
+echo "== clean tree"
+if [ "$(tree_state)" != "$tree_before" ]; then
+    echo "error: the run changed the working tree:" >&2
+    git status --short >&2
+    exit 1
+fi
 
 echo "ci: all green"

@@ -2,68 +2,15 @@
 //! success and MTTR with k−1 of k replica stores killed mid-checkpoint,
 //! and the write amplification replication pays for it.
 //!
-//! Emits a machine-readable `BENCH_replication.json` so the robustness
-//! trajectory is tracked across PRs. The asserts are the check: the job
-//! heals at every k, the restored images are byte-identical across the
-//! sweep, and storage grows with k in the expected band.
+//! The asserts are the check: the job heals at every k, the restored
+//! images are byte-identical across the sweep, and storage grows with k in
+//! the expected band.
 //!
-//! `--quick` sweeps only k ∈ {1, 3} as a CI smoke test. `--chaos` instead
-//! replays pinned replica-kill fault-plan seeds twice each and demands
-//! byte-identical event traces (the replica fault plane must be exactly
-//! as deterministic as the rest of the world).
+//! `--quick` sweeps only k ∈ {1, 3} as a CI smoke test.
 
-use bench::replication::{replica_chaos_fingerprints, run_replication_sweep, ReplicationRow};
-
-const PINNED: [(u64, u64); 3] = [(1, 7), (2, 19), (9, 104)];
-
-fn json_row(r: &ReplicationRow, write_amp: f64) -> String {
-    format!(
-        concat!(
-            "    {{\"k\": {}, \"replicas_killed\": {}, \"restore_ok\": {}, ",
-            "\"detection_ms\": {:.3}, \"mttr_ms\": {:.3}, \"scrubbed\": {}, ",
-            "\"stored_bytes\": {}, \"write_amp_vs_k1\": {:.3}, ",
-            "\"image_digest\": \"{:#018x}\"}}"
-        ),
-        r.k,
-        r.replicas_killed,
-        r.restore_ok,
-        r.detection.as_micros_f64() / 1000.0,
-        r.mttr.as_micros_f64() / 1000.0,
-        r.scrubbed,
-        r.stored_bytes,
-        write_amp,
-        r.image_digest,
-    )
-}
-
-fn chaos_main() {
-    println!(
-        "# replica-kill chaos replay: {} pinned seeds at k = 3",
-        PINNED.len()
-    );
-    println!(
-        "{:>11} {:>10} {:>20} {:>12}",
-        "world_seed", "plan_seed", "trace_digest", "events"
-    );
-    for (world_seed, plan_seed) in PINNED {
-        let (a, b) = replica_chaos_fingerprints(world_seed, plan_seed);
-        assert_eq!(
-            a, b,
-            "replica chaos replay of plan seed {plan_seed} (world {world_seed}) diverged"
-        );
-        println!(
-            "{:>11} {:>10} {:>#20x} {:>12}",
-            world_seed, plan_seed, a.0, a.1
-        );
-    }
-    println!("# all pinned replica-kill plans replay byte-for-byte");
-}
+use bench::replication::run_replication_sweep;
 
 fn main() {
-    if std::env::args().any(|a| a == "--chaos") {
-        chaos_main();
-        return;
-    }
     let quick = std::env::args().any(|a| a == "--quick");
     let ks: &[usize] = if quick { &[1, 3] } else { &[1, 2, 3, 5] };
 
@@ -119,19 +66,4 @@ fn main() {
     }
     println!("# restore succeeded at every k with byte-identical rollback images");
     println!("# write amplification tracks ~2k (store trees + compacted operation logs)");
-
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"replication\",\n  \"scenario\": ",
-            "\"kill k-1 replica stores and the client node mid-checkpoint, heal via scrub+rollback\",\n",
-            "  \"seed\": 7,\n  \"points\": [\n{}\n  ]\n}}\n"
-        ),
-        rows.iter()
-            .zip(&amps)
-            .map(|(r, &amp)| json_row(r, amp))
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    std::fs::write("BENCH_replication.json", json).expect("write BENCH_replication.json");
-    println!("# wrote BENCH_replication.json");
 }

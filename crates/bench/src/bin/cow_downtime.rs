@@ -1,32 +1,14 @@
 //! The copy-on-write downtime ablation: per-epoch pod freeze (p50/p99),
 //! end-to-end epoch latency and extra pre-image copy traffic of the slm
 //! ring under stop-the-world, §5.2 background-writeback, and full COW
-//! capture — the Fig. 5(a) workload attacked from the downtime axis.
-//!
-//! Also emits a machine-readable `BENCH_cow_downtime.json` next to the
-//! working directory so the perf trajectory is tracked across PRs.
+//! capture — the Fig. 5(a) workload attacked from the downtime axis
+//! (EXPERIMENTS.md E15).
 //!
 //! `--quick` runs fewer epochs as a CI smoke test; the asserts (≥5× p50
 //! freeze reduction, byte-identical images, nonzero COW copy traffic) are
 //! the check either way.
 
-use bench::cow::{run_cow_sweep, CowRow};
-
-fn json_row(r: &CowRow) -> String {
-    format!(
-        concat!(
-            "    {{\"label\": \"{}\", \"p50_freeze_us\": {:.1}, ",
-            "\"p99_freeze_us\": {:.1}, \"mean_epoch_latency_us\": {:.1}, ",
-            "\"extra_copy_bytes\": {}, \"image_digest\": \"{:#018x}\"}}"
-        ),
-        r.label,
-        r.p50_freeze().as_micros_f64(),
-        r.p99_freeze().as_micros_f64(),
-        r.mean_epoch_latency().as_micros_f64(),
-        r.extra_copy_bytes,
-        r.image_digest,
-    )
-}
+use bench::cow::run_cow_sweep;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -79,11 +61,4 @@ fn main() {
     );
     println!("# cow p50 freeze reduction vs stop-the-world: {speedup:.1}x");
     println!("# restored images byte-identical across all capture modes");
-
-    let json = format!(
-        "{{\n  \"bench\": \"cow_downtime\",\n  \"ranks\": {ranks},\n  \"state_bytes\": {state_bytes},\n  \"checkpoints\": {checkpoints},\n  \"p50_freeze_speedup_cow_vs_stw\": {speedup:.2},\n  \"variants\": [\n{}\n  ]\n}}\n",
-        rows.iter().map(json_row).collect::<Vec<_>>().join(",\n"),
-    );
-    std::fs::write("BENCH_cow_downtime.json", json).expect("write BENCH_cow_downtime.json");
-    println!("# wrote BENCH_cow_downtime.json");
 }

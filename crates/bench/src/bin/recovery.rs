@@ -2,32 +2,13 @@
 //! a seeded fault plan and measure detection latency and mean-time-to-repair
 //! of the self-healing manager across heartbeat intervals.
 //!
-//! Also emits a machine-readable `BENCH_recovery.json` next to the working
-//! directory so the robustness trajectory is tracked across PRs.
-//!
 //! `--quick` sweeps fewer operating points as a CI smoke test; the asserts
 //! (job healed at every point, rollback exact, detection monotone in the
 //! heartbeat interval, byte-identical committed images) are the check
 //! either way.
 
-use bench::recovery::{run_recovery_sweep, RecoveryRow};
+use bench::recovery::run_recovery_sweep;
 use des::SimDuration;
-
-fn json_row(r: &RecoveryRow) -> String {
-    format!(
-        concat!(
-            "    {{\"heartbeat_interval_ms\": {:.1}, \"heartbeat_timeout_ms\": {:.1}, ",
-            "\"detection_ms\": {:.3}, \"mttr_ms\": {:.3}, ",
-            "\"rollback_epoch\": {}, \"image_digest\": \"{:#018x}\"}}"
-        ),
-        r.heartbeat_interval.as_micros_f64() / 1000.0,
-        r.heartbeat_timeout.as_micros_f64() / 1000.0,
-        r.detection.as_micros_f64() / 1000.0,
-        r.mttr.as_micros_f64() / 1000.0,
-        r.rollback_epoch,
-        r.image_digest,
-    )
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -83,11 +64,4 @@ fn main() {
     }
     println!("# detection bounded by one heartbeat round at every operating point");
     println!("# rollback epoch and restored image digest identical across the sweep");
-
-    let json = format!(
-        "{{\n  \"bench\": \"recovery\",\n  \"scenario\": \"crash client node at local-done-to-durable, heal via heartbeat\",\n  \"seed\": 7,\n  \"points\": [\n{}\n  ]\n}}\n",
-        rows.iter().map(json_row).collect::<Vec<_>>().join(",\n"),
-    );
-    std::fs::write("BENCH_recovery.json", json).expect("write BENCH_recovery.json");
-    println!("# wrote BENCH_recovery.json");
 }

@@ -207,8 +207,10 @@ mod tests {
         assert_eq!(stw.extra_copy_bytes, 0);
         assert_eq!(wb.extra_copy_bytes, 0);
         assert!(cow.extra_copy_bytes > 0, "drain never raced guest writes");
-        // Capture discipline is invisible in the stored epoch.
+        // Capture discipline is invisible in the stored epoch, and the
+        // epoch's bytes are pinned: no later pass may move one of them.
         assert_eq!(stw.image_digest, wb.image_digest);
         assert_eq!(stw.image_digest, cow.image_digest);
+        assert_eq!(stw.image_digest, 0x7163_5655_e9e7_0ed2);
     }
 }

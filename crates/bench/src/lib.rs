@@ -14,9 +14,7 @@ pub mod cow;
 pub mod dedup;
 pub mod fig5;
 pub mod fig6;
-pub mod hotpath;
 pub mod overhead;
-pub mod parallel;
 pub mod recovery;
 pub mod replication;
 pub mod util;

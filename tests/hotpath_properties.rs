@@ -7,13 +7,16 @@
 //! * the scratch-reusing chunk codec vs fresh-allocation encode (including
 //!   decode round-trips, which exercise the decoded-length preallocation);
 //! * the zero-page shortcut vs the slow path;
-//! * the packed-key event queue vs the two-field reference queue;
+//! * the packed-key event queue vs the two-field reference queue (kept
+//!   here as [`RefQueue`]);
 //! * the page-digest-cached `prepare_chunked_hinted` vs `prepare_chunked`
 //!   across multi-epoch histories with arbitrary rewrites and false-dirty
 //!   hints, and with epochs prepared but never put (so the remembered
 //!   containers, not the store, supply clean pages the store lacks).
 
-use bench::hotpath::{queue_optimized_churn, queue_reference_churn, RefQueue};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use cruz_repro::cruz::chunk::{self, ChunkId, CodecScratch};
 use cruz_repro::cruz::pagecache::{DigestCache, PageHint};
 use cruz_repro::cruz::store::{CheckpointStore, PreparedPut, StoreConfig};
@@ -21,6 +24,92 @@ use cruz_repro::des::digest;
 use cruz_repro::des::{EventQueue, SimTime};
 use cruz_repro::simos::fs::NetFs;
 use proptest::prelude::*;
+
+/// The pre-optimization event-queue entry: time and sequence number as
+/// separate fields compared lexicographically.
+#[derive(Debug)]
+struct RefEntry {
+    at: SimTime,
+    seq: u64,
+    payload: u64,
+}
+
+impl PartialEq for RefEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+impl Eq for RefEntry {}
+impl PartialOrd for RefEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for RefEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The pre-optimization event queue (two-field comparator), FIFO on ties:
+/// the reference the packed-key [`EventQueue`] must match.
+#[derive(Debug, Default)]
+struct RefQueue {
+    heap: BinaryHeap<RefEntry>,
+    seq: u64,
+}
+
+/// The two queue implementations under one interface so both replay the
+/// exact same churn loop.
+trait Churnable {
+    fn push(&mut self, at: SimTime, payload: u64);
+    fn pop(&mut self) -> Option<(SimTime, u64)>;
+}
+
+impl Churnable for RefQueue {
+    fn push(&mut self, at: SimTime, payload: u64) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(RefEntry { at, seq, payload });
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.heap.pop().map(|e| (e.at, e.payload))
+    }
+}
+
+impl Churnable for EventQueue<u64> {
+    fn push(&mut self, at: SimTime, payload: u64) {
+        EventQueue::push(self, at, payload);
+    }
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        EventQueue::pop(self)
+    }
+}
+
+/// Pushes half the schedule, interleaves pop/push over the rest, then
+/// drains. Returns an order-sensitive checksum of the popped sequence.
+fn churn(q: &mut impl Churnable, schedule: &[(u64, u64)]) -> u64 {
+    let half = schedule.len() / 2;
+    let mut sum = digest::OFFSET;
+    for &(t, p) in &schedule[..half] {
+        q.push(SimTime::from_nanos(t), p);
+    }
+    for &(t, p) in &schedule[half..] {
+        if let Some((at, got)) = q.pop() {
+            sum = digest::fold_u64(sum, at.as_nanos());
+            sum = digest::fold_u64(sum, got);
+        }
+        q.push(SimTime::from_nanos(t), p);
+    }
+    while let Some((at, got)) = q.pop() {
+        sum = digest::fold_u64(sum, at.as_nanos());
+        sum = digest::fold_u64(sum, got);
+    }
+    sum
+}
 
 proptest! {
     /// The unrolled fold is bit-identical to the byte-serial reference for
@@ -101,11 +190,18 @@ proptest! {
         schedule in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..256),
     ) {
         prop_assert_eq!(
-            queue_reference_churn(&schedule),
-            queue_optimized_churn(&schedule)
+            churn(&mut RefQueue::default(), &schedule),
+            churn(&mut EventQueue::new(), &schedule)
+        );
+        // Clustered timestamps, as at epoch boundaries: ties are common,
+        // so FIFO order decides most pops.
+        let clustered: Vec<(u64, u64)> = schedule.iter().map(|&(t, p)| (t % 16, p)).collect();
+        prop_assert_eq!(
+            churn(&mut RefQueue::default(), &clustered),
+            churn(&mut EventQueue::new(), &clustered)
         );
         // Plain drain as well (no interleaving), popping every event.
-        let mut reference = RefQueue::new();
+        let mut reference = RefQueue::default();
         let mut packed = EventQueue::new();
         for &(t, p) in &schedule {
             reference.push(SimTime::from_nanos(t), p);

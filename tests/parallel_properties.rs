@@ -4,7 +4,7 @@
 //!
 //! * pooled `prepare_chunked` vs the verbatim `threads == 1` legacy loop,
 //!   across arbitrary payloads, cut layouts, chunk sizes and codec
-//!   settings;
+//!   settings, down to every file the put persists;
 //! * restore (`get_image`) through stores of every width, including images
 //!   persisted by a pooled prepare and read back serially (and vice
 //!   versa — the store bytes are width-independent, so any combination
@@ -50,6 +50,24 @@ fn cuts_from(recipe: &[(usize, usize)], total: usize) -> Vec<(usize, usize)> {
     cuts
 }
 
+/// Every file a put of `data` under `cfg` persists into a fresh store,
+/// path and bytes in path order: manifest, chunk containers and layout.
+fn persisted(data: &[u8], cuts: &[(usize, usize)], cfg: &StoreConfig) -> Vec<(String, Vec<u8>)> {
+    let fs = NetFs::new();
+    let store = CheckpointStore::new(fs.clone(), "j");
+    let put = store.prepare_chunked(data, cuts, cfg);
+    store
+        .put_prepared("p", 1, PreparedPut::Chunked(put))
+        .unwrap();
+    fs.list("/")
+        .into_iter()
+        .map(|path| {
+            let bytes = fs.read_file(&path).expect("listed file exists");
+            (path, bytes)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -70,12 +88,14 @@ proptest! {
         let fs = NetFs::new();
         let store = CheckpointStore::new(fs.clone(), "j");
         let serial = store.prepare_chunked(&data, &cuts, &serial_cfg);
+        let serial_files = persisted(&data, &cuts, &serial_cfg);
         for &t in WIDTHS {
             let cfg = StoreConfig { threads: t, ..serial_cfg };
             let pooled = store.prepare_chunked(&data, &cuts, &cfg);
             prop_assert_eq!(pooled.manifest(), serial.manifest(), "manifest at threads={}", t);
             prop_assert_eq!(pooled.novel_count(), serial.novel_count());
             prop_assert_eq!(pooled.new_bytes(), serial.new_bytes());
+            prop_assert_eq!(&persisted(&data, &cuts, &cfg), &serial_files, "store files at threads={}", t);
         }
         // Persist through an arbitrary width, read back through every
         // width: store bytes and reconstruction are width-independent.
