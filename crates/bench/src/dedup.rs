@@ -1,7 +1,8 @@
 //! The dedup-store ablation: bytes written to disk per checkpoint epoch,
 //! checkpoint latency and restart latency of the `slm` ring under the
-//! three store representations — plain monolithic images, content-addressed
-//! dedup, and dedup with per-chunk compression.
+//! three store configurations — plain (one whole-image chunk per pod),
+//! page-aligned content-addressed dedup, and dedup with per-chunk
+//! compression.
 //!
 //! The experiment attacks the dominant cost in the paper's own evaluation:
 //! Fig. 5(a) shows checkpoint latency "dominated by the time to write this

@@ -11,7 +11,7 @@
 use des::SimTime;
 
 use cruz::error::CruzError;
-use cruz::store::PreparedPut;
+use cruz::store::PreparedChunked;
 use zap::ArmedPodCheckpoint;
 
 use crate::fault::ProtocolPoint;
@@ -99,45 +99,21 @@ impl World {
             }
             return;
         }
-        let dedup = self.params.store.dedup;
         let store = self.store(&job);
-        let mut images: Vec<(String, PreparedPut)> = Vec::new();
+        let mut images: Vec<(String, PreparedChunked)> = Vec::new();
         let mut batch: Vec<(SimTime, u64)> = Vec::new();
         let mut total: u64 = 0;
         let mut copied: u64 = 0;
         for (pod_name, a) in armed {
             let (img, pre_copied) = a.drain();
             copied += pre_copied;
-            if dedup {
-                let (sealed, prepared) = self.prepare_dedup(&store, &img);
-                let pod_base = total;
-                for (raw_end, stored) in prepared.novel_writes() {
-                    let ready = t_arm + self.params.extract_time(pod_base + raw_end);
-                    batch.push((ready, stored));
-                }
-                total += sealed.bytes().len() as u64;
-                batch.push((
-                    t_arm + self.params.extract_time(total),
-                    prepared.manifest_len(),
-                ));
-                images.push((pod_name, PreparedPut::Chunked(prepared)));
-            } else {
-                let sealed = img.seal();
-                total += sealed.bytes().len() as u64;
-                images.push((pod_name, PreparedPut::Sealed(sealed)));
-            }
+            let prepared = self.prepare_image(&store, &img, t_arm, &mut total, &mut batch);
+            images.push((pod_name, prepared));
         }
-        let durable_at = if dedup {
-            self.nodes[node]
-                .kernel
-                .disk
-                .submit_write_batch(t_arm, &batch)
-        } else {
-            self.nodes[node]
-                .kernel
-                .disk
-                .submit_write(t_arm + self.params.extract_time(total), total)
-        };
+        let durable_at = self.nodes[node]
+            .kernel
+            .disk
+            .submit_write_batch(t_arm, &batch);
         if let Some(fault) = self.nodes[node].kernel.disk.take_write_fault() {
             self.apply_ckpt_disk_fault(op, fault, images);
             return;

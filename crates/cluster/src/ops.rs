@@ -20,7 +20,7 @@ use zap::{ArmedPodCheckpoint, PodImage};
 use cruz::coordinator::{CoordEffect, CoordStats, Coordinator};
 use cruz::error::CruzError;
 use cruz::proto::{CtlMsg, OpKind, ProtocolMode};
-use cruz::store::PreparedPut;
+use cruz::store::PreparedChunked;
 
 use crate::params::CkptCaptureMode;
 use crate::recovery::RecoveryOutcome;
@@ -41,7 +41,7 @@ pub(crate) struct OpRuntime {
     pub(crate) coord_node: usize,
     pub(crate) coord_sock: CtlSock,
     pub(crate) agents_nodes: Vec<usize>,
-    pub(crate) pending_ckpt: BTreeMap<usize, Vec<(String, PreparedPut)>>,
+    pub(crate) pending_ckpt: BTreeMap<usize, Vec<(String, PreparedChunked)>>,
     /// COW capture: snapshots armed at freeze, awaiting their background
     /// drain — (arm-complete time, per-pod armed checkpoints).
     pub(crate) pending_arm: BTreeMap<usize, (SimTime, Vec<(String, ArmedPodCheckpoint)>)>,

@@ -16,7 +16,7 @@ use cruz::error::CruzError;
 use cruz::proto::{CtlMsg, OpKind};
 use cruz::replog::ReplicatedStore;
 use cruz::store::{MissingChunk, PreparedChunked, PreparedPut, ReadError};
-use zap::image::{PodImage, Sealed};
+use zap::image::PodImage;
 
 use des::SimTime;
 
@@ -202,20 +202,33 @@ impl World {
         }
     }
 
-    /// Seals a captured pod image for the dedup store and prepares its
-    /// write. The seal names every chunk range in its one hash pass, so the
-    /// prepare hashes nothing and encodes only the chunks the store lacks.
-    /// Shared by the stop-the-world capture and the COW drain.
-    pub(crate) fn prepare_dedup(
+    /// Seals a captured pod image, prepares its store write, and queues
+    /// the write-out on the node's disk `batch`. The seal names every chunk
+    /// range of `StoreConfig::ranges` in its one hash pass, so the prepare
+    /// hashes nothing and encodes only the chunks the store lacks. Capture
+    /// started at `start` and has serialized `serialized` bytes of earlier
+    /// pods: each novel chunk is ready for write-out when capture reaches
+    /// its end, and the manifest when the image is complete. Shared by the
+    /// stop-the-world capture and the COW drain.
+    pub(crate) fn prepare_image(
         &self,
         store: &ReplicatedStore,
         img: &PodImage,
-    ) -> (Sealed, PreparedChunked) {
+        start: SimTime,
+        serialized: &mut u64,
+        batch: &mut Vec<(SimTime, u64)>,
+    ) -> PreparedChunked {
         let cfg = &self.params.store;
-        let (sealed, ranges, names) =
-            img.seal_named(|len, cuts| cruz::chunk::split_ranges(len, cuts, cfg.chunk_bytes));
-        let prepared = store.prepare_sealed(&sealed, &ranges, &names, cfg);
-        (sealed, prepared)
+        let (sealed, ranges, names) = img.seal_named(|len, cuts| cfg.ranges(len, cuts));
+        let prepared = store.prepare_sealed(sealed, &ranges, &names, cfg);
+        let base = *serialized;
+        for (raw_end, stored) in prepared.novel_writes() {
+            batch.push((start + self.params.extract_time(base + raw_end), stored));
+        }
+        *serialized += prepared.raw_len();
+        let image_done = start + self.params.extract_time(*serialized);
+        batch.push((image_done, prepared.manifest_len()));
+        prepared
     }
 
     /// Applies one node's prepared image writes for `epoch`.
@@ -229,11 +242,13 @@ impl World {
         &self,
         job: &str,
         epoch: u64,
-        images: Vec<(String, PreparedPut)>,
+        images: Vec<(String, PreparedChunked)>,
     ) -> Result<(), CruzError> {
         let store = self.store(job);
         for (pod, put) in images {
-            if let Err(MissingChunk(chunk)) = store.put_prepared(&pod, epoch, put) {
+            if let Err(MissingChunk(chunk)) =
+                store.put_prepared(&pod, epoch, PreparedPut::Chunked(put))
+            {
                 return Err(CruzError::MissingChunk { pod, chunk });
             }
         }
@@ -251,12 +266,11 @@ impl World {
             return;
         }
         let pods = self.job_pods_on_node(op, node);
-        let dedup = self.params.store.dedup;
         let store = self.store(&job);
-        let mut images: Vec<(String, PreparedPut)> = Vec::new();
-        // Pipelined write-out schedule for the dedup path: each novel chunk
-        // becomes available when capture has serialized up to it, and the
-        // manifest when the pod's image is complete.
+        let mut images: Vec<(String, PreparedChunked)> = Vec::new();
+        // Pipelined write-out schedule: each novel chunk becomes available
+        // when capture has serialized up to it, and each manifest when its
+        // pod's image is complete.
         let mut batch: Vec<(SimTime, u64)> = Vec::new();
         let mut total: u64 = 0;
         for p in &pods {
@@ -269,42 +283,18 @@ impl World {
                     return;
                 }
             };
-            if dedup {
-                let (sealed, prepared) = self.prepare_dedup(&store, &img);
-                let pod_base = total;
-                for (raw_end, stored) in prepared.novel_writes() {
-                    let ready = self.now + self.params.extract_time(pod_base + raw_end);
-                    batch.push((ready, stored));
-                }
-                total += sealed.bytes().len() as u64;
-                batch.push((
-                    self.now + self.params.extract_time(total),
-                    prepared.manifest_len(),
-                ));
-                images.push((p.name.clone(), PreparedPut::Chunked(prepared)));
-            } else {
-                let sealed = img.seal();
-                total += sealed.bytes().len() as u64;
-                images.push((p.name.clone(), PreparedPut::Sealed(sealed)));
-            }
+            let prepared = self.prepare_image(&store, &img, self.now, &mut total, &mut batch);
+            images.push((p.name.clone(), prepared));
         }
-        let t_extract = self.params.extract_time(total);
-        let captured_at = self.now + t_extract;
-        // Plain: one write of the whole image, starting once capture ends.
-        // Dedup: one batched operation (single seek) streaming novel chunks
-        // as capture produces them; the trailing manifest is ready at
-        // capture end, so the batch never completes before `captured_at`.
-        let durable_at = if dedup {
-            self.nodes[node]
-                .kernel
-                .disk
-                .submit_write_batch(self.now, &batch)
-        } else {
-            self.nodes[node]
-                .kernel
-                .disk
-                .submit_write(captured_at, total)
-        };
+        let captured_at = self.now + self.params.extract_time(total);
+        // One batched operation (single seek) streaming chunks as capture
+        // produces them; a whole-image chunk (the default config) is ready
+        // when its pod's capture ends. The last manifest is ready at capture
+        // end, so the batch never completes before `captured_at`.
+        let durable_at = self.nodes[node]
+            .kernel
+            .disk
+            .submit_write_batch(self.now, &batch);
         if let Some(fault) = self.nodes[node].kernel.disk.take_write_fault() {
             self.apply_ckpt_disk_fault(op, fault, images);
             return;
@@ -336,13 +326,13 @@ impl World {
         &mut self,
         op: u64,
         fault: WriteFault,
-        images: Vec<(String, PreparedPut)>,
+        images: Vec<(String, PreparedChunked)>,
     ) {
         if let WriteFault::Torn(frac) = fault {
             if let Some(o) = self.ops.get(&op) {
                 let store = self.store(&o.job.clone());
-                for (pod_name, put) in &images {
-                    store.put_torn(pod_name, o.image_epoch, put, frac);
+                for (_, put) in &images {
+                    store.put_torn(put, frac);
                 }
             }
         }
@@ -371,8 +361,8 @@ impl World {
                     return;
                 }
             };
-            // Charge what the disk actually serves: the plain file, or the
-            // manifest plus every distinct chunk it references.
+            // Charge what the disk actually serves: the manifest plus every
+            // distinct chunk it references.
             total += store
                 .stored_len(&p.name, image_epoch)
                 .unwrap_or(sealed.bytes().len() as u64);

@@ -160,10 +160,10 @@ pub struct ClusterParams {
     /// Self-healing recovery manager (heartbeat failure detection and
     /// automatic restart from the last committed epoch).
     pub recovery: RecoveryParams,
-    /// Checkpoint-store representation: plain monolithic images (default,
-    /// the paper's testbed behavior) or the content-addressed
-    /// deduplicating store, with chunk size and per-chunk compression
-    /// selectable for ablation. The dedup store is the one way to write
+    /// Checkpoint-store configuration: plain whole-image chunks (default,
+    /// the paper's testbed behavior) or page-aligned content-addressed
+    /// dedup, with chunk size and per-chunk compression selectable for
+    /// ablation. The dedup store is the one way to write
     /// only what changed: every manifest is full-fidelity, yet a steady
     /// epoch stores only its novel chunks. `store.threads` sizes the
     /// capture worker pool (`0` = auto via `CRUZ_THREADS`/host

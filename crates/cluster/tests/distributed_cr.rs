@@ -713,7 +713,10 @@ fn rollback_from_a_corrupt_committed_image_fails_instead_of_dropping_the_pod() {
         .start_checkpoint("pp", ProtocolMode::Blocking, None)
         .unwrap();
     assert!(w.run_until_op(ck, 10_000_000));
-    let path = w.store("pp").replica(0).image_path("server", ck);
+    // The default config stores the image as one chunk named by its digest.
+    let store = w.store("pp").replica(0);
+    let digest = store.read_digest("server", ck).expect("committed sidecar");
+    let path = store.chunk_path(digest);
     let mut bytes = w.fs.read_file(&path).expect("committed server image");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
@@ -733,6 +736,51 @@ fn rollback_from_a_corrupt_committed_image_fails_instead_of_dropping_the_pod() {
         Some(CruzError::CorruptImage { pod }) => assert_eq!(pod, "server"),
         other => panic!("expected a corrupt-image error, got {other:?}"),
     }
+}
+
+#[test]
+fn the_default_store_holds_one_manifest_sidecar_and_chunk_per_pod() {
+    // `StoreConfig::default()` is the plain layout: each pod's image is one
+    // uncompressed whole-image chunk, named by the image digest, under a
+    // one-record manifest.
+    let mut w = World::new(3, ClusterParams::default());
+    let (spec, _) = pingpong_job(600, 0, 1, 2);
+    w.launch_job(&spec).unwrap();
+    w.run_for(SimDuration::from_millis(6));
+    let ck = w
+        .start_checkpoint("pp", ProtocolMode::Blocking, None)
+        .unwrap();
+    assert!(w.run_until_op(ck, 10_000_000));
+    let store = w.store("pp").replica(0);
+    let mut pods = store.pods_in_epoch(ck);
+    pods.sort();
+    assert_eq!(pods, ["client", "server"]);
+    let epoch_dir = format!("/ckpt/pp/epoch{ck:08}/");
+    let mut chunks = Vec::new();
+    for pod in &pods {
+        let mut files = w.fs.list(&format!("{epoch_dir}{pod}."));
+        files.sort();
+        assert_eq!(
+            files,
+            [
+                format!("{epoch_dir}{pod}.fnv"),
+                format!("{epoch_dir}{pod}.manifest")
+            ]
+        );
+        let image = store.get_image(pod, ck).expect("committed image");
+        let digest = store.read_digest(pod, ck).expect("sidecar");
+        assert_eq!(digest, cruz::ChunkId::of(&image));
+        let chunk = w.fs.len_of(&store.chunk_path(digest));
+        assert_eq!(chunk, Some(image.len() as u64 + 1), "one raw container");
+        let manifest_len = w.fs.len_of(&store.manifest_path(pod, ck)).unwrap();
+        assert_eq!(
+            store.stored_len(pod, ck),
+            Some(manifest_len + image.len() as u64 + 1)
+        );
+        chunks.push(digest);
+    }
+    chunks.sort();
+    assert_eq!(store.live_chunks(), chunks, "one chunk per pod, no other");
 }
 
 #[test]

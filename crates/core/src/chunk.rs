@@ -22,6 +22,7 @@
 //! * `1lllllll dd dd` — copy `l + 4` bytes (4..=131) from `distance`
 //!   bytes back in the output, `distance` a little-endian `u16` (1..=65535).
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -426,6 +427,14 @@ pub fn encode_chunk(raw: &[u8], compress_on: bool) -> Vec<u8> {
     out
 }
 
+/// [`encode_chunk`]`(&raw, false)`, built in `raw`'s own buffer: the tag
+/// byte is inserted in front of the payload, so a whole image becomes its
+/// raw container without a second buffer of its size.
+pub fn raw_container(mut raw: Vec<u8>) -> Vec<u8> {
+    raw.insert(0, TAG_RAW);
+    raw
+}
+
 /// [`encode_chunk`] through a reusable [`CodecScratch`]: same container
 /// bytes (pinned by twin-path tests), no per-chunk table or intermediate
 /// allocation — the only allocation is the exact-size output container.
@@ -453,9 +462,20 @@ pub fn encode_chunk_with(raw: &[u8], compress_on: bool, scratch: &mut CodecScrat
 ///
 /// Any [`CodecError`] on a malformed container or token stream.
 pub fn decode_chunk(stored: &[u8]) -> Result<Vec<u8>, CodecError> {
+    decode_chunk_cow(stored).map(Cow::into_owned)
+}
+
+/// [`decode_chunk`] without copying a raw container: its payload is
+/// borrowed from `stored`, and only a compressed one is decoded into a
+/// fresh buffer.
+///
+/// # Errors
+///
+/// Any [`CodecError`] on a malformed container or token stream.
+pub fn decode_chunk_cow(stored: &[u8]) -> Result<Cow<'_, [u8]>, CodecError> {
     let (&tag, rest) = stored.split_first().ok_or(CodecError::Truncated)?;
     match tag {
-        TAG_RAW => Ok(rest.to_vec()),
+        TAG_RAW => Ok(Cow::Borrowed(rest)),
         TAG_LZ => {
             if rest.len() < 4 {
                 return Err(CodecError::Truncated);
@@ -475,7 +495,7 @@ pub fn decode_chunk(stored: &[u8]) -> Result<Vec<u8>, CodecError> {
             if raw.len() != raw_len {
                 return Err(CodecError::LengthMismatch);
             }
-            Ok(raw)
+            Ok(Cow::Owned(raw))
         }
         t => Err(CodecError::BadTag(t)),
     }
@@ -524,6 +544,9 @@ mod tests {
         let raw = encode_chunk(&data, false);
         assert_eq!(raw[0], TAG_RAW);
         assert_eq!(decode_chunk(&raw).unwrap(), data);
+        for data in [&data[..], &[][..], &[0u8; ZERO_PAGE_LEN][..]] {
+            assert_eq!(raw_container(data.to_vec()), encode_chunk(data, false));
+        }
     }
 
     #[test]

@@ -79,18 +79,10 @@ mod repair;
 /// canonical constructor of replica state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogOp {
-    /// A plain (monolithic) pod-image put.
-    PutPlain {
-        /// Pod name.
-        pod: String,
-        /// Checkpoint epoch.
-        epoch: u64,
-        /// The serialized image bytes.
-        bytes: Vec<u8>,
-    },
-    /// A chunked (deduplicated) pod-image put. Carries only the chunk
-    /// bodies that were novel when the op was logged — replay encounters
-    /// the same store state the writer saw, so the log is self-contained.
+    /// A pod-image put. Carries only the chunk bodies that were novel when
+    /// the op was logged — replay encounters the same store state the
+    /// writer saw, so the log is self-contained. (Tag 0, a retired
+    /// monolithic-image put, no longer decodes.)
     PutChunked {
         /// Pod name.
         pod: String,
@@ -126,7 +118,7 @@ impl LogOp {
     /// The protocol point this op counts as for fault injection.
     pub fn point(&self) -> StoreOpPoint {
         match self {
-            LogOp::PutPlain { .. } | LogOp::PutChunked { .. } => StoreOpPoint::Put,
+            LogOp::PutChunked { .. } => StoreOpPoint::Put,
             LogOp::Commit { .. } => StoreOpPoint::Commit,
             LogOp::Discard { .. } | LogOp::Prune { .. } => StoreOpPoint::Discard,
             LogOp::Gc => StoreOpPoint::Gc,
@@ -136,12 +128,6 @@ impl LogOp {
     fn encode_payload(&self) -> (u8, Vec<u8>) {
         let mut w = Vec::new();
         match self {
-            LogOp::PutPlain { pod, epoch, bytes } => {
-                put_str(&mut w, pod);
-                w.extend_from_slice(&epoch.to_le_bytes());
-                put_bytes(&mut w, bytes);
-                (0, w)
-            }
             LogOp::PutChunked {
                 pod,
                 epoch,
@@ -181,11 +167,6 @@ impl LogOp {
     fn decode_payload(tag: u8, payload: &[u8]) -> Option<LogOp> {
         let mut c = Cur::new(payload);
         let op = match tag {
-            0 => LogOp::PutPlain {
-                pod: c.string()?,
-                epoch: c.u64()?,
-                bytes: c.bytes()?,
-            },
             1 => {
                 let pod = c.string()?;
                 let epoch = c.u64()?;
@@ -301,32 +282,11 @@ pub fn read_log(fs: &NetFs, path: &str) -> (Vec<LogOp>, u64) {
 // ---- op application ---------------------------------------------------------
 
 /// Applies one log op to a replica's store tree. `torn` injects a
-/// torn-data fault: the op's log record landed whole, but chunk bodies /
-/// the plain image only got `frac`/256 of their bytes (and the plain arm's
-/// digest sidecar never lands — the disk died before the rename). `sealed`
-/// is a plain put's image digest when the writer already knows it (a live
-/// write of a sealed image); replay passes `None`, and the sidecar is then
-/// folded from the bytes. Returns the GC reclaim count for [`LogOp::Gc`],
-/// `0` otherwise.
-fn apply_op(
-    store: &CheckpointStore,
-    op: &LogOp,
-    torn: Option<u8>,
-    sealed: Option<ChunkId>,
-) -> usize {
+/// torn-data fault: the op's log record landed whole, but chunk bodies
+/// only got `frac`/256 of their bytes. Returns the GC reclaim count for
+/// [`LogOp::Gc`], `0` otherwise.
+fn apply_op(store: &CheckpointStore, op: &LogOp, torn: Option<u8>) -> usize {
     match op {
-        LogOp::PutPlain { pod, epoch, bytes } => match (torn, sealed) {
-            (None, Some(digest)) => store.put_sealed(pod, *epoch, digest, bytes.clone()),
-            (None, None) => store.put_image(pod, *epoch, bytes.clone()),
-            (Some(frac), _) => {
-                let keep = bytes.len() * frac as usize / 256;
-                if keep > 0 {
-                    store
-                        .fs()
-                        .write_file(&store.image_path(pod, *epoch), bytes[..keep].to_vec());
-                }
-            }
-        },
         LogOp::PutChunked {
             pod,
             epoch,
@@ -342,7 +302,7 @@ fn apply_op(
     0
 }
 
-/// The chunked-put apply: write absent chunk bodies (torn to a prefix
+/// The put apply: write absent chunk bodies (torn to a prefix
 /// under a [`ReplicaFaultKind::TornChunk`] fault), then the digest sidecar
 /// and manifest, then bump refcounts — once per manifest record, and only
 /// if this exact manifest wasn't already on disk (idempotence under
@@ -497,10 +457,9 @@ impl ReplicatedStore {
 
     /// Fans one logical op out to every live replica: fault check, log
     /// append, apply. The op is encoded once and every replica's log gets
-    /// the same record bytes. `sealed` is a plain put's known image digest
-    /// (see [`apply_op`]). Returns the primary's apply result (the GC
+    /// the same record bytes. Returns the primary's apply result (the GC
     /// count).
-    fn write_op(&self, op: LogOp, sealed: Option<ChunkId>) -> usize {
+    fn write_op(&self, op: LogOp) -> usize {
         let mut dead = read_dead(&self.fs);
         let point = op.point();
         let rec = encode_record(&op);
@@ -519,11 +478,11 @@ impl ReplicatedStore {
                 }
                 Some(ReplicaFaultKind::TornChunk(frac)) => {
                     append_record(&self.fs, &self.log_path(r), &rec);
-                    apply_op(&self.replica(r), &op, Some(frac), sealed);
+                    apply_op(&self.replica(r), &op, Some(frac));
                 }
                 None => {
                     append_record(&self.fs, &self.log_path(r), &rec);
-                    let n = apply_op(&self.replica(r), &op, None, sealed);
+                    let n = apply_op(&self.replica(r), &op, None);
                     if out.is_none() {
                         out = Some(n);
                     }
@@ -537,13 +496,13 @@ impl ReplicatedStore {
     // ---- writes (logged) ------------------------------------------------
 
     /// Applies a prepared write to every live replica through the log.
-    /// A plain image's sidecar digest is taken from its seal (or folded
-    /// once, for unsealed bytes) and handed to every replica, so no
-    /// replica folds the image again.
+    /// The record carries the image digest the prepare named (for a
+    /// [`PreparedPut::Plain`] put, folded once here on the primary), so no
+    /// replica folds the image again, live or in replay.
     ///
     /// # Errors
     ///
-    /// [`MissingChunk`] when a chunked write names a chunk that was on the
+    /// [`MissingChunk`] when the write names a chunk that was on the
     /// primary at prepare time and has been deleted since; nothing is
     /// logged or applied then.
     pub fn put_prepared(
@@ -555,48 +514,32 @@ impl ReplicatedStore {
         if self.k == 1 {
             return self.replica(0).put_prepared(pod_name, epoch, put);
         }
-        let pod = pod_name.to_owned();
-        let plain = |image: Sealed| {
-            let digest = image.digest().into();
-            let bytes = image.into_bytes();
-            (
-                LogOp::PutPlain {
-                    pod: pod.clone(),
-                    epoch,
-                    bytes,
-                },
-                Some(digest),
-            )
-        };
-        let (op, sealed) = match put {
-            // Folded once here rather than once per replica.
-            PreparedPut::Plain(bytes) => plain(Sealed::open(bytes)),
-            PreparedPut::Sealed(image) => plain(image),
-            PreparedPut::Chunked(c) => {
-                // The record carries exactly the chunk bodies absent from
-                // the live replicas' shared state right now, so replaying
-                // the log from empty encounters the same store the writer
-                // saw and the log stays self-contained.
-                let primary = self.primary();
-                let mut seen = BTreeSet::new();
-                let mut blobs = Vec::new();
-                for ch in &c.chunks {
-                    if seen.insert(ch.id) && !self.fs.exists(&primary.chunk_path(ch.id)) {
-                        let body = ch.stored.clone().ok_or(MissingChunk(ch.id))?;
-                        blobs.push((ch.id, body));
-                    }
+        // The record carries exactly the chunk bodies absent from the live
+        // replicas' shared state right now, so replaying the log from empty
+        // encounters the same store the writer saw and the log stays
+        // self-contained. The prepared write is freed before the log write,
+        // so the record and the replicas' copies can reuse its memory
+        // (moving its containers into the record instead raised the peak
+        // RSS of a k = 3 run by ~3%).
+        let op = {
+            let primary = self.primary();
+            let c = primary.prepare_put(put);
+            let mut seen = BTreeSet::new();
+            let mut blobs = Vec::new();
+            for ch in &c.chunks {
+                if seen.insert(ch.id) && !self.fs.exists(&primary.chunk_path(ch.id)) {
+                    blobs.push((ch.id, ch.stored.clone().ok_or(MissingChunk(ch.id))?));
                 }
-                let op = LogOp::PutChunked {
-                    pod,
-                    epoch,
-                    manifest: c.manifest().to_vec(),
-                    image: c.image_digest(),
-                    blobs,
-                };
-                (op, None)
+            }
+            LogOp::PutChunked {
+                pod: pod_name.to_owned(),
+                epoch,
+                manifest: c.manifest,
+                image: c.raw_digest,
+                blobs,
             }
         };
-        self.write_op(op, sealed);
+        self.write_op(op);
         Ok(())
     }
 
@@ -604,9 +547,9 @@ impl ReplicatedStore {
     /// store op, so it is deliberately *not* logged: replay never
     /// resurrects the stranded bytes, and scrub's wipe+replay reclaims
     /// them on every replica.
-    pub fn put_torn(&self, pod_name: &str, epoch: u64, put: &PreparedPut, frac: u8) {
+    pub fn put_torn(&self, put: &PreparedChunked, frac: u8) {
         for r in self.alive_replicas() {
-            self.replica(r).put_torn(pod_name, epoch, put, frac);
+            self.replica(r).put_torn(put, frac);
         }
     }
 
@@ -615,7 +558,7 @@ impl ReplicatedStore {
         if self.k == 1 {
             return self.replica(0).commit(epoch);
         }
-        self.write_op(LogOp::Commit { epoch }, None);
+        self.write_op(LogOp::Commit { epoch });
     }
 
     /// Discards every file of `epoch` on every live replica.
@@ -623,7 +566,7 @@ impl ReplicatedStore {
         if self.k == 1 {
             return self.replica(0).discard_epoch(epoch);
         }
-        self.write_op(LogOp::Discard { epoch }, None);
+        self.write_op(LogOp::Discard { epoch });
     }
 
     /// Discards every committed epoch below `keep` on every live replica.
@@ -631,7 +574,7 @@ impl ReplicatedStore {
         if self.k == 1 {
             return self.replica(0).prune_below(keep);
         }
-        self.write_op(LogOp::Prune { keep }, None);
+        self.write_op(LogOp::Prune { keep });
     }
 
     /// Reclaims orphan chunk files on every live replica; returns the
@@ -640,7 +583,7 @@ impl ReplicatedStore {
         if self.k == 1 {
             return self.replica(0).gc_orphan_chunks();
         }
-        self.write_op(LogOp::Gc, None)
+        self.write_op(LogOp::Gc)
     }
 
     // ---- prepares (pure, primary state) ---------------------------------
@@ -674,7 +617,7 @@ impl ReplicatedStore {
     /// chunk population.
     pub fn prepare_sealed(
         &self,
-        image: &Sealed,
+        image: Sealed,
         ranges: &[(usize, usize)],
         names: &[ContentDigest],
         cfg: &StoreConfig,
@@ -836,11 +779,6 @@ mod tests {
     #[test]
     fn record_codec_round_trips_every_op() {
         let ops = vec![
-            LogOp::PutPlain {
-                pod: "a".into(),
-                epoch: 3,
-                bytes: vec![1, 2, 3],
-            },
             LogOp::PutChunked {
                 pod: "b".into(),
                 epoch: 4,
@@ -890,7 +828,7 @@ mod tests {
         let (ops, _) = read_log(&fs, &rs.log_path(1));
         let store = rs.replica(1);
         for op in &ops {
-            apply_op(&store, op, None, None);
+            apply_op(&store, op, None);
         }
         assert_eq!(rs.tree_digest(1), d[1]);
         // And replaying onto an empty tree reconstructs the same bytes.
@@ -1065,29 +1003,65 @@ mod tests {
     }
 
     #[test]
-    fn k3_plain_put_pins_every_sidecar_to_the_image_digest() {
+    fn k3_plain_put_replayed_from_the_log_pins_every_sidecar_to_the_seal() {
         let fs = NetFs::new();
         let rs = ReplicatedStore::new(fs.clone(), "job", 3);
         let mut w = zap::image::ImageWriter::new();
         w.bytes(&image(0x42, 700));
-        let sealed = w.seal();
+        let (sealed, ranges, names) = w.seal_named(|len| StoreConfig::default().ranges(len, &[]));
         let bytes = sealed.bytes().to_vec();
-        rs.put_prepared("pod0", 1, PreparedPut::Sealed(sealed))
+        let digest = ChunkId::from(sealed.digest());
+        let put = rs.prepare_sealed(sealed, &ranges, &names, &StoreConfig::default());
+        rs.put_prepared("pod0", 1, PreparedPut::Chunked(put))
             .unwrap();
         rs.put_prepared("pod0", 2, PreparedPut::Plain(bytes.clone()))
             .unwrap();
-        for epoch in [1, 2] {
-            for r in 0..3 {
-                let rep = rs.replica(r);
-                assert_eq!(rep.read_digest("pod0", epoch), Some(ChunkId::of(&bytes)));
+        // The log carries the seal's digest: every replica rebuilt from it
+        // alone pins that digest, and serves the sealed bytes.
+        let log = fs.read_file(&rs.log_path(0)).unwrap();
+        for r in 0..3 {
+            rs.wipe_replica(r);
+            rs.replay_log(r, &log);
+            let rep = rs.replica(r);
+            for epoch in [1, 2] {
+                assert_eq!(rep.read_digest("pod0", epoch), Some(digest));
                 assert_eq!(rep.get_image("pod0", epoch), Some(bytes.clone()));
             }
+            // One whole-image chunk, named by that digest, serves both epochs.
+            assert_eq!(rep.live_chunks(), vec![digest]);
         }
-        // Replaying the log, which carries no digest, folds the same one.
-        rs.wipe_replica(2);
-        let log = fs.read_file(&rs.log_path(0)).unwrap();
-        rs.replay_log(2, &log);
-        assert_eq!(rs.tree_digest(2), rs.tree_digest(0));
+        let (ops, _) = read_log(&fs, &rs.log_path(0));
+        assert!(ops
+            .iter()
+            .all(|op| matches!(op, LogOp::PutChunked { image, .. } if *image == digest)));
+    }
+
+    #[test]
+    fn a_record_with_the_retired_tag_0_ends_the_valid_prefix() {
+        let fs = NetFs::new();
+        let a = LogOp::Commit { epoch: 1 };
+        append_record(&fs, "/replog/t.log", &encode_record(&a));
+        let valid_before = fs.len_of("/replog/t.log").unwrap();
+        // A whole, checksum-valid record whose tag no op encodes any more
+        // (the retired monolithic put: pod, epoch, image bytes).
+        let mut payload = Vec::new();
+        put_str(&mut payload, "pod0");
+        payload.extend_from_slice(&2u64.to_le_bytes());
+        put_bytes(&mut payload, &[1, 2, 3]);
+        let mut rec = (payload.len() as u32).to_le_bytes().to_vec();
+        rec.push(0);
+        rec.extend_from_slice(&payload);
+        let sum = digest::fold(digest::fold(digest::OFFSET, &[0]), &payload);
+        rec.extend_from_slice(&sum.to_le_bytes());
+        append_record(&fs, "/replog/t.log", &rec);
+        append_record(
+            &fs,
+            "/replog/t.log",
+            &encode_record(&LogOp::Commit { epoch: 2 }),
+        );
+        let (ops, valid) = read_log(&fs, "/replog/t.log");
+        assert_eq!(ops, vec![a], "nothing after the retired record is read");
+        assert_eq!(valid, valid_before);
     }
 
     #[test]

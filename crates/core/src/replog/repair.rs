@@ -83,33 +83,32 @@ impl ReplicatedStore {
             pods.sort();
             pods.dedup();
             for pod in pods {
-                if let Some(manifest) = self.fs.read_file(&store.manifest_path(&pod, epoch)) {
-                    // A chunked image missing its digest sidecar is torn
-                    // state no quorum read will ever serve; drop it rather
-                    // than synthesize a sidecar the bytes never earned.
-                    let Some(image) = store.read_digest(&pod, epoch) else {
-                        continue;
-                    };
-                    let mut blobs = Vec::new();
-                    if let Some((_, recs)) = store::decode_manifest(&manifest) {
-                        for (id, _, _) in recs {
-                            if emitted.insert(id) {
-                                if let Some(body) = self.fs.read_file(&store.chunk_path(id)) {
-                                    blobs.push((id, body));
-                                }
+                let Some(manifest) = self.fs.read_file(&store.manifest_path(&pod, epoch)) else {
+                    continue;
+                };
+                // An image missing its digest sidecar is torn state no
+                // quorum read will ever serve; drop it rather than
+                // synthesize a sidecar the bytes never earned.
+                let Some(image) = store.read_digest(&pod, epoch) else {
+                    continue;
+                };
+                let mut blobs = Vec::new();
+                if let Some((_, recs)) = store::decode_manifest(&manifest) {
+                    for (id, _, _) in recs {
+                        if emitted.insert(id) {
+                            if let Some(body) = self.fs.read_file(&store.chunk_path(id)) {
+                                blobs.push((id, body));
                             }
                         }
                     }
-                    ops.push(LogOp::PutChunked {
-                        pod,
-                        epoch,
-                        manifest,
-                        image,
-                        blobs,
-                    });
-                } else if let Some(bytes) = self.fs.read_file(&store.image_path(&pod, epoch)) {
-                    ops.push(LogOp::PutPlain { pod, epoch, bytes });
                 }
+                ops.push(LogOp::PutChunked {
+                    pod,
+                    epoch,
+                    manifest,
+                    image,
+                    blobs,
+                });
             }
             if committed.contains(&epoch) {
                 ops.push(LogOp::Commit { epoch });
@@ -151,7 +150,7 @@ impl ReplicatedStore {
         let (ops, _) = read_log(&self.fs, &self.log_path(r));
         let store = self.replica(r);
         for op in &ops {
-            apply_op(&store, op, None, None);
+            apply_op(&store, op, None);
         }
     }
 

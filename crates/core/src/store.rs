@@ -6,23 +6,26 @@
 //! decision point). A crash mid-checkpoint therefore never leaves a
 //! half-written epoch that restart could pick up.
 //!
-//! # Two image representations
+//! # One image layout
 //!
-//! * **Plain** — one monolithic `<pod>.img` per pod per epoch (the seed
-//!   layout, and what the paper's testbed wrote).
-//! * **Deduplicated** — the serialized image is split into
-//!   content-addressed chunks (see [`crate::chunk`]) stored once per job
-//!   under `/ckpt/<job>/chunks/`, and the epoch holds only a small
-//!   `<pod>.manifest` referencing them by hash. Unchanged pages re-hash to
-//!   chunks that already exist, so a steady-state epoch writes only the
-//!   pages that actually changed (plus the manifest) — the optimization
-//!   that attacks the disk-write term dominating Fig. 5(a).
+//! Every serialized pod image is split into content-addressed chunks (see
+//! [`crate::chunk`]) stored once per job under `/ckpt/<job>/chunks/`, and
+//! the epoch holds a small `<pod>.manifest` naming them by hash plus the
+//! `<pod>.fnv` digest sidecar. [`StoreConfig`] only chooses the split:
 //!
-//! Reads are representation-transparent: [`CheckpointStore::get_image`]
-//! returns the full image bytes either way, so a restart from a dedup
-//! epoch is byte-equivalent to a restart from a plain image. Manifests are
-//! always *full-fidelity* (they describe the complete image): a restart
-//! reads one epoch, never a chain of deltas.
+//! * **Plain** (`dedup: false`, the default) — one whole-image chunk per
+//!   pod, named by the image's own digest: the monolithic write the
+//!   paper's testbed made, plus a manifest of one record.
+//! * **Deduplicated** (`dedup: true`) — chunks pinned to page boundaries,
+//!   so unchanged pages re-hash to chunks that already exist and a
+//!   steady-state epoch writes only the pages that changed (plus the
+//!   manifest) — the optimization that attacks the disk-write term
+//!   dominating Fig. 5(a).
+//!
+//! [`CheckpointStore::get_image`] reassembles the full image bytes either
+//! way, so a restart is byte-equivalent under every configuration.
+//! Manifests are always *full-fidelity* (they describe the complete
+//! image): a restart reads one epoch, never a chain of deltas.
 //!
 //! Chunks are garbage-collected by reference counting: every manifest
 //! reference bumps the chunk's count in the job's `chunks/REFS` table, and
@@ -35,7 +38,7 @@ use std::collections::BTreeSet;
 use simos::fs::NetFs;
 use zap::image::Sealed;
 
-use crate::chunk::ChunkId;
+use crate::chunk::{self, ChunkId};
 
 mod chunked;
 mod refs;
@@ -54,14 +57,14 @@ pub const STORE_VERSION: u16 = 1;
 /// ablation: plain vs. dedup vs. dedup+compress).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreConfig {
-    /// Maximum chunk payload size. Page payloads get their own chunk
-    /// boundaries regardless, so the default of one page keeps page-granular
-    /// dedup exact.
+    /// Maximum chunk payload size under `dedup`. Page payloads get their
+    /// own chunk boundaries regardless, so the default of one page keeps
+    /// page-granular dedup exact.
     pub chunk_bytes: usize,
-    /// Store images as content-addressed chunk manifests instead of
-    /// monolithic files.
+    /// Split images into page-aligned chunks so unchanged pages are stored
+    /// once; `false` stores each image as one whole-image chunk.
     pub dedup: bool,
-    /// Apply the per-chunk RLE+LZ codec (only meaningful with `dedup`).
+    /// Apply the RLE+LZ codec to every chunk container.
     pub compress: bool,
     /// Worker threads for the parallel capture pipeline: `0` (default)
     /// resolves via `CRUZ_THREADS` / available parallelism, `1` is the
@@ -91,6 +94,20 @@ impl Default for StoreConfig {
 }
 
 impl StoreConfig {
+    /// The chunk ranges of a `len`-byte image whose page payloads sit at
+    /// `cuts`: page-aligned [`chunk::split_ranges`] under `dedup`, else
+    /// the one range covering the whole image. A manifest record holds a
+    /// range's length as a `u32`, so a whole-image chunk must stay under
+    /// 4 GiB; a longer one would not reassemble and its restore would fail
+    /// as corrupt.
+    pub fn ranges(&self, len: usize, cuts: &[(usize, usize)]) -> Vec<(usize, usize)> {
+        if self.dedup {
+            chunk::split_ranges(len, cuts, self.chunk_bytes)
+        } else {
+            vec![(0, len)]
+        }
+    }
+
     /// Dedup without compression (the ablation midpoint).
     pub fn dedup() -> Self {
         StoreConfig {
@@ -109,44 +126,21 @@ impl StoreConfig {
     }
 }
 
-/// A pod-image write prepared for a specific store representation.
+/// A pod-image write for [`CheckpointStore::put_prepared`].
 #[derive(Debug, Clone)]
 pub enum PreparedPut {
-    /// Monolithic image bytes; applying the write folds them once for the
-    /// digest sidecar (it is then exactly [`PreparedPut::Sealed`] of
-    /// `Sealed::open(bytes)`).
+    /// Unsealed image bytes: the put folds them once for their digest and
+    /// stores them as one whole-image chunk, the [`StoreConfig::default`]
+    /// layout.
     Plain(Vec<u8>),
-    /// Monolithic image bytes sealed by their encoder, which computed the
-    /// digest sidecar in the same pass as the image checksum.
-    Sealed(Sealed),
-    /// Chunked, deduplicated write.
+    /// A prepared chunk write.
     Chunked(PreparedChunked),
-}
-
-impl PreparedPut {
-    /// Length of the serialized image this write represents.
-    pub fn raw_len(&self) -> u64 {
-        match self {
-            PreparedPut::Plain(b) => b.len() as u64,
-            PreparedPut::Sealed(s) => s.bytes().len() as u64,
-            PreparedPut::Chunked(c) => c.raw_len(),
-        }
-    }
-
-    /// Bytes this write sends to disk.
-    pub fn new_bytes(&self) -> u64 {
-        match self {
-            PreparedPut::Chunked(c) => c.new_bytes(),
-            plain => plain.raw_len(),
-        }
-    }
 }
 
 /// Why a verified read of a pod image served no bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadError {
-    /// The epoch holds no image of the pod: no image file, manifest or
-    /// digest sidecar.
+    /// The epoch holds no image of the pod: no manifest or digest sidecar.
     Absent,
     /// An image of the pod is present but does not verify: its digest
     /// sidecar is missing or disagrees with the bytes, or its manifest or a
@@ -222,14 +216,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Path of a pod's plain image for an epoch.
-    pub fn image_path(&self, pod_name: &str, epoch: u64) -> String {
-        format!(
-            "{}/ckpt/{}/epoch{:08}/{}.img",
-            self.root, self.job, epoch, pod_name
-        )
-    }
-
     /// Path of a pod's chunk manifest for an epoch.
     pub fn manifest_path(&self, pod_name: &str, epoch: u64) -> String {
         format!(
@@ -241,7 +227,7 @@ impl CheckpointStore {
     /// Path of a pod image's content-digest sidecar for an epoch: 16 bytes
     /// pinning the FNV digest of the full serialized image, verified on
     /// every read. Sidecar writes are free on the simulated disk (only
-    /// image and chunk bytes are charged), so torn-write detection never
+    /// chunk and manifest bytes are charged), so torn-write detection never
     /// perturbs pinned traces.
     pub fn digest_path(&self, pod_name: &str, epoch: u64) -> String {
         format!(
@@ -272,21 +258,6 @@ impl CheckpointStore {
 
     // ---- writes -------------------------------------------------------------
 
-    /// Writes a pod image in the plain (monolithic) representation, plus
-    /// its digest sidecar so reads can verify the body end-to-end.
-    pub fn put_image(&self, pod_name: &str, epoch: u64, bytes: Vec<u8>) {
-        let image = Sealed::open(bytes);
-        self.put_sealed(pod_name, epoch, image.digest().into(), image.into_bytes());
-    }
-
-    /// [`CheckpointStore::put_image`] for bytes whose content digest is
-    /// already known (their encoder sealed them): writes the sidecar from
-    /// `digest`, no fold.
-    pub(crate) fn put_sealed(&self, pod_name: &str, epoch: u64, digest: ChunkId, bytes: Vec<u8>) {
-        self.write_digest(pod_name, epoch, digest);
-        self.fs.write_file(&self.image_path(pod_name, epoch), bytes);
-    }
-
     /// Reads the digest sidecar of a pod image, if present and well-formed.
     pub fn read_digest(&self, pod_name: &str, epoch: u64) -> Option<ChunkId> {
         let bytes = self.fs.read_file(&self.digest_path(pod_name, epoch))?;
@@ -304,14 +275,14 @@ impl CheckpointStore {
     }
 
     /// Applies a prepared write: stores the chunks it carries, writes the
-    /// manifest (or the plain image), and bumps chunk refcounts. Takes the
-    /// prepared write by value so its image bytes, chunk containers and
-    /// manifest move straight to the filesystem.
+    /// digest sidecar and manifest, and bumps chunk refcounts. Takes the
+    /// prepared write by value so its chunk containers and manifest move
+    /// straight to the filesystem.
     ///
     /// # Errors
     ///
-    /// [`MissingChunk`] when a chunked write names a chunk that was on disk
-    /// at prepare time and has been deleted since; the epoch then gets no
+    /// [`MissingChunk`] when the write names a chunk that was on disk at
+    /// prepare time and has been deleted since; the epoch then gets no
     /// manifest, sidecar or chunk reference for the pod.
     pub fn put_prepared(
         &self,
@@ -319,69 +290,50 @@ impl CheckpointStore {
         epoch: u64,
         put: PreparedPut,
     ) -> Result<(), MissingChunk> {
-        match put {
-            PreparedPut::Plain(bytes) => self.put_image(pod_name, epoch, bytes),
-            PreparedPut::Sealed(image) => {
-                self.put_sealed(pod_name, epoch, image.digest().into(), image.into_bytes())
-            }
-            PreparedPut::Chunked(c) => return self.put_chunked(pod_name, epoch, c),
-        }
-        Ok(())
+        self.put_chunked(pod_name, epoch, self.prepare_put(put))
     }
 
     /// Applies only a torn prefix of a prepared write, modeling a disk
-    /// write that failed partway: the first `frac/256` of the image's
-    /// bytes reach disk, the manifest (or the plain image's tail) never
-    /// does, and no chunk references are taken. A torn chunked write
-    /// therefore strands orphan chunk files — exactly what
-    /// [`CheckpointStore::orphan_chunks`] audits and
-    /// [`CheckpointStore::gc_orphan_chunks`] reclaims. The epoch can never
-    /// be committed through this path: no durability is ever reported for
-    /// a torn write.
-    pub fn put_torn(&self, pod_name: &str, epoch: u64, put: &PreparedPut, frac: u8) {
-        let plain = match put {
-            PreparedPut::Plain(bytes) => bytes.as_slice(),
-            PreparedPut::Sealed(image) => image.bytes(),
-            PreparedPut::Chunked(c) => {
-                let cutoff = c.raw_len * frac as u64 / 256;
-                for ch in &c.chunks {
-                    let Some(stored) = ch.stored.as_ref().filter(|_| ch.raw_end <= cutoff) else {
-                        continue;
-                    };
-                    let path = self.chunk_path(ch.id);
-                    if !self.fs.exists(&path) {
-                        self.fs.write_file(&path, stored.clone());
-                    }
-                }
-                return;
+    /// write that failed partway: the chunks within the first `frac/256`
+    /// of the image's bytes reach disk, the manifest never does, and no
+    /// chunk references are taken. A torn write therefore strands orphan
+    /// chunk files — exactly what [`CheckpointStore::orphan_chunks`]
+    /// audits and [`CheckpointStore::gc_orphan_chunks`] reclaims — and a
+    /// whole-image chunk, which ends at the image's last byte, never lands.
+    /// The epoch can never be committed through this path: no durability
+    /// is ever reported for a torn write.
+    pub fn put_torn(&self, put: &PreparedChunked, frac: u8) {
+        let cutoff = put.raw_len * frac as u64 / 256;
+        for ch in &put.chunks {
+            let Some(stored) = ch.stored.as_ref().filter(|_| ch.raw_end <= cutoff) else {
+                continue;
+            };
+            let path = self.chunk_path(ch.id);
+            if !self.fs.exists(&path) {
+                self.fs.write_file(&path, stored.clone());
             }
-        };
-        let keep = (plain.len() as u64 * frac as u64 / 256) as usize;
-        if keep > 0 {
-            self.fs
-                .write_file(&self.image_path(pod_name, epoch), plain[..keep].to_vec());
         }
     }
 
     // ---- reads --------------------------------------------------------------
 
-    /// Reads a pod image, reassembling it from chunks when the epoch holds
-    /// a manifest. The returned bytes are identical to what `put` received,
-    /// whichever representation stored them. Returns `None` if the image
-    /// (or any chunk it references) is missing, structurally corrupt, or
-    /// fails its digest sidecar — a torn prefix that still happens to
-    /// decode is rejected here, not left for the caller to trip over.
+    /// Reads a pod image, reassembled from its chunks. The returned bytes
+    /// are identical to what `put` received, whichever configuration
+    /// stored them. Returns `None` if the manifest (or any chunk it
+    /// references) is missing, structurally corrupt, or fails its digest
+    /// sidecar — a torn chunk that still happens to decode is rejected
+    /// here, not left for the caller to trip over.
     pub fn get_image(&self, pod_name: &str, epoch: u64) -> Option<Vec<u8>> {
         self.read_sealed(pod_name, epoch)
             .ok()
             .map(Sealed::into_bytes)
     }
 
-    /// The restore-side read: the image bytes (reassembled from chunks
-    /// when the epoch holds a manifest), sealed by one hash pass that both
-    /// checks them against the digest sidecar and settles their trailing
-    /// checksum, so [`Sealed::decode`] parses them without folding again.
-    /// Serves exactly the bytes [`CheckpointStore::get_image`] does.
+    /// The restore-side read: the image bytes reassembled from their
+    /// chunks in one hash pass that checks every chunk address, the digest
+    /// sidecar and the trailing checksum, so [`Sealed::decode`] parses them
+    /// without folding again. Serves exactly the bytes
+    /// [`CheckpointStore::get_image`] does.
     ///
     /// # Errors
     ///
@@ -389,22 +341,18 @@ impl CheckpointStore {
     /// [`ReadError::Corrupt`] when what it holds does not verify.
     pub fn read_sealed(&self, pod_name: &str, epoch: u64) -> Result<Sealed, ReadError> {
         let want = self.read_digest(pod_name, epoch);
-        let image = match self.fs.read_file(&self.image_path(pod_name, epoch)) {
-            Some(bytes) => Sealed::open(bytes),
-            None => match self.fs.read_file(&self.manifest_path(pod_name, epoch)) {
-                // Without a sidecar there is nothing to verify against, so
-                // the chunks are not worth reading.
-                Some(manifest) if want.is_some() => {
-                    self.reconstruct(&manifest).ok_or(ReadError::Corrupt)?
-                }
-                Some(_) => return Err(ReadError::Corrupt),
-                None if self.fs.exists(&self.digest_path(pod_name, epoch)) => {
-                    return Err(ReadError::Corrupt)
-                }
-                None => return Err(ReadError::Absent),
-            },
+        let Some(manifest) = self.fs.read_file(&self.manifest_path(pod_name, epoch)) else {
+            return Err(if self.fs.exists(&self.digest_path(pod_name, epoch)) {
+                ReadError::Corrupt
+            } else {
+                ReadError::Absent
+            });
         };
-        if Some(ChunkId::from(image.digest())) == want {
+        // Without a sidecar there is nothing to verify against, so the
+        // chunks are not worth reading.
+        let want = want.ok_or(ReadError::Corrupt)?;
+        let image = self.reconstruct(&manifest).ok_or(ReadError::Corrupt)?;
+        if ChunkId::from(image.digest()) == want {
             Ok(image)
         } else {
             Err(ReadError::Corrupt)
@@ -414,19 +362,13 @@ impl CheckpointStore {
     /// Logical size of a pod image in bytes (the size of the serialized
     /// image, not of its on-disk representation), if present.
     pub fn image_len(&self, pod_name: &str, epoch: u64) -> Option<u64> {
-        if let Some(len) = self.fs.len_of(&self.image_path(pod_name, epoch)) {
-            return Some(len);
-        }
         let manifest = self.fs.read_file(&self.manifest_path(pod_name, epoch))?;
         decode_manifest(&manifest).map(|(raw_len, _)| raw_len)
     }
 
-    /// Physical bytes a restart must read for a pod image: the plain file,
-    /// or the manifest plus every distinct chunk it references.
+    /// Physical bytes a restart must read for a pod image: the manifest
+    /// plus every distinct chunk it references.
     pub fn stored_len(&self, pod_name: &str, epoch: u64) -> Option<u64> {
-        if let Some(len) = self.fs.len_of(&self.image_path(pod_name, epoch)) {
-            return Some(len);
-        }
         let manifest = self.fs.read_file(&self.manifest_path(pod_name, epoch))?;
         let (_, recs) = decode_manifest(&manifest)?;
         let mut seen = BTreeSet::new();
@@ -570,7 +512,7 @@ impl CheckpointStore {
         }
     }
 
-    /// Pod names with images (plain or chunked) in an epoch.
+    /// Pod names with images in an epoch.
     pub fn pods_in_epoch(&self, epoch: u64) -> Vec<String> {
         let prefix = format!("{}/ckpt/{}/epoch{:08}/", self.root, self.job, epoch);
         self.fs
@@ -578,9 +520,7 @@ impl CheckpointStore {
             .into_iter()
             .filter_map(|p| {
                 let f = p.strip_prefix(&prefix)?;
-                f.strip_suffix(".img")
-                    .or_else(|| f.strip_suffix(".manifest"))
-                    .map(str::to_owned)
+                f.strip_suffix(".manifest").map(str::to_owned)
             })
             .collect()
     }
@@ -590,6 +530,11 @@ impl CheckpointStore {
 mod tests {
     use super::*;
     use zap::image::ImageWriter;
+
+    fn put_plain(s: &CheckpointStore, pod: &str, epoch: u64, bytes: Vec<u8>) {
+        s.put_prepared(pod, epoch, PreparedPut::Plain(bytes))
+            .unwrap();
+    }
 
     #[test]
     fn manifest_with_a_huge_count_is_rejected_without_reserving_it() {
@@ -606,7 +551,7 @@ mod tests {
         let fs = NetFs::new();
         let s = CheckpointStore::new(fs, "j");
         for e in [1u64, 2, 3] {
-            s.put_image("p", e, vec![e as u8]);
+            put_plain(&s, "p", e, vec![e as u8]);
             s.commit(e);
         }
         assert_eq!(s.latest_committed_epoch(), Some(3));
@@ -624,8 +569,8 @@ mod tests {
     fn discard_rolls_back_an_epoch() {
         let fs = NetFs::new();
         let s = CheckpointStore::new(fs, "j");
-        s.put_image("a", 2, vec![1]);
-        s.put_image("b", 2, vec![2]);
+        put_plain(&s, "a", 2, vec![1]);
+        put_plain(&s, "b", 2, vec![2]);
         s.commit(2);
         s.discard_epoch(2);
         assert!(!s.is_committed(2));
@@ -638,7 +583,7 @@ mod tests {
         let fs = NetFs::new();
         let s = CheckpointStore::new(fs, "j");
         for e in [1u64, 2, 3] {
-            s.put_image("p", e, vec![e as u8]);
+            put_plain(&s, "p", e, vec![e as u8]);
             s.commit(e);
         }
         assert_eq!(s.committed_epochs(), vec![1, 2, 3]);
@@ -781,7 +726,7 @@ mod tests {
         let full = s.prepare_chunked(&raw, &cuts, &cfg());
         let novel = full.novel_count();
         // Half the image reaches disk; the manifest never does.
-        s.put_torn("p", 1, &PreparedPut::Chunked(full), 128);
+        s.put_torn(&full, 128);
         let stranded = s.live_chunks().len();
         assert!(stranded > 0, "a torn write leaves a chunk prefix");
         assert!(stranded < novel, "but not the whole image");
@@ -790,20 +735,55 @@ mod tests {
         assert!(!s.is_committed(1));
         assert_eq!(s.gc_orphan_chunks(), stranded);
         assert!(s.live_chunks().is_empty());
-        // Torn plain writes truncate: frac 0 writes nothing at all.
-        s.put_torn("p", 2, &PreparedPut::Plain(vec![9; 100]), 64);
-        assert_eq!(s.fs.len_of(&s.image_path("p", 2)), Some(25));
-        s.put_torn("p", 3, &PreparedPut::Plain(vec![9; 100]), 0);
-        assert!(!s.fs.exists(&s.image_path("p", 3)));
+        // A whole-image chunk ends at the image's last byte, so a torn
+        // whole-image write lands nothing below frac 256: no chunk, no file.
+        let whole = s.prepare_chunked(&raw, &cuts, &StoreConfig::default());
+        assert_eq!(whole.chunk_count(), 1);
+        for frac in [0, 1, 128, 255] {
+            s.put_torn(&whole, frac);
+            assert!(s.fs.list("/ckpt/").is_empty(), "frac {frac} left a file");
+        }
+    }
+
+    #[test]
+    fn the_default_config_stores_one_whole_image_chunk() {
+        let fs = NetFs::new();
+        let s = CheckpointStore::new(fs, "j");
+        let (raw, cuts) = toy_image(8, 1, 0x5a);
+        let put = s.prepare_chunked(&raw, &cuts, &StoreConfig::default());
+        let manifest_len = put.manifest_len();
+        assert_eq!(
+            put.novel_writes().collect::<Vec<_>>(),
+            [(raw.len() as u64, raw.len() as u64 + 1)]
+        );
+        assert_eq!(put.new_bytes(), raw.len() as u64 + 1 + manifest_len);
+        s.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
+        assert_eq!(
+            s.live_chunks(),
+            vec![ChunkId::of(&raw)],
+            "named by the image digest"
+        );
+        assert_eq!(
+            s.stored_len("p", 1),
+            Some(manifest_len + raw.len() as u64 + 1)
+        );
+        assert_eq!(s.get_image("p", 1), Some(raw.clone()));
+        // A `Plain` put lands the same chunk and manifest.
+        put_plain(&s, "q", 1, raw.clone());
+        assert_eq!(s.live_chunks(), vec![ChunkId::of(&raw)]);
+        assert_eq!(
+            s.fs.read_file(&s.manifest_path("q", 1)),
+            s.fs.read_file(&s.manifest_path("p", 1))
+        );
     }
 
     #[test]
     fn uncommitted_epochs_surface_half_written_state() {
         let fs = NetFs::new();
         let s = CheckpointStore::new(fs, "j");
-        s.put_image("p", 1, vec![1]);
+        put_plain(&s, "p", 1, vec![1]);
         s.commit(1);
-        s.put_image("p", 2, vec![2]); // no commit record: crashed mid-write
+        put_plain(&s, "p", 2, vec![2]); // no commit record: crashed mid-write
         assert_eq!(s.all_epochs(), vec![1, 2]);
         assert_eq!(s.uncommitted_epochs(), vec![2]);
         s.discard_epoch(2);
@@ -885,6 +865,6 @@ mod tests {
         let (sealed, ranges, mut names) =
             body.seal_named(|len| crate::chunk::split_ranges(len, &cuts, 256));
         names.pop();
-        s.prepare_sealed(&sealed, &ranges, &names, &cfg());
+        s.prepare_sealed(sealed, &ranges, &names, &cfg());
     }
 }

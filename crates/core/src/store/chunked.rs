@@ -1,20 +1,22 @@
-//! The chunked arm of the store: the one prepare that turns named chunk
-//! ranges into a manifest and the containers the store lacks, the put
-//! that applies it, and the fused restore read.
+//! The store's one write and read path: the prepare that turns named
+//! chunk ranges into a manifest and the containers the store lacks, the
+//! put that applies it, and the fused restore read.
 //!
-//! Every chunked write is prepared by [`CheckpointStore::prepare_named`].
-//! It takes the chunk names ready-made: from the image seal's single pass
-//! on the capture path ([`CheckpointStore::prepare_sealed`]), or from a
-//! per-range fold on the reference path
-//! ([`CheckpointStore::prepare_chunked`]). It hashes nothing itself, and
-//! it encodes only the first occurrence of each chunk absent from disk.
+//! Every write is prepared by [`CheckpointStore::prepare_named`]. It takes
+//! the chunk names ready-made: from the image seal's single pass on the
+//! capture path ([`CheckpointStore::prepare_sealed`]), from one fold of
+//! the whole image for a [`PreparedPut::Plain`] put, or from a per-range
+//! fold on the reference path ([`CheckpointStore::prepare_chunked`]). It
+//! hashes nothing itself, and it encodes only the first occurrence of each
+//! chunk absent from disk.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
 use zap::image::{Assembler, ContentDigest, ImageReader, ImageWriter, Sealed};
 
-use super::{CheckpointStore, StoreConfig, MANIFEST_MAGIC, STORE_VERSION};
+use super::{CheckpointStore, PreparedPut, StoreConfig, MANIFEST_MAGIC, STORE_VERSION};
 use crate::chunk::{self, ChunkId, CodecScratch};
 use crate::parpool::Pool;
 
@@ -40,7 +42,7 @@ impl PreparedChunk {
     }
 }
 
-/// A dedup image write split into its cheap (name/dedup, done at capture
+/// An image write split into its cheap (name/dedup, done at capture
 /// time) and effectful (filesystem mutation, done when the simulated disk
 /// write completes) halves, so the cluster can model the disk cost of
 /// exactly the novel bytes while deferring store mutation to the
@@ -140,17 +142,18 @@ impl CheckpointStore {
     /// `PodImage::encode_with_page_cuts`), which pin chunk boundaries so
     /// unchanged pages dedup across epochs.
     ///
-    /// The reference prepare: it names every range with its own fold (the
-    /// ranges fan out across the worker pool) and folds the whole image
-    /// once more for the digest sidecar. Capture uses
-    /// [`CheckpointStore::prepare_sealed`], whose names come from the seal.
+    /// The reference prepare: it names every range of
+    /// [`StoreConfig::ranges`] with its own fold (the ranges fan out across
+    /// the worker pool) and folds the whole image once more for the digest
+    /// sidecar. Capture uses [`CheckpointStore::prepare_sealed`], whose
+    /// names come from the seal.
     pub fn prepare_chunked(
         &self,
         raw: &[u8],
         cuts: &[(usize, usize)],
         cfg: &StoreConfig,
     ) -> PreparedChunked {
-        let ranges = chunk::split_ranges(raw.len(), cuts, cfg.chunk_bytes);
+        let ranges = cfg.ranges(raw.len(), cuts);
         let ids = Pool::new(self.threads_for(cfg)).map_ordered(
             ranges.clone(),
             || (),
@@ -161,42 +164,61 @@ impl CheckpointStore {
 
     /// The capture-side prepare: `image` was sealed by
     /// `PodImage::seal_named` with `names` the content digests of its
-    /// `ranges` (the store's [`chunk::split_ranges`] of the image, one name
-    /// per range, as the seal returns them), so no byte is hashed again.
-    /// Byte-identical to [`CheckpointStore::prepare_chunked`] over the same
-    /// bytes and cuts.
+    /// `ranges` ([`StoreConfig::ranges`] of the image, one name per range,
+    /// as the seal returns them), so no byte is hashed again. Takes the
+    /// image by value, so a whole-image chunk's container is built in the
+    /// image's own buffer. Byte-identical to
+    /// [`CheckpointStore::prepare_chunked`] over the same bytes and cuts.
     ///
     /// # Panics
     ///
     /// If `names` and `ranges` differ in length.
     pub fn prepare_sealed(
         &self,
-        image: &Sealed,
+        image: Sealed,
         ranges: &[(usize, usize)],
         names: &[ContentDigest],
         cfg: &StoreConfig,
     ) -> PreparedChunked {
         let ids: Vec<ChunkId> = names.iter().map(|&n| n.into()).collect();
         let digest = image.digest().into();
-        self.prepare_named(image.bytes(), ranges, &ids, digest, cfg, |_| None)
+        self.prepare_named(image.into_bytes(), ranges, &ids, digest, cfg, |_| None)
     }
 
-    /// The one chunked prepare: `ids[i]` names `ranges[i]` of `raw`, and
+    /// The write a put applies: a [`PreparedPut::Plain`] image becomes one
+    /// uncompressed whole-image chunk named by its digest, which is the
+    /// one fold over its bytes; a chunked write is already prepared.
+    pub(crate) fn prepare_put(&self, put: PreparedPut) -> PreparedChunked {
+        match put {
+            PreparedPut::Plain(bytes) => {
+                let cfg = StoreConfig::default();
+                let digest = ChunkId::of(&bytes);
+                let ranges = cfg.ranges(bytes.len(), &[]);
+                self.prepare_named(bytes, &ranges, &[digest], digest, &cfg, |_| None)
+            }
+            PreparedPut::Chunked(c) => c,
+        }
+    }
+
+    /// The one prepare: `ids[i]` names `ranges[i]` of `raw`, and
     /// `raw_digest` names the whole image. One filesystem lookup per
     /// distinct chunk settles both its novelty and its stored length. Only
     /// the first occurrence of each chunk absent from disk is carried: the
     /// container `reuse` returns for its range index (which must be what
     /// encoding the range under `cfg` gives), or else one encoded on the
-    /// worker pool. A chunk already on disk contributes its on-disk length
-    /// to the manifest, since that is what a restore will read.
+    /// worker pool — except that an owned image whose one uncompressed
+    /// range covers it becomes its own container in place
+    /// ([`chunk::raw_container`]), with no second image-sized buffer. A
+    /// chunk already on disk contributes its on-disk length to the
+    /// manifest, since that is what a restore will read.
     ///
     /// # Panics
     ///
     /// If `ids` and `ranges` differ in length: the manifest's record count
     /// would not match its records.
-    pub(crate) fn prepare_named(
+    pub(crate) fn prepare_named<'a>(
         &self,
-        raw: &[u8],
+        raw: impl Into<Cow<'a, [u8]>>,
         ranges: &[(usize, usize)],
         ids: &[ChunkId],
         raw_digest: ChunkId,
@@ -204,6 +226,8 @@ impl CheckpointStore {
         reuse: impl Fn(usize) -> Option<Vec<u8>>,
     ) -> PreparedChunked {
         assert_eq!(ranges.len(), ids.len(), "one name per range");
+        let raw = raw.into();
+        let raw_len = raw.len();
         let mut known: BTreeMap<ChunkId, Known> = BTreeMap::new();
         let mut containers: Vec<Option<Vec<u8>>> = Vec::new();
         let mut work: Vec<(usize, (usize, usize))> = Vec::new();
@@ -224,9 +248,14 @@ impl CheckpointStore {
         }
         let pool = Pool::new(self.threads_for(cfg));
         let (slots, work): (Vec<usize>, Vec<(usize, usize)>) = work.into_iter().unzip();
-        let encoded = pool.map_ordered(work, CodecScratch::new, |scratch, (start, len)| {
-            chunk::encode_range(&raw[start..start + len], cfg.compress, scratch)
-        });
+        let encoded = match raw {
+            Cow::Owned(image) if !cfg.compress && work == [(0, raw_len)] => {
+                vec![chunk::raw_container(image)]
+            }
+            raw => pool.map_ordered(work, CodecScratch::new, |scratch, (start, len)| {
+                chunk::encode_range(&raw[start..start + len], cfg.compress, scratch)
+            }),
+        };
         for (slot, c) in slots.into_iter().zip(encoded) {
             containers[slot] = Some(c);
         }
@@ -238,7 +267,7 @@ impl CheckpointStore {
         let mut mw = ImageWriter::new();
         mw.u32(MANIFEST_MAGIC);
         mw.u16(STORE_VERSION);
-        mw.u64(raw.len() as u64);
+        mw.u64(raw_len as u64);
         mw.u32(ranges.len() as u32);
         for (&(start, len), &id) in ranges.iter().zip(ids) {
             let (stored_len, stored) = match known[&id] {
@@ -256,14 +285,14 @@ impl CheckpointStore {
             });
         }
         PreparedChunked {
-            raw_len: raw.len() as u64,
+            raw_len: raw_len as u64,
             manifest: mw.finish(),
             chunks,
             raw_digest,
         }
     }
 
-    /// Applies a prepared chunked write: stores its carried containers,
+    /// Applies a prepared write: stores its carried containers,
     /// then the digest sidecar and manifest, then bumps chunk refcounts.
     ///
     /// # Errors
@@ -305,9 +334,10 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// Reassembles and opens a chunked image in one pass per byte.
+    /// Reassembles and opens an image in one pass per byte.
     ///
-    /// One serial loop reads each chunk file, decompresses it, checks the
+    /// One serial loop reads each chunk file in place, decompresses it (a
+    /// raw container's payload is pushed where it lies), checks the
     /// decoded length against its manifest record, and pushes it through
     /// one [`Assembler`] pass that checks its content address, advances the
     /// image's chains and appends it. A chunk file whose torn tail still
@@ -322,9 +352,11 @@ impl CheckpointStore {
         }
         let mut image = Assembler::new(usize::try_from(raw_len).ok()?);
         for (id, seg_len, _) in recs {
-            let bytes = self.fs.read_file(&self.chunk_path(id))?;
-            let raw = chunk::decode_chunk(&bytes).ok()?;
-            if raw.len() != seg_len as usize || ChunkId::from(image.push(&raw)) != id {
+            let pushed = self.fs.with_file(&self.chunk_path(id), |stored| {
+                let raw = chunk::decode_chunk_cow(stored).ok()?;
+                (raw.len() == seg_len as usize).then(|| ChunkId::from(image.push(&raw)))
+            })?;
+            if pushed != Some(id) {
                 return None;
             }
         }

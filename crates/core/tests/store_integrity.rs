@@ -2,7 +2,8 @@
 //! checkpoint store.
 //!
 //! The store must never hand back bytes it cannot prove are the ones that
-//! were written: every read path — plain images, chunk bodies, manifests —
+//! were written: every read path — whole-image chunks, page chunks,
+//! manifests —
 //! re-verifies content against the epoch's digest sidecar and the chunks'
 //! content addresses, and fails closed (returns `None`) on any mismatch.
 //! The mutation paths must also be idempotent under operation-log replay:
@@ -12,6 +13,7 @@
 use cruz::digest;
 use cruz::replog::{read_log, REPLOG_MAGIC, REPLOG_VERSION};
 use cruz::store::{CheckpointStore, PreparedPut, StoreConfig};
+use cruz::ChunkId;
 use simos::fs::NetFs;
 
 /// A toy "image": `reps` distinct page-sized blocks of periodic
@@ -46,12 +48,17 @@ fn put_chunked(s: &CheckpointStore, pod: &str, epoch: u64, raw: &[u8], cuts: &[(
         .unwrap();
 }
 
+fn put_plain(s: &CheckpointStore, pod: &str, epoch: u64, bytes: Vec<u8>) {
+    s.put_prepared(pod, epoch, PreparedPut::Plain(bytes))
+        .unwrap();
+}
+
 // ---- lifecycle (public API) -------------------------------------------------
 
 #[test]
 fn commit_gating() {
     let s = CheckpointStore::new(NetFs::new(), "job1");
-    s.put_image("pod0", 1, vec![1, 2, 3]);
+    put_plain(&s, "pod0", 1, vec![1, 2, 3]);
     assert!(!s.is_committed(1));
     assert_eq!(s.latest_committed_epoch(), None, "uncommitted is invisible");
     s.commit(1);
@@ -64,7 +71,7 @@ fn commit_gating() {
 fn latest_epoch_wins() {
     let s = CheckpointStore::new(NetFs::new(), "j");
     for e in [3u64, 1, 7, 5] {
-        s.put_image("p", e, vec![e as u8]);
+        put_plain(&s, "p", e, vec![e as u8]);
         s.commit(e);
     }
     assert_eq!(s.latest_committed_epoch(), Some(7));
@@ -73,8 +80,8 @@ fn latest_epoch_wins() {
 #[test]
 fn pods_in_epoch_lists_images() {
     let s = CheckpointStore::new(NetFs::new(), "j");
-    s.put_image("x", 4, vec![]);
-    s.put_image("y", 4, vec![]);
+    put_plain(&s, "x", 4, vec![]);
+    put_plain(&s, "y", 4, vec![]);
     s.commit(4);
     let mut pods = s.pods_in_epoch(4);
     pods.sort();
@@ -86,7 +93,7 @@ fn jobs_are_isolated() {
     let fs = NetFs::new();
     let a = CheckpointStore::new(fs.clone(), "a");
     let b = CheckpointStore::new(fs, "b");
-    a.put_image("p", 1, vec![]);
+    put_plain(&a, "p", 1, vec![]);
     a.commit(1);
     assert_eq!(b.latest_committed_epoch(), None);
 }
@@ -97,14 +104,14 @@ fn jobs_are_isolated() {
 fn corrupted_plain_image_is_rejected() {
     let fs = NetFs::new();
     let s = CheckpointStore::new(fs.clone(), "j");
-    s.put_image("p", 1, vec![7u8; 1024]);
+    put_plain(&s, "p", 1, vec![7u8; 1024]);
     s.commit(1);
     assert!(s.get_image("p", 1).is_some(), "clean read succeeds");
 
-    // Flip one byte in the middle of the stored image: same length, same
-    // structure, silently wrong content — only the digest sidecar can
-    // catch it.
-    let path = s.image_path("p", 1);
+    // Flip one byte in the middle of the stored image's whole-image chunk:
+    // same length, same structure, silently wrong content — only the
+    // chunk's content address and the digest sidecar can catch it.
+    let path = s.chunk_path(ChunkId::of(&[7u8; 1024]));
     let mut bytes = fs.read_file(&path).unwrap();
     bytes[512] ^= 0xff;
     fs.write_file(&path, bytes);
@@ -161,7 +168,7 @@ fn corrupt_chunk_body_is_rejected_by_content_address() {
 fn missing_digest_sidecar_fails_closed() {
     let fs = NetFs::new();
     let s = CheckpointStore::new(fs.clone(), "j");
-    s.put_image("plain", 1, vec![1, 2, 3]);
+    put_plain(&s, "plain", 1, vec![1, 2, 3]);
     let (raw, cuts) = toy_image(4, 0, 0x11);
     put_chunked(&s, "chunked", 1, &raw, &cuts);
     s.commit(1);

@@ -1,9 +1,10 @@
 //! The wire-format registry pass.
 //!
 //! Every persistent artifact in the reproduction — checkpoint stores,
-//! fault plans, golden traces — embeds small integers the source code
-//! chooses: `CtlMsg` codec tags, `Event` fingerprint tags, on-disk
-//! magics and versions, well-known ports. Renumbering any of them
+//! replica operation logs, fault plans, golden traces — embeds small
+//! integers the source code chooses: `CtlMsg` codec tags, `LogOp` record
+//! tags, `Event` fingerprint tags, on-disk magics and versions, well-known
+//! ports. Renumbering any of them
 //! compiles cleanly and silently strands every stored image and golden
 //! digest. This pass extracts those numbers from the source and
 //! cross-checks them three ways:
@@ -19,7 +20,7 @@
 //! registry — which is exactly the review speed bump the pass exists to
 //! create. Extraction is heuristic (no rustc), tuned to the codec shapes
 //! actually used in `proto.rs`/`events.rs`; the self-check test keeps it
-//! honest against the real tree.
+//! honest against the real tree (`proto.rs`/`replog.rs`/`events.rs`).
 
 use crate::rules::Rule;
 use crate::source::SourceFile;
@@ -28,7 +29,7 @@ use crate::Finding;
 /// Where in the code a wire number was extracted from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Origin {
-    /// `CtlMsg::encode` arm.
+    /// `CtlMsg::encode` or `LogOp::encode_payload` arm.
     Encode,
     /// `CtlMsg::decode` arm.
     Decode,
@@ -41,7 +42,8 @@ pub enum Origin {
 /// One wire number extracted from the source.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireEntry {
-    /// Registry family: `ctlmsg`, `event`, `magic`, `version`, `port`.
+    /// Registry family: `ctlmsg`, `logop`, `event`, `magic`, `version`,
+    /// `port`.
     pub family: &'static str,
     /// Variant or qualified const name (`Done`, `store.MANIFEST_MAGIC`).
     pub name: String,
@@ -75,7 +77,7 @@ pub struct Registry {
     pub entries: Vec<RegEntry>,
 }
 
-const FAMILIES: &[&str] = &["ctlmsg", "event", "magic", "version", "port"];
+const FAMILIES: &[&str] = &["ctlmsg", "logop", "event", "magic", "version", "port"];
 
 /// Parses `wire-registry.txt`: one `family name value` triple per line,
 /// `#` comments and blank lines ignored, values canonicalized.
@@ -144,7 +146,7 @@ pub fn canon(v: &str) -> String {
 }
 
 /// Extracts the wire numbers a file defines. Dispatches on the path, so
-/// only the four wire-bearing files cost anything.
+/// only the five wire-bearing files cost anything.
 pub fn extract(sf: &SourceFile) -> Vec<WireEntry> {
     let mut out = Vec::new();
     match sf.rel.as_str() {
@@ -152,10 +154,12 @@ pub fn extract(sf: &SourceFile) -> Vec<WireEntry> {
             extract_ctlmsg(sf, &mut out);
             extract_consts(sf, &mut out);
         }
+        "crates/core/src/replog.rs" => {
+            extract_logop(sf, &mut out);
+            extract_consts(sf, &mut out);
+        }
         "crates/cluster/src/events.rs" => extract_events(sf, &mut out),
-        "crates/core/src/store.rs"
-        | "crates/core/src/replog.rs"
-        | "crates/cluster/src/fault.rs" => extract_consts(sf, &mut out),
+        "crates/core/src/store.rs" | "crates/cluster/src/fault.rs" => extract_consts(sf, &mut out),
         _ => {}
     }
     out
@@ -179,14 +183,20 @@ fn leading_int(s: &str) -> Option<String> {
 
 /// The variant name of the first `CtlMsg::Ident` token in `line`.
 fn ctl_ident(line: &str) -> Option<&str> {
-    let at = line.find("CtlMsg::")?;
+    variant_ident(line, "CtlMsg::")
+}
+
+/// The variant name of the first `<prefix>Ident` token in `line`, where
+/// `prefix` is an enum path such as `LogOp::`.
+fn variant_ident<'a>(line: &'a str, prefix: &str) -> Option<&'a str> {
+    let at = line.find(prefix)?;
     if at > 0 {
         let p = line.as_bytes()[at - 1];
         if p.is_ascii_alphanumeric() || p == b'_' {
             return None;
         }
     }
-    let rest = &line[at + "CtlMsg::".len()..];
+    let rest = &line[at + prefix.len()..];
     let end = rest
         .char_indices()
         .find(|(_, c)| !(c.is_ascii_alphanumeric() || *c == '_'))
@@ -273,6 +283,45 @@ fn extract_ctlmsg(sf: &SourceFile, out: &mut Vec<WireEntry>) {
                     origin: Origin::Decode,
                 });
             }
+        }
+    }
+}
+
+/// Extracts `CRZL` record tags from `LogOp::encode_payload`: within
+/// `fn encode_payload`..`fn decode_payload`, each `LogOp::Ident` match arm
+/// is paired with the first `(<int>, ` tuple (the `(tag, payload)` the arm
+/// returns) before the next arm.
+fn extract_logop(sf: &SourceFile, out: &mut Vec<WireEntry>) {
+    let lines: Vec<&str> = sf.clean.lines().collect();
+    let start = lines.iter().position(|l| l.contains("fn encode_payload"));
+    let end = lines.iter().position(|l| l.contains("fn decode_payload"));
+    let (Some(start), Some(end)) = (start, end) else {
+        return;
+    };
+    let arms: Vec<usize> = (start + 1..end)
+        .filter(|&i| variant_ident(lines[i], "LogOp::").is_some())
+        .collect();
+    for (k, &i) in arms.iter().enumerate() {
+        let window_end = arms.get(k + 1).copied().unwrap_or(end);
+        let tag = (i..window_end).find_map(|j| {
+            lines[j].match_indices('(').find_map(|(at, _)| {
+                let rest = &lines[j][at + 1..];
+                let tag = leading_int(rest)?;
+                rest.trim_start()
+                    .trim_start_matches(|c: char| c.is_ascii_digit() || c == '_')
+                    .starts_with(',')
+                    .then_some(tag)
+            })
+        });
+        if let (Some(name), Some(tag)) = (variant_ident(lines[i], "LogOp::"), tag) {
+            out.push(WireEntry {
+                family: "logop",
+                name: name.to_string(),
+                value: tag,
+                path: sf.rel.clone(),
+                line: i + 1,
+                origin: Origin::Encode,
+            });
         }
     }
 }
@@ -410,10 +459,11 @@ pub fn check(entries: &[WireEntry], reg: &Registry, reg_rel: &str) -> Vec<Findin
         });
     };
 
-    // 1. Encoder vs decoder.
+    // 1. Encoder vs decoder (the `CtlMsg` codec; `LogOp` pins only its
+    // encoder).
     let enc: Vec<&WireEntry> = entries
         .iter()
-        .filter(|e| e.origin == Origin::Encode)
+        .filter(|e| e.origin == Origin::Encode && e.family == "ctlmsg")
         .collect();
     let dec: Vec<&WireEntry> = entries
         .iter()
@@ -455,8 +505,15 @@ pub fn check(entries: &[WireEntry], reg: &Registry, reg_rel: &str) -> Vec<Findin
 
     // 2. Duplicate tags within a family (two variants sharing a wire
     // number collide on the wire / in fingerprints).
-    for (family, origin) in [("ctlmsg", Origin::Encode), ("event", Origin::Fingerprint)] {
-        let list: Vec<&WireEntry> = entries.iter().filter(|e| e.origin == origin).collect();
+    for (family, origin) in [
+        ("ctlmsg", Origin::Encode),
+        ("logop", Origin::Encode),
+        ("event", Origin::Fingerprint),
+    ] {
+        let list: Vec<&WireEntry> = entries
+            .iter()
+            .filter(|e| e.family == family && e.origin == origin)
+            .collect();
         for (k, e) in list.iter().enumerate() {
             if let Some(first) = list[..k].iter().find(|p| p.value == e.value) {
                 push(
@@ -657,6 +714,97 @@ impl CtlMsg {
             findings.iter().any(|f| f
                 .message
                 .contains("ctlmsg tag 0 is used by both Start and Done")),
+            "got {findings:?}"
+        );
+    }
+
+    // A miniature of the real replog.rs record codec: the tag is the first
+    // element of the `(tag, payload)` each arm returns.
+    const REPLOG: &str = "\
+impl LogOp {
+    fn encode_payload(&self) -> (u8, Vec<u8>) {
+        let mut w = Vec::new();
+        match self {
+            LogOp::PutChunked {
+                pod,
+                epoch,
+            } => {
+                put_str(&mut w, pod);
+                w.extend_from_slice(&epoch.to_le_bytes());
+                (1, w)
+            }
+            LogOp::Commit { epoch } => {
+                w.extend_from_slice(&epoch.to_le_bytes());
+                (2, w)
+            }
+            LogOp::Gc => (4, w),
+        }
+    }
+
+    fn decode_payload(tag: u8, payload: &[u8]) -> Option<LogOp> {
+        let op = match tag {
+            1 => LogOp::Gc,
+            _ => return None,
+        };
+        Some(op)
+    }
+}
+pub const REPLOG_MAGIC: u32 = 0x4352_5a4c;
+";
+
+    fn replog_entries(src: &str) -> Vec<WireEntry> {
+        extract(&SourceFile::new("crates/core/src/replog.rs", src))
+    }
+
+    #[test]
+    fn logop_tags_come_from_the_encoder_only() {
+        let e = replog_entries(REPLOG);
+        assert_eq!(
+            e.iter()
+                .map(|w| (w.family, w.name.clone(), w.value.clone()))
+                .collect::<Vec<_>>(),
+            vec![
+                ("logop", "PutChunked".to_string(), "1".to_string()),
+                ("logop", "Commit".to_string(), "2".to_string()),
+                ("logop", "Gc".to_string(), "4".to_string()),
+                (
+                    "magic",
+                    "replog.REPLOG_MAGIC".to_string(),
+                    "1129470540".to_string()
+                ),
+            ]
+        );
+        let reg = parse(
+            "logop PutChunked 1\nlogop Commit 2\nlogop Gc 4\nmagic replog.REPLOG_MAGIC 0x4352_5a4c\n",
+        )
+        .unwrap();
+        let findings = check(&e, &reg, "wire-registry.txt");
+        assert!(findings.is_empty(), "got {findings:?}");
+    }
+
+    #[test]
+    fn renumbered_logop_tag_is_flagged() {
+        let reg = parse("logop PutChunked 1\nlogop Commit 2\nlogop Gc 4\n").unwrap();
+        let drifted = REPLOG.replace("(2, w)", "(3, w)");
+        let findings = check(&replog_entries(&drifted), &reg, "wire-registry.txt");
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.message.contains("logop Commit drifted")
+                    && f.message.contains("code says 3")
+                    && f.message.contains("pins 2")),
+            "got {findings:?}"
+        );
+        let dup = REPLOG.replace("(2, w)", "(1, w)");
+        let findings = check(
+            &replog_entries(&dup),
+            &Registry::default(),
+            "wire-registry.txt",
+        );
+        assert!(
+            findings.iter().any(|f| f
+                .message
+                .contains("logop tag 1 is used by both PutChunked and Commit")),
             "got {findings:?}"
         );
     }

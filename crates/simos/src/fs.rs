@@ -22,8 +22,8 @@ use std::rc::Rc;
 /// let fs = NetFs::new();
 /// let node_a = fs.clone();
 /// let node_b = fs.clone();
-/// node_a.write_file("/ckpt/pod1.img", b"image".to_vec());
-/// assert_eq!(node_b.read_file("/ckpt/pod1.img").unwrap(), b"image");
+/// node_a.write_file("/ckpt/pod1.manifest", b"manifest".to_vec());
+/// assert_eq!(node_b.read_file("/ckpt/pod1.manifest").unwrap(), b"manifest");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct NetFs {
@@ -52,6 +52,12 @@ impl NetFs {
     /// Reads a whole file.
     pub fn read_file(&self, path: &str) -> Option<Vec<u8>> {
         self.files.borrow().get(path).cloned()
+    }
+
+    /// Runs `f` over a file's bytes in place, without the copy
+    /// [`NetFs::read_file`] makes. `f` must not touch this filesystem.
+    pub fn with_file<R>(&self, path: &str, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        self.files.borrow().get(path).map(|data| f(data))
     }
 
     /// Reads up to `len` bytes at `offset`.
@@ -111,6 +117,17 @@ mod tests {
         fs.write_file("/a", vec![1, 2, 3]);
         assert_eq!(other.read_file("/a"), Some(vec![1, 2, 3]));
         assert!(other.exists("/a"));
+    }
+
+    #[test]
+    fn with_file_borrows_the_bytes() {
+        let fs = NetFs::new();
+        fs.write_file("/a", vec![1, 2, 3]);
+        assert_eq!(
+            fs.with_file("/a", |b| b.iter().map(|&x| x as u32).sum::<u32>()),
+            Some(6)
+        );
+        assert_eq!(fs.with_file("/missing", <[u8]>::len), None);
     }
 
     #[test]

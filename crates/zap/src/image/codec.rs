@@ -277,8 +277,14 @@ impl<'a> ImageReader<'a> {
 }
 
 /// Advances an image's two chains and a chunk's two chains over the same
-/// bytes in one `fold4` pass.
+/// bytes in one `fold4` pass. The first range of an image starts where the
+/// image does, so until it ends its chains *are* the image's: then one
+/// `fold2` advances both, and a one-chunk image costs a `fold2` per side.
 fn fold_both(image: [u64; 2], own: [u64; 2], data: &[u8]) -> ([u64; 2], [u64; 2]) {
+    if image == own {
+        let (a, b) = fold2(image[0], image[1], data);
+        return ([a, b], [a, b]);
+    }
     let [a, b, c, d] = fold4([image[0], image[1], own[0], own[1]], data);
     ([a, b], [c, d])
 }

@@ -6,6 +6,10 @@
 //!   `seal`, for arbitrary bodies (including ones shorter than a word),
 //!   cut layouts and chunk sizes, so ranges straddle the checksum trailer
 //!   or lie inside it;
+//! * **first-range fold** — over arbitrary tilings, the whole image as one
+//!   range included, the seal's names and `Assembler::push`'s digests are
+//!   `ChunkId::of` of each range, although the range that starts the image
+//!   is folded with the image's own chains (`fold2`, not `fold4`);
 //! * **fused restore** — `read_sealed` of a chunked epoch equals the
 //!   reference read (decode each chunk, check its length and `ChunkId::of`,
 //!   concatenate, `Sealed::open`, compare the sidecar) on intact stores and
@@ -24,7 +28,7 @@ use cruz_repro::cruz::store::{
     CheckpointStore, PreparedPut, ReadError, StoreConfig, MANIFEST_MAGIC, STORE_VERSION,
 };
 use cruz_repro::simos::fs::NetFs;
-use cruz_repro::zap::image::{ContentDigest, ImageReader, ImageWriter, Sealed};
+use cruz_repro::zap::image::{Assembler, ContentDigest, ImageReader, ImageWriter, Sealed};
 use proptest::prelude::*;
 
 /// Cut layout from a recipe of `(gap, len)` pairs, ascending, truncated at
@@ -54,6 +58,24 @@ fn seal(
         w.u8(b);
     }
     w.seal_named(|len| split_ranges(len, &cuts_from(recipe, len), chunk))
+}
+
+/// An arbitrary tiling of `0..len`: each step cuts a range of `1 + step %
+/// rest` bytes, and the rest of the image is the last range, so no steps
+/// means one range covering the whole image.
+fn tiling(len: usize, steps: &[usize]) -> Vec<(usize, usize)> {
+    let mut ranges = Vec::new();
+    let mut at = 0;
+    for &step in steps {
+        if len - at < 2 {
+            break;
+        }
+        let l = 1 + step % (len - at - 1);
+        ranges.push((at, l));
+        at += l;
+    }
+    ranges.push((at, len - at));
+    ranges
 }
 
 type Record = (ChunkId, u32, u32);
@@ -294,6 +316,28 @@ proptest! {
     }
 
     #[test]
+    fn first_range_fold_names_every_tiling_like_chunk_id(
+        body in arb_body(),
+        steps in proptest::collection::vec(any::<usize>(), 0..6),
+    ) {
+        let mut w = ImageWriter::new();
+        for &b in &body {
+            w.u8(b);
+        }
+        let (sealed, ranges, names) = w.seal_named(|len| tiling(len, &steps));
+        let bytes = sealed.bytes();
+        prop_assert_eq!(ChunkId::from(sealed.digest()), ChunkId::of(bytes));
+        prop_assert_eq!(names.len(), ranges.len());
+        let mut image = Assembler::new(bytes.len());
+        for (&(s, l), &name) in ranges.iter().zip(&names) {
+            let id = ChunkId::of(&bytes[s..s + l]);
+            prop_assert_eq!(ChunkId::from(name), id);
+            prop_assert_eq!(ChunkId::from(image.push(&bytes[s..s + l])), id);
+        }
+        prop_assert_eq!(image.finish(), Some(sealed));
+    }
+
+    #[test]
     fn fused_restore_matches_the_reference_read(
         body in arb_body(),
         sealed_body in any::<bool>(),
@@ -344,7 +388,7 @@ proptest! {
             }
         }
         let cfg = cfg(chunk, compress);
-        let named = s.prepare_sealed(&sealed, &ranges, &names, &cfg);
+        let named = s.prepare_sealed(sealed.clone(), &ranges, &names, &cfg);
         let reference = s.prepare_chunked(raw, &cuts_from(&recipe, raw.len()), &cfg);
         let (model_manifest, model_novel) = model_prepare(&fs, &s, raw, &ranges, compress);
         prop_assert_eq!(named.manifest(), &model_manifest[..]);

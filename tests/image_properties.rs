@@ -356,7 +356,9 @@ fn store_reads_tell_an_absent_image_from_a_corrupt_one() {
     let fs = NetFs::new();
     let store = CheckpointStore::new(fs.clone(), "j");
     assert_eq!(store.read_sealed("p", 1).err(), Some(ReadError::Absent));
-    store.put_image("p", 1, vec![1, 2, 3]);
+    store
+        .put_prepared("p", 1, PreparedPut::Plain(vec![1, 2, 3]))
+        .unwrap();
     fs.remove(&store.digest_path("p", 1));
     assert_eq!(store.read_sealed("p", 1).err(), Some(ReadError::Corrupt));
     let rs = ReplicatedStore::new(NetFs::new(), "j", 3);
@@ -496,24 +498,32 @@ proptest! {
 
     #[test]
     fn plain_store_load_matches_get_image(img in arb_image(), damage in arb_damage()) {
+        let cfg = StoreConfig::default();
         let sealed_fs = NetFs::new();
         let sealed_store = CheckpointStore::new(sealed_fs.clone(), "j");
         let plain_fs = NetFs::new();
         let plain_store = CheckpointStore::new(plain_fs.clone(), "j");
         let mut bytes = img.encode();
-        let sealed = match damage {
+        let (sealed, ranges, names) = match damage {
             Damage::Written { at } => {
+                // Damaged before the put: its one range is the whole image,
+                // named by the image digest.
                 flip_at(&mut bytes, at);
-                Sealed::open(bytes.clone())
+                let sealed = Sealed::open(bytes.clone());
+                let names = vec![sealed.digest()];
+                (sealed, cfg.ranges(bytes.len(), &[]), names)
             }
-            _ => img.seal(),
+            _ => img.seal_named(|len, cuts| cfg.ranges(len, cuts)),
         };
-        sealed_store.put_prepared("p", 1, PreparedPut::Sealed(sealed)).unwrap();
+        let put = sealed_store.prepare_sealed(sealed.clone(), &ranges, &names, &cfg);
+        sealed_store.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
         plain_store.put_prepared("p", 1, PreparedPut::Plain(bytes)).unwrap();
-        // The sealed put writes the same image and sidecar bytes.
+        // Capture's sealed put and an unsealed `Plain` put land the same
+        // whole-image chunk, manifest and sidecar.
         prop_assert_eq!(tree(&sealed_fs), tree(&plain_fs));
         if let Damage::Stored { at } = damage {
-            flip_file(&sealed_fs, &sealed_store.image_path("p", 1), at);
+            let chunk = sealed_store.chunk_path(ChunkId::from(sealed.digest()));
+            flip_file(&sealed_fs, &chunk, at);
         }
         let got = sealed_store.get_image("p", 1);
         if let Damage::Written { .. } = damage {
@@ -551,7 +561,7 @@ proptest! {
             }
             _ => img.seal_named(split),
         };
-        let put = store.prepare_sealed(&sealed, &ranges, &names, &cfg);
+        let put = store.prepare_sealed(sealed.clone(), &ranges, &names, &cfg);
         let reference = store.prepare_chunked(sealed.bytes(), &cuts, &cfg);
         prop_assert_eq!(put.manifest(), reference.manifest());
         prop_assert_eq!(put.image_digest(), reference.image_digest());
@@ -573,9 +583,13 @@ proptest! {
     ) {
         let fs = NetFs::new();
         let rs = ReplicatedStore::new(fs.clone(), "j", 3);
-        rs.put_prepared("p", 1, PreparedPut::Sealed(img.seal())).unwrap();
+        let cfg = StoreConfig::default();
+        let (sealed, ranges, names) = img.seal_named(|len, cuts| cfg.ranges(len, cuts));
+        let put = rs.prepare_sealed(sealed.clone(), &ranges, &names, &cfg);
+        rs.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
         rs.commit(1);
-        flip_file(&fs, &rs.replica(victim).image_path("p", 1), at);
+        let chunk = rs.replica(victim).chunk_path(ChunkId::from(sealed.digest()));
+        flip_file(&fs, &chunk, at);
         let got = rs.get_image("p", 1);
         prop_assert_eq!(got.as_deref(), Some(&img.encode()[..]));
         let load = rs.read_sealed("p", 1);
