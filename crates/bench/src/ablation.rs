@@ -1,7 +1,7 @@
 //! The Fig. 4 ablation: blocking vs. optimized coordination, measured as
 //! per-node blocked time when local save durations are heterogeneous.
 
-use cluster::{ClusterParams, World};
+use cluster::{CkptOptions, ClusterParams, World};
 use cruz::proto::ProtocolMode;
 use des::SimDuration;
 use simos::disk::DiskParams;
@@ -49,7 +49,14 @@ pub fn run_ablation_opts(mode: ProtocolMode, ranks: usize, cow: bool) -> Ablatio
     w.launch_job(&slm.job_spec("slm", ranks)).expect("launch");
     w.run_for(SimDuration::from_millis(50));
     let op = w
-        .start_checkpoint_opts("slm", mode, cow, None)
+        .start_checkpoint_with(
+            "slm",
+            CkptOptions {
+                mode,
+                cow,
+                ..CkptOptions::default()
+            },
+        )
         .expect("start");
     assert!(w.run_until_op(op, 100_000_000));
     let rep = w.op_report(op).expect("report");

@@ -11,8 +11,8 @@
 //! scale with the heartbeat interval.
 
 use cluster::{
-    ClusterParams, CrashFault, FaultPlan, JobSpec, PodSpec, ProtocolPoint, RecoveryOutcome,
-    RecoveryReport, StoreConfig, World,
+    CkptOptions, ClusterParams, CrashFault, FaultPlan, JobSpec, PodSpec, ProtocolPoint,
+    RecoveryOutcome, RecoveryReport, StoreConfig, World,
 };
 use cruz::digest;
 use cruz::proto::ProtocolMode;
@@ -177,13 +177,8 @@ pub fn replay_fingerprints(world_seed: u64, plan_seed: u64) -> ((u64, u64), (u64
         let plan =
             FaultPlan::decode(&FaultPlan::random(plan_seed, 2).encode()).expect("plan round-trip");
         w.install_fault_plan(&plan);
-        w.schedule_periodic_checkpoints(
-            "pp",
-            SimDuration::from_millis(4),
-            ProtocolMode::Blocking,
-            false,
-        )
-        .expect("periodic checkpoints");
+        w.schedule_periodic_checkpoints("pp", SimDuration::from_millis(4), CkptOptions::default())
+            .expect("periodic checkpoints");
         w.run_for(SimDuration::from_millis(120));
         assert!(
             w.run_until_pred(50_000_000, |w| !w.job_busy("pp")),

@@ -13,8 +13,9 @@
 //! every k.
 
 use cluster::{
-    ClusterParams, CrashFault, FaultPlan, JobSpec, PodSpec, ProtocolPoint, RecoveryOutcome,
-    RecoveryReport, ReplicaFault, ReplicaFaultKind, StoreConfig, StoreOpPoint, World,
+    CkptOptions, ClusterParams, CrashFault, FaultPlan, JobSpec, PodSpec, ProtocolPoint,
+    RecoveryOutcome, RecoveryReport, ReplicaFault, ReplicaFaultKind, StoreConfig, StoreOpPoint,
+    World,
 };
 use cruz::digest;
 use cruz::proto::ProtocolMode;
@@ -237,13 +238,8 @@ pub fn replica_chaos_fingerprints(world_seed: u64, plan_seed: u64) -> ((u64, u64
         }
         let plan = FaultPlan::decode(&plan.encode()).expect("plan round-trip");
         w.install_fault_plan(&plan);
-        w.schedule_periodic_checkpoints(
-            "pp",
-            SimDuration::from_millis(4),
-            ProtocolMode::Blocking,
-            false,
-        )
-        .expect("periodic checkpoints");
+        w.schedule_periodic_checkpoints("pp", SimDuration::from_millis(4), CkptOptions::default())
+            .expect("periodic checkpoints");
         w.run_for(SimDuration::from_millis(120));
         assert!(
             w.run_until_pred(50_000_000, |w| !w.job_busy("pp")),

@@ -3,7 +3,7 @@
 //!
 //! The §5.2 split taken one step further: the freeze window covers only
 //! *arming* per-pod memory snapshots (O(non-memory state)); pages
-//! materialize in the background at the [`Deadline::CkptDrain`] firing
+//! materialize in the background at the `Event::CkptDrain` firing
 //! while resumed guests race the drain with writes, paying the bounded
 //! pre-image copy cost the [`crate::ops::OpReport`] records as
 //! `cow_copied_bytes`.
@@ -14,15 +14,15 @@ use cruz::error::CruzError;
 use cruz::store::PreparedChunked;
 use zap::ArmedPodCheckpoint;
 
+use crate::events::Event;
 use crate::fault::ProtocolPoint;
-use crate::runtime::{Deadline, Timers};
 use crate::state::World;
 
 impl World {
     /// COW capture, arm phase: freeze covers only arming the memory
     /// snapshots and serializing the image skeletons (registers, sockets,
     /// pipes, shm) — O(non-memory state) instead of O(image bytes). Pages
-    /// drain in the background at the [`Deadline::CkptDrain`] firing.
+    /// drain in the background at the [`Event::CkptDrain`] firing.
     pub(crate) fn begin_local_checkpoint_cow(&mut self, node: usize, op: u64) {
         let pods = self.job_pods_on_node(op, node);
         let mut armed: Vec<(String, ArmedPodCheckpoint)> = Vec::new();
@@ -58,8 +58,8 @@ impl World {
             o.pending_arm.insert(node, (t_arm, armed));
             o.local_ops.insert(node, (self.now, t_arm));
         }
-        self.arm(t_arm.into(), Deadline::AgentLocalDone { node, op });
-        self.arm(t_drain.into(), Deadline::CkptDrain { node, op });
+        self.arm(t_arm, Event::AgentLocalDone { node, op });
+        self.arm(t_drain, Event::CkptDrain { node, op });
     }
 
     /// COW capture, drain phase: materialize each armed snapshot (the
@@ -122,6 +122,6 @@ impl World {
             o.pending_ckpt.insert(node, images);
             *o.cow_copied.entry(node).or_insert(0) += copied;
         }
-        self.arm(durable_at.into(), Deadline::AgentDurable { node, op });
+        self.arm(durable_at, Event::AgentDurable { node, op });
     }
 }

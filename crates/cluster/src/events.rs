@@ -1,23 +1,26 @@
 //! The engine's event vocabulary and per-event trace fingerprints.
 //!
-//! Every state change in the simulated cluster is one [`Event`] popped off
-//! the world's queue. An event is either a substrate step the world
-//! drives itself (a node's run slice or timer, a frame on a link) or
-//! [`Event::Deadline`]: a protocol [`Deadline`] the layers above (ops,
-//! drain, heartbeat) armed through [`crate::runtime::Timers`], carried
-//! unchanged. Each dispatched event folds a cheap
-//! [`fingerprint`](Event::fingerprint) into the world's running trace
-//! digest, which is how two runs of the same seed prove they took the
-//! same path.
+//! Every state change in the cluster is one [`Event`] popped off the
+//! world's queue, and `World::arm` is the one way onto it. An event is
+//! either a substrate step the world drives itself (a node's run slice or
+//! timer, a frame on a link) or a protocol obligation a layer above (ops,
+//! drain, heartbeat, jobs) armed: a service-delay completion, a
+//! failure-detection deadline, a retry round, a periodic driver. Each
+//! dispatched event folds a cheap [`fingerprint`](Event::fingerprint)
+//! into the world's running trace digest, which is how two runs of the
+//! same seed prove they took the same path.
 
-use des::digest;
+use des::{digest, SimDuration, SimTime};
 use simnet::EthFrame;
+use zap::image::PodImage;
 
-use crate::runtime::Deadline;
+use cruz::proto::CtlMsg;
 
-/// One scheduled occurrence in the simulated cluster.
-#[allow(missing_docs)] // variant fields are documented where non-obvious
-pub enum Event {
+use crate::node::CtlAddr;
+use crate::params::CkptOptions;
+
+/// One scheduled occurrence in the cluster.
+pub(crate) enum Event {
     /// A node's kernel gets a run slice.
     NodeRun(usize),
     /// A node's timer wheel fires.
@@ -29,15 +32,64 @@ pub enum Event {
     /// A duplicated or reordered frame copy re-entering a node's NIC; never
     /// re-rolled against the fault plan (one fate per original frame).
     FrameAtNodeInjected { port: usize, frame: EthFrame },
-    /// A protocol deadline firing.
-    Deadline(Deadline),
+    /// A decoded control frame is handed to a node's agent after its
+    /// control-CPU service delay.
+    AgentCtl {
+        node: usize,
+        msg: CtlMsg,
+        reply_to: CtlAddr,
+    },
+    /// A node's local save/restore work completes.
+    AgentLocalDone { node: usize, op: u64 },
+    /// A node's checkpoint images become durable on disk.
+    AgentDurable { node: usize, op: u64 },
+    /// COW capture: the background drain of a node's armed snapshots
+    /// completes.
+    CkptDrain { node: usize, op: u64 },
+    /// A decoded agent reply is handed to an operation's coordinator after
+    /// its control-CPU service delay.
+    CoordCtl { op: u64, from: usize, msg: CtlMsg },
+    /// The coordinator CPU frees up to transmit one queued protocol
+    /// message.
+    CoordSend { op: u64, to: usize, msg: CtlMsg },
+    /// An operation's failure-detection deadline expires.
+    CoordTimeout { op: u64 },
+    /// A backed-off retransmission round for an operation's unacked sends.
+    CoordRetry { op: u64, attempt: u32 },
+    /// One heartbeat round for a job: ping every app node, arm the
+    /// timeout.
+    Heartbeat { job: String },
+    /// The deadline of one heartbeat round: any pinged node that has not
+    /// ponged since `sent_at` is declared dead.
+    HeartbeatTimeout {
+        job: String,
+        sent_at: SimTime,
+        pinged: Vec<usize>,
+    },
+    /// The periodic-checkpoint driver's next tick for a job.
+    PeriodicCkpt {
+        job: String,
+        interval: SimDuration,
+        opts: CkptOptions,
+    },
+    /// A migrated pod's image finishes its transfer and restores at the
+    /// destination.
+    MigrateFinish {
+        job: String,
+        pod: String,
+        dst: usize,
+        image: Box<PodImage>,
+    },
+    /// A periodic background scrub of a job's replicated checkpoint
+    /// store.
+    StoreScrub { job: String, interval: SimDuration },
 }
 
 impl Event {
     /// A cheap per-event fingerprint folded into the world's trace digest:
     /// the variant tag plus its routing fields. Enough to distinguish any
     /// two event orderings without hashing payload bytes on the hot path.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let mix = |tag: u64, a: u64, b: u64| {
             digest::fold_u64(
                 digest::fold_u64(digest::fold_u64(digest::OFFSET, tag), a),
@@ -54,53 +106,51 @@ impl Event {
             Event::FrameAtNodeInjected { port, frame } => {
                 mix(17, *port as u64, frame.wire_len() as u64)
             }
-            Event::Deadline(Deadline::AgentCtl { node, msg, .. }) => {
-                mix(5, *node as u64, msg.epoch())
-            }
-            Event::Deadline(Deadline::AgentLocalDone { node, op }) => mix(6, *node as u64, *op),
-            Event::Deadline(Deadline::AgentDurable { node, op }) => mix(7, *node as u64, *op),
-            Event::Deadline(Deadline::CkptDrain { node, op }) => mix(14, *node as u64, *op),
-            Event::Deadline(Deadline::CoordCtl { op, from, msg }) => {
+            Event::AgentCtl { node, msg, .. } => mix(5, *node as u64, msg.epoch()),
+            Event::AgentLocalDone { node, op } => mix(6, *node as u64, *op),
+            Event::AgentDurable { node, op } => mix(7, *node as u64, *op),
+            Event::CkptDrain { node, op } => mix(14, *node as u64, *op),
+            Event::CoordCtl { op, from, msg } => {
                 digest::fold_u64(mix(8, *op, *from as u64), msg.epoch())
             }
-            Event::Deadline(Deadline::CoordSend { op, to, msg }) => {
+            Event::CoordSend { op, to, msg } => {
                 digest::fold_u64(mix(9, *op, *to as u64), msg.epoch())
             }
-            Event::Deadline(Deadline::CoordTimeout { op }) => mix(10, *op, 0),
-            Event::Deadline(Deadline::CoordRetry { op, attempt }) => mix(11, *op, *attempt as u64),
-            Event::Deadline(Deadline::Heartbeat { job }) => {
+            Event::CoordTimeout { op } => mix(10, *op, 0),
+            Event::CoordRetry { op, attempt } => mix(11, *op, *attempt as u64),
+            Event::Heartbeat { job } => {
                 let mut h = mix(15, 0, 0);
                 for b in job.bytes() {
                     h = digest::fold_u64(h, b as u64);
                 }
                 h
             }
-            Event::Deadline(Deadline::HeartbeatTimeout {
+            Event::HeartbeatTimeout {
                 job,
                 sent_at,
                 pinged,
-            }) => {
+            } => {
                 let mut h = mix(16, sent_at.as_nanos(), pinged.len() as u64);
                 for b in job.bytes() {
                     h = digest::fold_u64(h, b as u64);
                 }
                 h
             }
-            Event::Deadline(Deadline::PeriodicCkpt { job, interval, .. }) => {
+            Event::PeriodicCkpt { job, interval, .. } => {
                 let mut h = mix(12, interval.as_nanos(), 0);
                 for b in job.bytes() {
                     h = digest::fold_u64(h, b as u64);
                 }
                 h
             }
-            Event::Deadline(Deadline::MigrateFinish { job, pod, dst, .. }) => {
+            Event::MigrateFinish { job, pod, dst, .. } => {
                 let mut h = mix(13, *dst as u64, 0);
                 for b in job.bytes().chain(pod.bytes()) {
                     h = digest::fold_u64(h, b as u64);
                 }
                 h
             }
-            Event::Deadline(Deadline::StoreScrub { job, interval }) => {
+            Event::StoreScrub { job, interval } => {
                 let mut h = mix(18, interval.as_nanos(), 0);
                 for b in job.bytes() {
                     h = digest::fold_u64(h, b as u64);
@@ -126,14 +176,14 @@ mod tests {
             Event::NodeTick(3).fingerprint()
         );
         assert_ne!(
-            Event::Deadline(Deadline::CoordTimeout { op: 1 }).fingerprint(),
-            Event::Deadline(Deadline::CoordRetry { op: 1, attempt: 0 }).fingerprint()
+            Event::CoordTimeout { op: 1 }.fingerprint(),
+            Event::CoordRetry { op: 1, attempt: 0 }.fingerprint()
         );
     }
 
     #[test]
     fn fingerprint_is_pure() {
-        let ev = Event::Deadline(Deadline::Heartbeat { job: "j".into() });
+        let ev = Event::Heartbeat { job: "j".into() };
         assert_eq!(ev.fingerprint(), ev.fingerprint());
     }
 }

@@ -4,22 +4,22 @@
 //!
 //! All wire traffic here — pings from the coordinator node, pongs drained
 //! by `World::pump_heartbeat`, abort broadcasts after a failover — moves
-//! through the [`crate::transport::CtlTransport`] seam like every other
-//! control frame, so detection latency includes real (simulated) network
-//! and control-CPU delays.
+//! through the [`crate::transport`] like every other control frame, so
+//! detection latency includes real (simulated) network and control-CPU
+//! delays.
 
 use std::collections::BTreeMap;
 
-use des::SimTime;
+use des::{SimDuration, SimTime};
 
 use cruz::error::CruzError;
 use cruz::proto::{CtlMsg, ProtocolMode};
 
+use crate::events::Event;
+use crate::node::{CtlAddr, CtlSock};
 use crate::params::SparePolicy;
 use crate::recovery::{RecoveryCause, RecoveryOutcome, RecoveryReport};
-use crate::runtime::{Deadline, Timers};
 use crate::state::{ClusterError, World};
-use crate::transport::{CtlSock, CtlTransport};
 
 /// Per-job heartbeat bookkeeping (socket on the coordinator node, ping
 /// sequence, last pong time per node).
@@ -58,8 +58,8 @@ impl World {
             },
         );
         self.arm(
-            (self.now + self.params.recovery.heartbeat_interval).into(),
-            Deadline::Heartbeat {
+            self.now + self.params.recovery.heartbeat_interval,
+            Event::Heartbeat {
                 job: job.to_owned(),
             },
         );
@@ -103,23 +103,23 @@ impl World {
             .map(|jr| jr.app_nodes())
             .unwrap_or_default();
         let now = self.now;
+        let ping = CtlMsg::Ping { seq };
         let mut ctl = self.ctl();
         for &n in &pinged {
-            let dst = ctl.agent_addr(n);
-            ctl.send(coord_node, sock, dst, &CtlMsg::Ping { seq }, now.into());
+            ctl.send(coord_node, sock, CtlAddr::agent(n), &ping, now);
         }
         self.postprocess(coord_node);
         self.arm(
-            (self.now + self.params.recovery.heartbeat_timeout).into(),
-            Deadline::HeartbeatTimeout {
+            self.now + self.params.recovery.heartbeat_timeout,
+            Event::HeartbeatTimeout {
                 job: job.to_owned(),
-                sent_at: self.now.into(),
+                sent_at: self.now,
                 pinged,
             },
         );
         self.arm(
-            (self.now + self.params.recovery.heartbeat_interval).into(),
-            Deadline::Heartbeat {
+            self.now + self.params.recovery.heartbeat_interval,
+            Event::Heartbeat {
                 job: job.to_owned(),
             },
         );
@@ -377,10 +377,10 @@ impl World {
                 .unwrap_or_default();
             let now = self.now;
             {
+                let abort = CtlMsg::Abort { epoch: op };
                 let mut ctl = self.ctl();
                 for n in agents {
-                    let dst = ctl.agent_addr(n);
-                    ctl.send(new, sock, dst, &CtlMsg::Abort { epoch: op }, now.into());
+                    ctl.send(new, sock, CtlAddr::agent(n), &abort, now);
                 }
             }
             if let Some(o) = self.ops.get_mut(&op) {
@@ -418,19 +418,19 @@ impl World {
     /// `interval`, replica logs and tree digests are compared and any
     /// divergent or crashed replica is rebuilt from the reference log. A
     /// no-op driver when replication is off (k = 1).
-    pub fn schedule_store_scrub(&mut self, job: &str, interval: des::SimDuration) {
+    pub fn schedule_store_scrub(&mut self, job: &str, interval: SimDuration) {
         self.arm(
-            (self.now + interval).into(),
-            Deadline::StoreScrub {
+            self.now + interval,
+            Event::StoreScrub {
                 job: job.to_owned(),
-                interval: interval.into(),
+                interval,
             },
         );
     }
 
     /// One background scrub tick: repair, record, re-arm. The driver
     /// retires itself when the job disappears.
-    pub(crate) fn on_store_scrub(&mut self, job: &str, interval: des::SimDuration) {
+    pub(crate) fn on_store_scrub(&mut self, job: &str, interval: SimDuration) {
         if !self.jobs.contains_key(job) {
             return;
         }
@@ -441,18 +441,12 @@ impl World {
                 self.scrub_reports.push((self.now, job.to_owned(), rep));
             }
         }
-        self.arm(
-            (self.now + interval).into(),
-            Deadline::StoreScrub {
-                job: job.to_owned(),
-                interval: interval.into(),
-            },
-        );
+        self.schedule_store_scrub(job, interval);
     }
 
     /// Drains heartbeat pongs for jobs whose coordinator lives on node `n`.
     /// The responder is identified by the sender's node index, which the
-    /// transport seam reports directly.
+    /// transport reports directly.
     pub(crate) fn pump_heartbeat(&mut self, n: usize) {
         let hb_socks: Vec<(String, CtlSock)> = self
             .hb

@@ -10,7 +10,7 @@ use zap::PodConfig;
 
 use cruz::error::CruzError;
 
-use crate::runtime::{Deadline, Timers};
+use crate::events::Event;
 use crate::state::{ClusterError, World};
 
 /// One pod of a job: where it runs and what it executes.
@@ -264,8 +264,8 @@ impl World {
         }
         let r = self.nodes[dst].kernel.disk.submit_read(w, bytes);
         self.arm(
-            r.into(),
-            Deadline::MigrateFinish {
+            r,
+            Event::MigrateFinish {
                 job: job.to_owned(),
                 pod: pod.to_owned(),
                 dst,

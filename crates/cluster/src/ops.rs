@@ -3,14 +3,13 @@
 //!
 //! This layer owns the lifetime of one coordinated checkpoint or restart:
 //! binding the coordinator's control socket (through the
-//! [`crate::transport::CtlTransport`] seam), serializing its sends on the
-//! control-plane CPU, and tearing the operation down on commit, abort or
-//! injected failure. Every future action is registered through the
-//! [`crate::runtime::Timers`] seam rather than scheduled as a raw DES
-//! event, so the same code drives both the simulated and the real-socket
-//! runtime. The agent half — executing protocol actions against the Zap
-//! layer and the disk — is in [`crate::ops_agent`]; the COW arm/drain
-//! schedule is in [`crate::drain`].
+//! [`crate::transport`]), serializing its sends on the control-plane CPU,
+//! and tearing the operation down on commit, abort or injected failure.
+//! Every future action is one `Event` armed with `World::arm`, so the
+//! same code drives both carriers. The agent half — executing protocol
+//! actions against the Zap layer and the disk — is in
+//! [`crate::ops_agent`]; the COW arm/drain schedule is in
+//! [`crate::drain`].
 
 use std::collections::BTreeMap;
 
@@ -22,11 +21,11 @@ use cruz::error::CruzError;
 use cruz::proto::{CtlMsg, OpKind, ProtocolMode};
 use cruz::store::PreparedChunked;
 
-use crate::params::CkptCaptureMode;
+use crate::events::Event;
+use crate::node::{CtlAddr, CtlSock};
+use crate::params::{CkptCaptureMode, CkptOptions};
 use crate::recovery::RecoveryOutcome;
-use crate::runtime::{Deadline, Timers};
 use crate::state::{ClusterError, World};
-use crate::transport::{CtlSock, CtlTransport};
 
 /// Per-operation state the engine tracks from install to completion.
 pub(crate) struct OpRuntime {
@@ -86,33 +85,6 @@ impl OpRuntime {
 pub(crate) struct RetiredOp {
     report: OpReport,
     error: Option<CruzError>,
-}
-
-/// Options of a coordinated checkpoint.
-#[derive(Debug, Clone, Copy)]
-pub struct CkptOptions {
-    /// Protocol variant (Fig. 2 blocking or Fig. 4 optimized).
-    pub mode: ProtocolMode,
-    /// §5.2 copy-on-write: blackout covers capture only; `durable` gates
-    /// the commit.
-    pub cow: bool,
-    /// Memory-capture mode override; `None` uses `ClusterParams::capture`.
-    /// [`CkptCaptureMode::Cow`] shrinks the freeze to the snapshot-arm
-    /// window and implies the §5.2 durability split (`cow` above).
-    pub capture: Option<CkptCaptureMode>,
-    /// Failure-detection timeout (abort + rollback on expiry).
-    pub timeout: Option<SimDuration>,
-}
-
-impl Default for CkptOptions {
-    fn default() -> Self {
-        CkptOptions {
-            mode: ProtocolMode::Blocking,
-            cow: false,
-            capture: None,
-            timeout: None,
-        }
-    }
 }
 
 /// A report of one finished (or running) coordinated operation.
@@ -177,36 +149,19 @@ impl World {
         mode: ProtocolMode,
         timeout: Option<SimDuration>,
     ) -> Result<u64, ClusterError> {
-        self.start_checkpoint_opts(job, mode, false, timeout)
-    }
-
-    /// Like [`World::start_checkpoint`], with the §5.2 copy-on-write
-    /// optimization selectable: when `cow` is true the blackout covers only
-    /// state *capture*; image writes complete in the background and gate
-    /// the commit record via `durable` messages.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::NoSuchJob`].
-    pub fn start_checkpoint_opts(
-        &mut self,
-        job: &str,
-        mode: ProtocolMode,
-        cow: bool,
-        timeout: Option<SimDuration>,
-    ) -> Result<u64, ClusterError> {
         self.start_checkpoint_with(
             job,
             CkptOptions {
                 mode,
-                cow,
                 timeout,
                 ..CkptOptions::default()
             },
         )
     }
 
-    /// The fully-general checkpoint entry point.
+    /// The fully-general checkpoint entry point: protocol mode, the §5.2
+    /// copy-on-write durability split, the capture mode and the timeout,
+    /// as [`CkptOptions`] selects them.
     ///
     /// # Errors
     ///
@@ -222,7 +177,7 @@ impl World {
         let jr = self.jobs.get(job).ok_or(ClusterError::NoSuchJob)?;
         let agents_nodes = jr.app_nodes();
         let coord_node = jr.coordinator_node;
-        let capture = opts.capture.unwrap_or(self.params.capture);
+        let capture = opts.capture.unwrap_or_default();
         let op = self.next_op;
         self.next_op += 1;
         let mut coord = Coordinator::new(
@@ -384,21 +339,18 @@ impl World {
         );
         self.schedule_coord_sends(op, msgs);
         if let Some(d) = deadline {
-            self.arm(d.into(), Deadline::CoordTimeout { op });
+            self.arm(d, Event::CoordTimeout { op });
         }
         if let Some(p) = self.params.ctl_retry {
             if let Some(d) = p.delay(0) {
-                self.arm(
-                    (self.now + d).into(),
-                    Deadline::CoordRetry { op, attempt: 0 },
-                );
+                self.arm(self.now + d, Event::CoordRetry { op, attempt: 0 });
             }
         }
         Ok(())
     }
 
     /// Binds an ephemeral control-plane endpoint on a node, through the
-    /// transport seam.
+    /// transport.
     pub(crate) fn bind_ctl_sock(&mut self, node: usize) -> Result<CtlSock, ClusterError> {
         Ok(self.ctl().bind(node, 0)?)
     }
@@ -412,7 +364,7 @@ impl World {
         };
         for (agent, msg) in msgs {
             let at = self.ctl_slot(coord_node);
-            self.arm(at.into(), Deadline::CoordSend { op, to: agent, msg });
+            self.arm(at, Event::CoordSend { op, to: agent, msg });
         }
     }
 
@@ -494,7 +446,7 @@ impl World {
     fn op_completed(&mut self, op: u64) {
         let now = self.now;
         if let Some(o) = self.ops.remove(&op) {
-            self.ctl().close(o.coord_node, o.coord_sock, now.into());
+            self.ctl().close(o.coord_node, o.coord_sock, now);
             let retired = RetiredOp {
                 report: o.report(),
                 error: o.error,
@@ -510,9 +462,9 @@ impl World {
     }
 
     /// Arms a periodic checkpoint driver for `job` (the LSF-integration
-    /// analogue): every `interval`, a coordinated checkpoint starts unless
-    /// one is already running; the driver retires itself once the job
-    /// finishes.
+    /// analogue): every `interval`, a coordinated checkpoint with `opts`
+    /// starts unless one is already running; the driver retires itself
+    /// once the job finishes.
     ///
     /// # Errors
     ///
@@ -521,49 +473,37 @@ impl World {
         &mut self,
         job: &str,
         interval: SimDuration,
-        mode: ProtocolMode,
-        cow: bool,
+        opts: CkptOptions,
     ) -> Result<(), ClusterError> {
         if !self.jobs.contains_key(job) {
             return Err(ClusterError::NoSuchJob);
         }
-        self.arm(
-            (self.now + interval).into(),
-            Deadline::PeriodicCkpt {
-                job: job.to_owned(),
-                interval: interval.into(),
-                mode,
-                cow,
-            },
-        );
+        self.arm_periodic_ckpt(job, interval, opts);
         Ok(())
     }
 
-    pub(crate) fn on_periodic_ckpt(
-        &mut self,
-        job: &str,
-        interval: SimDuration,
-        mode: ProtocolMode,
-        cow: bool,
-    ) {
+    pub(crate) fn on_periodic_ckpt(&mut self, job: &str, interval: SimDuration, opts: CkptOptions) {
         if !self.jobs.contains_key(job) || self.job_finished(job) {
             return; // driver retires
         }
         if !self.job_busy(job) {
-            if let Err(e) = self.start_checkpoint_opts(job, mode, cow, None) {
+            if let Err(e) = self.start_checkpoint_with(job, opts) {
                 // A failed tick must not kill the periodic driver; record
                 // the cause and try again next interval.
                 let now = self.now;
                 self.soft_faults.push((now, "periodic-checkpoint", e));
             }
         }
+        self.arm_periodic_ckpt(job, interval, opts);
+    }
+
+    fn arm_periodic_ckpt(&mut self, job: &str, interval: SimDuration, opts: CkptOptions) {
         self.arm(
-            (self.now + interval).into(),
-            Deadline::PeriodicCkpt {
+            self.now + interval,
+            Event::PeriodicCkpt {
                 job: job.to_owned(),
-                interval: interval.into(),
-                mode,
-                cow,
+                interval,
+                opts,
             },
         );
     }
@@ -616,9 +556,8 @@ impl World {
         let coord_node = o.coord_node;
         let sock = o.coord_sock;
         let now = self.now;
-        let mut ctl = self.ctl();
-        let dst = ctl.agent_addr(node);
-        ctl.send(coord_node, sock, dst, &msg, now.into());
+        self.ctl()
+            .send(coord_node, sock, CtlAddr::agent(node), &msg, now);
         self.postprocess(coord_node);
     }
 
@@ -640,10 +579,7 @@ impl World {
         self.schedule_coord_sends(op, msgs);
         let next = attempt + 1;
         if let Some(d) = policy.delay(next) {
-            self.arm(
-                (self.now + d).into(),
-                Deadline::CoordRetry { op, attempt: next },
-            );
+            self.arm(self.now + d, Event::CoordRetry { op, attempt: next });
         }
     }
 
@@ -664,7 +600,7 @@ impl World {
     }
 
     /// Drains coordinator sockets hosted on a node: each agent reply costs
-    /// one control-CPU slot and becomes a [`Deadline::CoordCtl`] firing.
+    /// one control-CPU slot and becomes an [`Event::CoordCtl`] firing.
     pub(crate) fn pump_coord(&mut self, n: usize) {
         let op_socks: Vec<(u64, CtlSock)> = self
             .ops
@@ -684,8 +620,8 @@ impl World {
                 };
                 let at = self.ctl_slot(n);
                 self.arm(
-                    at.into(),
-                    Deadline::CoordCtl {
+                    at,
+                    Event::CoordCtl {
                         op,
                         from: agent_idx,
                         msg,

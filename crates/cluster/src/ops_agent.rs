@@ -7,7 +7,7 @@
 //! images, restoring from the store, resuming, and rolling back. The
 //! stop-the-world capture path lives here; the COW arm/drain schedule is
 //! in [`crate::drain`]. Like the coordinator half, every future action is
-//! registered through the [`crate::runtime::Timers`] seam.
+//! one `Event` armed with `World::arm`.
 
 use simos::disk::WriteFault;
 
@@ -20,12 +20,12 @@ use zap::image::PodImage;
 
 use des::SimTime;
 
+use crate::events::Event;
 use crate::fault::ProtocolPoint;
 use crate::jobs::PodPlacement;
+use crate::node::CtlAddr;
 use crate::params::CkptCaptureMode;
-use crate::runtime::{CtlAddr, Deadline, Timers};
 use crate::state::World;
-use crate::transport::CtlTransport;
 
 impl World {
     // ---- agent wiring -------------------------------------------------------
@@ -40,7 +40,7 @@ impl World {
             let sock = self.nodes[node].agent_sock;
             let now = self.now;
             self.ctl()
-                .send(node, sock, reply_to, &CtlMsg::Pong { seq }, now.into());
+                .send(node, sock, reply_to, &CtlMsg::Pong { seq }, now);
             self.postprocess(node);
             return;
         }
@@ -306,14 +306,14 @@ impl World {
                 o.pending_ckpt.insert(node, images);
                 o.local_ops.insert(node, (self.now, captured_at));
             }
-            self.arm(captured_at.into(), Deadline::AgentLocalDone { node, op });
-            self.arm(durable_at.into(), Deadline::AgentDurable { node, op });
+            self.arm(captured_at, Event::AgentLocalDone { node, op });
+            self.arm(durable_at, Event::AgentDurable { node, op });
         } else {
             if let Some(o) = self.ops.get_mut(&op) {
                 o.pending_ckpt.insert(node, images);
                 o.local_ops.insert(node, (self.now, durable_at));
             }
-            self.arm(durable_at.into(), Deadline::AgentLocalDone { node, op });
+            self.arm(durable_at, Event::AgentLocalDone { node, op });
         }
     }
 
@@ -379,7 +379,7 @@ impl World {
             o.pending_restore.insert(node, images);
             o.local_ops.insert(node, (self.now, done_at));
         }
-        self.arm(done_at.into(), Deadline::AgentLocalDone { node, op });
+        self.arm(done_at, Event::AgentLocalDone { node, op });
     }
 
     pub(crate) fn resume_pods(&mut self, node: usize, op: u64) {
@@ -429,11 +429,11 @@ impl World {
         };
         let sock = self.nodes[node].agent_sock;
         let now = self.now;
-        self.ctl().send(node, sock, addr, &msg, now.into());
+        self.ctl().send(node, sock, addr, &msg, now);
     }
 
     /// Drains a node's agent endpoint: each decodable control frame costs
-    /// one control-CPU slot and becomes a [`Deadline::AgentCtl`] firing.
+    /// one control-CPU slot and becomes an [`Event::AgentCtl`] firing.
     pub(crate) fn pump_agent(&mut self, n: usize) {
         let sock = self.nodes[n].agent_sock;
         while let Some((from, msg)) = self.ctl().recv(n, sock) {
@@ -445,8 +445,8 @@ impl World {
                 self.nodes[n].ctl_cpu_free = at;
             }
             self.arm(
-                at.into(),
-                Deadline::AgentCtl {
+                at,
+                Event::AgentCtl {
                     node: n,
                     msg,
                     reply_to: from,

@@ -4,6 +4,7 @@
 //! Pentium III nodes, gigabit Ethernet, 2005-era disks. `EXPERIMENTS.md`
 //! documents how each figure depends on these values.
 
+use cruz::proto::ProtocolMode;
 use cruz::store::StoreConfig;
 use des::SimDuration;
 use simnet::link::LinkParams;
@@ -24,6 +25,33 @@ pub enum CkptCaptureMode {
     /// the arm cost plus non-memory state, at the price of bounded extra
     /// page copies proportional to the post-resume write rate.
     Cow,
+}
+
+/// Options of a coordinated checkpoint.
+#[derive(Debug, Clone, Copy)]
+pub struct CkptOptions {
+    /// Protocol variant (Fig. 2 blocking or Fig. 4 optimized).
+    pub mode: ProtocolMode,
+    /// §5.2 copy-on-write: blackout covers capture only; `durable` gates
+    /// the commit.
+    pub cow: bool,
+    /// Memory-capture mode; `None` is [`CkptCaptureMode::StopTheWorld`].
+    /// [`CkptCaptureMode::Cow`] shrinks the freeze to the snapshot-arm
+    /// window and implies the §5.2 durability split (`cow` above).
+    pub capture: Option<CkptCaptureMode>,
+    /// Failure-detection timeout (abort + rollback on expiry).
+    pub timeout: Option<SimDuration>,
+}
+
+impl Default for CkptOptions {
+    fn default() -> Self {
+        CkptOptions {
+            mode: ProtocolMode::Blocking,
+            cow: false,
+            capture: None,
+            timeout: None,
+        }
+    }
 }
 
 /// Capped exponential backoff for control-plane retransmissions.
@@ -176,9 +204,6 @@ pub struct ClusterParams {
     /// replica stores (`1` = the plain unreplicated store, byte-identical
     /// to earlier versions).
     pub store: StoreConfig,
-    /// Default capture mode for checkpoint operations (overridable per-op
-    /// via `CkptOptions::capture`).
-    pub capture: CkptCaptureMode,
 }
 
 impl Default for ClusterParams {
@@ -198,7 +223,6 @@ impl Default for ClusterParams {
             ctl_retry: None,
             recovery: RecoveryParams::default(),
             store: StoreConfig::default(),
-            capture: CkptCaptureMode::default(),
         }
     }
 }

@@ -1,93 +1,58 @@
-//! The control-plane transport seam.
+//! The control-plane transport: one `Ctl` per world, on one of two
+//! carriers.
 //!
 //! Everything above this module — coordinator wiring, agent wiring,
-//! heartbeats, failover — moves [`CtlMsg`] frames through the
-//! [`CtlTransport`] trait and never touches a node's network stack
-//! directly. That is the layering DMTCP's coordinator/plugin split proved
-//! out (and its InfiniBand port exploited: swap the transport, keep the
-//! protocol): the protocol engine is written once against this seam, and
-//! a backend is free to carry frames however it likes.
+//! heartbeats, failover — moves [`CtlMsg`] frames through `Ctl`'s four
+//! operations and never touches a node's network stack directly. That is
+//! the layering DMTCP's coordinator/plugin split proved out (swap the
+//! transport, keep the protocol): the protocol engine is written once,
+//! against `CtlAddr` node-index addressing, and each carrier maps those
+//! names onto its own endpoints.
 //!
-//! The trait speaks only engine-owned types — [`CtlAddr`] node-index
-//! addressing and [`CtlInstant`] clock readings (`crate::runtime`), never
-//! `simnet::SockAddr` or `des::SimTime` — so a backend over real sockets
-//! implements these four methods and the engine above compiles unchanged.
+//! The contract is deliberately minimal and datagram-shaped, and the
+//! same on both carriers (the unit tests below check it on each):
 //!
-//! The first backend is [`SimnetCtl`]: unreliable datagrams over the
+//! * **Unreliable** — `send` is fire-and-forget. Frames may be dropped,
+//!   duplicated or reordered in flight; a refused or unroutable send is
+//!   dropped silently. The protocol layers above own retry and
+//!   idempotence.
+//! * **Non-blocking** — `recv` returns at most one decodable frame and
+//!   never waits; the event loop polls it at node-service points. It
+//!   skips undecodable datagrams and frames from sources the carrier
+//!   cannot name, and returns `None` on an empty queue or a closed
+//!   socket.
+//! * **Addressed** — nodes are named by index (`CtlAddr`), never by
+//!   wire address, and `recv` reports the sender's `CtlAddr`, so a
+//!   reply to it reaches the sending socket.
+//!
+//! `SimnetCtl` is the sim carrier: unreliable datagrams over the
 //! simulated UDP/IP/Ethernet substrate. Frames it sends are subject to
 //! everything the fabric does to real traffic — link serialization delay,
 //! switch forwarding, seeded loss, and the fault plane's
-//! drop/duplicate/reorder injections — which is exactly why the protocol
-//! layers must tolerate delivery faults rather than assume a reliable
-//! channel. The second is [`NetCtl`], the loopback carrier's transport,
-//! which carries the same frames over real non-blocking
-//! `std::net::UdpSocket`s on `127.0.0.1` and owns that carrier's wall
-//! clock. [`Ctl`] is whichever of the two a world was built with.
+//! drop/duplicate/reorder injections. `NetCtl` is the loopback
+//! carrier: the same frames over real non-blocking
+//! `std::net::UdpSocket`s on `127.0.0.1`, plus that carrier's wall clock.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use des::SimTime;
 use simnet::addr::SockAddr;
 use simnet::stack::SocketId;
 
 use cruz::error::CruzError;
-use cruz::proto::{CtlMsg, AGENT_PORT};
+use cruz::proto::CtlMsg;
 
-use crate::node::{node_ip, Node};
-use crate::runtime::{CtlAddr, CtlInstant};
+use crate::node::{node_ip, CtlAddr, CtlSock, Node};
 
-pub use crate::node::CtlSock;
-
-/// Bind/send/receive of control-plane frames on behalf of a node.
-///
-/// The contract is deliberately minimal and datagram-shaped:
-///
-/// * **Unreliable** — `send` is fire-and-forget. Frames may be dropped,
-///   duplicated or reordered in flight (the simnet backend subjects them
-///   to the seeded fault plane); the protocol layers above own retry and
-///   idempotence.
-/// * **Non-blocking** — `recv` drains at most one decodable frame and
-///   never waits; the event loop polls it at node-service points.
-/// * **Addressed** — nodes are named by index ([`CtlAddr`]), never by
-///   wire address; [`CtlTransport::agent_addr`] maps an index to the
-///   well-known agent endpoint so callers never derive addresses
-///   themselves.
-pub trait CtlTransport {
-    /// Binds a fresh control endpoint on `node` at `port` (`0` requests an
-    /// ephemeral port).
-    ///
-    /// # Errors
-    ///
-    /// [`CruzError::ControlSocket`] when the node's stack refuses the bind
-    /// (port taken, sockets exhausted).
-    fn bind(&mut self, node: usize, port: u16) -> Result<CtlSock, CruzError>;
-
-    /// Sends one control frame from `sock` on `node` to `dst`,
-    /// fire-and-forget. A refused or unroutable send is dropped silently —
-    /// indistinguishable, to the protocol, from loss in flight.
-    fn send(&mut self, node: usize, sock: CtlSock, dst: CtlAddr, msg: &CtlMsg, now: CtlInstant);
-
-    /// Receives the next decodable control frame queued on `sock`, with
-    /// its source address. Undecodable datagrams are discarded. `None`
-    /// when the queue is empty.
-    fn recv(&mut self, node: usize, sock: CtlSock) -> Option<(CtlAddr, CtlMsg)>;
-
-    /// Releases `sock` on `node`. Frames still addressed to it are dropped,
-    /// as if lost in flight.
-    fn close(&mut self, node: usize, sock: CtlSock, now: CtlInstant);
-
-    /// The well-known control-plane address of `node`'s agent endpoint.
-    fn agent_addr(&self, node: usize) -> CtlAddr;
-}
-
-/// The simulated-UDP backend: control frames ride real datagrams through
-/// each node's [`simnet`] stack, the switch, and the per-link
+/// The sim carrier's transport: control frames ride real datagrams
+/// through each node's [`simnet`] stack, the switch, and the per-link
 /// bandwidth/latency model — so control-plane cost and control-plane loss
 /// are emergent, not modelled. [`CtlAddr`]s map onto the `10.0.0.(n+1)`
-/// subnet at the seam; the engine above never sees a wire address.
-pub struct SimnetCtl<'a> {
+/// subnet here; the engine above never sees a wire address.
+pub(crate) struct SimnetCtl<'a> {
     nodes: &'a mut [Node],
 }
 
@@ -112,9 +77,7 @@ impl<'a> SimnetCtl<'a> {
             None
         }
     }
-}
 
-impl CtlTransport for SimnetCtl<'_> {
     fn bind(&mut self, node: usize, port: u16) -> Result<CtlSock, CruzError> {
         let k = &mut self.nodes[node].kernel;
         let s = k.net.udp_socket();
@@ -124,7 +87,7 @@ impl CtlTransport for SimnetCtl<'_> {
         Ok(CtlSock(s.0))
     }
 
-    fn send(&mut self, node: usize, sock: CtlSock, dst: CtlAddr, msg: &CtlMsg, now: CtlInstant) {
+    fn send(&mut self, node: usize, sock: CtlSock, dst: CtlAddr, msg: &CtlMsg, now: SimTime) {
         // Fire-and-forget by contract: a refused or unroutable send is,
         // to the protocol, indistinguishable from loss in flight, and the
         // layers above own retry. cruz-lint: allow(swallowed-error)
@@ -132,7 +95,7 @@ impl CtlTransport for SimnetCtl<'_> {
             SocketId(sock.0),
             Self::wire_addr(dst),
             Bytes::from(msg.encode()),
-            now.into(),
+            now,
         );
     }
 
@@ -148,15 +111,8 @@ impl CtlTransport for SimnetCtl<'_> {
         None
     }
 
-    fn close(&mut self, node: usize, sock: CtlSock, now: CtlInstant) {
-        self.nodes[node]
-            .kernel
-            .net
-            .close(SocketId(sock.0), now.into());
-    }
-
-    fn agent_addr(&self, node: usize) -> CtlAddr {
-        CtlAddr::new(node, AGENT_PORT)
+    fn close(&mut self, node: usize, sock: CtlSock, now: SimTime) {
+        self.nodes[node].kernel.net.close(SocketId(sock.0), now);
     }
 }
 
@@ -181,7 +137,7 @@ const WALL_BUDGET: Duration = Duration::from_secs(30);
 const COARSE_WAIT: Duration = Duration::from_millis(20);
 
 /// The loopback carrier's clock: wall-clock nanoseconds since the carrier
-/// started, read as [`CtlInstant`]s, plus a private socket whose read
+/// started, read as [`SimTime`]s, plus a private socket whose read
 /// timeout is how the carrier blocks.
 struct NetClock {
     t0: Instant,
@@ -197,14 +153,14 @@ impl NetClock {
         Ok(NetClock { t0, waiter })
     }
 
-    fn now(&self) -> CtlInstant {
-        CtlInstant::from_nanos(self.t0.elapsed().as_nanos() as u64)
+    fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.t0.elapsed().as_nanos() as u64)
     }
 
     /// Waits toward `t`: blocks on the waiter's read timeout while `t` is
     /// more than [`COARSE_WAIT`] away, and otherwise only yields the CPU,
     /// so the caller re-polls its endpoints at once.
-    fn wait_until(&self, t: CtlInstant) {
+    fn wait_until(&self, t: SimTime) {
         let left = Duration::from_nanos(t.as_nanos().saturating_sub(self.now().as_nanos()));
         if left <= COARSE_WAIT {
             std::thread::yield_now();
@@ -229,15 +185,12 @@ struct Endpoint {
 
 /// The loopback carrier's transport: control frames ride real UDP
 /// datagrams on `127.0.0.1`, and [`CtlAddr`]s map onto real endpoints
-/// through an address table owned here.
-///
-/// The contract matches [`SimnetCtl`]: sends are fire-and-forget,
-/// sockets are non-blocking so `recv` drains at most one decodable frame
-/// and never waits, and frames from unregistered sources are discarded.
-/// A [`CtlAddr`] with port `0` binds an ephemeral endpoint named by its
-/// real port. The carrier's clock lives here too; [`crate::World`] reads
-/// it between events (see [`crate::World::new_loopback`]).
-pub struct NetCtl {
+/// through an address table owned here. A frame from a real address the
+/// table does not hold has no engine name and is discarded. A bind at
+/// port `0` is an ephemeral endpoint named by its real port. The
+/// carrier's clock lives here too; [`crate::World`] reads it between
+/// events (see [`crate::World::new_loopback`]).
+pub(crate) struct NetCtl {
     clock: NetClock,
     /// Bound endpoints by [`CtlSock`] id.
     endpoints: BTreeMap<u64, Endpoint>,
@@ -264,14 +217,14 @@ impl NetCtl {
         })
     }
 
-    /// The wall clock, as an engine instant.
-    pub(crate) fn now(&self) -> CtlInstant {
+    /// The wall clock since the carrier started.
+    pub(crate) fn now(&self) -> SimTime {
         self.clock.now()
     }
 
     /// Waits toward `t`; the caller re-polls and calls again until the
     /// clock reaches it.
-    pub(crate) fn wait_until(&self, t: CtlInstant) {
+    pub(crate) fn wait_until(&self, t: SimTime) {
         self.clock.wait_until(t);
     }
 
@@ -299,9 +252,7 @@ impl NetCtl {
             .find(|e| e.real == real)
             .map(|e| e.addr)
     }
-}
 
-impl CtlTransport for NetCtl {
     fn bind(&mut self, node: usize, port: u16) -> Result<CtlSock, CruzError> {
         let sock = UdpSocket::bind(("127.0.0.1", 0)).map_err(refused)?;
         sock.set_nonblocking(true).map_err(refused)?;
@@ -316,16 +267,16 @@ impl CtlTransport for NetCtl {
         Ok(CtlSock(id))
     }
 
-    fn send(&mut self, _node: usize, sock: CtlSock, dst: CtlAddr, msg: &CtlMsg, _now: CtlInstant) {
+    fn send(&mut self, sock: CtlSock, dst: CtlAddr, msg: &CtlMsg) {
         let (Some(real), Some(src)) = (self.real_of(dst), self.endpoints.get(&sock.0)) else {
-            return; // unroutable ≡ lost in flight, by the seam contract
+            return; // unroutable ≡ lost in flight, by the transport contract
         };
         // Fire-and-forget by contract; the protocol layers own retry.
         // cruz-lint: allow(swallowed-error)
         let _ = src.sock.send_to(&msg.encode(), real);
     }
 
-    fn recv(&mut self, _node: usize, sock: CtlSock) -> Option<(CtlAddr, CtlMsg)> {
+    fn recv(&mut self, sock: CtlSock) -> Option<(CtlAddr, CtlMsg)> {
         loop {
             // Err is would-block (queue empty) or a refusal: nothing to read.
             let (n, src) = self
@@ -340,57 +291,186 @@ impl CtlTransport for NetCtl {
         }
     }
 
-    fn close(&mut self, _node: usize, sock: CtlSock, _now: CtlInstant) {
+    fn close(&mut self, sock: CtlSock) {
         self.endpoints.remove(&sock.0);
-    }
-
-    fn agent_addr(&self, node: usize) -> CtlAddr {
-        CtlAddr::new(node, AGENT_PORT)
     }
 }
 
 /// A world's control-plane transport, as [`crate::World::ctl`] hands it
 /// out: the simulated fabric, or the loopback carrier's real sockets.
-pub enum Ctl<'a> {
+/// Each operation dispatches to the carrier; the module docs state the
+/// contract both keep.
+pub(crate) enum Ctl<'a> {
     /// The sim carrier: [`SimnetCtl`] over the world's node stacks.
     Sim(SimnetCtl<'a>),
     /// The loopback carrier: [`NetCtl`].
     Net(&'a mut NetCtl),
 }
 
-impl CtlTransport for Ctl<'_> {
-    fn bind(&mut self, node: usize, port: u16) -> Result<CtlSock, CruzError> {
+impl Ctl<'_> {
+    /// Binds a fresh control endpoint on `node` at `port` (`0` requests an
+    /// ephemeral port).
+    ///
+    /// # Errors
+    ///
+    /// [`CruzError::ControlSocket`] when the node's stack refuses the bind
+    /// (port taken, sockets exhausted); [`CruzError::Protocol`] when the
+    /// loopback carrier does.
+    pub(crate) fn bind(&mut self, node: usize, port: u16) -> Result<CtlSock, CruzError> {
         match self {
             Ctl::Sim(c) => c.bind(node, port),
             Ctl::Net(c) => c.bind(node, port),
         }
     }
 
-    fn send(&mut self, node: usize, sock: CtlSock, dst: CtlAddr, msg: &CtlMsg, now: CtlInstant) {
+    /// Sends one control frame from `sock` on `node` to `dst`,
+    /// fire-and-forget.
+    pub(crate) fn send(
+        &mut self,
+        node: usize,
+        sock: CtlSock,
+        dst: CtlAddr,
+        msg: &CtlMsg,
+        now: SimTime,
+    ) {
         match self {
             Ctl::Sim(c) => c.send(node, sock, dst, msg, now),
-            Ctl::Net(c) => c.send(node, sock, dst, msg, now),
+            Ctl::Net(c) => c.send(sock, dst, msg),
         }
     }
 
-    fn recv(&mut self, node: usize, sock: CtlSock) -> Option<(CtlAddr, CtlMsg)> {
+    /// Receives the next decodable control frame queued on `sock`, with
+    /// its sender's address; `None` when there is none.
+    pub(crate) fn recv(&mut self, node: usize, sock: CtlSock) -> Option<(CtlAddr, CtlMsg)> {
         match self {
             Ctl::Sim(c) => c.recv(node, sock),
-            Ctl::Net(c) => c.recv(node, sock),
+            Ctl::Net(c) => c.recv(sock),
         }
     }
 
-    fn close(&mut self, node: usize, sock: CtlSock, now: CtlInstant) {
+    /// Releases `sock` on `node`. Frames still addressed to it are dropped,
+    /// as if lost in flight.
+    pub(crate) fn close(&mut self, node: usize, sock: CtlSock, now: SimTime) {
         match self {
             Ctl::Sim(c) => c.close(node, sock, now),
-            Ctl::Net(c) => c.close(node, sock, now),
+            Ctl::Net(c) => c.close(sock),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use des::SimDuration;
+    use simnet::addr::{IpAddr, MacAddr};
+
+    use super::*;
+    use crate::{ClusterParams, World};
+
+    /// The fixed port the receiving endpoint binds on node 1.
+    const PORT: u16 = 7001;
+
+    /// A decodable frame from a real address the loopback carrier never
+    /// registered, and an undecodable datagram from the registered `from`,
+    /// both toward `dst`.
+    fn net_strays(w: &World, from: CtlSock, dst: CtlAddr) {
+        let net = w.net.as_ref().expect("loopback carrier");
+        let real = net.real_of(dst).expect("dst is bound");
+        let stranger = UdpSocket::bind(("127.0.0.1", 0)).expect("loopback socket");
+        stranger
+            .send_to(&CtlMsg::Ping { seq: 99 }.encode(), real)
+            .expect("stranger sends");
+        net.endpoints[&from.0]
+            .sock
+            .send_to(b"not a frame", real)
+            .expect("junk sends");
+    }
+
+    /// The same two strays on the sim carrier: the stranger is a UDP
+    /// socket on an address outside the node subnet, the way a pod
+    /// interface on node 0 would send.
+    fn sim_strays(w: &mut World, from: CtlSock, dst: CtlAddr) {
+        let now = w.now;
+        let net = &mut w.nodes[0].kernel.net;
+        let ip = IpAddr::from_octets([10, 0, 1, 9]);
+        net.add_iface("stray", MacAddr::from_index(900), vec![ip]);
+        let stranger = net.udp_socket();
+        net.bind(stranger, SockAddr::new(ip, 0))
+            .expect("stray bind");
+        let ping = Bytes::from(CtlMsg::Ping { seq: 99 }.encode());
+        let wire = SimnetCtl::wire_addr(dst);
+        net.udp_send_to(stranger, wire, ping, now)
+            .expect("stranger sends");
+        net.udp_send_to(SocketId(from.0), wire, Bytes::from_static(b"junk"), now)
+            .expect("junk sends");
+    }
+
+    /// Lets every frame sent so far arrive: the sim carrier steps the
+    /// fabric, the loopback carrier gives the host stack a moment.
+    fn settle(w: &mut World) {
+        if w.net.is_some() {
+            std::thread::sleep(Duration::from_millis(20));
+        } else {
+            for n in 0..w.node_count() {
+                w.kick_node(n);
+            }
+            w.run_for(SimDuration::from_millis(5));
         }
     }
 
-    fn agent_addr(&self, node: usize) -> CtlAddr {
-        match self {
-            Ctl::Sim(c) => c.agent_addr(node),
-            Ctl::Net(c) => c.agent_addr(node),
+    fn drain(w: &mut World, node: usize, sock: CtlSock) -> Vec<(CtlAddr, CtlMsg)> {
+        std::iter::from_fn(|| w.ctl().recv(node, sock)).collect()
+    }
+
+    /// The contract both carriers keep: `recv` skips undecodable datagrams
+    /// and frames from sources it cannot name, returns each decodable
+    /// frame once with its sender's address (a reply to which reaches the
+    /// sender), and reads nothing from a closed socket.
+    fn check_contract(mut w: World) {
+        let a = w.ctl().bind(0, 0).expect("ephemeral bind");
+        let b = w.ctl().bind(1, PORT).expect("fixed bind");
+        let dst = CtlAddr::new(1, PORT);
+        if w.net.is_some() {
+            net_strays(&w, a, dst);
+        } else {
+            sim_strays(&mut w, a, dst);
         }
+        let sent = [CtlMsg::Done { epoch: 1 }, CtlMsg::Durable { epoch: 2 }];
+        let now = w.now;
+        for msg in &sent {
+            w.ctl().send(0, a, dst, msg, now);
+        }
+        settle(&mut w);
+
+        let got = drain(&mut w, 1, b);
+        let msgs: Vec<CtlMsg> = got.iter().map(|&(_, m)| m).collect();
+        assert_eq!(msgs, sent, "strays skipped, each frame exactly once");
+        let from = got[0].0;
+        assert_eq!(from.node, 0);
+        assert_eq!(got[1].0, from);
+
+        let reply = CtlMsg::Pong { seq: 5 };
+        w.ctl().send(1, b, from, &reply, now);
+        settle(&mut w);
+        assert_eq!(drain(&mut w, 0, a), [(dst, reply)]);
+
+        w.ctl().send(0, a, dst, &sent[0], now);
+        settle(&mut w);
+        w.ctl().close(1, b, now);
+        assert_eq!(w.ctl().recv(1, b), None, "a closed socket reads nothing");
+    }
+
+    #[test]
+    fn sim_carrier_keeps_the_transport_contract() {
+        check_contract(World::new(2, ClusterParams::default()));
+    }
+
+    #[test]
+    fn loopback_carrier_keeps_the_transport_contract() {
+        if !loopback_available() {
+            return;
+        }
+        check_contract(World::new_loopback(2, ClusterParams::default()).expect("loopback"));
     }
 }

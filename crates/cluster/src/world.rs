@@ -4,9 +4,9 @@
 //! Protocol behavior lives in the layers above — [`crate::ops`],
 //! [`crate::drain`], [`crate::heartbeat`] and [`crate::jobs`] each extend
 //! [`World`] with their own `impl` block, and every control frame they
-//! move goes through the [`crate::transport`] seam. This module only pops
-//! events, stamps the trace digest, routes frames between nodes and the
-//! switch, and re-arms per-node run/timer scheduling.
+//! move goes through the [`crate::transport`]. This module only arms and
+//! pops events, stamps the trace digest, routes frames between nodes and
+//! the switch, and re-arms per-node run/timer scheduling.
 //!
 //! A world runs on one of two carriers. [`World::new`] gives the sim
 //! carrier: control frames ride the simulated fabric and time is virtual,
@@ -39,14 +39,15 @@ use cruz::replog::{clear_replica_faults, install_replica_faults, ReplicatedStore
 use crate::events::Event;
 use crate::fault::{FaultPlan, ProtocolPoint};
 use crate::jobs::{JobRuntime, JobSpec};
+use crate::node::{CtlSock, MAX_NODES};
 use crate::params::ClusterParams;
 use crate::recovery::RecoveryReport;
-use crate::runtime::{image_set_digest, CtlInstant, Deadline, Timers};
 use crate::state::FaultState;
-use crate::transport::{Ctl, CtlSock, CtlTransport, NetCtl, SimnetCtl};
+use crate::transport::{Ctl, NetCtl, SimnetCtl};
 
 pub use crate::node::Node;
-pub use crate::ops::{CkptOptions, OpReport};
+pub use crate::ops::OpReport;
+pub use crate::params::CkptOptions;
 pub use crate::state::{ClusterError, World};
 
 /// Outcome of one [`World::run_cycle`]: run the job to completion,
@@ -67,6 +68,24 @@ pub struct CycleReport {
     pub events_processed: u64,
 }
 
+/// The cross-carrier comparison point of the twin-runtime property: an
+/// FNV-1a digest over `(pod name, image bytes)` pairs, folded in the
+/// order given (callers sort by pod name first).
+///
+/// [`World::run_cycle`] computes this over the image bytes read back from
+/// the store after a restore; for a workload that ran to completion
+/// before capture the bytes — and therefore this digest — must match
+/// exactly on both carriers.
+pub fn image_set_digest(pods: &[(String, Vec<u8>)]) -> u64 {
+    let mut h = digest::OFFSET;
+    for (name, bytes) in pods {
+        h = digest::fold(h, name.as_bytes());
+        h = digest::fold_u64(h, bytes.len() as u64);
+        h = digest::fold(h, bytes);
+    }
+    h
+}
+
 /// Events a cycle phase may take before it counts as wedged.
 const CYCLE_EVENT_BUDGET: u64 = 50_000_000;
 
@@ -76,7 +95,8 @@ fn stuck(what: &'static str) -> ClusterError {
 
 impl World {
     /// Builds a cluster of `n` nodes on one switch, on the sim carrier.
-    /// Node `i` owns IP `10.0.0.(i+1)`.
+    /// Node `i` owns IP `10.0.0.(i+1)`, so `n` is at most
+    /// [`MAX_NODES`].
     pub fn new(n: usize, params: ClusterParams) -> World {
         // cruz-lint: allow(silent-unwrap)
         World::with_carrier(n, params, None).expect("agent port free on a fresh stack")
@@ -103,6 +123,10 @@ impl World {
         net: Option<NetCtl>,
     ) -> Result<World, CruzError> {
         assert!(n > 0, "a cluster needs at least one node");
+        assert!(
+            n <= MAX_NODES,
+            "a cluster of {n} nodes does not fit the 10.0.0.x node subnet (at most {MAX_NODES})"
+        );
         let fs = NetFs::new();
         let mut rng = SimRng::from_seed(params.seed);
         let mut nodes = Vec::with_capacity(n);
@@ -173,9 +197,9 @@ impl World {
 
     /// The world's control-plane transport — its carrier's: every
     /// protocol layer binds, sends and receives [`cruz::proto::CtlMsg`]
-    /// frames through this seam rather than touching a node's network
-    /// stack or a socket directly.
-    pub fn ctl(&mut self) -> Ctl<'_> {
+    /// frames through it rather than touching a node's network stack or a
+    /// socket directly.
+    pub(crate) fn ctl(&mut self) -> Ctl<'_> {
         match &mut self.net {
             Some(net) => Ctl::Net(net),
             None => Ctl::Sim(SimnetCtl::new(&mut self.nodes)),
@@ -341,6 +365,13 @@ impl World {
 
     // ---- event loop -------------------------------------------------------
 
+    /// Queues `ev` to fire at `at`: the one way onto the event queue.
+    /// Events armed for the same instant fire in arm order; on the
+    /// loopback carrier an event fires once the wall clock reaches `at`.
+    pub(crate) fn arm(&mut self, at: SimTime, ev: Event) {
+        self.queue.push(at, ev);
+    }
+
     /// Processes one event. Returns false when the queue is empty, or on
     /// the loopback carrier once its wall budget is spent.
     pub fn step(&mut self) -> bool {
@@ -375,7 +406,7 @@ impl World {
             if net.budget_spent() {
                 return false;
             }
-            self.now = self.now.max(net.now().into());
+            self.now = self.now.max(net.now());
             for n in 0..self.nodes.len() {
                 if self.nodes[n].alive {
                     self.poll_ctl(n);
@@ -384,10 +415,10 @@ impl World {
             let (Some(next), Some(net)) = (self.queue.peek_time(), &self.net) else {
                 return false;
             };
-            if SimTime::from(net.now()) >= next {
+            if net.now() >= next {
                 return true;
             }
-            net.wait_until(next.into());
+            net.wait_until(next);
         }
     }
 
@@ -512,43 +543,36 @@ impl World {
             Event::FrameAtSwitch { from_port, frame } => self.on_frame_at_switch(from_port, frame),
             Event::FrameAtNode { port, frame } => self.on_frame_at_node(port, frame),
             Event::FrameAtNodeInjected { port, frame } => self.on_frame_injected(port, frame),
-            Event::Deadline(d) => self.on_deadline(d),
-        }
-    }
-
-    fn on_deadline(&mut self, d: Deadline) {
-        match d {
-            Deadline::AgentCtl {
+            Event::AgentCtl {
                 node,
                 msg,
                 reply_to,
             } => self.on_agent_ctl(node, msg, reply_to),
-            Deadline::AgentLocalDone { node, op } => self.on_agent_local_done(node, op),
-            Deadline::AgentDurable { node, op } => self.on_agent_durable(node, op),
-            Deadline::CkptDrain { node, op } => self.on_ckpt_drain(node, op),
-            Deadline::CoordCtl { op, from, msg } => self.on_coord_ctl(op, from, msg),
-            Deadline::CoordSend { op, to, msg } => self.on_coord_send(op, to, msg),
-            Deadline::CoordTimeout { op } => self.on_coord_timeout(op),
-            Deadline::CoordRetry { op, attempt } => self.on_coord_retry(op, attempt),
-            Deadline::Heartbeat { job } => self.on_heartbeat(&job),
-            Deadline::HeartbeatTimeout {
+            Event::AgentLocalDone { node, op } => self.on_agent_local_done(node, op),
+            Event::AgentDurable { node, op } => self.on_agent_durable(node, op),
+            Event::CkptDrain { node, op } => self.on_ckpt_drain(node, op),
+            Event::CoordCtl { op, from, msg } => self.on_coord_ctl(op, from, msg),
+            Event::CoordSend { op, to, msg } => self.on_coord_send(op, to, msg),
+            Event::CoordTimeout { op } => self.on_coord_timeout(op),
+            Event::CoordRetry { op, attempt } => self.on_coord_retry(op, attempt),
+            Event::Heartbeat { job } => self.on_heartbeat(&job),
+            Event::HeartbeatTimeout {
                 job,
                 sent_at,
                 pinged,
-            } => self.on_heartbeat_timeout(&job, sent_at.into(), pinged),
-            Deadline::PeriodicCkpt {
+            } => self.on_heartbeat_timeout(&job, sent_at, pinged),
+            Event::PeriodicCkpt {
                 job,
                 interval,
-                mode,
-                cow,
-            } => self.on_periodic_ckpt(&job, interval.into(), mode, cow),
-            Deadline::MigrateFinish {
+                opts,
+            } => self.on_periodic_ckpt(&job, interval, opts),
+            Event::MigrateFinish {
                 job,
                 pod,
                 dst,
                 image,
             } => self.on_migrate_finish(&job, &pod, dst, &image),
-            Deadline::StoreScrub { job, interval } => self.on_store_scrub(&job, interval.into()),
+            Event::StoreScrub { job, interval } => self.on_store_scrub(&job, interval),
         }
     }
 
@@ -563,7 +587,7 @@ impl World {
         self.poll_ctl(n);
         if self.nodes[n].kernel.has_runnable() {
             self.nodes[n].run_scheduled = true;
-            self.queue.push(after, Event::NodeRun(n));
+            self.arm(after, Event::NodeRun(n));
         }
         self.reschedule_timer(n);
     }
@@ -582,7 +606,7 @@ impl World {
         for PortId(p) in outs {
             let deliver =
                 self.links_down[p].schedule(self.now, frame.wire_len(), &self.params.link);
-            self.queue.push(
+            self.arm(
                 deliver,
                 Event::FrameAtNode {
                     port: p,
@@ -605,7 +629,7 @@ impl World {
                     FrameFate::Deliver => {}
                     FrameFate::Drop => return,
                     FrameFate::Duplicate { delay } => {
-                        self.queue.push(
+                        self.arm(
                             self.now + delay,
                             Event::FrameAtNodeInjected {
                                 port,
@@ -615,8 +639,7 @@ impl World {
                     }
                     FrameFate::Reorder { delay } => {
                         // Held back: later frames overtake it on the wire.
-                        self.queue
-                            .push(self.now + delay, Event::FrameAtNodeInjected { port, frame });
+                        self.arm(self.now + delay, Event::FrameAtNodeInjected { port, frame });
                         return;
                     }
                 }
@@ -645,7 +668,7 @@ impl World {
         self.poll_ctl(n);
         if self.nodes[n].kernel.has_runnable() && !self.nodes[n].run_scheduled {
             self.nodes[n].run_scheduled = true;
-            self.queue.push(self.now, Event::NodeRun(n));
+            self.arm(self.now, Event::NodeRun(n));
         }
         self.reschedule_timer(n);
     }
@@ -654,7 +677,7 @@ impl World {
         let frames = self.nodes[n].kernel.take_frames();
         for frame in frames {
             let arrive = self.links_up[n].schedule(at, frame.wire_len(), &self.params.link);
-            self.queue.push(
+            self.arm(
                 arrive,
                 Event::FrameAtSwitch {
                     from_port: n,
@@ -673,7 +696,7 @@ impl World {
             Some(existing) if existing <= t => {}
             _ => {
                 self.nodes[n].timer_scheduled = Some(t);
-                self.queue.push(t, Event::NodeTick(n));
+                self.arm(t, Event::NodeTick(n));
             }
         }
     }
@@ -689,15 +712,28 @@ impl World {
     }
 }
 
-/// The world's side of the runtime seam: `now` is the carrier's time and
-/// `arm` appends to the event queue (insertion order breaks time ties,
-/// satisfying the [`Timers`] ordering contract exactly).
-impl Timers for World {
-    fn now(&self) -> CtlInstant {
-        self.now.into()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn image_digest_is_order_and_length_sensitive() {
+        let a = ("p0".to_string(), vec![1u8, 2, 3]);
+        let b = ("p1".to_string(), vec![4u8]);
+        let fwd = image_set_digest(&[a.clone(), b.clone()]);
+        let rev = image_set_digest(&[b, a]);
+        assert_ne!(fwd, rev);
+        // Length framing: ("p0", [1]) + ("p1", []) must differ from
+        // ("p0", []) + ("p1", [1]) even though the concatenation agrees.
+        let x = image_set_digest(&[("p0".into(), vec![1]), ("p1".into(), vec![])]);
+        let y = image_set_digest(&[("p0".into(), vec![]), ("p1".into(), vec![1])]);
+        assert_ne!(x, y);
     }
 
-    fn arm(&mut self, at: CtlInstant, d: Deadline) {
-        self.queue.push(at.into(), Event::Deadline(d));
+    #[test]
+    #[should_panic(expected = "does not fit the 10.0.0.x node subnet")]
+    fn a_node_past_the_last_octet_is_refused() {
+        // Node 255 would own 10.0.0.0 and node 256 would alias node 0.
+        World::new(256, ClusterParams::default());
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end distributed checkpoint-restart tests: live applications on a
 //! multi-node simulated cluster, the full Fig. 2 protocol over the wire.
 
-use cluster::{ClusterParams, JobSpec, PodSpec, StoreConfig, World};
+use cluster::{CkptOptions, ClusterParams, JobSpec, PodSpec, StoreConfig, World};
 use cruz::error::CruzError;
 use cruz::proto::ProtocolMode;
 use des::SimDuration;
@@ -333,14 +333,20 @@ fn cow_checkpoint_shrinks_blackout_and_still_commits() {
     w.run_for(SimDuration::from_millis(20));
 
     let full = w
-        .start_checkpoint_opts("slm", ProtocolMode::Blocking, false, None)
+        .start_checkpoint_with("slm", CkptOptions::default())
         .unwrap();
     assert!(w.run_until_op(full, 20_000_000));
     let full_rep = w.op_report(full).unwrap();
 
     w.run_for(SimDuration::from_millis(20));
     let cow = w
-        .start_checkpoint_opts("slm", ProtocolMode::Blocking, true, None)
+        .start_checkpoint_with(
+            "slm",
+            CkptOptions {
+                cow: true,
+                ..CkptOptions::default()
+            },
+        )
         .unwrap();
     assert!(w.run_until_op(cow, 20_000_000));
     let cow_rep = w.op_report(cow).unwrap();
@@ -395,8 +401,11 @@ fn periodic_checkpoint_driver_runs_the_job_to_completion() {
     w.schedule_periodic_checkpoints(
         "slm",
         SimDuration::from_millis(60),
-        ProtocolMode::Optimized,
-        true,
+        CkptOptions {
+            mode: ProtocolMode::Optimized,
+            cow: true,
+            ..CkptOptions::default()
+        },
     )
     .unwrap();
     assert!(w.run_until_pred(100_000_000, |w| w.job_finished("slm")));
@@ -551,7 +560,6 @@ fn cow_capture_shrinks_freeze_to_arm_window() {
     // The tentpole claim: with CkptCaptureMode::Cow the per-epoch pod freeze
     // is O(arm + non-memory state) instead of O(image bytes), while the
     // stored epoch stays fully restorable.
-    use cluster::world::CkptOptions;
     use cluster::CkptCaptureMode;
     let slm = SlmConfig {
         ranks: 2,
@@ -661,7 +669,6 @@ fn cow_abort_cancels_armed_snapshots() {
     // Abort while the drain is still pending: the rollback must disarm the
     // snapshots and discard the epoch, and the late CkptDrain event must be
     // a no-op — exactly the stop-the-world abort semantics.
-    use cluster::world::CkptOptions;
     use cluster::CkptCaptureMode;
     let slm = SlmConfig {
         ranks: 2,

@@ -10,7 +10,7 @@
 //!   siblings and anything below it; an up-stack reference (e.g. `cruz`
 //!   importing `cluster`) inverts the architecture and fails.
 //! * **Cluster modules** — within `crates/cluster/src/`, layering is
-//!   `runtime`/`node`/`fault`/`params`/`recovery` (base) → `transport` →
+//!   `node`/`fault`/`params`/`recovery` (base) → `transport` →
 //!   `events` → `state`/`ops`/`ops_agent`/`drain`/`heartbeat`/`jobs` →
 //!   `world`. `lib.rs` is the assembly root and exempt.
 //!   Modules not in the map sit at the base, so a new module that needs
@@ -42,7 +42,6 @@ pub const CRATE_LEVELS: &[(&str, u32)] = &[
 /// The cluster engine's internal layering. Modules not listed sit at
 /// level 0 (importable by everyone, importing no one above the base).
 pub const CLUSTER_LAYERS: &[(&str, u32)] = &[
-    ("runtime", 0),
     ("node", 0),
     ("fault", 0),
     ("params", 0),

@@ -18,8 +18,8 @@
 use std::collections::BTreeMap;
 
 use cruz_repro::cluster::{
-    ClusterParams, CrashFault, FaultPlan, JobSpec, PodSpec, ProtocolPoint, RecoveryCause,
-    RecoveryOutcome, StoreConfig, World,
+    CkptOptions, ClusterParams, CrashFault, FaultPlan, JobSpec, PodSpec, ProtocolPoint,
+    RecoveryCause, RecoveryOutcome, StoreConfig, World,
 };
 use cruz_repro::cruz::proto::ProtocolMode;
 use cruz_repro::des::SimDuration;
@@ -199,13 +199,8 @@ fn chaos_run(world_seed: u64, plan_seed: u64) -> (u64, u64) {
     // drive the run, not just the in-memory value.
     let plan = FaultPlan::decode(&FaultPlan::random(plan_seed, 2).encode()).unwrap();
     w.install_fault_plan(&plan);
-    w.schedule_periodic_checkpoints(
-        "pp",
-        SimDuration::from_millis(4),
-        ProtocolMode::Blocking,
-        false,
-    )
-    .unwrap();
+    w.schedule_periodic_checkpoints("pp", SimDuration::from_millis(4), CkptOptions::default())
+        .unwrap();
     w.run_for(SimDuration::from_millis(120));
     (w.trace_digest(), w.events_processed())
 }
@@ -238,12 +233,7 @@ proptest! {
         prop_assert!(w.store("pp").is_committed(op));
 
         w.install_fault_plan(&FaultPlan::random(plan_seed, 2));
-        w.schedule_periodic_checkpoints(
-            "pp",
-            SimDuration::from_millis(4),
-            ProtocolMode::Blocking,
-            false,
-        ).unwrap();
+        w.schedule_periodic_checkpoints("pp", SimDuration::from_millis(4), CkptOptions::default()).unwrap();
 
         // Drive the run, recording each epoch's digests the first time it
         // is seen committed.

@@ -9,7 +9,9 @@
 //! breaks — `RandomState` reseeds per process, so iteration order (and
 //! everything downstream of it) diverges between runs.
 
-use cruz_repro::cluster::{CkptCaptureMode, ClusterParams, JobSpec, PodSpec, StoreConfig, World};
+use cruz_repro::cluster::{
+    CkptCaptureMode, CkptOptions, ClusterParams, JobSpec, PodSpec, StoreConfig, World,
+};
 use cruz_repro::cruz::proto::ProtocolMode;
 use cruz_repro::des::SimDuration;
 use cruz_repro::simnet::addr::{IpAddr, MacAddr};
@@ -61,27 +63,37 @@ fn run_scenario(seed: u64) -> RunOutcome {
 }
 
 fn run_scenario_with(seed: u64, store: StoreConfig) -> RunOutcome {
-    run_scenario_params(ClusterParams {
+    run_scenario_capture(seed, store, None)
+}
+
+fn run_scenario_capture(
+    seed: u64,
+    store: StoreConfig,
+    capture: Option<CkptCaptureMode>,
+) -> RunOutcome {
+    let params = ClusterParams {
         seed,
         store,
         ..ClusterParams::default()
-    })
-}
-
-fn run_scenario_params(params: ClusterParams) -> RunOutcome {
+    };
     let mut w = World::new(5, params);
     w.launch_job(&pingpong_spec(200)).expect("job launches");
     w.run_for(SimDuration::from_millis(2));
 
     // Checkpoint mid-run, keep going, checkpoint again (so the store holds
     // several epochs' worth of images), then let the job finish.
+    let opts = |mode| CkptOptions {
+        mode,
+        capture,
+        ..CkptOptions::default()
+    };
     let op1 = w
-        .start_checkpoint("pp", ProtocolMode::Blocking, None)
+        .start_checkpoint_with("pp", opts(ProtocolMode::Blocking))
         .expect("first checkpoint starts");
     assert!(w.run_until_op(op1, 20_000_000), "first checkpoint finishes");
     w.run_for(SimDuration::from_millis(2));
     let op2 = w
-        .start_checkpoint("pp", ProtocolMode::Optimized, None)
+        .start_checkpoint_with("pp", opts(ProtocolMode::Optimized))
         .expect("second checkpoint starts");
     assert!(
         w.run_until_op(op2, 20_000_000),
@@ -160,13 +172,9 @@ fn cow_capture_runs_are_deterministic() {
     // deferred CkptDrain materialization, retroactive disk batches and
     // pre-image copies taken by resumed guests — all of which must replay
     // identically under the same seed.
-    let params = |seed| ClusterParams {
-        seed,
-        capture: CkptCaptureMode::Cow,
-        ..ClusterParams::default()
-    };
-    let a = run_scenario_params(params(0xC0FFEE));
-    let b = run_scenario_params(params(0xC0FFEE));
+    let cow = Some(CkptCaptureMode::Cow);
+    let a = run_scenario_capture(0xC0FFEE, StoreConfig::default(), cow);
+    let b = run_scenario_capture(0xC0FFEE, StoreConfig::default(), cow);
     assert_outcomes_identical(&a, &b);
 }
 

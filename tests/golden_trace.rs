@@ -13,7 +13,7 @@
 //! the PR (and say so in its description).
 
 use cruz_repro::cluster::{
-    CkptCaptureMode, ClusterParams, FaultPlan, JobSpec, PodSpec, StoreConfig, World,
+    CkptCaptureMode, CkptOptions, ClusterParams, FaultPlan, JobSpec, PodSpec, StoreConfig, World,
 };
 use cruz_repro::cruz::proto::ProtocolMode;
 use cruz_repro::des::SimDuration;
@@ -59,18 +59,29 @@ fn pingpong_spec(rounds: u64) -> JobSpec {
 }
 
 /// The `tests/determinism.rs` scenario: launch, two checkpoints (blocking
-/// then optimized), run to completion.
+/// then optimized) under the default stop-the-world capture, run to
+/// completion.
 fn ckpt_run(params: ClusterParams) -> Fingerprint {
+    ckpt_run_with(params, None)
+}
+
+/// [`ckpt_run`] with both checkpoints captured in `capture` mode.
+fn ckpt_run_with(params: ClusterParams, capture: Option<CkptCaptureMode>) -> Fingerprint {
     let mut w = World::new(5, params);
     w.launch_job(&pingpong_spec(200)).expect("job launches");
     w.run_for(SimDuration::from_millis(2));
+    let opts = |mode| CkptOptions {
+        mode,
+        capture,
+        ..CkptOptions::default()
+    };
     let op1 = w
-        .start_checkpoint("pp", ProtocolMode::Blocking, None)
+        .start_checkpoint_with("pp", opts(ProtocolMode::Blocking))
         .expect("first checkpoint starts");
     assert!(w.run_until_op(op1, 20_000_000), "first checkpoint finishes");
     w.run_for(SimDuration::from_millis(2));
     let op2 = w
-        .start_checkpoint("pp", ProtocolMode::Optimized, None)
+        .start_checkpoint_with("pp", opts(ProtocolMode::Optimized))
         .expect("second checkpoint starts");
     assert!(
         w.run_until_op(op2, 20_000_000),
@@ -107,13 +118,8 @@ fn chaos_run(world_seed: u64, plan_seed: u64) -> Fingerprint {
     let plan =
         FaultPlan::decode(&FaultPlan::random(plan_seed, 2).encode()).expect("plan round-trips");
     w.install_fault_plan(&plan);
-    w.schedule_periodic_checkpoints(
-        "pp",
-        SimDuration::from_millis(4),
-        ProtocolMode::Blocking,
-        false,
-    )
-    .expect("periodic driver arms");
+    w.schedule_periodic_checkpoints("pp", SimDuration::from_millis(4), CkptOptions::default())
+        .expect("periodic driver arms");
     w.run_for(SimDuration::from_millis(120));
     Fingerprint {
         trace_digest: w.trace_digest(),
@@ -177,11 +183,13 @@ fn golden_dedup_store() {
 fn golden_cow_capture() {
     check(
         "cow",
-        ckpt_run(ClusterParams {
-            seed: 0xC0FFEE,
-            capture: CkptCaptureMode::Cow,
-            ..ClusterParams::default()
-        }),
+        ckpt_run_with(
+            ClusterParams {
+                seed: 0xC0FFEE,
+                ..ClusterParams::default()
+            },
+            Some(CkptCaptureMode::Cow),
+        ),
         Fingerprint {
             trace_digest: 2326454790304406102,
             events: 2154,

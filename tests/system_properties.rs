@@ -1,7 +1,7 @@
 //! System-level property tests: checkpoints and restarts at *arbitrary*
 //! moments must never corrupt a strictly-checked application.
 
-use cruz_repro::cluster::{ClusterParams, JobSpec, PodSpec, World};
+use cruz_repro::cluster::{CkptOptions, ClusterParams, JobSpec, PodSpec, World};
 use cruz_repro::cruz::proto::ProtocolMode;
 use cruz_repro::des::{SimDuration, SimTime};
 use cruz_repro::simnet::addr::{IpAddr, MacAddr};
@@ -54,7 +54,7 @@ proptest! {
         w.launch_job(&pingpong_spec(300)).unwrap();
         w.run_for(SimDuration::from_micros(at_us));
         let mode = if optimized { ProtocolMode::Optimized } else { ProtocolMode::Blocking };
-        let op = w.start_checkpoint_opts("pp", mode, cow, None).unwrap();
+        let op = w.start_checkpoint_with("pp", CkptOptions { mode, cow, ..CkptOptions::default() }).unwrap();
         prop_assert!(w.run_until_op(op, 20_000_000));
         prop_assert!(w.run_until_pred(100_000_000, |w| w.job_finished("pp")));
         prop_assert_eq!(w.pod_exit_code("pp", "server", 1), Some(0));
@@ -88,7 +88,7 @@ proptest! {
                     let mode = if op & 1 == 0 { ProtocolMode::Blocking } else { ProtocolMode::Optimized };
                     let cow = op & 2 != 0;
                     // A migration may still be settling: busy is a valid refusal.
-                    if let Ok(e) = w.start_checkpoint_opts("pp", mode, cow, None) {
+                    if let Ok(e) = w.start_checkpoint_with("pp", CkptOptions { mode, cow, ..CkptOptions::default() }) {
                         prop_assert!(w.run_until_op(e, 50_000_000));
                         last_epoch = Some(e);
                     }
