@@ -204,8 +204,9 @@ impl World {
 
     /// Seals a captured pod image, prepares its store write, and queues
     /// the write-out on the node's disk `batch`. The seal names every chunk
-    /// range of `StoreConfig::ranges` in its one hash pass, so the prepare
-    /// hashes nothing and encodes only the chunks the store lacks. Capture
+    /// range of `StoreConfig::ranges` in its one hash pass, which the
+    /// prepare runs beside its lookups and encodes, so it hashes nothing
+    /// again and encodes only the chunks the store lacks. Capture
     /// started at `start` and has serialized `serialized` bytes of earlier
     /// pods: each novel chunk is ready for write-out when capture reaches
     /// its end, and the manifest when the image is complete. Shared by the
@@ -219,8 +220,8 @@ impl World {
         batch: &mut Vec<(SimTime, u64)>,
     ) -> PreparedChunked {
         let cfg = &self.params.store;
-        let (sealed, ranges, names) = img.seal_named(|len, cuts| cfg.ranges(len, cuts));
-        let prepared = store.prepare_sealed(sealed, &ranges, &names, cfg);
+        let (body, cuts) = img.unsealed();
+        let prepared = store.prepare_sealed(body, |len| cfg.ranges(len, &cuts), cfg);
         let base = *serialized;
         for (raw_end, stored) in prepared.novel_writes() {
             batch.push((start + self.params.extract_time(base + raw_end), stored));

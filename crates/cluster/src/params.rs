@@ -194,8 +194,8 @@ pub struct ClusterParams {
     /// ablation. The dedup store is the one way to write
     /// only what changed: every manifest is full-fidelity, yet a steady
     /// epoch stores only its novel chunks. `store.threads` sizes the
-    /// capture worker pool (`0` = auto via `CRUZ_THREADS`/host
-    /// parallelism, `1` = serial reference path) — a wall-clock knob
+    /// capture and restore worker pool (`0` = auto, the host's
+    /// parallelism; `1` = serial reference path) — a wall-clock knob
     /// only: produced bytes and trace digests are identical at every
     /// width. `store.replicas` sets the replication factor k: every store
     /// mutation fans out through the per-replica operation log, reads are

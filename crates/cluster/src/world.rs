@@ -240,7 +240,7 @@ impl World {
     /// The checkpoint store for a job: `params.store.replicas` replica
     /// stores behind the one-store API (1 = the plain unreplicated store,
     /// byte-identical to earlier versions), inheriting the cluster's
-    /// worker count for the capture hot path (a wall-clock knob
+    /// worker count for capture and restore (a wall-clock knob
     /// only — produced bytes are identical at every width).
     pub fn store(&self, job: &str) -> ReplicatedStore {
         ReplicatedStore::new(self.fs.clone(), job, self.params.store.replicas.max(1))

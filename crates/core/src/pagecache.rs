@@ -2,7 +2,7 @@
 //! pages.
 //!
 //! Capture no longer uses this module. Since the image seal names every
-//! chunk range in its single hash pass (`PodImage::seal_named` and
+//! chunk range in its single hash pass (run inside
 //! [`CheckpointStore::prepare_sealed`]), a clean page costs capture
 //! nothing a cache could save. The module stays for the benchmark's
 //! layer replay, which measures it; it goes when that replay does.

@@ -49,7 +49,7 @@
 use std::collections::BTreeSet;
 
 use simos::fs::NetFs;
-use zap::image::{ContentDigest, Sealed};
+use zap::image::{ImageWriter, Sealed};
 
 use crate::chunk::ChunkId;
 use crate::digest;
@@ -617,12 +617,11 @@ impl ReplicatedStore {
     /// chunk population.
     pub fn prepare_sealed(
         &self,
-        image: Sealed,
-        ranges: &[(usize, usize)],
-        names: &[ContentDigest],
+        image: ImageWriter,
+        split: impl FnOnce(usize) -> Vec<(usize, usize)>,
         cfg: &StoreConfig,
     ) -> PreparedChunked {
-        self.primary().prepare_sealed(image, ranges, names, cfg)
+        self.primary().prepare_sealed(image, split, cfg)
     }
 
     // ---- reads ----------------------------------------------------------
@@ -1008,10 +1007,11 @@ mod tests {
         let rs = ReplicatedStore::new(fs.clone(), "job", 3);
         let mut w = zap::image::ImageWriter::new();
         w.bytes(&image(0x42, 700));
-        let (sealed, ranges, names) = w.seal_named(|len| StoreConfig::default().ranges(len, &[]));
+        let sealed = w.clone().seal();
         let bytes = sealed.bytes().to_vec();
         let digest = ChunkId::from(sealed.digest());
-        let put = rs.prepare_sealed(sealed, &ranges, &names, &StoreConfig::default());
+        let cfg = StoreConfig::default();
+        let put = rs.prepare_sealed(w, |len| cfg.ranges(len, &[]), &cfg);
         rs.put_prepared("pod0", 1, PreparedPut::Chunked(put))
             .unwrap();
         rs.put_prepared("pod0", 2, PreparedPut::Plain(bytes.clone()))

@@ -66,11 +66,14 @@ pub struct StoreConfig {
     pub dedup: bool,
     /// Apply the RLE+LZ codec to every chunk container.
     pub compress: bool,
-    /// Worker threads for the parallel capture pipeline: `0` (default)
-    /// resolves via `CRUZ_THREADS` / available parallelism, `1` is the
-    /// serial reference path, higher values shard the pure hash/encode
-    /// kernels across that many workers. Restore decodes serially at
-    /// every setting. Produced bytes are identical at every setting (see
+    /// Worker threads for the checkpoint hot paths: `0` (default) takes
+    /// the host's available parallelism, `1` is the serial reference path.
+    /// From two up, capture folds its seal on a worker while the calling
+    /// thread looks chunks up and encodes the novel ones, restore decodes
+    /// chunks on a worker while the calling thread verifies and appends
+    /// them ([`crate::parpool::Pool::pipeline`]), and the reference
+    /// prepares shard their hash/encode kernels across that many workers.
+    /// Produced bytes are identical at every setting (see
     /// [`crate::parpool`]), so this is a wall-clock knob only — never part
     /// of the digest-cache identity.
     pub threads: usize,
@@ -159,7 +162,7 @@ pub struct CheckpointStore {
     /// versions); replica stores use `/rep<i>` so k independent copies
     /// share one simulated filesystem without colliding.
     root: String,
-    /// Worker count for the pure capture kernels (`0` = auto; see
+    /// Worker count for capture and restore (`0` = auto; see
     /// [`StoreConfig::threads`]). Never changes produced bytes.
     threads: usize,
 }
@@ -176,7 +179,7 @@ impl CheckpointStore {
         }
     }
 
-    /// Sets the worker count for the parallel capture kernels
+    /// Sets the worker count for capture and restore
     /// (`0` = auto, `1` = the serial reference path).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -238,7 +241,12 @@ impl CheckpointStore {
 
     /// Path of a chunk file.
     pub fn chunk_path(&self, id: ChunkId) -> String {
-        format!("{}/ckpt/{}/chunks/{}.c", self.root, self.job, id.hex())
+        chunked::chunk_file(&self.chunk_dir(), id)
+    }
+
+    /// Directory of the chunk files.
+    fn chunk_dir(&self) -> String {
+        format!("{}/ckpt/{}/chunks", self.root, self.job)
     }
 
     /// Path of the chunk refcount table.
@@ -855,16 +863,17 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "one name per range")]
-    fn a_sealed_prepare_short_of_one_name_panics() {
+    fn a_named_prepare_short_of_one_name_panics() {
         // A manifest whose header counts more records than it holds would
         // be put and committed, then never decode: refused up front.
         let s = CheckpointStore::new(NetFs::new(), "j");
         let (raw, cuts) = toy_image(4, 1, 0x11);
-        let mut body = ImageWriter::new();
-        raw.iter().for_each(|&b| body.u8(b));
-        let (sealed, ranges, mut names) =
-            body.seal_named(|len| crate::chunk::split_ranges(len, &cuts, 256));
-        names.pop();
-        s.prepare_sealed(sealed, &ranges, &names, &cfg());
+        let ranges = cfg().ranges(raw.len(), &cuts);
+        let mut ids: Vec<ChunkId> = ranges
+            .iter()
+            .map(|&(start, len)| ChunkId::of(&raw[start..start + len]))
+            .collect();
+        ids.pop();
+        s.prepare_named(&raw[..], &ranges, &ids, ChunkId::of(&raw), &cfg(), |_| None);
     }
 }

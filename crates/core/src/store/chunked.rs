@@ -2,19 +2,20 @@
 //! chunk ranges into a manifest and the containers the store lacks, the
 //! put that applies it, and the fused restore read.
 //!
-//! Every write is prepared by [`CheckpointStore::prepare_named`]. It takes
-//! the chunk names ready-made: from the image seal's single pass on the
-//! capture path ([`CheckpointStore::prepare_sealed`]), from one fold of
-//! the whole image for a [`PreparedPut::Plain`] put, or from a per-range
-//! fold on the reference path ([`CheckpointStore::prepare_chunked`]). It
-//! hashes nothing itself, and it encodes only the first occurrence of each
-//! chunk absent from disk.
+//! Every write is prepared by one [`Plan`]. It takes the chunk names
+//! ready-made: from the image seal's single pass on the capture path
+//! ([`CheckpointStore::prepare_sealed`], which runs that pass beside the
+//! plan on the worker pool), from one fold of the whole image for a
+//! [`PreparedPut::Plain`] put, or from a per-range fold on the reference
+//! path ([`CheckpointStore::prepare_chunked`]). It hashes nothing itself,
+//! and it encodes only the first occurrence of each chunk absent from
+//! disk.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use zap::image::{Assembler, ContentDigest, ImageReader, ImageWriter, Sealed};
+use zap::image::{Assembler, ImageReader, ImageWriter, SealFold, Sealed};
 
 use super::{CheckpointStore, PreparedPut, StoreConfig, MANIFEST_MAGIC, STORE_VERSION};
 use crate::chunk::{self, ChunkId, CodecScratch};
@@ -130,8 +131,109 @@ impl std::error::Error for MissingChunk {}
 enum Known {
     /// On disk with this stored length.
     OnDisk(u64),
-    /// Absent; its container is the `n`th encode.
+    /// Absent; its container fills the `n`th slot.
     Novel(usize),
+}
+
+/// One prepare's bookkeeping, fed one named range at a time in image
+/// order: one filesystem lookup per distinct chunk settles both its
+/// novelty and its stored length, and the first occurrence of each chunk
+/// absent from disk gets a container slot for the caller to fill.
+#[derive(Debug, Default)]
+struct Plan {
+    known: BTreeMap<ChunkId, Known>,
+    containers: Vec<Option<Vec<u8>>>,
+    records: Vec<((usize, usize), ChunkId)>,
+}
+
+impl Plan {
+    /// Records that `range` is named `id`. Returns the slot its container
+    /// goes in if this is the first occurrence of a chunk the store lacks.
+    fn name(
+        &mut self,
+        store: &CheckpointStore,
+        range: (usize, usize),
+        id: ChunkId,
+    ) -> Option<usize> {
+        self.records.push((range, id));
+        let mut slot = None;
+        self.known
+            .entry(id)
+            .or_insert_with(|| match store.fs.len_of(&store.chunk_path(id)) {
+                Some(len) => Known::OnDisk(len),
+                None => {
+                    slot = Some(self.containers.len());
+                    self.containers.push(None);
+                    Known::Novel(self.containers.len() - 1)
+                }
+            });
+        slot
+    }
+
+    /// Fills the slots `work` names by encoding their ranges of `raw` on
+    /// `pool` — except that an owned image whose one uncompressed range
+    /// covers it becomes its own container in place
+    /// ([`chunk::raw_container`]), with no second image-sized buffer.
+    fn encode(
+        &mut self,
+        raw: Cow<'_, [u8]>,
+        work: Vec<(usize, (usize, usize))>,
+        cfg: &StoreConfig,
+        pool: Pool,
+    ) {
+        let raw_len = raw.len();
+        let (slots, work): (Vec<usize>, Vec<(usize, usize)>) = work.into_iter().unzip();
+        let encoded = match raw {
+            Cow::Owned(image) if !cfg.compress && work == [(0, raw_len)] => {
+                vec![chunk::raw_container(image)]
+            }
+            raw => pool.map_ordered(work, CodecScratch::new, |scratch, (start, len)| {
+                chunk::encode_range(&raw[start..start + len], cfg.compress, scratch)
+            }),
+        };
+        for (slot, c) in slots.into_iter().zip(encoded) {
+            self.containers[slot] = Some(c);
+        }
+    }
+
+    /// The prepared write of a `raw_len`-byte image named `raw_digest`,
+    /// once every slot is filled. A chunk already on disk contributes its
+    /// on-disk length to the manifest, since that is what a restore will
+    /// read.
+    fn finish(mut self, raw_len: usize, raw_digest: ChunkId) -> PreparedChunked {
+        let lens: Vec<u64> = self
+            .containers
+            .iter()
+            .map(|c| c.as_ref().map_or(0, |c| c.len() as u64))
+            .collect();
+        let mut chunks = Vec::with_capacity(self.records.len());
+        let mut mw = ImageWriter::new();
+        mw.u32(MANIFEST_MAGIC);
+        mw.u16(STORE_VERSION);
+        mw.u64(raw_len as u64);
+        mw.u32(self.records.len() as u32);
+        for &((start, len), id) in &self.records {
+            let (stored_len, stored) = match self.known[&id] {
+                Known::OnDisk(stored_len) => (stored_len, None),
+                Known::Novel(n) => (lens[n], self.containers[n].take()),
+            };
+            mw.u64(id.0);
+            mw.u64(id.1);
+            mw.u32(len as u32);
+            mw.u32(stored_len as u32);
+            chunks.push(PreparedChunk {
+                id,
+                raw_end: (start + len) as u64,
+                stored,
+            });
+        }
+        PreparedChunked {
+            raw_len: raw_len as u64,
+            manifest: mw.finish(),
+            chunks,
+            raw_digest,
+        }
+    }
 }
 
 impl CheckpointStore {
@@ -162,27 +264,65 @@ impl CheckpointStore {
         self.prepare_named(raw, &ranges, &ids, ChunkId::of(raw), cfg, |_| None)
     }
 
-    /// The capture-side prepare: `image` was sealed by
-    /// `PodImage::seal_named` with `names` the content digests of its
-    /// `ranges` ([`StoreConfig::ranges`] of the image, one name per range,
-    /// as the seal returns them), so no byte is hashed again. Takes the
-    /// image by value, so a whole-image chunk's container is built in the
-    /// image's own buffer. Byte-identical to
-    /// [`CheckpointStore::prepare_chunked`] over the same bytes and cuts.
+    /// The capture-side prepare: seals `image` (an image body, as
+    /// `PodImage::unsealed` returns it) and prepares its write, naming the
+    /// ranges `split` returns ([`StoreConfig::ranges`] of the sealed
+    /// length) in the seal's one hash pass, so no byte is hashed again.
+    ///
+    /// At a width of two or more the pass runs as a [`Pool::pipeline`]:
+    /// the worker folds the body range by range ([`SealFold`]) while the
+    /// calling thread takes each name as it comes, looks the chunk up and
+    /// encodes it if the store lacks it. The ranges that reach the
+    /// checksum trailer are named and prepared after the join
+    /// ([`ImageWriter::seal_rest`]); an uncompressed whole-image chunk is
+    /// built in the sealed image's own buffer. Byte-identical to
+    /// [`CheckpointStore::prepare_chunked`] over the sealed bytes and the
+    /// same ranges, at every width.
     ///
     /// # Panics
     ///
-    /// If `names` and `ranges` differ in length.
+    /// If the ranges do not tile the sealed image.
     pub fn prepare_sealed(
         &self,
-        image: Sealed,
-        ranges: &[(usize, usize)],
-        names: &[ContentDigest],
+        image: ImageWriter,
+        split: impl FnOnce(usize) -> Vec<(usize, usize)>,
         cfg: &StoreConfig,
     ) -> PreparedChunked {
-        let ids: Vec<ChunkId> = names.iter().map(|&n| n.into()).collect();
-        let digest = image.digest().into();
-        self.prepare_named(image.into_bytes(), ranges, &ids, digest, cfg, |_| None)
+        let body = image.len();
+        let ranges = split(body + 8);
+        let inside = ranges.partition_point(|&(start, len)| start + len <= body);
+        let pool = Pool::new(self.threads_for(cfg));
+        let mut plan = Plan::default();
+        let mut fold = SealFold::new();
+        let mut scratch = CodecScratch::new();
+        let bytes = image.body();
+        pool.pipeline(
+            ranges[..inside].iter().copied(),
+            |range| (range, fold.name(bytes, range)),
+            |((start, len), name)| {
+                if let Some(slot) = plan.name(self, (start, len), name.into()) {
+                    plan.containers[slot] = Some(chunk::encode_range(
+                        &bytes[start..start + len],
+                        cfg.compress,
+                        &mut scratch,
+                    ));
+                }
+                true
+            },
+        );
+        let tail = &ranges[inside..];
+        let (sealed, names) = image.seal_rest(fold, tail);
+        let mut work = Vec::new();
+        for (&range, name) in tail.iter().zip(names) {
+            if let Some(slot) = plan.name(self, range, name.into()) {
+                work.push((slot, range));
+            }
+        }
+        let digest = sealed.digest().into();
+        let sealed = sealed.into_bytes();
+        let raw_len = sealed.len();
+        plan.encode(Cow::Owned(sealed), work, cfg, pool);
+        plan.finish(raw_len, digest)
     }
 
     /// The write a put applies: a [`PreparedPut::Plain`] image becomes one
@@ -200,17 +340,11 @@ impl CheckpointStore {
         }
     }
 
-    /// The one prepare: `ids[i]` names `ranges[i]` of `raw`, and
-    /// `raw_digest` names the whole image. One filesystem lookup per
-    /// distinct chunk settles both its novelty and its stored length. Only
-    /// the first occurrence of each chunk absent from disk is carried: the
-    /// container `reuse` returns for its range index (which must be what
-    /// encoding the range under `cfg` gives), or else one encoded on the
-    /// worker pool — except that an owned image whose one uncompressed
-    /// range covers it becomes its own container in place
-    /// ([`chunk::raw_container`]), with no second image-sized buffer. A
-    /// chunk already on disk contributes its on-disk length to the
-    /// manifest, since that is what a restore will read.
+    /// The name-driven prepare: `ids[i]` names `ranges[i]` of `raw`, and
+    /// `raw_digest` names the whole image. Every range goes through one
+    /// [`Plan`]; a novel chunk's container is the one `reuse` returns for
+    /// its range index (which must be what encoding the range under `cfg`
+    /// gives), or else one encoded on the worker pool ([`Plan::encode`]).
     ///
     /// # Panics
     ///
@@ -228,68 +362,18 @@ impl CheckpointStore {
         assert_eq!(ranges.len(), ids.len(), "one name per range");
         let raw = raw.into();
         let raw_len = raw.len();
-        let mut known: BTreeMap<ChunkId, Known> = BTreeMap::new();
-        let mut containers: Vec<Option<Vec<u8>>> = Vec::new();
-        let mut work: Vec<(usize, (usize, usize))> = Vec::new();
+        let mut plan = Plan::default();
+        let mut work = Vec::new();
         for (r, (&range, &id)) in ranges.iter().zip(ids).enumerate() {
-            known
-                .entry(id)
-                .or_insert_with(|| match self.fs.len_of(&self.chunk_path(id)) {
-                    Some(len) => Known::OnDisk(len),
-                    None => {
-                        let reused = reuse(r);
-                        if reused.is_none() {
-                            work.push((containers.len(), range));
-                        }
-                        containers.push(reused);
-                        Known::Novel(containers.len() - 1)
-                    }
-                });
-        }
-        let pool = Pool::new(self.threads_for(cfg));
-        let (slots, work): (Vec<usize>, Vec<(usize, usize)>) = work.into_iter().unzip();
-        let encoded = match raw {
-            Cow::Owned(image) if !cfg.compress && work == [(0, raw_len)] => {
-                vec![chunk::raw_container(image)]
+            if let Some(slot) = plan.name(self, range, id) {
+                match reuse(r) {
+                    Some(container) => plan.containers[slot] = Some(container),
+                    None => work.push((slot, range)),
+                }
             }
-            raw => pool.map_ordered(work, CodecScratch::new, |scratch, (start, len)| {
-                chunk::encode_range(&raw[start..start + len], cfg.compress, scratch)
-            }),
-        };
-        for (slot, c) in slots.into_iter().zip(encoded) {
-            containers[slot] = Some(c);
         }
-        let lens: Vec<u64> = containers
-            .iter()
-            .map(|c| c.as_ref().map_or(0, |c| c.len() as u64))
-            .collect();
-        let mut chunks = Vec::with_capacity(ranges.len());
-        let mut mw = ImageWriter::new();
-        mw.u32(MANIFEST_MAGIC);
-        mw.u16(STORE_VERSION);
-        mw.u64(raw_len as u64);
-        mw.u32(ranges.len() as u32);
-        for (&(start, len), &id) in ranges.iter().zip(ids) {
-            let (stored_len, stored) = match known[&id] {
-                Known::OnDisk(stored_len) => (stored_len, None),
-                Known::Novel(n) => (lens[n], containers[n].take()),
-            };
-            mw.u64(id.0);
-            mw.u64(id.1);
-            mw.u32(len as u32);
-            mw.u32(stored_len as u32);
-            chunks.push(PreparedChunk {
-                id,
-                raw_end: (start + len) as u64,
-                stored,
-            });
-        }
-        PreparedChunked {
-            raw_len: raw_len as u64,
-            manifest: mw.finish(),
-            chunks,
-            raw_digest,
-        }
+        plan.encode(raw, work, cfg, Pool::new(self.threads_for(cfg)));
+        plan.finish(raw_len, raw_digest)
     }
 
     /// Applies a prepared write: stores its carried containers,
@@ -336,11 +420,14 @@ impl CheckpointStore {
 
     /// Reassembles and opens an image in one pass per byte.
     ///
-    /// One serial loop reads each chunk file in place, decompresses it (a
-    /// raw container's payload is pushed where it lies), checks the
-    /// decoded length against its manifest record, and pushes it through
-    /// one [`Assembler`] pass that checks its content address, advances the
-    /// image's chains and appends it. A chunk file whose torn tail still
+    /// A [`Pool::pipeline`] over the manifest's records: its producer
+    /// reads each chunk file in place through a [`simos::fs::FsView`],
+    /// decompresses it (a raw container's payload is passed on where it
+    /// lies) and checks the decoded length against its record; its
+    /// consumer pushes each chunk through one [`Assembler`] pass that
+    /// checks its content address, advances the image's chains and appends
+    /// it. At a width of two or more the producer runs on a worker, so
+    /// decoding overlaps the fold. A chunk file whose torn tail still
     /// decodes therefore cannot masquerade as the original, and the
     /// returned [`Sealed`] carries the digest the caller checks against the
     /// sidecar (which closes the same hole for torn manifests) and the
@@ -351,17 +438,31 @@ impl CheckpointStore {
             return None;
         }
         let mut image = Assembler::new(usize::try_from(raw_len).ok()?);
-        for (id, seg_len, _) in recs {
-            let pushed = self.fs.with_file(&self.chunk_path(id), |stored| {
-                let raw = chunk::decode_chunk_cow(stored).ok()?;
-                (raw.len() == seg_len as usize).then(|| ChunkId::from(image.push(&raw)))
-            })?;
-            if pushed != Some(id) {
-                return None;
-            }
+        let dir = self.chunk_dir();
+        let whole = self.fs.with_view(|files| {
+            Pool::new(self.threads).pipeline(
+                recs,
+                |(id, seg_len, _)| {
+                    let raw = files
+                        .file(&chunk_file(&dir, id))
+                        .and_then(|stored| chunk::decode_chunk_cow(stored).ok())
+                        .filter(|raw| raw.len() == seg_len as usize);
+                    (id, raw)
+                },
+                |(id, raw)| raw.is_some_and(|raw| ChunkId::from(image.push(&raw)) == id),
+            )
+        });
+        if whole {
+            image.finish()
+        } else {
+            None
         }
-        image.finish()
     }
+}
+
+/// Path of chunk `id`'s file under the chunk directory `dir`.
+pub(super) fn chunk_file(dir: &str, id: ChunkId) -> String {
+    format!("{dir}/{}.c", id.hex())
 }
 
 /// Parses a manifest into `(raw_len, [(id, seg_len, stored_len)])`.
@@ -383,4 +484,82 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Option<(u64, Vec<(ChunkId, u32, u
         Ok(Some((raw_len, recs)))
     })();
     parsed.ok().flatten()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    type Records = Vec<(ChunkId, u32, u32)>;
+
+    fn encode_manifest(raw_len: u64, recs: &Records) -> Vec<u8> {
+        let mut w = ImageWriter::new();
+        w.u32(MANIFEST_MAGIC);
+        w.u16(STORE_VERSION);
+        w.u64(raw_len);
+        w.u32(recs.len() as u32);
+        for &(id, seg_len, stored_len) in recs {
+            w.u64(id.0);
+            w.u64(id.1);
+            w.u32(seg_len);
+            w.u32(stored_len);
+        }
+        w.finish()
+    }
+
+    fn arb_manifest() -> impl Strategy<Value = (u64, Records)> {
+        (
+            any::<u64>(),
+            proptest::collection::vec(
+                (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>())
+                    .prop_map(|(lo, hi, seg, stored)| (ChunkId(lo, hi), seg, stored)),
+                0..12,
+            ),
+        )
+    }
+
+    // The decoder contract for manifests, which a restore parses before it
+    // reads any chunk: arbitrary bytes never panic, and a bit flip or a
+    // truncation of a valid manifest never decodes to a different one.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn manifest_decoder_never_panics_on_arbitrary_bytes(
+            junk in proptest::collection::vec(any::<u8>(), 0..400),
+            header in any::<bool>(),
+        ) {
+            decode_manifest(&junk);
+            // Past the checksum: the junk as a checksummed body, behind a
+            // valid header when `header` is set, so the parser itself runs
+            // over arbitrary counts and records.
+            let mut w = ImageWriter::new();
+            if header {
+                w.u32(MANIFEST_MAGIC);
+                w.u16(STORE_VERSION);
+            }
+            junk.iter().for_each(|&b| w.u8(b));
+            decode_manifest(&w.finish());
+        }
+
+        #[test]
+        fn damaged_manifests_are_rejected_or_the_original(
+            manifest in arb_manifest(),
+            at in any::<usize>(),
+            bit in 0u8..8,
+            keep in any::<usize>(),
+        ) {
+            let (raw_len, recs) = manifest;
+            let bytes = encode_manifest(raw_len, &recs);
+            let want = Some((raw_len, recs));
+            prop_assert_eq!(&decode_manifest(&bytes), &want);
+            let mut flipped = bytes.clone();
+            flipped[at % bytes.len()] ^= 1 << bit;
+            let got = decode_manifest(&flipped);
+            prop_assert!(got.is_none() || got == want, "a flip decoded to another manifest");
+            let got = decode_manifest(&bytes[..keep % bytes.len()]);
+            prop_assert!(got.is_none() || got == want, "a truncation decoded to another manifest");
+        }
+    }
 }

@@ -5,7 +5,15 @@
 //!   inputs, compressed or raw, so reassembled images are byte-exact;
 //! * **determinism**: chunking, hashing and compression are pure functions
 //!   of the input bytes — two stores fed the same image produce
-//!   byte-identical chunk files and manifests.
+//!   byte-identical chunk files and manifests;
+//! * **decoder contract** for `decode_chunk_cow`, which a restore worker
+//!   runs on stored bytes it cannot trust: arbitrary bytes never panic or
+//!   decode past the codec's expansion bound, and a bit flip or truncation
+//!   of a valid container never gets past the restore's checks as
+//!   anything but the original. The decoder alone cannot see a flipped
+//!   literal byte, so the contract is the decode plus the two checks the
+//!   restore runs beside it: the record's segment length and the chunk's
+//!   content address.
 
 use cruz::chunk::{self, ChunkId};
 use cruz::store::{CheckpointStore, PreparedPut, StoreConfig};
@@ -139,5 +147,53 @@ proptest! {
         let put = s.prepare_chunked(&data, &cuts, &cfg);
         s.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
         prop_assert_eq!(s.get_image("p", 1).expect("image reconstructs"), data);
+    }
+}
+
+/// The restore's verified decode of one chunk file: decode, then the
+/// record's length check and the content-address check.
+fn verified(stored: &[u8], seg_len: usize, id: ChunkId) -> Option<Vec<u8>> {
+    let raw = chunk::decode_chunk_cow(stored).ok()?;
+    (raw.len() == seg_len && ChunkId::of(&raw) == id).then(|| raw.into_owned())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn chunk_decoder_never_panics_on_arbitrary_bytes(
+        stored in prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..300),
+            // An LZ tag and an arbitrary claimed length up front.
+            (any::<u32>(), proptest::collection::vec(any::<u8>(), 0..300)).prop_map(|(n, rest)| {
+                let mut v = vec![1u8];
+                v.extend_from_slice(&n.to_le_bytes());
+                v.extend_from_slice(&rest);
+                v
+            }),
+        ],
+    ) {
+        if let Ok(raw) = chunk::decode_chunk_cow(&stored) {
+            prop_assert!(raw.len() <= stored.len() * 44, "decoded past the expansion bound");
+        }
+    }
+
+    #[test]
+    fn damaged_chunk_containers_are_rejected_or_the_original(
+        data in arb_payload(),
+        on in any::<bool>(),
+        at in any::<usize>(),
+        bit in 0u8..8,
+        keep in any::<usize>(),
+    ) {
+        let stored = chunk::encode_chunk(&data, on);
+        let id = ChunkId::of(&data);
+        prop_assert_eq!(verified(&stored, data.len(), id), Some(data.clone()));
+        let mut flipped = stored.clone();
+        flipped[at % stored.len()] ^= 1 << bit;
+        let got = verified(&flipped, data.len(), id);
+        prop_assert!(got.is_none() || got.as_ref() == Some(&data), "a flip passed as new bytes");
+        let truncated = &stored[..keep % stored.len()];
+        prop_assert_eq!(verified(truncated, data.len(), id), None, "a truncation passed");
     }
 }

@@ -11,8 +11,10 @@
 //! refcounts and on-disk state exactly as a single application would.
 
 use cruz::digest;
-use cruz::replog::{read_log, REPLOG_MAGIC, REPLOG_VERSION};
-use cruz::store::{CheckpointStore, PreparedPut, StoreConfig};
+use cruz::replog::{read_log, ReplicatedStore, REPLOG_MAGIC, REPLOG_VERSION};
+use cruz::store::{
+    CheckpointStore, PreparedPut, ReadError, StoreConfig, MANIFEST_MAGIC, STORE_VERSION,
+};
 use cruz::ChunkId;
 use simos::fs::NetFs;
 
@@ -253,4 +255,51 @@ fn corrupt_log_blob_count_never_preallocates_past_the_input() {
     let (ops, valid) = read_log(&fs, "/log");
     assert!(ops.is_empty());
     assert_eq!(valid, header, "the valid prefix ends before the record");
+}
+
+/// A checksum-valid manifest of 64 records that each claim a
+/// `u32::MAX`-byte segment (a 256 GiB image, its segment lengths summing
+/// to the declared length), with a digest sidecar beside it: the read
+/// must fail as corrupt at the first missing chunk, not abort the process
+/// on reserving the declared length. Checked at k = 1 and through the
+/// k = 3 quorum read.
+#[test]
+fn a_manifest_claiming_huge_segments_is_corrupt_not_an_abort() {
+    const RECORDS: u64 = 64;
+    let mut body = Vec::new();
+    body.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
+    body.extend_from_slice(&STORE_VERSION.to_le_bytes());
+    body.extend_from_slice(&(RECORDS * u64::from(u32::MAX)).to_le_bytes());
+    body.extend_from_slice(&(RECORDS as u32).to_le_bytes());
+    for r in 0..RECORDS {
+        body.extend_from_slice(&r.to_le_bytes()); // chunk id, lo
+        body.extend_from_slice(&(!r).to_le_bytes()); // chunk id, hi
+        body.extend_from_slice(&u32::MAX.to_le_bytes()); // segment length
+        body.extend_from_slice(&64u32.to_le_bytes()); // stored length
+    }
+    let sum = digest::fold(digest::OFFSET, &body);
+    let mut manifest = body;
+    manifest.extend_from_slice(&sum.to_le_bytes());
+    assert_eq!(manifest.len(), 1562);
+
+    let fs = NetFs::new();
+    let plant = |s: &CheckpointStore| {
+        fs.write_file(&s.manifest_path("p", 1), manifest.clone());
+        fs.write_file(&s.digest_path("p", 1), vec![0x5a; 16]);
+    };
+    let s = CheckpointStore::new(fs.clone(), "j");
+    plant(&s);
+    assert_eq!(
+        s.image_len("p", 1),
+        Some(RECORDS * u64::from(u32::MAX)),
+        "the manifest checksums and parses"
+    );
+    assert_eq!(s.read_sealed("p", 1), Err(ReadError::Corrupt));
+    assert_eq!(s.get_image("p", 1), None);
+
+    let rs = ReplicatedStore::new(fs.clone(), "k3", 3);
+    for r in 0..3 {
+        plant(&rs.replica(r));
+    }
+    assert_eq!(rs.read_sealed("p", 1), Err(ReadError::Corrupt));
 }

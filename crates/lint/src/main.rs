@@ -19,7 +19,7 @@ Passes: token rules, layer graph (vs the declared crate/module layer maps),
 wire registry (codec tags and magics vs wire-registry.txt; workspace mode only).
 Rules: unordered-iteration, wall-clock, ambient-entropy, silent-unwrap,
 protocol-panic, unsuppressed-todo, god-file, layer-violation, wire-drift,
-swallowed-error, float-in-sim, nonsend-shared. Suppress one line with `// cruz-lint: allow(<rule>)`;
+swallowed-error, float-in-sim, nonsend-shared, stray-thread. Suppress one line with `// cruz-lint: allow(<rule>)`;
 record stragglers in lint-baseline.txt (`path:line:rule [max=N]`, `*` = any line;
 stale entries are errors). --json emits the machine report on stdout;
 --update-baseline rewrites the baseline from the current findings and exits 0.";

@@ -36,6 +36,10 @@ pub enum Rule {
     /// capture/restore hot paths shard across threads, and non-`Send`
     /// shared ownership quietly fences data out of the worker pool.
     NonsendShared,
+    /// `thread::scope` / `thread::spawn` outside `cruz::parpool`, the one
+    /// module whose ordered merge and pipeline keep threaded output
+    /// byte-identical to a serial run.
+    StrayThread,
 }
 
 /// All rules, for exhaustive listings (usage text, docs).
@@ -52,6 +56,7 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::SwallowedError,
     Rule::FloatInSim,
     Rule::NonsendShared,
+    Rule::StrayThread,
 ];
 
 impl Rule {
@@ -70,6 +75,7 @@ impl Rule {
             Rule::SwallowedError => "swallowed-error",
             Rule::FloatInSim => "float-in-sim",
             Rule::NonsendShared => "nonsend-shared",
+            Rule::StrayThread => "stray-thread",
         }
     }
 

@@ -1,5 +1,6 @@
 //! Token-level scans over the blanked source view: the original seven
-//! determinism rules plus `swallowed-error` and `float-in-sim`.
+//! determinism rules plus `swallowed-error`, `float-in-sim`,
+//! `nonsend-shared` and `stray-thread`.
 
 use std::collections::BTreeSet;
 
@@ -12,6 +13,11 @@ use crate::Finding;
 /// fails it until it is split (or grandfathered in the baseline — with a
 /// `max=` ceiling, so a grandfathered file may shrink but never grow).
 pub const GOD_FILE_MAX_LINES: usize = 1200;
+
+/// The one module allowed to spawn threads: its ordered merge and
+/// pipeline are the whole argument that threaded output equals serial
+/// output.
+const THREAD_MODULE: &str = "crates/core/src/parpool.rs";
 
 /// Methods that iterate a collection in storage order.
 const ITER_METHODS: &[&str] = &[
@@ -166,6 +172,21 @@ pub fn scan(sf: &SourceFile, out: &mut Vec<Finding>) {
                     Rule::UnsuppressedTodo,
                     format!("`{pat}` in non-test code"),
                 );
+            }
+        }
+        if sf.rel != THREAD_MODULE {
+            for pat in ["thread::scope", "thread::spawn"] {
+                if line.contains(pat) {
+                    push(
+                        ln,
+                        Rule::StrayThread,
+                        format!(
+                            "`{pat}` outside `cruz::parpool`; run the work through `Pool` \
+                             (`map_ordered` or `pipeline`), whose in-order hand-back keeps \
+                             output identical to a serial run"
+                        ),
+                    );
+                }
             }
         }
         if sf.rel.starts_with("crates/core/src") {
@@ -650,6 +671,24 @@ mod tests {
         // Test code inside core files stays exempt.
         let test_mod = "#[cfg(test)]\nmod tests {\n    fn t() { let r: std::rc::Rc<u8> = std::rc::Rc::new(0); drop(r); }\n}\n";
         assert!(rules_hit("crates/core/src/store.rs", test_mod).is_empty());
+    }
+
+    #[test]
+    fn stray_thread_flags_spawns_outside_the_pool() {
+        let src = "fn f() { std::thread::scope(|s| { s.spawn(|| 1); }); }\n\
+                   fn g() { let h = thread::spawn(|| 2); }\n\
+                   fn h() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }\n";
+        let want = vec![(1, Rule::StrayThread), (2, Rule::StrayThread)];
+        assert_eq!(rules_hit("crates/cluster/src/drain.rs", src), want);
+        assert_eq!(rules_hit("crates/core/src/store.rs", src), want);
+        assert_eq!(rules_hit("crates/bench/src/x.rs", src), want);
+        // The pool itself, test code and allowed lines are exempt.
+        assert!(rules_hit("crates/core/src/parpool.rs", src).is_empty());
+        assert!(rules_hit("crates/simos/tests/x.rs", src).is_empty());
+        let test_mod = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::scope(|_| ()); }\n}\n";
+        assert!(rules_hit("crates/simos/src/fs.rs", test_mod).is_empty());
+        let allowed = "fn f() { std::thread::scope(|_| ()); } // cruz-lint: allow(stray-thread)\n";
+        assert!(rules_hit("crates/zap/src/x.rs", allowed).is_empty());
     }
 
     #[test]

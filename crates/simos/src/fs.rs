@@ -30,6 +30,19 @@ pub struct NetFs {
     files: Rc<RefCell<BTreeMap<String, Vec<u8>>>>,
 }
 
+/// A read-only view of a [`NetFs`]'s files, lent by [`NetFs::with_view`].
+#[derive(Debug, Clone, Copy)]
+pub struct FsView<'a> {
+    files: &'a BTreeMap<String, Vec<u8>>,
+}
+
+impl<'a> FsView<'a> {
+    /// A file's bytes, borrowed for as long as the view.
+    pub fn file(&self, path: &str) -> Option<&'a [u8]> {
+        self.files.get(path).map(Vec::as_slice)
+    }
+}
+
 impl NetFs {
     /// Creates an empty filesystem.
     pub fn new() -> Self {
@@ -54,10 +67,14 @@ impl NetFs {
         self.files.borrow().get(path).cloned()
     }
 
-    /// Runs `f` over a file's bytes in place, without the copy
-    /// [`NetFs::read_file`] makes. `f` must not touch this filesystem.
-    pub fn with_file<R>(&self, path: &str, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
-        self.files.borrow().get(path).map(|data| f(data))
+    /// Runs `f` over a read-only [`FsView`] of every file, which hands out
+    /// file bytes in place, without the copy [`NetFs::read_file`] makes.
+    /// The view is `Send` and `Sync`, so `f` may share it with scoped
+    /// worker threads. `f` must not touch this filesystem through a handle.
+    pub fn with_view<R>(&self, f: impl FnOnce(FsView<'_>) -> R) -> R {
+        f(FsView {
+            files: &self.files.borrow(),
+        })
     }
 
     /// Reads up to `len` bytes at `offset`.
@@ -120,14 +137,21 @@ mod tests {
     }
 
     #[test]
-    fn with_file_borrows_the_bytes() {
+    fn a_view_lends_file_bytes_across_threads() {
         let fs = NetFs::new();
         fs.write_file("/a", vec![1, 2, 3]);
-        assert_eq!(
-            fs.with_file("/a", |b| b.iter().map(|&x| x as u32).sum::<u32>()),
-            Some(6)
-        );
-        assert_eq!(fs.with_file("/missing", <[u8]>::len), None);
+        let sum = fs.with_view(|view| {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    view.file("/a")
+                        .map(|b| b.iter().map(|&x| u32::from(x)).sum::<u32>())
+                })
+                .join()
+                .unwrap()
+            })
+        });
+        assert_eq!(sum, Some(6));
+        assert!(fs.with_view(|view| view.file("/missing").is_none()));
     }
 
     #[test]

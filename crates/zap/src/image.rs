@@ -21,7 +21,7 @@ pub const VERSION: u16 = 1;
 
 mod codec;
 
-pub use codec::{Assembler, ContentDigest, ImageError, ImageReader, ImageWriter, Sealed};
+pub use codec::{Assembler, ContentDigest, ImageError, ImageReader, ImageWriter, SealFold, Sealed};
 
 // ---- image structures --------------------------------------------------------
 
@@ -356,22 +356,16 @@ impl PodImage {
         (sealed, cuts)
     }
 
-    /// [`PodImage::seal`], also naming the image's chunks in the same pass
-    /// ([`ImageWriter::seal_named`]). `split` receives the sealed length
-    /// and the page cuts [`PodImage::encode_with_page_cuts`] reports, and
-    /// returns the chunk ranges; the names are their content digests, in
-    /// range order.
-    ///
-    /// # Panics
-    ///
-    /// If the ranges `split` returns do not tile the sealed image.
-    pub fn seal_named(
-        &self,
-        split: impl FnOnce(usize, &[(usize, usize)]) -> Vec<(usize, usize)>,
-    ) -> (Sealed, Vec<(usize, usize)>, Vec<ContentDigest>) {
+    /// The image serialized up to its checksum trailer, with the page cuts
+    /// [`PodImage::encode_with_page_cuts`] reports: what [`PodImage::seal`]
+    /// seals, for a caller that runs the sealing pass itself
+    /// ([`ImageWriter::seal_named`], or
+    /// `cruz::store::CheckpointStore::prepare_sealed`, which names the
+    /// chunk ranges in that pass).
+    pub fn unsealed(&self) -> (ImageWriter, Vec<(usize, usize)>) {
         let mut cuts = Vec::new();
         let w = self.write(&mut cuts);
-        w.seal_named(|len| split(len, &cuts))
+        (w, cuts)
     }
 
     /// Serializes everything but the checksum trailer, recording the bulk

@@ -130,15 +130,33 @@ impl ImageWriter {
     ///
     /// If the ranges do not tile `0..len` exactly.
     pub fn seal_named(
-        mut self,
+        self,
         split: impl FnOnce(usize) -> Vec<(usize, usize)>,
     ) -> (Sealed, Vec<(usize, usize)>, Vec<ContentDigest>) {
+        let ranges = split(self.buf.len() + 8);
+        let (sealed, names) = self.seal_rest(SealFold::new(), &ranges);
+        (sealed, ranges, names)
+    }
+
+    /// Finishes a [`ImageWriter::seal_named`] pass that `fold` has run over
+    /// the leading body ranges ([`SealFold::name`]): names `ranges`, the
+    /// rest of the tiling, appending the checksum trailer where the first
+    /// of them reaches past the body. Returns the sealed image and the
+    /// names of `ranges`.
+    ///
+    /// # Panics
+    ///
+    /// If `ranges` do not tile the image from where `fold` stopped to its
+    /// sealed end.
+    pub fn seal_rest(
+        mut self,
+        fold: SealFold,
+        ranges: &[(usize, usize)],
+    ) -> (Sealed, Vec<ContentDigest>) {
         let body = self.buf.len();
-        let ranges = split(body + 8);
-        let mut image = [OFFSET, OFFSET_ALT];
+        let SealFold { mut image, mut pos } = fold;
         let mut names = Vec::with_capacity(ranges.len());
-        let mut pos = 0;
-        for &(start, len) in &ranges {
+        for &(start, len) in ranges {
             assert_eq!(start, pos, "chunk ranges must tile the image");
             let end = start + len;
             let mut own = [OFFSET, OFFSET_ALT];
@@ -161,7 +179,12 @@ impl ImageWriter {
             bytes: self.buf,
             check: Ok(()),
         };
-        (sealed, ranges, names)
+        (sealed, names)
+    }
+
+    /// The bytes written so far: the body a seal will checksum.
+    pub fn body(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Bytes written so far (before `finish`).
@@ -289,6 +312,55 @@ fn fold_both(image: [u64; 2], own: [u64; 2], data: &[u8]) -> ([u64; 2], [u64; 2]
     ([a, b], [c, d])
 }
 
+/// The leading half of [`ImageWriter::seal_named`]'s pass, one body range
+/// at a time: the image's two chains and the offset they have reached.
+/// It borrows nothing, so the body can be named on one thread and sealed
+/// on another ([`ImageWriter::seal_rest`] finishes the pass).
+#[derive(Debug, Clone)]
+pub struct SealFold {
+    image: [u64; 2],
+    pos: usize,
+}
+
+impl Default for SealFold {
+    fn default() -> Self {
+        SealFold::new()
+    }
+}
+
+impl SealFold {
+    /// A pass at the start of the image.
+    pub fn new() -> SealFold {
+        SealFold {
+            image: [OFFSET, OFFSET_ALT],
+            pos: 0,
+        }
+    }
+
+    /// Names `body[start..start + len]`, the next range: advances the
+    /// image's chains over it and returns its own content digest, in one
+    /// `fold4` (one `fold2` for the range that starts the image).
+    ///
+    /// # Panics
+    ///
+    /// If the range does not start where the previous one ended or does
+    /// not lie inside `body`.
+    pub fn name(&mut self, body: &[u8], (start, len): (usize, usize)) -> ContentDigest {
+        assert_eq!(start, self.pos, "chunk ranges must tile the image");
+        let own;
+        (self.image, own) = fold_both(self.image, [OFFSET, OFFSET_ALT], &body[start..start + len]);
+        self.pos = start + len;
+        (own[0], own[1])
+    }
+}
+
+/// The most an [`Assembler`] reserves before its pieces arrive (256 MiB).
+/// An image's declared length is untrusted: a manifest that checksums can
+/// still claim terabytes, and reserving that much aborts the process. Real
+/// pod images are far smaller, so they are assembled into one exact
+/// allocation.
+const ASSEMBLY_RESERVE: usize = 1 << 28;
+
 /// Reassembles an image from its chunks in order and opens it in the
 /// same pass: each [`Assembler::push`] appends a chunk, returns the
 /// chunk's own content digest and advances the image's chains, so the
@@ -308,10 +380,13 @@ pub struct Assembler {
 }
 
 impl Assembler {
-    /// An empty assembly of an image declared to be `len` bytes long.
+    /// An empty assembly of an image declared to be `len` bytes long. The
+    /// declared length comes from a manifest and is only proven by the
+    /// pieces, so at most 256 MiB (`ASSEMBLY_RESERVE`) are reserved for it up
+    /// front; a longer image grows as its pieces arrive.
     pub fn new(len: usize) -> Assembler {
         Assembler {
-            bytes: Vec::with_capacity(len),
+            bytes: Vec::with_capacity(len.min(ASSEMBLY_RESERVE)),
             len,
             image: [OFFSET, OFFSET_ALT],
             sum: None,

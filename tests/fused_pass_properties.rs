@@ -15,11 +15,17 @@
 //!   concatenate, `Sealed::open`, compare the sidecar) on intact stores and
 //!   under each corruption: a flipped chunk, a truncated chunk, swapped
 //!   manifest records, a wrong segment length, and images under 8 bytes;
-//! * **name-based prepare** — `prepare_sealed` with the seal's names gives
-//!   the manifest, digest and novel writes of `prepare_chunked` and of a
-//!   literal model of the reference prepare, over a store that already
-//!   holds an arbitrary subset of the chunks (written under the other
-//!   codec setting, so stored lengths must come from disk).
+//! * **name-based prepare** — `prepare_sealed`, which names the chunks in
+//!   its own sealing pass (pipelined beside the lookups and encodes at
+//!   widths 2 and 4), gives the manifest, digest and novel
+//!   writes of `prepare_chunked` and of a literal model of the reference
+//!   prepare, over a store that already holds an arbitrary subset of the
+//!   chunks (written under the other codec setting, so stored lengths must
+//!   come from disk).
+//!
+//! The fused restore and the prepare run at widths 1, 2 and 4: width 1 is
+//! the inline reference, and the wider ones run `parpool`'s two-stage
+//! pipeline.
 
 use std::collections::BTreeSet;
 
@@ -277,6 +283,11 @@ fn arb_recipe() -> impl Strategy<Value = Vec<(usize, usize)>> {
     proptest::collection::vec((0usize..40, 0usize..150), 0..8)
 }
 
+/// A store width: the inline reference or a pipelined one.
+fn arb_width() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(2), Just(4)]
+}
+
 fn cfg(chunk_bytes: usize, compress: bool) -> StoreConfig {
     StoreConfig {
         chunk_bytes,
@@ -344,7 +355,7 @@ proptest! {
         recipe in arb_recipe(),
         chunk in 1usize..80,
         compress in any::<bool>(),
-        width in prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
+        width in arb_width(),
         d in arb_damage(),
     ) {
         // Sealed images exercise a passing trailer verdict, raw bytes a
@@ -374,8 +385,9 @@ proptest! {
         chunk in 1usize..80,
         compress in any::<bool>(),
         held in proptest::collection::vec(any::<bool>(), 0..64),
+        width in arb_width(),
     ) {
-        let (sealed, ranges, names) = seal(&body, &recipe, chunk);
+        let (sealed, ranges, _) = seal(&body, &recipe, chunk);
         let raw = sealed.bytes();
         let fs = NetFs::new();
         let s = CheckpointStore::new(fs.clone(), "j");
@@ -387,8 +399,16 @@ proptest! {
                 fs.write_file(&s.chunk_path(ChunkId::of(seg)), chunk::encode_chunk(seg, !compress));
             }
         }
-        let cfg = cfg(chunk, compress);
-        let named = s.prepare_sealed(sealed.clone(), &ranges, &names, &cfg);
+        let cfg = StoreConfig { threads: width, ..cfg(chunk, compress) };
+        let mut w = ImageWriter::new();
+        for &b in &body {
+            w.u8(b);
+        }
+        let named = s.prepare_sealed(
+            w,
+            |len| split_ranges(len, &cuts_from(&recipe, len), chunk),
+            &cfg,
+        );
         let reference = s.prepare_chunked(raw, &cuts_from(&recipe, raw.len()), &cfg);
         let (model_manifest, model_novel) = model_prepare(&fs, &s, raw, &ranges, compress);
         prop_assert_eq!(named.manifest(), &model_manifest[..]);

@@ -23,7 +23,7 @@ use cruz_repro::zap::image::MacMode;
 
 /// One run's whole observable identity: the event-trace digest, the event
 /// count, and the final simulated clock.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Fingerprint {
     trace_digest: u64,
     events: u64,
@@ -101,10 +101,15 @@ fn ckpt_run_with(params: ClusterParams, capture: Option<CkptCaptureMode>) -> Fin
 /// The `tests/chaos_properties.rs` replay scenario: clean baseline
 /// checkpoint, seeded fault plan (round-tripped through its wire codec),
 /// periodic checkpoints under fire, fixed horizon, recovery manager on.
-fn chaos_run(world_seed: u64, plan_seed: u64) -> Fingerprint {
+/// The dedup store runs at `threads` workers: 1 is the inline path, 2 the
+/// pipelined capture prepare and restore.
+fn chaos_run(world_seed: u64, plan_seed: u64, threads: usize) -> Fingerprint {
     let mut p = ClusterParams {
         seed: world_seed,
-        store: StoreConfig::dedup(),
+        store: StoreConfig {
+            threads,
+            ..StoreConfig::dedup()
+        },
         ..ClusterParams::default()
     };
     p.recovery.enabled = true;
@@ -230,7 +235,12 @@ fn golden_recovery_chaos() {
             },
         ),
     ];
+    // The seeds roll back and auto-restart from the dedup store, so the
+    // same pins hold the pipelined restore under faults, on any host.
     for ((ws, ps), want) in pinned {
-        check(&format!("chaos {ws}/{ps}"), chaos_run(ws, ps), want);
+        for threads in [1, 2] {
+            let label = format!("chaos {ws}/{ps} at {threads} threads");
+            check(&label, chaos_run(ws, ps, threads), want);
+        }
     }
 }

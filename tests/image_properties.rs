@@ -464,8 +464,9 @@ proptest! {
     #[test]
     fn seal_named_names_every_range_in_the_sealing_pass(img in arb_image(), chunk in 1usize..300) {
         let (bytes, cuts) = img.encode_with_page_cuts();
+        let (body, body_cuts) = img.unsealed();
         let (sealed, ranges, names) =
-            img.seal_named(|len, cuts| split_ranges(len, cuts, chunk));
+            body.seal_named(|len| split_ranges(len, &body_cuts, chunk));
         prop_assert_eq!(&sealed, &img.seal());
         prop_assert_eq!(&ranges, &split_ranges(bytes.len(), &cuts, chunk));
         prop_assert_eq!(names.len(), ranges.len());
@@ -504,25 +505,26 @@ proptest! {
         let plain_fs = NetFs::new();
         let plain_store = CheckpointStore::new(plain_fs.clone(), "j");
         let mut bytes = img.encode();
-        let (sealed, ranges, names) = match damage {
+        let put = match damage {
             Damage::Written { at } => {
                 // Damaged before the put: its one range is the whole image,
                 // named by the image digest.
                 flip_at(&mut bytes, at);
-                let sealed = Sealed::open(bytes.clone());
-                let names = vec![sealed.digest()];
-                (sealed, cfg.ranges(bytes.len(), &[]), names)
+                sealed_store.prepare_chunked(&bytes, &[], &cfg)
             }
-            _ => img.seal_named(|len, cuts| cfg.ranges(len, cuts)),
+            _ => {
+                let (body, cuts) = img.unsealed();
+                sealed_store.prepare_sealed(body, |len| cfg.ranges(len, &cuts), &cfg)
+            }
         };
-        let put = sealed_store.prepare_sealed(sealed.clone(), &ranges, &names, &cfg);
+        let digest = put.image_digest();
         sealed_store.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
         plain_store.put_prepared("p", 1, PreparedPut::Plain(bytes)).unwrap();
         // Capture's sealed put and an unsealed `Plain` put land the same
         // whole-image chunk, manifest and sidecar.
         prop_assert_eq!(tree(&sealed_fs), tree(&plain_fs));
         if let Damage::Stored { at } = damage {
-            let chunk = sealed_store.chunk_path(ChunkId::from(sealed.digest()));
+            let chunk = sealed_store.chunk_path(digest);
             flip_file(&sealed_fs, &chunk, at);
         }
         let got = sealed_store.get_image("p", 1);
@@ -543,26 +545,19 @@ proptest! {
         let store = CheckpointStore::new(fs.clone(), "j");
         let cfg = StoreConfig { chunk_bytes: 64, ..StoreConfig::dedup_compress() };
         let split = |len: usize, cuts: &[(usize, usize)]| split_ranges(len, cuts, cfg.chunk_bytes);
-        let (_, cuts) = img.encode_with_page_cuts();
-        let (sealed, ranges, names) = match damage {
+        let (mut bytes, cuts) = img.encode_with_page_cuts();
+        let put = match damage {
             Damage::Written { at } => {
                 // Damaged before the put: named by folding each range.
-                let mut bytes = img.encode();
                 flip_at(&mut bytes, at);
-                let ranges = split(bytes.len(), &cuts);
-                let names = ranges
-                    .iter()
-                    .map(|&(s, l)| {
-                        let id = ChunkId::of(&bytes[s..s + l]);
-                        (id.0, id.1)
-                    })
-                    .collect::<Vec<_>>();
-                (Sealed::open(bytes), ranges, names)
+                store.prepare_chunked(&bytes, &cuts, &cfg)
             }
-            _ => img.seal_named(split),
+            _ => {
+                let (body, cuts) = img.unsealed();
+                store.prepare_sealed(body, |len| split(len, &cuts), &cfg)
+            }
         };
-        let put = store.prepare_sealed(sealed.clone(), &ranges, &names, &cfg);
-        let reference = store.prepare_chunked(sealed.bytes(), &cuts, &cfg);
+        let reference = store.prepare_chunked(&bytes, &cuts, &cfg);
         prop_assert_eq!(put.manifest(), reference.manifest());
         prop_assert_eq!(put.image_digest(), reference.image_digest());
         store.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
@@ -584,11 +579,12 @@ proptest! {
         let fs = NetFs::new();
         let rs = ReplicatedStore::new(fs.clone(), "j", 3);
         let cfg = StoreConfig::default();
-        let (sealed, ranges, names) = img.seal_named(|len, cuts| cfg.ranges(len, cuts));
-        let put = rs.prepare_sealed(sealed.clone(), &ranges, &names, &cfg);
+        let (body, cuts) = img.unsealed();
+        let put = rs.prepare_sealed(body, |len| cfg.ranges(len, &cuts), &cfg);
+        let digest = put.image_digest();
         rs.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
         rs.commit(1);
-        let chunk = rs.replica(victim).chunk_path(ChunkId::from(sealed.digest()));
+        let chunk = rs.replica(victim).chunk_path(digest);
         flip_file(&fs, &chunk, at);
         let got = rs.get_image("p", 1);
         prop_assert_eq!(got.as_deref(), Some(&img.encode()[..]));

@@ -13,13 +13,18 @@
 //!   against the serial reference across multi-epoch histories with
 //!   arbitrary rewrites, false-dirty claims and shifting metadata — with
 //!   identical hit/miss accounting at every width;
-//! * the pinned golden-trace fingerprint re-run with `CRUZ_THREADS=4`:
+//! * the pipelined capture prepare (`prepare_sealed` at widths 2 and 4)
+//!   against its inline run at width 1, over a store that already holds
+//!   an arbitrary subset of the chunks: the same manifest, novel writes
+//!   and persisted files;
+//! * the pinned golden-trace fingerprint re-run with `store.threads = 4`:
 //!   the pool must be invisible in the event trace, the event count and
 //!   the final clock.
 
 use cruz_repro::cluster::{
     ClusterParams, JobSpec, PodSpec, StoreConfig as ClusterStoreConfig, World,
 };
+use cruz_repro::cruz::chunk::{encode_chunk, split_ranges, ChunkId};
 use cruz_repro::cruz::pagecache::{DigestCache, PageHint};
 use cruz_repro::cruz::proto::ProtocolMode;
 use cruz_repro::cruz::store::{CheckpointStore, PreparedPut, StoreConfig};
@@ -27,7 +32,7 @@ use cruz_repro::des::SimDuration;
 use cruz_repro::simnet::addr::{IpAddr, MacAddr};
 use cruz_repro::simos::fs::NetFs;
 use cruz_repro::workloads::pingpong::PingPongConfig;
-use cruz_repro::zap::image::MacMode;
+use cruz_repro::zap::image::{ImageWriter, MacMode};
 use proptest::prelude::*;
 
 /// The pooled widths every twin-path case checks against the serial oracle.
@@ -105,6 +110,70 @@ proptest! {
             let reader = CheckpointStore::new(fs.clone(), "j").with_threads(t);
             let round = reader.get_image("p", 1);
             prop_assert_eq!(round.as_deref(), Some(&data[..]), "restore at threads={}", t);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The capture prepare at every width writes what its inline run at
+    /// width 1 writes: the seal's fold runs on the worker while the
+    /// calling thread looks each chunk up and encodes the novel ones, yet
+    /// the manifest, the novel writes (so the simulated disk schedule) and
+    /// every persisted file are byte-identical.
+    #[test]
+    fn pipelined_capture_prepare_matches_serial(
+        data in proptest::collection::vec(any::<u8>(), 0..8192),
+        recipe in proptest::collection::vec((0usize..64, 1usize..1200), 0..8),
+        chunk_bytes in prop_oneof![Just(64usize), Just(256), Just(1024)],
+        compress in any::<bool>(),
+        held in proptest::collection::vec(any::<bool>(), 0..160),
+    ) {
+        let body = || {
+            let mut w = ImageWriter::new();
+            data.iter().for_each(|&b| w.u8(b));
+            w
+        };
+        let split = |len: usize| split_ranges(len, &cuts_from(&recipe, len), chunk_bytes);
+        let serial_cfg = StoreConfig { chunk_bytes, dedup: true, compress, threads: 1, replicas: 1 };
+        // Every width prepares against its own copy of one partial store.
+        let partial = || {
+            let fs = NetFs::new();
+            let store = CheckpointStore::new(fs.clone(), "j");
+            let sealed = body().seal();
+            let raw = sealed.bytes();
+            for (k, &(start, len)) in split(raw.len()).iter().enumerate() {
+                if held.get(k).copied().unwrap_or(false) {
+                    let seg = &raw[start..start + len];
+                    fs.write_file(&store.chunk_path(ChunkId::of(seg)), encode_chunk(seg, compress));
+                }
+            }
+            (fs, store)
+        };
+        let run = |threads: usize| {
+            let (fs, store) = partial();
+            let cfg = StoreConfig { threads, ..serial_cfg };
+            let put = store.prepare_sealed(body(), split, &cfg);
+            let manifest = put.manifest().to_vec();
+            let novel: Vec<(u64, u64)> = put.novel_writes().collect();
+            store.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
+            let files: Vec<(String, Vec<u8>)> = fs
+                .list("/")
+                .into_iter()
+                .map(|path| {
+                    let bytes = fs.read_file(&path).expect("listed file exists");
+                    (path, bytes)
+                })
+                .collect();
+            (manifest, novel, files)
+        };
+        let serial = run(1);
+        for t in [2usize, 4] {
+            let (manifest, novel, files) = run(t);
+            prop_assert_eq!(&manifest, &serial.0, "manifest at threads={}", t);
+            prop_assert_eq!(&novel, &serial.1, "novel writes at threads={}", t);
+            prop_assert_eq!(&files, &serial.2, "store files at threads={}", t);
         }
     }
 }
@@ -237,7 +306,7 @@ proptest! {
     }
 }
 
-// ---- golden trace under CRUZ_THREADS=4 ------------------------------------
+// ---- golden trace at four threads -----------------------------------------
 
 fn pingpong_spec(rounds: u64) -> JobSpec {
     let cfg = PingPongConfig {
@@ -268,19 +337,20 @@ fn pingpong_spec(rounds: u64) -> JobSpec {
 }
 
 /// The `tests/golden_trace.rs` dedup scenario, re-run with the worker pool
-/// forced to 4 threads via the environment (the cluster default leaves
-/// `store.threads` on auto). The fingerprint constants below are the SAME
-/// pinned values the serial golden test asserts: the pool must change
-/// nothing observable — not the trace digest, not the event count, not a
-/// nanosecond of simulated time.
+/// set to 4 threads (the golden test leaves `store.threads` on auto). The
+/// fingerprint constants below are the SAME pinned values the golden test
+/// asserts: the pool must change nothing observable — not the trace
+/// digest, not the event count, not a nanosecond of simulated time.
 #[test]
 fn golden_dedup_trace_is_pinned_at_four_threads() {
-    std::env::set_var("CRUZ_THREADS", "4");
     let mut w = World::new(
         5,
         ClusterParams {
             seed: 0xC0FFEE,
-            store: ClusterStoreConfig::dedup_compress(),
+            store: ClusterStoreConfig {
+                threads: 4,
+                ..ClusterStoreConfig::dedup_compress()
+            },
             ..ClusterParams::default()
         },
     );
@@ -302,7 +372,6 @@ fn golden_dedup_trace_is_pinned_at_four_threads() {
         w.run_until_pred(100_000_000, |w| w.job_finished("pp")),
         "job runs to completion"
     );
-    std::env::remove_var("CRUZ_THREADS");
     assert_eq!(
         (w.trace_digest(), w.events_processed(), w.now.as_nanos()),
         (902494253537125112u64, 2134u64, 209282169u64),
