@@ -353,8 +353,10 @@ impl World {
             // A pod the epoch holds nothing for is skipped; an image that is
             // there but fails verification aborts the restart, which would
             // otherwise complete without that pod.
-            let sealed = match store.read_sealed(&p.name, image_epoch) {
-                Ok(sealed) => sealed,
+            // Charge what the disk actually serves: the manifest plus every
+            // distinct chunk it references.
+            let (sealed, stored) = match store.read_stored(&p.name, image_epoch) {
+                Ok(read) => read,
                 Err(ReadError::Absent) => continue,
                 Err(ReadError::Corrupt) => {
                     let pod = p.name.clone();
@@ -362,11 +364,7 @@ impl World {
                     return;
                 }
             };
-            // Charge what the disk actually serves: the manifest plus every
-            // distinct chunk it references.
-            total += store
-                .stored_len(&p.name, image_epoch)
-                .unwrap_or(sealed.bytes().len() as u64);
+            total += stored;
             match sealed.decode() {
                 Ok(img) => images.push((p.name.clone(), img)),
                 Err(e) => {

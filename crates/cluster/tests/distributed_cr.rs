@@ -446,8 +446,9 @@ fn incremental_epochs_restore_through_the_full_protocol() {
     w.run_for(SimDuration::from_millis(20));
 
     // Three epochs with default options, 5 ms of execution apart. Each
-    // epoch's cost is what the app nodes' disks wrote for it (`stored_len`
-    // would not do: it counts every chunk a restart reads, shared or not).
+    // epoch's cost is what the app nodes' disks wrote for it (`read_stored`
+    // would not do: its length counts every chunk a restart reads, shared
+    // or not).
     let written = |w: &World| -> u64 { (0..2).map(|n| w.kernel(n).disk.bytes_written()).sum() };
     let mut epochs = Vec::new();
     let mut epoch_bytes = Vec::new();
@@ -781,8 +782,8 @@ fn the_default_store_holds_one_manifest_sidecar_and_chunk_per_pod() {
         assert_eq!(chunk, Some(image.len() as u64 + 1), "one raw container");
         let manifest_len = w.fs.len_of(&store.manifest_path(pod, ck)).unwrap();
         assert_eq!(
-            store.stored_len(pod, ck),
-            Some(manifest_len + image.len() as u64 + 1)
+            store.read_stored(pod, ck).map(|(_, stored)| stored),
+            Ok(manifest_len + image.len() as u64 + 1)
         );
         chunks.push(digest);
     }

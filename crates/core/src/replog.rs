@@ -55,7 +55,7 @@ use crate::chunk::ChunkId;
 use crate::digest;
 use crate::pagecache::{DigestCache, PageHint};
 use crate::store::{
-    self, CheckpointStore, MissingChunk, PreparedChunked, PreparedPut, ReadError, StoreConfig,
+    CheckpointStore, MissingChunk, PreparedChunked, PreparedPut, ReadError, StoreConfig,
 };
 
 /// Magic number of a replica operation log (`CRZL`).
@@ -302,11 +302,11 @@ fn apply_op(store: &CheckpointStore, op: &LogOp, torn: Option<u8>) -> usize {
     0
 }
 
-/// The put apply: write absent chunk bodies (torn to a prefix
-/// under a [`ReplicaFaultKind::TornChunk`] fault), then the digest sidecar
-/// and manifest, then bump refcounts — once per manifest record, and only
-/// if this exact manifest wasn't already on disk (idempotence under
-/// replay, mirroring [`CheckpointStore::put_prepared`]).
+/// The put apply: write absent chunk bodies (torn to a prefix under a
+/// [`ReplicaFaultKind::TornChunk`] fault), then the digest sidecar and
+/// manifest. A put takes no chunk reference (the manifests are the
+/// liveness record), so applying it again rewrites the same bytes: replay
+/// is idempotent by construction.
 fn apply_chunked(
     store: &CheckpointStore,
     pod: &str,
@@ -326,19 +326,10 @@ fn apply_chunked(
             store.fs().write_file(&path, stored);
         }
     }
-    let mpath = store.manifest_path(pod, epoch);
-    let fresh = store.fs().read_file(&mpath).as_deref() != Some(manifest);
     store.write_digest(pod, epoch, image);
-    store.fs().write_file(&mpath, manifest.to_vec());
-    if fresh {
-        if let Some((_, recs)) = store::decode_manifest(manifest) {
-            let mut refs = store.read_refs();
-            for (id, _, _) in recs {
-                *refs.entry(id).or_insert(0) += 1;
-            }
-            store.write_refs(&refs);
-        }
-    }
+    store
+        .fs()
+        .write_file(&store.manifest_path(pod, epoch), manifest.to_vec());
 }
 
 // ---- the replicated store ---------------------------------------------------
@@ -500,6 +491,10 @@ impl ReplicatedStore {
     /// [`PreparedPut::Plain`] put, folded once here on the primary), so no
     /// replica folds the image again, live or in replay.
     ///
+    /// A chunk the write names without carrying is looked up on the
+    /// primary again only if a file was removed since the prepare, or the
+    /// primary is no longer the replica the prepare consulted.
+    ///
     /// # Errors
     ///
     /// [`MissingChunk`] when the write names a chunk that was on the
@@ -524,9 +519,13 @@ impl ReplicatedStore {
         let op = {
             let primary = self.primary();
             let c = primary.prepare_put(put);
+            let trusted = c.names_hold_on(&primary);
             let mut seen = BTreeSet::new();
             let mut blobs = Vec::new();
             for ch in &c.chunks {
+                if trusted && !ch.novel() {
+                    continue;
+                }
                 if seen.insert(ch.id) && !self.fs.exists(&primary.chunk_path(ch.id)) {
                     blobs.push((ch.id, ch.stored.clone().ok_or(MissingChunk(ch.id))?));
                 }
@@ -648,8 +647,18 @@ impl ReplicatedStore {
     /// pod in `epoch`; [`ReadError::Corrupt`] when none of what they hold
     /// verifies.
     pub fn read_sealed(&self, pod_name: &str, epoch: u64) -> Result<Sealed, ReadError> {
+        self.read_stored(pod_name, epoch).map(|(image, _)| image)
+    }
+
+    /// [`ReplicatedStore::read_sealed`], together with the physical bytes
+    /// the serving replica read ([`CheckpointStore::read_stored`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`ReplicatedStore::read_sealed`].
+    pub fn read_stored(&self, pod_name: &str, epoch: u64) -> Result<(Sealed, u64), ReadError> {
         if self.k == 1 {
-            return self.replica(0).read_sealed(pod_name, epoch);
+            return self.replica(0).read_stored(pod_name, epoch);
         }
         let alive = self.alive_replicas();
         let mut votes: Vec<(ChunkId, usize)> = Vec::new();
@@ -674,7 +683,7 @@ impl ReplicatedStore {
                     // The store's own read path re-verifies chunk addresses
                     // and the whole-image digest, so a corrupt copy under a
                     // matching sidecar still falls through.
-                    if let Ok(image) = rep.read_sealed(pod_name, epoch) {
+                    if let Ok(image) = rep.read_stored(pod_name, epoch) {
                         return Ok(image);
                     }
                 }
@@ -684,7 +693,7 @@ impl ReplicatedStore {
         // then only tells an absent image from an unverifiable one.
         let mut err = ReadError::Absent;
         for &r in &alive {
-            match self.replica(r).read_sealed(pod_name, epoch) {
+            match self.replica(r).read_stored(pod_name, epoch) {
                 Ok(image) => return Ok(image),
                 Err(ReadError::Corrupt) => err = ReadError::Corrupt,
                 Err(ReadError::Absent) => {}
@@ -696,11 +705,6 @@ impl ReplicatedStore {
     /// Logical image size, from the primary replica.
     pub fn image_len(&self, pod_name: &str, epoch: u64) -> Option<u64> {
         self.primary().image_len(pod_name, epoch)
-    }
-
-    /// Physical restore size, from the primary replica.
-    pub fn stored_len(&self, pod_name: &str, epoch: u64) -> Option<u64> {
-        self.primary().stored_len(pod_name, epoch)
     }
 
     /// True if `epoch` has a commit record on the primary replica.
@@ -1062,6 +1066,52 @@ mod tests {
         let (ops, valid) = read_log(&fs, "/replog/t.log");
         assert_eq!(ops, vec![a], "nothing after the retired record is read");
         assert_eq!(valid, valid_before);
+    }
+
+    #[test]
+    fn k3_put_after_an_unrelated_removal_rechecks_and_succeeds() {
+        let fs = NetFs::new();
+        let cfg = dedup_cfg();
+        let rs = ReplicatedStore::new(fs.clone(), "job", 3).with_threads(1);
+        put_epoch(&rs, &cfg, 1, 0x11);
+        fs.write_file("/other", vec![1]);
+        let prepared = rs.prepare_chunked(&image(0x12, 1024), &[], &cfg);
+        assert!(prepared.names_hold_on(&rs.primary()));
+        assert!(fs.remove("/other"));
+        assert!(!prepared.names_hold_on(&rs.primary()));
+        rs.put_prepared("pod0", 2, PreparedPut::Chunked(prepared))
+            .unwrap();
+        assert_eq!(rs.get_image("pod0", 2), Some(image(0x12, 1024)));
+        let d = digests(&rs);
+        assert!(d.iter().all(|&x| x == d[0]), "replicas diverged");
+    }
+
+    #[test]
+    fn k3_put_after_the_primary_dies_logs_a_fresh_prepares_record() {
+        // Two identical histories: one puts a write prepared on replica 0
+        // before it dies, the other a write prepared after, on replica 1.
+        let run = |prepare_first: bool| {
+            let fs = NetFs::new();
+            let cfg = dedup_cfg();
+            let rs = ReplicatedStore::new(fs.clone(), "job", 3).with_threads(1);
+            put_epoch(&rs, &cfg, 1, 0x11);
+            let raw = image(0x12, 1024);
+            let stale = prepare_first.then(|| rs.prepare_chunked(&raw, &[], &cfg));
+            write_dead(&fs, &BTreeSet::from([0]));
+            let prepared = match stale {
+                Some(p) => {
+                    assert!(!p.names_hold_on(&rs.primary()), "the primary moved");
+                    p
+                }
+                None => rs.prepare_chunked(&raw, &[], &cfg),
+            };
+            assert_eq!(prepared.novel_count(), 1);
+            rs.put_prepared("pod0", 2, PreparedPut::Chunked(prepared))
+                .unwrap();
+            assert_eq!(rs.get_image("pod0", 2), Some(raw));
+            fs.read_file(&rs.log_path(1)).unwrap()
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]

@@ -27,13 +27,11 @@
 //! Manifests are always *full-fidelity* (they describe the complete
 //! image): a restart reads one epoch, never a chain of deltas.
 //!
-//! Chunks are garbage-collected by reference counting: every manifest
-//! reference bumps the chunk's count in the job's `chunks/REFS` table, and
-//! discarding an epoch releases its manifests' references, deleting chunks
-//! that hit zero. Retiring old epochs therefore reclaims exactly the
-//! chunks no retained epoch shares.
-
-use std::collections::BTreeSet;
+//! The manifests are the one record of chunk liveness: a put takes no
+//! reference, and a chunk is live while some manifest names it.
+//! Discarding an epoch removes its files, then deletes each chunk its
+//! manifests named that no surviving manifest names. Retiring old epochs
+//! therefore reclaims exactly the chunks no retained epoch shares.
 
 use simos::fs::NetFs;
 use zap::image::Sealed;
@@ -41,16 +39,14 @@ use zap::image::Sealed;
 use crate::chunk::{self, ChunkId};
 
 mod chunked;
-mod refs;
+mod gc;
 
 pub(crate) use chunked::decode_manifest;
 pub use chunked::{MissingChunk, PreparedChunk, PreparedChunked};
 
 /// Magic number of a chunk manifest (`CRZM`).
 pub const MANIFEST_MAGIC: u32 = 0x4352_5a4d;
-/// Magic number of the chunk refcount table (`CRZR`).
-pub const REFS_MAGIC: u32 = 0x4352_5a52;
-/// Current manifest / refcount-table format version.
+/// Current manifest format version.
 pub const STORE_VERSION: u16 = 1;
 
 /// Knobs of the deduplicating store (threaded from `ClusterParams` for
@@ -249,11 +245,6 @@ impl CheckpointStore {
         format!("{}/ckpt/{}/chunks", self.root, self.job)
     }
 
-    /// Path of the chunk refcount table.
-    fn refs_path(&self) -> String {
-        format!("{}/ckpt/{}/chunks/REFS", self.root, self.job)
-    }
-
     /// Path of the committed high-water-mark cache.
     fn latest_path(&self) -> String {
         format!("{}/ckpt/{}/LATEST", self.root, self.job)
@@ -282,16 +273,16 @@ impl CheckpointStore {
         self.fs.write_file(&self.digest_path(pod_name, epoch), v);
     }
 
-    /// Applies a prepared write: stores the chunks it carries, writes the
-    /// digest sidecar and manifest, and bumps chunk refcounts. Takes the
-    /// prepared write by value so its chunk containers and manifest move
-    /// straight to the filesystem.
+    /// Applies a prepared write: stores the chunks it carries, then writes
+    /// the digest sidecar and manifest. Takes the prepared write by value
+    /// so its chunk containers and manifest move straight to the
+    /// filesystem.
     ///
     /// # Errors
     ///
     /// [`MissingChunk`] when the write names a chunk that was on disk at
     /// prepare time and has been deleted since; the epoch then gets no
-    /// manifest, sidecar or chunk reference for the pod.
+    /// manifest or sidecar for the pod.
     pub fn put_prepared(
         &self,
         pod_name: &str,
@@ -303,10 +294,10 @@ impl CheckpointStore {
 
     /// Applies only a torn prefix of a prepared write, modeling a disk
     /// write that failed partway: the chunks within the first `frac/256`
-    /// of the image's bytes reach disk, the manifest never does, and no
-    /// chunk references are taken. A torn write therefore strands orphan
-    /// chunk files — exactly what [`CheckpointStore::orphan_chunks`]
-    /// audits and [`CheckpointStore::gc_orphan_chunks`] reclaims — and a
+    /// of the image's bytes reach disk and the manifest never does. A torn
+    /// write therefore strands orphan chunk files — exactly what
+    /// [`CheckpointStore::orphan_chunks`] audits and
+    /// [`CheckpointStore::gc_orphan_chunks`] reclaims — and a
     /// whole-image chunk, which ends at the image's last byte, never lands.
     /// The epoch can never be committed through this path: no durability
     /// is ever reported for a torn write.
@@ -348,6 +339,17 @@ impl CheckpointStore {
     /// [`ReadError::Absent`] when the epoch holds nothing for the pod;
     /// [`ReadError::Corrupt`] when what it holds does not verify.
     pub fn read_sealed(&self, pod_name: &str, epoch: u64) -> Result<Sealed, ReadError> {
+        self.read_stored(pod_name, epoch).map(|(image, _)| image)
+    }
+
+    /// [`CheckpointStore::read_sealed`], together with the physical bytes
+    /// the read served: the manifest plus every distinct chunk it
+    /// references, counted from the one manifest read that drove it.
+    ///
+    /// # Errors
+    ///
+    /// As [`CheckpointStore::read_sealed`].
+    pub fn read_stored(&self, pod_name: &str, epoch: u64) -> Result<(Sealed, u64), ReadError> {
         let want = self.read_digest(pod_name, epoch);
         let Some(manifest) = self.fs.read_file(&self.manifest_path(pod_name, epoch)) else {
             return Err(if self.fs.exists(&self.digest_path(pod_name, epoch)) {
@@ -359,9 +361,9 @@ impl CheckpointStore {
         // Without a sidecar there is nothing to verify against, so the
         // chunks are not worth reading.
         let want = want.ok_or(ReadError::Corrupt)?;
-        let image = self.reconstruct(&manifest).ok_or(ReadError::Corrupt)?;
+        let (image, stored) = self.reconstruct(&manifest).ok_or(ReadError::Corrupt)?;
         if ChunkId::from(image.digest()) == want {
-            Ok(image)
+            Ok((image, stored))
         } else {
             Err(ReadError::Corrupt)
         }
@@ -372,21 +374,6 @@ impl CheckpointStore {
     pub fn image_len(&self, pod_name: &str, epoch: u64) -> Option<u64> {
         let manifest = self.fs.read_file(&self.manifest_path(pod_name, epoch))?;
         decode_manifest(&manifest).map(|(raw_len, _)| raw_len)
-    }
-
-    /// Physical bytes a restart must read for a pod image: the manifest
-    /// plus every distinct chunk it references.
-    pub fn stored_len(&self, pod_name: &str, epoch: u64) -> Option<u64> {
-        let manifest = self.fs.read_file(&self.manifest_path(pod_name, epoch))?;
-        let (_, recs) = decode_manifest(&manifest)?;
-        let mut seen = BTreeSet::new();
-        let mut total = manifest.len() as u64;
-        for (id, _, stored_len) in recs {
-            if seen.insert(id) {
-                total += stored_len as u64;
-            }
-        }
-        Some(total)
     }
 
     // ---- commit bookkeeping -------------------------------------------------
@@ -484,28 +471,20 @@ impl CheckpointStore {
         }
     }
 
-    /// Removes every file of an epoch (the abort rollback), releasing its
-    /// manifests' chunk references and deleting chunks that drop to zero.
+    /// Removes every file of an epoch (the abort rollback), then deletes
+    /// each chunk its manifests named that no surviving manifest names.
     pub fn discard_epoch(&self, epoch: u64) {
         let was_committed = self.is_committed(epoch);
         let prefix = format!("{}/ckpt/{}/epoch{:08}/", self.root, self.job, epoch);
-        // Remove the epoch's files *before* releasing their references:
-        // a replayed discard then finds no manifests and is a no-op,
-        // instead of double-decrementing refcounts. A crash between the
-        // two halves leaks references (reclaimed by scrub), which is safe;
-        // the reverse order could delete chunks live epochs still need.
-        let mut manifests = Vec::new();
+        // Remove the epoch's files *before* its chunks: a replayed discard
+        // then finds no manifest and is a no-op, and a crash between the
+        // two halves only strands orphans for `gc_orphan_chunks`; the
+        // reverse order could delete chunks a surviving manifest names.
+        let released = self.chunks_referenced_by(epoch);
         for path in self.fs.list(&prefix) {
-            if path.ends_with(".manifest") {
-                if let Some(manifest) = self.fs.read_file(&path) {
-                    manifests.push(manifest);
-                }
-            }
             self.fs.remove(&path);
         }
-        for manifest in &manifests {
-            self.release_manifest(manifest);
-        }
+        self.release_chunks(&released);
         if was_committed && self.read_latest_file() == Some(epoch) {
             // The cached high-water mark pointed at the discarded epoch:
             // recompute it from the surviving commit records.
@@ -537,6 +516,7 @@ impl CheckpointStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use zap::image::ImageWriter;
 
     fn put_plain(s: &CheckpointStore, pod: &str, epoch: u64, bytes: Vec<u8>) {
@@ -640,7 +620,7 @@ mod tests {
         assert_eq!(s.get_image("p", 1), Some(raw.clone()));
         assert_eq!(s.image_len("p", 1), Some(raw.len() as u64));
         assert!(
-            s.stored_len("p", 1).unwrap() < raw.len() as u64,
+            s.read_stored("p", 1).unwrap().1 < raw.len() as u64,
             "compression + in-image dedup shrink the stored form"
         );
         assert_eq!(s.pods_in_epoch(1), vec!["p".to_string()]);
@@ -697,10 +677,10 @@ mod tests {
         // Retire everything: the chunk store empties completely.
         s.discard_epoch(2);
         assert!(s.live_chunks().is_empty());
-        assert!(!s.fs.exists(&s.refs_path()), "refcount table reclaimed");
+        assert!(!s.fs.exists("/ckpt/j/chunks/REFS"), "no refcount table");
         assert!(
             s.orphan_chunks().is_empty(),
-            "refcount GC never strands a chunk"
+            "manifest-derived GC never strands a chunk"
         );
     }
 
@@ -720,10 +700,7 @@ mod tests {
         assert_eq!(s.gc_orphan_chunks(), orphans.len());
         assert!(s.live_chunks().is_empty());
         assert!(s.orphan_chunks().is_empty());
-        assert!(
-            !s.fs.exists(&s.refs_path()),
-            "dangling REFS entries scrubbed"
-        );
+        assert!(!s.fs.exists("/ckpt/j/chunks/REFS"), "no refcount table");
     }
 
     #[test]
@@ -772,8 +749,8 @@ mod tests {
             "named by the image digest"
         );
         assert_eq!(
-            s.stored_len("p", 1),
-            Some(manifest_len + raw.len() as u64 + 1)
+            s.read_stored("p", 1).unwrap().1,
+            manifest_len + raw.len() as u64 + 1
         );
         assert_eq!(s.get_image("p", 1), Some(raw.clone()));
         // A `Plain` put lands the same chunk and manifest.
@@ -847,18 +824,207 @@ mod tests {
         // Retiring epoch 1 in the gap deletes the chunks only it held.
         s.discard_epoch(1);
         assert!(!s.fs.exists(&s.chunk_path(shared)));
-        let refs_before = s.read_refs();
         assert_eq!(
             s.put_prepared("p", 2, PreparedPut::Chunked(put2)),
             Err(MissingChunk(shared))
         );
         assert!(!s.fs.exists(&s.manifest_path("p", 2)), "no manifest");
         assert!(!s.fs.exists(&s.digest_path("p", 2)), "no sidecar");
-        assert_eq!(s.read_refs(), refs_before, "no reference taken");
         assert_eq!(s.read_sealed("p", 2), Err(ReadError::Absent));
         // What the failed put stranded is orphaned, and GC reclaims it.
         s.gc_orphan_chunks();
         assert!(s.live_chunks().is_empty());
+    }
+
+    #[test]
+    fn gc_deletes_a_refcount_table_left_by_an_older_store() {
+        let fs = NetFs::new();
+        let s = CheckpointStore::new(fs, "j");
+        let (raw, cuts) = toy_image(8, 1, 0xaa);
+        let put = PreparedPut::Chunked(s.prepare_chunked(&raw, &cuts, &cfg()));
+        s.put_prepared("p", 1, put).unwrap();
+        // The `CRZR` table an older tree kept beside its chunks.
+        s.fs.write_file("/ckpt/j/chunks/REFS", b"CRZR".to_vec());
+        let live = s.live_chunks();
+        assert!(s.orphan_chunks().is_empty(), "the table is not a chunk");
+        assert_eq!(s.gc_orphan_chunks(), 0, "no chunk reclaimed");
+        assert!(!s.fs.exists("/ckpt/j/chunks/REFS"), "the table is gone");
+        assert_eq!(s.live_chunks(), live);
+        assert_eq!(s.get_image("p", 1), Some(raw));
+    }
+
+    /// A one-block-changed successor of `toy_image(8, 1, 0xaa)`, prepared
+    /// on `s` after that image was put as epoch 1: it names seven chunks
+    /// without carrying them.
+    fn second_epoch(s: &CheckpointStore) -> (Vec<u8>, PreparedChunked) {
+        put_chunked_image(s, "p", 1, &toy_image(8, 1, 0xaa));
+        let (raw, cuts) = toy_image(8, 1, 0xbb);
+        let put = s.prepare_chunked(&raw, &cuts, &cfg());
+        assert_eq!(put.novel_count(), 1);
+        (raw, put)
+    }
+
+    fn put_chunked_image(
+        s: &CheckpointStore,
+        pod: &str,
+        epoch: u64,
+        img: &(Vec<u8>, Vec<(usize, usize)>),
+    ) {
+        let put = PreparedPut::Chunked(s.prepare_chunked(&img.0, &img.1, &cfg()));
+        s.put_prepared(pod, epoch, put).unwrap();
+    }
+
+    #[test]
+    fn an_undisturbed_put_trusts_its_prepare() {
+        let s = CheckpointStore::new(NetFs::new(), "j");
+        let (raw, put) = second_epoch(&s);
+        // Writing and overwriting files removes none.
+        s.fs.write_file("/other", vec![1]);
+        s.fs.write_file("/other", vec![2]);
+        assert!(put.names_hold_on(&s));
+        s.put_prepared("p", 2, PreparedPut::Chunked(put)).unwrap();
+        assert_eq!(s.get_image("p", 2), Some(raw));
+    }
+
+    #[test]
+    fn a_put_after_an_unrelated_removal_rechecks_and_succeeds() {
+        let s = CheckpointStore::new(NetFs::new(), "j");
+        s.fs.write_file("/other", vec![1]);
+        let (raw, put) = second_epoch(&s);
+        assert!(s.fs.remove("/other"));
+        assert!(
+            !put.names_hold_on(&s),
+            "a removal voids the prepare's lookups"
+        );
+        s.put_prepared("p", 2, PreparedPut::Chunked(put)).unwrap();
+        assert_eq!(s.get_image("p", 2), Some(raw));
+        assert!(s.orphan_chunks().is_empty());
+    }
+
+    #[test]
+    fn a_put_on_another_store_than_the_prepares_rechecks() {
+        let fs = NetFs::new();
+        let s = CheckpointStore::new(fs.clone(), "j");
+        let (raw, put) = second_epoch(&s);
+        // A second tree under another root holds the same epoch 1: its put
+        // takes the full check and lands the manifest a fresh prepare gives.
+        let other = CheckpointStore::new(fs.clone(), "j").with_root("/rep1");
+        put_chunked_image(&other, "p", 1, &toy_image(8, 1, 0xaa));
+        assert!(!put.names_hold_on(&other));
+        let fresh = other.prepare_chunked(&raw, &toy_image(8, 1, 0xbb).1, &cfg());
+        assert_eq!(fresh.manifest(), put.manifest());
+        other
+            .put_prepared("p", 2, PreparedPut::Chunked(put.clone()))
+            .unwrap();
+        assert_eq!(other.get_image("p", 2), Some(raw));
+        // A tree that lacks the named chunks fails the put closed.
+        let empty = CheckpointStore::new(fs, "j").with_root("/rep2");
+        assert!(matches!(
+            empty.put_prepared("p", 2, PreparedPut::Chunked(put)),
+            Err(MissingChunk(_))
+        ));
+        assert!(!empty.fs.exists(&empty.manifest_path("p", 2)));
+    }
+
+    /// One step of the liveness property: a put of `blocks` (indices into a
+    /// small pool of page-sized blocks, so images share chunks across pods
+    /// and epochs) or a discard.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Put {
+            pod: u8,
+            epoch: u64,
+            blocks: Vec<u8>,
+            replay: bool,
+        },
+        Discard {
+            epoch: u64,
+        },
+    }
+
+    fn arb_step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        prop_oneof![
+            (
+                0u8..3,
+                1u64..5,
+                proptest::collection::vec(0u8..6, 1..6),
+                any::<bool>()
+            )
+                .prop_map(|(pod, epoch, blocks, replay)| Step::Put {
+                    pod,
+                    epoch,
+                    blocks,
+                    replay
+                }),
+            (1u64..5).prop_map(|epoch| Step::Discard { epoch }),
+        ]
+    }
+
+    /// Every file of the filesystem with its bytes.
+    fn tree(fs: &NetFs) -> Vec<(String, Vec<u8>)> {
+        fs.list("/")
+            .into_iter()
+            .map(|p| {
+                let bytes = fs.read_file(&p).unwrap();
+                (p, bytes)
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn live_chunks_are_exactly_the_chunks_surviving_manifests_name(
+            steps in proptest::collection::vec(arb_step(), 1..24),
+        ) {
+            let fs = NetFs::new();
+            let s = CheckpointStore::new(fs.clone(), "j").with_threads(1);
+            let block = |b: u8| -> Vec<u8> {
+                (0..256).map(|i| ((usize::from(b) * 31 + i % 7) % 251) as u8 | 1).collect()
+            };
+            let mut images = BTreeMap::new();
+            for step in steps {
+                match step {
+                    Step::Put { pod, epoch, blocks, replay } => {
+                        let pod = format!("p{pod}");
+                        // A put lands once per pod and epoch; a repeat of
+                        // the same write is the replay below.
+                        if images.contains_key(&(pod.clone(), epoch)) {
+                            continue;
+                        }
+                        let raw: Vec<u8> = blocks.iter().flat_map(|&b| block(b)).collect();
+                        let put = s.prepare_chunked(&raw, &[], &cfg());
+                        s.put_prepared(&pod, epoch, PreparedPut::Chunked(put.clone())).unwrap();
+                        if replay {
+                            let before = tree(&fs);
+                            s.put_prepared(&pod, epoch, PreparedPut::Chunked(put)).unwrap();
+                            proptest::prop_assert_eq!(tree(&fs), before, "a replayed put changed the tree");
+                        }
+                        images.insert((pod, epoch), raw);
+                    }
+                    Step::Discard { epoch } => {
+                        s.discard_epoch(epoch);
+                        images.retain(|&(_, e), _| e != epoch);
+                        let before = tree(&fs);
+                        s.discard_epoch(epoch);
+                        proptest::prop_assert_eq!(tree(&fs), before, "a replayed discard changed the tree");
+                    }
+                }
+                let named: BTreeSet<ChunkId> = s
+                    .all_epochs()
+                    .into_iter()
+                    .flat_map(|e| s.chunks_referenced_by(e))
+                    .collect();
+                let live: BTreeSet<ChunkId> = s.live_chunks().into_iter().collect();
+                proptest::prop_assert_eq!(live, named);
+                for ((pod, epoch), raw) in &images {
+                    proptest::prop_assert_eq!(s.get_image(pod, *epoch), Some(raw.clone()));
+                }
+            }
+            proptest::prop_assert_eq!(s.gc_orphan_chunks(), 0);
+        }
     }
 
     #[test]

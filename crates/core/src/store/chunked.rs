@@ -12,7 +12,7 @@
 //! disk.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use zap::image::{Assembler, ImageReader, ImageWriter, SealFold, Sealed};
@@ -58,6 +58,10 @@ pub struct PreparedChunked {
     /// end-to-end (a torn manifest that still decodes cleanly is caught
     /// here, not just by the per-chunk checks).
     pub(crate) raw_digest: ChunkId,
+    /// What the prepare's chunk lookups consulted: the filesystem's removal
+    /// count, read before the first lookup, and the chunk directory looked
+    /// in (see [`PreparedChunked::names_hold_on`]).
+    pub(crate) consulted: (u64, String),
 }
 
 impl PreparedChunked {
@@ -110,6 +114,14 @@ impl PreparedChunked {
     pub fn novel_count(&self) -> usize {
         self.chunks.iter().filter(|c| c.novel()).count()
     }
+
+    /// True if every chunk this write names without carrying is still on
+    /// `store`'s disk without looking: the prepare found them in `store`'s
+    /// chunk directory, and nothing has been removed from the filesystem
+    /// since. A put re-checks the named chunks only when this is false.
+    pub(crate) fn names_hold_on(&self, store: &CheckpointStore) -> bool {
+        self.consulted.0 == store.fs.removals() && self.consulted.1 == store.chunk_dir()
+    }
 }
 
 /// A chunked put that named a chunk without carrying it, and found it gone
@@ -141,12 +153,23 @@ enum Known {
 /// absent from disk gets a container slot for the caller to fill.
 #[derive(Debug, Default)]
 struct Plan {
+    consulted: (u64, String),
     known: BTreeMap<ChunkId, Known>,
     containers: Vec<Option<Vec<u8>>>,
     records: Vec<((usize, usize), ChunkId)>,
 }
 
 impl Plan {
+    /// An empty plan whose lookups will consult `store`. The removal count
+    /// is read before any lookup: a removal after it, even one between two
+    /// lookups, makes the put re-check.
+    fn new(store: &CheckpointStore) -> Self {
+        Plan {
+            consulted: (store.fs.removals(), store.chunk_dir()),
+            ..Plan::default()
+        }
+    }
+
     /// Records that `range` is named `id`. Returns the slot its container
     /// goes in if this is the first occurrence of a chunk the store lacks.
     fn name(
@@ -232,6 +255,7 @@ impl Plan {
             manifest: mw.finish(),
             chunks,
             raw_digest,
+            consulted: self.consulted,
         }
     }
 }
@@ -292,7 +316,7 @@ impl CheckpointStore {
         let ranges = split(body + 8);
         let inside = ranges.partition_point(|&(start, len)| start + len <= body);
         let pool = Pool::new(self.threads_for(cfg));
-        let mut plan = Plan::default();
+        let mut plan = Plan::new(self);
         let mut fold = SealFold::new();
         let mut scratch = CodecScratch::new();
         let bytes = image.body();
@@ -362,7 +386,7 @@ impl CheckpointStore {
         assert_eq!(ranges.len(), ids.len(), "one name per range");
         let raw = raw.into();
         let raw_len = raw.len();
-        let mut plan = Plan::default();
+        let mut plan = Plan::new(self);
         let mut work = Vec::new();
         for (r, (&range, &id)) in ranges.iter().zip(ids).enumerate() {
             if let Some(slot) = plan.name(self, range, id) {
@@ -376,21 +400,26 @@ impl CheckpointStore {
         plan.finish(raw_len, raw_digest)
     }
 
-    /// Applies a prepared write: stores its carried containers,
-    /// then the digest sidecar and manifest, then bumps chunk refcounts.
+    /// Applies a prepared write: stores its carried containers, then the
+    /// digest sidecar and manifest. A chunk the write names without
+    /// carrying is checked for on disk only if
+    /// [`PreparedChunked::names_hold_on`] cannot vouch for it.
     ///
     /// # Errors
     ///
     /// [`MissingChunk`] if a chunk the write names without carrying is no
-    /// longer on disk; no manifest, sidecar or reference is written then.
+    /// longer on disk; no manifest or sidecar is written then.
     pub(super) fn put_chunked(
         &self,
         pod_name: &str,
         epoch: u64,
         c: PreparedChunked,
     ) -> Result<(), MissingChunk> {
-        let mut ids = Vec::with_capacity(c.chunks.len());
+        let trusted = c.names_hold_on(self);
         for ch in c.chunks {
+            if trusted && !ch.novel() {
+                continue;
+            }
             let path = self.chunk_path(ch.id);
             let present = self.fs.exists(&path);
             match ch.stored {
@@ -398,23 +427,10 @@ impl CheckpointStore {
                 None if !present => return Err(MissingChunk(ch.id)),
                 _ => {}
             }
-            ids.push(ch.id);
         }
-        let mpath = self.manifest_path(pod_name, epoch);
-        // Idempotence under replay: re-applying a put whose identical
-        // manifest already landed (an operation-log replay after a replica
-        // crash) must not double-count the chunk references it already
-        // took.
-        let fresh = self.fs.read_file(&mpath).as_deref() != Some(&c.manifest[..]);
         self.write_digest(pod_name, epoch, c.raw_digest);
-        self.fs.write_file(&mpath, c.manifest);
-        if fresh {
-            let mut refs = self.read_refs();
-            for id in ids {
-                *refs.entry(id).or_insert(0) += 1;
-            }
-            self.write_refs(&refs);
-        }
+        self.fs
+            .write_file(&self.manifest_path(pod_name, epoch), c.manifest);
         Ok(())
     }
 
@@ -431,12 +447,21 @@ impl CheckpointStore {
     /// decodes therefore cannot masquerade as the original, and the
     /// returned [`Sealed`] carries the digest the caller checks against the
     /// sidecar (which closes the same hole for torn manifests) and the
-    /// trailer verdict. `None` on any structural failure.
-    pub(super) fn reconstruct(&self, manifest: &[u8]) -> Option<Sealed> {
+    /// trailer verdict, together with the bytes the read served (the
+    /// manifest and every distinct chunk). `None` on any structural
+    /// failure.
+    pub(super) fn reconstruct(&self, manifest: &[u8]) -> Option<(Sealed, u64)> {
         let (raw_len, recs) = decode_manifest(manifest)?;
         if recs.iter().map(|r| u64::from(r.1)).sum::<u64>() != raw_len {
             return None;
         }
+        let mut distinct = BTreeSet::new();
+        let stored = recs
+            .iter()
+            .filter(|(id, _, _)| distinct.insert(*id))
+            .map(|&(_, _, len)| u64::from(len))
+            .sum::<u64>()
+            + manifest.len() as u64;
         let mut image = Assembler::new(usize::try_from(raw_len).ok()?);
         let dir = self.chunk_dir();
         let whole = self.fs.with_view(|files| {
@@ -453,7 +478,7 @@ impl CheckpointStore {
             )
         });
         if whole {
-            image.finish()
+            image.finish().map(|image| (image, stored))
         } else {
             None
         }

@@ -7,8 +7,8 @@
 //! re-verifies content against the epoch's digest sidecar and the chunks'
 //! content addresses, and fails closed (returns `None`) on any mismatch.
 //! The mutation paths must also be idempotent under operation-log replay:
-//! re-applying a put or a discard after a replica crash must leave
-//! refcounts and on-disk state exactly as a single application would.
+//! re-applying a put or a discard after a replica crash must leave the
+//! on-disk state exactly as a single application would.
 
 use cruz::digest;
 use cruz::replog::{read_log, ReplicatedStore, REPLOG_MAGIC, REPLOG_VERSION};
@@ -190,20 +190,18 @@ fn replayed_put_takes_chunk_refs_once() {
     let s = CheckpointStore::new(NetFs::new(), "j");
     let (raw, cuts) = toy_image(8, 1, 0x3c);
     // The same logical put applied twice (an operation-log replay after a
-    // replica crash): the second application sees its identical manifest
-    // already on disk and must not bump refcounts again.
+    // replica crash): the second application rewrites the same manifest.
     put_chunked(&s, "p", 1, &raw, &cuts);
     put_chunked(&s, "p", 1, &raw, &cuts);
     s.commit(1);
     assert_eq!(s.get_image("p", 1), Some(raw));
 
     s.discard_epoch(1);
-    // A double-counted put would leave every chunk at refcount 1 after the
-    // discard, stranding the files forever; a single count drops them to
-    // zero and deletes them on the spot.
+    // No manifest names the chunks any more, so the one discard deletes
+    // them on the spot instead of stranding them.
     assert!(
         s.live_chunks().is_empty(),
-        "one discard must zero the refs a single put took"
+        "one discard must reclaim what the replayed put wrote"
     );
     assert_eq!(s.gc_orphan_chunks(), 0, "nothing left to reclaim");
 }
@@ -220,11 +218,11 @@ fn replayed_discard_is_a_no_op() {
 
     let epoch1_chunks = s.chunks_referenced_by(1);
     s.discard_epoch(2);
-    s.discard_epoch(2); // replayed: files already gone, refs must not drop again
+    s.discard_epoch(2); // replayed: files already gone, no chunk may go with them
     let live: std::collections::BTreeSet<_> = s.live_chunks().into_iter().collect();
     assert_eq!(
         live, epoch1_chunks,
-        "the surviving epoch's refs are untouched by the replay"
+        "the surviving epoch's chunks are untouched by the replay"
     );
     assert_eq!(s.get_image("p", 1), Some(raw1), "epoch 1 still restores");
     assert_eq!(s.gc_orphan_chunks(), 0, "no strays: discard cleaned up");

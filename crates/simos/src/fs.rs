@@ -5,8 +5,9 @@
 //! one machine can be restarted on any other. The store is a single shared
 //! object; each node accesses it through its own handle.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::rc::Rc;
 
 /// A shared in-memory filesystem.
@@ -28,6 +29,8 @@ use std::rc::Rc;
 #[derive(Debug, Clone, Default)]
 pub struct NetFs {
     files: Rc<RefCell<BTreeMap<String, Vec<u8>>>>,
+    /// Files removed so far; see [`NetFs::removals`].
+    removals: Rc<Cell<u64>>,
 }
 
 /// A read-only view of a [`NetFs`]'s files, lent by [`NetFs::with_view`].
@@ -109,15 +112,28 @@ impl NetFs {
 
     /// Removes a file; returns true if it existed.
     pub fn remove(&self, path: &str) -> bool {
-        self.files.borrow_mut().remove(path).is_some()
+        let existed = self.files.borrow_mut().remove(path).is_some();
+        if existed {
+            self.removals.set(self.removals.get() + 1);
+        }
+        existed
     }
 
-    /// Lists paths under a prefix.
+    /// How many files [`NetFs::remove`] has removed from this filesystem,
+    /// through any handle. It only grows, so a caller that saw a file and
+    /// later reads the same count knows the file is still there.
+    pub fn removals(&self) -> u64 {
+        self.removals.get()
+    }
+
+    /// Lists paths under a prefix, in order, walking only the keys that
+    /// start with it.
     pub fn list(&self, prefix: &str) -> Vec<String> {
         self.files
             .borrow()
-            .keys()
-            .filter(|k| k.starts_with(prefix))
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .map(|(k, _)| k)
+            .take_while(|k| k.starts_with(prefix))
             .cloned()
             .collect()
     }
@@ -182,5 +198,51 @@ mod tests {
         assert!(fs.remove("/ckpt/1"));
         assert!(!fs.remove("/ckpt/1"));
         assert_eq!(fs.list("/ckpt/").len(), 1);
+    }
+
+    #[test]
+    fn removals_count_only_files_that_existed_across_handles() {
+        let fs = NetFs::new();
+        let other = fs.clone();
+        fs.write_file("/a", vec![]);
+        fs.write_file("/b", vec![]);
+        assert_eq!(fs.removals(), 0);
+        assert!(!other.remove("/missing"));
+        fs.write_file("/a", vec![1]);
+        assert_eq!(fs.removals(), 0, "neither a miss nor an overwrite counts");
+        assert!(other.remove("/a"));
+        assert!(fs.remove("/b"));
+        assert_eq!(fs.removals(), 2);
+        assert_eq!(other.removals(), 2);
+    }
+
+    /// A path over a five-letter alphabet, so random paths share prefixes.
+    fn path(letters: &[u8]) -> String {
+        letters
+            .iter()
+            .map(|&i| b"/abc."[usize::from(i)] as char)
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn list_equals_the_filter_over_every_key(
+            paths in proptest::collection::vec(proptest::collection::vec(0u8..5, 0..6), 0..24),
+            prefix in proptest::collection::vec(0u8..5, 0..4),
+        ) {
+            let fs = NetFs::new();
+            for p in &paths {
+                fs.write_file(&path(p), vec![]);
+            }
+            let prefix = path(&prefix);
+            let want: Vec<String> = fs
+                .files
+                .borrow()
+                .keys()
+                .filter(|k| k.starts_with(&prefix))
+                .cloned()
+                .collect();
+            proptest::prop_assert_eq!(fs.list(&prefix), want);
+        }
     }
 }

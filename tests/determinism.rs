@@ -181,7 +181,7 @@ fn cow_capture_runs_are_deterministic() {
 #[test]
 fn dedup_store_runs_are_deterministic() {
     // The content-addressed store threads extra state through checkpoint
-    // write-out (chunk hashing, refcounts, batched disk submission); two
+    // write-out (chunk hashing, chunk GC, batched disk submission); two
     // same-seed runs over it must still be indistinguishable.
     let a = run_scenario_with(0xC0FFEE, StoreConfig::dedup_compress());
     let b = run_scenario_with(0xC0FFEE, StoreConfig::dedup_compress());

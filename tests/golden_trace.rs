@@ -163,7 +163,7 @@ fn golden_stw_plain_store() {
 }
 
 /// The same seed through the content-addressed dedup store: chunk hashing,
-/// refcounts and batched disk submission all ride the trace.
+/// manifest-derived chunk GC and batched disk submission all ride the trace.
 #[test]
 fn golden_dedup_store() {
     check(
