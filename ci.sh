@@ -14,10 +14,13 @@
 #                         or private intra-doc link fails here
 #   5. tests            — every suite, including the same-seed
 #                         byte-identical-images regression test
-#   6. bench smoke      — `--quick` runs of the store-ablation,
-#                         Fig 5(a), COW-downtime, recovery and replication
-#                         experiment binaries (their asserts are the check;
-#                         they print to stdout and write no file)
+#   6. repro            — the paper's figures as checked rows: one run of
+#                         the `repro` binary regenerates every
+#                         EXPERIMENTS.md table, checks each against the
+#                         paper's band, and fails if a table differs from
+#                         EXPERIMENTS.md by one byte (a simulated value
+#                         that moved); it prints to stdout and writes no
+#                         file
 #   7. loopback smoke   — the twin-carrier demo: one checkpoint →
 #                         crash → restore cycle on the sim carrier and
 #                         the same engine on the loopback carrier (real
@@ -82,12 +85,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q \
 echo "== cargo test"
 cargo test --offline --workspace -q
 
-echo "== bench smoke (--quick)"
-cargo run --offline -q --release -p bench --bin store_dedup -- --quick
-cargo run --offline -q --release -p bench --bin fig5a -- --quick
-cargo run --offline -q --release -p bench --bin cow_downtime -- --quick
-cargo run --offline -q --release -p bench --bin recovery -- --quick
-cargo run --offline -q --release -p bench --bin bench_replication -- --quick
+echo "== repro (every EXPERIMENTS.md table, checked against the paper and pinned)"
+cargo run --offline -q --release -p bench --bin repro
 
 echo "== loopback smoke (real-socket twin-runtime demo)"
 # The loopback carrier stops stepping after a fixed 30 s wall budget, so

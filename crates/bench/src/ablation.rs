@@ -7,34 +7,28 @@ use des::SimDuration;
 use simos::disk::DiskParams;
 use workloads::slm::SlmConfig;
 
+use crate::fig5::fig5_slm;
+
 /// One protocol's measured blocking behaviour.
 #[derive(Debug, Clone)]
 pub struct AblationPoint {
-    /// Protocol variant.
-    pub mode: ProtocolMode,
     /// (node, blocked duration) pairs, sorted by node.
     pub blocked: Vec<(usize, SimDuration)>,
     /// Total checkpoint latency.
     pub latency: SimDuration,
 }
 
-/// Runs one checkpoint of a heterogeneous-state slm job under `mode` and
-/// reports each node's blocked window.
-pub fn run_ablation(mode: ProtocolMode, ranks: usize) -> AblationPoint {
-    run_ablation_opts(mode, ranks, false)
-}
-
-/// Like [`run_ablation`], with the §5.2 COW optimization selectable.
-pub fn run_ablation_opts(mode: ProtocolMode, ranks: usize, cow: bool) -> AblationPoint {
+/// Runs one checkpoint of a heterogeneous-state slm job under `mode`, with
+/// the §5.2 COW optimization when `cow` is set, and reports each node's
+/// blocked window.
+pub fn run_ablation(mode: ProtocolMode, ranks: usize, cow: bool) -> AblationPoint {
     let slm = SlmConfig {
-        ranks,
         state_bytes: 1024 * 1024,
         // Rank r saves 1 MiB + r * 4 MiB: later ranks save much longer.
         state_step_bytes: 4 * 1024 * 1024,
-        iters: u64::MAX / 2,
         compute_ns: 2_000_000,
         halo_bytes: 4 * 1024,
-        port: 7100,
+        ..fig5_slm(ranks)
     };
     let params = ClusterParams {
         // A slower disk exaggerates save-time differences.
@@ -63,7 +57,6 @@ pub fn run_ablation_opts(mode: ProtocolMode, ranks: usize, cow: bool) -> Ablatio
     let mut blocked = rep.blocked_durations();
     blocked.sort_by_key(|&(n, _)| n);
     AblationPoint {
-        mode,
         blocked,
         latency: rep.stats.checkpoint_latency().expect("latency"),
     }
@@ -75,8 +68,8 @@ mod tests {
 
     #[test]
     fn cow_shrinks_every_blackout_to_capture_time() {
-        let full = run_ablation_opts(ProtocolMode::Optimized, 3, false);
-        let cow = run_ablation_opts(ProtocolMode::Optimized, 3, true);
+        let full = run_ablation(ProtocolMode::Optimized, 3, false);
+        let cow = run_ablation(ProtocolMode::Optimized, 3, true);
         let full_max = full.blocked.iter().map(|&(_, d)| d).max().unwrap();
         let cow_max = cow.blocked.iter().map(|&(_, d)| d).max().unwrap();
         assert!(
@@ -87,8 +80,8 @@ mod tests {
 
     #[test]
     fn optimized_mode_releases_fast_savers_early() {
-        let blocking = run_ablation(ProtocolMode::Blocking, 4);
-        let optimized = run_ablation(ProtocolMode::Optimized, 4);
+        let blocking = run_ablation(ProtocolMode::Blocking, 4, false);
+        let optimized = run_ablation(ProtocolMode::Optimized, 4, false);
         // Node 0 (smallest state) is blocked far less under Fig. 4.
         let b0 = blocking.blocked[0].1;
         let o0 = optimized.blocked[0].1;

@@ -7,6 +7,8 @@ use cruz::proto::ProtocolMode;
 use des::SimDuration;
 use workloads::slm::SlmConfig;
 
+use crate::fig5::fig5_slm;
+
 /// One node-count point of the comparison.
 #[derive(Debug, Clone, Copy)]
 pub struct ComparePoint {
@@ -27,13 +29,10 @@ pub struct ComparePoint {
 /// and CPU parameters.
 pub fn run_compare(n: usize, channel_flush_bytes: u64) -> ComparePoint {
     let slm = SlmConfig {
-        ranks: n,
         state_bytes: 512 * 1024,
-        iters: u64::MAX / 2,
         compute_ns: 2_000_000,
         halo_bytes: 4 * 1024,
-        port: 7100,
-        state_step_bytes: 0,
+        ..fig5_slm(n)
     };
     let params = ClusterParams {
         prune_old_epochs: true,

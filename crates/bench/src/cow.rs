@@ -15,17 +15,16 @@
 //! exactly this downtime (§6); the ablation quantifies each step of the
 //! ladder. Restored images must be byte-identical across all three
 //! variants — the capture discipline is invisible in the stored epoch —
-//! so each row carries a first-epoch digest the binary and tests check.
+//! so each row carries a first-epoch digest the `repro` row and tests check.
 
 use cluster::world::CkptOptions;
 use cluster::{CkptCaptureMode, ClusterParams, World};
-use cruz::digest;
 use cruz::proto::ProtocolMode;
 use des::SimDuration;
 use simnet::tcp::TcpConfig;
 
 use crate::fig5::{fig5_params, fig5_slm};
-use crate::util::percentile_duration;
+use crate::util::{epoch_digest, percentile_duration};
 
 /// One measured capture-ablation row.
 #[derive(Debug, Clone)]
@@ -129,7 +128,7 @@ pub fn run_cow_variant(
     let mut freezes = Vec::new();
     let mut epoch_latencies = Vec::new();
     let mut extra_copy_bytes = 0u64;
-    let mut digest = digest::OFFSET;
+    let mut digest = cruz::digest::OFFSET;
     for i in 0..checkpoints {
         w.run_for(SimDuration::from_millis(100));
         let started = w.now;
@@ -155,14 +154,7 @@ pub fn run_cow_variant(
             // Only the first capture happens at an identical sim time in
             // every variant (afterwards resume times diverge with the
             // freeze schedule), so it is the byte-equivalence witness.
-            let store = w.store("slm");
-            for pod in store.pods_in_epoch(op) {
-                let bytes = store
-                    .get_image(&pod, op)
-                    .expect("committed image reconstructs");
-                digest = digest::fold(digest, pod.as_bytes());
-                digest = digest::fold(digest, &bytes);
-            }
+            digest = epoch_digest(&w, "slm", op);
         }
     }
     CowRow {

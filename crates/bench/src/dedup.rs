@@ -13,15 +13,15 @@
 //!
 //! Restored images must be byte-equivalent across every variant (the store
 //! representation is invisible above [`cruz::store::CheckpointStore`]);
-//! each row carries a digest of the restored epoch's images so the binary
-//! and tests can check it.
+//! each row carries a digest of the restored epoch's images so the `repro`
+//! row and tests can check it.
 
 use cluster::{ClusterParams, StoreConfig, World};
-use cruz::digest;
 use cruz::proto::ProtocolMode;
 use des::{SimDuration, SimTime};
 
 use crate::fig5::{fig5_params, fig5_slm};
+use crate::util::epoch_digest;
 
 /// One measured store-ablation row.
 #[derive(Debug, Clone)]
@@ -89,7 +89,7 @@ pub fn run_dedup_variant(
     let mut epoch_bytes = Vec::with_capacity(checkpoints);
     let mut latencies = Vec::with_capacity(checkpoints);
     let mut last_epoch = 0;
-    let mut digest = digest::OFFSET;
+    let mut digest = cruz::digest::OFFSET;
     for i in 0..checkpoints {
         w.run_for(SimDuration::from_millis(100));
         let before = written(&w);
@@ -107,18 +107,10 @@ pub fn run_dedup_variant(
         );
         last_epoch = op;
         if i == 0 {
-            // Digest the first epoch's images as a restart would reassemble
-            // them. Only the first capture happens at an identical sim time
-            // in every variant (afterwards resume times diverge with the
+            // Only the first capture happens at an identical sim time in
+            // every variant (afterwards resume times diverge with the
             // disk schedule), so it is the byte-equivalence witness.
-            let store_handle = w.store("slm");
-            for pod in store_handle.pods_in_epoch(op) {
-                let bytes = store_handle
-                    .get_image(&pod, op)
-                    .expect("committed image reconstructs");
-                digest = digest::fold(digest, pod.as_bytes());
-                digest = digest::fold(digest, &bytes);
-            }
+            digest = epoch_digest(&w, "slm", op);
         }
     }
 

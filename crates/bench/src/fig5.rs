@@ -43,8 +43,6 @@ pub fn fig5_slm(ranks: usize) -> SlmConfig {
 /// One measured point of the Fig. 5 sweep.
 #[derive(Debug, Clone)]
 pub struct Fig5Point {
-    /// Node (rank) count.
-    pub nodes: usize,
     /// Reports of each checkpoint taken.
     pub reports: Vec<OpReport>,
 }
@@ -85,7 +83,7 @@ pub fn run_fig5(n: usize, checkpoints: usize, interval: SimDuration) -> Fig5Poin
         assert!(w.run_until_op(op, 100_000_000), "checkpoint completes");
         reports.push(w.op_report(op).expect("report exists"));
     }
-    Fig5Point { nodes: n, reports }
+    Fig5Point { reports }
 }
 
 /// Runs the restart counterpart: checkpoint an `n`-rank job once, then
@@ -129,13 +127,9 @@ pub fn run_restart_sweep(n: usize) -> (OpReport, OpReport) {
 /// matters.
 pub fn run_scalability(n: usize) -> OpReport {
     let slm = SlmConfig {
-        ranks: n,
         state_bytes: 1024 * 1024,
-        iters: u64::MAX / 2,
-        compute_ns: 5_000_000,
         halo_bytes: 4 * 1024,
-        port: 7100,
-        state_step_bytes: 0,
+        ..fig5_slm(n)
     };
     let params = ClusterParams {
         prune_old_epochs: true,

@@ -10,12 +10,14 @@ use simnet::addr::{IpAddr, MacAddr};
 use workloads::streaming::{StreamingConfig, RECV_COUNTER_ADDR};
 use zap::image::MacMode;
 
+use crate::util::local_save;
+
 /// One sample of the rate timeline.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig6Sample {
     /// Time relative to checkpoint start, in milliseconds.
     pub t_ms: f64,
-    /// Received rate over the preceding `window_ms`, in Mb/s.
+    /// Received rate over the preceding 10 ms, in Mb/s.
     pub rate_mbps: f64,
 }
 
@@ -63,24 +65,27 @@ pub fn streaming_job(state_bytes: u64) -> (JobSpec, StreamingConfig) {
     (spec, cfg)
 }
 
-fn counter(w: &World) -> u64 {
+/// Bytes the streaming job's receiver has read so far.
+pub fn received_bytes(w: &World) -> u64 {
     w.peek_guest("stream", "receiver", 1, RECV_COUNTER_ADDR, 8)
         .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
         .unwrap_or(0)
 }
 
+/// Milliseconds of steady stream sampled before the checkpoint.
+const PRE_MS: u64 = 40;
+/// The sampling step, in milliseconds.
+const STEP_MS: u64 = 2;
+/// Samples per sliding rate window (10 ms).
+const WINDOW_STEPS: usize = 5;
+
 /// Runs the Fig. 6 experiment: stream at maximum rate, checkpoint at t=0,
-/// sample the received rate every `step_ms` over a sliding `window_ms`.
+/// and sample the received rate every 2 ms over a sliding 10 ms window,
+/// from 40 ms before the checkpoint to `post_ms` after it.
 ///
 /// `state_bytes` sets the checkpoint's local-save window (the paper's was
 /// ≈120 ms).
-pub fn run_fig6(
-    state_bytes: u64,
-    pre_ms: u64,
-    post_ms: u64,
-    step_ms: u64,
-    window_ms: u64,
-) -> Fig6Run {
+pub fn run_fig6(state_bytes: u64, post_ms: u64) -> Fig6Run {
     let (spec, _) = streaming_job(state_bytes);
     let mut w = World::new(3, ClusterParams::default());
     w.launch_job(&spec).expect("launch streaming job");
@@ -88,7 +93,7 @@ pub fn run_fig6(
     w.run_for(SimDuration::from_millis(300));
 
     // Record (t, cumulative bytes) while stepping; checkpoint fires at t=0.
-    let t_ckpt = w.now + SimDuration::from_millis(pre_ms);
+    let t_ckpt = w.now + SimDuration::from_millis(PRE_MS);
     let mut history: Vec<(SimTime, u64)> = Vec::new();
     let mut op = None;
     let t_end = t_ckpt + SimDuration::from_millis(post_ms);
@@ -101,37 +106,20 @@ pub fn run_fig6(
             );
         }
         w.run_until(t);
-        history.push((t, counter(&w)));
-        t += SimDuration::from_millis(step_ms);
+        history.push((t, received_bytes(&w)));
+        t += SimDuration::from_millis(STEP_MS);
     }
     let op = op.expect("checkpoint fired");
     let report = w.op_report(op).expect("checkpoint report");
-    let checkpoint_ms = report
-        .local_ops
-        .iter()
-        .map(|(_, s, e)| e.duration_since(*s).as_millis_f64())
-        .fold(0.0, f64::max);
+    let checkpoint_ms = local_save(&report).as_millis_f64();
 
-    // Sliding-window rates relative to the checkpoint instant.
-    let window = SimDuration::from_millis(window_ms);
+    // Sliding-window rates, timed from the checkpoint instant. The first
+    // window's samples measure from the first sample.
     let mut samples = Vec::new();
     for (i, &(at, bytes)) in history.iter().enumerate() {
-        let from = at.saturating_duration_since(SimTime::ZERO);
-        let _ = from;
-        // Find the sample one window earlier.
-        let start = if at.as_nanos() >= window.as_nanos() {
-            at - window
-        } else {
-            SimTime::ZERO
-        };
-        let earlier = history[..=i]
-            .iter()
-            .rev()
-            .find(|(ht, _)| *ht <= start)
-            .copied()
-            .unwrap_or(history[0]);
-        let dt = at.duration_since(earlier.0).as_secs_f64();
-        let db = bytes.saturating_sub(earlier.1) as f64;
+        let (from, base) = history[i.saturating_sub(WINDOW_STEPS)];
+        let dt = at.duration_since(from).as_secs_f64();
+        let db = bytes.saturating_sub(base) as f64;
         let rate = if dt > 0.0 { db * 8.0 / dt / 1e6 } else { 0.0 };
         let t_ms = (at.as_nanos() as f64 - t_ckpt.as_nanos() as f64) / 1e6;
         samples.push(Fig6Sample {
@@ -168,7 +156,7 @@ mod tests {
 
     #[test]
     fn stream_collapses_and_recovers() {
-        let run = run_fig6(2 * 1024 * 1024, 40, 400, 2, 10);
+        let run = run_fig6(2 * 1024 * 1024, 400);
         // Steady pre-checkpoint rate is most of a gigabit.
         let pre: Vec<f64> = run
             .samples

@@ -2,9 +2,10 @@
 //! evaluation (§6), plus the ablations DESIGN.md calls out.
 //!
 //! Each module builds the workload, drives the simulated cluster, and
-//! returns the measured series; the `src/bin/*` binaries print them in the
-//! shape the paper reports. `EXPERIMENTS.md` records paper-vs-measured for
-//! every experiment.
+//! returns the measured series. The `repro` binary runs them as one
+//! registry of experiment rows: it renders each row's table, checks it
+//! against the paper's band, and requires it to match `EXPERIMENTS.md`
+//! byte for byte.
 
 #![warn(missing_docs)]
 
@@ -18,12 +19,3 @@ pub mod overhead;
 pub mod recovery;
 pub mod replication;
 pub mod util;
-
-pub use cow::{run_cow_sweep, run_cow_variant, CowRow};
-pub use dedup::{run_dedup_sweep, run_dedup_variant, DedupRow};
-pub use fig5::{fig5_params, run_fig5, run_restart_sweep, Fig5Point};
-pub use fig6::{run_fig6, Fig6Sample};
-pub use recovery::{replay_fingerprints, run_recovery_point, run_recovery_sweep, RecoveryRow};
-pub use replication::{
-    replica_chaos_fingerprints, run_replication_point, run_replication_sweep, ReplicationRow,
-};

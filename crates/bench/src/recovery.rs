@@ -11,15 +11,16 @@
 //! scale with the heartbeat interval.
 
 use cluster::{
-    CkptOptions, ClusterParams, CrashFault, FaultPlan, JobSpec, PodSpec, ProtocolPoint,
-    RecoveryOutcome, RecoveryReport, StoreConfig, World,
+    ClusterParams, CrashFault, FaultPlan, JobSpec, PodSpec, ProtocolPoint, RecoveryOutcome,
+    RecoveryReport, StoreConfig, World,
 };
-use cruz::digest;
 use cruz::proto::ProtocolMode;
 use des::SimDuration;
 use simnet::addr::{IpAddr, MacAddr};
 use workloads::pingpong::PingPongConfig;
 use zap::image::MacMode;
+
+use crate::util::epoch_digest;
 
 /// One heartbeat-interval operating point of the sweep.
 #[derive(Debug, Clone)]
@@ -39,7 +40,9 @@ pub struct RecoveryRow {
     pub image_digest: u64,
 }
 
-fn pingpong_spec(rounds: u64) -> JobSpec {
+/// The pingpong job both fault benches crash: server on node 0, client
+/// on node 1, coordinator on node 4.
+pub(crate) fn pingpong_spec(rounds: u64) -> JobSpec {
     let cfg = PingPongConfig {
         server_ip: IpAddr::from_octets([10, 0, 1, 1]),
         port: 7300,
@@ -67,7 +70,9 @@ fn pingpong_spec(rounds: u64) -> JobSpec {
     }
 }
 
-fn chaos_params(seed: u64) -> ClusterParams {
+/// The cluster both fault benches run: the dedup store and the recovery
+/// manager on.
+pub(crate) fn chaos_params(seed: u64) -> ClusterParams {
     let mut p = ClusterParams {
         seed,
         store: StoreConfig::dedup(),
@@ -77,28 +82,17 @@ fn chaos_params(seed: u64) -> ClusterParams {
     p
 }
 
-/// Digest over every pod image of one committed epoch, in pod order.
-fn epoch_digest(w: &World, job: &str, epoch: u64) -> u64 {
-    let store = w.store(job);
-    let mut h = digest::OFFSET;
-    for pod in store.pods_in_epoch(epoch) {
-        h = digest::fold(h, pod.as_bytes());
-        if let Some(img) = store.get_image(&pod, epoch) {
-            h = digest::fold(h, &img);
-        }
-    }
-    h
-}
-
-/// Runs the crash-mid-checkpoint scenario at one heartbeat interval and
-/// returns the measured recovery pass. Panics (the bench's check) if the
-/// job is not healed or committed state is disturbed.
-pub fn run_recovery_point(heartbeat_interval: SimDuration, seed: u64) -> RecoveryRow {
-    let mut params = chaos_params(seed);
-    params.recovery.heartbeat_interval = heartbeat_interval;
-    params.recovery.heartbeat_timeout = SimDuration::from_nanos(heartbeat_interval.as_nanos() / 2);
-    let heartbeat_timeout = params.recovery.heartbeat_timeout;
-
+/// The scenario both fault benches share: the pingpong job takes one clean
+/// committed checkpoint, then `plan`, plus a crash of the client's node
+/// between its next local save and durability, strikes the next one. Runs
+/// until the recovery manager heals the job, and returns the world, the
+/// recovered pass, and the committed epoch with its image digest. Panics
+/// (the bench's check) if the job is not healed or committed state is
+/// disturbed.
+pub(crate) fn crash_and_heal(
+    params: ClusterParams,
+    mut plan: FaultPlan,
+) -> (World, RecoveryReport, u64, u64) {
     let mut w = World::new(6, params);
     w.launch_job(&pingpong_spec(4000)).expect("launch");
     w.run_for(SimDuration::from_millis(2));
@@ -110,29 +104,30 @@ pub fn run_recovery_point(heartbeat_interval: SimDuration, seed: u64) -> Recover
     assert!(w.store("pp").is_committed(op1));
     let digest_before = epoch_digest(&w, "pp", op1);
 
-    let mut plan = FaultPlan::none(seed);
     plan.crashes.push(CrashFault {
         node: 1,
         point: ProtocolPoint::LocalDoneToDurable,
         nth: 0,
     });
+    // Round-trip through the wire form: the plan's CRZF bytes drive the
+    // run, not just the in-memory value.
+    let plan = FaultPlan::decode(&plan.encode()).expect("plan round-trip");
     w.install_fault_plan(&plan);
     let op2 = w
         .start_checkpoint("pp", ProtocolMode::Blocking, None)
         .expect("faulted checkpoint");
-    let healed = w.run_until_pred(200_000_000, |w| {
-        w.recovery_reports()
-            .iter()
-            .any(|r| r.outcome == RecoveryOutcome::Recovered)
-    });
-    assert!(healed, "job not healed at interval {heartbeat_interval:?}");
+    let recovered = |w: &World| {
+        let mut reports = w.recovery_reports().iter();
+        reports
+            .find(|r| r.outcome == RecoveryOutcome::Recovered)
+            .cloned()
+    };
+    assert!(
+        w.run_until_pred(200_000_000, |w| recovered(w).is_some()),
+        "job not healed"
+    );
 
-    let r: RecoveryReport = w
-        .recovery_reports()
-        .iter()
-        .find(|r| r.outcome == RecoveryOutcome::Recovered)
-        .expect("recovered report")
-        .clone();
+    let r = recovered(&w).expect("recovered report");
     assert_eq!(r.rollback_epoch, Some(op1), "rolled back past the commit");
     assert!(r.aborted_ops.contains(&op2));
     assert!(
@@ -142,14 +137,24 @@ pub fn run_recovery_point(heartbeat_interval: SimDuration, seed: u64) -> Recover
     let digest_after = epoch_digest(&w, "pp", op1);
     assert_eq!(digest_before, digest_after, "committed images disturbed");
     assert!(w.store("pp").orphan_chunks().is_empty(), "orphans leaked");
+    (w, r, op1, digest_after)
+}
 
+/// Runs the crash-mid-checkpoint scenario at one heartbeat interval and
+/// returns the measured recovery pass.
+pub fn run_recovery_point(heartbeat_interval: SimDuration, seed: u64) -> RecoveryRow {
+    let mut params = chaos_params(seed);
+    let heartbeat_timeout = SimDuration::from_nanos(heartbeat_interval.as_nanos() / 2);
+    params.recovery.heartbeat_interval = heartbeat_interval;
+    params.recovery.heartbeat_timeout = heartbeat_timeout;
+    let (_, r, rollback_epoch, image_digest) = crash_and_heal(params, FaultPlan::none(seed));
     RecoveryRow {
         heartbeat_interval,
         heartbeat_timeout,
         detection: r.detection_latency(),
         mttr: r.mttr().expect("recovered pass has an MTTR"),
-        rollback_epoch: op1,
-        image_digest: digest_after,
+        rollback_epoch,
+        image_digest,
     }
 }
 
@@ -162,37 +167,42 @@ pub fn run_recovery_sweep(intervals: &[SimDuration], seed: u64) -> Vec<RecoveryR
         .collect()
 }
 
-/// Replays one pinned chaos scenario twice and returns the two trace
-/// fingerprints `(digest, events)` — identical when the fault plane is
-/// deterministic. Also asserts the world quiesces and leaks no orphans.
-pub fn replay_fingerprints(world_seed: u64, plan_seed: u64) -> ((u64, u64), (u64, u64)) {
-    let run = || {
-        let mut w = World::new(6, chaos_params(world_seed));
-        w.launch_job(&pingpong_spec(500)).expect("launch");
-        w.run_for(SimDuration::from_millis(2));
-        let op = w
-            .start_checkpoint("pp", ProtocolMode::Blocking, None)
-            .expect("baseline checkpoint");
-        assert!(w.run_until_op(op, 50_000_000));
-        let plan =
-            FaultPlan::decode(&FaultPlan::random(plan_seed, 2).encode()).expect("plan round-trip");
-        w.install_fault_plan(&plan);
-        w.schedule_periodic_checkpoints("pp", SimDuration::from_millis(4), CkptOptions::default())
-            .expect("periodic checkpoints");
-        w.run_for(SimDuration::from_millis(120));
-        assert!(
-            w.run_until_pred(50_000_000, |w| !w.job_busy("pp")),
-            "world failed to quiesce under plan seed {plan_seed}"
-        );
-        assert!(w.store("pp").orphan_chunks().is_empty(), "orphans leaked");
-        (w.trace_digest(), w.events_processed())
-    };
-    (run(), run())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cluster::CkptOptions;
+
+    /// Replays one pinned chaos scenario twice and returns the two trace
+    /// fingerprints `(digest, events)` — identical when the fault plane is
+    /// deterministic. Also asserts the world quiesces and leaks no orphans.
+    fn replay_fingerprints(world_seed: u64, plan_seed: u64) -> ((u64, u64), (u64, u64)) {
+        let run = || {
+            let mut w = World::new(6, chaos_params(world_seed));
+            w.launch_job(&pingpong_spec(500)).expect("launch");
+            w.run_for(SimDuration::from_millis(2));
+            let op = w
+                .start_checkpoint("pp", ProtocolMode::Blocking, None)
+                .expect("baseline checkpoint");
+            assert!(w.run_until_op(op, 50_000_000));
+            let plan = FaultPlan::decode(&FaultPlan::random(plan_seed, 2).encode())
+                .expect("plan round-trip");
+            w.install_fault_plan(&plan);
+            w.schedule_periodic_checkpoints(
+                "pp",
+                SimDuration::from_millis(4),
+                CkptOptions::default(),
+            )
+            .expect("periodic checkpoints");
+            w.run_for(SimDuration::from_millis(120));
+            assert!(
+                w.run_until_pred(50_000_000, |w| !w.job_busy("pp")),
+                "world failed to quiesce under plan seed {plan_seed}"
+            );
+            assert!(w.store("pp").orphan_chunks().is_empty(), "orphans leaked");
+            (w.trace_digest(), w.events_processed())
+        };
+        (run(), run())
+    }
 
     #[test]
     fn tighter_heartbeats_detect_faster() {

@@ -1,5 +1,8 @@
-//! Small statistics helpers for the harness binaries.
+//! Small helpers shared by the experiments: statistics over durations,
+//! and the digest that witnesses an epoch's stored bytes.
 
+use cluster::{OpReport, World};
+use cruz::digest;
 use des::SimDuration;
 
 /// Mean and (population) standard deviation of durations, in seconds.
@@ -21,6 +24,27 @@ pub fn percentile_duration(xs: &[SimDuration], p: f64) -> SimDuration {
     sorted.sort();
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// The slowest node's local save (or restore) of one operation.
+pub fn local_save(rep: &OpReport) -> SimDuration {
+    let saves = rep.local_ops.iter().map(|(_, s, e)| e.duration_since(*s));
+    saves.max().unwrap_or(SimDuration::ZERO)
+}
+
+/// FNV digest over every pod image of one committed epoch, in pod order,
+/// as a restart would reassemble them.
+pub fn epoch_digest(w: &World, job: &str, epoch: u64) -> u64 {
+    let store = w.store(job);
+    let mut h = digest::OFFSET;
+    for pod in store.pods_in_epoch(epoch) {
+        let image = store
+            .get_image(&pod, epoch)
+            .expect("committed image reconstructs");
+        h = digest::fold(h, pod.as_bytes());
+        h = digest::fold(h, &image);
+    }
+    h
 }
 
 /// Mean and (population) standard deviation.

@@ -191,7 +191,8 @@ impl FaultPlan {
     }
 
     /// Decodes a plan produced by [`FaultPlan::encode`]. Returns `None` on
-    /// any malformed input.
+    /// any malformed input, non-zero pad bytes included, so an accepted
+    /// version-2 plan re-encodes to the bytes it was decoded from.
     pub fn decode(bytes: &[u8]) -> Option<FaultPlan> {
         let mut at = 0usize;
         let take = |at: &mut usize, n: usize| -> Option<&[u8]> {
@@ -231,10 +232,10 @@ impl FaultPlan {
         for _ in 0..ndisk {
             let node = u32_at(&mut at)? as usize;
             let nth_write = u64_at(&mut at)?;
-            let kind = take(&mut at, 2)?;
-            let fault = match kind[0] {
-                0 => WriteFault::Fail,
-                1 => WriteFault::Torn(kind[1]),
+            // The pad byte of `Fail` must be zero: a plan has one encoding.
+            let fault = match take(&mut at, 2)? {
+                [0, 0] => WriteFault::Fail,
+                &[1, frac] => WriteFault::Torn(frac),
                 _ => return None,
             };
             disk.push(DiskFault {
@@ -256,11 +257,10 @@ impl FaultPlan {
                 let replica = u32_at(&mut at)? as usize;
                 let point = StoreOpPoint::from_tag(take(&mut at, 1)?[0])?;
                 let nth = u32_at(&mut at)?;
-                let kind = take(&mut at, 2)?;
-                let kind = match kind[0] {
-                    0 => ReplicaFaultKind::Crash,
-                    1 => ReplicaFaultKind::TornLog(kind[1]),
-                    2 => ReplicaFaultKind::TornChunk(kind[1]),
+                let kind = match take(&mut at, 2)? {
+                    [0, 0] => ReplicaFaultKind::Crash,
+                    &[1, frac] => ReplicaFaultKind::TornLog(frac),
+                    &[2, frac] => ReplicaFaultKind::TornChunk(frac),
                     _ => return None,
                 };
                 replicas.push(ReplicaFault {
@@ -292,6 +292,7 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn random_plans_are_seed_deterministic() {
@@ -411,5 +412,105 @@ mod tests {
         junk.pop();
         junk.pop();
         assert!(FaultPlan::decode(&junk).is_none());
+    }
+
+    #[test]
+    fn non_zero_pad_bytes_are_rejected() {
+        let mut plan = FaultPlan::none(3);
+        plan.disk.push(DiskFault {
+            node: 0,
+            nth_write: 1,
+            fault: WriteFault::Fail,
+        });
+        plan.replicas.push(ReplicaFault {
+            replica: 1,
+            point: StoreOpPoint::Put,
+            nth: 0,
+            kind: ReplicaFaultKind::Crash,
+        });
+        let bytes = plan.encode();
+        assert_eq!(FaultPlan::decode(&bytes), Some(plan));
+        // The disk fault's pad byte follows the header, seed, two counts
+        // and the record's node, write ordinal and tag; the replica
+        // fault's is the last byte.
+        let disk_pad = 4 + 2 + 8 + 4 + 4 + 4 + 8 + 1;
+        for pad in [disk_pad, bytes.len() - 1] {
+            assert_eq!(bytes[pad], 0);
+            let mut bad = bytes.clone();
+            bad[pad] = 7;
+            assert!(FaultPlan::decode(&bad).is_none(), "pad byte at {pad}");
+        }
+    }
+
+    /// A random plan with `replicas` faults added, so every record kind
+    /// (and both zero pads) can appear.
+    fn plan_with(seed: u64, nodes: usize, replicas: &[(usize, u8, u32, u8, u8)]) -> FaultPlan {
+        let mut plan = FaultPlan::random(seed, nodes);
+        for &(replica, point, nth, kind, frac) in replicas {
+            plan.replicas.push(ReplicaFault {
+                replica,
+                point: StoreOpPoint::ALL[usize::from(point % 4)],
+                nth,
+                kind: match kind % 3 {
+                    0 => ReplicaFaultKind::Crash,
+                    1 => ReplicaFaultKind::TornLog(frac),
+                    _ => ReplicaFaultKind::TornChunk(frac),
+                },
+            });
+        }
+        plan
+    }
+
+    /// The decoder contract: `bytes` is rejected, or is a version-1 plan
+    /// (which re-encodes as version 2), or re-encodes to exactly itself.
+    fn canonical(bytes: &[u8]) -> bool {
+        FaultPlan::decode(bytes)
+            .is_none_or(|plan| bytes.get(4..6) == Some(&[1, 0]) || plan.encode() == bytes)
+    }
+
+    // A plan is stored next to a trace and replayed from its bytes, which
+    // may be torn: arbitrary bytes never panic, and a damaged plan is
+    // rejected or is the exact encoding of what it decodes to.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn plan_decoder_never_panics_on_arbitrary_bytes(
+            junk in proptest::collection::vec(any::<u8>(), 0..200),
+        ) {
+            FaultPlan::decode(&junk);
+            let mut headed = MAGIC.to_vec();
+            headed.extend_from_slice(&VERSION.to_le_bytes());
+            headed.extend_from_slice(&junk);
+            prop_assert!(canonical(&headed));
+        }
+
+        #[test]
+        fn damaged_plans_are_rejected_or_canonical(
+            seed in any::<u64>(),
+            nodes in 1usize..6,
+            replicas in proptest::collection::vec(
+                (0usize..4, any::<u8>(), 0u32..3, any::<u8>(), any::<u8>()),
+                0..3,
+            ),
+            at in any::<usize>(),
+            bit in 0u8..8,
+            byte in any::<u8>(),
+            keep in any::<usize>(),
+            extra in proptest::collection::vec(any::<u8>(), 1..8),
+        ) {
+            let plan = plan_with(seed, nodes, &replicas);
+            let bytes = plan.encode();
+            prop_assert!(canonical(&bytes));
+            let at = at % bytes.len();
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << bit;
+            prop_assert!(canonical(&flipped), "bit {bit} of byte {at} flipped");
+            let mut replaced = bytes.clone();
+            replaced[at] = byte;
+            prop_assert!(canonical(&replaced), "byte {at} set to {byte}");
+            prop_assert!(canonical(&bytes[..keep % bytes.len()]), "truncation");
+            prop_assert!(canonical(&[&bytes[..], &extra].concat()), "extension");
+        }
     }
 }

@@ -158,17 +158,18 @@ impl CtlMsg {
         v
     }
 
-    /// Parses a datagram payload.
+    /// Parses a datagram payload. Only the exact encoding decodes: the
+    /// payload is as long as its tag's encoding (12 bytes for `Start`, 9
+    /// for the rest) and every flag byte is one [`CtlMsg::encode`] writes,
+    /// so an accepted payload re-encodes to the same bytes.
     pub fn decode(bytes: &[u8]) -> Option<CtlMsg> {
-        if bytes.len() < 9 {
+        let len = if bytes.first() == Some(&0) { 12 } else { 9 };
+        if bytes.len() != len {
             return None;
         }
         let epoch = u64::from_le_bytes(bytes[1..9].try_into().ok()?);
         Some(match bytes[0] {
             0 => {
-                if bytes.len() < 12 {
-                    return None;
-                }
                 let kind = match bytes[9] {
                     0 => OpKind::Checkpoint,
                     1 => OpKind::Restart,
@@ -179,7 +180,11 @@ impl CtlMsg {
                     1 => ProtocolMode::Optimized,
                     _ => return None,
                 };
-                let cow = bytes[11] != 0;
+                let cow = match bytes[11] {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                };
                 CtlMsg::Start {
                     kind,
                     epoch,
@@ -231,6 +236,7 @@ pub const COORD_PORT: u16 = 7771;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn codec_round_trips() {
@@ -267,5 +273,80 @@ mod tests {
         assert_eq!(CtlMsg::decode(&[]), None);
         assert_eq!(CtlMsg::decode(&[9; 12]), None);
         assert_eq!(CtlMsg::decode(&[0, 0, 0, 0, 0, 0, 0, 0, 0]), None); // start too short
+        let mut done = CtlMsg::Done { epoch: 4 }.encode();
+        done.push(0);
+        assert_eq!(CtlMsg::decode(&done), None, "trailing junk");
+        let mut start = CtlMsg::Start {
+            kind: OpKind::Checkpoint,
+            epoch: 3,
+            mode: ProtocolMode::Blocking,
+            cow: true,
+        }
+        .encode();
+        start[11] = 2;
+        assert_eq!(CtlMsg::decode(&start), None, "cow byte other than 0 or 1");
+    }
+
+    /// The message with wire tag `tag`, its `Start` fields drawn from the
+    /// low bits of `flags`.
+    fn message(tag: u8, epoch: u64, flags: u8) -> CtlMsg {
+        match tag {
+            0 => CtlMsg::Start {
+                kind: [OpKind::Checkpoint, OpKind::Restart][usize::from(flags & 1)],
+                epoch,
+                mode: [ProtocolMode::Blocking, ProtocolMode::Optimized]
+                    [usize::from(flags >> 1 & 1)],
+                cow: flags & 4 != 0,
+            },
+            1 => CtlMsg::CommDisabled { epoch },
+            2 => CtlMsg::Done { epoch },
+            3 => CtlMsg::Continue { epoch },
+            4 => CtlMsg::ContinueDone { epoch },
+            5 => CtlMsg::Abort { epoch },
+            6 => CtlMsg::Durable { epoch },
+            7 => CtlMsg::Ping { seq: epoch },
+            _ => CtlMsg::Pong { seq: epoch },
+        }
+    }
+
+    /// The decoder contract: `bytes` is rejected, or it re-encodes to
+    /// exactly itself.
+    fn canonical(bytes: &[u8]) -> bool {
+        CtlMsg::decode(bytes).is_none_or(|m| m.encode() == bytes)
+    }
+
+    // `decode` parses real UDP datagrams: arbitrary bytes never panic, and
+    // no payload but a message's own encoding decodes to it.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn accepted_datagrams_re_encode_byte_identically(
+            // Small bytes make valid tags and flags, hence accepted
+            // payloads, common.
+            bytes in proptest::collection::vec(prop_oneof![0u8..3, any::<u8>()], 0..16),
+        ) {
+            prop_assert!(canonical(&bytes), "{bytes:?} decodes to another encoding");
+        }
+
+        #[test]
+        fn damaged_messages_are_rejected_or_canonical(
+            tag in 0u8..9,
+            epoch in any::<u64>(),
+            flags in 0u8..8,
+            at in any::<usize>(),
+            bit in 0u8..8,
+            keep in any::<usize>(),
+            extra in proptest::collection::vec(any::<u8>(), 1..8),
+        ) {
+            let bytes = message(tag, epoch, flags).encode();
+            prop_assert_eq!(CtlMsg::decode(&bytes), Some(message(tag, epoch, flags)));
+            let mut flipped = bytes.clone();
+            flipped[at % bytes.len()] ^= 1 << bit;
+            prop_assert!(canonical(&flipped), "bit flip {flipped:?}");
+            prop_assert!(canonical(&bytes[..keep % bytes.len()]), "truncation");
+            let extended = [&bytes[..], &extra].concat();
+            prop_assert!(canonical(&extended), "extension {extended:?}");
+        }
     }
 }

@@ -183,7 +183,7 @@ fn golden_dedup_store() {
 
 /// The same seed under COW capture: snapshot arming, early resume, the
 /// deferred drain and retroactive disk batches (the event flow of the
-/// `cow_downtime` experiment, E15).
+/// COW downtime experiment, E15).
 #[test]
 fn golden_cow_capture() {
     check(
@@ -205,7 +205,7 @@ fn golden_cow_capture() {
 
 /// The chaos replay seeds: heartbeat detection, force-abort, rollback and
 /// automatic restart under seeded crash/disk/frame faults (the event flow
-/// of the `recovery` experiment, E16). `bench::recovery`'s tests replay
+/// of the recovery experiment, E16). `bench::recovery`'s tests replay
 /// the same seeds to quiescence.
 #[test]
 fn golden_recovery_chaos() {
