@@ -267,9 +267,11 @@ impl Row for Fig6 {
             format!("| steady rate | — (GigE line rate) | {steady:.0} Mb/s |"),
             format!("| rate during checkpoint | 0 | {during:.0} |"),
             format!("| checkpoint window | ≈120 ms | {window} ms |"),
-            "| drain pulse | short pulse as buffered data is consumed | \
-                present (at blackout onset in our timing) |"
-                .into(),
+            format!(
+                "| drain pulse | short pulse as buffered data is consumed | \
+                {:.1} KiB read in the checkpoint's first 10 ms (at blackout onset) |",
+                run.pulse_bytes as f64 / 1024.0
+            ),
             format!(
                 "| sender resumes | ≈100 ms after the window (TCP backoff) | \
                 at t≈{resumed} (the 200 ms min-RTO), full rate by {full} |"
@@ -288,6 +290,7 @@ impl Row for Fig6 {
         let window = run.checkpoint_ms;
         within("the blackout (ms)", window, 100.0..=140.0)?;
         within("the blackout's rate / steady", during / steady, 0.0..=0.2)?;
+        ensure!(run.pulse_bytes > 0, "no drain pulse at blackout onset");
         let back = run.recovery_ms.map_or(INF, |t| t - window);
         within("the recovery after the window (ms)", back, 50.0..=150.0)?;
         // TCP's backoff quantizes the recovery: a blackout under the first

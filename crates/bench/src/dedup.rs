@@ -18,9 +18,9 @@
 
 use cluster::{ClusterParams, StoreConfig, World};
 use cruz::proto::ProtocolMode;
-use des::{SimDuration, SimTime};
+use des::SimDuration;
 
-use crate::fig5::{fig5_params, fig5_slm};
+use crate::fig5::{fig5_params, fig5_slm, slm_iterations};
 use crate::util::epoch_digest;
 
 /// One measured store-ablation row.
@@ -136,9 +136,9 @@ pub fn run_dedup_variant(
     let rs_report = w.op_report(rs).expect("restart report");
 
     // Progress check: the ring must keep iterating after the restart.
-    let before: SimTime = w.now;
+    let before = slm_iterations(&w, "slm", ranks);
     w.run_for(SimDuration::from_millis(200));
-    let progressed = w.now > before && !w.job_finished("slm");
+    let progressed = before.is_some() && slm_iterations(&w, "slm", ranks) > before;
 
     let steady = &epoch_bytes[1..];
     let steady_lat = &latencies[1..];

@@ -6,7 +6,7 @@ use cluster::{ClusterParams, OpReport, World};
 use cruz::proto::ProtocolMode;
 use des::SimDuration;
 use simos::disk::DiskParams;
-use workloads::slm::SlmConfig;
+use workloads::slm::{SlmConfig, ITER_COUNTER_ADDR};
 
 /// Per-rank resident state (sets the checkpoint payload). Scaled from the
 /// paper's testbed together with the disk bandwidth below so the local save
@@ -38,6 +38,17 @@ pub fn fig5_slm(ranks: usize) -> SlmConfig {
         port: 7100,
         state_step_bytes: 0,
     }
+}
+
+/// Timesteps the `ranks` ranks of slm job `job` have completed, summed
+/// from their guest progress counters; `None` if a rank cannot be read.
+pub fn slm_iterations(w: &World, job: &str, ranks: usize) -> Option<u64> {
+    (0..ranks)
+        .map(|r| {
+            let b = w.peek_guest(job, &format!("rank{r}"), 1, ITER_COUNTER_ADDR, 8)?;
+            Some(u64::from_le_bytes(b.try_into().ok()?))
+        })
+        .sum()
 }
 
 /// One measured point of the Fig. 5 sweep.
@@ -114,10 +125,14 @@ pub fn run_restart_sweep(n: usize) -> (OpReport, OpReport) {
         .expect("start restart");
     assert!(w.run_until_op(rs, 100_000_000), "restart completes");
     let rs_report = w.op_report(rs).expect("restart report");
-    // Sanity: the job makes progress after restart.
-    let before = w.now;
+    // Sanity: the restored ring keeps iterating.
+    let before = slm_iterations(&w, "slm", n);
     w.run_for(SimDuration::from_millis(200));
-    assert!(w.now > before);
+    let after = slm_iterations(&w, "slm", n);
+    assert!(
+        before.is_some() && after > before,
+        "no progress after the restart: {before:?} -> {after:?}"
+    );
     (ck_report, rs_report)
 }
 

@@ -32,6 +32,10 @@ pub struct Fig6Run {
     /// First post-checkpoint time the stream was back at ≥50 % of its
     /// pre-checkpoint rate, in ms relative to checkpoint start.
     pub recovery_ms: Option<f64>,
+    /// Bytes the receiver read in the first 10 ms after the checkpoint
+    /// started (the coordinator's first `Start`): the pulse at blackout
+    /// onset.
+    pub pulse_bytes: u64,
 }
 
 /// Builds the streaming job used by Fig. 6.
@@ -114,13 +118,14 @@ pub fn run_fig6(state_bytes: u64, post_ms: u64) -> Fig6Run {
     let checkpoint_ms = local_save(&report).as_millis_f64();
 
     // Sliding-window rates, timed from the checkpoint instant. The first
-    // window's samples measure from the first sample.
+    // sample has no window to measure over, so the rates start at the
+    // second, and the first windows reach back only to the first sample.
     let mut samples = Vec::new();
-    for (i, &(at, bytes)) in history.iter().enumerate() {
+    for (i, &(at, bytes)) in history.iter().enumerate().skip(1) {
         let (from, base) = history[i.saturating_sub(WINDOW_STEPS)];
         let dt = at.duration_since(from).as_secs_f64();
         let db = bytes.saturating_sub(base) as f64;
-        let rate = if dt > 0.0 { db * 8.0 / dt / 1e6 } else { 0.0 };
+        let rate = db * 8.0 / dt / 1e6;
         let t_ms = (at.as_nanos() as f64 - t_ckpt.as_nanos() as f64) / 1e6;
         samples.push(Fig6Sample {
             t_ms,
@@ -143,10 +148,21 @@ pub fn run_fig6(state_bytes: u64, post_ms: u64) -> Fig6Run {
         .find(|s| s.rate_mbps >= pre_rate * 0.5)
         .map(|s| s.t_ms);
 
+    // The drain pulse, timed from the checkpoint's own start: it fires at
+    // the step before t = 0, so both ends fall on the sample grid.
+    let started = report.stats.started_at.expect("the checkpoint started");
+    let received_by = |t: SimTime| {
+        let last = history.iter().rev().find(|h| h.0 <= t);
+        last.map_or(0, |h| h.1)
+    };
+    let pulse = SimDuration::from_millis(WINDOW_STEPS as u64 * STEP_MS);
+    let pulse_bytes = received_by(started + pulse) - received_by(started);
+
     Fig6Run {
         samples,
         checkpoint_ms,
         recovery_ms,
+        pulse_bytes,
     }
 }
 

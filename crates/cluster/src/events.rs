@@ -80,9 +80,6 @@ pub(crate) enum Event {
         dst: usize,
         image: Box<PodImage>,
     },
-    /// A periodic background scrub of a job's replicated checkpoint
-    /// store.
-    StoreScrub { job: String, interval: SimDuration },
 }
 
 impl Event {
@@ -146,13 +143,6 @@ impl Event {
             Event::MigrateFinish { job, pod, dst, .. } => {
                 let mut h = mix(13, *dst as u64, 0);
                 for b in job.bytes().chain(pod.bytes()) {
-                    h = digest::fold_u64(h, b as u64);
-                }
-                h
-            }
-            Event::StoreScrub { job, interval } => {
-                let mut h = mix(18, interval.as_nanos(), 0);
-                for b in job.bytes() {
                     h = digest::fold_u64(h, b as u64);
                 }
                 h

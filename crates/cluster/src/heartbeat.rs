@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use des::{SimDuration, SimTime};
+use des::SimTime;
 
 use cruz::error::CruzError;
 use cruz::proto::{CtlMsg, ProtocolMode};
@@ -251,10 +251,9 @@ impl World {
         // The heal left every replica log carrying the fault's full
         // history — the discarded epoch's blobs included. Compact to the
         // minimal self-contained form so write amplification tracks the
-        // retained state (≈2k) instead of accreting per incident.
-        if store.replica_count() > 1 {
-            store.compact_logs();
-        }
+        // retained state (≈2k) instead of accreting per incident (a no-op
+        // at k = 1, which keeps no log).
+        store.compact_logs();
         let Some(rollback) = store.latest_committed_epoch() else {
             self.hb.remove(job);
             self.recovery_reports.push(RecoveryReport {
@@ -412,36 +411,6 @@ impl World {
             recovered_at: Some(self.now),
             outcome: RecoveryOutcome::Recovered,
         });
-    }
-
-    /// Arms a periodic background scrub of a job's replicated store: every
-    /// `interval`, replica logs and tree digests are compared and any
-    /// divergent or crashed replica is rebuilt from the reference log. A
-    /// no-op driver when replication is off (k = 1).
-    pub fn schedule_store_scrub(&mut self, job: &str, interval: SimDuration) {
-        self.arm(
-            self.now + interval,
-            Event::StoreScrub {
-                job: job.to_owned(),
-                interval,
-            },
-        );
-    }
-
-    /// One background scrub tick: repair, record, re-arm. The driver
-    /// retires itself when the job disappears.
-    pub(crate) fn on_store_scrub(&mut self, job: &str, interval: SimDuration) {
-        if !self.jobs.contains_key(job) {
-            return;
-        }
-        let store = self.store(job);
-        if store.replica_count() > 1 {
-            let rep = store.scrub_and_repair();
-            if !rep.repaired.is_empty() || !rep.revived.is_empty() {
-                self.scrub_reports.push((self.now, job.to_owned(), rep));
-            }
-        }
-        self.schedule_store_scrub(job, interval);
     }
 
     /// Drains heartbeat pongs for jobs whose coordinator lives on node `n`.

@@ -162,14 +162,6 @@ impl World {
         })
     }
 
-    /// The console of a pod process (by pod name and virtual pid).
-    pub fn pod_console(&self, job: &str, pod: &str, vpid: Vpid) -> Option<Vec<String>> {
-        let jr = self.jobs.get(job)?;
-        let p = jr.placement(pod)?;
-        let node = &self.nodes[p.node];
-        node.zap.console_of(&node.kernel, p.pod_id?, vpid)
-    }
-
     /// The exit code of a pod process, if it has exited.
     pub fn pod_exit_code(&self, job: &str, pod: &str, vpid: Vpid) -> Option<u64> {
         let jr = self.jobs.get(job)?;

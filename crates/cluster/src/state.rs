@@ -20,6 +20,7 @@ use simos::fs::NetFs;
 use zap::ZapError;
 
 use cruz::error::CruzError;
+use cruz::replog::ReplicaFaults;
 
 use crate::events::Event;
 use crate::fault::FaultPlan;
@@ -131,6 +132,9 @@ pub struct World {
     pub(crate) hb: BTreeMap<String, HeartbeatState>,
     /// The installed fault plan, if any.
     pub(crate) fault: Option<FaultState>,
+    /// The replica fault plane every job's store view shares: the plan's
+    /// replica faults, their hit counters, and the replicas they crashed.
+    pub(crate) replica_faults: ReplicaFaults,
     /// Every recovery pass the self-healing manager has run.
     pub(crate) recovery_reports: Vec<RecoveryReport>,
     /// Restart op → index into `recovery_reports`, stamped on completion.

@@ -34,7 +34,7 @@ use zap::Zap;
 use cruz::agent::Agent;
 use cruz::error::CruzError;
 use cruz::proto::{ProtocolMode, AGENT_PORT};
-use cruz::replog::{clear_replica_faults, install_replica_faults, ReplicatedStore, ScrubReport};
+use cruz::replog::{ReplicaFaults, ReplicatedStore, ScrubReport};
 
 use crate::events::Event;
 use crate::fault::{FaultPlan, ProtocolPoint};
@@ -177,6 +177,7 @@ impl World {
             trace_digest: digest::OFFSET,
             hb: BTreeMap::new(),
             fault: None,
+            replica_faults: ReplicaFaults::default(),
             recovery_reports: Vec::new(),
             pending_recovery: BTreeMap::new(),
             recoveries: BTreeMap::new(),
@@ -239,12 +240,14 @@ impl World {
 
     /// The checkpoint store for a job: `params.store.replicas` replica
     /// stores behind the one-store API (1 = the plain unreplicated store,
-    /// byte-identical to earlier versions), inheriting the cluster's
-    /// worker count for capture and restore (a wall-clock knob
-    /// only — produced bytes are identical at every width).
+    /// byte-identical to earlier versions), on the world's one replica
+    /// fault plane, inheriting the cluster's worker count for capture and
+    /// restore (a wall-clock knob only — produced bytes are identical at
+    /// every width).
     pub fn store(&self, job: &str) -> ReplicatedStore {
         ReplicatedStore::new(self.fs.clone(), job, self.params.store.replicas.max(1))
             .with_threads(self.params.store.threads)
+            .with_faults(self.replica_faults.clone())
     }
 
     /// The runtime state of a job.
@@ -279,41 +282,24 @@ impl World {
         self.nodes.get(n).map(|x| x.alive).unwrap_or(false)
     }
 
-    /// Sets the per-frame loss probability (fault injection).
-    // Tuning knob, never checkpoint state. cruz-lint: allow(float-in-sim)
-    pub fn set_frame_loss(&mut self, p: f64) {
-        self.params.frame_loss = p;
-    }
-
-    /// Installs a fault plan: disk faults are armed on their nodes now;
-    /// crash and frame faults strike as the run reaches them. The plan's
-    /// own seed drives a dedicated RNG stream, so the same plan against the
-    /// same world seed replays the identical trace.
+    /// Installs a fault plan: disk and replica-store faults are armed now
+    /// (on their nodes, and on the replica fault plane every job's store
+    /// shares, which also revives any crashed replica); crash and frame
+    /// faults strike as the run reaches them. The plan's own seed drives a
+    /// dedicated RNG stream, so the same plan against the same world seed
+    /// replays the identical trace.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
         for d in &plan.disk {
             if let Some(node) = self.nodes.get_mut(d.node) {
                 node.kernel.disk.inject_write_fault(d.nth_write, d.fault);
             }
         }
-        // Store-replica faults live in control files on the shared
-        // filesystem (the replicated store re-reads them on every op).
-        // A plan without any leaves the filesystem untouched, so existing
-        // pinned traces see zero delta.
-        if plan.replicas.is_empty() {
-            clear_replica_faults(&self.fs);
-        } else {
-            install_replica_faults(&self.fs, &plan.replicas);
-        }
+        self.replica_faults.arm(&plan.replicas);
         self.fault = Some(FaultState {
             plan: plan.clone(),
             rng: SimRng::from_seed(plan.seed),
             crash_hits: BTreeMap::new(),
         });
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref().map(|f| &f.plan)
     }
 
     /// Every recovery pass the self-healing manager has run so far.
@@ -572,7 +558,6 @@ impl World {
                 dst,
                 image,
             } => self.on_migrate_finish(&job, &pod, dst, &image),
-            Event::StoreScrub { job, interval } => self.on_store_scrub(&job, interval),
         }
     }
 

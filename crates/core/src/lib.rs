@@ -30,11 +30,12 @@
 //! * [`pagecache`] — the epoch-granular page-digest cache that lets clean
 //!   pages skip re-hashing in `prepare_chunked_hinted` (no longer on the
 //!   capture path, whose image seal names every chunk);
-//! * [`replog`] — the k-way replicated store: every mutation goes through
-//!   a deterministic append-only operation log per replica, reads are
-//!   digest-checked quorum reads, and scrub repairs divergence by
-//!   replaying the log (its fault plane lives in the private `repfault`
-//!   module and is re-exported here);
+//! * [`replog`] — the k-way replicated store: every mutation takes one
+//!   write path that, from k = 2 up, goes through a deterministic
+//!   append-only operation log per replica; reads are digest-checked
+//!   quorum reads at every k, and scrub repairs divergence by replaying
+//!   the log. Its in-memory fault plane ([`ReplicaFaults`]) lives in the
+//!   private `repfault` module and is re-exported here;
 //! * [`parpool`] — the deterministic worker pool that shards the pure
 //!   hash/encode/decode kernels across threads with an ordered merge, so
 //!   produced bytes are identical at every thread count;
@@ -69,7 +70,7 @@ pub use pagecache::{page_hints, DigestCache, PageHint};
 pub use parpool::Pool;
 pub use proto::{CtlMsg, OpKind, ProtocolMode, AGENT_PORT, COORD_PORT};
 pub use replog::{
-    install_replica_faults, CompactReport, ReplicaFault, ReplicaFaultKind, ReplicatedStore,
-    ScrubReport, StoreOpPoint,
+    CompactReport, ReplicaFault, ReplicaFaultKind, ReplicaFaults, ReplicatedStore, ScrubReport,
+    StoreOpPoint,
 };
 pub use store::{CheckpointStore, PreparedPut, ReadError, StoreConfig};

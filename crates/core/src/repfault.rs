@@ -1,26 +1,18 @@
-//! Replica fault plane: declaratively armed store faults and the crashed-
-//! replica set, persisted in small control files on the shared filesystem.
+//! Replica fault plane: declaratively armed store faults, their hit
+//! counters, and the crashed-replica set, held in memory.
 //!
 //! The replicated store (see [`crate::replog`]) consults this plane on
-//! every logged mutation: [`take_fault_effect`] counts one occurrence of a
-//! protocol point at a replica against every armed [`ReplicaFault`] and
-//! reports the first whose trigger count was just reached. Keeping the
-//! armed faults and their hit counters *on the filesystem* — rather than
-//! in the store handle — means fault state survives handle
-//! reconstruction (the cluster layer builds a fresh store view per
-//! operation) and replays deterministically under a pinned seed.
-//!
-//! Control files live under `/replctl/` and never exist with replication
-//! off; a `k = 1` store neither reads nor writes them.
+//! every logged mutation: [`ReplicaFaults::take`] counts one occurrence of
+//! a protocol point at a replica against every armed [`ReplicaFault`] and
+//! reports the first whose trigger count was just reached. A
+//! [`ReplicaFaults`] handle is shared, not copied: every clone sees the
+//! same faults, counters and dead set, so the fresh store views the
+//! cluster layer builds per operation all act on one plane (a `World`
+//! creates one and hands it to every job's store). Nothing of it is
+//! written to the checkpoint filesystem.
 
 use std::collections::BTreeSet;
-
-use simos::fs::NetFs;
-
-/// Control file holding armed replica faults and their hit counters.
-const FAULTS_PATH: &str = "/replctl/FAULTS";
-/// Control file holding the set of crashed replica indices.
-const DEAD_PATH: &str = "/replctl/DEAD";
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The store-protocol points a replica fault can trigger at: each logical
 /// mutation class the operation log distinguishes.
@@ -76,25 +68,6 @@ pub enum ReplicaFaultKind {
     TornChunk(u8),
 }
 
-impl ReplicaFaultKind {
-    pub(crate) fn encode(self) -> (u8, u8) {
-        match self {
-            ReplicaFaultKind::Crash => (0, 0),
-            ReplicaFaultKind::TornLog(f) => (1, f),
-            ReplicaFaultKind::TornChunk(f) => (2, f),
-        }
-    }
-
-    pub(crate) fn decode(tag: u8, arg: u8) -> Option<ReplicaFaultKind> {
-        match tag {
-            0 => Some(ReplicaFaultKind::Crash),
-            1 => Some(ReplicaFaultKind::TornLog(arg)),
-            2 => Some(ReplicaFaultKind::TornChunk(arg)),
-            _ => None,
-        }
-    }
-}
-
 /// One armed replica-store fault: at the `nth` occurrence (0-based) of
 /// `point` on `replica`, inject `kind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,191 +83,61 @@ pub struct ReplicaFault {
     pub kind: ReplicaFaultKind,
 }
 
-/// Arms `faults` for the replicated stores sharing `fs` (hit counters
-/// reset to zero) and clears any crashed-replica state from earlier runs.
-pub fn install_replica_faults(fs: &NetFs, faults: &[ReplicaFault]) {
-    let mut w = Vec::with_capacity(4 + faults.len() * 15);
-    w.extend_from_slice(&(faults.len() as u32).to_le_bytes());
-    for f in faults {
-        let (ktag, arg) = f.kind.encode();
-        w.extend_from_slice(&(f.replica as u32).to_le_bytes());
-        w.push(f.point.tag());
-        w.extend_from_slice(&f.nth.to_le_bytes());
-        w.push(ktag);
-        w.push(arg);
-        w.extend_from_slice(&0u32.to_le_bytes()); // hit counter
-    }
-    fs.write_file(FAULTS_PATH, w);
-    fs.remove(DEAD_PATH);
+/// A shared handle on one fault plane: the armed faults with their hit
+/// counters, and the replicas they have crashed. The default plane is
+/// unarmed, with every replica alive.
+#[derive(Debug, Clone, Default)]
+pub struct ReplicaFaults(Arc<Mutex<Plane>>);
+
+#[derive(Debug, Default)]
+struct Plane {
+    armed: Vec<(ReplicaFault, u32)>,
+    dead: BTreeSet<usize>,
 }
 
-/// Removes all armed replica faults and crashed-replica state from `fs`,
-/// leaving the filesystem byte-identical to a never-faulted run.
-pub fn clear_replica_faults(fs: &NetFs) {
-    fs.remove(FAULTS_PATH);
-    fs.remove(DEAD_PATH);
-}
-
-fn load_faults(fs: &NetFs) -> Vec<(ReplicaFault, u32)> {
-    let Some(bytes) = fs.read_file(FAULTS_PATH) else {
-        return Vec::new();
-    };
-    let mut c = Cur::new(&bytes);
-    let Some(n) = c.u32() else { return Vec::new() };
-    let mut out = c.vec_for(n);
-    for _ in 0..n {
-        let f = (|| {
-            let replica = c.u32()? as usize;
-            let point = StoreOpPoint::from_tag(c.u8()?)?;
-            let nth = c.u32()?;
-            let kind = ReplicaFaultKind::decode(c.u8()?, c.u8()?)?;
-            let hits = c.u32()?;
-            Some((
-                ReplicaFault {
-                    replica,
-                    point,
-                    nth,
-                    kind,
-                },
-                hits,
-            ))
-        })();
-        match f {
-            Some(rec) => out.push(rec),
-            None => return Vec::new(),
-        }
+impl ReplicaFaults {
+    fn plane(&self) -> MutexGuard<'_, Plane> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    out
-}
 
-fn store_fault_counters(fs: &NetFs, list: &[(ReplicaFault, u32)]) {
-    let mut w = Vec::with_capacity(4 + list.len() * 19);
-    w.extend_from_slice(&(list.len() as u32).to_le_bytes());
-    for (f, hits) in list {
-        let (ktag, arg) = f.kind.encode();
-        w.extend_from_slice(&(f.replica as u32).to_le_bytes());
-        w.push(f.point.tag());
-        w.extend_from_slice(&f.nth.to_le_bytes());
-        w.push(ktag);
-        w.push(arg);
-        w.extend_from_slice(&hits.to_le_bytes());
+    /// Arms `faults` (hit counters at zero) in place of whatever was armed,
+    /// and revives every crashed replica.
+    pub fn arm(&self, faults: &[ReplicaFault]) {
+        let mut plane = self.plane();
+        plane.armed = faults.iter().map(|&f| (f, 0)).collect();
+        plane.dead.clear();
     }
-    fs.write_file(FAULTS_PATH, w);
-}
 
-/// Counts one occurrence of `point` at `replica` against every armed
-/// fault, returning the kind of the first fault whose trigger count was
-/// just reached.
-pub(crate) fn take_fault_effect(
-    fs: &NetFs,
-    replica: usize,
-    point: StoreOpPoint,
-) -> Option<ReplicaFaultKind> {
-    let mut list = load_faults(fs);
-    if list.is_empty() {
-        return None;
-    }
-    let mut fired = None;
-    for (f, hits) in &mut list {
-        if f.replica == replica && f.point == point {
-            if *hits == f.nth && fired.is_none() {
-                fired = Some(f.kind);
+    /// Counts one occurrence of `point` at `replica` against every armed
+    /// fault, returning the kind of the first fault whose trigger count was
+    /// just reached.
+    pub(crate) fn take(&self, replica: usize, point: StoreOpPoint) -> Option<ReplicaFaultKind> {
+        let mut fired = None;
+        for (f, hits) in &mut self.plane().armed {
+            if f.replica == replica && f.point == point {
+                if *hits == f.nth && fired.is_none() {
+                    fired = Some(f.kind);
+                }
+                *hits += 1;
             }
-            *hits += 1;
         }
-    }
-    store_fault_counters(fs, &list);
-    fired
-}
-
-pub(crate) fn read_dead(fs: &NetFs) -> BTreeSet<usize> {
-    let Some(bytes) = fs.read_file(DEAD_PATH) else {
-        return BTreeSet::new();
-    };
-    let mut c = Cur::new(&bytes);
-    let Some(n) = c.u32() else {
-        return BTreeSet::new();
-    };
-    let mut out = BTreeSet::new();
-    for _ in 0..n {
-        match c.u32() {
-            Some(r) => out.insert(r as usize),
-            None => return BTreeSet::new(),
-        };
-    }
-    out
-}
-
-pub(crate) fn write_dead(fs: &NetFs, dead: &BTreeSet<usize>) {
-    if dead.is_empty() {
-        fs.remove(DEAD_PATH);
-        return;
-    }
-    let mut w = Vec::with_capacity(4 + dead.len() * 4);
-    w.extend_from_slice(&(dead.len() as u32).to_le_bytes());
-    for r in dead {
-        w.extend_from_slice(&(*r as u32).to_le_bytes());
-    }
-    fs.write_file(DEAD_PATH, w);
-}
-
-/// Little-endian byte cursor shared by the fault control files and the
-/// `CRZL` record decoder in [`crate::replog`]: every `Option`-returning
-/// accessor fails cleanly at a truncation instead of panicking.
-pub(crate) struct Cur<'a> {
-    b: &'a [u8],
-    pub(crate) i: usize,
-}
-
-impl<'a> Cur<'a> {
-    pub(crate) fn new(b: &'a [u8]) -> Self {
-        Cur { b, i: 0 }
+        fired
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.i.checked_add(n)?;
-        if end > self.b.len() {
-            return None;
-        }
-        let s = &self.b[self.i..end];
-        self.i = end;
-        Some(s)
+    /// The crashed replicas, ascending.
+    pub(crate) fn dead(&self) -> BTreeSet<usize> {
+        self.plane().dead.clone()
     }
 
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
+    /// Marks `replica` crashed: it leaves the read/write set until a scrub
+    /// revives it.
+    pub(crate) fn kill(&self, replica: usize) {
+        self.plane().dead.insert(replica);
     }
 
-    pub(crate) fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    /// An empty vector with room for `n` decoded elements, capped at the
-    /// unread input: every element occupies at least one byte, so a
-    /// corrupt count can never reserve more than the input could fill.
-    pub(crate) fn vec_for<T>(&self, n: u32) -> Vec<T> {
-        Vec::with_capacity((n as usize).min(self.b.len() - self.i))
-    }
-
-    pub(crate) fn bytes(&mut self) -> Option<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Some(self.take(n)?.to_vec())
-    }
-
-    pub(crate) fn string(&mut self) -> Option<String> {
-        String::from_utf8(self.bytes()?).ok()
-    }
-
-    pub(crate) fn done(&self) -> bool {
-        self.i == self.b.len()
+    /// Revives every crashed replica, returning the ones that were dead.
+    pub(crate) fn revive_all(&self) -> BTreeSet<usize> {
+        std::mem::take(&mut self.plane().dead)
     }
 }
 
@@ -302,10 +145,43 @@ impl<'a> Cur<'a> {
 mod tests {
     use super::*;
 
+    fn fault(replica: usize, nth: u32, kind: ReplicaFaultKind) -> ReplicaFault {
+        ReplicaFault {
+            replica,
+            point: StoreOpPoint::Put,
+            nth,
+            kind,
+        }
+    }
+
     #[test]
-    fn corrupt_fault_count_never_preallocates_past_the_input() {
-        let fs = NetFs::new();
-        fs.write_file(FAULTS_PATH, u32::MAX.to_le_bytes().to_vec());
-        assert!(load_faults(&fs).is_empty());
+    fn clones_share_one_plane_and_arming_resets_it() {
+        let plane = ReplicaFaults::default();
+        let view = plane.clone();
+        plane.arm(&[
+            fault(1, 1, ReplicaFaultKind::Crash),
+            fault(1, 1, ReplicaFaultKind::TornLog(9)),
+        ]);
+        assert_eq!(view.take(1, StoreOpPoint::Put), None);
+        assert_eq!(view.take(0, StoreOpPoint::Put), None);
+        assert_eq!(view.take(1, StoreOpPoint::Commit), None);
+        // The second put at replica 1 reaches both triggers; the first
+        // armed fault wins, and neither fires again.
+        assert_eq!(
+            plane.take(1, StoreOpPoint::Put),
+            Some(ReplicaFaultKind::Crash)
+        );
+        assert_eq!(plane.take(1, StoreOpPoint::Put), None);
+        view.kill(1);
+        assert_eq!(plane.dead(), BTreeSet::from([1]));
+        plane.arm(&[fault(1, 0, ReplicaFaultKind::Crash)]);
+        assert!(view.dead().is_empty(), "arming revives every replica");
+        assert_eq!(
+            view.take(1, StoreOpPoint::Put),
+            Some(ReplicaFaultKind::Crash)
+        );
+        view.kill(2);
+        assert_eq!(plane.revive_all(), BTreeSet::from([2]));
+        assert!(view.dead().is_empty());
     }
 }

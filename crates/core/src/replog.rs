@@ -27,13 +27,16 @@
 //!   mid-append (a *torn log*: valid prefix + garbage tail) is revived
 //!   with the tail truncated to the last whole record.
 //!
-//! Replica faults are armed declaratively (see [`ReplicaFault`]) and
-//! tracked in small control files on the shared simulated filesystem, so
-//! fault state survives store-handle reconstruction and replays
+//! Replica faults are armed declaratively (see [`ReplicaFault`]) on an
+//! in-memory [`ReplicaFaults`] plane that every store view built with it
+//! shares, so fault state survives store-handle reconstruction and replays
 //! deterministically under a pinned seed.
 //!
-//! With `k = 1` every method short-circuits to the plain store: no log,
-//! no control files, byte-for-byte the unreplicated layout.
+//! Every write takes the one path at every k: plan on the primary, then
+//! [`ReplicatedStore`]'s fan-out. With `k = 1` the fan-out applies the op
+//! to the lone replica without logging it or consulting the fault plane,
+//! so the tree is byte-for-byte the unreplicated layout; only compaction
+//! and scrub, which a lone replica has nothing to gain from, are no-ops.
 //!
 //! # `CRZL` log format
 //!
@@ -46,8 +49,6 @@
 //! whole, checksum-valid records and ignores everything after the first
 //! invalid byte — exactly the semantics a torn append needs.
 
-use std::collections::BTreeSet;
-
 use simos::fs::NetFs;
 use zap::image::{ImageWriter, Sealed};
 
@@ -55,7 +56,7 @@ use crate::chunk::ChunkId;
 use crate::digest;
 use crate::pagecache::{DigestCache, PageHint};
 use crate::store::{
-    CheckpointStore, MissingChunk, PreparedChunked, PreparedPut, ReadError, StoreConfig,
+    CheckpointStore, MissingChunk, PlannedPut, PreparedChunked, PreparedPut, ReadError, StoreConfig,
 };
 
 /// Magic number of a replica operation log (`CRZL`).
@@ -65,10 +66,7 @@ pub const REPLOG_VERSION: u16 = 1;
 
 // ---- fault model (re-exported from the fault plane) --------------------------
 
-pub use crate::repfault::{
-    clear_replica_faults, install_replica_faults, ReplicaFault, ReplicaFaultKind, StoreOpPoint,
-};
-use crate::repfault::{read_dead, take_fault_effect, write_dead, Cur};
+pub use crate::repfault::{ReplicaFault, ReplicaFaultKind, ReplicaFaults, StoreOpPoint};
 
 mod repair;
 
@@ -196,6 +194,66 @@ impl LogOp {
     }
 }
 
+/// Little-endian byte cursor of the `CRZL` record decoder: every
+/// `Option`-returning accessor fails cleanly at a truncation instead of
+/// panicking.
+struct Cur<'a> {
+    b: &'a [u8],
+    i: usize,
+}
+
+impl<'a> Cur<'a> {
+    fn new(b: &'a [u8]) -> Self {
+        Cur { b, i: 0 }
+    }
+
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.i.checked_add(n)?;
+        if end > self.b.len() {
+            return None;
+        }
+        let s = &self.b[self.i..end];
+        self.i = end;
+        Some(s)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
+    }
+
+    fn u16(&mut self) -> Option<u16> {
+        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    /// An empty vector with room for `n` decoded elements, capped at the
+    /// unread input: every element occupies at least one byte, so a
+    /// corrupt count can never reserve more than the input could fill.
+    fn vec_for<T>(&self, n: u32) -> Vec<T> {
+        Vec::with_capacity((n as usize).min(self.b.len() - self.i))
+    }
+
+    fn bytes(&mut self) -> Option<Vec<u8>> {
+        let n = self.u32()? as usize;
+        Some(self.take(n)?.to_vec())
+    }
+
+    fn string(&mut self) -> Option<String> {
+        String::from_utf8(self.bytes()?).ok()
+    }
+
+    fn done(&self) -> bool {
+        self.i == self.b.len()
+    }
+}
+
 fn put_bytes(w: &mut Vec<u8>, b: &[u8]) {
     w.extend_from_slice(&(b.len() as u32).to_le_bytes());
     w.extend_from_slice(b);
@@ -281,11 +339,12 @@ pub fn read_log(fs: &NetFs, path: &str) -> (Vec<LogOp>, u64) {
 
 // ---- op application ---------------------------------------------------------
 
-/// Applies one log op to a replica's store tree. `torn` injects a
-/// torn-data fault: the op's log record landed whole, but chunk bodies
-/// only got `frac`/256 of their bytes. Returns the GC reclaim count for
-/// [`LogOp::Gc`], `0` otherwise.
-fn apply_op(store: &CheckpointStore, op: &LogOp, torn: Option<u8>) -> usize {
+/// Applies one log op to a replica's store tree, consuming it: a put's
+/// containers move into the tree. `torn` injects a torn-data fault
+/// ([`ReplicaFaultKind::TornChunk`]): the op's log record landed whole,
+/// but chunk bodies only got `frac`/256 of their bytes. Returns the GC
+/// reclaim count for [`LogOp::Gc`], `0` otherwise.
+fn apply_op(store: &CheckpointStore, op: LogOp, torn: Option<u8>) -> usize {
     match op {
         LogOp::PutChunked {
             pod,
@@ -293,43 +352,20 @@ fn apply_op(store: &CheckpointStore, op: &LogOp, torn: Option<u8>) -> usize {
             manifest,
             image,
             blobs,
-        } => apply_chunked(store, pod, *epoch, manifest, *image, blobs, torn),
-        LogOp::Commit { epoch } => store.commit(*epoch),
-        LogOp::Discard { epoch } => store.discard_epoch(*epoch),
+        } => {
+            let put = PlannedPut {
+                manifest,
+                image,
+                blobs,
+            };
+            store.apply_put(&pod, epoch, put, torn);
+        }
+        LogOp::Commit { epoch } => store.commit(epoch),
+        LogOp::Discard { epoch } => store.discard_epoch(epoch),
         LogOp::Gc => return store.gc_orphan_chunks(),
-        LogOp::Prune { keep } => store.prune_below(*keep),
+        LogOp::Prune { keep } => store.prune_below(keep),
     }
     0
-}
-
-/// The put apply: write absent chunk bodies (torn to a prefix under a
-/// [`ReplicaFaultKind::TornChunk`] fault), then the digest sidecar and
-/// manifest. A put takes no chunk reference (the manifests are the
-/// liveness record), so applying it again rewrites the same bytes: replay
-/// is idempotent by construction.
-fn apply_chunked(
-    store: &CheckpointStore,
-    pod: &str,
-    epoch: u64,
-    manifest: &[u8],
-    image: ChunkId,
-    blobs: &[(ChunkId, Vec<u8>)],
-    torn: Option<u8>,
-) {
-    for (id, body) in blobs {
-        let path = store.chunk_path(*id);
-        if !store.fs().exists(&path) {
-            let stored = match torn {
-                None => body.clone(),
-                Some(frac) => body[..body.len() * frac as usize / 256].to_vec(),
-            };
-            store.fs().write_file(&path, stored);
-        }
-    }
-    store.write_digest(pod, epoch, image);
-    store
-        .fs()
-        .write_file(&store.manifest_path(pod, epoch), manifest.to_vec());
 }
 
 // ---- the replicated store ---------------------------------------------------
@@ -371,17 +407,20 @@ pub struct ReplicatedStore {
     job: String,
     k: usize,
     threads: usize,
+    faults: ReplicaFaults,
 }
 
 impl ReplicatedStore {
     /// Creates a k-way replicated store view for `job` (`k` is clamped to
-    /// at least 1; `k = 1` is the plain unreplicated store).
+    /// at least 1; `k = 1` is the plain unreplicated store) on a fresh,
+    /// unarmed fault plane.
     pub fn new(fs: NetFs, job: impl Into<String>, k: usize) -> Self {
         ReplicatedStore {
             fs,
             job: job.into(),
             k: k.max(1),
             threads: 0,
+            faults: ReplicaFaults::default(),
         }
     }
 
@@ -389,6 +428,18 @@ impl ReplicatedStore {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
+    }
+
+    /// Puts this view on the shared fault plane `faults`, so it sees the
+    /// faults armed there and the replicas they crashed.
+    pub fn with_faults(mut self, faults: ReplicaFaults) -> Self {
+        self.faults = faults;
+        self
+    }
+
+    /// The fault plane this view consults.
+    pub fn faults(&self) -> &ReplicaFaults {
+        &self.faults
     }
 
     /// The job name.
@@ -421,17 +472,9 @@ impl ReplicatedStore {
         format!("{}/replog/{}.log", Self::replica_root(r), self.job)
     }
 
-    fn dead(&self) -> BTreeSet<usize> {
-        if self.k == 1 {
-            BTreeSet::new()
-        } else {
-            read_dead(&self.fs)
-        }
-    }
-
     /// Replica indices currently in the read/write set, ascending.
     pub fn alive_replicas(&self) -> Vec<usize> {
-        let dead = self.dead();
+        let dead = self.faults.dead();
         (0..self.k).filter(|r| !dead.contains(r)).collect()
     }
 
@@ -446,50 +489,63 @@ impl ReplicatedStore {
         self.replica(self.primary_index())
     }
 
-    /// Fans one logical op out to every live replica: fault check, log
-    /// append, apply. The op is encoded once and every replica's log gets
-    /// the same record bytes. Returns the primary's apply result (the GC
-    /// count).
+    /// The one write path: fans one logical op out to every live replica.
+    /// With `k = 1` the op is applied to the lone replica as it is — no
+    /// log, no fault check. Otherwise each live replica takes its fault
+    /// check and its log append (the op is encoded once, so every log gets
+    /// the same record bytes), and then every replica still standing
+    /// applies the op: a copy each, and the op itself for the last.
+    /// Returns the first whole apply's result (the GC count).
     fn write_op(&self, op: LogOp) -> usize {
-        let mut dead = read_dead(&self.fs);
+        if self.k == 1 {
+            return apply_op(&self.replica(0), op, None);
+        }
         let point = op.point();
         let rec = encode_record(&op);
-        let mut out = None;
-        for r in 0..self.k {
-            if dead.contains(&r) {
-                continue;
-            }
-            match take_fault_effect(&self.fs, r, point) {
+        let mut targets = Vec::new();
+        for r in self.alive_replicas() {
+            let torn = match self.faults.take(r, point) {
                 Some(ReplicaFaultKind::Crash) => {
-                    dead.insert(r);
+                    self.faults.kill(r);
+                    continue;
                 }
                 Some(ReplicaFaultKind::TornLog(frac)) => {
                     append_torn_record(&self.fs, &self.log_path(r), &rec, frac);
-                    dead.insert(r);
+                    self.faults.kill(r);
+                    continue;
                 }
-                Some(ReplicaFaultKind::TornChunk(frac)) => {
-                    append_record(&self.fs, &self.log_path(r), &rec);
-                    apply_op(&self.replica(r), &op, Some(frac));
-                }
-                None => {
-                    append_record(&self.fs, &self.log_path(r), &rec);
-                    let n = apply_op(&self.replica(r), &op, None);
-                    if out.is_none() {
-                        out = Some(n);
-                    }
-                }
-            }
+                Some(ReplicaFaultKind::TornChunk(frac)) => Some(frac),
+                None => None,
+            };
+            append_record(&self.fs, &self.log_path(r), &rec);
+            targets.push((r, torn));
         }
-        write_dead(&self.fs, &dead);
+        let mut out = None;
+        let mut apply = |(r, torn): (usize, Option<u8>), op| {
+            let n = apply_op(&self.replica(r), op, torn);
+            if torn.is_none() {
+                out.get_or_insert(n);
+            }
+        };
+        if let Some((&last, rest)) = targets.split_last() {
+            for &t in rest {
+                apply(t, op.clone());
+            }
+            apply(last, op);
+        }
         out.unwrap_or(0)
     }
 
-    // ---- writes (logged) ------------------------------------------------
+    // ---- writes ---------------------------------------------------------
 
-    /// Applies a prepared write to every live replica through the log.
-    /// The record carries the image digest the prepare named (for a
-    /// [`PreparedPut::Plain`] put, folded once here on the primary), so no
-    /// replica folds the image again, live or in replay.
+    /// Applies a prepared write to every live replica: the primary plans
+    /// it (the put planner every put runs) and [`ReplicatedStore`]'s one
+    /// write path logs and applies the planned op. The record carries the
+    /// image digest the prepare named (for a [`PreparedPut::Plain`] put,
+    /// folded once on the primary), so no replica folds the image again,
+    /// live or in replay, and exactly the chunk bodies absent from the
+    /// live replicas' shared state, so replaying the log from empty
+    /// encounters the same store the writer saw.
     ///
     /// A chunk the write names without carrying is looked up on the
     /// primary again only if a file was removed since the prepare, or the
@@ -506,39 +562,18 @@ impl ReplicatedStore {
         epoch: u64,
         put: PreparedPut,
     ) -> Result<(), MissingChunk> {
-        if self.k == 1 {
-            return self.replica(0).put_prepared(pod_name, epoch, put);
-        }
-        // The record carries exactly the chunk bodies absent from the live
-        // replicas' shared state right now, so replaying the log from empty
-        // encounters the same store the writer saw and the log stays
-        // self-contained. The prepared write is freed before the log write,
-        // so the record and the replicas' copies can reuse its memory
-        // (moving its containers into the record instead raised the peak
-        // RSS of a k = 3 run by ~3%).
-        let op = {
-            let primary = self.primary();
-            let c = primary.prepare_put(put);
-            let trusted = c.names_hold_on(&primary);
-            let mut seen = BTreeSet::new();
-            let mut blobs = Vec::new();
-            for ch in &c.chunks {
-                if trusted && !ch.novel() {
-                    continue;
-                }
-                if seen.insert(ch.id) && !self.fs.exists(&primary.chunk_path(ch.id)) {
-                    blobs.push((ch.id, ch.stored.clone().ok_or(MissingChunk(ch.id))?));
-                }
-            }
-            LogOp::PutChunked {
-                pod: pod_name.to_owned(),
-                epoch,
-                manifest: c.manifest,
-                image: c.raw_digest,
-                blobs,
-            }
-        };
-        self.write_op(op);
+        let PlannedPut {
+            manifest,
+            image,
+            blobs,
+        } = self.primary().plan_put(put)?;
+        self.write_op(LogOp::PutChunked {
+            pod: pod_name.to_owned(),
+            epoch,
+            manifest,
+            image,
+            blobs,
+        });
         Ok(())
     }
 
@@ -554,34 +589,22 @@ impl ReplicatedStore {
 
     /// Writes the commit record for `epoch` on every live replica.
     pub fn commit(&self, epoch: u64) {
-        if self.k == 1 {
-            return self.replica(0).commit(epoch);
-        }
         self.write_op(LogOp::Commit { epoch });
     }
 
     /// Discards every file of `epoch` on every live replica.
     pub fn discard_epoch(&self, epoch: u64) {
-        if self.k == 1 {
-            return self.replica(0).discard_epoch(epoch);
-        }
         self.write_op(LogOp::Discard { epoch });
     }
 
     /// Discards every committed epoch below `keep` on every live replica.
     pub fn prune_below(&self, keep: u64) {
-        if self.k == 1 {
-            return self.replica(0).prune_below(keep);
-        }
         self.write_op(LogOp::Prune { keep });
     }
 
     /// Reclaims orphan chunk files on every live replica; returns the
     /// primary's reclaim count.
     pub fn gc_orphan_chunks(&self) -> usize {
-        if self.k == 1 {
-            return self.replica(0).gc_orphan_chunks();
-        }
         self.write_op(LogOp::Gc)
     }
 
@@ -657,9 +680,6 @@ impl ReplicatedStore {
     ///
     /// As [`ReplicatedStore::read_sealed`].
     pub fn read_stored(&self, pod_name: &str, epoch: u64) -> Result<(Sealed, u64), ReadError> {
-        if self.k == 1 {
-            return self.replica(0).read_stored(pod_name, epoch);
-        }
         let alive = self.alive_replicas();
         let mut votes: Vec<(ChunkId, usize)> = Vec::new();
         for &r in &alive {
@@ -831,7 +851,7 @@ mod tests {
         let (ops, _) = read_log(&fs, &rs.log_path(1));
         let store = rs.replica(1);
         for op in &ops {
-            apply_op(&store, op, None);
+            apply_op(&store, op.clone(), None);
         }
         assert_eq!(rs.tree_digest(1), d[1]);
         // And replaying onto an empty tree reconstructs the same bytes.
@@ -848,23 +868,20 @@ mod tests {
         let rs = ReplicatedStore::new(fs.clone(), "job", 3).with_threads(1);
         put_epoch(&rs, &cfg, 1, 0x22);
         let raw = image(0x22, 1024);
-        install_replica_faults(
-            &fs,
-            &[
-                ReplicaFault {
-                    replica: 0,
-                    point: StoreOpPoint::Put,
-                    nth: 0,
-                    kind: ReplicaFaultKind::Crash,
-                },
-                ReplicaFault {
-                    replica: 1,
-                    point: StoreOpPoint::Put,
-                    nth: 0,
-                    kind: ReplicaFaultKind::TornChunk(64),
-                },
-            ],
-        );
+        rs.faults().arm(&[
+            ReplicaFault {
+                replica: 0,
+                point: StoreOpPoint::Put,
+                nth: 0,
+                kind: ReplicaFaultKind::Crash,
+            },
+            ReplicaFault {
+                replica: 1,
+                point: StoreOpPoint::Put,
+                nth: 0,
+                kind: ReplicaFaultKind::TornChunk(64),
+            },
+        ]);
         let raw2 = image(0x99, 1024);
         let prepared = rs.prepare_chunked(&raw2, &[], &cfg);
         rs.put_prepared("pod0", 2, PreparedPut::Chunked(prepared))
@@ -884,23 +901,20 @@ mod tests {
         let cfg = dedup_cfg();
         let rs = ReplicatedStore::new(fs.clone(), "job", 3).with_threads(1);
         put_epoch(&rs, &cfg, 1, 0x33);
-        install_replica_faults(
-            &fs,
-            &[
-                ReplicaFault {
-                    replica: 1,
-                    point: StoreOpPoint::Put,
-                    nth: 0,
-                    kind: ReplicaFaultKind::TornChunk(100),
-                },
-                ReplicaFault {
-                    replica: 2,
-                    point: StoreOpPoint::Commit,
-                    nth: 0,
-                    kind: ReplicaFaultKind::TornLog(77),
-                },
-            ],
-        );
+        rs.faults().arm(&[
+            ReplicaFault {
+                replica: 1,
+                point: StoreOpPoint::Put,
+                nth: 0,
+                kind: ReplicaFaultKind::TornChunk(100),
+            },
+            ReplicaFault {
+                replica: 2,
+                point: StoreOpPoint::Commit,
+                nth: 0,
+                kind: ReplicaFaultKind::TornLog(77),
+            },
+        ]);
         put_epoch(&rs, &cfg, 2, 0x44);
         let rep = rs.scrub_and_repair();
         assert_eq!(rep.reference, 0);
@@ -964,15 +978,12 @@ mod tests {
         put_epoch(&rs, &cfg, 2, 0x22);
         // Replica 2 dies before epoch 3, stranded with the 4-op history
         // [put1, commit1, put2, commit2].
-        install_replica_faults(
-            &fs,
-            &[ReplicaFault {
-                replica: 2,
-                point: StoreOpPoint::Put,
-                nth: 0,
-                kind: ReplicaFaultKind::Crash,
-            }],
-        );
+        rs.faults().arm(&[ReplicaFault {
+            replica: 2,
+            point: StoreOpPoint::Put,
+            nth: 0,
+            kind: ReplicaFaultKind::Crash,
+        }]);
         put_epoch(&rs, &cfg, 3, 0x33);
         rs.prune_below(3);
         // The live replicas compact to the 2-op minimal log [put3,
@@ -992,16 +1003,29 @@ mod tests {
     }
 
     #[test]
-    fn k1_writes_no_control_or_log_files() {
+    fn k1_writes_only_the_plain_store_tree() {
         let fs = NetFs::new();
         let rs = ReplicatedStore::new(fs.clone(), "job", 1);
+        // A fault armed for the lone replica never fires: k = 1 neither
+        // logs nor consults the plane.
+        rs.faults().arm(&[ReplicaFault {
+            replica: 0,
+            point: StoreOpPoint::Put,
+            nth: 0,
+            kind: ReplicaFaultKind::TornLog(1),
+        }]);
         rs.put_prepared("pod0", 1, PreparedPut::Plain(image(0x55, 512)))
             .unwrap();
         rs.commit(1);
         assert_eq!(rs.compact_logs(), CompactReport::default());
-        assert!(fs.list("/replog/").is_empty());
-        assert!(fs.list("/replctl/").is_empty());
-        assert!(fs.list("/rep").is_empty());
+        assert_eq!(rs.scrub_and_repair(), ScrubReport::default());
+        let files = fs.list("/");
+        assert!(!files.is_empty());
+        assert!(
+            files.iter().all(|p| p.starts_with("/ckpt/job/")),
+            "no log, replica tree or control file: {files:?}"
+        );
+        assert_eq!(rs.alive_replicas(), vec![0]);
         assert_eq!(rs.get_image("pod0", 1), Some(image(0x55, 512)));
     }
 
@@ -1097,7 +1121,7 @@ mod tests {
             put_epoch(&rs, &cfg, 1, 0x11);
             let raw = image(0x12, 1024);
             let stale = prepare_first.then(|| rs.prepare_chunked(&raw, &[], &cfg));
-            write_dead(&fs, &BTreeSet::from([0]));
+            rs.faults().kill(0);
             let prepared = match stale {
                 Some(p) => {
                     assert!(!p.names_hold_on(&rs.primary()), "the primary moved");
@@ -1115,21 +1139,48 @@ mod tests {
     }
 
     #[test]
-    fn k3_put_of_a_chunk_deleted_after_prepare_logs_nothing() {
-        let fs = NetFs::new();
-        let cfg = dedup_cfg();
-        let rs = ReplicatedStore::new(fs.clone(), "job", 3).with_threads(1);
-        put_epoch(&rs, &cfg, 1, 0x11);
-        // Epoch 2 shares every chunk with epoch 1 and carries none.
-        let prepared = rs.prepare_chunked(&image(0x11, 1024), &[], &cfg);
-        assert_eq!(prepared.novel_count(), 0);
-        rs.discard_epoch(1);
-        let logs: Vec<_> = (0..3).map(|r| fs.read_file(&rs.log_path(r))).collect();
-        let err = rs.put_prepared("pod0", 2, PreparedPut::Chunked(prepared));
-        assert!(matches!(err, Err(MissingChunk(_))));
-        for r in 0..3 {
-            assert_eq!(fs.read_file(&rs.log_path(r)), logs[r], "replica {r} log");
-            assert!(!fs.exists(&rs.replica(r).manifest_path("pod0", 2)));
+    fn a_put_of_a_chunk_deleted_after_prepare_writes_nothing_at_any_k() {
+        for k in [1, 3] {
+            let fs = NetFs::new();
+            let cfg = dedup_cfg();
+            let rs = ReplicatedStore::new(fs.clone(), "job", k).with_threads(1);
+            put_epoch(&rs, &cfg, 1, 0x11);
+            // Epoch 2 carries its first chunk and names the other three,
+            // which epoch 1 holds: the carried one comes first, so a put
+            // that wrote as it checked would land it before failing.
+            let prepared = rs.prepare_chunked(&image(0x10, 1024), &[], &cfg);
+            assert_eq!(prepared.novel_count(), 1);
+            rs.discard_epoch(1);
+            let snapshot = |fs: &NetFs| {
+                let files = fs.list("/");
+                files
+                    .into_iter()
+                    .map(|p| (fs.read_file(&p), p))
+                    .collect::<Vec<_>>()
+            };
+            let before = snapshot(&fs);
+            let err = rs.put_prepared("pod0", 2, PreparedPut::Chunked(prepared));
+            assert!(matches!(err, Err(MissingChunk(_))), "k = {k}");
+            // Neither a log record nor the carried chunk nor a manifest.
+            assert_eq!(snapshot(&fs), before, "k = {k}: the put wrote");
         }
+    }
+
+    #[test]
+    fn corrupt_record_count_never_preallocates_past_the_input() {
+        // A put record claiming u32::MAX blobs over a few bytes of input:
+        // the decoder reserves at most what the input could fill, and
+        // rejects the record.
+        let mut payload = Vec::new();
+        put_str(&mut payload, "pod0");
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        put_bytes(&mut payload, &[]);
+        payload.extend_from_slice(&[0; 16]);
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(LogOp::decode_payload(1, &payload), None);
+        assert_eq!(
+            Cur::new(&payload[..4]).vec_for::<u8>(u32::MAX).capacity(),
+            4
+        );
     }
 }

@@ -5,8 +5,8 @@
 use std::collections::BTreeSet;
 
 use super::{
-    apply_op, encode_record, log_header, read_dead, read_log, write_dead, CompactReport, LogOp,
-    ReplicatedStore, ScrubReport,
+    apply_op, encode_record, log_header, read_log, CompactReport, LogOp, ReplicatedStore,
+    ScrubReport,
 };
 use crate::chunk::ChunkId;
 use crate::digest;
@@ -149,7 +149,7 @@ impl ReplicatedStore {
         self.fs.write_file(&self.log_path(r), log_bytes.to_vec());
         let (ops, _) = read_log(&self.fs, &self.log_path(r));
         let store = self.replica(r);
-        for op in &ops {
+        for op in ops {
             apply_op(&store, op, None);
         }
     }
@@ -171,7 +171,6 @@ impl ReplicatedStore {
         if self.k == 1 {
             return ScrubReport::default();
         }
-        let prev_dead = read_dead(&self.fs);
         let mut reference = 0;
         let mut best: Option<(u64, usize)> = None;
         for r in 0..self.k {
@@ -215,11 +214,10 @@ impl ReplicatedStore {
                 repaired.push(r);
             }
         }
-        write_dead(&self.fs, &BTreeSet::new());
         ScrubReport {
             reference,
             repaired,
-            revived: prev_dead.into_iter().collect(),
+            revived: self.faults.revive_all().into_iter().collect(),
         }
     }
 }

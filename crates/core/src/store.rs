@@ -41,7 +41,7 @@ use crate::chunk::{self, ChunkId};
 mod chunked;
 mod gc;
 
-pub(crate) use chunked::decode_manifest;
+pub(crate) use chunked::{decode_manifest, PlannedPut};
 pub use chunked::{MissingChunk, PreparedChunk, PreparedChunked};
 
 /// Magic number of a chunk manifest (`CRZM`).
@@ -200,11 +200,6 @@ impl CheckpointStore {
         &self.root
     }
 
-    /// The shared filesystem handle (for in-crate replication plumbing).
-    pub(crate) fn fs(&self) -> &NetFs {
-        &self.fs
-    }
-
     /// The effective worker setting for a prepare under `cfg`: an explicit
     /// config wins, otherwise the store's own setting (both `0` = auto).
     pub(crate) fn threads_for(&self, cfg: &StoreConfig) -> usize {
@@ -273,23 +268,24 @@ impl CheckpointStore {
         self.fs.write_file(&self.digest_path(pod_name, epoch), v);
     }
 
-    /// Applies a prepared write: stores the chunks it carries, then writes
-    /// the digest sidecar and manifest. Takes the prepared write by value
-    /// so its chunk containers and manifest move straight to the
-    /// filesystem.
+    /// Applies a prepared write: plans it (the put planner every put runs),
+    /// then stores the chunks it carries and the store lacks, the digest
+    /// sidecar and the manifest. Takes the prepared write by value so its
+    /// chunk containers and manifest move straight to the filesystem.
     ///
     /// # Errors
     ///
     /// [`MissingChunk`] when the write names a chunk that was on disk at
-    /// prepare time and has been deleted since; the epoch then gets no
-    /// manifest or sidecar for the pod.
+    /// prepare time and has been deleted since; nothing is written then.
     pub fn put_prepared(
         &self,
         pod_name: &str,
         epoch: u64,
         put: PreparedPut,
     ) -> Result<(), MissingChunk> {
-        self.put_chunked(pod_name, epoch, self.prepare_put(put))
+        let plan = self.plan_put(put)?;
+        self.apply_put(pod_name, epoch, plan, None);
+        Ok(())
     }
 
     /// Applies only a torn prefix of a prepared write, modeling a disk
@@ -831,9 +827,10 @@ mod tests {
         assert!(!s.fs.exists(&s.manifest_path("p", 2)), "no manifest");
         assert!(!s.fs.exists(&s.digest_path("p", 2)), "no sidecar");
         assert_eq!(s.read_sealed("p", 2), Err(ReadError::Absent));
-        // What the failed put stranded is orphaned, and GC reclaims it.
-        s.gc_orphan_chunks();
+        // The put failed before writing anything, the chunk it carried
+        // included, so it stranded nothing for GC to reclaim.
         assert!(s.live_chunks().is_empty());
+        assert_eq!(s.gc_orphan_chunks(), 0);
     }
 
     #[test]
@@ -857,14 +854,14 @@ mod tests {
     /// on `s` after that image was put as epoch 1: it names seven chunks
     /// without carrying them.
     fn second_epoch(s: &CheckpointStore) -> (Vec<u8>, PreparedChunked) {
-        put_chunked_image(s, "p", 1, &toy_image(8, 1, 0xaa));
+        put_toy_image(s, "p", 1, &toy_image(8, 1, 0xaa));
         let (raw, cuts) = toy_image(8, 1, 0xbb);
         let put = s.prepare_chunked(&raw, &cuts, &cfg());
         assert_eq!(put.novel_count(), 1);
         (raw, put)
     }
 
-    fn put_chunked_image(
+    fn put_toy_image(
         s: &CheckpointStore,
         pod: &str,
         epoch: u64,
@@ -909,7 +906,7 @@ mod tests {
         // A second tree under another root holds the same epoch 1: its put
         // takes the full check and lands the manifest a fresh prepare gives.
         let other = CheckpointStore::new(fs.clone(), "j").with_root("/rep1");
-        put_chunked_image(&other, "p", 1, &toy_image(8, 1, 0xaa));
+        put_toy_image(&other, "p", 1, &toy_image(8, 1, 0xaa));
         assert!(!put.names_hold_on(&other));
         let fresh = other.prepare_chunked(&raw, &toy_image(8, 1, 0xbb).1, &cfg());
         assert_eq!(fresh.manifest(), put.manifest());

@@ -1,6 +1,7 @@
 //! The store's one write and read path: the prepare that turns named
 //! chunk ranges into a manifest and the containers the store lacks, the
-//! put that applies it, and the fused restore read.
+//! put planner and apply that every put runs (the replicated store's
+//! included, at every k), and the fused restore read.
 //!
 //! Every write is prepared by one [`Plan`]. It takes the chunk names
 //! ready-made: from the image seal's single pass on the capture path
@@ -137,6 +138,17 @@ impl fmt::Display for MissingChunk {
 }
 
 impl std::error::Error for MissingChunk {}
+
+/// A put the planner ([`CheckpointStore::plan_put`]) has checked against
+/// the store, ready to apply: the manifest, the whole-image digest its
+/// sidecar pins, and the `(content address, container)` of every carried
+/// chunk the store lacked.
+#[derive(Debug)]
+pub(crate) struct PlannedPut {
+    pub(crate) manifest: Vec<u8>,
+    pub(crate) image: ChunkId,
+    pub(crate) blobs: Vec<(ChunkId, Vec<u8>)>,
+}
 
 /// What a prepare learned about one distinct chunk id.
 #[derive(Debug, Clone, Copy)]
@@ -352,7 +364,7 @@ impl CheckpointStore {
     /// The write a put applies: a [`PreparedPut::Plain`] image becomes one
     /// uncompressed whole-image chunk named by its digest, which is the
     /// one fold over its bytes; a chunked write is already prepared.
-    pub(crate) fn prepare_put(&self, put: PreparedPut) -> PreparedChunked {
+    fn prepare_put(&self, put: PreparedPut) -> PreparedChunked {
         match put {
             PreparedPut::Plain(bytes) => {
                 let cfg = StoreConfig::default();
@@ -400,38 +412,55 @@ impl CheckpointStore {
         plan.finish(raw_len, raw_digest)
     }
 
-    /// Applies a prepared write: stores its carried containers, then the
-    /// digest sidecar and manifest. A chunk the write names without
-    /// carrying is checked for on disk only if
+    /// The put planner, which every put runs before it writes anything:
+    /// moves out of the prepared write the containers of the carried
+    /// chunks this store still lacks, each once, so a replay against the
+    /// same store state writes exactly them. A chunk the write names
+    /// without carrying is checked for on disk only if
     /// [`PreparedChunked::names_hold_on`] cannot vouch for it.
     ///
     /// # Errors
     ///
     /// [`MissingChunk`] if a chunk the write names without carrying is no
-    /// longer on disk; no manifest or sidecar is written then.
-    pub(super) fn put_chunked(
-        &self,
-        pod_name: &str,
-        epoch: u64,
-        c: PreparedChunked,
-    ) -> Result<(), MissingChunk> {
+    /// longer on disk.
+    pub(crate) fn plan_put(&self, put: PreparedPut) -> Result<PlannedPut, MissingChunk> {
+        let c = self.prepare_put(put);
         let trusted = c.names_hold_on(self);
+        let mut seen = BTreeSet::new();
+        let mut blobs = Vec::new();
         for ch in c.chunks {
             if trusted && !ch.novel() {
                 continue;
             }
-            let path = self.chunk_path(ch.id);
-            let present = self.fs.exists(&path);
-            match ch.stored {
-                Some(stored) if !present => self.fs.write_file(&path, stored),
-                None if !present => return Err(MissingChunk(ch.id)),
-                _ => {}
+            if seen.insert(ch.id) && !self.fs.exists(&self.chunk_path(ch.id)) {
+                blobs.push((ch.id, ch.stored.ok_or(MissingChunk(ch.id))?));
             }
         }
-        self.write_digest(pod_name, epoch, c.raw_digest);
+        Ok(PlannedPut {
+            manifest: c.manifest,
+            image: c.raw_digest,
+            blobs,
+        })
+    }
+
+    /// The put apply: writes the planned containers absent from disk (torn
+    /// to `frac`/256 of their bytes under a `torn` data fault), then the
+    /// digest sidecar and the manifest. A put takes no chunk reference
+    /// (the manifests are the liveness record), so applying it again
+    /// rewrites the same bytes: replay is idempotent by construction.
+    pub(crate) fn apply_put(&self, pod_name: &str, epoch: u64, put: PlannedPut, torn: Option<u8>) {
+        for (id, mut body) in put.blobs {
+            let path = self.chunk_path(id);
+            if !self.fs.exists(&path) {
+                if let Some(frac) = torn {
+                    body.truncate(body.len() * frac as usize / 256);
+                }
+                self.fs.write_file(&path, body);
+            }
+        }
+        self.write_digest(pod_name, epoch, put.image);
         self.fs
-            .write_file(&self.manifest_path(pod_name, epoch), c.manifest);
-        Ok(())
+            .write_file(&self.manifest_path(pod_name, epoch), put.manifest);
     }
 
     /// Reassembles and opens an image in one pass per byte.

@@ -44,7 +44,7 @@ fn cfg() -> StoreConfig {
     }
 }
 
-fn put_chunked(s: &CheckpointStore, pod: &str, epoch: u64, raw: &[u8], cuts: &[(usize, usize)]) {
+fn put_dedup(s: &CheckpointStore, pod: &str, epoch: u64, raw: &[u8], cuts: &[(usize, usize)]) {
     let prep = s.prepare_chunked(raw, cuts, &cfg());
     s.put_prepared(pod, epoch, PreparedPut::Chunked(prep))
         .unwrap();
@@ -130,8 +130,8 @@ fn swapped_manifest_that_still_decodes_is_rejected() {
     let s = CheckpointStore::new(fs.clone(), "j");
     let (raw_a, cuts_a) = toy_image(16, 3, 0xaa);
     let (raw_b, cuts_b) = toy_image(16, 5, 0x55);
-    put_chunked(&s, "a", 1, &raw_a, &cuts_a);
-    put_chunked(&s, "b", 1, &raw_b, &cuts_b);
+    put_dedup(&s, "a", 1, &raw_a, &cuts_a);
+    put_dedup(&s, "b", 1, &raw_b, &cuts_b);
     s.commit(1);
 
     // Overwrite b's manifest with a's: the result is a perfectly
@@ -153,7 +153,7 @@ fn corrupt_chunk_body_is_rejected_by_content_address() {
     let fs = NetFs::new();
     let s = CheckpointStore::new(fs.clone(), "j");
     let (raw, cuts) = toy_image(8, 2, 0xee);
-    put_chunked(&s, "p", 1, &raw, &cuts);
+    put_dedup(&s, "p", 1, &raw, &cuts);
     s.commit(1);
 
     // Overwrite one chunk's body with another chunk's: the container
@@ -172,7 +172,7 @@ fn missing_digest_sidecar_fails_closed() {
     let s = CheckpointStore::new(fs.clone(), "j");
     put_plain(&s, "plain", 1, vec![1, 2, 3]);
     let (raw, cuts) = toy_image(4, 0, 0x11);
-    put_chunked(&s, "chunked", 1, &raw, &cuts);
+    put_dedup(&s, "chunked", 1, &raw, &cuts);
     s.commit(1);
 
     // A read with no digest sidecar cannot be verified, so it must not be
@@ -191,8 +191,8 @@ fn replayed_put_takes_chunk_refs_once() {
     let (raw, cuts) = toy_image(8, 1, 0x3c);
     // The same logical put applied twice (an operation-log replay after a
     // replica crash): the second application rewrites the same manifest.
-    put_chunked(&s, "p", 1, &raw, &cuts);
-    put_chunked(&s, "p", 1, &raw, &cuts);
+    put_dedup(&s, "p", 1, &raw, &cuts);
+    put_dedup(&s, "p", 1, &raw, &cuts);
     s.commit(1);
     assert_eq!(s.get_image("p", 1), Some(raw));
 
@@ -211,9 +211,9 @@ fn replayed_discard_is_a_no_op() {
     let s = CheckpointStore::new(NetFs::new(), "j");
     let (raw1, cuts) = toy_image(8, 1, 0x3c);
     let (raw2, _) = toy_image(8, 1, 0x99);
-    put_chunked(&s, "p", 1, &raw1, &cuts);
+    put_dedup(&s, "p", 1, &raw1, &cuts);
     s.commit(1);
-    put_chunked(&s, "p", 2, &raw2, &cuts);
+    put_dedup(&s, "p", 2, &raw2, &cuts);
     s.commit(2);
 
     let epoch1_chunks = s.chunks_referenced_by(1);

@@ -12,7 +12,10 @@
 //!     latest committed epoch with stored images byte-identical to a run
 //!     whose replicas never faulted;
 //! (c) scrub converges divergent replicas back to the writer's digest, for
-//!     any corruption fraction and any victim replica.
+//!     any corruption fraction and any victim replica;
+//! (d) at k = 1 the replicated store's one write path is the plain store:
+//!     any program of puts, commits, discards, prunes and GCs leaves the
+//!     same filesystem bytes and returns the same results.
 
 use std::collections::BTreeMap;
 
@@ -21,8 +24,7 @@ use cruz_repro::cluster::{
     ReplicaFault, ReplicaFaultKind, ReplicatedStore, StoreConfig, StoreOpPoint, World,
 };
 use cruz_repro::cruz::proto::ProtocolMode;
-use cruz_repro::cruz::replog::install_replica_faults;
-use cruz_repro::cruz::store::PreparedPut;
+use cruz_repro::cruz::store::{CheckpointStore, MissingChunk, PreparedChunked, PreparedPut};
 use cruz_repro::des::SimDuration;
 use cruz_repro::simnet::addr::{IpAddr, MacAddr};
 use cruz_repro::simos::fs::NetFs;
@@ -127,7 +129,7 @@ proptest! {
         let prep = rs.prepare_chunked(&base, &[], &cfg);
         rs.put_prepared("pod0", 1, PreparedPut::Chunked(prep)).unwrap();
         rs.commit(1);
-        install_replica_faults(&fs, &[ReplicaFault {
+        rs.faults().arm(&[ReplicaFault {
             replica: victim,
             point: StoreOpPoint::Put,
             nth: 0,
@@ -145,6 +147,88 @@ proptest! {
         prop_assert_eq!(rs.get_image("pod0", 2), Some(second));
         prop_assert_eq!(rs.get_image("pod0", 1), Some(base));
         prop_assert_eq!(rs.alive_replicas(), vec![0, 1, 2]);
+    }
+}
+
+/// Every file of `fs` with its bytes, in path order.
+fn fs_snapshot(fs: &NetFs) -> Vec<(String, Option<Vec<u8>>)> {
+    fs.list("/")
+        .into_iter()
+        .map(|p| (p.clone(), fs.read_file(&p)))
+        .collect()
+}
+
+/// The write of image `fill % 3` (chunked on odd `shape`, else plain)
+/// that `chunked` prepares: fills one apart share three of four chunks.
+fn prepare_image(
+    chunked: impl FnOnce(&[u8]) -> PreparedChunked,
+    fill: u8,
+    shape: u8,
+) -> PreparedPut {
+    if shape % 2 == 1 {
+        PreparedPut::Chunked(chunked(&image(fill % 3, 1024)))
+    } else {
+        PreparedPut::Plain(image(fill % 3, 700))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Property (d): a k = 1 replicated store and a bare store, driven by
+    /// the same random program, leave byte-identical filesystems after
+    /// every step and return the same results — a put whose prepare named
+    /// a chunk that a discard then deleted included.
+    #[test]
+    fn k1_replicated_store_is_the_plain_store(
+        program in proptest::collection::vec((0u8..6, any::<u8>(), any::<u8>()), 1..24),
+    ) {
+        let cfg = StoreConfig { replicas: 1, ..dedup_cfg() };
+        let (plain_fs, rep_fs) = (NetFs::new(), NetFs::new());
+        let plain = CheckpointStore::new(plain_fs.clone(), "job").with_threads(1);
+        let rs = ReplicatedStore::new(rep_fs.clone(), "job", 1).with_threads(1);
+        let mut next_epoch = 1u64;
+        for &(kind, a, b) in &program {
+            let step = (kind, a, b);
+            match kind {
+                // A put, and (kind 1) a put whose prepare precedes a
+                // discard of one of the two newest epochs.
+                0 | 1 => {
+                    let p = prepare_image(|raw| plain.prepare_chunked(raw, &[], &cfg), a, b);
+                    let r = prepare_image(|raw| rs.prepare_chunked(raw, &[], &cfg), a, b);
+                    if kind == 1 {
+                        let e = next_epoch.saturating_sub(1 + u64::from(b / 2 % 2));
+                        plain.discard_epoch(e);
+                        rs.discard_epoch(e);
+                    }
+                    let got: Result<(), MissingChunk> = plain.put_prepared("pod0", next_epoch, p);
+                    prop_assert_eq!(got, rs.put_prepared("pod0", next_epoch, r), "{:?}", step);
+                    next_epoch += 1;
+                }
+                2 => {
+                    let e = u64::from(a) % next_epoch;
+                    plain.commit(e);
+                    rs.commit(e);
+                }
+                3 => {
+                    let e = u64::from(a) % next_epoch;
+                    plain.discard_epoch(e);
+                    rs.discard_epoch(e);
+                }
+                4 => {
+                    let keep = u64::from(a) % (next_epoch + 1);
+                    plain.prune_below(keep);
+                    rs.prune_below(keep);
+                }
+                _ => prop_assert_eq!(plain.gc_orphan_chunks(), rs.gc_orphan_chunks(), "{:?}", step),
+            }
+            prop_assert_eq!(fs_snapshot(&plain_fs), fs_snapshot(&rep_fs), "after {:?}", step);
+        }
+        prop_assert_eq!(plain.committed_epochs(), rs.committed_epochs());
+        prop_assert_eq!(plain.latest_committed_epoch(), rs.latest_committed_epoch());
+        for e in 1..next_epoch {
+            prop_assert_eq!(plain.read_stored("pod0", e), rs.read_stored("pod0", e), "epoch {}", e);
+        }
     }
 }
 
@@ -219,7 +303,7 @@ fn committed_digests(w: &World, job: &str) -> BTreeMap<(u64, String), u64> {
 /// Runs the acceptance scenario: clean committed baseline, then a node
 /// crash mid-checkpoint plus the given replica faults, then automatic
 /// recovery. Returns the committed digests after the world healed.
-fn heal_run(replica_faults: &[ReplicaFault]) -> BTreeMap<(u64, String), u64> {
+fn heal_run(replica_faults: &[ReplicaFault]) -> (World, BTreeMap<(u64, String), u64>) {
     let mut w = World::new(6, replicated_params(11));
     w.launch_job(&pingpong_spec(1200)).unwrap();
     w.run_for(SimDuration::from_millis(2));
@@ -275,7 +359,7 @@ fn heal_run(replica_faults: &[ReplicaFault]) -> BTreeMap<(u64, String), u64> {
         baseline.get(&(op1, "server".into())),
         "rollback epoch unchanged by the heal"
     );
-    after
+    (w, after)
 }
 
 /// Property (b): the ISSUE acceptance — k = 3, and a fault plan killing
@@ -284,7 +368,7 @@ fn heal_run(replica_faults: &[ReplicaFault]) -> BTreeMap<(u64, String), u64> {
 /// epoch with digests byte-identical to a run whose replicas never fault.
 #[test]
 fn any_two_of_three_replica_stores_can_die_mid_checkpoint() {
-    let unfaulted = heal_run(&[]);
+    let (_, unfaulted) = heal_run(&[]);
     for (a, b) in [(0usize, 1usize), (0, 2), (1, 2)] {
         let faults = [
             ReplicaFault {
@@ -300,11 +384,43 @@ fn any_two_of_three_replica_stores_can_die_mid_checkpoint() {
                 kind: ReplicaFaultKind::TornLog(128),
             },
         ];
-        let healed = heal_run(&faults);
+        let (_, healed) = heal_run(&faults);
         assert_eq!(
             healed, unfaulted,
             "subset ({a},{b}) dead: digests must match the unfaulted run"
         );
+    }
+}
+
+/// The replica fault plane lives in memory: after a faulted k = 3 heal,
+/// the shared filesystem holds the primary store tree, the `/rep<r>`
+/// replica trees and the replica logs, and nothing else.
+#[test]
+fn a_faulted_heal_leaves_only_store_trees_and_logs() {
+    let faults = [
+        ReplicaFault {
+            replica: 0,
+            point: StoreOpPoint::Put,
+            nth: 0,
+            kind: ReplicaFaultKind::Crash,
+        },
+        ReplicaFault {
+            replica: 2,
+            point: StoreOpPoint::Put,
+            nth: 0,
+            kind: ReplicaFaultKind::TornLog(128),
+        },
+    ];
+    let (w, _) = heal_run(&faults);
+    let files = w.fs.list("/");
+    let allowed = ["/ckpt/", "/replog/", "/rep1/", "/rep2/"];
+    let stray: Vec<_> = files
+        .iter()
+        .filter(|p| !allowed.iter().any(|a| p.starts_with(a)))
+        .collect();
+    assert!(stray.is_empty(), "files outside the store: {stray:?}");
+    for r in 0..3 {
+        assert!(w.fs.exists(&w.store("pp").log_path(r)), "replica {r} log");
     }
 }
 
