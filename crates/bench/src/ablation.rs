@@ -1,7 +1,7 @@
 //! The Fig. 4 ablation: blocking vs. optimized coordination, measured as
 //! per-node blocked time when local save durations are heterogeneous.
 
-use cluster::{CkptOptions, ClusterParams, World};
+use cluster::{CkptCaptureMode, CkptOptions, ClusterParams, World};
 use cruz::proto::ProtocolMode;
 use des::SimDuration;
 use simos::disk::DiskParams;
@@ -19,9 +19,9 @@ pub struct AblationPoint {
 }
 
 /// Runs one checkpoint of a heterogeneous-state slm job under `mode`, with
-/// the §5.2 COW optimization when `cow` is set, and reports each node's
-/// blocked window.
-pub fn run_ablation(mode: ProtocolMode, ranks: usize, cow: bool) -> AblationPoint {
+/// the §5.2 write-back capture when `writeback` is set, and reports each
+/// node's blocked window.
+pub fn run_ablation(mode: ProtocolMode, ranks: usize, writeback: bool) -> AblationPoint {
     let slm = SlmConfig {
         state_bytes: 1024 * 1024,
         // Rank r saves 1 MiB + r * 4 MiB: later ranks save much longer.
@@ -47,7 +47,7 @@ pub fn run_ablation(mode: ProtocolMode, ranks: usize, cow: bool) -> AblationPoin
             "slm",
             CkptOptions {
                 mode,
-                cow,
+                capture: writeback.then_some(CkptCaptureMode::Writeback),
                 ..CkptOptions::default()
             },
         )

@@ -4,7 +4,7 @@
 //!
 //! * `stw` — stop-the-world capture, freeze covers capture *and* the disk
 //!   write (the paper's measured Fig. 5(a) behavior);
-//! * `stw+writeback` — stop-the-world capture with the §5.2 durability
+//! * `stw+writeback` — [`cluster::CkptCaptureMode::Writeback`], the §5.2 durability
 //!   split: freeze covers capture only, the write completes in the
 //!   background and gates the commit;
 //! * `cow` — [`cluster::CkptCaptureMode::Cow`]: freeze covers only arming
@@ -79,7 +79,13 @@ pub fn variants() -> Vec<(&'static str, CkptOptions)> {
     };
     vec![
         ("stw", base),
-        ("stw+writeback", CkptOptions { cow: true, ..base }),
+        (
+            "stw+writeback",
+            CkptOptions {
+                capture: Some(CkptCaptureMode::Writeback),
+                ..base
+            },
+        ),
         (
             "cow",
             CkptOptions {

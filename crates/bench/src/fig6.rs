@@ -96,21 +96,22 @@ pub fn run_fig6(state_bytes: u64, post_ms: u64) -> Fig6Run {
     // Warm the stream up to steady state.
     w.run_for(SimDuration::from_millis(300));
 
-    // Record (t, cumulative bytes) while stepping; checkpoint fires at t=0.
+    // Record (t, cumulative bytes) while stepping; the checkpoint starts
+    // once the world stands at t = 0, right after that step's sample.
     let t_ckpt = w.now + SimDuration::from_millis(PRE_MS);
     let mut history: Vec<(SimTime, u64)> = Vec::new();
     let mut op = None;
     let t_end = t_ckpt + SimDuration::from_millis(post_ms);
     let mut t = w.now;
     while t <= t_end {
+        w.run_until(t);
+        history.push((t, received_bytes(&w)));
         if op.is_none() && t >= t_ckpt {
             op = Some(
                 w.start_checkpoint("stream", ProtocolMode::Blocking, None)
                     .expect("start checkpoint"),
             );
         }
-        w.run_until(t);
-        history.push((t, received_bytes(&w)));
         t += SimDuration::from_millis(STEP_MS);
     }
     let op = op.expect("checkpoint fired");
@@ -149,7 +150,7 @@ pub fn run_fig6(state_bytes: u64, post_ms: u64) -> Fig6Run {
         .map(|s| s.t_ms);
 
     // The drain pulse, timed from the checkpoint's own start: it fires at
-    // the step before t = 0, so both ends fall on the sample grid.
+    // t = 0, so both ends fall on the sample grid.
     let started = report.stats.started_at.expect("the checkpoint started");
     let received_by = |t: SimTime| {
         let last = history.iter().rev().find(|h| h.0 <= t);

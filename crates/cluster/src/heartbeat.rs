@@ -17,7 +17,6 @@ use cruz::proto::{CtlMsg, ProtocolMode};
 
 use crate::events::Event;
 use crate::node::{CtlAddr, CtlSock};
-use crate::params::SparePolicy;
 use crate::recovery::{RecoveryCause, RecoveryOutcome, RecoveryReport};
 use crate::state::{ClusterError, World};
 
@@ -297,9 +296,12 @@ impl World {
         }
     }
 
-    /// Picks replacement nodes for pods displaced off `dead` nodes, per the
-    /// configured [`SparePolicy`]. Returns `None` when no eligible spare
-    /// exists (every alive non-coordinator node already hosts the job).
+    /// Picks replacement nodes for pods displaced off `dead` nodes: the
+    /// lowest-index alive node not already hosting the job's pods and not
+    /// its coordinator, one spare per displaced pod where possible (the
+    /// last spare takes the overflow). Returns `None` when no eligible
+    /// spare exists (every alive non-coordinator node already hosts the
+    /// job).
     fn pick_spares(&self, job: &str, dead: &[usize]) -> Option<Vec<(String, usize)>> {
         let jr = self.jobs.get(job)?;
         let coord = jr.coordinator_node;
@@ -323,17 +325,11 @@ impl World {
             .filter(|p| dead.contains(&p.node))
             .map(|p| p.name.clone())
             .collect();
-        let out = match self.params.recovery.spare_policy {
-            SparePolicy::Pack => displaced
-                .into_iter()
-                .map(|name| (name, eligible[0]))
-                .collect(),
-            SparePolicy::FirstFree => displaced
-                .into_iter()
-                .enumerate()
-                .map(|(i, name)| (name, eligible[i.min(eligible.len() - 1)]))
-                .collect(),
-        };
+        let out = displaced
+            .into_iter()
+            .enumerate()
+            .map(|(i, name)| (name, eligible[i.min(eligible.len() - 1)]))
+            .collect();
         Some(out)
     }
 

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //!     world (event loop + World::arm + node table + carrier; run_cycle)
-//!     ops ─ ops_agent ─ drain ─ heartbeat ─ jobs ─ recovery
+//!     ops ─ ops_agent ─ heartbeat ─ jobs ─ recovery
 //!     events (Event: substrate steps + protocol obligations)
 //!     transport (Ctl: SimnetCtl │ NetCtl + wall clock)
 //!     node (Node, CtlAddr, CtlSock) ─ params ─ fault
@@ -37,9 +37,8 @@
 //! * [`ops`] — coordinated-operation runtime, coordinator side: install,
 //!   message flow, retry/timeout, abort, migration;
 //! * [`ops_agent`] — coordinated-operation runtime, agent side: freeze,
-//!   capture, persist, restore, resume, roll back;
-//! * [`drain`] — COW capture scheduling (snapshot arm, background drain,
-//!   retroactive disk batches);
+//!   the one capture pipeline (arm → drain → persist, on the schedule of
+//!   the checkpoint's [`CkptCaptureMode`]), restore, resume, roll back;
 //! * [`heartbeat`] — failure detection, the self-healing recovery pass and
 //!   coordinator failover;
 //! * [`recovery`] — recovery reports emitted by the self-healing manager;
@@ -53,7 +52,6 @@
 
 #![warn(missing_docs)]
 
-pub mod drain;
 mod events;
 pub mod fault;
 pub mod heartbeat;
@@ -74,9 +72,7 @@ pub use fault::{
 };
 pub use jobs::{JobRuntime, JobSpec, PodPlacement, PodSpec};
 pub use ops::OpReport;
-pub use params::{
-    CkptCaptureMode, CkptOptions, ClusterParams, RecoveryParams, RetryPolicy, SparePolicy,
-};
+pub use params::{CkptCaptureMode, CkptOptions, ClusterParams, RecoveryParams, RetryPolicy};
 pub use recovery::{RecoveryCause, RecoveryOutcome, RecoveryReport};
 pub use transport::loopback_available;
 pub use world::{ClusterError, CycleReport, Node, World};

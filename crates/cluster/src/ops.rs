@@ -8,8 +8,7 @@
 //! Every future action is one `Event` armed with `World::arm`, so the
 //! same code drives both carriers. The agent half — executing protocol
 //! actions against the Zap layer and the disk — is in
-//! [`crate::ops_agent`]; the COW arm/drain schedule is in
-//! [`crate::drain`].
+//! [`crate::ops_agent`].
 
 use std::collections::BTreeMap;
 
@@ -27,27 +26,35 @@ use crate::params::{CkptCaptureMode, CkptOptions};
 use crate::recovery::RecoveryOutcome;
 use crate::state::{ClusterError, World};
 
+/// Where one node stands in an operation's capture or restore pipeline
+/// between two of its events. A node holds at most one stage.
+pub(crate) enum NodeStage {
+    /// COW: snapshots armed in the freeze, awaiting their background
+    /// drain — (arm-complete time, per-pod armed checkpoints).
+    Armed(SimTime, Vec<(String, ArmedPodCheckpoint)>),
+    /// Drained images with their store writes prepared, awaiting the
+    /// persist.
+    Prepared(Vec<(String, PreparedChunked)>),
+    /// Images read from the store, awaiting their restore.
+    Restoring(Vec<(String, PodImage)>),
+}
+
 /// Per-operation state the engine tracks from install to completion.
 pub(crate) struct OpRuntime {
     pub(crate) coord: Coordinator,
     pub(crate) kind: OpKind,
-    pub(crate) cow: bool,
-    /// How this checkpoint captures memory (stop-the-world or COW arm/drain).
-    pub(crate) capture: CkptCaptureMode,
+    /// When this checkpoint's capture drains and persists.
+    pub(crate) mode: CkptCaptureMode,
     pub(crate) job: String,
     /// Epoch used for image storage (for restarts: the epoch restored).
     pub(crate) image_epoch: u64,
     pub(crate) coord_node: usize,
     pub(crate) coord_sock: CtlSock,
     pub(crate) agents_nodes: Vec<usize>,
-    pub(crate) pending_ckpt: BTreeMap<usize, Vec<(String, PreparedChunked)>>,
-    /// COW capture: snapshots armed at freeze, awaiting their background
-    /// drain — (arm-complete time, per-pod armed checkpoints).
-    pub(crate) pending_arm: BTreeMap<usize, (SimTime, Vec<(String, ArmedPodCheckpoint)>)>,
+    pub(crate) stages: BTreeMap<usize, NodeStage>,
     /// COW capture: pre-image bytes copied on each node because post-resume
     /// guest writes raced the drain.
     pub(crate) cow_copied: BTreeMap<usize, u64>,
-    pub(crate) pending_restore: BTreeMap<usize, Vec<(String, PodImage)>>,
     pub(crate) local_ops: BTreeMap<usize, (SimTime, SimTime)>,
     pub(crate) resumed_at: BTreeMap<usize, SimTime>,
     pub(crate) complete: bool,
@@ -159,9 +166,8 @@ impl World {
         )
     }
 
-    /// The fully-general checkpoint entry point: protocol mode, the §5.2
-    /// copy-on-write durability split, the capture mode and the timeout,
-    /// as [`CkptOptions`] selects them.
+    /// The fully-general checkpoint entry point: protocol mode, capture
+    /// schedule and timeout, as [`CkptOptions`] selects them.
     ///
     /// # Errors
     ///
@@ -198,10 +204,10 @@ impl World {
         if let Some(t) = timeout {
             coord = coord.with_timeout(t);
         }
-        // COW capture needs the §5.2 message flow: `done` at arm-complete
-        // resumes pods early, `durable` after the background drain gates the
-        // commit record.
-        if opts.cow || capture == CkptCaptureMode::Cow {
+        // Write-back and COW need the §5.2 message flow: `done` resumes
+        // pods early, `durable` after the background write gates the commit
+        // record.
+        if capture != CkptCaptureMode::StopTheWorld {
             coord = coord.with_cow();
         }
         self.install_op(
@@ -308,28 +314,24 @@ impl World {
         coord_node: usize,
         agents_nodes: Vec<usize>,
         mut coord: Coordinator,
-        capture: CkptCaptureMode,
+        mode: CkptCaptureMode,
     ) -> Result<(), ClusterError> {
         let coord_sock = self.bind_ctl_sock(coord_node)?;
         let (msgs, _) = coord.start(self.now);
         let deadline = coord.deadline();
-        let cow = coord.cow();
         self.ops.insert(
             op,
             OpRuntime {
                 coord,
                 kind,
-                cow,
-                capture,
+                mode,
                 job: job.to_owned(),
                 image_epoch,
                 coord_node,
                 coord_sock,
                 agents_nodes,
-                pending_ckpt: BTreeMap::new(),
-                pending_arm: BTreeMap::new(),
+                stages: BTreeMap::new(),
                 cow_copied: BTreeMap::new(),
-                pending_restore: BTreeMap::new(),
                 local_ops: BTreeMap::new(),
                 resumed_at: BTreeMap::new(),
                 complete: false,

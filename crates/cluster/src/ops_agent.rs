@@ -4,10 +4,23 @@
 //! The coordinator half (install, retry/timeout, abort bookkeeping) is in
 //! [`crate::ops`]; this module is everything a *participant node* does —
 //! answering liveness probes, freezing and capturing pods, persisting
-//! images, restoring from the store, resuming, and rolling back. The
-//! stop-the-world capture path lives here; the COW arm/drain schedule is
-//! in [`crate::drain`]. Like the coordinator half, every future action is
-//! one `Event` armed with `World::arm`.
+//! images, restoring from the store, resuming, and rolling back. Like the
+//! coordinator half, every future action is one `Event` armed with
+//! `World::arm`.
+//!
+//! Every checkpoint capture runs one per-node pipeline: **arm** each pod's
+//! memory snapshot in the freeze, **drain** the snapshots into images whose
+//! store writes are prepared and submitted as one disk batch, and
+//! **persist** the prepared writes. The [`CkptCaptureMode`] only sets when
+//! the drain and the persist fire:
+//!
+//! * stop-the-world — drain at once; persist at `AgentLocalDone`, when the
+//!   batch is durable, and only then resume;
+//! * write-back (§5.2) — drain at once; `AgentLocalDone` when the image is
+//!   captured resumes the pods, and the persist waits for `AgentDurable`;
+//! * COW — `AgentLocalDone` once the snapshots are armed resumes the pods;
+//!   the drain runs in the background at `CkptDrain`, racing the resumed
+//!   guests' writes, and the persist waits for `AgentDurable`.
 
 use simos::disk::WriteFault;
 
@@ -17,6 +30,7 @@ use cruz::proto::{CtlMsg, OpKind};
 use cruz::replog::ReplicatedStore;
 use cruz::store::{MissingChunk, PreparedChunked, PreparedPut, ReadError};
 use zap::image::PodImage;
+use zap::ArmedPodCheckpoint;
 
 use des::SimTime;
 
@@ -24,6 +38,7 @@ use crate::events::Event;
 use crate::fault::ProtocolPoint;
 use crate::jobs::PodPlacement;
 use crate::node::CtlAddr;
+use crate::ops::NodeStage;
 use crate::params::CkptCaptureMode;
 use crate::state::World;
 
@@ -64,27 +79,7 @@ impl World {
     }
 
     pub(crate) fn on_agent_durable(&mut self, node: usize, op: u64) {
-        if !self.nodes[node].alive {
-            return;
-        }
-        let (job, image_epoch, images) = {
-            let Some(o) = self.ops.get_mut(&op) else {
-                return;
-            };
-            if o.aborted {
-                // The epoch was already discarded by the rollback; persisting
-                // now would leave orphan images the store can never commit.
-                o.pending_ckpt.remove(&node);
-                return;
-            }
-            (
-                o.job.clone(),
-                o.image_epoch,
-                o.pending_ckpt.remove(&node).unwrap_or_default(),
-            )
-        };
-        if let Err(e) = self.put_images(&job, image_epoch, images) {
-            self.fail_op(op, e);
+        if !self.nodes[node].alive || !self.persist_images(node, op) {
             return;
         }
         let actions = self.nodes[node].agent.on_local_durable(self.now);
@@ -97,8 +92,8 @@ impl World {
             return;
         }
         // Materialize the pending work at its completion time.
-        let (kind, cow) = match self.ops.get(&op) {
-            Some(o) => (o.kind, o.cow),
+        let (kind, mode) = match self.ops.get(&op) {
+            Some(o) => (o.kind, o.mode),
             None => return,
         };
         // Fault plan: kill the node right at the protocol point — local
@@ -112,35 +107,19 @@ impl World {
             return;
         }
         match kind {
-            OpKind::Checkpoint if !cow => {
-                let Some((job, image_epoch, images, aborted)) = self.ops.get_mut(&op).map(|o| {
-                    (
-                        o.job.clone(),
-                        o.image_epoch,
-                        o.pending_ckpt.remove(&node).unwrap_or_default(),
-                        o.aborted,
-                    )
-                }) else {
-                    return;
-                };
-                if aborted {
-                    // The epoch was already discarded by the abort path;
-                    // persisting this straggler would strand orphan chunks
-                    // and dangling refs the store can never commit.
-                    return;
-                }
-                if let Err(e) = self.put_images(&job, image_epoch, images) {
-                    self.fail_op(op, e);
+            // Write-back and COW persist at `AgentDurable` instead.
+            OpKind::Checkpoint => {
+                if mode == CkptCaptureMode::StopTheWorld && !self.persist_images(node, op) {
                     return;
                 }
             }
-            OpKind::Checkpoint => {} // COW: images persist at AgentDurable
             OpKind::Restart => {
                 let Some((job, images)) = self.ops.get_mut(&op).map(|o| {
-                    (
-                        o.job.clone(),
-                        o.pending_restore.remove(&node).unwrap_or_default(),
-                    )
+                    let images = match o.stages.remove(&node) {
+                        Some(NodeStage::Restoring(images)) => images,
+                        _ => Vec::new(),
+                    };
+                    (o.job.clone(), images)
                 }) else {
                     return;
                 };
@@ -209,9 +188,8 @@ impl World {
     /// again and encodes only the chunks the store lacks. Capture
     /// started at `start` and has serialized `serialized` bytes of earlier
     /// pods: each novel chunk is ready for write-out when capture reaches
-    /// its end, and the manifest when the image is complete. Shared by the
-    /// stop-the-world capture and the COW drain.
-    pub(crate) fn prepare_image(
+    /// its end, and the manifest when the image is complete.
+    fn prepare_image(
         &self,
         store: &ReplicatedStore,
         img: &PodImage,
@@ -256,66 +234,167 @@ impl World {
         Ok(())
     }
 
+    /// The pipeline's arm step, in the freeze: arms a memory snapshot of
+    /// every pod of the op on this node, capturing everything else
+    /// (registers, sockets, pipes, shm) into page-less skeletons. Under
+    /// COW the snapshots are parked for [`Event::CkptDrain`]; the other
+    /// schedules drain them at once.
     fn begin_local_checkpoint(&mut self, node: usize, op: u64) {
-        let Some((cow, capture, job)) =
-            self.ops.get(&op).map(|o| (o.cow, o.capture, o.job.clone()))
-        else {
+        let Some(mode) = self.ops.get(&op).map(|o| o.mode) else {
             return;
         };
-        if capture == CkptCaptureMode::Cow {
-            self.begin_local_checkpoint_cow(node, op);
-            return;
-        }
-        let pods = self.job_pods_on_node(op, node);
-        let store = self.store(&job);
-        let mut images: Vec<(String, PreparedChunked)> = Vec::new();
-        // Pipelined write-out schedule: each novel chunk becomes available
-        // when capture has serialized up to it, and each manifest when its
-        // pod's image is complete.
-        let mut batch: Vec<(SimTime, u64)> = Vec::new();
-        let mut total: u64 = 0;
-        for p in &pods {
+        let mut armed: Vec<(String, ArmedPodCheckpoint)> = Vec::new();
+        for p in self.job_pods_on_node(op, node) {
             let Some(pod_id) = p.pod_id else { continue };
             let slot = &mut self.nodes[node];
-            let img = match slot.zap.checkpoint_pod(&mut slot.kernel, pod_id, self.now) {
-                Ok(v) => v,
+            match slot
+                .zap
+                .checkpoint_pod_arm(&mut slot.kernel, pod_id, self.now)
+            {
+                Ok(a) => armed.push((p.name, a)),
                 Err(e) => {
+                    for (_, a) in armed {
+                        a.cancel();
+                    }
                     self.fail_op(op, CruzError::Zap(e));
                     return;
                 }
-            };
-            let prepared = self.prepare_image(&store, &img, self.now, &mut total, &mut batch);
-            images.push((p.name.clone(), prepared));
+            }
         }
-        let captured_at = self.now + self.params.extract_time(total);
-        // One batched operation (single seek) streaming chunks as capture
-        // produces them; a whole-image chunk (the default config) is ready
-        // when its pod's capture ends. The last manifest is ready at capture
-        // end, so the batch never completes before `captured_at`.
+        let now = self.now;
+        if mode == CkptCaptureMode::Cow {
+            // The freeze covers only serializing the skeletons. Arming pins
+            // the page set, so the drain length is known now even though
+            // page *contents* are only materialized at the drain event —
+            // after resumed guests have raced it with writes.
+            let arm_bytes: u64 = armed.iter().map(|(_, a)| a.arm_bytes()).sum();
+            let page_bytes: u64 = armed.iter().map(|(_, a)| a.pending_page_bytes()).sum();
+            let t_arm = now + self.params.extract_time(arm_bytes);
+            let t_drain = t_arm + self.params.extract_time(page_bytes);
+            if let Some(o) = self.ops.get_mut(&op) {
+                o.stages.insert(node, NodeStage::Armed(t_arm, armed));
+                o.local_ops.insert(node, (now, t_arm));
+            }
+            self.arm(t_arm, Event::AgentLocalDone { node, op });
+            self.arm(t_drain, Event::CkptDrain { node, op });
+            return;
+        }
+        let Some((serialized, durable_at)) = self.drain_and_write(node, op, now, armed) else {
+            return;
+        };
+        let writeback = mode == CkptCaptureMode::Writeback;
+        // §5.2 write-back: the blackout ends when the state is captured; the
+        // disk write proceeds in the background and gates the commit.
+        let local_done = if writeback {
+            now + self.params.extract_time(serialized)
+        } else {
+            durable_at
+        };
+        if let Some(o) = self.ops.get_mut(&op) {
+            o.local_ops.insert(node, (now, local_done));
+        }
+        self.arm(local_done, Event::AgentLocalDone { node, op });
+        if writeback {
+            self.arm(durable_at, Event::AgentDurable { node, op });
+        }
+    }
+
+    /// COW's background drain: the snapshots armed in the freeze drain now,
+    /// after resumed guests have raced them with writes. An aborted op, or
+    /// a node the fault plan kills mid-drain, drops them undrained.
+    pub(crate) fn on_ckpt_drain(&mut self, node: usize, op: u64) {
+        if !self.nodes[node].alive {
+            return;
+        }
+        let (t_arm, armed, aborted) = {
+            let Some(o) = self.ops.get_mut(&op) else {
+                return;
+            };
+            let Some(NodeStage::Armed(t_arm, armed)) = o.stages.remove(&node) else {
+                return;
+            };
+            (t_arm, armed, o.aborted)
+        };
+        if aborted || self.maybe_crash(node, ProtocolPoint::CowDrain) {
+            for (_, a) in armed {
+                a.cancel();
+            }
+            return;
+        }
+        if let Some((_, durable_at)) = self.drain_and_write(node, op, t_arm, armed) {
+            self.arm(durable_at, Event::AgentDurable { node, op });
+        }
+    }
+
+    /// The pipeline's drain step: materializes each armed snapshot (the
+    /// arm-instant memory, rebuilt from preserved pre-images where resumed
+    /// guests overwrote pages), prepares its store write, and submits the
+    /// node's write-out as one batched disk operation (a single seek)
+    /// starting at `start` — the freeze for an immediate drain, arm-complete
+    /// for COW's, so the write-out overlaps the background encode exactly
+    /// as it overlaps an immediate capture. The batch never completes
+    /// before its last ready time, the end of capture. The prepared writes
+    /// are parked for the persist. Returns the image bytes serialized and
+    /// when the batch is durable, or `None` when an injected disk fault
+    /// failed the op.
+    fn drain_and_write(
+        &mut self,
+        node: usize,
+        op: u64,
+        start: SimTime,
+        armed: Vec<(String, ArmedPodCheckpoint)>,
+    ) -> Option<(u64, SimTime)> {
+        let job = self.ops.get(&op)?.job.clone();
+        let store = self.store(&job);
+        let mut images: Vec<(String, PreparedChunked)> = Vec::new();
+        let mut batch: Vec<(SimTime, u64)> = Vec::new();
+        let mut serialized: u64 = 0;
+        let mut copied: u64 = 0;
+        for (pod_name, a) in armed {
+            let (img, pre_copied) = a.drain();
+            copied += pre_copied;
+            let prepared = self.prepare_image(&store, &img, start, &mut serialized, &mut batch);
+            images.push((pod_name, prepared));
+        }
         let durable_at = self.nodes[node]
             .kernel
             .disk
-            .submit_write_batch(self.now, &batch);
+            .submit_write_batch(start, &batch);
         if let Some(fault) = self.nodes[node].kernel.disk.take_write_fault() {
             self.apply_ckpt_disk_fault(op, fault, images);
-            return;
+            return None;
         }
-        if cow {
-            // §5.2/COW: the blackout ends when the state is captured; the
-            // disk write proceeds in the background and gates the commit.
-            if let Some(o) = self.ops.get_mut(&op) {
-                o.pending_ckpt.insert(node, images);
-                o.local_ops.insert(node, (self.now, captured_at));
+        if let Some(o) = self.ops.get_mut(&op) {
+            o.stages.insert(node, NodeStage::Prepared(images));
+            if o.mode == CkptCaptureMode::Cow {
+                *o.cow_copied.entry(node).or_insert(0) += copied;
             }
-            self.arm(captured_at, Event::AgentLocalDone { node, op });
-            self.arm(durable_at, Event::AgentDurable { node, op });
-        } else {
-            if let Some(o) = self.ops.get_mut(&op) {
-                o.pending_ckpt.insert(node, images);
-                o.local_ops.insert(node, (self.now, durable_at));
-            }
-            self.arm(durable_at, Event::AgentLocalDone { node, op });
         }
+        Some((serialized, durable_at))
+    }
+
+    /// The pipeline's persist step: writes the node's prepared images into
+    /// the op's epoch. False when the agent has nothing to report: the op
+    /// is gone, it aborted (its epoch is already discarded, and persisting
+    /// now would strand chunks the store can never commit), or the write
+    /// failed it.
+    fn persist_images(&mut self, node: usize, op: u64) -> bool {
+        let Some(o) = self.ops.get_mut(&op) else {
+            return false;
+        };
+        let images = match o.stages.remove(&node) {
+            Some(NodeStage::Prepared(images)) => images,
+            _ => Vec::new(),
+        };
+        if o.aborted {
+            return false;
+        }
+        let (job, epoch) = (o.job.clone(), o.image_epoch);
+        if let Err(e) = self.put_images(&job, epoch, images) {
+            self.fail_op(op, e);
+            return false;
+        }
+        true
     }
 
     /// An injected disk fault struck a checkpoint write: the write syscall
@@ -323,7 +402,7 @@ impl World {
     /// force-aborts. A torn write additionally leaves a partial prefix of
     /// the image on disk — chunks with no manifest referencing them — which
     /// the abort path's orphan-chunk garbage collection reclaims.
-    pub(crate) fn apply_ckpt_disk_fault(
+    fn apply_ckpt_disk_fault(
         &mut self,
         op: u64,
         fault: WriteFault,
@@ -375,7 +454,7 @@ impl World {
         }
         let done_at = self.nodes[node].kernel.disk.submit_read(self.now, total);
         if let Some(o) = self.ops.get_mut(&op) {
-            o.pending_restore.insert(node, images);
+            o.stages.insert(node, NodeStage::Restoring(images));
             o.local_ops.insert(node, (self.now, done_at));
         }
         self.arm(done_at, Event::AgentLocalDone { node, op });
@@ -400,25 +479,26 @@ impl World {
     }
 
     fn roll_back(&mut self, node: usize, op: u64) {
-        // Abort path: disarm any undrained COW snapshot, resume pods, lift
-        // filters, discard this epoch's images.
-        if let Some(o) = self.ops.get_mut(&op) {
-            if let Some((_, armed)) = o.pending_arm.remove(&node) {
-                for (_, a) in armed {
-                    a.cancel();
+        // Abort path: drop the node's capture stage (disarming an undrained
+        // COW snapshot), resume pods, lift filters, discard this epoch's
+        // images. Only a checkpoint abort owns its epoch and its stage. An
+        // aborted *restart* is reading a committed epoch — discarding it
+        // would destroy the very checkpoint recovery needs to retry from.
+        let discard = match self.ops.get_mut(&op) {
+            Some(o) if o.kind == OpKind::Checkpoint => {
+                if let Some(NodeStage::Armed(_, armed)) = o.stages.remove(&node) {
+                    for (_, a) in armed {
+                        a.cancel();
+                    }
                 }
+                Some((o.job.clone(), o.image_epoch))
             }
-        }
+            _ => None,
+        };
         self.resume_pods(node, op);
         self.set_comm(node, op, true);
-        if let Some(o) = self.ops.get(&op) {
-            // Only a checkpoint abort owns its epoch. An aborted *restart*
-            // is reading a committed epoch — discarding it would destroy
-            // the very checkpoint recovery needs to retry from.
-            if o.kind == OpKind::Checkpoint {
-                let store = self.store(&o.job.clone());
-                store.discard_epoch(o.image_epoch);
-            }
+        if let Some((job, epoch)) = discard {
+            self.store(&job).discard_epoch(epoch);
         }
     }
 

@@ -12,14 +12,22 @@ use simnet::tcp::TcpConfig;
 use simos::disk::DiskParams;
 use simos::kernel::KernelParams;
 
-/// How checkpoint images are captured from frozen pods (§6's copy-on-write
-/// future optimization vs. the paper's measured stop-the-world behavior).
+/// When a checkpoint's capture pipeline drains and persists. Every capture
+/// arms each pod's memory snapshot in the freeze, drains it into an image
+/// and persists the image; the modes differ only in when the drain and the
+/// persist fire, and so in how long the pods stay frozen (E15's downtime
+/// ladder).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CkptCaptureMode {
-    /// Pods stay frozen until the full image is extracted — downtime scales
-    /// with image size. This is what the paper's testbed measured.
+    /// Pods stay frozen until the image is drained and written to disk —
+    /// downtime scales with image size. This is what the paper's testbed
+    /// measured.
     #[default]
     StopTheWorld,
+    /// §5.2 write-back: the drain runs in the freeze, but pods resume once
+    /// the image is captured; the disk write proceeds in the background
+    /// and its `durable` gates the commit.
+    Writeback,
     /// Pods resume as soon as the memory snapshot is armed (copy-on-write);
     /// pages drain to the store in the background, so downtime scales with
     /// the arm cost plus non-memory state, at the price of bounded extra
@@ -32,12 +40,7 @@ pub enum CkptCaptureMode {
 pub struct CkptOptions {
     /// Protocol variant (Fig. 2 blocking or Fig. 4 optimized).
     pub mode: ProtocolMode,
-    /// §5.2 copy-on-write: blackout covers capture only; `durable` gates
-    /// the commit.
-    pub cow: bool,
-    /// Memory-capture mode; `None` is [`CkptCaptureMode::StopTheWorld`].
-    /// [`CkptCaptureMode::Cow`] shrinks the freeze to the snapshot-arm
-    /// window and implies the §5.2 durability split (`cow` above).
+    /// Capture schedule; `None` is [`CkptCaptureMode::StopTheWorld`].
     pub capture: Option<CkptCaptureMode>,
     /// Failure-detection timeout (abort + rollback on expiry).
     pub timeout: Option<SimDuration>,
@@ -47,7 +50,6 @@ impl Default for CkptOptions {
     fn default() -> Self {
         CkptOptions {
             mode: ProtocolMode::Blocking,
-            cow: false,
             capture: None,
             timeout: None,
         }
@@ -103,18 +105,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// How the recovery manager picks replacement nodes for dead ones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SparePolicy {
-    /// Lowest-index alive node not already hosting the job's pods and not
-    /// its coordinator — one spare per displaced pod where possible.
-    #[default]
-    FirstFree,
-    /// Pack every displaced pod onto the first eligible spare (minimizes
-    /// the number of nodes drafted, at the price of colocation).
-    Pack,
-}
-
 /// Parameters of the self-healing recovery manager.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryParams {
@@ -132,8 +122,6 @@ pub struct RecoveryParams {
     pub op_timeout: SimDuration,
     /// Maximum automatic recoveries per job before giving up.
     pub max_recoveries: u32,
-    /// Replacement-node selection policy.
-    pub spare_policy: SparePolicy,
 }
 
 impl Default for RecoveryParams {
@@ -144,7 +132,6 @@ impl Default for RecoveryParams {
             heartbeat_timeout: SimDuration::from_millis(10),
             op_timeout: SimDuration::from_secs(30),
             max_recoveries: 4,
-            spare_policy: SparePolicy::default(),
         }
     }
 }

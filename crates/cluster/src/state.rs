@@ -3,7 +3,7 @@
 //!
 //! Only *definitions* live here — the struct, [`ClusterError`], and the
 //! fault plane's armed state. The module sits in the same layer of the
-//! cluster map as `ops`/`drain`/`heartbeat`/`jobs` (DESIGN.md §14), so
+//! cluster map as `ops`/`ops_agent`/`heartbeat`/`jobs` (DESIGN.md §14), so
 //! those impl-block modules can name [`World`] and [`ClusterError`]
 //! without importing the [`crate::world`] driver above them. Behavior —
 //! construction, the event loop, frame routing — stays in

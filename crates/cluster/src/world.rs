@@ -2,7 +2,7 @@
 //! the carrier, and the twin cycle.
 //!
 //! Protocol behavior lives in the layers above — [`crate::ops`],
-//! [`crate::drain`], [`crate::heartbeat`] and [`crate::jobs`] each extend
+//! [`crate::ops_agent`], [`crate::heartbeat`] and [`crate::jobs`] each extend
 //! [`World`] with their own `impl` block, and every control frame they
 //! move goes through the [`crate::transport`]. This module only arms and
 //! pops events, stamps the trace digest, routes frames between nodes and

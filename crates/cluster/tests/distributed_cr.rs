@@ -1,7 +1,7 @@
 //! End-to-end distributed checkpoint-restart tests: live applications on a
 //! multi-node simulated cluster, the full Fig. 2 protocol over the wire.
 
-use cluster::{CkptOptions, ClusterParams, JobSpec, PodSpec, StoreConfig, World};
+use cluster::{CkptCaptureMode, CkptOptions, ClusterParams, JobSpec, PodSpec, StoreConfig, World};
 use cruz::error::CruzError;
 use cruz::proto::ProtocolMode;
 use des::SimDuration;
@@ -343,7 +343,7 @@ fn cow_checkpoint_shrinks_blackout_and_still_commits() {
         .start_checkpoint_with(
             "slm",
             CkptOptions {
-                cow: true,
+                capture: Some(CkptCaptureMode::Writeback),
                 ..CkptOptions::default()
             },
         )
@@ -403,7 +403,7 @@ fn periodic_checkpoint_driver_runs_the_job_to_completion() {
         SimDuration::from_millis(60),
         CkptOptions {
             mode: ProtocolMode::Optimized,
-            cow: true,
+            capture: Some(CkptCaptureMode::Writeback),
             ..CkptOptions::default()
         },
     )
@@ -561,7 +561,6 @@ fn cow_capture_shrinks_freeze_to_arm_window() {
     // The tentpole claim: with CkptCaptureMode::Cow the per-epoch pod freeze
     // is O(arm + non-memory state) instead of O(image bytes), while the
     // stored epoch stays fully restorable.
-    use cluster::CkptCaptureMode;
     let slm = SlmConfig {
         ranks: 2,
         state_bytes: 16 * 1024 * 1024,

@@ -71,11 +71,6 @@ impl CoordStats {
     pub fn checkpoint_latency(&self) -> Option<SimDuration> {
         Some(self.all_done_at?.duration_since(self.started_at?))
     }
-
-    /// Complete-operation latency (through the last `ContinueDone`).
-    pub fn total_latency(&self) -> Option<SimDuration> {
-        Some(self.completed_at?.duration_since(self.started_at?))
-    }
 }
 
 /// The coordinator state machine for one operation.
@@ -135,11 +130,6 @@ impl Coordinator {
     pub fn with_cow(mut self) -> Self {
         self.cow = true;
         self
-    }
-
-    /// Whether COW mode is on.
-    pub fn cow(&self) -> bool {
-        self.cow
     }
 
     /// The operation's epoch.

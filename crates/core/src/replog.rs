@@ -123,8 +123,8 @@ impl LogOp {
         }
     }
 
-    fn encode_payload(&self) -> (u8, Vec<u8>) {
-        let mut w = Vec::new();
+    /// Appends the op's payload to `w` and returns its tag with the buffer.
+    fn encode_payload(&self, mut w: Vec<u8>) -> (u8, Vec<u8>) {
         match self {
             LogOp::PutChunked {
                 pod,
@@ -133,6 +133,8 @@ impl LogOp {
                 image,
                 blobs,
             } => {
+                let blob_bytes: usize = blobs.iter().map(|(_, b)| 20 + b.len()).sum();
+                w.reserve(36 + pod.len() + manifest.len() + blob_bytes + RECORD_TRAILER);
                 put_str(&mut w, pod);
                 w.extend_from_slice(&epoch.to_le_bytes());
                 put_bytes(&mut w, manifest);
@@ -270,15 +272,20 @@ fn log_header() -> Vec<u8> {
     h
 }
 
+/// A record's length-and-tag header.
+const RECORD_HEADER: usize = 5;
+/// A record's checksum trailer.
+const RECORD_TRAILER: usize = 8;
+
 /// Encodes one op as a whole `CRZL` record: length, tag, payload and the
-/// payload checksum.
+/// checksum of `tag ‖ payload`. The payload is encoded in place behind a
+/// reserved header, which is patched once its length is known.
 pub fn encode_record(op: &LogOp) -> Vec<u8> {
-    let (tag, payload) = op.encode_payload();
-    let mut rec = Vec::with_capacity(payload.len() + 13);
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.push(tag);
-    rec.extend_from_slice(&payload);
-    let h = digest::fold(digest::fold(digest::OFFSET, &[tag]), &payload);
+    let (tag, mut rec) = op.encode_payload(vec![0; RECORD_HEADER]);
+    let len = (rec.len() - RECORD_HEADER) as u32;
+    rec[..4].copy_from_slice(&len.to_le_bytes());
+    rec[4] = tag;
+    let h = digest::fold(digest::OFFSET, &rec[4..]);
     rec.extend_from_slice(&h.to_le_bytes());
     rec
 }
@@ -816,7 +823,13 @@ mod tests {
         ];
         let fs = NetFs::new();
         for op in &ops {
-            append_record(&fs, "/replog/t.log", &encode_record(op));
+            let rec = encode_record(op);
+            // Length, tag, payload, then FNV-1a over tag ‖ payload.
+            let len = u32::from_le_bytes(rec[..4].try_into().unwrap()) as usize;
+            assert_eq!(rec.len(), 5 + len + 8);
+            let sum = digest::fold_bytewise(digest::OFFSET, &rec[4..5 + len]);
+            assert_eq!(rec[5 + len..], sum.to_le_bytes());
+            append_record(&fs, "/replog/t.log", &rec);
         }
         let (back, valid) = read_log(&fs, "/replog/t.log");
         assert_eq!(back, ops);

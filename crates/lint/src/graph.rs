@@ -11,7 +11,7 @@
 //!   importing `cluster`) inverts the architecture and fails.
 //! * **Cluster modules** — within `crates/cluster/src/`, layering is
 //!   `node`/`fault`/`params`/`recovery` (base) → `transport` →
-//!   `events` → `state`/`ops`/`ops_agent`/`drain`/`heartbeat`/`jobs` →
+//!   `events` → `state`/`ops`/`ops_agent`/`heartbeat`/`jobs` →
 //!   `world`. `lib.rs` is the assembly root and exempt.
 //!   Modules not in the map sit at the base, so a new module that needs
 //!   to import up-stack must be added to [`CLUSTER_LAYERS`] deliberately.
@@ -51,7 +51,6 @@ pub const CLUSTER_LAYERS: &[(&str, u32)] = &[
     ("state", 3),
     ("ops", 3),
     ("ops_agent", 3),
-    ("drain", 3),
     ("heartbeat", 3),
     ("jobs", 3),
     ("world", 4),

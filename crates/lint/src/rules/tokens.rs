@@ -679,7 +679,7 @@ mod tests {
                    fn g() { let h = thread::spawn(|| 2); }\n\
                    fn h() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }\n";
         let want = vec![(1, Rule::StrayThread), (2, Rule::StrayThread)];
-        assert_eq!(rules_hit("crates/cluster/src/drain.rs", src), want);
+        assert_eq!(rules_hit("crates/cluster/src/ops_agent.rs", src), want);
         assert_eq!(rules_hit("crates/core/src/store.rs", src), want);
         assert_eq!(rules_hit("crates/bench/src/x.rs", src), want);
         // The pool itself, test code and allowed lines are exempt.

@@ -201,11 +201,6 @@ impl NetStack {
         self.ifaces[0].mac
     }
 
-    /// The TCP configuration new connections use.
-    pub fn tcp_config(&self) -> &TcpConfig {
-        &self.tcp_cfg
-    }
-
     /// The subnet prefix length this host considers local (the paper's
     /// migration scope: source and destination share a routing domain).
     pub fn subnet_prefix(&self) -> u8 {
@@ -258,14 +253,6 @@ impl NetStack {
     /// Looks up an interface by name.
     pub fn iface(&self, name: &str) -> Option<&Iface> {
         self.ifaces.iter().find(|i| i.name == name)
-    }
-
-    /// All local IPs across interfaces.
-    pub fn local_ips(&self) -> Vec<IpAddr> {
-        self.ifaces
-            .iter()
-            .flat_map(|i| i.ips.iter().copied())
-            .collect()
     }
 
     /// True if `ip` is bound to any local interface.
@@ -807,16 +794,6 @@ impl NetStack {
         self.route_segments(l, r, segs, now);
         self.drain_loopback(now);
         Ok(out)
-    }
-
-    /// Returns all undelivered in-order data without consuming it
-    /// (`MSG_PEEK`).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::InvalidState`] if not a connection.
-    pub fn tcp_peek(&self, sid: SocketId) -> Result<Vec<u8>, NetError> {
-        Ok(self.conn(sid)?.peek())
     }
 
     /// Sets `TCP_NODELAY`.

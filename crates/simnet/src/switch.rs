@@ -43,11 +43,6 @@ impl Switch {
         }
     }
 
-    /// Number of ports.
-    pub fn port_count(&self) -> usize {
-        self.ports
-    }
-
     /// Processes a frame arriving on `in_port`; returns the output ports the
     /// frame is forwarded to.
     ///
@@ -73,11 +68,6 @@ impl Switch {
     /// The port a MAC was last learned on.
     pub fn learned_port(&self, mac: MacAddr) -> Option<PortId> {
         self.table.get(&mac).copied()
-    }
-
-    /// Clears the learning table.
-    pub fn flush_table(&mut self) {
-        self.table.clear();
     }
 
     fn flood(&self, in_port: PortId) -> Vec<PortId> {

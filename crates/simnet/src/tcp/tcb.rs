@@ -429,12 +429,6 @@ impl Tcb {
         (data, segs)
     }
 
-    /// Returns all undelivered in-order data without consuming it — the
-    /// `MSG_PEEK` analogue the checkpoint procedure uses.
-    pub fn peek(&self) -> Vec<u8> {
-        self.recv_buf.peek_all()
-    }
-
     /// Initiates a graceful close. The FIN is emitted once the send buffer
     /// has drained.
     pub fn close(&mut self, now: SimTime) -> Vec<TcpSegment> {

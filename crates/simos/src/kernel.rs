@@ -152,11 +152,6 @@ impl Kernel {
         self.hook = Some(hook);
     }
 
-    /// Removes the hook.
-    pub fn clear_hook(&mut self) {
-        self.hook = None;
-    }
-
     // ---- process management ------------------------------------------------
 
     /// Loads `program` into a fresh address space and schedules it.
@@ -208,12 +203,6 @@ impl Kernel {
         let pid = self.next_pid;
         self.next_pid += 1;
         pid
-    }
-
-    /// Claims a specific pid as used, so a later [`Kernel::alloc_pid`] will
-    /// not hand it out. Used by tests that simulate pid-space collisions.
-    pub fn reserve_pid(&mut self, pid: Pid) {
-        self.next_pid = self.next_pid.max(pid + 1);
     }
 
     /// Looks up a process.

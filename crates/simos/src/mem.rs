@@ -326,11 +326,6 @@ impl AddressSpace {
         Ok(buf)
     }
 
-    /// Total mapped bytes across areas.
-    pub fn mapped_bytes(&self) -> u64 {
-        self.areas.iter().map(|a| a.len).sum()
-    }
-
     // ---- copy-on-write snapshots ---------------------------------------
 
     /// Arms a copy-on-write snapshot of the private pages: cheap

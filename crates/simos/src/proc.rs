@@ -112,13 +112,6 @@ pub struct Process {
     pub group: Pid,
 }
 
-impl Process {
-    /// True if this process shares its address space with `other`.
-    pub fn same_group(&self, other: &Process) -> bool {
-        self.group == other.group
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

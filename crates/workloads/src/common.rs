@@ -103,12 +103,6 @@ pub fn emit_recv_exact(a: &mut Asm, fd: Reg, buf: i64, count: i64, fail: simcpu:
     a.bind(done);
 }
 
-/// Emits a `fail:`-style epilogue: binds `fail` and exits with `code`.
-pub fn emit_fail_exit(a: &mut Asm, fail: simcpu::asm::Label, code: i64) {
-    a.bind(fail);
-    a.sys1(nr::EXIT, code);
-}
-
 /// Suppresses unused warnings for emitters' conventional scratch registers.
 #[allow(dead_code)]
 fn _scratch() -> [Reg; 3] {

@@ -292,11 +292,6 @@ impl<'a> ImageReader<'a> {
     pub fn bool(&mut self) -> Result<bool, ImageError> {
         Ok(self.u8()? != 0)
     }
-
-    /// True if all bytes were consumed.
-    pub fn at_end(&self) -> bool {
-        self.pos == self.data.len()
-    }
 }
 
 /// Advances an image's two chains and a chunk's two chains over the same

@@ -187,20 +187,6 @@ impl Zap {
         self.state.borrow().pods.keys().copied().collect()
     }
 
-    /// The configuration of a pod.
-    ///
-    /// # Errors
-    ///
-    /// [`ZapError::NoSuchPod`].
-    pub fn pod_config(&self, pod: PodId) -> Result<PodConfig, ZapError> {
-        self.state
-            .borrow()
-            .pods
-            .get(&pod)
-            .map(|p| p.cfg.clone())
-            .ok_or(ZapError::NoSuchPod)
-    }
-
     /// Resolves a virtual pid to the real pid on this node.
     pub fn real_pid(&self, pod: PodId, vpid: Vpid) -> Option<Pid> {
         self.state.borrow().pods.get(&pod)?.pid_of(vpid)
@@ -269,7 +255,8 @@ impl Zap {
 
     // ---- checkpoint -----------------------------------------------------
 
-    /// Checkpoints a pod into a [`PodImage`] (§4.1). The pod is left
+    /// Checkpoints a pod into a [`PodImage`] (§4.1): an arm immediately
+    /// drained, so no page is written in between. The pod is left
     /// stopped; call [`Zap::resume_pod`] to continue it or
     /// [`Zap::destroy_pod`] to tear it down for migration.
     ///
@@ -283,8 +270,7 @@ impl Zap {
         pod: PodId,
         now: SimTime,
     ) -> Result<PodImage, ZapError> {
-        let (image, _) = self.capture_pod(kernel, pod, now, false)?;
-        Ok(image)
+        Ok(self.checkpoint_pod_arm(kernel, pod, now)?.drain().0)
     }
 
     /// The **arm** half of a copy-on-write checkpoint: freezes the pod,
@@ -294,9 +280,9 @@ impl Zap {
     /// its pages. The freeze therefore costs O(non-memory state), not
     /// O(image bytes). The pod is left stopped; resume it as soon as
     /// coordination allows and call [`ArmedPodCheckpoint::drain`] any time
-    /// later — the drained image is byte-identical to an eager
-    /// [`Zap::checkpoint_pod`] taken at this instant, whatever the pod
-    /// wrote in between.
+    /// later — the drained image is the pod as of this instant, whatever
+    /// it wrote in between. [`Zap::checkpoint_pod`] is this arm drained at
+    /// once.
     ///
     /// # Errors
     ///
@@ -307,21 +293,6 @@ impl Zap {
         pod: PodId,
         now: SimTime,
     ) -> Result<ArmedPodCheckpoint, ZapError> {
-        let (skeleton, spaces) = self.capture_pod(kernel, pod, now, true)?;
-        Ok(ArmedPodCheckpoint { skeleton, spaces })
-    }
-
-    /// Captures a pod. With `arm` false this is the eager §4.1 checkpoint;
-    /// with `arm` true the private pages are left to a COW drain and the
-    /// per-group address-space handles are returned alongside the page-less
-    /// skeleton image.
-    fn capture_pod(
-        &self,
-        kernel: &mut Kernel,
-        pod: PodId,
-        now: SimTime,
-        arm: bool,
-    ) -> Result<(PodImage, Vec<Rc<RefCell<AddressSpace>>>), ZapError> {
         self.stop_pod(kernel, pod, now)?;
         let st = self.state.borrow();
         let p = st.pods.get(&pod).ok_or(ZapError::NoSuchPod)?;
@@ -390,19 +361,10 @@ impl Zap {
                     shm_index,
                 });
             }
-            let pages: Vec<(u64, Vec<u8>)> = if arm {
-                // COW: no page copied here — the snapshot stands in for them.
-                mem.cow_arm();
-                Vec::new()
-            } else {
-                mem.nonzero_pages()
-                    .map(|(addr, data)| (addr, data.to_vec()))
-                    .collect()
-            };
+            // No page copied here: the snapshot stands in for them.
+            mem.cow_arm();
             drop(mem);
-            if arm {
-                group_spaces.push(mem_rc.clone());
-            }
+            group_spaces.push(mem_rc.clone());
 
             // Descriptor table.
             let fds_rc = proc.fds.clone();
@@ -449,7 +411,7 @@ impl Zap {
             }
             groups.push(GroupImage {
                 areas,
-                pages,
+                pages: Vec::new(),
                 fds: fd_images,
             });
         }
@@ -510,8 +472,8 @@ impl Zap {
             });
         }
 
-        Ok((
-            PodImage {
+        Ok(ArmedPodCheckpoint {
+            skeleton: PodImage {
                 name: p.cfg.name.clone(),
                 ip: p.cfg.ip,
                 mac_mode: p.cfg.mac_mode,
@@ -523,8 +485,8 @@ impl Zap {
                 groups,
                 procs: proc_images,
             },
-            group_spaces,
-        ))
+            spaces: group_spaces,
+        })
     }
 
     /// Tears a pod down without running exit paths: sockets are silently
@@ -784,11 +746,6 @@ pub struct ArmedPodCheckpoint {
 }
 
 impl ArmedPodCheckpoint {
-    /// The pod's name (image identity in the checkpoint store).
-    pub fn pod_name(&self) -> &str {
-        &self.skeleton.name
-    }
-
     /// Bytes the freeze window had to serialize: the encoded non-memory
     /// state. This — not the image size — is what the arm phase costs.
     pub fn arm_bytes(&self) -> u64 {
@@ -816,7 +773,7 @@ impl ArmedPodCheckpoint {
     /// The **drain** half: reconstructs each group's pages as of the arm
     /// instant from the COW snapshots, disarms them, and returns the
     /// completed image plus the pre-image copy bytes the snapshot window
-    /// cost. Byte-identical to an eager checkpoint taken at arm time.
+    /// cost. Byte-identical to a drain at the arm instant.
     pub fn drain(self) -> (PodImage, u64) {
         let mut image = self.skeleton;
         let mut copied = 0;

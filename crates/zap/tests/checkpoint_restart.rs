@@ -1063,9 +1063,10 @@ fn scribbling_program(n: i64) -> Program {
 #[test]
 fn cow_arm_drain_matches_eager_capture() {
     // Twin deterministic kernels reach the identical instant; node 1 takes a
-    // stop-the-world checkpoint, node 2 arms a COW snapshot, resumes, keeps
-    // computing (overwriting armed pages), and only then drains. The drained
-    // image must be byte-identical to the eager one.
+    // stop-the-world checkpoint (an arm drained at once, nothing written in
+    // between), node 2 arms a COW snapshot, resumes, keeps computing
+    // (overwriting armed pages), and only then drains. The late drain must
+    // be byte-identical to the immediate one.
     let fs = NetFs::new();
     let (mut k1, z1) = node(1, 1, &fs);
     let (mut k2, z2) = node(2, 2, &fs);

@@ -5,10 +5,10 @@
 //! Two layers are checked. At the memory layer, an armed
 //! [`AddressSpace`] snapshot subjected to arbitrary post-arm writes,
 //! page installs, unmaps and remaps must drain exactly the pages a
-//! frozen clone holds. At the cluster layer, twin worlds checkpointing
-//! the same instant — one stop-the-world, one `CkptCaptureMode::Cow` —
-//! must commit byte-identical epochs while both jobs run to a correct
-//! finish.
+//! frozen clone holds. At the cluster layer, worlds checkpointing the
+//! same instant under each `CkptCaptureMode` — stop-the-world, write-back
+//! and COW — must commit byte-identical epochs while every job runs to a
+//! correct finish.
 
 use cruz_repro::cluster::world::CkptOptions;
 use cruz_repro::cluster::{CkptCaptureMode, ClusterParams, JobSpec, PodSpec, World};
@@ -214,10 +214,10 @@ proptest! {
         prop_assert_eq!(live, expect_live);
     }
 
-    /// Twin worlds checkpoint the same instant of the same run — one
-    /// stop-the-world, one COW capture. The committed epochs must be
-    /// byte-identical and both applications finish correctly: the capture
-    /// discipline is invisible above the store API.
+    /// Three worlds checkpoint the same instant of the same run — one per
+    /// capture schedule: stop-the-world, write-back and COW. The committed
+    /// epochs must be byte-identical and every application finishes
+    /// correctly: the capture schedule is invisible above the store API.
     #[test]
     fn cow_epoch_is_byte_identical_to_stop_the_world(
         at_us in 200u64..12_000,
@@ -225,26 +225,30 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let mode = if optimized { ProtocolMode::Optimized } else { ProtocolMode::Blocking };
-        let stw = CkptOptions { mode, ..CkptOptions::default() };
-        let cow = CkptOptions {
-            mode,
-            capture: Some(CkptCaptureMode::Cow),
-            ..CkptOptions::default()
-        };
-        let (stw_images, mut w_stw) = checkpoint_at(at_us, seed, stw);
-        let (cow_images, mut w_cow) = checkpoint_at(at_us, seed, cow);
+        let runs: Vec<_> = [
+            CkptCaptureMode::StopTheWorld,
+            CkptCaptureMode::Writeback,
+            CkptCaptureMode::Cow,
+        ]
+        .into_iter()
+        .map(|capture| {
+            let opts = CkptOptions { mode, capture: Some(capture), ..CkptOptions::default() };
+            (capture, checkpoint_at(at_us, seed, opts))
+        })
+        .collect();
 
-        prop_assert_eq!(stw_images.len(), cow_images.len());
-        for ((pod_s, bytes_s), (pod_c, bytes_c)) in
-            stw_images.iter().zip(cow_images.iter())
-        {
-            prop_assert_eq!(pod_s, pod_c, "pod inventory diverged");
-            prop_assert_eq!(
-                bytes_s, bytes_c,
-                "image for pod `{}` differs between capture modes", pod_s
-            );
+        let (_, (stw_images, _)) = &runs[0];
+        for (capture, (images, _)) in &runs[1..] {
+            prop_assert_eq!(stw_images.len(), images.len());
+            for ((pod_s, bytes_s), (pod_c, bytes_c)) in stw_images.iter().zip(images.iter()) {
+                prop_assert_eq!(pod_s, pod_c, "pod inventory diverged");
+                prop_assert_eq!(
+                    bytes_s, bytes_c,
+                    "image for pod `{}` differs under {:?}", pod_s, capture
+                );
+            }
         }
-        for w in [&mut w_stw, &mut w_cow] {
+        for (_, (_, mut w)) in runs {
             prop_assert!(w.run_until_pred(100_000_000, |w| w.job_finished("pp")));
             prop_assert_eq!(w.pod_exit_code("pp", "server", 1), Some(0));
             prop_assert_eq!(w.pod_exit_code("pp", "client", 1), Some(0));

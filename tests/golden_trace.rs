@@ -203,6 +203,28 @@ fn golden_cow_capture() {
     );
 }
 
+/// The same seed under §5.2 write-back capture: the drain runs in the
+/// freeze, pods resume at capture end, and the disk write's `durable`
+/// gates the commit.
+#[test]
+fn golden_writeback_capture() {
+    check(
+        "writeback",
+        ckpt_run_with(
+            ClusterParams {
+                seed: 0xC0FFEE,
+                ..ClusterParams::default()
+            },
+            Some(CkptCaptureMode::Writeback),
+        ),
+        Fingerprint {
+            trace_digest: 378330676601575803,
+            events: 2150,
+            final_nanos: 209282169,
+        },
+    );
+}
+
 /// The chaos replay seeds: heartbeat detection, force-abort, rollback and
 /// automatic restart under seeded crash/disk/frame faults (the event flow
 /// of the recovery experiment, E16). `bench::recovery`'s tests replay

@@ -1,7 +1,7 @@
 //! System-level property tests: checkpoints and restarts at *arbitrary*
 //! moments must never corrupt a strictly-checked application.
 
-use cruz_repro::cluster::{CkptOptions, ClusterParams, JobSpec, PodSpec, World};
+use cruz_repro::cluster::{CkptCaptureMode, CkptOptions, ClusterParams, JobSpec, PodSpec, World};
 use cruz_repro::cruz::proto::ProtocolMode;
 use cruz_repro::des::{SimDuration, SimTime};
 use cruz_repro::simnet::addr::{IpAddr, MacAddr};
@@ -41,20 +41,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// A checkpoint at any instant, under any protocol variant (blocking or
-    /// optimized, full or COW), is invisible to a token exchange that
+    /// optimized, stop-the-world or write-back), is invisible to a token exchange that
     /// checks every byte.
     #[test]
     fn checkpoint_at_any_moment_is_transparent(
         at_us in 200u64..15_000,
         optimized in any::<bool>(),
-        cow in any::<bool>(),
+        writeback in any::<bool>(),
         seed in 0u64..1_000,
     ) {
         let mut w = World::new(5, ClusterParams { seed, ..ClusterParams::default() });
         w.launch_job(&pingpong_spec(300)).unwrap();
         w.run_for(SimDuration::from_micros(at_us));
         let mode = if optimized { ProtocolMode::Optimized } else { ProtocolMode::Blocking };
-        let op = w.start_checkpoint_with("pp", CkptOptions { mode, cow, ..CkptOptions::default() }).unwrap();
+        let capture = writeback.then_some(CkptCaptureMode::Writeback);
+        let op = w.start_checkpoint_with("pp", CkptOptions { mode, capture, ..CkptOptions::default() }).unwrap();
         prop_assert!(w.run_until_op(op, 20_000_000));
         prop_assert!(w.run_until_pred(100_000_000, |w| w.job_finished("pp")));
         prop_assert_eq!(w.pod_exit_code("pp", "server", 1), Some(0));
@@ -86,9 +87,9 @@ proptest! {
                 // Checkpoints in every flavour.
                 0..=3 => {
                     let mode = if op & 1 == 0 { ProtocolMode::Blocking } else { ProtocolMode::Optimized };
-                    let cow = op & 2 != 0;
+                    let capture = (op & 2 != 0).then_some(CkptCaptureMode::Writeback);
                     // A migration may still be settling: busy is a valid refusal.
-                    if let Ok(e) = w.start_checkpoint_with("pp", CkptOptions { mode, cow, ..CkptOptions::default() }) {
+                    if let Ok(e) = w.start_checkpoint_with("pp", CkptOptions { mode, capture, ..CkptOptions::default() }) {
                         prop_assert!(w.run_until_op(e, 50_000_000));
                         last_epoch = Some(e);
                     }
