@@ -236,14 +236,17 @@ struct Fig6(Vec<(u64, Fig6Run)>);
 
 impl Fig6 {
     /// The 10 MiB run, its peak pre-checkpoint rate, and its peak rate
-    /// over samples whose whole 10 ms window lies in the save.
+    /// over samples whose whole 10 ms window lies in the local save — which
+    /// starts a little after the checkpoint, so a window opening at t = 0
+    /// would still hold the pre-freeze tail.
     fn e3(&self) -> (&Fig6Run, f64, f64) {
         let run = &self.0[2].1;
         let peak = |from: f64, to: f64| {
             let s = run.samples.iter().filter(|s| (from..=to).contains(&s.t_ms));
             s.map(|s| s.rate_mbps).fold(0.0, f64::max)
         };
-        (run, peak(f64::MIN, 0.0), peak(10.0, run.checkpoint_ms))
+        let (start, end) = (run.save_start_ms, run.save_start_ms + run.checkpoint_ms);
+        (run, peak(f64::MIN, 0.0), peak(start + 10.0, end))
     }
 }
 

@@ -26,9 +26,12 @@ pub struct Fig6Sample {
 pub struct Fig6Run {
     /// The sampled timeline.
     pub samples: Vec<Fig6Sample>,
-    /// How long the checkpoint kept communication disabled (the local save
-    /// window), in milliseconds.
+    /// How long the checkpoint kept communication disabled (the slowest
+    /// node's local save window), in milliseconds.
     pub checkpoint_ms: f64,
+    /// When that local save started, in ms relative to checkpoint start:
+    /// the save spans `[save_start_ms, save_start_ms + checkpoint_ms]`.
+    pub save_start_ms: f64,
     /// First post-checkpoint time the stream was back at ≥50 % of its
     /// pre-checkpoint rate, in ms relative to checkpoint start.
     pub recovery_ms: Option<f64>,
@@ -116,7 +119,14 @@ pub fn run_fig6(state_bytes: u64, post_ms: u64) -> Fig6Run {
     }
     let op = op.expect("checkpoint fired");
     let report = w.op_report(op).expect("checkpoint report");
-    let checkpoint_ms = local_save(&report).as_millis_f64();
+    let save = local_save(&report);
+    let checkpoint_ms = save.as_millis_f64();
+    let since_ckpt = |t: SimTime| (t.as_nanos() as f64 - t_ckpt.as_nanos() as f64) / 1e6;
+    let slowest = report
+        .local_ops
+        .iter()
+        .find(|(_, s, e)| e.duration_since(*s) == save);
+    let save_start_ms = since_ckpt(slowest.expect("the checkpoint saved").1);
 
     // Sliding-window rates, timed from the checkpoint instant. The first
     // sample has no window to measure over, so the rates start at the
@@ -127,9 +137,8 @@ pub fn run_fig6(state_bytes: u64, post_ms: u64) -> Fig6Run {
         let dt = at.duration_since(from).as_secs_f64();
         let db = bytes.saturating_sub(base) as f64;
         let rate = db * 8.0 / dt / 1e6;
-        let t_ms = (at.as_nanos() as f64 - t_ckpt.as_nanos() as f64) / 1e6;
         samples.push(Fig6Sample {
-            t_ms,
+            t_ms: since_ckpt(at),
             rate_mbps: rate,
         });
     }
@@ -162,6 +171,7 @@ pub fn run_fig6(state_bytes: u64, post_ms: u64) -> Fig6Run {
     Fig6Run {
         samples,
         checkpoint_ms,
+        save_start_ms,
         recovery_ms,
         pulse_bytes,
     }

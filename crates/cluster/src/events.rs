@@ -4,7 +4,7 @@
 //! world's queue, and `World::arm` is the one way onto it. An event is
 //! either a substrate step the world drives itself (a node's run slice or
 //! timer, a frame on a link) or a protocol obligation a layer above (ops,
-//! drain, heartbeat, jobs) armed: a service-delay completion, a
+//! ops_agent, heartbeat) armed: a service-delay completion, a
 //! failure-detection deadline, a retry round, a periodic driver. Each
 //! dispatched event folds a cheap [`fingerprint`](Event::fingerprint)
 //! into the world's running trace digest, which is how two runs of the
@@ -12,7 +12,6 @@
 
 use des::{digest, SimDuration, SimTime};
 use simnet::EthFrame;
-use zap::image::PodImage;
 
 use cruz::proto::CtlMsg;
 
@@ -72,14 +71,6 @@ pub(crate) enum Event {
         interval: SimDuration,
         opts: CkptOptions,
     },
-    /// A migrated pod's image finishes its transfer and restores at the
-    /// destination.
-    MigrateFinish {
-        job: String,
-        pod: String,
-        dst: usize,
-        image: Box<PodImage>,
-    },
 }
 
 impl Event {
@@ -136,13 +127,6 @@ impl Event {
             Event::PeriodicCkpt { job, interval, .. } => {
                 let mut h = mix(12, interval.as_nanos(), 0);
                 for b in job.bytes() {
-                    h = digest::fold_u64(h, b as u64);
-                }
-                h
-            }
-            Event::MigrateFinish { job, pod, dst, .. } => {
-                let mut h = mix(13, *dst as u64, 0);
-                for b in job.bytes().chain(pod.bytes()) {
                     h = digest::fold_u64(h, b as u64);
                 }
                 h

@@ -284,8 +284,9 @@ impl World {
                 self.pending_recovery.insert(restart_op, idx);
             }
             Err(_) => {
-                // e.g. a migration still in flight; the next heartbeat
-                // round retries with a fresh pass.
+                // e.g. a survivor that refused teardown, or no free
+                // control socket; the next heartbeat round retries with a
+                // fresh pass.
                 self.recovery_reports.push(RecoveryReport {
                     aborted_ops: inflight,
                     rollback_epoch: Some(rollback),

@@ -4,13 +4,10 @@
 use simnet::addr::IpAddr;
 use simos::proc::ProcState;
 use simos::program::Program;
-use zap::image::{MacMode, PodImage};
+use zap::image::MacMode;
 use zap::pod::{PodId, Vpid};
 use zap::PodConfig;
 
-use cruz::error::CruzError;
-
-use crate::events::Event;
 use crate::state::{ClusterError, World};
 
 /// One pod of a job: where it runs and what it executes.
@@ -189,118 +186,6 @@ impl World {
         let node = &self.nodes[p.node];
         let real = node.zap.real_pid(p.pod_id?, vpid)?;
         node.kernel.read_guest(real, addr, len).ok()
-    }
-
-    // ---- live migration (single pod, peers untouched) ----------------------
-
-    /// Migrates one pod to `dst` while the rest of the job keeps running —
-    /// the §4.2 scenario (remote endpoints need not be under Zap control).
-    /// The pod is frozen, checkpointed, torn down at the source, and
-    /// restored+resumed at the destination after the modelled transfer
-    /// time.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::NoSuchJob`]/[`ClusterError::BadNode`]; Zap errors.
-    pub fn migrate_pod(&mut self, job: &str, pod: &str, dst: usize) -> Result<(), ClusterError> {
-        if dst >= self.nodes.len() {
-            return Err(ClusterError::BadNode(dst));
-        }
-        if self.job_busy(job) {
-            return Err(ClusterError::JobBusy);
-        }
-        let (src, pod_id, ip) = {
-            let jr = self.jobs.get(job).ok_or(ClusterError::NoSuchJob)?;
-            let p = jr.placement(pod).ok_or(ClusterError::NoSuchJob)?;
-            (p.node, p.pod_id.ok_or(ClusterError::NoSuchJob)?, p.ip)
-        };
-        // Freeze & extract at the source now; drop traffic meanwhile.
-        {
-            let slot = &mut self.nodes[src];
-            slot.kernel.net.filter_mut().add_drop_rule(ip);
-        }
-        let image = {
-            let slot = &mut self.nodes[src];
-            let img = slot
-                .zap
-                .checkpoint_pod(&mut slot.kernel, pod_id, self.now)?;
-            slot.zap.destroy_pod(&mut slot.kernel, pod_id)?;
-            slot.kernel.net.filter_mut().remove_drop_rule(ip);
-            img
-        };
-        let bytes = image.encoded_len() as u64;
-        // Source disk write, then destination disk read (via the shared fs).
-        let t_extract = self.params.extract_time(bytes);
-        let w = self.nodes[src]
-            .kernel
-            .disk
-            .submit_write(self.now + t_extract, bytes);
-        if self.nodes[src].kernel.disk.take_write_fault().is_some() {
-            // The spool write failed or tore: the transfer never reaches the
-            // destination and the pod (already torn down at the source) is
-            // lost. The job manager sees a migration failure; with recovery
-            // enabled the heartbeat plane restarts the job from its last
-            // committed epoch.
-            if let Some(jr) = self.jobs.get_mut(job) {
-                if let Some(p) = jr.placement_mut(pod) {
-                    p.pod_id = None;
-                }
-            }
-            self.migration_failures.push((
-                job.to_string(),
-                pod.to_string(),
-                CruzError::Protocol("injected disk fault tore the migration spool"),
-            ));
-            self.postprocess(src);
-            return Ok(());
-        }
-        let r = self.nodes[dst].kernel.disk.submit_read(w, bytes);
-        self.arm(
-            r,
-            Event::MigrateFinish {
-                job: job.to_owned(),
-                pod: pod.to_owned(),
-                dst,
-                image: Box::new(image),
-            },
-        );
-        *self.migrations.entry(job.to_owned()).or_insert(0) += 1;
-        self.postprocess(src);
-        Ok(())
-    }
-
-    pub(crate) fn on_migrate_finish(&mut self, job: &str, pod: &str, dst: usize, image: &PodImage) {
-        if let Some(m) = self.migrations.get_mut(job) {
-            *m = m.saturating_sub(1);
-        }
-        if !self.nodes[dst].alive {
-            return;
-        }
-        let slot = &mut self.nodes[dst];
-        let pod_id = match slot.zap.restart_pod(&mut slot.kernel, image, self.now) {
-            Ok(id) => id,
-            Err(e) => {
-                // The destination refused the restore; the pod stays where
-                // it was and the failure is reported, not panicked.
-                self.migration_failures
-                    .push((job.to_string(), pod.to_string(), CruzError::Zap(e)));
-                return;
-            }
-        };
-        let resumed = slot.zap.resume_pod(&mut slot.kernel, pod_id, self.now);
-        if let Err(e) = resumed {
-            // The pod restored but will not run; report it alongside the
-            // refused-restore failures so the migration's caller can see.
-            self.migration_failures
-                .push((job.to_string(), pod.to_string(), CruzError::Zap(e)));
-        }
-        if let Some(jr) = self.jobs.get_mut(job) {
-            if let Some(p) = jr.placement_mut(pod) {
-                p.node = dst;
-                p.pod_id = Some(pod_id);
-            }
-        }
-        self.postprocess(dst);
     }
 }
 

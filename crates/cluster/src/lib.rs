@@ -35,7 +35,9 @@
 //!   plus every protocol obligation the layers arm) and the per-event
 //!   fingerprint folded into the trace digest;
 //! * [`ops`] — coordinated-operation runtime, coordinator side: install,
-//!   message flow, retry/timeout, abort, migration;
+//!   message flow, retry/timeout, abort, and live migration as one op (a
+//!   one-pod checkpoint round on the source, then a restart round on the
+//!   destination);
 //! * [`ops_agent`] — coordinated-operation runtime, agent side: freeze,
 //!   the one capture pipeline (arm → drain → persist, on the schedule of
 //!   the checkpoint's [`CkptCaptureMode`]), restore, resume, roll back;

@@ -62,6 +62,9 @@ pub(crate) struct OpRuntime {
     /// First control-plane failure hit while driving this operation; set
     /// when the op is force-aborted instead of panicking the world.
     pub(crate) error: Option<CruzError>,
+    /// A migration's pod and destination: the op sees only that pod, and
+    /// its epoch is a spool that is never committed.
+    pub(crate) migration: Option<(String, usize)>,
 }
 
 impl OpRuntime {
@@ -186,40 +189,15 @@ impl World {
         let capture = opts.capture.unwrap_or_default();
         let op = self.next_op;
         self.next_op += 1;
-        let mut coord = Coordinator::new(
-            OpKind::Checkpoint,
-            opts.mode,
-            op,
-            (0..agents_nodes.len()).collect(),
-        );
-        // With recovery on, every operation gets a failure-detection
-        // timeout even if the caller set none: a crashed participant must
-        // abort the op, not hang it forever.
-        let timeout = opts.timeout.or_else(|| {
-            self.params
-                .recovery
-                .enabled
-                .then_some(self.params.recovery.op_timeout)
-        });
-        if let Some(t) = timeout {
-            coord = coord.with_timeout(t);
-        }
+        let n = agents_nodes.len();
+        let mut coord = self.coordinator(OpKind::Checkpoint, opts.mode, op, n, opts.timeout);
         // Write-back and COW need the §5.2 message flow: `done` resumes
         // pods early, `durable` after the background write gates the commit
         // record.
         if capture != CkptCaptureMode::StopTheWorld {
             coord = coord.with_cow();
         }
-        self.install_op(
-            op,
-            op,
-            OpKind::Checkpoint,
-            job,
-            coord_node,
-            agents_nodes,
-            coord,
-            capture,
-        )?;
+        self.install_op(op, op, job, coord_node, agents_nodes, coord, capture, None)?;
         Ok(op)
     }
 
@@ -280,28 +258,65 @@ impl World {
         let coord_node = jr.coordinator_node;
         let op = self.next_op;
         self.next_op += 1;
-        let mut coord = Coordinator::new(
-            OpKind::Restart,
-            ProtocolMode::Blocking,
-            op,
-            (0..agents_nodes.len()).collect(),
-        );
-        if self.params.recovery.enabled {
-            coord = coord.with_timeout(self.params.recovery.op_timeout);
-        }
         // `_mode` is accepted for API symmetry only: a restart always
         // blocks until every node restored.
-        self.install_op(
-            op,
-            epoch,
-            OpKind::Restart,
-            job,
-            coord_node,
-            agents_nodes,
-            coord,
-            CkptCaptureMode::StopTheWorld,
-        )?;
+        let n = agents_nodes.len();
+        let coord = self.coordinator(OpKind::Restart, ProtocolMode::Blocking, op, n, None);
+        let stw = CkptCaptureMode::StopTheWorld;
+        self.install_op(op, epoch, job, coord_node, agents_nodes, coord, stw, None)?;
         Ok(op)
+    }
+
+    /// Live-migrates one pod to `dst` while the rest of the job keeps
+    /// running — the §4.2 scenario (remote endpoints need not be under Zap
+    /// control). The move is one operation in two rounds over the pipeline
+    /// every checkpoint and restart runs: a stop-the-world checkpoint of
+    /// that pod alone on its source, into a spool epoch that is never
+    /// committed; then, once the source has torn the pod down, a restart of
+    /// it on `dst` from the spool. The spool is discarded when the op
+    /// finishes, complete or aborted, and a capture round that fails leaves
+    /// the pod running at its source. Returns the operation id.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::BadNode`] when `dst` is not a live node, or already
+    /// hosts the pod; [`ClusterError::JobBusy`];
+    /// [`ClusterError::NoSuchJob`] when the job has no such running pod.
+    pub fn migrate_pod(&mut self, job: &str, pod: &str, dst: usize) -> Result<u64, ClusterError> {
+        if self.job_busy(job) {
+            return Err(ClusterError::JobBusy);
+        }
+        let jr = self.jobs.get(job).ok_or(ClusterError::NoSuchJob)?;
+        let p = jr.placement(pod).filter(|p| p.pod_id.is_some());
+        let (src, coord_node) = (p.ok_or(ClusterError::NoSuchJob)?.node, jr.coordinator_node);
+        if src == dst || !self.node_alive(dst) {
+            return Err(ClusterError::BadNode(dst));
+        }
+        let op = self.next_op;
+        self.next_op += 1;
+        let coord = self.coordinator(OpKind::Checkpoint, ProtocolMode::Blocking, op, 1, None);
+        let (stw, moved) = (CkptCaptureMode::StopTheWorld, Some((pod.to_owned(), dst)));
+        self.install_op(op, op, job, coord_node, vec![src], coord, stw, moved)?;
+        Ok(op)
+    }
+
+    /// A coordinator for `op` over `agents` nodes. With recovery on, every
+    /// operation gets a failure-detection timeout even if the caller set
+    /// none: a crashed participant must abort the op, not hang it forever.
+    fn coordinator(
+        &self,
+        kind: OpKind,
+        mode: ProtocolMode,
+        op: u64,
+        agents: usize,
+        timeout: Option<SimDuration>,
+    ) -> Coordinator {
+        let recovery = &self.params.recovery;
+        let coord = Coordinator::new(kind, mode, op, (0..agents).collect());
+        match timeout.or(recovery.enabled.then_some(recovery.op_timeout)) {
+            Some(t) => coord.with_timeout(t),
+            None => coord,
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -309,21 +324,19 @@ impl World {
         &mut self,
         op: u64,
         image_epoch: u64,
-        kind: OpKind,
         job: &str,
         coord_node: usize,
         agents_nodes: Vec<usize>,
-        mut coord: Coordinator,
+        coord: Coordinator,
         mode: CkptCaptureMode,
+        migration: Option<(String, usize)>,
     ) -> Result<(), ClusterError> {
         let coord_sock = self.bind_ctl_sock(coord_node)?;
-        let (msgs, _) = coord.start(self.now);
-        let deadline = coord.deadline();
         self.ops.insert(
             op,
             OpRuntime {
+                kind: coord.kind(),
                 coord,
-                kind,
                 mode,
                 job: job.to_owned(),
                 image_epoch,
@@ -337,18 +350,81 @@ impl World {
                 complete: false,
                 aborted: false,
                 error: None,
+                migration,
             },
         );
-        self.schedule_coord_sends(op, msgs);
-        if let Some(d) = deadline {
-            self.arm(d, Event::CoordTimeout { op });
-        }
+        self.start_round(op);
         if let Some(p) = self.params.ctl_retry {
             if let Some(d) = p.delay(0) {
                 self.arm(self.now + d, Event::CoordRetry { op, attempt: 0 });
             }
         }
         Ok(())
+    }
+
+    /// Starts the op's coordinator: its first sends, and its failure
+    /// deadline.
+    fn start_round(&mut self, op: u64) {
+        let Some(o) = self.ops.get_mut(&op) else {
+            return;
+        };
+        let (msgs, _) = o.coord.start(self.now);
+        let deadline = o.coord.deadline();
+        self.schedule_coord_sends(op, msgs);
+        if let Some(d) = deadline {
+            self.arm(d, Event::CoordTimeout { op });
+        }
+    }
+
+    /// A migration's hand-off, once the pod's image is durable in the
+    /// spool: the source tears the pod down and lifts its filter rule, and
+    /// the placement moves to the destination with no pod until the
+    /// restore round instantiates one. The `continue` that follows finds
+    /// nothing left to resume at the source.
+    fn hand_off(&mut self, op: u64, job: &str, pod: &str, dst: usize) {
+        let Some((src, ip, pod_id)) = self
+            .jobs
+            .get(job)
+            .and_then(|jr| jr.placement(pod))
+            .and_then(|p| Some((p.node, p.ip, p.pod_id?)))
+        else {
+            return;
+        };
+        let slot = &mut self.nodes[src];
+        if let Err(e) = slot.zap.destroy_pod(&mut slot.kernel, pod_id) {
+            self.fail_op(op, CruzError::Zap(e));
+            return;
+        }
+        slot.kernel.net.filter_mut().remove_drop_rule(ip);
+        if let Some(p) = self.jobs.get_mut(job).and_then(|jr| jr.placement_mut(pod)) {
+            p.node = dst;
+            p.pod_id = None;
+        }
+        self.postprocess(src);
+    }
+
+    /// A migration's capture round completed: the op continues as a
+    /// restart of the pod on its destination alone, from the spool.
+    fn start_restore_round(&mut self, op: u64) {
+        let coord = self.coordinator(OpKind::Restart, ProtocolMode::Blocking, op, 1, None);
+        let Some(o) = self.ops.get_mut(&op) else {
+            return;
+        };
+        let Some(dst) = o.migration.as_ref().map(|&(_, dst)| dst) else {
+            return;
+        };
+        o.coord = coord;
+        o.kind = OpKind::Restart;
+        o.agents_nodes = vec![dst];
+        self.start_round(op);
+    }
+
+    /// Discards an epoch no commit will name, and reclaims the chunks a
+    /// torn or interrupted write stranded.
+    fn discard_uncommitted(&self, job: &str, epoch: u64) {
+        let store = self.store(job);
+        store.discard_epoch(epoch);
+        store.gc_orphan_chunks();
     }
 
     /// Binds an ephemeral control-plane endpoint on a node, through the
@@ -394,11 +470,6 @@ impl World {
         }
     }
 
-    /// Migrations whose destination refused the restore: (job, pod, error).
-    pub fn migration_failures(&self) -> &[(String, String, CruzError)] {
-        &self.migration_failures
-    }
-
     /// Force-aborts an operation on a control-plane failure: the op is
     /// marked aborted, the error recorded, abort messages broadcast to
     /// every participant (so frozen pods resume rather than hang), and the
@@ -423,15 +494,13 @@ impl World {
     }
 
     /// Post-abort bookkeeping shared by every abort path: a checkpoint's
-    /// uncommitted epoch is discarded and any chunks stranded by a torn or
-    /// interrupted write are reclaimed; a pending recovery pass waiting on
-    /// this op is marked failed.
+    /// uncommitted epoch (a migration's spool, in either round) is
+    /// discarded; a pending recovery pass waiting on this op is marked
+    /// failed.
     pub(crate) fn op_aborted_cleanup(&mut self, op: u64) {
         if let Some(o) = self.ops.get(&op) {
-            if o.kind == OpKind::Checkpoint {
-                let store = self.store(&o.job.clone());
-                store.discard_epoch(o.image_epoch);
-                store.gc_orphan_chunks();
+            if o.kind == OpKind::Checkpoint || o.migration.is_some() {
+                self.discard_uncommitted(&o.job, o.image_epoch);
             }
         }
         if let Some(idx) = self.pending_recovery.remove(&op) {
@@ -443,11 +512,15 @@ impl World {
         }
     }
 
-    /// Retires an operation that just completed (see [`RetiredOp`]) and
-    /// stamps a recovery pass waiting on it.
+    /// Retires an operation that just completed (see [`RetiredOp`]),
+    /// discarding a migration's spool, and stamps a recovery pass waiting
+    /// on it.
     fn op_completed(&mut self, op: u64) {
         let now = self.now;
         if let Some(o) = self.ops.remove(&op) {
+            if o.migration.is_some() {
+                self.discard_uncommitted(&o.job, o.image_epoch);
+            }
             self.ctl().close(o.coord_node, o.coord_sock, now);
             let retired = RetiredOp {
                 report: o.report(),
@@ -517,12 +590,22 @@ impl World {
             return;
         };
         let (msgs, effects) = o.coord.on_message(from, msg, self.now);
-        let job = o.job.clone();
-        let image_epoch = o.image_epoch;
+        let (job, image_epoch, kind) = (o.job.clone(), o.image_epoch, o.kind);
+        let migration = o.migration.clone();
         self.schedule_coord_sends(op, msgs);
         for fx in effects {
-            match fx {
-                CoordEffect::Commit { .. } => {
+            match (fx, &migration) {
+                // A migration's spool is never committed, so it can never
+                // become a rollback target. The hand-off happens here, not
+                // at `Complete`: the `continue` that follows would
+                // otherwise resume the pod at its source.
+                (CoordEffect::Commit { .. }, Some((pod, dst))) => {
+                    self.hand_off(op, &job, pod, *dst);
+                }
+                (CoordEffect::Complete { .. }, Some(_)) if kind == OpKind::Checkpoint => {
+                    self.start_restore_round(op);
+                }
+                (CoordEffect::Commit { .. }, None) => {
                     let store = self.store(&job);
                     store.commit(image_epoch);
                     if self.params.prune_old_epochs {
@@ -534,13 +617,13 @@ impl World {
                         store.compact_logs();
                     }
                 }
-                CoordEffect::Complete { .. } => {
+                (CoordEffect::Complete { .. }, _) => {
                     if let Some(o) = self.ops.get_mut(&op) {
                         o.complete = true;
                     }
                     self.op_completed(op);
                 }
-                CoordEffect::Aborted { .. } => {
+                (CoordEffect::Aborted { .. }, _) => {
                     if let Some(o) = self.ops.get_mut(&op) {
                         o.aborted = true;
                     }

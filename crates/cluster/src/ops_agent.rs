@@ -106,40 +106,15 @@ impl World {
         if self.maybe_crash(node, point) {
             return;
         }
-        match kind {
-            // Write-back and COW persist at `AgentDurable` instead.
+        // Write-back and COW persist at `AgentDurable` instead.
+        let reported = match kind {
             OpKind::Checkpoint => {
-                if mode == CkptCaptureMode::StopTheWorld && !self.persist_images(node, op) {
-                    return;
-                }
+                mode != CkptCaptureMode::StopTheWorld || self.persist_images(node, op)
             }
-            OpKind::Restart => {
-                let Some((job, images)) = self.ops.get_mut(&op).map(|o| {
-                    let images = match o.stages.remove(&node) {
-                        Some(NodeStage::Restoring(images)) => images,
-                        _ => Vec::new(),
-                    };
-                    (o.job.clone(), images)
-                }) else {
-                    return;
-                };
-                for (pod_name, image) in images {
-                    let slot = &mut self.nodes[node];
-                    let pod_id = match slot.zap.restart_pod(&mut slot.kernel, &image, self.now) {
-                        Ok(id) => id,
-                        Err(e) => {
-                            self.fail_op(op, CruzError::Zap(e));
-                            return;
-                        }
-                    };
-                    if let Some(jr) = self.jobs.get_mut(&job) {
-                        if let Some(p) = jr.placement_mut(&pod_name) {
-                            p.pod_id = Some(pod_id);
-                            p.node = node;
-                        }
-                    }
-                }
-            }
+            OpKind::Restart => self.restore_images(node, op),
+        };
+        if !reported {
+            return;
         }
         let actions = self.nodes[node].agent.on_local_done(self.now);
         self.run_agent_actions(node, op, actions);
@@ -160,6 +135,8 @@ impl World {
         }
     }
 
+    /// The op's pods on `node`: every pod its job places there, or only
+    /// the moved pod, for a migration.
     pub(crate) fn job_pods_on_node(&self, op: u64, node: usize) -> Vec<PodPlacement> {
         let Some(o) = self.ops.get(&op) else {
             return Vec::new();
@@ -167,7 +144,9 @@ impl World {
         let Some(jr) = self.jobs.get(&o.job) else {
             return Vec::new();
         };
-        jr.pods_on_node(node).into_iter().cloned().collect()
+        let pods = jr.pods_on_node(node).into_iter();
+        let moved = |p: &&PodPlacement| o.migration.as_ref().is_none_or(|(pod, _)| *pod == p.name);
+        pods.filter(moved).cloned().collect()
     }
 
     pub(crate) fn set_comm(&mut self, node: usize, op: u64, enabled: bool) {
@@ -458,6 +437,44 @@ impl World {
             o.local_ops.insert(node, (self.now, done_at));
         }
         self.arm(done_at, Event::AgentLocalDone { node, op });
+    }
+
+    /// The restore's instantiate step: recreates the node's pods from the
+    /// images its read returned, and binds their placements. False when
+    /// the agent has nothing to report: the op is gone, it aborted (the
+    /// images are dropped, so an aborted restart leaves no pod behind), or
+    /// Zap refused an image, which fails it.
+    fn restore_images(&mut self, node: usize, op: u64) -> bool {
+        let Some(o) = self.ops.get_mut(&op) else {
+            return false;
+        };
+        let images = match o.stages.remove(&node) {
+            Some(NodeStage::Restoring(images)) => images,
+            _ => Vec::new(),
+        };
+        if o.aborted {
+            return false;
+        }
+        let job = o.job.clone();
+        for (pod_name, image) in images {
+            let slot = &mut self.nodes[node];
+            let pod_id = match slot.zap.restart_pod(&mut slot.kernel, &image, self.now) {
+                Ok(id) => id,
+                Err(e) => {
+                    self.fail_op(op, CruzError::Zap(e));
+                    return false;
+                }
+            };
+            if let Some(p) = self
+                .jobs
+                .get_mut(&job)
+                .and_then(|jr| jr.placement_mut(&pod_name))
+            {
+                p.pod_id = Some(pod_id);
+                p.node = node;
+            }
+        }
+        true
     }
 
     pub(crate) fn resume_pods(&mut self, node: usize, op: u64) {

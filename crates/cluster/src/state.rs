@@ -43,8 +43,9 @@ pub enum ClusterError {
     JobExists,
     /// The requested epoch has no committed checkpoint.
     NoSuchEpoch(u64),
-    /// Another coordinated operation or migration is in flight for the job;
-    /// operations on one job are serialized, as a job manager would.
+    /// Another coordinated operation (a checkpoint, restart or migration)
+    /// is in flight for the job; operations on one job are serialized, as
+    /// a job manager would.
     JobBusy,
     /// A Zap-layer failure.
     Zap(ZapError),
@@ -112,11 +113,6 @@ pub struct World {
     pub params: ClusterParams,
     pub(crate) rng: SimRng,
     pub(crate) jobs: BTreeMap<String, JobRuntime>,
-    /// In-flight single-pod migrations per job.
-    pub(crate) migrations: BTreeMap<String, usize>,
-    /// Migrations whose destination refused the restore or whose restored
-    /// pods refused to resume: (job, pod, error).
-    pub(crate) migration_failures: Vec<(String, String, CruzError)>,
     /// Operations in flight, or aborted.
     pub(crate) ops: BTreeMap<u64, OpRuntime>,
     /// Completed operations, reduced to what is still read of them.

@@ -168,8 +168,6 @@ impl World {
             params,
             rng,
             jobs: BTreeMap::new(),
-            migrations: BTreeMap::new(),
-            migration_failures: Vec::new(),
             ops: BTreeMap::new(),
             retired_ops: BTreeMap::new(),
             next_op: 1,
@@ -255,14 +253,13 @@ impl World {
         self.jobs.get(name)
     }
 
-    /// True while a coordinated operation or a migration is in flight for
-    /// `job` — new operations are refused until it settles.
+    /// True while a coordinated operation (a checkpoint, restart or
+    /// migration) is in flight for `job` — new operations are refused until
+    /// it settles.
     pub fn job_busy(&self, job: &str) -> bool {
-        self.migrations.get(job).copied().unwrap_or(0) > 0
-            || self
-                .ops
-                .values()
-                .any(|o| o.job == job && !o.complete && !o.aborted)
+        self.ops
+            .values()
+            .any(|o| o.job == job && !o.complete && !o.aborted)
     }
 
     /// Marks a node dead: it stops processing events (fail-stop crash).
@@ -552,12 +549,6 @@ impl World {
                 interval,
                 opts,
             } => self.on_periodic_ckpt(&job, interval, opts),
-            Event::MigrateFinish {
-                job,
-                pod,
-                dst,
-                image,
-            } => self.on_migrate_finish(&job, &pod, dst, &image),
         }
     }
 

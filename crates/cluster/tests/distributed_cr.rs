@@ -1,11 +1,15 @@
 //! End-to-end distributed checkpoint-restart tests: live applications on a
 //! multi-node simulated cluster, the full Fig. 2 protocol over the wire.
 
-use cluster::{CkptCaptureMode, CkptOptions, ClusterParams, JobSpec, PodSpec, StoreConfig, World};
+use cluster::{
+    CkptCaptureMode, CkptOptions, ClusterError, ClusterParams, JobSpec, PodSpec, RecoveryParams,
+    StoreConfig, World,
+};
 use cruz::error::CruzError;
 use cruz::proto::ProtocolMode;
 use des::SimDuration;
 use simnet::addr::{IpAddr, MacAddr};
+use simos::disk::WriteFault;
 use workloads::pingpong::PingPongConfig;
 use workloads::slm::SlmConfig;
 use workloads::ComputeConfig;
@@ -227,6 +231,130 @@ fn live_migration_keeps_the_connection() {
     assert_eq!(w.pod_exit_code("pp", "server", 1), Some(0));
     assert_eq!(w.pod_exit_code("pp", "client", 1), Some(0));
     assert_eq!(w.job("pp").unwrap().placement("server").unwrap().node, 2);
+}
+
+#[test]
+fn a_migration_is_one_op_that_commits_nothing_and_keeps_no_spool() {
+    let mut w = World::new(4, ClusterParams::default());
+    let (spec, _) = pingpong_job(500, 0, 1, 3);
+    w.launch_job(&spec).unwrap();
+    w.run_for(SimDuration::from_millis(6));
+    let op = w.migrate_pod("pp", "server", 2).unwrap();
+    assert!(w.job_busy("pp"), "the move is in the op table");
+    assert!(matches!(
+        w.start_checkpoint("pp", ProtocolMode::Blocking, None),
+        Err(ClusterError::JobBusy)
+    ));
+    assert!(w.run_until_op(op, 10_000_000));
+    let report = w.op_report(op).unwrap();
+    assert!(report.complete && !report.aborted && w.op_error(op).is_none());
+    // The op finishes with the pod running at its destination.
+    let server = w.job("pp").unwrap().placement("server").unwrap().clone();
+    assert_eq!(server.node, 2);
+    assert_eq!(w.zap(2).pod_ids(), [server.pod_id.expect("restored")]);
+    assert!(
+        w.zap(0).pod_ids().is_empty(),
+        "the source tore the pod down"
+    );
+    let nodes: Vec<usize> = report.local_ops.iter().map(|&(n, _, _)| n).collect();
+    assert_eq!(
+        nodes,
+        [0, 2],
+        "captured on the source, restored on the destination"
+    );
+    // The spool never committed, and nothing of it survives the op.
+    let store = w.store("pp");
+    assert!(!store.is_committed(op) && store.latest_committed_epoch().is_none());
+    assert!(store.uncommitted_epochs().is_empty() && store.pods_in_epoch(op).is_empty());
+    assert!(store.live_chunks().is_empty() && store.orphan_chunks().is_empty());
+    assert!(w.run_until_pred(30_000_000, |w| w.job_finished("pp")));
+    assert_eq!(w.pod_exit_code("pp", "server", 1), Some(0));
+    assert_eq!(w.pod_exit_code("pp", "client", 1), Some(0));
+}
+
+#[test]
+fn a_source_disk_fault_aborts_the_migration_and_the_pod_stays_home() {
+    let mut w = World::new(4, ClusterParams::default());
+    let (spec, _) = pingpong_job(500, 0, 1, 3);
+    w.launch_job(&spec).unwrap();
+    w.run_for(SimDuration::from_millis(6));
+    w.kernel_mut(0).disk.inject_write_fault(0, WriteFault::Fail);
+    let op = w.migrate_pod("pp", "server", 2).unwrap();
+    assert!(w.run_until_op(op, 10_000_000));
+    let report = w.op_report(op).unwrap();
+    assert!(report.aborted && !report.complete);
+    assert!(w.op_error(op).is_some(), "the abort names its cause");
+    let server = w.job("pp").unwrap().placement("server").unwrap().clone();
+    assert_eq!(server.node, 0, "the pod stays placed at its source");
+    assert_eq!(
+        w.zap(0).pod_ids(),
+        [server.pod_id.expect("still instantiated")]
+    );
+    assert!(w.zap(2).pod_ids().is_empty());
+    assert!(
+        w.store("pp").uncommitted_epochs().is_empty(),
+        "the spool is discarded"
+    );
+    assert!(w.run_until_pred(30_000_000, |w| w.job_finished("pp")));
+    assert_eq!(w.pod_exit_code("pp", "server", 1), Some(0));
+    assert_eq!(w.pod_exit_code("pp", "client", 1), Some(0));
+}
+
+#[test]
+fn migrating_to_a_crashed_node_is_refused_and_the_pod_keeps_running() {
+    let mut w = World::new(4, ClusterParams::default());
+    let (spec, _) = pingpong_job(500, 0, 1, 3);
+    w.launch_job(&spec).unwrap();
+    w.run_for(SimDuration::from_millis(6));
+    w.crash_node(2);
+    assert!(matches!(
+        w.migrate_pod("pp", "server", 2),
+        Err(ClusterError::BadNode(2))
+    ));
+    assert!(!w.job_busy("pp"));
+    assert!(w.run_until_pred(30_000_000, |w| w.job_finished("pp")));
+    assert_eq!(w.pod_exit_code("pp", "server", 1), Some(0));
+    assert_eq!(w.pod_exit_code("pp", "client", 1), Some(0));
+    assert_eq!(w.job("pp").unwrap().placement("server").unwrap().node, 0);
+}
+
+#[test]
+fn a_recovery_pass_aborts_an_in_flight_migration() {
+    let params = ClusterParams {
+        recovery: RecoveryParams {
+            enabled: true,
+            ..RecoveryParams::default()
+        },
+        ..ClusterParams::default()
+    };
+    let mut w = World::new(5, params);
+    let (spec, _) = pingpong_job(500, 0, 1, 4);
+    w.launch_job(&spec).unwrap();
+    w.run_for(SimDuration::from_millis(6));
+    let ck = w
+        .start_checkpoint("pp", ProtocolMode::Blocking, None)
+        .unwrap();
+    assert!(w.run_until_op(ck, 10_000_000));
+    // The source dies before its capture starts: only the heartbeat plane
+    // can settle the move.
+    let op = w.migrate_pod("pp", "server", 2).unwrap();
+    w.crash_node(0);
+    assert!(w.run_until_op(op, 10_000_000));
+    assert!(w.op_report(op).unwrap().aborted);
+    assert!(w.op_error(op).is_some());
+    let pass = w
+        .recovery_reports()
+        .iter()
+        .find(|r| r.aborted_ops.contains(&op));
+    assert_eq!(
+        pass.expect("a recovery pass aborted the move")
+            .rollback_epoch,
+        Some(ck)
+    );
+    assert!(w.run_until_pred(50_000_000, |w| w.job_finished("pp")));
+    assert_eq!(w.pod_exit_code("pp", "server", 1), Some(0));
+    assert_eq!(w.pod_exit_code("pp", "client", 1), Some(0));
+    assert!(!w.store("pp").uncommitted_epochs().contains(&op));
 }
 
 #[test]
@@ -742,6 +870,15 @@ fn rollback_from_a_corrupt_committed_image_fails_instead_of_dropping_the_pod() {
     match w.op_error(rs) {
         Some(CruzError::CorruptImage { pod }) => assert_eq!(pod, "server"),
         other => panic!("expected a corrupt-image error, got {other:?}"),
+    }
+    // The aborted restart leaves no pod behind: the client's read was still
+    // in flight when the abort landed, and its restore must not run.
+    w.run_for(SimDuration::from_millis(20));
+    for p in &w.job("pp").unwrap().placements {
+        assert_eq!(p.pod_id, None, "{} is bound to a pod", p.name);
+    }
+    for n in 0..w.node_count() {
+        assert!(w.zap(n).pod_ids().is_empty(), "node {n} holds a stray pod");
     }
 }
 

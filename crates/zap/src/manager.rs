@@ -256,9 +256,11 @@ impl Zap {
     // ---- checkpoint -----------------------------------------------------
 
     /// Checkpoints a pod into a [`PodImage`] (§4.1): an arm immediately
-    /// drained, so no page is written in between. The pod is left
-    /// stopped; call [`Zap::resume_pod`] to continue it or
-    /// [`Zap::destroy_pod`] to tear it down for migration.
+    /// drained, so no page is written in between — the one-call form of
+    /// [`Zap::checkpoint_pod_arm`], whose snapshot the cluster's capture
+    /// pipeline drains on its own schedule. The pod is left stopped; call
+    /// [`Zap::resume_pod`] to continue it or [`Zap::destroy_pod`] to tear
+    /// it down.
     ///
     /// # Errors
     ///

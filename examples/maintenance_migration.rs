@@ -41,12 +41,15 @@ fn main() {
     let t0 = world.now;
     world.migrate_pod("stream", "receiver", 2).expect("migrate");
 
-    let mut resumed = None;
+    // The receiver reads on until the freeze lands; the pause ends at the
+    // first byte delivered after delivery stalled.
+    let (mut stalled, mut resumed) = (false, None);
     let mut last = before;
     for _ in 0..500 {
         world.run_for(SimDuration::from_millis(2));
         let c = received(&world);
-        if resumed.is_none() && c > last {
+        stalled |= c == last;
+        if stalled && resumed.is_none() && c > last {
             resumed = Some(world.now.duration_since(t0));
         }
         last = c;

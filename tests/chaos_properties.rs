@@ -1,13 +1,16 @@
 //! Chaos suite: seeded fault plans against the self-healing world.
 //!
-//! Three system-level properties must hold under *any* plan drawn from
+//! Four system-level properties must hold under *any* plan drawn from
 //! [`FaultPlan::random`]:
 //!
 //! (a) no committed epoch is ever lost or made unreadable;
 //! (b) a recovered job restarts from a committed epoch whose stored images
 //!     are byte-identical to what was captured when the epoch committed;
 //! (c) the world always quiesces — every started operation settles instead
-//!     of hanging forever.
+//!     of hanging forever;
+//! (d) at quiescence, placements and Zap agree: a placement's pod id names
+//!     a pod its live node holds, and each pod a live node holds is named
+//!     by exactly one placement.
 //!
 //! On top of the properties, pinned-plan tests exercise the acceptance
 //! scenario (crash mid-checkpoint → heartbeat detection → automatic restart
@@ -27,6 +30,9 @@ use cruz_repro::simnet::addr::{IpAddr, MacAddr};
 use cruz_repro::workloads::pingpong::PingPongConfig;
 use cruz_repro::zap::image::MacMode;
 use proptest::prelude::*;
+
+mod common;
+use common::placement_disagreement;
 
 fn pingpong_spec(rounds: u64) -> JobSpec {
     let cfg = PingPongConfig {
@@ -217,7 +223,7 @@ fn same_fault_plan_seed_replays_the_identical_trace() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Properties (a), (b), (c) under arbitrary seeded fault plans.
+    /// Properties (a) through (d) under arbitrary seeded fault plans.
     #[test]
     fn chaos_never_loses_committed_state(
         world_seed in 0u64..1_000,
@@ -253,6 +259,8 @@ proptest! {
             w.run_until_pred(50_000_000, |w| !w.job_busy("pp")),
             "operations must settle (crash/timeout/abort), not hang",
         );
+        // (d) no placement names a pod that is gone, and no pod is stray.
+        prop_assert_eq!(placement_disagreement(&w, "pp"), None);
 
         // (a) every epoch ever seen committed is either pruned away whole
         // or still committed, readable, and byte-identical.

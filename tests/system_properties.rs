@@ -9,6 +9,9 @@ use cruz_repro::workloads::pingpong::PingPongConfig;
 use cruz_repro::zap::image::MacMode;
 use proptest::prelude::*;
 
+mod common;
+use common::placement_disagreement;
+
 fn pingpong_spec(rounds: u64) -> JobSpec {
     let cfg = PingPongConfig {
         server_ip: IpAddr::from_octets([10, 0, 1, 1]),
@@ -98,7 +101,7 @@ proptest! {
                 4 => {
                     if let Some(dst) = fresh.pop() {
                         match w.migrate_pod("pp", "server", dst) {
-                            Ok(()) => server_node = dst,
+                            Ok(_) => server_node = dst,
                             Err(_) => fresh.push(dst), // busy: keep the node
                         }
                     }
@@ -132,6 +135,9 @@ proptest! {
         prop_assert!(w.run_until_pred(200_000_000, |w| w.job_finished("pp")));
         prop_assert_eq!(w.pod_exit_code("pp", "server", 1), Some(0));
         prop_assert_eq!(w.pod_exit_code("pp", "client", 1), Some(0));
+        // Property (d) of the chaos suite, with migrations in the history.
+        prop_assert!(w.run_until_pred(50_000_000, |w| !w.job_busy("pp")));
+        prop_assert_eq!(placement_disagreement(&w, "pp"), None);
     }
 
     /// Crash-then-restart at any checkpointed instant replays to a correct
