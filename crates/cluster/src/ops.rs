@@ -404,7 +404,9 @@ impl World {
     }
 
     /// A migration's capture round completed: the op continues as a
-    /// restart of the pod on its destination alone, from the spool.
+    /// restart of the pod on its destination alone, from the spool. The
+    /// op's report still covers the whole move: it starts when the capture
+    /// round started and counts both rounds' messages.
     fn start_restore_round(&mut self, op: u64) {
         let coord = self.coordinator(OpKind::Restart, ProtocolMode::Blocking, op, 1, None);
         let Some(o) = self.ops.get_mut(&op) else {
@@ -413,10 +415,16 @@ impl World {
         let Some(dst) = o.migration.as_ref().map(|&(_, dst)| dst) else {
             return;
         };
-        o.coord = coord;
+        let capture = std::mem::replace(&mut o.coord, coord).stats;
         o.kind = OpKind::Restart;
         o.agents_nodes = vec![dst];
         self.start_round(op);
+        if let Some(o) = self.ops.get_mut(&op) {
+            let stats = &mut o.coord.stats;
+            stats.started_at = capture.started_at;
+            stats.msgs_sent += capture.msgs_sent;
+            stats.msgs_received += capture.msgs_received;
+        }
     }
 
     /// Discards an epoch no commit will name, and reclaims the chunks a

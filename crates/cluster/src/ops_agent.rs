@@ -305,10 +305,10 @@ impl World {
         }
     }
 
-    /// The pipeline's drain step: materializes each armed snapshot (the
-    /// arm-instant memory, rebuilt from preserved pre-images where resumed
-    /// guests overwrote pages), prepares its store write, and submits the
-    /// node's write-out as one batched disk operation (a single seek)
+    /// The pipeline's drain step: drains each armed snapshot (the
+    /// arm-instant pages, which resumed guests' writes copied away from),
+    /// prepares its store write, and submits the node's write-out as one
+    /// batched disk operation (a single seek)
     /// starting at `start` — the freeze for an immediate drain, arm-complete
     /// for COW's, so the write-out overlaps the background encode exactly
     /// as it overlaps an immediate capture. The batch never completes

@@ -273,6 +273,25 @@ fn a_migration_is_one_op_that_commits_nothing_and_keeps_no_spool() {
 }
 
 #[test]
+fn a_migration_report_covers_both_rounds() {
+    // E8's move: the report starts at the `migrate_pod` call, not at the
+    // restore round, and counts the messages of both rounds.
+    let mut w = World::new(4, ClusterParams::default());
+    let (spec, _) = pingpong_job(500, 0, 1, 3);
+    w.launch_job(&spec).unwrap();
+    w.run_for(SimDuration::from_millis(6));
+    let called_at = w.now;
+    let op = w.migrate_pod("pp", "server", 2).unwrap();
+    assert!(w.run_until_op(op, 10_000_000));
+    let report = w.op_report(op).unwrap();
+    assert!(report.complete);
+    assert_eq!(report.stats.started_at, Some(called_at));
+    // Each one-agent round sends `start` and `continue` and receives
+    // `done` and `continue-done`.
+    assert_eq!((report.stats.msgs_sent, report.stats.msgs_received), (4, 4));
+}
+
+#[test]
 fn a_source_disk_fault_aborts_the_migration_and_the_pod_stays_home() {
     let mut w = World::new(4, ClusterParams::default());
     let (spec, _) = pingpong_job(500, 0, 1, 3);

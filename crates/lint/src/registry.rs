@@ -146,7 +146,7 @@ pub fn canon(v: &str) -> String {
 }
 
 /// Extracts the wire numbers a file defines. Dispatches on the path, so
-/// only the five wire-bearing files cost anything.
+/// only the six wire-bearing files cost anything.
 pub fn extract(sf: &SourceFile) -> Vec<WireEntry> {
     let mut out = Vec::new();
     match sf.rel.as_str() {
@@ -159,7 +159,9 @@ pub fn extract(sf: &SourceFile) -> Vec<WireEntry> {
             extract_consts(sf, &mut out);
         }
         "crates/cluster/src/events.rs" => extract_events(sf, &mut out),
-        "crates/core/src/store.rs" | "crates/cluster/src/fault.rs" => extract_consts(sf, &mut out),
+        "crates/core/src/store.rs" | "crates/cluster/src/fault.rs" | "crates/zap/src/image.rs" => {
+            extract_consts(sf, &mut out)
+        }
         _ => {}
     }
     out
@@ -856,6 +858,30 @@ const OTHER: usize = 9;
                     "store.STORE_VERSION".to_string(),
                     "1".to_string()
                 ),
+            ]
+        );
+    }
+
+    #[test]
+    fn image_format_consts_are_extracted() {
+        let src = "\
+/// Image magic number (`CRZ1`).
+pub const MAGIC: u32 = 0x4352_5a31;
+/// Current format version.
+pub const VERSION: u16 = 1;
+";
+        let e = extract(&SourceFile::new("crates/zap/src/image.rs", src));
+        assert_eq!(
+            e.iter()
+                .map(|w| (w.family, w.name.clone(), w.value.clone()))
+                .collect::<Vec<_>>(),
+            vec![
+                (
+                    "magic",
+                    "image.MAGIC".to_string(),
+                    0x4352_5a31u32.to_string()
+                ),
+                ("version", "image.VERSION".to_string(), "1".to_string()),
             ]
         );
     }

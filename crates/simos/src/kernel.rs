@@ -915,18 +915,20 @@ impl Kernel {
         }
     }
 
-    /// Forks `parent`: the child gets a deep copy of the address space and
-    /// a copy of the descriptor table (underlying pipes and sockets are
-    /// shared — they close only when the last referencing descriptor
-    /// closes). The child resumes at the same PC with `r0 = 0`; the caller
-    /// returns the child pid to the parent. Public so the Zap interposer
-    /// can service `fork` and hand the guest a virtual pid.
+    /// Forks `parent`: the child gets a copy of the address space, whose
+    /// pages it shares until either side writes them, without the parent's
+    /// armed checkpoint snapshot, and a copy of the descriptor table
+    /// (underlying pipes and sockets are shared — they close only when the
+    /// last referencing descriptor closes). The child resumes at the same
+    /// PC with `r0 = 0`; the caller returns the child pid to the parent.
+    /// Public so the Zap interposer can service `fork` and hand the guest a
+    /// virtual pid.
     ///
     /// # Errors
     ///
     /// [`Errno::Srch`] if the parent does not exist.
     pub fn fork_process(&mut self, parent: Pid) -> Result<Pid, Errno> {
-        let (mem_copy, fds_copy, mut cpu) = {
+        let (mut mem_copy, fds_copy, mut cpu) = {
             let p = self.procs.get(&parent).ok_or(Errno::Srch)?;
             (
                 p.mem.borrow().clone(),
@@ -934,6 +936,9 @@ impl Kernel {
                 p.cpu.clone(),
             )
         };
+        // Only the parent's drain reads its snapshot; a copy in the child
+        // would pin the arm-instant pages for nothing.
+        mem_copy.cow_disarm();
         // New references to shared pipe ends.
         for (_fd, desc) in fds_copy.iter() {
             if let Desc::Pipe { id, end } = desc {

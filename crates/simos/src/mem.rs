@@ -27,6 +27,11 @@ const SLOTS_PER_PAGE: usize = (PAGE_SIZE / INST_SIZE) as usize;
 /// The decode of one aligned PC, once the instruction there was fetched.
 type DecodedSlot = Option<Result<Inst, DecodeError>>;
 
+/// One page's bytes: a shared, reference-counted buffer. A fork, an armed
+/// copy-on-write snapshot, a drained image and a restored space all hold
+/// the same buffer until a write copies it (`Rc::make_mut`).
+pub type PageBuf = Rc<[u8; PAGE_SIZE as usize]>;
+
 /// What backs a mapped area.
 #[derive(Debug, Clone)]
 pub enum AreaBacking {
@@ -123,25 +128,18 @@ pub struct AddressSpace {
 #[derive(Debug, Clone)]
 struct Page {
     /// The page's bytes: all a checkpoint ever reads of it. A thin
-    /// pointer, so an entry stays two words.
-    bytes: Box<[u8; PAGE_SIZE as usize]>,
+    /// pointer, so an entry stays two words; a clone shares it.
+    bytes: PageBuf,
     /// Decoded instructions at the page's aligned PCs, filled by
     /// [`Memory::fetch`] and dropped by every write to the page. Derived
-    /// from `bytes` only; a clone copies it, and a restored space starts
-    /// without it.
+    /// from `bytes` only and kept outside the shared buffer: a clone
+    /// copies it, and an installed page starts without it.
     code: Option<Box<[DecodedSlot; SLOTS_PER_PAGE]>>,
 }
 
-impl Page {
-    fn zeroed() -> Page {
-        Page {
-            bytes: vec![0u8; PAGE_SIZE as usize]
-                .into_boxed_slice()
-                .try_into()
-                .expect("a page-sized buffer"),
-            code: None,
-        }
-    }
+/// True if any byte of the page is non-zero: the pages a checkpoint saves.
+fn nonzero(page: &PageBuf) -> bool {
+    page.iter().any(|&b| b != 0)
 }
 
 /// The area of `areas` (sorted, disjoint) that contains `addr`.
@@ -151,23 +149,17 @@ fn find_area(areas: &[VmArea], addr: u64) -> Option<&VmArea> {
     area.contains(addr).then_some(area)
 }
 
-/// The state of one armed copy-on-write snapshot: everything needed to
-/// reconstruct the private pages exactly as they were at
-/// [`AddressSpace::cow_arm`] time, while the owning process keeps writing.
-///
-/// Arming is O(1): no page is copied up front. The first
-/// post-arm write to a page preserves its pre-image here (the write-protect
-/// fault of a real COW implementation); pages never written again are read
-/// straight from the live page table at drain time.
+/// An armed copy-on-write snapshot: a clone of the page table as it stood
+/// at [`AddressSpace::cow_arm`], sharing every page buffer with the live
+/// table. Nothing else is kept: a page the owner writes after the arm is
+/// copied by that write, so the snapshot's buffer keeps the arm-instant
+/// bytes (the write-protect fault of a real COW implementation).
 #[derive(Debug, Clone)]
 struct CowSnapshot {
-    /// Pre-images of pages mutated (or dropped) since arm. `Some(page)` is
-    /// the page's contents at arm time; `None` records that the page was
-    /// not resident (demand-zero) at arm time and must not appear in the
-    /// snapshot even though it is resident now.
-    preserved: BTreeMap<u64, Option<Box<[u8]>>>,
-    /// Bytes of pre-image copies forced by post-arm writes — the extra
-    /// copy cost COW trades for a short freeze.
+    /// The private pages at arm time, zero pages included.
+    pages: BTreeMap<u64, PageBuf>,
+    /// Bytes of page copies forced by post-arm writes to pages the
+    /// snapshot shares — the extra copy cost COW trades for a short freeze.
     copied_bytes: u64,
 }
 
@@ -253,15 +245,7 @@ impl AddressSpace {
             return false;
         };
         let area = self.areas.remove(pos);
-        let keys: Vec<u64> = self
-            .pages
-            .range(area.start..area.end())
-            .map(|(&k, _)| k)
-            .collect();
-        for k in keys {
-            self.cow_preserve(k);
-            self.pages.remove(&k);
-        }
+        self.pages.retain(|&a, _| !area.contains(a));
         true
     }
 
@@ -277,11 +261,11 @@ impl AddressSpace {
 
     /// Iterates over the resident private pages (page address, contents),
     /// skipping pages that are entirely zero — the checkpoint's page set.
-    pub fn nonzero_pages(&self) -> impl Iterator<Item = (u64, &[u8])> {
+    pub fn nonzero_pages(&self) -> impl Iterator<Item = (u64, &PageBuf)> {
         self.pages
             .iter()
-            .filter(|(_, p)| p.bytes.iter().any(|&b| b != 0))
-            .map(|(&a, p)| (a, &p.bytes[..]))
+            .map(|(&a, p)| (a, &p.bytes))
+            .filter(|(_, p)| nonzero(p))
     }
 
     /// Number of resident private pages (zero or not).
@@ -289,19 +273,16 @@ impl AddressSpace {
         self.pages.len()
     }
 
-    /// Installs page contents directly (used by program loading and restore).
+    /// Installs a page buffer as it is (restore), replacing whatever the
+    /// table held at `page_addr`. The buffer is shared, not copied. No area
+    /// is checked: the caller keeps pages inside private areas.
     ///
     /// # Panics
     ///
-    /// Panics if `page_addr` is not page aligned or `data` is longer than a
-    /// page.
-    pub fn install_page(&mut self, page_addr: u64, data: &[u8]) {
+    /// Panics if `page_addr` is not page aligned.
+    pub fn install_page(&mut self, page_addr: u64, bytes: PageBuf) {
         assert_eq!(page_addr % PAGE_SIZE, 0, "page address must be aligned");
-        assert!(data.len() <= PAGE_SIZE as usize, "page data too long");
-        self.cow_preserve(page_addr);
-        let mut page = Page::zeroed();
-        page.bytes[..data.len()].copy_from_slice(data);
-        self.pages.insert(page_addr, page);
+        self.pages.insert(page_addr, Page { bytes, code: None });
     }
 
     /// Bulk-writes `data` at `addr` ignoring area bounds checks per byte
@@ -328,20 +309,21 @@ impl AddressSpace {
 
     // ---- copy-on-write snapshots ---------------------------------------
 
-    /// Arms a copy-on-write snapshot of the private pages: cheap
-    /// (no page is copied), equivalent to write-protecting every page. From
-    /// now until [`AddressSpace::cow_disarm`], the first write to any page
-    /// preserves its pre-image, so the drain methods below reconstruct the
-    /// pages exactly as they are at this instant — however long the owner
-    /// keeps executing in between.
+    /// Arms a copy-on-write snapshot of the private pages: clones the page
+    /// table, sharing every buffer, so no page is copied. From now until
+    /// [`AddressSpace::cow_disarm`], the first write to a page the snapshot
+    /// shares copies it, so the drain methods below return the pages
+    /// exactly as they are at this instant — however long the owner keeps
+    /// executing in between.
     ///
     /// Only private pages are covered: shared segments ([`SharedSeg`]) are
     /// kernel objects visible to other processes and must be captured
     /// eagerly while the whole pod is frozen. Re-arming replaces any
     /// previous snapshot.
     pub fn cow_arm(&mut self) {
+        let pages = self.pages.iter().map(|(&a, p)| (a, p.bytes.clone()));
         self.cow = Some(CowSnapshot {
-            preserved: BTreeMap::new(),
+            pages: pages.collect(),
             copied_bytes: 0,
         });
     }
@@ -351,92 +333,38 @@ impl AddressSpace {
         self.cow.is_some()
     }
 
-    /// Bytes of pre-image copies the armed snapshot has accumulated.
+    /// Bytes of page copies the armed snapshot has forced.
     pub fn cow_copied_bytes(&self) -> u64 {
         self.cow.as_ref().map(|c| c.copied_bytes).unwrap_or(0)
     }
 
     /// Drops the armed snapshot (drain complete, or checkpoint aborted),
-    /// returning the pre-image copy bytes it accumulated.
+    /// returning the page copy bytes it forced.
     pub fn cow_disarm(&mut self) -> u64 {
         self.cow.take().map(|c| c.copied_bytes).unwrap_or(0)
     }
 
-    /// The snapshot's view of one page: the preserved pre-image if the
-    /// page was written since arm, the live page otherwise.
-    fn cow_page_at_arm(&self, addr: u64) -> Option<&[u8]> {
-        let snap = self.cow.as_ref()?;
-        match snap.preserved.get(&addr) {
-            Some(Some(pre)) => Some(&pre[..]),
-            Some(None) => None, // not resident at arm time
-            None => self.pages.get(&addr).map(|p| &p.bytes[..]),
-        }
-    }
-
-    /// Every page address the snapshot may contain: live pages plus
-    /// preserved pre-images (a page unmapped since arm is only in the
-    /// latter).
-    fn cow_candidate_addrs(&self) -> Vec<u64> {
-        let Some(snap) = self.cow.as_ref() else {
-            return Vec::new();
-        };
-        let mut addrs: Vec<u64> = self.pages.keys().copied().collect();
-        addrs.extend(snap.preserved.keys().copied());
-        addrs.sort_unstable();
-        addrs.dedup();
-        addrs
-    }
-
-    /// Drains the non-zero pages as of arm time — the full-image
-    /// counterpart of [`AddressSpace::nonzero_pages`]. The snapshot stays
-    /// armed; call [`AddressSpace::cow_disarm`] when done with it.
+    /// The non-zero pages as of arm time — the full-image counterpart of
+    /// [`AddressSpace::nonzero_pages`] — sharing the snapshot's buffers.
+    /// The snapshot stays armed; call [`AddressSpace::cow_disarm`] when
+    /// done with it.
     ///
     /// # Panics
     ///
     /// Panics if no snapshot is armed.
-    pub fn cow_snapshot_pages(&self) -> Vec<(u64, Vec<u8>)> {
-        assert!(self.cow.is_some(), "no armed snapshot to drain");
-        self.cow_candidate_addrs()
-            .into_iter()
-            .filter_map(|a| self.cow_page_at_arm(a).map(|p| (a, p)))
-            .filter(|(_, p)| p.iter().any(|&b| b != 0))
-            .map(|(a, p)| (a, p.to_vec()))
-            .collect()
+    pub fn cow_snapshot_pages(&self) -> Vec<(u64, PageBuf)> {
+        let snap = self.cow.as_ref().expect("no armed snapshot to drain");
+        let pages = snap.pages.iter().filter(|(_, p)| nonzero(p));
+        pages.map(|(&a, p)| (a, p.clone())).collect()
     }
 
-    /// Payload bytes a drain will produce, without materializing any
-    /// copy — what the checkpoint scheduler needs at arm time to plan the
-    /// background encode.
+    /// Payload bytes a drain will produce — what the checkpoint scheduler
+    /// needs at arm time to plan the background encode.
     pub fn cow_pending_bytes(&self) -> u64 {
-        self.cow_candidate_addrs()
-            .into_iter()
-            .filter_map(|a| self.cow_page_at_arm(a))
-            .filter(|p| p.iter().any(|&b| b != 0))
-            .count() as u64
-            * PAGE_SIZE
-    }
-
-    /// Preserves a page's pre-image before its first post-arm mutation
-    /// (the write-protect fault handler of a real COW implementation).
-    fn cow_preserve(&mut self, page_addr: u64) {
-        let Some(snap) = self.cow.as_mut() else {
-            return;
+        let Some(snap) = &self.cow else {
+            return 0;
         };
-        if snap.preserved.contains_key(&page_addr) {
-            return; // already preserved by an earlier write
-        }
-        let pre = self
-            .pages
-            .get(&page_addr)
-            .map(|p| p.bytes.clone() as Box<[u8]>);
-        if pre.is_some() {
-            snap.copied_bytes += PAGE_SIZE;
-        }
-        snap.preserved.insert(page_addr, pre);
-    }
-
-    fn page_of(&mut self, page_addr: u64) -> &mut Page {
-        self.pages.entry(page_addr).or_insert_with(Page::zeroed)
+        snap.pages.values().filter(|p| nonzero(p)).count() as u64 * PAGE_SIZE
     }
 
     /// The page holding all of `[addr, addr + len)`, if that non-empty
@@ -463,12 +391,27 @@ impl AddressSpace {
         }
     }
 
-    /// Writes `src` at offset `in_page` of a private page: preserves the
-    /// COW pre-image and drops the page's decoded instructions.
+    /// Writes `src` at offset `in_page` of a private page, allocating it on
+    /// first touch: copies the buffer first if anything else shares it
+    /// (counting the copy when that is the armed snapshot), and drops the
+    /// page's decoded instructions.
     fn write_private(&mut self, page_addr: u64, in_page: usize, src: &[u8]) {
-        self.cow_preserve(page_addr);
-        let page = self.page_of(page_addr);
-        page.bytes[in_page..in_page + src.len()].copy_from_slice(src);
+        let page = self.pages.entry(page_addr).or_insert_with(|| Page {
+            bytes: Rc::new([0; PAGE_SIZE as usize]),
+            code: None,
+        });
+        if Rc::strong_count(&page.bytes) > 1 {
+            if let Some(snap) = &mut self.cow {
+                if snap
+                    .pages
+                    .get(&page_addr)
+                    .is_some_and(|p| Rc::ptr_eq(p, &page.bytes))
+                {
+                    snap.copied_bytes += PAGE_SIZE;
+                }
+            }
+        }
+        Rc::make_mut(&mut page.bytes)[in_page..in_page + src.len()].copy_from_slice(src);
         page.code = None;
     }
 
@@ -603,6 +546,13 @@ impl Memory for AddressSpace {
 mod tests {
     use super::*;
 
+    /// A page buffer starting with `prefix`, zero after it.
+    fn page(prefix: &[u8]) -> PageBuf {
+        let mut bytes = [0; PAGE_SIZE as usize];
+        bytes[..prefix.len()].copy_from_slice(prefix);
+        Rc::new(bytes)
+    }
+
     #[test]
     fn demand_zero_reads() {
         let mut s = AddressSpace::new();
@@ -709,9 +659,9 @@ mod tests {
     /// The snapshot drained from an armed space must equal an eager capture
     /// of the same instant, whatever happened in between.
     fn assert_snapshot_matches(space: &AddressSpace, frozen: &AddressSpace) {
-        let expect: Vec<(u64, Vec<u8>)> = frozen
+        let expect: Vec<(u64, PageBuf)> = frozen
             .nonzero_pages()
-            .map(|(a, p)| (a, p.to_vec()))
+            .map(|(a, p)| (a, p.clone()))
             .collect();
         assert_eq!(space.cow_snapshot_pages(), expect);
     }
@@ -732,7 +682,7 @@ mod tests {
         assert_snapshot_matches(&s, &frozen);
         // Live reads still see the new values.
         assert_eq!(s.load_u64(0x1000).unwrap(), 0x99);
-        // Only the two pre-existing pages forced a pre-image copy; the
+        // Only the two pre-existing pages forced a copy; the
         // fresh page was demand-zero at arm.
         assert_eq!(s.cow_copied_bytes(), 2 * PAGE_SIZE);
         assert_eq!(s.cow_disarm(), 2 * PAGE_SIZE);
@@ -752,8 +702,10 @@ mod tests {
         s.unmap(0x1000);
         s.map(0x1000, PAGE_SIZE, "a2").unwrap();
         s.store_u8(0x1000, 42).unwrap();
-        s.install_page(0x5000, &[9, 9]);
+        s.install_page(0x5000, page(&[9, 9]));
         assert_snapshot_matches(&s, &frozen);
+        // Neither replacing a page nor dropping one copies it.
+        assert_eq!(s.cow_copied_bytes(), 0);
     }
 
     #[test]
@@ -777,12 +729,17 @@ mod tests {
     }
 
     #[test]
-    fn install_page_used_by_loader() {
+    fn install_page_shares_the_buffer() {
         let mut s = AddressSpace::new();
         s.map(0x1000, PAGE_SIZE, "text").unwrap();
-        s.install_page(0x1000, &[1, 2, 3]);
+        let buf = page(&[1, 2, 3]);
+        s.install_page(0x1000, buf.clone());
+        assert!(Rc::ptr_eq(s.nonzero_pages().next().unwrap().1, &buf));
         assert_eq!(s.load_u8(0x1000).unwrap(), 1);
         assert_eq!(s.load_u8(0x1002).unwrap(), 3);
         assert_eq!(s.load_u8(0x1003).unwrap(), 0);
+        // The first write copies the shared buffer; the caller's is intact.
+        s.store_u8(0x1000, 7).unwrap();
+        assert_eq!((buf[0], s.load_u8(0x1000).unwrap()), (1, 7));
     }
 }

@@ -10,6 +10,8 @@
 //! text, loader writes and page installs, copy-on-write arming, unmap and
 //! remap, fork-style clones, and another process writing a shared segment.
 
+use std::rc::Rc;
+
 use proptest::prelude::*;
 use simcpu::cpu::{Cpu, CpuFault, StepOutcome};
 use simcpu::isa::{INST_SIZE, R1, R2, R3, R4, SP};
@@ -183,7 +185,11 @@ fn apply(space: &mut AddressSpace, seg: &SharedSeg, text: &[u8], act: &Action) {
         Action::Write(a, d) | Action::Patch(a, d) => {
             let _ = space.write_bytes(*a, d);
         }
-        Action::Install(p, d) => space.install_page(*p, d),
+        Action::Install(p, d) => {
+            let mut page = [0; PAGE_SIZE as usize];
+            page[..d.len()].copy_from_slice(d);
+            space.install_page(*p, Rc::new(page));
+        }
         Action::CowArm => space.cow_arm(),
         Action::CowDisarm => {
             space.cow_disarm();

@@ -637,3 +637,42 @@ fn forked_child_shares_sockets_until_last_close() {
         vec!["from fork".to_string()]
     );
 }
+
+#[test]
+fn fork_while_armed_leaves_the_child_unarmed_and_the_snapshot_intact() {
+    use simcpu::mem::Memory;
+    let mut a = Asm::new(CODE_BASE);
+    a.halt();
+    let prog = Program::from_asm(&a)
+        .unwrap()
+        .with_data(DATA_BASE, vec![7u8; 16]);
+    let mut k = kernel();
+    let parent = k.spawn(&prog).unwrap();
+    let cell = DATA_BASE;
+    let parent_mem = k.process(parent).unwrap().mem.clone();
+    let frozen = parent_mem.borrow().clone();
+    parent_mem.borrow_mut().cow_arm();
+
+    let child = k.fork_process(parent).unwrap();
+    let child_mem = k.process(child).unwrap().mem.clone();
+    assert!(!child_mem.borrow().cow_armed(), "the child has no snapshot");
+    child_mem.borrow_mut().store_u64(cell, 2).unwrap();
+    parent_mem.borrow_mut().store_u64(cell, 1).unwrap();
+    assert_eq!(child_mem.borrow_mut().load_u64(cell).unwrap(), 2);
+    assert_eq!(parent_mem.borrow_mut().load_u64(cell).unwrap(), 1);
+
+    let mut parent_mem = parent_mem.borrow_mut();
+    // Compared as plain bytes.
+    let frozen: Vec<_> = frozen
+        .nonzero_pages()
+        .map(|(a, p)| (a, p.to_vec()))
+        .collect();
+    let drained = parent_mem.cow_snapshot_pages();
+    let drained: Vec<_> = drained.iter().map(|(a, p)| (*a, p.to_vec())).collect();
+    assert_eq!(drained, frozen);
+    assert_eq!(
+        parent_mem.cow_disarm(),
+        simos::mem::PAGE_SIZE,
+        "one shared page written"
+    );
+}

@@ -11,8 +11,11 @@
 //! version, trailing checksum) rather than derived: the format *is* the
 //! compatibility surface a checkpoint system ships.
 
+use std::rc::Rc;
+
 use simnet::addr::{IpAddr, MacAddr, SockAddr};
 use simnet::tcp::{TcpSnapshot, TcpState};
+use simos::mem::PageBuf;
 
 /// Image magic number (`CRZ1`).
 pub const MAGIC: u32 = 0x4352_5a31;
@@ -258,8 +261,9 @@ pub enum DescImage {
 pub struct GroupImage {
     /// Mapped areas.
     pub areas: Vec<AreaImage>,
-    /// Non-zero private pages: (page address, contents).
-    pub pages: Vec<(u64, Vec<u8>)>,
+    /// Non-zero private pages: (page address, contents). A drain shares
+    /// the snapshot's buffers, and a restore installs these as they are.
+    pub pages: Vec<(u64, PageBuf)>,
     /// Descriptor entries: (fd, what).
     pub fds: Vec<(u32, DescImage)>,
 }
@@ -718,7 +722,7 @@ fn encode_group(w: &mut ImageWriter, g: &GroupImage, cuts: &mut Vec<(usize, usiz
     for (addr, data) in &g.pages {
         w.u64(*addr);
         cuts.push((w.len() + 8, data.len()));
-        w.bytes(data);
+        w.bytes(&data[..]);
     }
     w.u32(g.fds.len() as u32);
     for (fd, d) in &g.fds {
@@ -762,7 +766,11 @@ fn decode_group(r: &mut ImageReader<'_>) -> Result<GroupImage, ImageError> {
     let mut pages = r.vec_for(n);
     for _ in 0..n {
         let addr = r.u64()?;
-        pages.push((addr, r.bytes()?));
+        // The one copy of a page on restore; a payload that is not
+        // exactly one page fails the conversion.
+        let page = PageBuf::try_from(Rc::<[u8]>::from(r.slice()?))
+            .map_err(|p| ImageError::BadPage(p.len() as u64))?;
+        pages.push((addr, page));
     }
     let n = r.u32()?;
     let mut fds = r.vec_for(n);
@@ -950,7 +958,7 @@ mod tests {
                         shm_index: Some(0),
                     },
                 ],
-                pages: vec![(0x1000, vec![0xaa; 4096])],
+                pages: vec![(0x1000, Rc::new([0xaa; 4096]))],
                 fds: vec![
                     (0, DescImage::Console),
                     (
@@ -1069,7 +1077,7 @@ mod tests {
         let mut img = sample_image();
         img.groups[0]
             .pages
-            .push((0x5000, (0..4096u32).map(|i| i as u8).collect()));
+            .push((0x5000, Rc::new(std::array::from_fn(|i| i as u8))));
         let (bytes, cuts) = img.encode_with_page_cuts();
         assert_eq!(
             bytes,

@@ -23,6 +23,8 @@ pub enum ImageError {
     BadChecksum,
     /// A string was not UTF-8.
     BadString,
+    /// A page payload was not exactly one page long (its length).
+    BadPage(u64),
 }
 
 impl fmt::Display for ImageError {
@@ -34,6 +36,7 @@ impl fmt::Display for ImageError {
             ImageError::BadTag(t) => write!(f, "invalid tag byte {t:#04x}"),
             ImageError::BadChecksum => write!(f, "image checksum mismatch"),
             ImageError::BadString => write!(f, "invalid utf-8 in image string"),
+            ImageError::BadPage(n) => write!(f, "page payload of {n} bytes"),
         }
     }
 }
@@ -277,10 +280,15 @@ impl<'a> ImageReader<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
+    /// Reads a length-prefixed byte string, borrowed from the input.
+    pub fn slice(&mut self) -> Result<&'a [u8], ImageError> {
+        let n = usize::try_from(self.u64()?).map_err(|_| ImageError::Truncated)?;
+        self.take(n)
+    }
+
     /// Reads a length-prefixed byte string.
     pub fn bytes(&mut self) -> Result<Vec<u8>, ImageError> {
-        let n = usize::try_from(self.u64()?).map_err(|_| ImageError::Truncated)?;
-        Ok(self.take(n)?.to_vec())
+        Ok(self.slice()?.to_vec())
     }
 
     /// Reads a length-prefixed UTF-8 string.

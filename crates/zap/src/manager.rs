@@ -31,7 +31,7 @@ use simnet::stack::SocketId;
 use simnet::NetError;
 use simos::fd::{Desc, FdTable, PipeEnd, PipeId};
 use simos::kernel::Kernel;
-use simos::mem::{AddressSpace, MapError};
+use simos::mem::{AddressSpace, MapError, PAGE_SIZE};
 use simos::proc::{PendingSyscall, Pid, ProcState, Process, WaitFor};
 use simos::program::{Program, ProgramError};
 use simos::syscall::sig;
@@ -198,11 +198,11 @@ impl Zap {
         kernel.process(pid).map(|p| p.console.clone())
     }
 
-    /// True if every process of the pod has exited.
+    /// True if the node holds the pod and every process of it has exited.
     pub fn pod_finished(&self, kernel: &Kernel, pod: PodId) -> bool {
         let st = self.state.borrow();
         let Some(p) = st.pods.get(&pod) else {
-            return true;
+            return false;
         };
         p.pids().iter().all(|pid| {
             kernel
@@ -538,13 +538,30 @@ impl Zap {
     /// # Errors
     ///
     /// [`ZapError::IpInUse`] if the pod's address is already on this node;
-    /// image-consistency and network errors otherwise.
+    /// image-consistency and network errors otherwise. A page record that
+    /// is unaligned or outside every private area of its group is refused
+    /// before anything is created.
     pub fn restart_pod(
         &self,
         kernel: &mut Kernel,
         image: &PodImage,
         now: SimTime,
     ) -> Result<PodId, ZapError> {
+        // The page table holds whole pages of private areas and nothing
+        // else. (`wrapping_sub` also puts an address below the area out.)
+        let private = |g: &GroupImage, addr: u64| {
+            let in_area = |a: &AreaImage| addr.wrapping_sub(a.start) < a.len;
+            g.areas.iter().any(|a| a.shm_index.is_none() && in_area(a))
+        };
+        let stray = |g: &GroupImage| {
+            let stray_page = |addr: u64| !addr.is_multiple_of(PAGE_SIZE) || !private(g, addr);
+            g.pages.iter().any(|&(addr, _)| stray_page(addr))
+        };
+        if image.groups.iter().any(stray) {
+            return Err(ZapError::Inconsistent(
+                "page outside the group's private areas",
+            ));
+        }
         let pod = self.create_pod(
             kernel,
             PodConfig {
@@ -625,8 +642,8 @@ impl Zap {
                     }
                 }
             }
-            for (addr, data) in &g.pages {
-                space.install_page(*addr, data);
+            for (addr, page) in &g.pages {
+                space.install_page(*addr, page.clone());
             }
             let mut fds = FdTable::new();
             for (fd, di) in &g.fds {
@@ -764,7 +781,7 @@ impl ArmedPodCheckpoint {
             .sum()
     }
 
-    /// Pre-image copy bytes forced so far by post-resume writes.
+    /// Page copy bytes forced so far by post-resume writes.
     pub fn copied_bytes(&self) -> u64 {
         self.spaces
             .iter()
@@ -772,10 +789,11 @@ impl ArmedPodCheckpoint {
             .sum()
     }
 
-    /// The **drain** half: reconstructs each group's pages as of the arm
-    /// instant from the COW snapshots, disarms them, and returns the
-    /// completed image plus the pre-image copy bytes the snapshot window
-    /// cost. Byte-identical to a drain at the arm instant.
+    /// The **drain** half: hands each group's arm-instant pages from its
+    /// COW snapshot to the image (shared, not copied), disarms the
+    /// snapshots, and returns the completed image plus the page copy bytes
+    /// the snapshot window cost. Byte-identical to a drain at the arm
+    /// instant.
     pub fn drain(self) -> (PodImage, u64) {
         let mut image = self.skeleton;
         let mut copied = 0;

@@ -11,8 +11,8 @@ use simos::guest::AsmOs;
 use simos::program::{Program, CODE_BASE, DATA_BASE};
 use simos::syscall::nr;
 use simos::{Disk, DiskParams, Kernel, KernelParams, NetFs, ProcState};
-use zap::image::MacMode;
-use zap::{PodConfig, PodId, PodImage, Zap};
+use zap::image::{AreaImage, MacMode, ShmImage};
+use zap::{PodConfig, PodId, PodImage, Zap, ZapError};
 
 fn node(ip_last: u8, mac: u32, fs: &NetFs) -> (Kernel, Zap) {
     let net = NetStack::new(
@@ -152,6 +152,58 @@ fn checkpoint_mid_compute_and_restart_elsewhere() {
     }));
     let expected = (n as u64) * (n as u64 + 1) / 2;
     assert_eq!(zombie_code(&k2, &z2, pod2, vpid), Some(expected));
+}
+
+#[test]
+fn restore_refuses_pages_outside_private_areas() {
+    let fs = NetFs::new();
+    let (mut k1, z1) = node(1, 1, &fs);
+    let (mut k2, z2) = node(2, 2, &fs);
+    let pod = z1.create_pod(&mut k1, pod_cfg("job", 50)).unwrap();
+    z1.spawn_in_pod(&mut k1, pod, &summing_program(1000))
+        .unwrap();
+    let now = SimTime::ZERO + k1.run_slice(SimTime::ZERO).elapsed;
+    let image = z1.checkpoint_pod(&mut k1, pod, now).unwrap();
+    assert!(!image.groups[0].pages.is_empty());
+
+    // A page record at an unaligned address.
+    let mut unaligned = image.clone();
+    unaligned.groups[0].pages[0].0 += 8;
+    // A page record inside a shared-memory area, where the private page
+    // table must hold nothing.
+    let mut in_shm = image.clone();
+    let start = 0x3800_0000;
+    in_shm.shm.push(ShmImage {
+        key: 9,
+        data: vec![0; 4096],
+    });
+    in_shm.groups[0].areas.push(AreaImage {
+        start,
+        len: 4096,
+        tag: "shm".into(),
+        shm_index: Some(in_shm.shm.len() as u32 - 1),
+    });
+    in_shm.groups[0].pages[0].0 = start;
+
+    for bad in [unaligned, in_shm] {
+        let r = z2.restart_pod(&mut k2, &bad, now);
+        assert!(matches!(r, Err(ZapError::Inconsistent(_))), "{r:?}");
+    }
+    // Nothing was created: the pod's address is still free on node 2.
+    z2.restart_pod(&mut k2, &image, now).unwrap();
+}
+
+#[test]
+fn pod_finished_is_false_for_a_pod_the_node_does_not_hold() {
+    let fs = NetFs::new();
+    let (mut k, z) = node(1, 1, &fs);
+    let pod = z.create_pod(&mut k, pod_cfg("job", 50)).unwrap();
+    z.spawn_in_pod(&mut k, pod, &summing_program(10)).unwrap();
+    let mut now = SimTime::ZERO;
+    assert!(run_until(&mut k, &mut now, 1_000_000, |k| z.pod_finished(k, pod)));
+    z.destroy_pod(&mut k, pod).unwrap();
+    assert!(!z.pod_finished(&k, pod), "a destroyed pod is not finished");
+    assert!(!z.pod_finished(&k, PodId(99)), "nor is one never created");
 }
 
 #[test]

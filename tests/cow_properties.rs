@@ -4,11 +4,15 @@
 //!
 //! Two layers are checked. At the memory layer, an armed
 //! [`AddressSpace`] snapshot subjected to arbitrary post-arm writes,
-//! page installs, unmaps and remaps must drain exactly the pages a
-//! frozen clone holds. At the cluster layer, worlds checkpointing the
-//! same instant under each `CkptCaptureMode` — stop-the-world, write-back
-//! and COW — must commit byte-identical epochs while every job runs to a
-//! correct finish.
+//! page installs, unmaps, remaps and forks must drain exactly the pages
+//! the space held at the arm, count one copy per page it shared that was
+//! then written, and keep each side of a fork blind to the other's writes.
+//! At the cluster layer, worlds checkpointing the same instant under each
+//! `CkptCaptureMode` — stop-the-world, write-back and COW — must commit
+//! byte-identical epochs while every job runs to a correct finish.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use cruz_repro::cluster::world::CkptOptions;
 use cruz_repro::cluster::{CkptCaptureMode, ClusterParams, JobSpec, PodSpec, World};
@@ -37,6 +41,18 @@ enum MemOp {
     UnmapB,
     /// Map area B again (demand-zero).
     RemapB,
+    /// Fork: a clone of the space, disarmed as `fork` leaves a child, that
+    /// keeps running beside the guest.
+    Fork,
+    /// A store by the latest fork child, in area A (which no op unmaps).
+    ChildWrite { addr: u64, val: u8, len: usize },
+}
+
+/// A store of `len` bytes of `val` in one page of the `pages`-page area at
+/// `base`, from a flat offset.
+fn write_at(base: u64, pages: u64, off: u64, len: usize) -> (u64, usize) {
+    let off = off % (pages * PAGE_SIZE);
+    (base + off, len.min((PAGE_SIZE - off % PAGE_SIZE) as usize))
 }
 
 fn arb_mem_op() -> impl Strategy<Value = MemOp> {
@@ -50,14 +66,12 @@ fn arb_mem_op() -> impl Strategy<Value = MemOp> {
                 // Fold the flat offset into one of the two areas, keeping
                 // the write inside a single page so it cannot run off the
                 // end of the area.
-                let (base, pages) = if off < AREA_A_PAGES * PAGE_SIZE {
-                    (AREA_A, AREA_A_PAGES)
+                let (addr, len) = if off < AREA_A_PAGES * PAGE_SIZE {
+                    write_at(AREA_A, AREA_A_PAGES, off, len)
                 } else {
-                    (AREA_B, AREA_B_PAGES)
+                    write_at(AREA_B, AREA_B_PAGES, off, len)
                 };
-                let off = off % (pages * PAGE_SIZE);
-                let len = len.min((PAGE_SIZE - off % PAGE_SIZE) as usize);
-                MemOp::Write { addr: base + off, val, len }
+                MemOp::Write { addr, val, len }
             }),
         2 => (0u64..AREA_A_PAGES + AREA_B_PAGES, any::<u8>()).prop_map(|(i, fill)| {
             let page = if i < AREA_A_PAGES {
@@ -69,39 +83,137 @@ fn arb_mem_op() -> impl Strategy<Value = MemOp> {
         }),
         1 => Just(MemOp::UnmapB),
         1 => Just(MemOp::RemapB),
+        1 => Just(MemOp::Fork),
+        2 => (0u64..AREA_A_PAGES * PAGE_SIZE, any::<u8>(), 1usize..64).prop_map(
+            |(off, val, len)| {
+                let (addr, len) = write_at(AREA_A, AREA_A_PAGES, off, len);
+                MemOp::ChildWrite { addr, val, len }
+            }
+        ),
     ]
 }
 
-/// Applies one op, tracking whether area B is currently mapped so writes
-/// are only aimed at mapped memory (unmapped stores fault in the guest;
-/// here they would just clutter the generator with rejected cases).
-fn apply(space: &mut AddressSpace, b_mapped: &mut bool, op: &MemOp) {
-    match op {
-        MemOp::Write { addr, val, len } => {
-            if *addr >= AREA_B && !*b_mapped {
-                return;
-            }
-            space
-                .write_bytes(*addr, &vec![*val; *len])
-                .expect("write to mapped area");
+/// One address space under test, with what the test tracks of it by hand.
+#[derive(Clone, Default)]
+struct Side {
+    space: AddressSpace,
+    /// Whether area B is mapped, so writes are only aimed at mapped memory
+    /// (unmapped stores fault in the guest; here they would just clutter
+    /// the generator with rejected cases).
+    b_mapped: bool,
+    /// Addresses of the resident pages.
+    resident: BTreeSet<u64>,
+    /// Pages resident at the arm that no op has written, replaced or
+    /// dropped since: the pages the snapshot still shares.
+    untouched: BTreeSet<u64>,
+    /// The copy bytes the armed snapshot must have counted: one page for
+    /// each page first written while `untouched`.
+    copies: u64,
+}
+
+impl Side {
+    fn new() -> Side {
+        let mut space = AddressSpace::new();
+        space.map(AREA_A, AREA_A_PAGES * PAGE_SIZE, "a").unwrap();
+        space.map(AREA_B, AREA_B_PAGES * PAGE_SIZE, "b").unwrap();
+        Side {
+            space,
+            b_mapped: true,
+            ..Side::default()
         }
-        MemOp::Install { page, fill } => {
-            if *page >= AREA_B && !*b_mapped {
-                return;
+    }
+
+    fn arm(&mut self) {
+        self.space.cow_arm();
+        self.untouched = self.resident.clone();
+    }
+
+    /// Applies one op of this side's own (`Fork` and `ChildWrite` are the
+    /// script's business).
+    fn apply(&mut self, op: &MemOp) {
+        match *op {
+            MemOp::Write { addr, val, len } => {
+                if addr >= AREA_B && !self.b_mapped {
+                    return;
+                }
+                self.space
+                    .write_bytes(addr, &vec![val; len])
+                    .expect("write to mapped area");
+                let page = addr - addr % PAGE_SIZE;
+                self.resident.insert(page);
+                if self.untouched.remove(&page) {
+                    self.copies += PAGE_SIZE;
+                }
             }
-            space.install_page(*page, &vec![*fill; PAGE_SIZE as usize]);
+            MemOp::Install { page, fill } => {
+                if page >= AREA_B && !self.b_mapped {
+                    return;
+                }
+                self.space
+                    .install_page(page, Rc::new([fill; PAGE_SIZE as usize]));
+                self.resident.insert(page);
+                self.untouched.remove(&page);
+            }
+            MemOp::UnmapB => {
+                if self.b_mapped {
+                    assert!(self.space.unmap(AREA_B));
+                    self.b_mapped = false;
+                    self.resident.retain(|&p| p < AREA_B);
+                    self.untouched.retain(|&p| p < AREA_B);
+                }
+            }
+            MemOp::RemapB => {
+                if !self.b_mapped {
+                    self.space
+                        .map(AREA_B, AREA_B_PAGES * PAGE_SIZE, "b")
+                        .unwrap();
+                    self.b_mapped = true;
+                }
+            }
+            MemOp::Fork | MemOp::ChildWrite { .. } => {}
         }
-        MemOp::UnmapB => {
-            if *b_mapped {
-                assert!(space.unmap(AREA_B));
-                *b_mapped = false;
+    }
+}
+
+/// A space's non-zero pages as plain bytes.
+fn bytes_of(space: &AddressSpace) -> BTreeMap<u64, Vec<u8>> {
+    space
+        .nonzero_pages()
+        .map(|(a, p)| (a, p.to_vec()))
+        .collect()
+}
+
+/// A fork child and the bytes it must hold: a plain copy of its parent's
+/// at the fork, plus its own writes.
+struct Child {
+    side: Side,
+    expect: BTreeMap<u64, Vec<u8>>,
+}
+
+/// Runs `ops` on `guest`, forking children as the script says.
+fn run(guest: &mut Side, children: &mut Vec<Child>, ops: &[MemOp]) {
+    for op in ops {
+        match *op {
+            MemOp::Fork => {
+                let mut side = guest.clone();
+                side.space.cow_disarm();
+                side.untouched.clear();
+                let expect = bytes_of(&guest.space);
+                children.push(Child { side, expect });
             }
-        }
-        MemOp::RemapB => {
-            if !*b_mapped {
-                space.map(AREA_B, AREA_B_PAGES * PAGE_SIZE, "b").unwrap();
-                *b_mapped = true;
+            MemOp::ChildWrite { addr, val, len } => {
+                let Some(child) = children.last_mut() else {
+                    continue;
+                };
+                child.side.apply(&MemOp::Write { addr, val, len });
+                let page = child
+                    .expect
+                    .entry(addr - addr % PAGE_SIZE)
+                    .or_insert_with(|| vec![0; PAGE_SIZE as usize]);
+                let at = (addr % PAGE_SIZE) as usize;
+                page[at..at + len].fill(val);
             }
+            _ => guest.apply(op),
         }
     }
 }
@@ -162,56 +274,56 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// An armed snapshot drains the frozen instant byte-for-byte, no matter
-    /// what the owner writes, installs, unmaps or remaps in between — and
-    /// the live space keeps the post-arm state untouched.
+    /// what the owner writes, installs, unmaps, remaps or forks in between;
+    /// it counts one copy per page it shared that was written after the
+    /// arm; the live space keeps the post-arm state; and each side of a
+    /// fork sees only its own writes.
     #[test]
     fn cow_drain_matches_frozen_clone_under_arbitrary_writes(
         pre in proptest::collection::vec(arb_mem_op(), 0..32),
         post in proptest::collection::vec(arb_mem_op(), 0..32),
     ) {
-        let mut space = AddressSpace::new();
-        space.map(AREA_A, AREA_A_PAGES * PAGE_SIZE, "a").unwrap();
-        space.map(AREA_B, AREA_B_PAGES * PAGE_SIZE, "b").unwrap();
-        let mut b_mapped = true;
-        for op in &pre {
-            apply(&mut space, &mut b_mapped, op);
-        }
+        let mut guest = Side::new();
+        let mut children = Vec::new();
+        run(&mut guest, &mut children, &pre);
 
-        // The stop-the-world reference: a clone frozen at the arm instant.
-        let frozen = space.clone();
-        space.cow_arm();
-        for op in &post {
-            apply(&mut space, &mut b_mapped, op);
-        }
+        // The stop-the-world reference: a clone frozen at the arm instant,
+        // and its pages copied out as plain bytes.
+        let frozen = guest.clone();
+        let full = bytes_of(&frozen.space);
+        guest.arm();
+        run(&mut guest, &mut children, &post);
 
-        let full: Vec<(u64, Vec<u8>)> = frozen
-            .nonzero_pages()
-            .map(|(a, p)| (a, p.to_vec()))
+        let drained: BTreeMap<u64, Vec<u8>> = guest
+            .space
+            .cow_snapshot_pages()
+            .iter()
+            .map(|(a, p)| (*a, p.to_vec()))
             .collect();
-        prop_assert_eq!(&space.cow_snapshot_pages(), &full);
+        prop_assert_eq!(&drained, &full);
         prop_assert_eq!(
-            space.cow_pending_bytes(),
+            guest.space.cow_pending_bytes(),
             full.len() as u64 * PAGE_SIZE
         );
+        prop_assert_eq!(guest.space.resident_pages(), guest.resident.len());
+        prop_assert_eq!(guest.space.cow_copied_bytes(), guest.copies);
 
         // Disarming frees the snapshot but not the live (post-arm) pages.
-        let copied = space.cow_disarm();
-        prop_assert!(copied.is_multiple_of(PAGE_SIZE));
-        prop_assert!(!space.cow_armed());
-        let live: Vec<(u64, Vec<u8>)> = space
-            .nonzero_pages()
-            .map(|(a, p)| (a, p.to_vec()))
-            .collect();
+        let copied = guest.space.cow_disarm();
+        prop_assert_eq!(copied, guest.copies);
+        prop_assert!(!guest.space.cow_armed());
         let mut replay = frozen;
-        let mut b = replay.area_for(AREA_B).is_some();
         for op in &post {
-            apply(&mut replay, &mut b, op);
+            replay.apply(op);
         }
-        let expect_live: Vec<(u64, Vec<u8>)> = replay
-            .nonzero_pages()
-            .map(|(a, p)| (a, p.to_vec()))
-            .collect();
-        prop_assert_eq!(live, expect_live);
+        prop_assert_eq!(bytes_of(&guest.space), bytes_of(&replay.space));
+
+        for child in &children {
+            prop_assert!(!child.side.space.cow_armed());
+            let mut expect = child.expect.clone();
+            expect.retain(|_, p| p.iter().any(|&b| b != 0));
+            prop_assert_eq!(bytes_of(&child.side.space), expect);
+        }
     }
 
     /// Three worlds checkpoint the same instant of the same run — one per

@@ -10,6 +10,7 @@ use cruz_repro::cruz::store::{CheckpointStore, PreparedPut, ReadError, StoreConf
 use cruz_repro::cruz::ReplicatedStore;
 use cruz_repro::simnet::addr::{IpAddr, MacAddr, SockAddr};
 use cruz_repro::simos::fs::NetFs;
+use cruz_repro::simos::mem::{PageBuf, PAGE_SIZE};
 use cruz_repro::zap::image::{
     AreaImage, DescImage, GroupImage, ImageError, ImageReader, ImageWriter, MacMode, PipeImage,
     PodImage, ProcImage, RunStateImage, Sealed, SemImage, ShmImage, SockImage, TcpConnImage, MAGIC,
@@ -105,6 +106,14 @@ fn arb_desc() -> impl Strategy<Value = DescImage> {
     ]
 }
 
+/// A full page starting with `prefix`, zero after it: capture only ever
+/// emits whole pages, and the decoder refuses anything else.
+fn page_with(prefix: &[u8]) -> PageBuf {
+    let mut page = [0; PAGE_SIZE as usize];
+    page[..prefix.len()].copy_from_slice(prefix);
+    PageBuf::new(page)
+}
+
 fn arb_group() -> impl Strategy<Value = GroupImage> {
     (
         proptest::collection::vec(
@@ -127,7 +136,7 @@ fn arb_group() -> impl Strategy<Value = GroupImage> {
                 0u64..1u64 << 20,
                 proptest::collection::vec(any::<u8>(), 1..64),
             )
-                .prop_map(|(page, data)| (page * 4096, data)),
+                .prop_map(|(page, prefix)| (page * PAGE_SIZE, page_with(&prefix))),
             0..4,
         ),
         proptest::collection::vec((0u32..16, arb_desc()), 0..5),
@@ -400,6 +409,28 @@ fn malformed_bodies_with_valid_checksums_are_errors() {
     let mut body = bytes[..bytes.len() - 8].to_vec();
     body[6] = 1;
     assert_eq!(PodImage::decode(&seal(&body)), Err(ImageError::BadTag(1)));
+
+    // A page payload one byte short of a page, or one byte over, is
+    // refused rather than padded or handed to the restore.
+    let page = PAGE_SIZE as usize;
+    for len in [page - 1, page + 1] {
+        let mut img = img.clone();
+        img.groups.push(GroupImage {
+            areas: vec![],
+            pages: vec![(0x1000, page_with(&[1]))],
+            fds: vec![],
+        });
+        let (bytes, cuts) = img.encode_with_page_cuts();
+        let (at, _) = cuts[0];
+        let mut body = bytes[..at - 8].to_vec();
+        body.extend_from_slice(&(len as u64).to_le_bytes());
+        body.extend(std::iter::repeat_n(1u8, len));
+        body.extend_from_slice(&bytes[at + page..bytes.len() - 8]);
+        assert_eq!(
+            PodImage::decode(&seal(&body)),
+            Err(ImageError::BadPage(len as u64))
+        );
+    }
 }
 
 proptest! {
