@@ -458,7 +458,7 @@ impl World {
         let job = o.job.clone();
         for (pod_name, image) in images {
             let slot = &mut self.nodes[node];
-            let pod_id = match slot.zap.restart_pod(&mut slot.kernel, &image, self.now) {
+            let pod_id = match slot.zap.restart_pod(&mut slot.kernel, image, self.now) {
                 Ok(id) => id,
                 Err(e) => {
                     self.fail_op(op, CruzError::Zap(e));

@@ -160,10 +160,9 @@ pub struct ClusterParams {
     pub agent_op_cpu: SimDuration,
     /// Memory bandwidth for serializing checkpoint state (bytes/second).
     pub extract_bps: u64,
-    /// Independent per-frame loss probability (fault injection; 0 for the
-    /// paper's experiments).
-    pub frame_loss: f64, // tuning knob, not image state; cruz-lint: allow(float-in-sim)
-    /// Master RNG seed.
+    /// Unused: nothing in the world draws from it (frame loss comes from an
+    /// installed fault plan's own seed). Kept only because the benchmark
+    /// harness still sets it.
     pub seed: u64,
     /// Discard older committed epochs whenever a newer one commits (bounds
     /// checkpoint-store growth during long sweeps).
@@ -204,7 +203,6 @@ impl Default for ClusterParams {
             ctl_msg_cpu: SimDuration::from_micros(35),
             agent_op_cpu: SimDuration::from_micros(120),
             extract_bps: 2_000_000_000,
-            frame_loss: 0.0,
             seed: 42,
             prune_old_epochs: false,
             ctl_retry: None,

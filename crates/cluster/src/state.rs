@@ -83,9 +83,8 @@ impl From<CruzError> for ClusterError {
 }
 
 /// An installed fault plan plus its dedicated RNG stream and per-point hit
-/// counters. A separate stream means arming faults never perturbs the
-/// world's own RNG, so a faulted run and a clean run share every decision
-/// up to the first injected fault.
+/// counters. The stream is the world's only randomness, so a faulted run
+/// and a clean run share every decision up to the first injected fault.
 pub(crate) struct FaultState {
     pub(crate) plan: FaultPlan,
     pub(crate) rng: SimRng,
@@ -111,7 +110,6 @@ pub struct World {
     pub fs: NetFs,
     /// The parameters this world was built with.
     pub params: ClusterParams,
-    pub(crate) rng: SimRng,
     pub(crate) jobs: BTreeMap<String, JobRuntime>,
     /// Operations in flight, or aborted.
     pub(crate) ops: BTreeMap<u64, OpRuntime>,

@@ -128,7 +128,6 @@ impl World {
             "a cluster of {n} nodes does not fit the 10.0.0.x node subnet (at most {MAX_NODES})"
         );
         let fs = NetFs::new();
-        let mut rng = SimRng::from_seed(params.seed);
         let mut nodes = Vec::with_capacity(n);
         for i in 0..n {
             let net = NetStack::new(
@@ -152,10 +151,6 @@ impl World {
                 ctl_cpu_free: SimTime::ZERO,
             });
         }
-        // Deliberate discard: burn one seed-stream draw so every later
-        // draw stays aligned with the pinned golden-trace digests.
-        // cruz-lint: allow(swallowed-error)
-        let _ = rng.next_u64();
         let mut w = World {
             now: SimTime::ZERO,
             net,
@@ -166,7 +161,6 @@ impl World {
             links_down: vec![LinkState::new(); n],
             fs,
             params,
-            rng,
             jobs: BTreeMap::new(),
             ops: BTreeMap::new(),
             retired_ops: BTreeMap::new(),
@@ -594,9 +588,6 @@ impl World {
 
     fn on_frame_at_node(&mut self, port: usize, frame: EthFrame) {
         if !self.nodes[port].alive {
-            return;
-        }
-        if self.params.frame_loss > 0.0 && self.rng.chance(self.params.frame_loss) {
             return;
         }
         if let Some(f) = self.fault.as_mut() {

@@ -2,15 +2,16 @@
 //!
 //! Every persistent artifact in the reproduction — checkpoint stores,
 //! replica operation logs, fault plans, golden traces — embeds small
-//! integers the source code chooses: `CtlMsg` codec tags, `LogOp` record
-//! tags, `Event` fingerprint tags, on-disk magics and versions, well-known
-//! ports. Renumbering any of them
+//! integers the source code chooses: `CtlMsg` codec tags, the image's
+//! socket-kind tags, `LogOp` record tags, `Event` fingerprint tags,
+//! on-disk magics and versions, well-known ports. Renumbering any of them
 //! compiles cleanly and silently strands every stored image and golden
 //! digest. This pass extracts those numbers from the source and
 //! cross-checks them three ways:
 //!
-//! * the `CtlMsg` encoder against its own decoder (a tag encoded but not
-//!   decoded, or decoded differently, is a protocol bug today);
+//! * the `CtlMsg` and socket-kind encoders against their own decoders (a
+//!   tag encoded but not decoded, or decoded differently, is a format bug
+//!   today);
 //! * the extracted set against `wire-registry.txt` at the workspace root
 //!   (drift from the pinned value, or an unpinned tag, is an error);
 //! * the registry against the code (a pinned entry the code no longer
@@ -19,8 +20,8 @@
 //! Changing a tag on purpose therefore takes two edits — code and
 //! registry — which is exactly the review speed bump the pass exists to
 //! create. Extraction is heuristic (no rustc), tuned to the codec shapes
-//! actually used in `proto.rs`/`events.rs`; the self-check test keeps it
-//! honest against the real tree (`proto.rs`/`replog.rs`/`events.rs`).
+//! actually used in `proto.rs`/`image.rs`/`events.rs`; the self-check test
+//! keeps it honest against the real tree.
 
 use crate::rules::Rule;
 use crate::source::SourceFile;
@@ -29,9 +30,9 @@ use crate::Finding;
 /// Where in the code a wire number was extracted from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Origin {
-    /// `CtlMsg::encode` or `LogOp::encode_payload` arm.
+    /// `CtlMsg::encode`, `encode_sock` or `LogOp::encode_payload` arm.
     Encode,
-    /// `CtlMsg::decode` arm.
+    /// `CtlMsg::decode` or `decode_sock` arm.
     Decode,
     /// `Event::fingerprint` mix tag.
     Fingerprint,
@@ -42,8 +43,8 @@ pub enum Origin {
 /// One wire number extracted from the source.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireEntry {
-    /// Registry family: `ctlmsg`, `logop`, `event`, `magic`, `version`,
-    /// `port`.
+    /// Registry family: `ctlmsg`, `sock`, `logop`, `event`, `magic`,
+    /// `version`, `port`.
     pub family: &'static str,
     /// Variant or qualified const name (`Done`, `store.MANIFEST_MAGIC`).
     pub name: String,
@@ -77,7 +78,9 @@ pub struct Registry {
     pub entries: Vec<RegEntry>,
 }
 
-const FAMILIES: &[&str] = &["ctlmsg", "logop", "event", "magic", "version", "port"];
+const FAMILIES: &[&str] = &[
+    "ctlmsg", "sock", "logop", "event", "magic", "version", "port",
+];
 
 /// Parses `wire-registry.txt`: one `family name value` triple per line,
 /// `#` comments and blank lines ignored, values canonicalized.
@@ -151,7 +154,11 @@ pub fn extract(sf: &SourceFile) -> Vec<WireEntry> {
     let mut out = Vec::new();
     match sf.rel.as_str() {
         "crates/core/src/proto.rs" => {
-            extract_ctlmsg(sf, &mut out);
+            extract_codec(sf, &CTLMSG, &mut out);
+            extract_consts(sf, &mut out);
+        }
+        "crates/zap/src/image.rs" => {
+            extract_codec(sf, &SOCK, &mut out);
             extract_consts(sf, &mut out);
         }
         "crates/core/src/replog.rs" => {
@@ -159,9 +166,7 @@ pub fn extract(sf: &SourceFile) -> Vec<WireEntry> {
             extract_consts(sf, &mut out);
         }
         "crates/cluster/src/events.rs" => extract_events(sf, &mut out),
-        "crates/core/src/store.rs" | "crates/cluster/src/fault.rs" | "crates/zap/src/image.rs" => {
-            extract_consts(sf, &mut out)
-        }
+        "crates/core/src/store.rs" | "crates/cluster/src/fault.rs" => extract_consts(sf, &mut out),
         _ => {}
     }
     out
@@ -181,11 +186,6 @@ fn leading_int(s: &str) -> Option<String> {
     } else {
         None
     }
-}
-
-/// The variant name of the first `CtlMsg::Ident` token in `line`.
-fn ctl_ident(line: &str) -> Option<&str> {
-    variant_ident(line, "CtlMsg::")
 }
 
 /// The variant name of the first `<prefix>Ident` token in `line`, where
@@ -210,36 +210,70 @@ fn variant_ident<'a>(line: &'a str, prefix: &str) -> Option<&'a str> {
     }
 }
 
-/// Extracts encoder and decoder tags from the `CtlMsg` codec.
+/// A tag codec whose encoder and decoder are reconciled arm by arm.
+struct Codec {
+    /// Registry family.
+    family: &'static str,
+    /// The enum path the arms name (`CtlMsg::`).
+    variant: &'static str,
+    /// The encoder's signature prefix.
+    encode: &'static str,
+    /// The decoder's signature prefix.
+    decode: &'static str,
+    /// The call that writes the tag (`push(`).
+    put: &'static str,
+}
+
+/// The control-plane message codec (`crates/core/src/proto.rs`).
+const CTLMSG: Codec = Codec {
+    family: "ctlmsg",
+    variant: "CtlMsg::",
+    encode: "fn encode",
+    decode: "fn decode",
+    put: "push(",
+};
+
+/// The image's socket-kind codec (`crates/zap/src/image.rs`): the socket
+/// enum lives in `simnet`, the bytes it encodes to in every stored image.
+const SOCK: Codec = Codec {
+    family: "sock",
+    variant: "SockSnapshot::",
+    encode: "fn encode_sock",
+    decode: "fn decode_sock",
+    put: "w.u8(",
+};
+
+/// Extracts encoder and decoder tags from a [`Codec`].
 ///
-/// Encoder: within `fn encode`..`fn decode`, each `CtlMsg::Ident` match
-/// arm is paired with the first `push(<int>)` before the next arm.
-/// Decoder: within `fn decode` to the closing `}` at column 0, arms of
-/// the form `<int> => ...` count when the right-hand side mentions
-/// `CtlMsg::` (same-line) or opens a block (paired with the first
-/// `CtlMsg::Ident` before the next such arm) — this rejects the nested
-/// field-decoding matches (`0 => OpKind::Checkpoint`).
-fn extract_ctlmsg(sf: &SourceFile, out: &mut Vec<WireEntry>) {
+/// Encoder: within the encoder up to the decoder's signature, each
+/// `Variant::Ident` match arm is paired with the first `put(<int>)` before
+/// the next arm. Decoder: within the decoder to the closing `}` at column
+/// 0, arms of the form `<int> => ...` count when the right-hand side
+/// mentions the variant path (same-line) or opens a block (paired with the
+/// first `Variant::Ident` before the next such arm) — this rejects the
+/// nested field-decoding matches (`0 => OpKind::Checkpoint`).
+fn extract_codec(sf: &SourceFile, codec: &Codec, out: &mut Vec<WireEntry>) {
+    let ident = |line| variant_ident(line, codec.variant);
     let lines: Vec<&str> = sf.clean.lines().collect();
-    let enc_start = lines.iter().position(|l| l.contains("fn encode"));
-    let dec_start = lines.iter().position(|l| l.contains("fn decode"));
+    let enc_start = lines.iter().position(|l| l.contains(codec.encode));
+    let dec_start = lines.iter().position(|l| l.contains(codec.decode));
 
     if let (Some(es), Some(ds)) = (enc_start, dec_start) {
         // Encoder arms.
         let arm_lines: Vec<usize> = (es + 1..ds)
-            .filter(|&i| ctl_ident(lines[i]).is_some())
+            .filter(|&i| ident(lines[i]).is_some())
             .collect();
         for (k, &i) in arm_lines.iter().enumerate() {
             let window_end = arm_lines.get(k + 1).copied().unwrap_or(ds);
-            let name = ctl_ident(lines[i]).unwrap();
+            let name = ident(lines[i]).unwrap();
             let tag = (i..window_end).find_map(|j| {
                 let l = lines[j];
-                let at = l.find("push(")?;
-                leading_int(&l[at + "push(".len()..])
+                let at = l.find(codec.put)?;
+                leading_int(&l[at + codec.put.len()..])
             });
             if let Some(tag) = tag {
                 out.push(WireEntry {
-                    family: "ctlmsg",
+                    family: codec.family,
                     name: name.to_string(),
                     value: tag,
                     path: sf.rel.clone(),
@@ -263,7 +297,7 @@ fn extract_ctlmsg(sf: &SourceFile, out: &mut Vec<WireEntry>) {
             let Some(rhs) = after_digits.trim_start().strip_prefix("=>") else {
                 continue;
             };
-            if let Some(name) = ctl_ident(rhs) {
+            if let Some(name) = ident(rhs) {
                 arms.push((i, tag, Some(name.to_string())));
             } else if rhs.trim_start().starts_with('{') {
                 arms.push((i, tag, None));
@@ -274,10 +308,10 @@ fn extract_ctlmsg(sf: &SourceFile, out: &mut Vec<WireEntry>) {
             let next = arms.get(k + 1).map_or(dec_end, |a| a.0);
             let name = same_line
                 .clone()
-                .or_else(|| (i + 1..next).find_map(|j| ctl_ident(lines[j]).map(str::to_string)));
+                .or_else(|| (i + 1..next).find_map(|j| ident(lines[j]).map(str::to_string)));
             if let Some(name) = name {
                 out.push(WireEntry {
-                    family: "ctlmsg",
+                    family: codec.family,
                     name,
                     value: tag.clone(),
                     path: sf.rel.clone(),
@@ -449,47 +483,46 @@ pub fn check(entries: &[WireEntry], reg: &Registry, reg_rel: &str) -> Vec<Findin
         });
     };
 
-    // 1. Encoder vs decoder (the `CtlMsg` codec; `LogOp` pins only its
-    // encoder).
-    let enc: Vec<&WireEntry> = entries
-        .iter()
-        .filter(|e| e.origin == Origin::Encode && e.family == "ctlmsg")
-        .collect();
-    let dec: Vec<&WireEntry> = entries
-        .iter()
-        .filter(|e| e.origin == Origin::Decode)
-        .collect();
-    for e in &enc {
-        match dec.iter().find(|d| d.name == e.name) {
-            None => push(
-                &e.path,
-                e.line,
-                format!(
-                    "CtlMsg::{} is encoded with tag {} but has no decode arm",
-                    e.name, e.value
+    // 1. Encoder vs decoder, per codec (`LogOp` pins only its encoder).
+    for codec in [&CTLMSG, &SOCK] {
+        let of = |origin| {
+            entries
+                .iter()
+                .filter(move |e| e.family == codec.family && e.origin == origin)
+        };
+        let variant = codec.variant;
+        for e in of(Origin::Encode) {
+            match of(Origin::Decode).find(|d| d.name == e.name) {
+                None => push(
+                    &e.path,
+                    e.line,
+                    format!(
+                        "{variant}{} is encoded with tag {} but has no decode arm",
+                        e.name, e.value
+                    ),
                 ),
-            ),
-            Some(d) if d.value != e.value => push(
-                &e.path,
-                e.line,
-                format!(
-                    "CtlMsg::{} encodes as tag {} but decodes from tag {} (line {})",
-                    e.name, e.value, d.value, d.line
+                Some(d) if d.value != e.value => push(
+                    &e.path,
+                    e.line,
+                    format!(
+                        "{variant}{} encodes as tag {} but decodes from tag {} (line {})",
+                        e.name, e.value, d.value, d.line
+                    ),
                 ),
-            ),
-            _ => {}
+                _ => {}
+            }
         }
-    }
-    for d in &dec {
-        if !enc.iter().any(|e| e.name == d.name) {
-            push(
-                &d.path,
-                d.line,
-                format!(
-                    "CtlMsg::{} is decoded from tag {} but never encoded",
-                    d.name, d.value
-                ),
-            );
+        for d in of(Origin::Decode) {
+            if !of(Origin::Encode).any(|e| e.name == d.name) {
+                push(
+                    &d.path,
+                    d.line,
+                    format!(
+                        "{variant}{} is decoded from tag {} but never encoded",
+                        d.name, d.value
+                    ),
+                );
+            }
         }
     }
 
@@ -497,6 +530,7 @@ pub fn check(entries: &[WireEntry], reg: &Registry, reg_rel: &str) -> Vec<Findin
     // number collide on the wire / in fingerprints).
     for (family, origin) in [
         ("ctlmsg", Origin::Encode),
+        ("sock", Origin::Encode),
         ("logop", Origin::Encode),
         ("event", Origin::Fingerprint),
     ] {
@@ -518,7 +552,7 @@ pub fn check(entries: &[WireEntry], reg: &Registry, reg_rel: &str) -> Vec<Findin
         }
     }
 
-    // 3. Code vs registry. The encoder is the canonical ctlmsg site (the
+    // 3. Code vs registry. The encoder is a codec's canonical site (the
     // decoder was reconciled against it above).
     let code: Vec<&WireEntry> = entries
         .iter()
@@ -647,6 +681,90 @@ impl CtlMsg {
                 && f.message.contains("Done")
                 && f.message.contains("encodes as tag 2")
                 && f.message.contains("decodes from tag 3")),
+            "expected encode/decode mismatch, got {findings:?}"
+        );
+    }
+
+    // A miniature of the real image.rs socket codec: encoder arms out of
+    // tag order, a decoder with same-line and block arms, and the image
+    // consts after it.
+    const IMAGE: &str = "\
+fn encode_sock(w: &mut ImageWriter, s: &SockSnapshot) {
+    match s {
+        SockSnapshot::Listen {
+            local,
+            pending,
+        } => {
+            w.u8(0);
+            w.u32(pending.len() as u32);
+        }
+        SockSnapshot::Conn(snap) => {
+            w.u8(1);
+            encode_conn(w, snap);
+        }
+        SockSnapshot::Fresh { bound } => {
+            w.u8(3);
+            write_bound(w, *bound);
+        }
+    }
+}
+
+fn decode_sock(r: &mut ImageReader<'_>) -> Result<SockSnapshot, ImageError> {
+    Ok(match r.u8()? {
+        0 => {
+            let local = read_sockaddr(r)?;
+            SockSnapshot::Listen { local, pending }
+        }
+        1 => SockSnapshot::Conn(decode_conn(r)?),
+        3 => SockSnapshot::Fresh {
+            bound: read_bound(r)?,
+        },
+        t => return Err(ImageError::BadTag(t)),
+    })
+}
+pub const VERSION: u16 = 1;
+";
+
+    fn image_entries(src: &str) -> Vec<WireEntry> {
+        extract(&SourceFile::new("crates/zap/src/image.rs", src))
+    }
+
+    #[test]
+    fn sock_extraction_sees_both_sides() {
+        let e = image_entries(IMAGE);
+        let triple = |w: &WireEntry| (w.origin, w.name.clone(), w.value.clone());
+        assert_eq!(
+            e.iter().map(triple).collect::<Vec<_>>(),
+            vec![
+                (Origin::Encode, "Listen".into(), "0".into()),
+                (Origin::Encode, "Conn".into(), "1".into()),
+                (Origin::Encode, "Fresh".into(), "3".into()),
+                (Origin::Decode, "Listen".into(), "0".into()),
+                (Origin::Decode, "Conn".into(), "1".into()),
+                (Origin::Decode, "Fresh".into(), "3".into()),
+                (Origin::Const, "image.VERSION".into(), "1".into()),
+            ]
+        );
+        let reg =
+            parse("sock Listen 0\nsock Conn 1\nsock Fresh 3\nversion image.VERSION 1\n").unwrap();
+        let findings = check(&e, &reg, "wire-registry.txt");
+        assert!(findings.is_empty(), "got {findings:?}");
+    }
+
+    // The socket enum can move crates while its bytes must not: a decode
+    // arm renumbered alone fails even with no registry file present.
+    #[test]
+    fn renumbered_sock_decode_arm_is_flagged() {
+        let drifted = IMAGE.replace("1 => SockSnapshot::Conn", "2 => SockSnapshot::Conn");
+        let findings = check(
+            &image_entries(&drifted),
+            &Registry::default(),
+            "wire-registry.txt",
+        );
+        assert!(
+            findings.iter().any(|f| f.rule == Rule::WireDrift
+                && f.message.contains("SockSnapshot::Conn encodes as tag 1")
+                && f.message.contains("decodes from tag 2")),
             "expected encode/decode mismatch, got {findings:?}"
         );
     }

@@ -39,6 +39,6 @@ pub mod udp;
 pub use addr::{IpAddr, MacAddr, SockAddr};
 pub use fault::{FrameFate, FrameFaults};
 pub use frame::{EthFrame, EthPayload, Ipv4Packet, L4};
-pub use stack::{NetError, NetStack, RecvOutcome, SockEvent, SocketId};
+pub use stack::{NetError, NetStack, RecvOutcome, SockEvent, SockSnapshot, SocketId};
 pub use tcp::buffer::take_front;
 pub use tcp::{Tcb, TcpConfig, TcpSegment, TcpSnapshot, TcpState};

@@ -23,6 +23,8 @@ use crate::udp::UdpDatagram;
 
 mod checkpoint;
 
+pub use checkpoint::SockSnapshot;
+
 /// Identifier of a socket within one stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SocketId(pub u64);
@@ -539,17 +541,7 @@ impl NetStack {
                 self.listen_index.remove(&local);
                 self.socks.remove(&sid);
             }
-            SockEntry::Udp { bound, .. } => {
-                if let Some(b) = *bound {
-                    if let Some(v) = self.udp_index.get_mut(&b.port) {
-                        v.retain(|&s| s != sid);
-                        if v.is_empty() {
-                            self.udp_index.remove(&b.port);
-                        }
-                    }
-                }
-                self.socks.remove(&sid);
-            }
+            SockEntry::Udp { .. } => self.remove_udp(sid),
             SockEntry::TcpFresh { .. } => {
                 self.socks.remove(&sid);
             }
@@ -1110,15 +1102,19 @@ impl NetStack {
             self.conn_index.remove(&(tcb.local(), tcb.remote()));
         }
     }
-}
 
-/// Checkpointed state of a UDP socket.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UdpSnapshot {
-    /// Bound local address, if any.
-    pub bound: Option<SockAddr>,
-    /// Queued, undelivered datagrams.
-    pub queue: Vec<(SockAddr, Vec<u8>)>,
+    /// Removes a UDP socket and its port binding.
+    fn remove_udp(&mut self, sid: SocketId) {
+        let Some(SockEntry::Udp { bound: Some(b), .. }) = self.socks.remove(&sid) else {
+            return;
+        };
+        if let Some(v) = self.udp_index.get_mut(&b.port) {
+            v.retain(|&s| s != sid);
+            if v.is_empty() {
+                self.udp_index.remove(&b.port);
+            }
+        }
+    }
 }
 
 /// A point-in-time view of a TCP connection's status and readiness.

@@ -1,77 +1,234 @@
-//! Checkpoint/restore support on [`NetStack`], used by the Zap layer:
-//! §4.1 connection snapshots, listener and accept-queue restore, UDP
-//! socket snapshots, and wire-silent teardown after migration.
+//! Checkpoint/restore support on [`NetStack`], used by the Zap layer: one
+//! [`SockSnapshot`] per socket, taken by [`NetStack::snapshot`] and
+//! recreated by [`NetStack::restore`] (the §4.1 connection save and send
+//! replay included), and wire-silent teardown after migration.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
+use des::SimTime;
 
-use super::{NetError, NetStack, SockEntry, SocketId, UdpSnapshot};
+use super::{NetError, NetStack, SockEntry, SocketId};
 use crate::addr::SockAddr;
 use crate::tcp::{Tcb, TcpSnapshot, TcpState};
 
+/// Received bytes a restore hands back, by connection socket id.
+type Undelivered = Vec<(SocketId, Vec<u8>)>;
+
+/// A socket as a checkpoint saves it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SockSnapshot {
+    /// A listening TCP socket.
+    Listen {
+        /// Bound local address.
+        local: SockAddr,
+        /// Accept backlog.
+        backlog: u32,
+        /// Established, not-yet-accepted children. Mid-handshake children
+        /// are omitted: their client is still in `SynSent` and retransmits
+        /// its SYN after restore, creating a fresh child.
+        pending: Vec<TcpSnapshot>,
+    },
+    /// An established-family TCP connection (§4.1).
+    Conn(TcpSnapshot),
+    /// A UDP socket.
+    Udp {
+        /// Bound local address, if any.
+        bound: Option<SockAddr>,
+        /// Queued, undelivered (source, payload) datagrams.
+        queue: Vec<(SockAddr, Vec<u8>)>,
+    },
+    /// A TCP socket that is neither listening nor connected — also a
+    /// connection that had died by checkpoint time (bound to its local
+    /// address) and a socket the stack had already reaped (unbound).
+    Fresh {
+        /// Bound local address, if any.
+        bound: Option<SockAddr>,
+    },
+}
+
 impl NetStack {
-    /// Takes the §4.1 snapshot of a TCP connection.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::InvalidState`] if not an established-family connection.
-    pub fn tcp_snapshot(&self, sid: SocketId) -> Result<TcpSnapshot, NetError> {
-        let tcb = self.conn(sid)?;
-        if !tcb.is_connected() || tcb.is_reset() || tcb.state() == TcpState::Closed {
-            return Err(NetError::InvalidState);
+    /// Snapshots socket `sid` for a checkpoint. `parked` holds the bytes
+    /// an earlier restore handed back that the application has not read
+    /// yet (the Zap layer's alternate receive buffers), by socket id: each
+    /// connection saved, a listener's pending children included, carries
+    /// its parked remainder followed by its kernel receive queue as
+    /// `recv_stream` — the concatenation order §4.1 specifies.
+    pub fn snapshot(
+        &self,
+        sid: SocketId,
+        parked: &BTreeMap<SocketId, VecDeque<u8>>,
+    ) -> SockSnapshot {
+        let conn = |sid: SocketId| {
+            let Some(SockEntry::TcpConn(tcb)) = self.socks.get(&sid) else {
+                return None;
+            };
+            if !tcb.is_connected() || tcb.is_reset() || tcb.state() == TcpState::Closed {
+                return None;
+            }
+            let mut snap = tcb.snapshot();
+            if let Some(q) = parked.get(&sid) {
+                let mut stream: Vec<u8> = q.iter().copied().collect();
+                stream.append(&mut snap.recv_stream);
+                snap.recv_stream = stream;
+            }
+            Some(snap)
+        };
+        match self.socks.get(&sid) {
+            Some(SockEntry::TcpListen {
+                local,
+                backlog,
+                pending,
+            }) => SockSnapshot::Listen {
+                local: *local,
+                backlog: *backlog as u32,
+                pending: pending.iter().filter_map(|&child| conn(child)).collect(),
+            },
+            Some(SockEntry::TcpConn(tcb)) => conn(sid).map_or(
+                SockSnapshot::Fresh {
+                    bound: Some(tcb.local()),
+                },
+                SockSnapshot::Conn,
+            ),
+            Some(SockEntry::Udp { bound, queue }) => SockSnapshot::Udp {
+                bound: *bound,
+                queue: queue.iter().map(|(a, b)| (*a, b.to_vec())).collect(),
+            },
+            Some(SockEntry::TcpFresh { bound }) => SockSnapshot::Fresh { bound: *bound },
+            None => SockSnapshot::Fresh { bound: None },
         }
-        Ok(tcb.snapshot())
     }
 
-    /// Recreates a connection endpoint from a snapshot with empty buffers at
-    /// the rewritten sequence numbers. The caller replays the saved send
-    /// data afterwards.
+    /// Recreates a socket from its snapshot. A connection comes up at the
+    /// saved sequence numbers with empty buffers, and its saved send data
+    /// is replayed with Nagle and CORK off — cork off, nodelay on, one send
+    /// per in-flight packet, the unsent bytes, then the saved flags — so
+    /// packet boundaries survive (§4.1). A listener comes back with its
+    /// pending children in its accept queue. Returns the socket's id and
+    /// every recreated connection's non-empty `recv_stream` by socket id,
+    /// for the caller to park and serve before the kernel queue.
     ///
     /// # Errors
     ///
-    /// [`NetError::AddrInUse`] if an endpoint with the same 4-tuple exists.
-    pub fn tcp_restore(&mut self, snap: &TcpSnapshot) -> Result<SocketId, NetError> {
+    /// [`NetError::AddrInUse`] if a listener's address or a connection's
+    /// 4-tuple is taken; bind errors for a bound fresh or UDP socket;
+    /// [`NetError::InvalidState`] if a connection cannot take its saved
+    /// send data back. A refused restore leaves no socket behind.
+    pub fn restore(
+        &mut self,
+        snap: SockSnapshot,
+        now: SimTime,
+    ) -> Result<(SocketId, Undelivered), NetError> {
+        let mut undelivered = Vec::new();
+        let sid = match snap {
+            SockSnapshot::Listen {
+                local,
+                backlog,
+                pending,
+            } => {
+                if self.listen_index.contains_key(&local) {
+                    return Err(NetError::AddrInUse);
+                }
+                let lsid = self.alloc_sock();
+                self.socks.insert(
+                    lsid,
+                    SockEntry::TcpListen {
+                        local,
+                        backlog: (backlog as usize).max(1),
+                        pending: VecDeque::new(),
+                    },
+                );
+                self.listen_index.insert(local, lsid);
+                for child in pending {
+                    if let Err(e) = self.recreate_conn(child, Some(lsid), &mut undelivered, now) {
+                        self.tcp_discard(lsid);
+                        return Err(e);
+                    }
+                }
+                lsid
+            }
+            SockSnapshot::Conn(snap) => self.recreate_conn(snap, None, &mut undelivered, now)?,
+            SockSnapshot::Udp { bound, queue } => {
+                let sid = self.udp_socket();
+                if let Some(SockEntry::Udp { queue: q, .. }) = self.socks.get_mut(&sid) {
+                    q.extend(queue.into_iter().map(|(from, d)| (from, Bytes::from(d))));
+                }
+                self.bind_restored(sid, bound)?
+            }
+            SockSnapshot::Fresh { bound } => {
+                let sid = self.tcp_socket();
+                self.bind_restored(sid, bound)?
+            }
+        };
+        Ok((sid, undelivered))
+    }
+
+    /// Binds a just-restored fresh or UDP socket, removing it if the bind
+    /// fails (a failed bind leaves no port binding to undo).
+    fn bind_restored(
+        &mut self,
+        sid: SocketId,
+        bound: Option<SockAddr>,
+    ) -> Result<SocketId, NetError> {
+        if let Some(b) = bound {
+            if let Err(e) = self.bind(sid, b) {
+                self.socks.remove(&sid);
+                return Err(e);
+            }
+        }
+        Ok(sid)
+    }
+
+    /// Recreates one connection (into `listener`'s accept queue, if given)
+    /// and replays its send data; records its receive stream in
+    /// `undelivered`.
+    fn recreate_conn(
+        &mut self,
+        snap: TcpSnapshot,
+        listener: Option<SocketId>,
+        undelivered: &mut Undelivered,
+        now: SimTime,
+    ) -> Result<SocketId, NetError> {
         let key = (snap.local, snap.remote);
         if self.conn_index.contains_key(&key) {
             return Err(NetError::AddrInUse);
         }
-        let tcb = Tcb::restore(self.tcp_cfg.clone(), snap);
+        let tcb = Tcb::restore(self.tcp_cfg.clone(), &snap);
         let sid = self.alloc_sock();
         self.socks.insert(sid, SockEntry::TcpConn(Box::new(tcb)));
         self.conn_index.insert(key, sid);
-        Ok(sid)
-    }
-
-    /// Recreates a listening socket on `local`.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::AddrInUse`] if the address already has a listener.
-    pub fn tcp_restore_listener(
-        &mut self,
-        local: SockAddr,
-        backlog: usize,
-    ) -> Result<SocketId, NetError> {
-        if self.listen_index.contains_key(&local) {
-            return Err(NetError::AddrInUse);
+        if let Some(SockEntry::TcpListen { pending, .. }) =
+            listener.and_then(|l| self.socks.get_mut(&l))
+        {
+            pending.push_back(sid);
         }
-        let sid = self.alloc_sock();
-        self.socks.insert(
-            sid,
-            SockEntry::TcpListen {
-                local,
-                backlog: backlog.max(1),
-                pending: VecDeque::new(),
-            },
-        );
-        self.listen_index.insert(local, sid);
+        if let Err(e) = self.replay(sid, &snap, now) {
+            self.remove_conn(sid);
+            return Err(e);
+        }
+        if !snap.recv_stream.is_empty() {
+            undelivered.push((sid, snap.recv_stream));
+        }
         Ok(sid)
     }
 
-    /// Removes a connection endpoint without any wire traffic (used when a
-    /// checkpointed pod's sockets are torn down on the source host after
-    /// migration).
+    /// The §4.1 send replay: immediate packetization while the saved
+    /// packets go out one send each, then the saved option flags.
+    fn replay(&mut self, sid: SocketId, snap: &TcpSnapshot, now: SimTime) -> Result<(), NetError> {
+        self.tcp_set_cork(sid, false, now)?;
+        self.tcp_set_nodelay(sid, true, now)?;
+        let unsent = Some(&snap.unsent).filter(|u| !u.is_empty());
+        for data in snap.inflight.iter().chain(unsent) {
+            if self.tcp_send(sid, data, now)? != data.len() {
+                return Err(NetError::InvalidState);
+            }
+        }
+        self.tcp_set_nodelay(sid, snap.nodelay, now)?;
+        self.tcp_set_cork(sid, snap.cork, now)
+    }
+
+    /// Removes a socket without any wire traffic (used when a checkpointed
+    /// pod's sockets are torn down on the source host after migration).
     pub fn tcp_discard(&mut self, sid: SocketId) {
         match self.socks.get(&sid) {
             Some(SockEntry::TcpConn(_)) => self.remove_conn(sid),
@@ -86,100 +243,11 @@ impl NetStack {
                 self.listen_index.remove(&local);
                 self.socks.remove(&sid);
             }
-            Some(_) => {
+            Some(SockEntry::Udp { .. }) => self.remove_udp(sid),
+            Some(SockEntry::TcpFresh { .. }) => {
                 self.socks.remove(&sid);
             }
             None => {}
-        }
-    }
-
-    /// Snapshots the fully established, not-yet-accepted children sitting in
-    /// a listener's accept queue. Mid-handshake (`SynRcvd`) children are
-    /// omitted: their client side is still in `SynSent` and will simply
-    /// retransmit its SYN after restore, creating a fresh child.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::InvalidState`] if `sid` is not a listener.
-    pub fn tcp_listener_pending(&self, sid: SocketId) -> Result<Vec<TcpSnapshot>, NetError> {
-        let entry = self.socks.get(&sid).ok_or(NetError::BadSocket)?;
-        let SockEntry::TcpListen { pending, .. } = entry else {
-            return Err(NetError::InvalidState);
-        };
-        Ok(pending
-            .iter()
-            .filter_map(|child| match self.socks.get(child) {
-                Some(SockEntry::TcpConn(tcb))
-                    if tcb.is_connected() && !tcb.is_reset() && tcb.state() != TcpState::Closed =>
-                {
-                    Some(tcb.snapshot())
-                }
-                _ => None,
-            })
-            .collect())
-    }
-
-    /// Restores a connection into a listener's accept queue (the restore
-    /// path for [`NetStack::tcp_listener_pending`]).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::InvalidState`] if `lsid` is not a listener;
-    /// [`NetError::AddrInUse`] if the 4-tuple already exists.
-    pub fn tcp_restore_into_listener(
-        &mut self,
-        lsid: SocketId,
-        snap: &TcpSnapshot,
-    ) -> Result<SocketId, NetError> {
-        if !self.is_listener(lsid) {
-            return Err(NetError::InvalidState);
-        }
-        let sid = self.tcp_restore(snap)?;
-        if let Some(SockEntry::TcpListen { pending, .. }) = self.socks.get_mut(&lsid) {
-            pending.push_back(sid);
-        }
-        Ok(sid)
-    }
-
-    /// Snapshot of a UDP socket: its bound address and queued datagrams.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::InvalidState`] if not a UDP socket.
-    pub fn udp_snapshot(&self, sid: SocketId) -> Result<UdpSnapshot, NetError> {
-        match self.socks.get(&sid) {
-            Some(SockEntry::Udp { bound, queue }) => Ok(UdpSnapshot {
-                bound: *bound,
-                queue: queue.iter().map(|(a, b)| (*a, b.to_vec())).collect(),
-            }),
-            Some(_) => Err(NetError::InvalidState),
-            None => Err(NetError::BadSocket),
-        }
-    }
-
-    /// Recreates a UDP socket from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn udp_restore(&mut self, snap: &UdpSnapshot) -> Result<SocketId, NetError> {
-        let sid = self.udp_socket();
-        if let Some(b) = snap.bound {
-            self.bind(sid, b)?;
-        }
-        if let Some(SockEntry::Udp { queue, .. }) = self.socks.get_mut(&sid) {
-            for (from, data) in &snap.queue {
-                queue.push_back((*from, Bytes::from(data.clone())));
-            }
-        }
-        Ok(sid)
-    }
-
-    /// Listener backlog size, for checkpointing listeners.
-    pub fn tcp_listener_backlog(&self, sid: SocketId) -> Option<usize> {
-        match self.socks.get(&sid)? {
-            SockEntry::TcpListen { backlog, .. } => Some(*backlog),
-            _ => None,
         }
     }
 }

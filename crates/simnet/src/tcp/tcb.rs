@@ -140,8 +140,10 @@ pub struct TcpSnapshot {
     pub inflight: Vec<Vec<u8>>,
     /// Buffered-but-untransmitted send data (no packet boundaries yet).
     pub unsent: Vec<u8>,
-    /// Received, undelivered stream data (drained into the restore-side
-    /// alternate buffer).
+    /// Received, undelivered stream data, handed back on restore for the
+    /// restore-side alternate buffer. A checkpoint of a restored connection
+    /// puts the alternate buffer's unread remainder first, then the kernel
+    /// receive queue ([`crate::NetStack::snapshot`]).
     pub recv_stream: Vec<u8>,
 }
 
@@ -236,8 +238,9 @@ impl Tcb {
     /// Reconstructs a connection from a checkpoint snapshot.
     ///
     /// The TCB comes up with **empty buffers** at the snapshot's rewritten
-    /// sequence numbers; the caller (the Zap layer) then replays the saved
-    /// send data through ordinary [`Tcb::write`] calls, one per saved packet,
+    /// sequence numbers; the caller ([`crate::NetStack::restore`]) then
+    /// replays the saved send data through ordinary [`Tcb::write`] calls, one
+    /// per saved packet,
     /// with Nagle and CORK temporarily disabled — exactly the paper's restore
     /// procedure.
     pub fn restore(cfg: TcpConfig, snap: &TcpSnapshot) -> Tcb {

@@ -2,12 +2,15 @@
 //! tiny in-test wire (switch + timers), exercising sockets, ARP, VIFs,
 //! filtering and broadcast without the OS or cluster layers.
 
+use std::collections::{BTreeMap, VecDeque};
+
 use bytes::Bytes;
 use des::{EventQueue, SimDuration, SimTime};
+use proptest::prelude::*;
 use simnet::addr::{IpAddr, MacAddr, SockAddr};
 use simnet::switch::{PortId, Switch};
-use simnet::tcp::TcpConfig;
-use simnet::{EthFrame, NetError, NetStack, RecvOutcome};
+use simnet::tcp::{TcpConfig, TcpSnapshot};
+use simnet::{EthFrame, NetError, NetStack, RecvOutcome, SockSnapshot};
 
 /// A miniature wire: N stacks on one switch, 50 µs per hop, frames and
 /// protocol timers driven from one queue.
@@ -373,30 +376,22 @@ fn checkpoint_snapshot_survives_stack_round_trip() {
     w.stacks[0].tcp_send(c, b"A->B in flight", w.now).unwrap();
     w.stacks[1].tcp_send(s, b"B->A in flight", w.now).unwrap();
     // Cut: snapshot B's endpoint, drop the wire, tear the VIF down.
-    let snap = w.stacks[1].tcp_snapshot(s).unwrap();
+    let snap = w.stacks[1].snapshot(s, &BTreeMap::new());
+    assert!(matches!(snap, SockSnapshot::Conn(_)), "{snap:?}");
     w.stacks[1].tcp_discard(s);
     w.stacks[1].remove_iface("vif0");
     w.queue.clear();
 
     // Restore on stack 2: VIF with the same IP, endpoint at the saved
-    // sequence numbers, §4.1 send replay, gratuitous ARP announcement.
+    // sequence numbers with the §4.1 send replay, gratuitous ARP
+    // announcement.
     w.stacks[2].add_iface("vif0", mac_new, vec![pod_ip]);
-    let restored = w.stacks[2].tcp_restore(&snap).unwrap();
-    w.stacks[2].tcp_set_nodelay(restored, true, w.now).unwrap();
-    for pkt in &snap.inflight {
-        w.stacks[2].tcp_send(restored, pkt, w.now).unwrap();
-    }
-    if !snap.unsent.is_empty() {
-        w.stacks[2].tcp_send(restored, &snap.unsent, w.now).unwrap();
-    }
-    w.stacks[2]
-        .tcp_set_nodelay(restored, snap.nodelay, w.now)
-        .unwrap();
+    let (restored, undelivered) = w.stacks[2].restore(snap, w.now).unwrap();
     w.stacks[2].send_gratuitous_arp(pod_ip, mac_new);
     w.settle();
 
     // A's endpoint (never touched) retransmits into the restored socket.
-    let mut to_b = snap.recv_stream.clone();
+    let mut to_b: Vec<u8> = undelivered.into_iter().flat_map(|(_, d)| d).collect();
     match w.stacks[2].tcp_recv(restored, 64, w.now).unwrap() {
         RecvOutcome::Data(d) => to_b.extend_from_slice(&d),
         RecvOutcome::WouldBlock => {}
@@ -495,4 +490,154 @@ fn dhcp_over_the_wire_preserves_identity_across_hosts() {
     let ip_after = acquire(&mut w, &mut server, 2, 77);
     assert_eq!(ip_before, ip_after, "identity follows the fake chaddr");
     assert_eq!(server.leased_ip(fake_mac), Some(ip_before));
+}
+
+/// What a re-snapshot of a restored socket must reproduce: everything but
+/// the receive streams (handed back by the restore) and the packet
+/// boundaries of the send bytes, whose order alone is kept.
+fn restored_shape(snap: &SockSnapshot) -> SockSnapshot {
+    let conn = |c: &TcpSnapshot| TcpSnapshot {
+        inflight: Vec::new(),
+        unsent: c
+            .inflight
+            .iter()
+            .flatten()
+            .chain(&c.unsent)
+            .copied()
+            .collect(),
+        recv_stream: Vec::new(),
+        ..c.clone()
+    };
+    match snap {
+        SockSnapshot::Listen {
+            local,
+            backlog,
+            pending,
+        } => SockSnapshot::Listen {
+            local: *local,
+            backlog: *backlog,
+            pending: pending.iter().map(conn).collect(),
+        },
+        SockSnapshot::Conn(c) => SockSnapshot::Conn(conn(c)),
+        other => other.clone(),
+    }
+}
+
+/// Every connection's receive stream, in snapshot order.
+fn recv_streams(snaps: &[SockSnapshot]) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for s in snaps {
+        match s {
+            SockSnapshot::Listen { pending, .. } => {
+                out.extend(pending.iter().map(|c| c.recv_stream.clone()))
+            }
+            SockSnapshot::Conn(c) => out.push(c.recv_stream.clone()),
+            _ => {}
+        }
+    }
+    out.retain(|d| !d.is_empty());
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // One of every socket kind on stack 0 — unbound and bound fresh
+    // sockets, a listener with established unaccepted children that
+    // received data, a connection with received, parked, in-flight and
+    // unsent bytes, and a UDP socket with queued datagrams — restored on
+    // a second stack with the same address. The restore hands back every
+    // connection's receive stream, and a re-snapshot finds the same
+    // sockets.
+    #[test]
+    fn every_socket_kind_survives_snapshot_and_restore(
+        child_msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..32), 0..3),
+        received in proptest::collection::vec(any::<u8>(), 0..200),
+        parked in proptest::collection::vec(any::<u8>(), 0..16),
+        sends in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..600), 0..4),
+        nodelay in any::<bool>(),
+        cork in any::<bool>(),
+        dgrams in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..32), 0..3),
+    ) {
+        let mut w = Wire::new(2);
+        let a_ip = w.ip(0);
+        let unbound = w.stacks[0].tcp_socket();
+        let bound = w.stacks[0].tcp_socket();
+        w.stacks[0].bind(bound, SockAddr::new(a_ip, 6000)).unwrap();
+
+        let listener = w.stacks[0].tcp_socket();
+        w.stacks[0].bind(listener, SockAddr::new(a_ip, 7000)).unwrap();
+        w.stacks[0].tcp_listen(listener, 4).unwrap();
+        let clients: Vec<_> = child_msgs
+            .iter()
+            .map(|_| {
+                let c = w.stacks[1].tcp_socket();
+                let now = w.now;
+                w.stacks[1].tcp_connect(c, SockAddr::new(a_ip, 7000), now).unwrap();
+                c
+            })
+            .collect();
+        w.settle();
+        for (c, msg) in clients.iter().zip(&child_msgs) {
+            let now = w.now;
+            w.stacks[1].tcp_send(*c, msg, now).unwrap();
+        }
+
+        let udp = w.stacks[0].udp_socket();
+        w.stacks[0].bind(udp, SockAddr::new(a_ip, 9000)).unwrap();
+        let tx = w.stacks[1].udp_socket();
+        for d in &dgrams {
+            let now = w.now;
+            w.stacks[1]
+                .udp_send_to(tx, SockAddr::new(a_ip, 9000), Bytes::from(d.clone()), now)
+                .unwrap();
+        }
+
+        let (conn, peer, _) = w.connect(0, 1, 8000);
+        let now = w.now;
+        w.stacks[1].tcp_send(peer, &received, now).unwrap();
+        w.settle();
+        // Sent last and never delivered: in flight or still unsent.
+        w.stacks[0].tcp_set_nodelay(conn, nodelay, now).unwrap();
+        w.stacks[0].tcp_set_cork(conn, cork, now).unwrap();
+        for chunk in &sends {
+            prop_assert_eq!(w.stacks[0].tcp_send(conn, chunk, now).unwrap(), chunk.len());
+        }
+
+        let parked_bufs = BTreeMap::from([(conn, VecDeque::from(parked.clone()))]);
+        let sids = [unbound, bound, listener, conn, udp];
+        let snaps: Vec<SockSnapshot> =
+            sids.iter().map(|&s| w.stacks[0].snapshot(s, &parked_bufs)).collect();
+        prop_assert_eq!(&snaps[0], &SockSnapshot::Fresh { bound: None });
+        prop_assert_eq!(
+            &snaps[1],
+            &SockSnapshot::Fresh { bound: Some(SockAddr::new(a_ip, 6000)) }
+        );
+        let SockSnapshot::Listen { pending, .. } = &snaps[2] else {
+            panic!("not a listener: {:?}", snaps[2]);
+        };
+        let child_streams: Vec<_> = pending.iter().map(|c| c.recv_stream.clone()).collect();
+        prop_assert_eq!(child_streams, child_msgs);
+        let SockSnapshot::Conn(c) = &snaps[3] else {
+            panic!("not a connection: {:?}", snaps[3]);
+        };
+        prop_assert_eq!(&c.recv_stream, &[parked, received].concat());
+        prop_assert_eq!(c.send_bytes(), sends.iter().map(Vec::len).sum::<usize>());
+        let SockSnapshot::Udp { queue, .. } = &snaps[4] else {
+            panic!("not a UDP socket: {:?}", snaps[4]);
+        };
+        let queued: Vec<_> = queue.iter().map(|(_, d)| d.clone()).collect();
+        prop_assert_eq!(queued, dgrams);
+
+        let mut twin = NetStack::new(MacAddr::from_index(9), a_ip, 24, TcpConfig::default());
+        let mut handed_back = Vec::new();
+        for snap in &snaps {
+            let (sid, undelivered) = twin.restore(snap.clone(), now).unwrap();
+            handed_back.extend(undelivered.into_iter().map(|(_, d)| d));
+            let again = twin.snapshot(sid, &BTreeMap::new());
+            prop_assert!(recv_streams(std::slice::from_ref(&again)).is_empty());
+            prop_assert_eq!(restored_shape(&again), restored_shape(snap));
+        }
+        prop_assert_eq!(handed_back, recv_streams(&snaps));
+    }
 }

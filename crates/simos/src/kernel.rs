@@ -1115,14 +1115,17 @@ impl Kernel {
         self.shm_by_key.iter().map(|(&k, s)| (k, s))
     }
 
-    /// Registers a restored shared segment under its original key.
-    pub fn shm_restore(&mut self, key: u64, data: Vec<u8>) -> u64 {
+    /// Registers a restored shared segment under its original key, taking
+    /// its bytes as they are.
+    pub fn shm_restore(&mut self, key: u64, data: Vec<u8>) -> SharedSeg {
         let id = self.next_shm;
         self.next_shm += 1;
-        let seg = SharedSeg::new(id, data.len());
-        *seg.data.borrow_mut() = data;
+        let seg = SharedSeg {
+            id,
+            data: Rc::new(RefCell::new(data)),
+        };
         self.shm_by_key.insert(key, seg.clone());
-        self.shm_by_id.insert(id, seg);
-        id
+        self.shm_by_id.insert(id, seg.clone());
+        seg
     }
 }

@@ -80,10 +80,10 @@ impl PipeTable {
     }
 
     /// Recreates a pipe with specific buffered contents (restore path).
-    pub fn restore(&mut self, contents: &[u8], readers: u32, writers: u32) -> PipeId {
+    pub fn restore(&mut self, contents: Vec<u8>, readers: u32, writers: u32) -> PipeId {
         let id = self.create();
         let p = self.pipes.get_mut(&id).expect("just created");
-        p.buf.extend(contents);
+        p.buf = VecDeque::from(contents);
         p.readers = readers;
         p.writers = writers;
         id
@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn restore_reinstates_contents() {
         let mut t = PipeTable::new();
-        let id = t.restore(b"buffered", 1, 1);
+        let id = t.restore(b"buffered".to_vec(), 1, 1);
         assert_eq!(t.get(id).unwrap().snapshot_bytes(), b"buffered");
         assert_eq!(t.read(id, 100), b"buffered");
     }

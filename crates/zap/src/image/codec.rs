@@ -25,6 +25,8 @@ pub enum ImageError {
     BadString,
     /// A page payload was not exactly one page long (its length).
     BadPage(u64),
+    /// Bytes left over after the structure ended (their count).
+    Trailing(u64),
 }
 
 impl fmt::Display for ImageError {
@@ -37,6 +39,7 @@ impl fmt::Display for ImageError {
             ImageError::BadChecksum => write!(f, "image checksum mismatch"),
             ImageError::BadString => write!(f, "invalid utf-8 in image string"),
             ImageError::BadPage(n) => write!(f, "page payload of {n} bytes"),
+            ImageError::Trailing(n) => write!(f, "{n} bytes after the image body"),
         }
     }
 }
@@ -296,9 +299,22 @@ impl<'a> ImageReader<'a> {
         String::from_utf8(self.bytes()?).map_err(|_| ImageError::BadString)
     }
 
-    /// Reads a bool.
+    /// Reads a bool: 0 or 1, any other byte is [`ImageError::BadTag`].
     pub fn bool(&mut self) -> Result<bool, ImageError> {
-        Ok(self.u8()? != 0)
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(ImageError::BadTag(t)),
+        }
+    }
+
+    /// Ends the read: [`ImageError::Trailing`] unless every byte was
+    /// consumed, so only an image's own encoding decodes to it.
+    pub fn end(&self) -> Result<(), ImageError> {
+        match self.data.len() - self.pos {
+            0 => Ok(()),
+            n => Err(ImageError::Trailing(n as u64)),
+        }
     }
 }
 

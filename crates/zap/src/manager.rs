@@ -3,7 +3,8 @@
 //! The checkpoint procedure follows the paper's §4.1 step by step:
 //!
 //! 1. `SIGSTOP` every process in the pod (nothing at user level can change);
-//! 2. freeze and extract socket state — receive streams non-destructively
+//! 2. take each socket's snapshot from the network stack
+//!    ([`simnet::NetStack::snapshot`]) — receive streams non-destructively
 //!    (the `MSG_PEEK` analogue, concatenated after any alternate-buffer
 //!    remainder), send buffers *with packet boundaries*, and the connection
 //!    state with its sequence numbers rewritten to present empty buffers;
@@ -14,13 +15,14 @@
 //!
 //! Restart recreates everything with **fresh real pids** behind the pod's
 //! virtual-pid namespace (so images restore even when the original pids are
-//! taken — the capability the paper highlights over BLCR), re-creates
-//! sockets at the saved sequence numbers, replays saved send data through
-//! ordinary sends with Nagle/CORK temporarily disabled, and parks receive
-//! data in the alternate buffers served by the interposer.
+//! taken — the capability the paper highlights over BLCR), has the network
+//! stack re-create sockets at the saved sequence numbers and replay saved
+//! send data with Nagle/CORK temporarily disabled
+//! ([`simnet::NetStack::restore`]), and parks the receive data it hands
+//! back in the alternate buffers served by the interposer.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
@@ -37,8 +39,8 @@ use simos::program::{Program, ProgramError};
 use simos::syscall::sig;
 
 use crate::image::{
-    AreaImage, DescImage, GroupImage, ImageError, MacMode, PipeImage, PodImage, ProcImage,
-    RunStateImage, SemImage, ShmImage, SockImage, TcpConnImage,
+    AreaImage, DescImage, GroupImage, MacMode, PipeImage, PodImage, ProcImage, RunStateImage,
+    SemImage, ShmImage,
 };
 use crate::interpose::ZapState;
 use crate::pod::{Pod, PodConfig, PodId, Vpid};
@@ -52,8 +54,6 @@ pub enum ZapError {
     IpInUse,
     /// A network-stack operation failed.
     Net(NetError),
-    /// The image failed to decode or referenced a bad index.
-    Image(ImageError),
     /// The image was internally inconsistent.
     Inconsistent(&'static str),
     /// A guest program failed to load.
@@ -68,7 +68,6 @@ impl fmt::Display for ZapError {
             ZapError::NoSuchPod => write!(f, "no such pod"),
             ZapError::IpInUse => write!(f, "pod ip already in use on this node"),
             ZapError::Net(e) => write!(f, "network: {e}"),
-            ZapError::Image(e) => write!(f, "image: {e}"),
             ZapError::Inconsistent(s) => write!(f, "inconsistent image: {s}"),
             ZapError::Program(e) => write!(f, "program: {e}"),
             ZapError::Map(e) => write!(f, "mapping: {e}"),
@@ -81,12 +80,6 @@ impl std::error::Error for ZapError {}
 impl From<NetError> for ZapError {
     fn from(e: NetError) -> Self {
         ZapError::Net(e)
-    }
-}
-
-impl From<ImageError> for ZapError {
-    fn from(e: ImageError) -> Self {
-        ZapError::Image(e)
     }
 }
 
@@ -264,8 +257,7 @@ impl Zap {
     ///
     /// # Errors
     ///
-    /// [`ZapError::NoSuchPod`]; network-stack failures while snapshotting
-    /// sockets.
+    /// [`ZapError::NoSuchPod`].
     pub fn checkpoint_pod(
         &self,
         kernel: &mut Kernel,
@@ -330,7 +322,7 @@ impl Zap {
         let mut pipe_index: BTreeMap<PipeId, u32> = BTreeMap::new();
         let mut pipe_images: Vec<PipeImage> = Vec::new();
         let mut sock_index: BTreeMap<SocketId, u32> = BTreeMap::new();
-        let mut sock_images: Vec<SockImage> = Vec::new();
+        let mut sock_images = Vec::new();
 
         let pids = p.pids();
         for &pid in &pids {
@@ -396,16 +388,10 @@ impl Zap {
                         }
                     }
                     Desc::Socket(sid) => {
-                        let idx = match sock_index.get(sid) {
-                            Some(&i) => i,
-                            None => {
-                                let img = snapshot_socket(kernel, p, *sid)?;
-                                let i = sock_images.len() as u32;
-                                sock_index.insert(*sid, i);
-                                sock_images.push(img);
-                                i
-                            }
-                        };
+                        let idx = *sock_index.entry(*sid).or_insert_with(|| {
+                            sock_images.push(kernel.net.snapshot(*sid, &p.alt_recv));
+                            sock_images.len() as u32 - 1
+                        });
                         DescImage::Socket { index: idx }
                     }
                 };
@@ -531,169 +517,123 @@ impl Zap {
 
     // ---- restart -----------------------------------------------------------
 
-    /// Restores a pod from an image onto this node's kernel. The pod comes
-    /// up **stopped**; call [`Zap::resume_pod`] once global restart
-    /// coordination allows execution (§5).
+    /// Restores a pod from an image onto this node's kernel, moving the
+    /// image's bytes into it. The pod comes up **stopped**; call
+    /// [`Zap::resume_pod`] once global restart coordination allows
+    /// execution (§5).
     ///
     /// # Errors
     ///
-    /// [`ZapError::IpInUse`] if the pod's address is already on this node;
-    /// image-consistency and network errors otherwise. A page record that
-    /// is unaligned or outside every private area of its group is refused
-    /// before anything is created.
+    /// [`ZapError::IpInUse`] if the pod's address is already on this node.
+    /// An image whose cross-references do not resolve (a shm, pipe, socket
+    /// or group index out of range, overlapping or misaligned areas, a page
+    /// outside its group's private areas) is refused before anything is
+    /// created. A socket the network stack refuses ([`ZapError::Net`])
+    /// fails the restore after the pod exists; it then tears down every
+    /// socket restored so far and the pod, so a refused image leaves
+    /// nothing behind.
     pub fn restart_pod(
         &self,
         kernel: &mut Kernel,
-        image: &PodImage,
+        image: PodImage,
         now: SimTime,
     ) -> Result<PodId, ZapError> {
-        // The page table holds whole pages of private areas and nothing
-        // else. (`wrapping_sub` also puts an address below the area out.)
-        let private = |g: &GroupImage, addr: u64| {
-            let in_area = |a: &AreaImage| addr.wrapping_sub(a.start) < a.len;
-            g.areas.iter().any(|a| a.shm_index.is_none() && in_area(a))
-        };
-        let stray = |g: &GroupImage| {
-            let stray_page = |addr: u64| !addr.is_multiple_of(PAGE_SIZE) || !private(g, addr);
-            g.pages.iter().any(|&(addr, _)| stray_page(addr))
-        };
-        if image.groups.iter().any(stray) {
-            return Err(ZapError::Inconsistent(
-                "page outside the group's private areas",
-            ));
+        check_refs(&image)?;
+        let PodImage {
+            name,
+            ip,
+            mac_mode,
+            next_vpid,
+            shm,
+            sems,
+            pipes,
+            sockets,
+            groups,
+            procs,
+        } = image;
+        let pod = self.create_pod(kernel, PodConfig { name, ip, mac_mode })?;
+
+        // Sockets (§4.1 restore) first: the one step that can still fail,
+        // with only the pod and the sockets before it to undo.
+        let mut sock_ids = Vec::with_capacity(sockets.len());
+        let mut parked = Vec::new();
+        for snap in sockets {
+            match kernel.net.restore(snap, now) {
+                Ok((sid, undelivered)) => {
+                    sock_ids.push(sid);
+                    parked.extend(undelivered);
+                }
+                Err(e) => {
+                    for sid in sock_ids {
+                        kernel.net.tcp_discard(sid);
+                    }
+                    self.destroy_pod(kernel, pod)?;
+                    return Err(e.into());
+                }
+            }
         }
-        let pod = self.create_pod(
-            kernel,
-            PodConfig {
-                name: image.name.clone(),
-                ip: image.ip,
-                mac_mode: image.mac_mode,
-            },
-        )?;
 
         // Kernel objects.
-        let mut shm_ids = Vec::with_capacity(image.shm.len());
-        for s in &image.shm {
-            shm_ids.push(kernel.shm_restore(s.key, s.data.clone()));
+        let segs: Vec<_> = shm
+            .into_iter()
+            .map(|s| kernel.shm_restore(s.key, s.data))
+            .collect();
+        for s in sems {
+            kernel.sems.restore(s.key, s.values);
         }
-        for s in &image.sems {
-            kernel.sems.restore(s.key, s.values.clone());
-        }
-        let mut pipe_ids = Vec::with_capacity(image.pipes.len());
-        for pi in &image.pipes {
-            pipe_ids.push(kernel.pipes.restore(&pi.data, pi.readers, pi.writers));
-        }
-
-        // Sockets (§4.1 restore).
-        let mut sock_ids: Vec<SocketId> = Vec::with_capacity(image.sockets.len());
-        let mut alt_bufs: Vec<(SocketId, Vec<u8>)> = Vec::new();
-        for s in &image.sockets {
-            let sid = match s {
-                SockImage::Listen {
-                    local,
-                    backlog,
-                    pending,
-                } => {
-                    let lsid = kernel.net.tcp_restore_listener(*local, *backlog as usize)?;
-                    for (conn, alt) in pending {
-                        let child =
-                            restore_conn(kernel, conn, alt, &mut alt_bufs, Some(lsid), now)?;
-                        let _ = child;
-                    }
-                    lsid
-                }
-                SockImage::Conn { snap, alt_recv } => {
-                    restore_conn(kernel, snap, alt_recv, &mut alt_bufs, None, now)?
-                }
-                SockImage::Udp { bound, queue } => {
-                    let snap = simnet::stack::UdpSnapshot {
-                        bound: *bound,
-                        queue: queue.clone(),
-                    };
-                    kernel.net.udp_restore(&snap)?
-                }
-                SockImage::Fresh { bound } => {
-                    let sid = kernel.net.tcp_socket();
-                    if let Some(b) = bound {
-                        kernel.net.bind(sid, *b)?;
-                    }
-                    sid
-                }
-            };
-            sock_ids.push(sid);
-        }
+        let pipe_ids: Vec<PipeId> = pipes
+            .into_iter()
+            .map(|p| kernel.pipes.restore(p.data, p.readers, p.writers))
+            .collect();
 
         // Thread groups: address spaces and descriptor tables.
-        let mut group_handles = Vec::with_capacity(image.groups.len());
-        for g in &image.groups {
+        let mut group_handles = Vec::with_capacity(groups.len());
+        for g in groups {
             let mut space = AddressSpace::new();
             for a in &g.areas {
-                match a.shm_index {
-                    None => space.map(a.start, a.len, &a.tag)?,
-                    Some(i) => {
-                        let shm_id = *shm_ids
-                            .get(i as usize)
-                            .ok_or(ZapError::Inconsistent("area shm index out of range"))?;
-                        let seg = kernel
-                            .shm_segment(shm_id)
-                            .ok_or(ZapError::Inconsistent("restored segment vanished"))?
-                            .clone();
-                        space.map_shared(a.start, seg, &a.tag)?;
-                    }
-                }
+                let mapped = match a.shm_index {
+                    None => space.map(a.start, a.len, &a.tag),
+                    Some(i) => space.map_shared(a.start, segs[i as usize].clone(), &a.tag),
+                };
+                mapped.expect("layout checked before the pod was created");
             }
-            for (addr, page) in &g.pages {
-                space.install_page(*addr, page.clone());
+            for (addr, page) in g.pages {
+                space.install_page(addr, page);
             }
             let mut fds = FdTable::new();
-            for (fd, di) in &g.fds {
+            for (fd, di) in g.fds {
                 let desc = match di {
                     DescImage::Console => continue, // fd 0 pre-installed
-                    DescImage::File { path, offset } => Desc::File {
-                        path: path.clone(),
-                        offset: *offset,
-                    },
+                    DescImage::File { path, offset } => Desc::File { path, offset },
                     DescImage::Pipe { index, write_end } => Desc::Pipe {
-                        id: *pipe_ids
-                            .get(*index as usize)
-                            .ok_or(ZapError::Inconsistent("pipe index out of range"))?,
-                        end: if *write_end {
+                        id: pipe_ids[index as usize],
+                        end: if write_end {
                             PipeEnd::Write
                         } else {
                             PipeEnd::Read
                         },
                     },
-                    DescImage::Socket { index } => Desc::Socket(
-                        *sock_ids
-                            .get(*index as usize)
-                            .ok_or(ZapError::Inconsistent("socket index out of range"))?,
-                    ),
+                    DescImage::Socket { index } => Desc::Socket(sock_ids[index as usize]),
                 };
-                fds.install_at(*fd, desc);
+                fds.install_at(fd, desc);
             }
             group_handles.push((Rc::new(RefCell::new(space)), Rc::new(RefCell::new(fds))));
         }
 
         // Processes, with fresh real pids behind the virtual-pid namespace.
+        let mut st = self.state.borrow_mut();
+        let pod_entry = st.pods.get_mut(&pod).expect("just created");
+        pod_entry.next_vpid = next_vpid;
+        pod_entry.alt_recv.extend(
+            parked
+                .into_iter()
+                .map(|(sid, data)| (sid, VecDeque::from(data))),
+        );
+        pod_entry.intercepting = pod_entry.any_alt_recv();
         let mut group_leader_pid: BTreeMap<u32, Pid> = BTreeMap::new();
-        {
-            let mut st = self.state.borrow_mut();
-            let pod_entry = st.pods.get_mut(&pod).expect("just created");
-            pod_entry.next_vpid = image.next_vpid;
-            for (sid, data) in &alt_bufs {
-                if !data.is_empty() {
-                    pod_entry
-                        .alt_recv
-                        .insert(*sid, data.iter().copied().collect());
-                }
-            }
-            pod_entry.intercepting = pod_entry.any_alt_recv();
-        }
-        for pi in &image.procs {
-            let (mem, fds) = group_handles
-                .get(pi.group as usize)
-                .ok_or(ZapError::Inconsistent("process group index out of range"))?
-                .clone();
+        let mut links = Vec::with_capacity(procs.len());
+        for pi in procs {
+            let (mem, fds) = group_handles[pi.group as usize].clone();
             let pid = kernel.alloc_pid();
             let leader = *group_leader_pid.entry(pi.group).or_insert(pid);
             let state = match pi.run_state {
@@ -707,14 +647,14 @@ impl Zap {
                     ))),
                 },
             };
-            let mut st = self.state.borrow_mut();
-            let pod_entry = st.pods.get_mut(&pod).expect("exists");
-            // Parent resolution happens after all pids exist; store vpid
-            // mapping first.
-            pod_entry.adopt_as(pid, pi.vpid);
+            // Parent links resolve once every vpid has a pid.
+            st.pods
+                .get_mut(&pod)
+                .expect("exists")
+                .adopt_as(pid, pi.vpid);
             st.pid_owner.insert(pid, pod);
-            drop(st);
-            let proc = Process {
+            links.push((pid, pi.parent_vpid));
+            kernel.insert_process(Process {
                 pid,
                 parent: 0, // fixed up below
                 cpu: Cpu::restore(pi.regs, pi.pc, pi.halted),
@@ -722,31 +662,79 @@ impl Zap {
                 fds,
                 state,
                 pending: pi.pending.map(|(num, args)| PendingSyscall { num, args }),
-                console: pi.console.clone(),
+                console: pi.console,
                 group: leader,
-            };
-            kernel.insert_process(proc);
+            });
         }
-        // Fix up parent links now that every vpid resolves.
-        {
-            let st = self.state.borrow();
-            let pod_entry = st.pods.get(&pod).expect("exists");
-            for pi in &image.procs {
-                if pi.parent_vpid == 0 {
-                    continue;
-                }
-                let (Some(child), Some(parent)) =
-                    (pod_entry.pid_of(pi.vpid), pod_entry.pid_of(pi.parent_vpid))
-                else {
-                    continue;
-                };
-                if let Some(p) = kernel.process_mut(child) {
-                    p.parent = parent;
-                }
+        let pod_entry = &st.pods[&pod];
+        for (pid, parent_vpid) in links {
+            let parent = (parent_vpid != 0)
+                .then(|| pod_entry.pid_of(parent_vpid))
+                .flatten();
+            if let (Some(parent), Some(p)) = (parent, kernel.process_mut(pid)) {
+                p.parent = parent;
             }
         }
         Ok(pod)
     }
+}
+
+/// Refuses an image whose cross-references do not resolve, before a
+/// restore creates anything: every area's shm index and the areas'
+/// layout, every page, every descriptor's pipe or socket index, and every
+/// process's group index.
+fn check_refs(image: &PodImage) -> Result<(), ZapError> {
+    for g in &image.groups {
+        // The layout as the restore maps it, on a scratch space: a shared
+        // area spans its segment's bytes, rounded up to whole pages.
+        let mut layout = AddressSpace::new();
+        for a in &g.areas {
+            let len = match a.shm_index {
+                None => a.len,
+                Some(i) => image
+                    .shm
+                    .get(i as usize)
+                    .ok_or(ZapError::Inconsistent("area shm index out of range"))?
+                    .data
+                    .len()
+                    .next_multiple_of(PAGE_SIZE as usize) as u64,
+            };
+            layout.map(a.start, len, &a.tag)?;
+        }
+        // The page table holds whole pages of private areas and nothing
+        // else. (`wrapping_sub` also puts an address below the area out.)
+        let private = |addr: u64| {
+            let in_area = |a: &AreaImage| addr.wrapping_sub(a.start) < a.len;
+            g.areas.iter().any(|a| a.shm_index.is_none() && in_area(a))
+        };
+        if g.pages
+            .iter()
+            .any(|&(addr, _)| !addr.is_multiple_of(PAGE_SIZE) || !private(addr))
+        {
+            return Err(ZapError::Inconsistent(
+                "page outside the group's private areas",
+            ));
+        }
+        for (_, d) in &g.fds {
+            match *d {
+                DescImage::Pipe { index, .. } if index as usize >= image.pipes.len() => {
+                    return Err(ZapError::Inconsistent("pipe index out of range"));
+                }
+                DescImage::Socket { index } if index as usize >= image.sockets.len() => {
+                    return Err(ZapError::Inconsistent("socket index out of range"));
+                }
+                _ => {}
+            }
+        }
+    }
+    if image
+        .procs
+        .iter()
+        .any(|p| p.group as usize >= image.groups.len())
+    {
+        return Err(ZapError::Inconsistent("process group index out of range"));
+    }
+    Ok(())
 }
 
 /// A pod checkpoint whose arm phase has completed: the non-memory state is
@@ -820,93 +808,4 @@ fn vif_mac(mode: &MacMode, physical: MacAddr) -> MacAddr {
         MacMode::Dedicated(m) => *m,
         MacMode::SharedPhysical { .. } => physical,
     }
-}
-
-/// Snapshots one socket (§4.1 for connections).
-fn snapshot_socket(kernel: &Kernel, pod: &Pod, sid: SocketId) -> Result<SockImage, ZapError> {
-    if kernel.net.is_listener(sid) {
-        let local = kernel
-            .net
-            .tcp_local_addr(sid)
-            .ok_or(ZapError::Inconsistent("listener without address"))?;
-        let backlog = kernel.net.tcp_listener_backlog(sid).unwrap_or(1) as u32;
-        let pending = kernel
-            .net
-            .tcp_listener_pending(sid)?
-            .iter()
-            .map(|snap| (TcpConnImage::from_snapshot(snap), snap.recv_stream.clone()))
-            .collect();
-        return Ok(SockImage::Listen {
-            local,
-            backlog,
-            pending,
-        });
-    }
-    if let Ok(snap) = kernel.net.tcp_snapshot(sid) {
-        // Alternate-buffer remainder first, then the kernel receive queue —
-        // exactly the concatenation order the paper specifies.
-        let mut alt: Vec<u8> = pod
-            .alt_recv
-            .get(&sid)
-            .map(|q| q.iter().copied().collect())
-            .unwrap_or_default();
-        alt.extend_from_slice(&snap.recv_stream);
-        return Ok(SockImage::Conn {
-            snap: TcpConnImage::from_snapshot(&snap),
-            alt_recv: alt,
-        });
-    }
-    if let Ok(usnap) = kernel.net.udp_snapshot(sid) {
-        return Ok(SockImage::Udp {
-            bound: usnap.bound,
-            queue: usnap.queue,
-        });
-    }
-    // Fresh (or already-dead) socket: record only its binding.
-    Ok(SockImage::Fresh {
-        bound: kernel.net.tcp_local_addr(sid),
-    })
-}
-
-/// Restores one TCP connection: creates the endpoint at the saved sequence
-/// numbers with empty buffers, replays the saved send data one packet at a
-/// time with Nagle/CORK disabled, restores the option flags, and records
-/// the alternate receive buffer.
-fn restore_conn(
-    kernel: &mut Kernel,
-    conn: &TcpConnImage,
-    alt_recv: &[u8],
-    alt_bufs: &mut Vec<(SocketId, Vec<u8>)>,
-    listener: Option<SocketId>,
-    now: SimTime,
-) -> Result<SocketId, ZapError> {
-    let snap = conn.to_snapshot()?;
-    let sid = match listener {
-        Some(lsid) => kernel.net.tcp_restore_into_listener(lsid, &snap)?,
-        None => kernel.net.tcp_restore(&snap)?,
-    };
-    // Temporarily force immediate packetization (§4.1: Nagle and TCP_CORK
-    // disabled so replayed sends keep their original boundaries).
-    kernel.net.tcp_set_cork(sid, false, now)?;
-    kernel.net.tcp_set_nodelay(sid, true, now)?;
-    for pkt in &conn.inflight {
-        let n = kernel.net.tcp_send(sid, pkt, now)?;
-        if n != pkt.len() {
-            return Err(ZapError::Inconsistent("send replay overflowed the buffer"));
-        }
-    }
-    if !conn.unsent.is_empty() {
-        let n = kernel.net.tcp_send(sid, &conn.unsent, now)?;
-        if n != conn.unsent.len() {
-            return Err(ZapError::Inconsistent(
-                "unsent replay overflowed the buffer",
-            ));
-        }
-    }
-    kernel.net.tcp_set_nodelay(sid, conn.nodelay, now)?;
-    kernel.net.tcp_set_cork(sid, conn.cork, now)?;
-    if !alt_recv.is_empty() {
-        alt_bufs.push((sid, alt_recv.to_vec()));
-    }
-    Ok(sid)
 }

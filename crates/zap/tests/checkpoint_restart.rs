@@ -6,12 +6,13 @@ use simcpu::asm::Asm;
 use simcpu::isa::{R1, R10, R2, R3, R6, R7, R8, R9};
 use simnet::addr::{IpAddr, MacAddr};
 use simnet::tcp::TcpConfig;
-use simnet::NetStack;
+use simnet::{NetError, NetStack, SockSnapshot};
+use simos::fd::PipeId;
 use simos::guest::AsmOs;
 use simos::program::{Program, CODE_BASE, DATA_BASE};
 use simos::syscall::nr;
 use simos::{Disk, DiskParams, Kernel, KernelParams, NetFs, ProcState};
-use zap::image::{AreaImage, MacMode, ShmImage};
+use zap::image::{AreaImage, DescImage, MacMode, PipeImage, SemImage, ShmImage};
 use zap::{PodConfig, PodId, PodImage, Zap, ZapError};
 
 fn node(ip_last: u8, mac: u32, fs: &NetFs) -> (Kernel, Zap) {
@@ -143,7 +144,7 @@ fn checkpoint_mid_compute_and_restart_elsewhere() {
     for _ in 0..5 {
         let _ = k2.spawn(&filler).unwrap();
     }
-    let pod2 = z2.restart_pod(&mut k2, &decoded, now).unwrap();
+    let pod2 = z2.restart_pod(&mut k2, decoded, now).unwrap();
     z2.resume_pod(&mut k2, pod2, now).unwrap();
 
     let mut now2 = now;
@@ -186,11 +187,11 @@ fn restore_refuses_pages_outside_private_areas() {
     in_shm.groups[0].pages[0].0 = start;
 
     for bad in [unaligned, in_shm] {
-        let r = z2.restart_pod(&mut k2, &bad, now);
+        let r = z2.restart_pod(&mut k2, bad, now);
         assert!(matches!(r, Err(ZapError::Inconsistent(_))), "{r:?}");
     }
     // Nothing was created: the pod's address is still free on node 2.
-    z2.restart_pod(&mut k2, &image, now).unwrap();
+    z2.restart_pod(&mut k2, image, now).unwrap();
 }
 
 #[test]
@@ -429,7 +430,7 @@ fn restart_receiver_with_undelivered_data(
     let image = z.checkpoint_pod(&mut k, pod_r, now).unwrap();
     // The image captured the undelivered stream.
     let has_alt = image.sockets.iter().any(|s| match s {
-        zap::image::SockImage::Conn { alt_recv, .. } => alt_recv == payload,
+        SockSnapshot::Conn(snap) => snap.recv_stream == payload,
         _ => false,
     });
     assert!(
@@ -438,7 +439,7 @@ fn restart_receiver_with_undelivered_data(
     );
 
     z.destroy_pod(&mut k, pod_r).unwrap();
-    let pod_r2 = z.restart_pod(&mut k, &image, now).unwrap();
+    let pod_r2 = z.restart_pod(&mut k, image, now).unwrap();
     z.resume_pod(&mut k, pod_r2, now).unwrap();
 
     assert!(run_until(&mut k, &mut now, 2_000_000, |k| {
@@ -546,7 +547,7 @@ fn pipes_files_and_sleep_survive_restart() {
     assert_eq!(image.pipes[0].data, b"inflight");
     z1.destroy_pod(&mut k1, pod).unwrap();
 
-    let pod2 = z2.restart_pod(&mut k2, &image, now).unwrap();
+    let pod2 = z2.restart_pod(&mut k2, image, now).unwrap();
     z2.resume_pod(&mut k2, pod2, now).unwrap();
     let mut now2 = now;
     assert!(run_until(&mut k2, &mut now2, 1_000_000, |k| {
@@ -609,7 +610,7 @@ fn checkpoint_preserves_zombies_for_waitpid() {
     });
     let image = z1.checkpoint_pod(&mut k1, pod, now).unwrap();
     z1.destroy_pod(&mut k1, pod).unwrap();
-    let pod2 = z2.restart_pod(&mut k2, &image, now).unwrap();
+    let pod2 = z2.restart_pod(&mut k2, image, now).unwrap();
     z2.resume_pod(&mut k2, pod2, now).unwrap();
     let mut now2 = now;
     assert!(run_until(&mut k2, &mut now2, 1_000_000, |k| {
@@ -679,7 +680,7 @@ fn checkpoint_chain_restores_correctly() {
     // Restore the second capture on a different node; the program finishes
     // with the counter evolved across BOTH checkpoints: 5 + 2 + 100.
     z1.destroy_pod(&mut k1, pod).unwrap();
-    let pod2 = z2.restart_pod(&mut k2, &second, now).unwrap();
+    let pod2 = z2.restart_pod(&mut k2, second, now).unwrap();
     z2.resume_pod(&mut k2, pod2, now).unwrap();
     let mut now2 = now;
     assert!(run_until(&mut k2, &mut now2, 1_000_000, |k| {
@@ -706,7 +707,7 @@ fn first_capture_restores_and_runs_to_completion() {
     let full = z1.checkpoint_pod(&mut k1, pod, now).unwrap();
     z1.destroy_pod(&mut k1, pod).unwrap();
     assert!(!full.groups[0].pages.is_empty());
-    let pod2 = z2.restart_pod(&mut k2, &full, now).unwrap();
+    let pod2 = z2.restart_pod(&mut k2, full, now).unwrap();
     z2.resume_pod(&mut k2, pod2, now).unwrap();
     let mut now2 = now;
     assert!(run_until(&mut k2, &mut now2, 1_000_000, |k| {
@@ -764,7 +765,7 @@ fn threads_sharing_memory_survive_restart_together() {
     assert_eq!(image.procs.len(), 2);
     z1.destroy_pod(&mut k1, pod).unwrap();
 
-    let pod2 = z2.restart_pod(&mut k2, &image, now).unwrap();
+    let pod2 = z2.restart_pod(&mut k2, image, now).unwrap();
     z2.resume_pod(&mut k2, pod2, now).unwrap();
     let mut now2 = now;
     assert!(run_until(&mut k2, &mut now2, 1_000_000, |k| {
@@ -823,7 +824,7 @@ fn shared_memory_segment_restores_shared_between_processes() {
     assert_eq!(image.shm.len(), 1, "the pod's segment is captured");
     z1.destroy_pod(&mut k1, pod).unwrap();
 
-    let pod2 = z2.restart_pod(&mut k2, &image, now).unwrap();
+    let pod2 = z2.restart_pod(&mut k2, image, now).unwrap();
     z2.resume_pod(&mut k2, pod2, now).unwrap();
     let mut now2 = now;
     assert!(run_until(&mut k2, &mut now2, 2_000_000, |k| {
@@ -834,16 +835,14 @@ fn shared_memory_segment_restores_shared_between_processes() {
     assert_eq!(zombie_code(&k2, &z2, pod2, rv), Some(123));
 }
 
-#[test]
-fn pending_accept_queue_survives_restart() {
-    // A client connects while the server pod is busy (asleep) — the
-    // established-but-unaccepted connection sits in the listener's accept
-    // queue. Checkpointing the server pod at that instant must carry the
-    // queued connection; after restart the server accepts and serves it.
-    let fs = NetFs::new();
-    let (mut k, z) = node(1, 1, &fs);
-    let pod_c = z.create_pod(&mut k, pod_cfg("client", 80)).unwrap();
-    let pod_s = z.create_pod(&mut k, pod_cfg("server", 81)).unwrap();
+/// A server pod (on `k`, next to a client pod) whose listener holds one
+/// established, unaccepted connection with six received bytes: the client
+/// connected and sent `queued` while the server sleeps before `accept`.
+/// Once woken, the server accepts, receives, logs what it read and exits.
+/// Returns the server pod, its vpid and the time reached (5 ms).
+fn server_with_queued_connection(k: &mut Kernel, z: &Zap) -> (PodId, u32, SimTime) {
+    let pod_c = z.create_pod(k, pod_cfg("client", 80)).unwrap();
+    let pod_s = z.create_pod(k, pod_cfg("server", 81)).unwrap();
     let server_ip = IpAddr::from_octets([10, 0, 0, 81]);
 
     // Server: listen, sleep 20 ms (checkpoint lands here, with the client
@@ -896,41 +895,159 @@ fn pending_accept_queue_survives_restart() {
         .with_data(DATA_BASE, vec![0u8; 64])
         .with_data(DATA_BASE + 64, b"queued".to_vec());
 
-    let sv = z.spawn_in_pod(&mut k, pod_s, &server).unwrap();
-    let _cv = z.spawn_in_pod(&mut k, pod_c, &client).unwrap();
+    let sv = z.spawn_in_pod(k, pod_s, &server).unwrap();
+    let _cv = z.spawn_in_pod(k, pod_c, &client).unwrap();
 
     // Run 5 ms: client connected and sent; server still asleep.
     let mut now = SimTime::ZERO;
-    run_for(
-        &mut k,
-        &mut now,
-        SimTime::ZERO + SimDuration::from_millis(5),
-    );
+    run_for(k, &mut now, SimTime::ZERO + SimDuration::from_millis(5));
+    (pod_s, sv, now)
+}
 
-    let image = z.checkpoint_pod(&mut k, pod_s, now).unwrap();
-    // The image's listener carries exactly one pending connection.
-    let pending = image
+/// The received bytes of each pending child of the image's listener.
+fn pending_streams(image: &PodImage) -> Vec<Vec<u8>> {
+    image
         .sockets
         .iter()
         .find_map(|s| match s {
-            zap::image::SockImage::Listen { pending, .. } => Some(pending.len()),
+            SockSnapshot::Listen { pending, .. } => {
+                Some(pending.iter().map(|c| c.recv_stream.clone()).collect())
+            }
             _ => None,
         })
-        .expect("listener captured");
-    assert_eq!(pending, 1, "queued connection rides in the image");
+        .expect("listener captured")
+}
+
+/// Resumes a restored server pod and runs it to its exit; returns what it
+/// logged.
+fn serve(k: &mut Kernel, z: &Zap, pod: PodId, sv: u32, mut now: SimTime) -> Vec<String> {
+    z.resume_pod(k, pod, now).unwrap();
+    assert!(run_until(k, &mut now, 2_000_000, |k| {
+        zombie_code(k, z, pod, sv).is_some()
+    }));
+    assert_eq!(zombie_code(k, z, pod, sv), Some(0));
+    z.console_of(k, pod, sv).unwrap()
+}
+
+#[test]
+fn pending_accept_queue_survives_restart() {
+    // A client connects while the server pod is busy (asleep) — the
+    // established-but-unaccepted connection sits in the listener's accept
+    // queue. Checkpointing the server pod at that instant must carry the
+    // queued connection; after restart the server accepts and serves it.
+    let fs = NetFs::new();
+    let (mut k, z) = node(1, 1, &fs);
+    let (pod_s, sv, now) = server_with_queued_connection(&mut k, &z);
+
+    let image = z.checkpoint_pod(&mut k, pod_s, now).unwrap();
+    // The image's listener carries exactly one pending connection.
+    assert_eq!(
+        pending_streams(&image),
+        vec![b"queued".to_vec()],
+        "queued connection rides in the image"
+    );
 
     z.destroy_pod(&mut k, pod_s).unwrap();
-    let pod_s2 = z.restart_pod(&mut k, &image, now).unwrap();
-    z.resume_pod(&mut k, pod_s2, now).unwrap();
+    let pod_s2 = z.restart_pod(&mut k, image, now).unwrap();
+    assert_eq!(serve(&mut k, &z, pod_s2, sv, now), vec!["queued"]);
+}
 
-    assert!(run_until(&mut k, &mut now, 2_000_000, |k| {
-        zombie_code(k, &z, pod_s2, sv).is_some()
-    }));
-    assert_eq!(zombie_code(&k, &z, pod_s2, sv), Some(0));
-    assert_eq!(
-        z.console_of(&k, pod_s2, sv).unwrap(),
-        vec!["queued".to_string()]
-    );
+#[test]
+fn unaccepted_connection_keeps_its_parked_bytes_across_a_second_checkpoint() {
+    // The first restore parks the pending child's received bytes in the
+    // pod's alternate buffer. A second checkpoint before the server
+    // accepts must save them again, or the server reads nothing.
+    let fs = NetFs::new();
+    let (mut k, z) = node(1, 1, &fs);
+    let (pod_s, sv, now) = server_with_queued_connection(&mut k, &z);
+    let first = z.checkpoint_pod(&mut k, pod_s, now).unwrap();
+    z.destroy_pod(&mut k, pod_s).unwrap();
+    let pod_s2 = z.restart_pod(&mut k, first, now).unwrap();
+
+    let second = z.checkpoint_pod(&mut k, pod_s2, now).unwrap();
+    assert_eq!(pending_streams(&second), vec![b"queued".to_vec()]);
+    z.destroy_pod(&mut k, pod_s2).unwrap();
+    let pod_s3 = z.restart_pod(&mut k, second, now).unwrap();
+    assert_eq!(serve(&mut k, &z, pod_s3, sv, now), vec!["queued"]);
+}
+
+#[test]
+fn a_refused_image_leaves_nothing_behind() {
+    // The server's image (a listener with a pending connection), given a
+    // shm segment, a semaphore set and a pipe its process reads from.
+    let fs = NetFs::new();
+    let (mut k1, z1) = node(1, 1, &fs);
+    let (pod_s, _, now) = server_with_queued_connection(&mut k1, &z1);
+    let mut image = z1.checkpoint_pod(&mut k1, pod_s, now).unwrap();
+    image.shm.push(ShmImage {
+        key: 5,
+        data: vec![1; 100],
+    });
+    image.sems.push(SemImage {
+        key: 6,
+        values: vec![2],
+    });
+    image.pipes.push(PipeImage {
+        data: b"piped".to_vec(),
+        readers: 1,
+        writers: 0,
+    });
+    image.groups[0].fds.push((
+        9,
+        DescImage::Pipe {
+            index: 0,
+            write_end: false,
+        },
+    ));
+
+    let mut bad_pipe = image.clone();
+    bad_pipe.groups[0].fds.push((
+        10,
+        DescImage::Pipe {
+            index: 99,
+            write_end: true,
+        },
+    ));
+    let mut bad_socket = image.clone();
+    let past_sockets = bad_socket.sockets.len() as u32;
+    bad_socket.groups[0].fds.push((
+        10,
+        DescImage::Socket {
+            index: past_sockets,
+        },
+    ));
+    let mut bad_group = image.clone();
+    bad_group.procs[0].group = bad_group.groups.len() as u32;
+    let mut two_listeners = image.clone();
+    let listener = two_listeners
+        .sockets
+        .iter()
+        .find(|s| matches!(s, SockSnapshot::Listen { .. }));
+    two_listeners
+        .sockets
+        .push(listener.expect("listener captured").clone());
+
+    for bad in [bad_pipe, bad_socket, bad_group, two_listeners] {
+        let (mut k2, z2) = node(2, 2, &fs);
+        let stack_before = format!("{:?}", k2.net);
+        let r = z2.restart_pod(&mut k2, bad, now);
+        assert!(
+            matches!(
+                r,
+                Err(ZapError::Inconsistent(_) | ZapError::Net(NetError::AddrInUse))
+            ),
+            "{r:?}"
+        );
+        assert!(z2.pod_ids().is_empty());
+        assert!(!k2.net.is_local_ip(image.ip));
+        assert!(k2.pids().is_empty());
+        assert_eq!(k2.shm_iter().count(), 0);
+        assert_eq!(k2.sems.iter().count(), 0);
+        assert!(k2.pipes.get(PipeId(0)).is_none());
+        // No socket, listener, connection or VIF left on the stack.
+        assert_eq!(format!("{:?}", k2.net), stack_before);
+        z2.restart_pod(&mut k2, image.clone(), now).unwrap();
+    }
 }
 
 #[test]
@@ -995,14 +1112,14 @@ fn queued_udp_datagrams_survive_restart() {
         .sockets
         .iter()
         .find_map(|s| match s {
-            zap::image::SockImage::Udp { queue, .. } => Some(queue.len()),
+            SockSnapshot::Udp { queue, .. } => Some(queue.len()),
             _ => None,
         })
         .expect("udp socket captured");
     assert_eq!(queued, 1, "the undelivered datagram rides in the image");
 
     z.destroy_pod(&mut k, pod_rx).unwrap();
-    let pod_rx2 = z.restart_pod(&mut k, &image, now).unwrap();
+    let pod_rx2 = z.restart_pod(&mut k, image, now).unwrap();
     z.resume_pod(&mut k, pod_rx2, now).unwrap();
     assert!(run_until(&mut k, &mut now, 2_000_000, |k| {
         zombie_code(k, &z, pod_rx2, rv).is_some()
@@ -1070,7 +1187,7 @@ fn forked_processes_in_a_pod_checkpoint_as_separate_groups() {
     assert_eq!(image.groups.len(), 2, "fork means two address spaces");
     z1.destroy_pod(&mut k1, pod).unwrap();
 
-    let pod2 = z2.restart_pod(&mut k2, &image, now).unwrap();
+    let pod2 = z2.restart_pod(&mut k2, image, now).unwrap();
     z2.resume_pod(&mut k2, pod2, now).unwrap();
     let mut now2 = now;
     assert!(run_until(&mut k2, &mut now2, 2_000_000, |k| {

@@ -10,7 +10,7 @@
 //! everything downstream of it) diverges between runs.
 
 use cruz_repro::cluster::{
-    CkptCaptureMode, CkptOptions, ClusterParams, JobSpec, PodSpec, StoreConfig, World,
+    CkptCaptureMode, CkptOptions, ClusterParams, FaultPlan, JobSpec, PodSpec, StoreConfig, World,
 };
 use cruz_repro::cruz::proto::ProtocolMode;
 use cruz_repro::des::SimDuration;
@@ -282,17 +282,19 @@ fn restart_from_dedup_store_matches_plain_full_image() {
 fn different_seeds_diverge() {
     // The digest must be a meaningful witness: runs that *should* differ
     // must not collide. The seed only feeds fault injection, so give it
-    // something to decide: a lossy fabric (TCP retransmits carry the
-    // workload through).
+    // something to decide: a fault plan seeded with it that drops frames
+    // (TCP retransmits carry the workload through).
     let run = |seed: u64| -> u64 {
+        let mut plan = FaultPlan::none(seed);
+        plan.frames.drop = 0.05;
         let mut w = World::new(
             5,
             ClusterParams {
                 seed,
-                frame_loss: 0.05,
                 ..ClusterParams::default()
             },
         );
+        w.install_fault_plan(&plan);
         w.launch_job(&pingpong_spec(50)).expect("job launches");
         w.run_for(SimDuration::from_millis(40));
         w.trace_digest()

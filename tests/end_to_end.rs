@@ -1,7 +1,7 @@
 //! Whole-stack smoke tests through the umbrella crate: the public API a
 //! downstream user sees.
 
-use cruz_repro::cluster::{ClusterParams, JobSpec, PodSpec, RetryPolicy, World};
+use cruz_repro::cluster::{ClusterParams, FaultPlan, JobSpec, PodSpec, RetryPolicy, World};
 use cruz_repro::cruz::proto::ProtocolMode;
 use cruz_repro::des::SimDuration;
 use cruz_repro::simnet::addr::{IpAddr, MacAddr};
@@ -166,14 +166,14 @@ fn frame_loss_does_not_break_checkpointing() {
     // A lossy fabric: TCP absorbs the loss; the coordination datagrams are
     // unreliable, so give the checkpoint a generous completion budget but
     // require the *application* to stay correct regardless.
-    let mut w = World::new(
-        3,
-        ClusterParams {
-            frame_loss: 0.02,
-            ctl_retry: Some(RetryPolicy::fixed(SimDuration::from_millis(100), 16)),
-            ..ClusterParams::default()
-        },
-    );
+    let params = ClusterParams {
+        ctl_retry: Some(RetryPolicy::fixed(SimDuration::from_millis(100), 16)),
+        ..ClusterParams::default()
+    };
+    let mut plan = FaultPlan::none(params.seed);
+    plan.frames.drop = 0.02;
+    let mut w = World::new(3, params);
+    w.install_fault_plan(&plan);
     let (spec, _) = pingpong_on(300, 2);
     w.launch_job(&spec).unwrap();
     w.run_for(SimDuration::from_millis(10));

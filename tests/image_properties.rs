@@ -9,12 +9,13 @@ use cruz_repro::cruz::chunk::{split_ranges, ChunkId};
 use cruz_repro::cruz::store::{CheckpointStore, PreparedPut, ReadError, StoreConfig};
 use cruz_repro::cruz::ReplicatedStore;
 use cruz_repro::simnet::addr::{IpAddr, MacAddr, SockAddr};
+use cruz_repro::simnet::tcp::{SeqNum, TcpSnapshot, TcpState};
+use cruz_repro::simnet::SockSnapshot;
 use cruz_repro::simos::fs::NetFs;
 use cruz_repro::simos::mem::{PageBuf, PAGE_SIZE};
 use cruz_repro::zap::image::{
     AreaImage, DescImage, GroupImage, ImageError, ImageReader, ImageWriter, MacMode, PipeImage,
-    PodImage, ProcImage, RunStateImage, Sealed, SemImage, ShmImage, SockImage, TcpConnImage, MAGIC,
-    VERSION,
+    PodImage, ProcImage, RunStateImage, Sealed, SemImage, ShmImage, MAGIC, VERSION,
 };
 use proptest::prelude::*;
 
@@ -22,65 +23,66 @@ fn arb_sockaddr() -> impl Strategy<Value = SockAddr> {
     (any::<u32>(), any::<u16>()).prop_map(|(ip, port)| SockAddr::new(IpAddr::from_bits(ip), port))
 }
 
-fn arb_conn() -> impl Strategy<Value = TcpConnImage> {
+/// Every TCP state an image can carry.
+const TCP_STATES: [TcpState; 10] = [
+    TcpState::SynSent,
+    TcpState::SynRcvd,
+    TcpState::Established,
+    TcpState::FinWait1,
+    TcpState::FinWait2,
+    TcpState::CloseWait,
+    TcpState::Closing,
+    TcpState::LastAck,
+    TcpState::TimeWait,
+    TcpState::Closed,
+];
+
+fn arb_conn() -> impl Strategy<Value = TcpSnapshot> {
     (
-        arb_sockaddr(),
-        arb_sockaddr(),
-        0u8..=9,
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<bool>(),
-        any::<bool>(),
+        (arb_sockaddr(), arb_sockaddr(), 0..TCP_STATES.len()),
+        (any::<u32>(), any::<u32>(), any::<u32>()),
+        (any::<bool>(), any::<bool>()),
         proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..64), 0..4),
+        proptest::collection::vec(any::<u8>(), 0..64),
         proptest::collection::vec(any::<u8>(), 0..64),
     )
         .prop_map(
             |(
+                (local, remote, state),
+                (snd_una, rcv_nxt, peer_window),
+                (nodelay, cork),
+                inflight,
+                unsent,
+                recv_stream,
+            )| TcpSnapshot {
                 local,
                 remote,
-                state,
-                snd_una,
-                rcv_nxt,
+                state: TCP_STATES[state],
+                snd_una: SeqNum::new(snd_una),
+                rcv_nxt: SeqNum::new(rcv_nxt),
                 peer_window,
                 nodelay,
                 cork,
                 inflight,
                 unsent,
-            )| {
-                TcpConnImage {
-                    local,
-                    remote,
-                    state,
-                    snd_una,
-                    rcv_nxt,
-                    peer_window,
-                    nodelay,
-                    cork,
-                    inflight,
-                    unsent,
-                }
+                recv_stream,
             },
         )
 }
 
-fn arb_sock() -> impl Strategy<Value = SockImage> {
+fn arb_sock() -> impl Strategy<Value = SockSnapshot> {
     prop_oneof![
         (
             arb_sockaddr(),
             1u32..16,
-            proptest::collection::vec(
-                (arb_conn(), proptest::collection::vec(any::<u8>(), 0..32)),
-                0..3
-            )
+            proptest::collection::vec(arb_conn(), 0..3)
         )
-            .prop_map(|(local, backlog, pending)| SockImage::Listen {
+            .prop_map(|(local, backlog, pending)| SockSnapshot::Listen {
                 local,
                 backlog,
                 pending
             }),
-        (arb_conn(), proptest::collection::vec(any::<u8>(), 0..64))
-            .prop_map(|(snap, alt_recv)| SockImage::Conn { snap, alt_recv }),
+        arb_conn().prop_map(SockSnapshot::Conn),
         (
             proptest::option::of(arb_sockaddr()),
             proptest::collection::vec(
@@ -91,8 +93,8 @@ fn arb_sock() -> impl Strategy<Value = SockImage> {
                 0..3
             )
         )
-            .prop_map(|(bound, queue)| SockImage::Udp { bound, queue }),
-        proptest::option::of(arb_sockaddr()).prop_map(|bound| SockImage::Fresh { bound }),
+            .prop_map(|(bound, queue)| SockSnapshot::Udp { bound, queue }),
+        proptest::option::of(arb_sockaddr()).prop_map(|bound| SockSnapshot::Fresh { bound }),
     ]
 }
 
@@ -280,6 +282,14 @@ fn mutate(body: &mut Vec<u8>, m: &Mutation) {
     }
 }
 
+/// The decoder contract: `bytes` is rejected, or it re-encodes to exactly
+/// itself.
+fn canonical(bytes: &[u8]) -> bool {
+    PodImage::decode(bytes)
+        .ok()
+        .is_none_or(|img| img.encode() == bytes)
+}
+
 /// The start of an image body: magic, version, the (always zero) delta
 /// flag.
 fn header() -> ImageWriter {
@@ -410,6 +420,57 @@ fn malformed_bodies_with_valid_checksums_are_errors() {
     body[6] = 1;
     assert_eq!(PodImage::decode(&seal(&body)), Err(ImageError::BadTag(1)));
 
+    // Bytes after the last process are refused, not ignored.
+    let mut extended = bytes[..bytes.len() - 8].to_vec();
+    extended.push(0);
+    assert_eq!(
+        PodImage::decode(&seal(&extended)),
+        Err(ImageError::Trailing(1))
+    );
+
+    // A flag byte other than 0 or 1, and a TCP state no connection has,
+    // are refused at decode time. Each field's offset is where two
+    // images differing only in it first differ.
+    let conn = TcpSnapshot {
+        local: SockAddr::new(IpAddr::from_bits(1), 2),
+        remote: SockAddr::new(IpAddr::from_bits(3), 4),
+        state: TcpState::Established,
+        snd_una: SeqNum::new(5),
+        rcv_nxt: SeqNum::new(6),
+        peer_window: 7,
+        nodelay: false,
+        cork: false,
+        inflight: vec![],
+        unsent: vec![],
+        recv_stream: vec![],
+    };
+    let body_with = |conn: TcpSnapshot| {
+        let bytes = PodImage {
+            sockets: vec![SockSnapshot::Conn(conn)],
+            ..img.clone()
+        }
+        .encode();
+        bytes[..bytes.len() - 8].to_vec()
+    };
+    let body = body_with(conn.clone());
+    let offset_of = |other: Vec<u8>| body.iter().zip(&other).position(|(a, b)| a != b);
+    let state_at = offset_of(body_with(TcpSnapshot {
+        state: TcpState::Closed,
+        ..conn.clone()
+    }));
+    let nodelay_at = offset_of(body_with(TcpSnapshot {
+        nodelay: true,
+        ..conn.clone()
+    }));
+    for (at, byte) in [(state_at, 10), (nodelay_at, 2)] {
+        let mut damaged = body.clone();
+        damaged[at.expect("the field is encoded")] = byte;
+        assert_eq!(
+            PodImage::decode(&seal(&damaged)),
+            Err(ImageError::BadTag(byte))
+        );
+    }
+
     // A page payload one byte short of a page, or one byte over, is
     // refused rather than padded or handed to the restore.
     let page = PAGE_SIZE as usize;
@@ -441,8 +502,41 @@ proptest! {
         let bytes = img.encode();
         let mut body = bytes[..bytes.len() - 8].to_vec();
         mutate(&mut body, &m);
-        // Ok or Err are both fine; a panic or an abort fails the test.
-        let _ = PodImage::decode(&seal(&body));
+        // Rejected, or decoded to an image that encodes to these very
+        // bytes; a panic or an abort fails the test.
+        prop_assert!(canonical(&seal(&body)));
+    }
+
+    // The decoder contract `CtlMsg` and `FaultPlan` keep: arbitrary bytes
+    // never panic, and only an image's own encoding decodes to it.
+    #[test]
+    fn decoder_never_panics_on_arbitrary_bytes(
+        // Small bytes make valid tags and flags, hence accepted fields,
+        // common.
+        junk in proptest::collection::vec(prop_oneof![0u8..3, any::<u8>()], 0..200),
+    ) {
+        prop_assert!(canonical(&junk));
+        let mut body = header().body().to_vec();
+        body.extend_from_slice(&junk);
+        prop_assert!(canonical(&seal(&body)));
+    }
+
+    #[test]
+    fn damaged_images_are_rejected_or_canonical(
+        img in arb_image(),
+        at in any::<usize>(),
+        byte in prop_oneof![0u8..3, 9u8..11, any::<u8>()],
+        keep in any::<usize>(),
+        extra in proptest::collection::vec(any::<u8>(), 1..8),
+    ) {
+        let bytes = img.encode();
+        prop_assert!(canonical(&bytes));
+        let body = &bytes[..bytes.len() - 8];
+        let mut replaced = body.to_vec();
+        replaced[at % body.len()] = byte;
+        prop_assert!(canonical(&seal(&replaced)), "byte {} set to {byte}", at % body.len());
+        prop_assert!(canonical(&seal(&body[..keep % body.len()])), "truncation");
+        prop_assert!(canonical(&seal(&[body, &extra].concat())), "extension");
     }
 
     #[test]
