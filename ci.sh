@@ -6,12 +6,15 @@
 #                         rules, layer graph, wire registry (DESIGN.md
 #                         §14); also emits lint-report.json for tooling
 #   3. release build    — the whole workspace compiles
-#   4. docs             — `cargo doc` of every library crate of the
-#                         engine (cluster, zap, simos, cruz, des, simnet,
-#                         simcpu) stays warning-free: the layered-engine
-#                         seams, the image codec, the store and the
-#                         memory model are documented API, and a dangling
-#                         or private intra-doc link fails here
+#   4. docs             — `cargo doc` of every first-party crate (the
+#                         engine's cluster, zap, simos, cruz, des, simnet
+#                         and simcpu, plus workloads, baseline, bench,
+#                         cruz-lint and the root cruz-repro package) stays
+#                         warning-free: the layered-engine seams, the
+#                         image codec, the store and the memory model are
+#                         documented API, and a dangling or private
+#                         intra-doc link fails here; the vendored stubs
+#                         under vendor/ are not documented
 #   5. tests            — every suite, including the same-seed
 #                         byte-identical-images regression test
 #   6. repro            — the paper's figures as checked rows: one run of
@@ -78,9 +81,10 @@ cargo run --offline -q -p cruz-lint -- --workspace
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
-echo "== cargo doc (engine crates)"
+echo "== cargo doc (first-party crates)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q \
-    -p cluster -p zap -p simos -p cruz -p des -p simnet -p simcpu
+    -p cluster -p zap -p simos -p cruz -p des -p simnet -p simcpu \
+    -p workloads -p baseline -p bench -p cruz-lint -p cruz-repro
 
 echo "== cargo test"
 cargo test --offline --workspace -q

@@ -2,11 +2,11 @@
 //! declarations, fencing, rollback, spare selection and coordinator
 //! failover.
 //!
-//! All wire traffic here — pings from the coordinator node, pongs drained
-//! by `World::pump_heartbeat`, abort broadcasts after a failover — moves
-//! through the [`crate::transport`] like every other control frame, so
-//! detection latency includes real (simulated) network and control-CPU
-//! delays.
+//! All wire traffic here — pings from the coordinator node's endpoint,
+//! pongs it drains with every other reply (`World::pump_coord`), abort
+//! broadcasts after a failover — moves through the [`crate::transport`]
+//! like every other control frame, so detection latency includes real
+//! (simulated) network and control-CPU delays.
 
 use std::collections::BTreeMap;
 
@@ -16,14 +16,13 @@ use cruz::error::CruzError;
 use cruz::proto::{CtlMsg, ProtocolMode};
 
 use crate::events::Event;
-use crate::node::{CtlAddr, CtlSock};
+use crate::node::CtlAddr;
 use crate::recovery::{RecoveryCause, RecoveryOutcome, RecoveryReport};
 use crate::state::{ClusterError, World};
 
-/// Per-job heartbeat bookkeeping (socket on the coordinator node, ping
-/// sequence, last pong time per node).
+/// Per-job heartbeat bookkeeping (ping sequence, last pong time per
+/// node).
 pub(crate) struct HeartbeatState {
-    sock: CtlSock,
     seq: u64,
     last_pong: BTreeMap<usize, SimTime>,
 }
@@ -38,20 +37,17 @@ impl World {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NoSuchJob`]; socket-exhaustion protocol errors.
+    /// [`ClusterError::NoSuchJob`].
     pub fn enable_recovery(&mut self, job: &str) -> Result<(), ClusterError> {
-        let Some(jr) = self.jobs.get(job) else {
+        if !self.jobs.contains_key(job) {
             return Err(ClusterError::NoSuchJob);
-        };
+        }
         if self.hb.contains_key(job) {
             return Ok(());
         }
-        let coord_node = jr.coordinator_node;
-        let sock = self.bind_ctl_sock(coord_node)?;
         self.hb.insert(
             job.to_owned(),
             HeartbeatState {
-                sock,
                 seq: 0,
                 last_pong: BTreeMap::new(),
             },
@@ -88,13 +84,13 @@ impl World {
                 return; // failover gave up (no alive node to re-home to)
             }
         }
-        let (sock, seq, coord_node) = {
+        let (seq, coord_node) = {
             let Some(jr) = self.jobs.get(job) else { return };
             let Some(hb) = self.hb.get_mut(job) else {
                 return;
             };
             hb.seq += 1;
-            (hb.sock, hb.seq, jr.coordinator_node)
+            (hb.seq, jr.coordinator_node)
         };
         let pinged = self
             .jobs
@@ -105,7 +101,7 @@ impl World {
         let ping = CtlMsg::Ping { seq };
         let mut ctl = self.ctl();
         for &n in &pinged {
-            ctl.send(coord_node, sock, CtlAddr::agent(n), &ping, now);
+            ctl.send(CtlAddr::coord(coord_node), CtlAddr::agent(n), &ping, now);
         }
         self.postprocess(coord_node);
         self.arm(
@@ -239,9 +235,7 @@ impl World {
         // the set, so the discard/GC ops below (and the restart's reads)
         // see k healthy, byte-identical copies.
         if store.replica_count() > 1 {
-            let rep = store.scrub_and_repair();
-            base_report.scrubbed_replicas = rep.repaired.clone();
-            self.scrub_reports.push((self.now, job.to_owned(), rep));
+            base_report.scrubbed_replicas = store.scrub_and_repair().repaired;
         }
         for e in store.uncommitted_epochs() {
             store.discard_epoch(e);
@@ -284,9 +278,8 @@ impl World {
                 self.pending_recovery.insert(restart_op, idx);
             }
             Err(_) => {
-                // e.g. a survivor that refused teardown, or no free
-                // control socket; the next heartbeat round retries with a
-                // fresh pass.
+                // e.g. a survivor that refused teardown; the next
+                // heartbeat round retries with a fresh pass.
                 self.recovery_reports.push(RecoveryReport {
                     aborted_ops: inflight,
                     rollback_epoch: Some(rollback),
@@ -334,8 +327,8 @@ impl World {
         Some(out)
     }
 
-    /// Re-homes a job's control plane after its coordinator node died: new
-    /// heartbeat socket on the lowest-index alive node, and every operation
+    /// Re-homes a job's control plane after its coordinator node died: the
+    /// lowest-index alive node coordinates its heartbeat, and every operation
     /// orphaned by the dead coordinator is aborted from the new home so
     /// frozen pods resume. The agents accept the abort because it carries
     /// the orphaned op's epoch; a stale one arriving after a later restart
@@ -348,15 +341,10 @@ impl World {
             self.hb.remove(job);
             return;
         };
-        let Ok(sock) = self.bind_ctl_sock(new) else {
-            self.hb.remove(job);
-            return;
-        };
         if let Some(jr) = self.jobs.get_mut(job) {
             jr.coordinator_node = new;
         }
         if let Some(hb) = self.hb.get_mut(job) {
-            hb.sock = sock;
             hb.last_pong.clear();
         }
         let orphans: Vec<u64> = self
@@ -376,7 +364,7 @@ impl World {
                 let abort = CtlMsg::Abort { epoch: op };
                 let mut ctl = self.ctl();
                 for n in agents {
-                    ctl.send(new, sock, CtlAddr::agent(n), &abort, now);
+                    ctl.send(CtlAddr::coord(new), CtlAddr::agent(n), &abort, now);
                 }
             }
             if let Some(o) = self.ops.get_mut(&op) {
@@ -410,28 +398,16 @@ impl World {
         });
     }
 
-    /// Drains heartbeat pongs for jobs whose coordinator lives on node `n`.
-    /// The responder is identified by the sender's node index, which the
-    /// transport reports directly.
-    pub(crate) fn pump_heartbeat(&mut self, n: usize) {
-        let hb_socks: Vec<(String, CtlSock)> = self
-            .hb
-            .iter()
-            .filter(|(job, _)| {
-                self.jobs
-                    .get(job.as_str())
-                    .map(|jr| jr.coordinator_node == n)
-                    .unwrap_or(false)
-            })
-            .map(|(job, h)| (job.clone(), h.sock))
-            .collect();
-        for (job, sock) in hb_socks {
-            while let Some((from, msg)) = self.ctl().recv(n, sock) {
-                if let CtlMsg::Pong { .. } = msg {
-                    if let Some(h) = self.hb.get_mut(&job) {
-                        h.last_pong.insert(from.node as usize, self.now);
-                    }
-                }
+    /// A pong from node `from` reached node `n`'s coordinator endpoint: it
+    /// is `from`'s liveness for every job whose heartbeat `n` coordinates.
+    pub(crate) fn record_pong(&mut self, n: usize, from: usize) {
+        for (job, hb) in self.hb.iter_mut() {
+            if self
+                .jobs
+                .get(job)
+                .is_some_and(|jr| jr.coordinator_node == n)
+            {
+                hb.last_pong.insert(from, self.now);
             }
         }
     }

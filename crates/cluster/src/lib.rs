@@ -13,7 +13,7 @@
 //!     ops ─ ops_agent ─ heartbeat ─ jobs ─ recovery
 //!     events (Event: substrate steps + protocol obligations)
 //!     transport (Ctl: SimnetCtl │ NetCtl + wall clock)
-//!     node (Node, CtlAddr, CtlSock) ─ params ─ fault
+//!     node (Node, CtlAddr, CtlPort) ─ params ─ fault
 //! ```
 //!
 //! * [`params`] — cluster-wide timing parameters, calibrated to the paper's
@@ -22,14 +22,14 @@
 //! * [`jobs`] — job specifications and pod placement (the LSF analogue);
 //! * [`fault`] — seeded, replayable fault plans (protocol-point crashes,
 //!   disk-write faults, control-frame drop/duplicate/reorder);
-//! * [`node`] — the base layer: one simulated node (kernel + Zap + agent),
-//!   its control-socket handle and node-index control addressing,
+//! * [`node`] — the base layer: one simulated node (kernel + Zap + agent)
+//!   and the node-index addressing of its two fixed control endpoints,
 //!   imported by everything above;
 //! * [`state`] — the shared cluster state: [`state::World`]'s fields,
 //!   [`state::ClusterError`] and the installed fault plane, sitting below
 //!   the driver so the operation layers need not import upward;
-//! * [`transport`] — bind/send/recv/close of control frames over
-//!   node-index addresses, on the simulated-UDP carrier or the loopback
+//! * [`transport`] — send/recv of control frames between the nodes'
+//!   fixed endpoints, on the simulated-UDP carrier or the loopback
 //!   carrier's real sockets (which also own that carrier's wall clock);
 //! * `events` — the one event enum on the world's queue (substrate steps
 //!   plus every protocol obligation the layers arm) and the per-event

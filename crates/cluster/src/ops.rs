@@ -2,9 +2,10 @@
 //! flow, retry/timeout, abort and completion bookkeeping.
 //!
 //! This layer owns the lifetime of one coordinated checkpoint or restart:
-//! binding the coordinator's control socket (through the
-//! [`crate::transport`]), serializing its sends on the control-plane CPU,
-//! and tearing the operation down on commit, abort or injected failure.
+//! serializing its sends on the control-plane CPU, routing its agents'
+//! replies from the coordinator node's one endpoint (through the
+//! [`crate::transport`]), and tearing the operation down on commit, abort
+//! or injected failure.
 //! Every future action is one `Event` armed with `World::arm`, so the
 //! same code drives both carriers. The agent half — executing protocol
 //! actions against the Zap layer and the disk — is in
@@ -21,7 +22,7 @@ use cruz::proto::{CtlMsg, OpKind, ProtocolMode};
 use cruz::store::PreparedChunked;
 
 use crate::events::Event;
-use crate::node::{CtlAddr, CtlSock};
+use crate::node::CtlAddr;
 use crate::params::{CkptCaptureMode, CkptOptions};
 use crate::recovery::RecoveryOutcome;
 use crate::state::{ClusterError, World};
@@ -49,7 +50,6 @@ pub(crate) struct OpRuntime {
     /// Epoch used for image storage (for restarts: the epoch restored).
     pub(crate) image_epoch: u64,
     pub(crate) coord_node: usize,
-    pub(crate) coord_sock: CtlSock,
     pub(crate) agents_nodes: Vec<usize>,
     pub(crate) stages: BTreeMap<usize, NodeStage>,
     /// COW capture: pre-image bytes copied on each node because post-resume
@@ -87,11 +87,11 @@ impl OpRuntime {
 
 /// What the engine keeps of a completed operation: its report. A settled
 /// coordinator ignores every further message, retry and timeout, and every
-/// agent has resumed, so nothing else of the operation is read again; its
-/// control socket is closed, and a retransmission still queued for it is
-/// dropped like a frame lost in flight. Retiring keeps a long-running
-/// world's memory (and its ephemeral ports) from growing with the number
-/// of operations it has run.
+/// agent has resumed, so nothing else of the operation is read again; a
+/// retransmission still arriving for it names no live operation, and the
+/// coordinator endpoint drops it like a frame lost in flight. Retiring
+/// keeps a long-running world's memory from growing with the number of
+/// operations it has run.
 pub(crate) struct RetiredOp {
     report: OpReport,
     error: Option<CruzError>,
@@ -197,7 +197,7 @@ impl World {
         if capture != CkptCaptureMode::StopTheWorld {
             coord = coord.with_cow();
         }
-        self.install_op(op, op, job, coord_node, agents_nodes, coord, capture, None)?;
+        self.install_op(op, op, job, coord_node, agents_nodes, coord, capture, None);
         Ok(op)
     }
 
@@ -263,7 +263,7 @@ impl World {
         let n = agents_nodes.len();
         let coord = self.coordinator(OpKind::Restart, ProtocolMode::Blocking, op, n, None);
         let stw = CkptCaptureMode::StopTheWorld;
-        self.install_op(op, epoch, job, coord_node, agents_nodes, coord, stw, None)?;
+        self.install_op(op, epoch, job, coord_node, agents_nodes, coord, stw, None);
         Ok(op)
     }
 
@@ -296,7 +296,7 @@ impl World {
         self.next_op += 1;
         let coord = self.coordinator(OpKind::Checkpoint, ProtocolMode::Blocking, op, 1, None);
         let (stw, moved) = (CkptCaptureMode::StopTheWorld, Some((pod.to_owned(), dst)));
-        self.install_op(op, op, job, coord_node, vec![src], coord, stw, moved)?;
+        self.install_op(op, op, job, coord_node, vec![src], coord, stw, moved);
         Ok(op)
     }
 
@@ -330,8 +330,7 @@ impl World {
         coord: Coordinator,
         mode: CkptCaptureMode,
         migration: Option<(String, usize)>,
-    ) -> Result<(), ClusterError> {
-        let coord_sock = self.bind_ctl_sock(coord_node)?;
+    ) {
         self.ops.insert(
             op,
             OpRuntime {
@@ -341,7 +340,6 @@ impl World {
                 job: job.to_owned(),
                 image_epoch,
                 coord_node,
-                coord_sock,
                 agents_nodes,
                 stages: BTreeMap::new(),
                 cow_copied: BTreeMap::new(),
@@ -359,7 +357,6 @@ impl World {
                 self.arm(self.now + d, Event::CoordRetry { op, attempt: 0 });
             }
         }
-        Ok(())
     }
 
     /// Starts the op's coordinator: its first sends, and its failure
@@ -433,12 +430,6 @@ impl World {
         let store = self.store(job);
         store.discard_epoch(epoch);
         store.gc_orphan_chunks();
-    }
-
-    /// Binds an ephemeral control-plane endpoint on a node, through the
-    /// transport.
-    pub(crate) fn bind_ctl_sock(&mut self, node: usize) -> Result<CtlSock, ClusterError> {
-        Ok(self.ctl().bind(node, 0)?)
     }
 
     pub(crate) fn schedule_coord_sends(&mut self, op: u64, msgs: Vec<(usize, CtlMsg)>) {
@@ -529,7 +520,6 @@ impl World {
             if o.migration.is_some() {
                 self.discard_uncommitted(&o.job, o.image_epoch);
             }
-            self.ctl().close(o.coord_node, o.coord_sock, now);
             let retired = RetiredOp {
                 report: o.report(),
                 error: o.error,
@@ -645,12 +635,10 @@ impl World {
         let Some(o) = self.ops.get(&op) else {
             return;
         };
-        let node = o.agents_nodes[to];
-        let coord_node = o.coord_node;
-        let sock = o.coord_sock;
+        let (node, coord_node) = (o.agents_nodes[to], o.coord_node);
         let now = self.now;
         self.ctl()
-            .send(coord_node, sock, CtlAddr::agent(node), &msg, now);
+            .send(CtlAddr::coord(coord_node), CtlAddr::agent(node), &msg, now);
         self.postprocess(coord_node);
     }
 
@@ -692,35 +680,29 @@ impl World {
         }
     }
 
-    /// Drains coordinator sockets hosted on a node: each agent reply costs
-    /// one control-CPU slot and becomes an [`Event::CoordCtl`] firing.
+    /// Drains a node's coordinator endpoint. A pong is its sender's
+    /// liveness (see [`World::record_pong`]) and costs nothing. Any other
+    /// frame is routed by its epoch, the op id, to the live op coordinated
+    /// here: from one of that op's agents it costs one control-CPU slot
+    /// and becomes an [`Event::CoordCtl`] firing. A frame for any other op,
+    /// or from a node that is not one of the op's agents, is dropped
+    /// uncharged, like a frame lost in flight.
     pub(crate) fn pump_coord(&mut self, n: usize) {
-        let op_socks: Vec<(u64, CtlSock)> = self
-            .ops
-            .iter()
-            .filter(|(_, o)| o.coord_node == n && !o.complete && !o.aborted)
-            .map(|(&id, o)| (id, o.coord_sock))
-            .collect();
-        for (op, sock) in op_socks {
-            while let Some((from, msg)) = self.ctl().recv(n, sock) {
-                // Identify the agent by the sender's node index.
-                let Some(agent_idx) = self.ops.get(&op).and_then(|o| {
-                    o.agents_nodes
-                        .iter()
-                        .position(|&an| an == from.node as usize)
-                }) else {
-                    continue;
-                };
-                let at = self.ctl_slot(n);
-                self.arm(
-                    at,
-                    Event::CoordCtl {
-                        op,
-                        from: agent_idx,
-                        msg,
-                    },
-                );
+        while let Some((from, msg)) = self.ctl().recv(CtlAddr::coord(n)) {
+            let sender = from.node as usize;
+            if let CtlMsg::Pong { .. } = msg {
+                self.record_pong(n, sender);
+                continue;
             }
+            let op = msg.epoch();
+            let agent = self
+                .ops
+                .get(&op)
+                .filter(|o| o.coord_node == n && !o.complete && !o.aborted)
+                .and_then(|o| o.agents_nodes.iter().position(|&an| an == sender));
+            let Some(from) = agent else { continue };
+            let at = self.ctl_slot(n);
+            self.arm(at, Event::CoordCtl { op, from, msg });
         }
     }
 }

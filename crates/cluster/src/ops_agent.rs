@@ -52,10 +52,9 @@ impl World {
         // Liveness probes answer from the node itself — a pong proves the
         // whole receive path (NIC, kernel, control CPU), not just the wire.
         if let CtlMsg::Ping { seq } = msg {
-            let sock = self.nodes[node].agent_sock;
             let now = self.now;
             self.ctl()
-                .send(node, sock, reply_to, &CtlMsg::Pong { seq }, now);
+                .send(CtlAddr::agent(node), reply_to, &CtlMsg::Pong { seq }, now);
             self.postprocess(node);
             return;
         }
@@ -523,16 +522,14 @@ impl World {
         let Some(addr) = self.nodes[node].agent_coord_addr else {
             return;
         };
-        let sock = self.nodes[node].agent_sock;
         let now = self.now;
-        self.ctl().send(node, sock, addr, &msg, now);
+        self.ctl().send(CtlAddr::agent(node), addr, &msg, now);
     }
 
     /// Drains a node's agent endpoint: each decodable control frame costs
     /// one control-CPU slot and becomes an [`Event::AgentCtl`] firing.
     pub(crate) fn pump_agent(&mut self, n: usize) {
-        let sock = self.nodes[n].agent_sock;
-        while let Some((from, msg)) = self.ctl().recv(n, sock) {
+        while let Some((from, msg)) = self.ctl().recv(CtlAddr::agent(n)) {
             let mut at = self.ctl_slot(n);
             // Start/continue handling configures the packet filter and
             // signals pods before anything else runs.

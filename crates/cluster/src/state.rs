@@ -30,7 +30,7 @@ use crate::node::Node;
 use crate::ops::{OpRuntime, RetiredOp};
 use crate::params::ClusterParams;
 use crate::recovery::RecoveryReport;
-use crate::transport::NetCtl;
+use crate::transport::Carrier;
 
 /// Cluster-level errors.
 #[derive(Debug)]
@@ -49,8 +49,8 @@ pub enum ClusterError {
     JobBusy,
     /// A Zap-layer failure.
     Zap(ZapError),
-    /// A control-plane failure (bad stored image, socket exhaustion,
-    /// violated protocol invariant). Aborts the operation, not the world.
+    /// A control-plane failure (bad stored image, violated protocol
+    /// invariant). Aborts the operation, not the world.
     Protocol(CruzError),
 }
 
@@ -97,10 +97,10 @@ pub struct World {
     /// Current engine time: simulated time on the sim carrier, wall-clock
     /// time since construction on the loopback carrier.
     pub now: SimTime,
-    /// The loopback carrier's transport and clock; `None` on the sim
-    /// carrier, where control frames ride the simulated fabric and time
-    /// is virtual.
-    pub(crate) net: Option<NetCtl>,
+    /// The carrier the control plane runs on, with every node's two
+    /// control endpoints: the simulated fabric, where time is virtual, or
+    /// the loopback carrier's real sockets and wall clock.
+    pub(crate) carrier: Carrier,
     pub(crate) queue: EventQueue<Event>,
     pub(crate) nodes: Vec<Node>,
     pub(crate) switch: Switch,
@@ -144,9 +144,6 @@ pub struct World {
     /// every discard on a protocol path to either land here or carry a
     /// reasoned `allow`.
     pub(crate) soft_faults: Vec<(SimTime, &'static str, ClusterError)>,
-    /// Every replicated-store scrub pass run so far: (time, job, report).
-    /// Empty when replication is off (k = 1 stores never scrub).
-    pub(crate) scrub_reports: Vec<(SimTime, String, cruz::replog::ScrubReport)>,
 }
 
 impl fmt::Debug for World {

@@ -2,13 +2,15 @@
 //! carriers.
 //!
 //! Everything above this module — coordinator wiring, agent wiring,
-//! heartbeats, failover — moves [`CtlMsg`] frames through `Ctl`'s four
+//! heartbeats, failover — moves [`CtlMsg`] frames through `Ctl`'s two
 //! operations and never touches a node's network stack directly. That is
 //! the layering DMTCP's coordinator/plugin split proved out (swap the
 //! transport, keep the protocol): the protocol engine is written once,
 //! against `CtlAddr` node-index addressing, and each carrier maps those
 //! names onto its own endpoints.
 //!
+//! Each carrier binds every node's two fixed endpoints, the agent's and
+//! the coordinator's, when the world is built, and binds nothing after.
 //! The contract is deliberately minimal and datagram-shaped, and the
 //! same on both carriers (the unit tests below check it on each):
 //!
@@ -19,11 +21,12 @@
 //! * **Non-blocking** — `recv` returns at most one decodable frame and
 //!   never waits; the event loop polls it at node-service points. It
 //!   skips undecodable datagrams and frames from sources the carrier
-//!   cannot name, and returns `None` on an empty queue or a closed
-//!   socket.
-//! * **Addressed** — nodes are named by index (`CtlAddr`), never by
-//!   wire address, and `recv` reports the sender's `CtlAddr`, so a
-//!   reply to it reaches the sending socket.
+//!   cannot name, and returns `None` on an empty queue.
+//! * **Addressed** — endpoints are named by node index and `CtlPort`
+//!   (`CtlAddr`), never by wire address, and `recv` reports the sender's
+//!   `CtlAddr`, so a reply to it reaches the sending endpoint.
+//! * **Fail-stop** — a crashed node's endpoints receive nothing sent
+//!   after the crash.
 //!
 //! `SimnetCtl` is the sim carrier: unreliable datagrams over the
 //! simulated UDP/IP/Ethernet substrate. Frames it sends are subject to
@@ -45,7 +48,7 @@ use simnet::stack::SocketId;
 use cruz::error::CruzError;
 use cruz::proto::CtlMsg;
 
-use crate::node::{node_ip, CtlAddr, CtlSock, Node};
+use crate::node::{node_ip, CtlAddr, CtlPort, Node};
 
 /// The sim carrier's transport: control frames ride real datagrams
 /// through each node's [`simnet`] stack, the switch, and the per-link
@@ -54,54 +57,72 @@ use crate::node::{node_ip, CtlAddr, CtlSock, Node};
 /// subnet here; the engine above never sees a wire address.
 pub(crate) struct SimnetCtl<'a> {
     nodes: &'a mut [Node],
+    /// Each node's two control sockets, by [`CtlPort`].
+    socks: &'a [[SocketId; 2]],
 }
 
 impl<'a> SimnetCtl<'a> {
-    pub(crate) fn new(nodes: &'a mut [Node]) -> SimnetCtl<'a> {
-        SimnetCtl { nodes }
+    /// Binds every node's two control endpoints on its stack, returning
+    /// the sockets by node and [`CtlPort`].
+    ///
+    /// # Errors
+    ///
+    /// [`CruzError::ControlSocket`] when a stack refuses a bind.
+    pub(crate) fn bind(nodes: &mut [Node]) -> Result<Vec<[SocketId; 2]>, CruzError> {
+        let mut out = Vec::with_capacity(nodes.len());
+        for (i, n) in nodes.iter_mut().enumerate() {
+            let mut bind = |port: CtlPort| {
+                let s = n.kernel.net.udp_socket();
+                let at = SockAddr::new(node_ip(i), port.number());
+                n.kernel.net.bind(s, at).map(|_| s)
+            };
+            out.push([bind(CtlPort::Agent)?, bind(CtlPort::Coord)?]);
+        }
+        Ok(out)
     }
 
     /// The wire address of an engine-level endpoint.
     fn wire_addr(addr: CtlAddr) -> SockAddr {
-        SockAddr::new(node_ip(addr.node as usize), addr.port)
+        SockAddr::new(node_ip(addr.node as usize), addr.port.number())
     }
 
-    /// The engine-level endpoint a wire source address names: the node
-    /// whose `10.0.0.(n+1)` address it is. Frames from outside the node
-    /// subnet have no engine name and are discarded by `recv`.
+    /// The engine-level endpoint a wire source address names: a control
+    /// port of the node whose `10.0.0.(n+1)` address it is. Frames from
+    /// outside the node subnet, or from any other port, have no engine
+    /// name and are discarded by `recv`.
     fn engine_addr(addr: SockAddr) -> Option<CtlAddr> {
         let o = addr.ip.octets();
         if o[0] == 10 && o[1] == 0 && o[2] == 0 && o[3] >= 1 {
-            Some(CtlAddr::new((o[3] - 1) as usize, addr.port))
+            Some(CtlAddr::new(
+                (o[3] - 1) as usize,
+                CtlPort::from_number(addr.port)?,
+            ))
         } else {
             None
         }
     }
 
-    fn bind(&mut self, node: usize, port: u16) -> Result<CtlSock, CruzError> {
-        let k = &mut self.nodes[node].kernel;
-        let s = k.net.udp_socket();
-        k.net
-            .bind(s, SockAddr::new(node_ip(node), port))
-            .map_err(CruzError::ControlSocket)?;
-        Ok(CtlSock(s.0))
+    fn sock(&self, at: CtlAddr) -> SocketId {
+        self.socks[at.node as usize][at.port as usize]
     }
 
-    fn send(&mut self, node: usize, sock: CtlSock, dst: CtlAddr, msg: &CtlMsg, now: SimTime) {
+    fn send(&mut self, from: CtlAddr, dst: CtlAddr, msg: &CtlMsg, now: SimTime) {
+        let sock = self.sock(from);
         // Fire-and-forget by contract: a refused or unroutable send is,
         // to the protocol, indistinguishable from loss in flight, and the
         // layers above own retry. cruz-lint: allow(swallowed-error)
-        let _ = self.nodes[node].kernel.net.udp_send_to(
-            SocketId(sock.0),
+        let _ = self.nodes[from.node as usize].kernel.net.udp_send_to(
+            sock,
             Self::wire_addr(dst),
             Bytes::from(msg.encode()),
             now,
         );
     }
 
-    fn recv(&mut self, node: usize, sock: CtlSock) -> Option<(CtlAddr, CtlMsg)> {
-        let net = &mut self.nodes[node].kernel.net;
-        while let Ok(Some((from, bytes))) = net.udp_recv_from(SocketId(sock.0)) {
+    fn recv(&mut self, at: CtlAddr) -> Option<(CtlAddr, CtlMsg)> {
+        let sock = self.sock(at);
+        let net = &mut self.nodes[at.node as usize].kernel.net;
+        while let Ok(Some((from, bytes))) = net.udp_recv_from(sock) {
             if let Some(msg) = CtlMsg::decode(&bytes) {
                 if let Some(addr) = Self::engine_addr(from) {
                     return Some((addr, msg));
@@ -109,10 +130,6 @@ impl<'a> SimnetCtl<'a> {
             }
         }
         None
-    }
-
-    fn close(&mut self, node: usize, sock: CtlSock, now: SimTime) {
-        self.nodes[node].kernel.net.close(SocketId(sock.0), now);
     }
 }
 
@@ -175,10 +192,8 @@ impl NetClock {
     }
 }
 
-/// One bound loopback endpoint: its engine name, its real address and
-/// the socket.
+/// One bound loopback endpoint: its real address and the socket.
 struct Endpoint {
-    addr: CtlAddr,
     real: SocketAddr,
     sock: UdpSocket,
 }
@@ -186,15 +201,13 @@ struct Endpoint {
 /// The loopback carrier's transport: control frames ride real UDP
 /// datagrams on `127.0.0.1`, and [`CtlAddr`]s map onto real endpoints
 /// through an address table owned here. A frame from a real address the
-/// table does not hold has no engine name and is discarded. A bind at
-/// port `0` is an ephemeral endpoint named by its real port. The
+/// table does not hold has no engine name and is discarded. The
 /// carrier's clock lives here too; [`crate::World`] reads it between
 /// events (see [`crate::World::new_loopback`]).
 pub(crate) struct NetCtl {
     clock: NetClock,
-    /// Bound endpoints by [`CtlSock`] id.
-    endpoints: BTreeMap<u64, Endpoint>,
-    next_sock: u64,
+    /// Every live node's two endpoints.
+    endpoints: BTreeMap<CtlAddr, Endpoint>,
     buf: Vec<u8>,
 }
 
@@ -203,16 +216,25 @@ fn refused(_: std::io::Error) -> CruzError {
 }
 
 impl NetCtl {
-    /// A transport with no endpoints bound yet; its clock starts now.
+    /// A transport with both endpoints of each of `n` nodes bound; its
+    /// clock starts now.
     ///
     /// # Errors
     ///
     /// [`CruzError::Protocol`] when the host refuses loopback sockets.
-    pub(crate) fn new() -> Result<NetCtl, CruzError> {
+    pub(crate) fn new(n: usize) -> Result<NetCtl, CruzError> {
+        let mut endpoints = BTreeMap::new();
+        for node in 0..n {
+            for port in CtlPort::ALL {
+                let sock = UdpSocket::bind(("127.0.0.1", 0)).map_err(refused)?;
+                sock.set_nonblocking(true).map_err(refused)?;
+                let real = sock.local_addr().map_err(refused)?;
+                endpoints.insert(CtlAddr::new(node, port), Endpoint { real, sock });
+            }
+        }
         Ok(NetCtl {
             clock: NetClock::start().map_err(refused)?,
-            endpoints: BTreeMap::new(),
-            next_sock: 0,
+            endpoints,
             buf: vec![0; 65536],
         })
     }
@@ -233,55 +255,34 @@ impl NetCtl {
         self.clock.t0.elapsed() >= WALL_BUDGET
     }
 
-    /// Fail-stop for a crashed node: every endpoint it hosted closes, so
-    /// frames sent to it are lost like frames to a dead host.
+    /// Fail-stop for a crashed node: both its endpoints close, so frames
+    /// sent to it are lost like frames to a dead host.
     pub(crate) fn close_node(&mut self, node: usize) {
-        self.endpoints.retain(|_, e| e.addr.node as usize != node);
-    }
-
-    fn real_of(&self, addr: CtlAddr) -> Option<SocketAddr> {
-        self.endpoints
-            .values()
-            .find(|e| e.addr == addr)
-            .map(|e| e.real)
+        self.endpoints.retain(|a, _| a.node as usize != node);
     }
 
     fn name_of(&self, real: SocketAddr) -> Option<CtlAddr> {
         self.endpoints
-            .values()
-            .find(|e| e.real == real)
-            .map(|e| e.addr)
+            .iter()
+            .find(|(_, e)| e.real == real)
+            .map(|(&a, _)| a)
     }
 
-    fn bind(&mut self, node: usize, port: u16) -> Result<CtlSock, CruzError> {
-        let sock = UdpSocket::bind(("127.0.0.1", 0)).map_err(refused)?;
-        sock.set_nonblocking(true).map_err(refused)?;
-        let real = sock.local_addr().map_err(refused)?;
-        let addr = CtlAddr::new(node, if port == 0 { real.port() } else { port });
-        if self.real_of(addr).is_some() {
-            return Err(CruzError::Protocol("control port already bound"));
-        }
-        let id = self.next_sock;
-        self.next_sock += 1;
-        self.endpoints.insert(id, Endpoint { addr, real, sock });
-        Ok(CtlSock(id))
-    }
-
-    fn send(&mut self, sock: CtlSock, dst: CtlAddr, msg: &CtlMsg) {
-        let (Some(real), Some(src)) = (self.real_of(dst), self.endpoints.get(&sock.0)) else {
+    fn send(&mut self, from: CtlAddr, dst: CtlAddr, msg: &CtlMsg) {
+        let (Some(src), Some(dst)) = (self.endpoints.get(&from), self.endpoints.get(&dst)) else {
             return; // unroutable ≡ lost in flight, by the transport contract
         };
         // Fire-and-forget by contract; the protocol layers own retry.
         // cruz-lint: allow(swallowed-error)
-        let _ = src.sock.send_to(&msg.encode(), real);
+        let _ = src.sock.send_to(&msg.encode(), dst.real);
     }
 
-    fn recv(&mut self, sock: CtlSock) -> Option<(CtlAddr, CtlMsg)> {
+    fn recv(&mut self, at: CtlAddr) -> Option<(CtlAddr, CtlMsg)> {
         loop {
             // Err is would-block (queue empty) or a refusal: nothing to read.
             let (n, src) = self
                 .endpoints
-                .get(&sock.0)?
+                .get(&at)?
                 .sock
                 .recv_from(&mut self.buf)
                 .ok()?;
@@ -290,9 +291,25 @@ impl NetCtl {
             }
         }
     }
+}
 
-    fn close(&mut self, sock: CtlSock) {
-        self.endpoints.remove(&sock.0);
+/// The carrier a world's control plane runs on, with the endpoints it
+/// bound at construction.
+pub(crate) enum Carrier {
+    /// The sim carrier: each node's two control sockets on its simulated
+    /// stack, by node and [`CtlPort`].
+    Sim(Vec<[SocketId; 2]>),
+    /// The loopback carrier: [`NetCtl`].
+    Net(NetCtl),
+}
+
+impl Carrier {
+    /// The loopback carrier, if this is it.
+    pub(crate) fn net(&self) -> Option<&NetCtl> {
+        match self {
+            Carrier::Sim(_) => None,
+            Carrier::Net(net) => Some(net),
+        }
     }
 }
 
@@ -307,53 +324,30 @@ pub(crate) enum Ctl<'a> {
     Net(&'a mut NetCtl),
 }
 
-impl Ctl<'_> {
-    /// Binds a fresh control endpoint on `node` at `port` (`0` requests an
-    /// ephemeral port).
-    ///
-    /// # Errors
-    ///
-    /// [`CruzError::ControlSocket`] when the node's stack refuses the bind
-    /// (port taken, sockets exhausted); [`CruzError::Protocol`] when the
-    /// loopback carrier does.
-    pub(crate) fn bind(&mut self, node: usize, port: u16) -> Result<CtlSock, CruzError> {
-        match self {
-            Ctl::Sim(c) => c.bind(node, port),
-            Ctl::Net(c) => c.bind(node, port),
+impl<'a> Ctl<'a> {
+    /// The transport of a world with these nodes on this carrier.
+    pub(crate) fn new(carrier: &'a mut Carrier, nodes: &'a mut [Node]) -> Ctl<'a> {
+        match carrier {
+            Carrier::Sim(socks) => Ctl::Sim(SimnetCtl { nodes, socks }),
+            Carrier::Net(net) => Ctl::Net(net),
         }
     }
 
-    /// Sends one control frame from `sock` on `node` to `dst`,
+    /// Sends one control frame from the endpoint `from` to `dst`,
     /// fire-and-forget.
-    pub(crate) fn send(
-        &mut self,
-        node: usize,
-        sock: CtlSock,
-        dst: CtlAddr,
-        msg: &CtlMsg,
-        now: SimTime,
-    ) {
+    pub(crate) fn send(&mut self, from: CtlAddr, dst: CtlAddr, msg: &CtlMsg, now: SimTime) {
         match self {
-            Ctl::Sim(c) => c.send(node, sock, dst, msg, now),
-            Ctl::Net(c) => c.send(sock, dst, msg),
+            Ctl::Sim(c) => c.send(from, dst, msg, now),
+            Ctl::Net(c) => c.send(from, dst, msg),
         }
     }
 
-    /// Receives the next decodable control frame queued on `sock`, with
-    /// its sender's address; `None` when there is none.
-    pub(crate) fn recv(&mut self, node: usize, sock: CtlSock) -> Option<(CtlAddr, CtlMsg)> {
+    /// Receives the next decodable control frame queued on the endpoint
+    /// `at`, with its sender's address; `None` when there is none.
+    pub(crate) fn recv(&mut self, at: CtlAddr) -> Option<(CtlAddr, CtlMsg)> {
         match self {
-            Ctl::Sim(c) => c.recv(node, sock),
-            Ctl::Net(c) => c.recv(sock),
-        }
-    }
-
-    /// Releases `sock` on `node`. Frames still addressed to it are dropped,
-    /// as if lost in flight.
-    pub(crate) fn close(&mut self, node: usize, sock: CtlSock, now: SimTime) {
-        match self {
-            Ctl::Sim(c) => c.close(node, sock, now),
-            Ctl::Net(c) => c.close(sock),
+            Ctl::Sim(c) => c.recv(at),
+            Ctl::Net(c) => c.recv(at),
         }
     }
 }
@@ -364,101 +358,136 @@ mod tests {
 
     use des::SimDuration;
     use simnet::addr::{IpAddr, MacAddr};
+    use simnet::EthFrame;
 
     use super::*;
     use crate::{ClusterParams, World};
 
-    /// The fixed port the receiving endpoint binds on node 1.
-    const PORT: u16 = 7001;
-
     /// A decodable frame from a real address the loopback carrier never
     /// registered, and an undecodable datagram from the registered `from`,
     /// both toward `dst`.
-    fn net_strays(w: &World, from: CtlSock, dst: CtlAddr) {
-        let net = w.net.as_ref().expect("loopback carrier");
-        let real = net.real_of(dst).expect("dst is bound");
+    fn net_strays(w: &World, from: CtlAddr, dst: CtlAddr) {
+        let net = w.carrier.net().expect("loopback carrier");
+        let real = net.endpoints[&dst].real;
         let stranger = UdpSocket::bind(("127.0.0.1", 0)).expect("loopback socket");
         stranger
             .send_to(&CtlMsg::Ping { seq: 99 }.encode(), real)
             .expect("stranger sends");
-        net.endpoints[&from.0]
+        net.endpoints[&from]
             .sock
             .send_to(b"not a frame", real)
             .expect("junk sends");
     }
 
-    /// The same two strays on the sim carrier: the stranger is a UDP
+    /// The same strays on the sim carrier, plus a second stranger: one UDP
     /// socket on an address outside the node subnet, the way a pod
-    /// interface on node 0 would send.
-    fn sim_strays(w: &mut World, from: CtlSock, dst: CtlAddr) {
+    /// interface on node 0 would send, and one on node 0's own address at
+    /// a port that is not a control endpoint.
+    fn sim_strays(w: &mut World, from: CtlAddr, dst: CtlAddr) {
         let now = w.now;
+        let from_sock = match &w.carrier {
+            Carrier::Sim(socks) => socks[from.node as usize][from.port as usize],
+            Carrier::Net(_) => unreachable!("sim carrier"),
+        };
         let net = &mut w.nodes[0].kernel.net;
         let ip = IpAddr::from_octets([10, 0, 1, 9]);
         net.add_iface("stray", MacAddr::from_index(900), vec![ip]);
-        let stranger = net.udp_socket();
-        net.bind(stranger, SockAddr::new(ip, 0))
-            .expect("stray bind");
         let ping = Bytes::from(CtlMsg::Ping { seq: 99 }.encode());
         let wire = SimnetCtl::wire_addr(dst);
-        net.udp_send_to(stranger, wire, ping, now)
-            .expect("stranger sends");
-        net.udp_send_to(SocketId(from.0), wire, Bytes::from_static(b"junk"), now)
+        for at in [SockAddr::new(ip, 0), SockAddr::new(node_ip(0), 7000)] {
+            let stranger = net.udp_socket();
+            net.bind(stranger, at).expect("stray bind");
+            net.udp_send_to(stranger, wire, ping.clone(), now)
+                .expect("stranger sends");
+        }
+        net.udp_send_to(from_sock, wire, Bytes::from_static(b"junk"), now)
             .expect("junk sends");
     }
 
-    /// Lets every frame sent so far arrive: the sim carrier steps the
-    /// fabric, the loopback carrier gives the host stack a moment.
+    /// Lets every frame sent so far arrive without serving any endpoint:
+    /// the sim carrier passes frames between the node stacks as a hub would
+    /// until none is left (the world's own fabric would hand them to the
+    /// nodes' pumps), the loopback carrier gives the host stack a moment.
     fn settle(w: &mut World) {
-        if w.net.is_some() {
+        if w.carrier.net().is_some() {
             std::thread::sleep(Duration::from_millis(20));
-        } else {
-            for n in 0..w.node_count() {
-                w.kick_node(n);
+            return;
+        }
+        let now = w.now;
+        loop {
+            let frames: Vec<(usize, EthFrame)> = (0..w.node_count())
+                .flat_map(|n| {
+                    w.nodes[n]
+                        .kernel
+                        .take_frames()
+                        .into_iter()
+                        .map(move |f| (n, f))
+                })
+                .collect();
+            if frames.is_empty() {
+                return;
             }
-            w.run_for(SimDuration::from_millis(5));
+            for (from, frame) in frames {
+                for node in (0..w.node_count()).filter(|&m| m != from) {
+                    w.nodes[node].kernel.on_frame(frame.clone(), now);
+                }
+            }
         }
     }
 
-    fn drain(w: &mut World, node: usize, sock: CtlSock) -> Vec<(CtlAddr, CtlMsg)> {
-        std::iter::from_fn(|| w.ctl().recv(node, sock)).collect()
+    fn drain(w: &mut World, at: CtlAddr) -> Vec<(CtlAddr, CtlMsg)> {
+        std::iter::from_fn(|| w.ctl().recv(at)).collect()
     }
 
-    /// The contract both carriers keep: `recv` skips undecodable datagrams
-    /// and frames from sources it cannot name, returns each decodable
-    /// frame once with its sender's address (a reply to which reaches the
-    /// sender), and reads nothing from a closed socket.
+    /// The contract both carriers keep between the fixed endpoints: `recv`
+    /// skips undecodable datagrams and frames from sources it cannot name,
+    /// returns each decodable frame once with its sender's endpoint (a
+    /// reply to which reaches the sender), and a crashed node's endpoints
+    /// receive nothing sent after the crash.
     fn check_contract(mut w: World) {
-        let a = w.ctl().bind(0, 0).expect("ephemeral bind");
-        let b = w.ctl().bind(1, PORT).expect("fixed bind");
-        let dst = CtlAddr::new(1, PORT);
-        if w.net.is_some() {
-            net_strays(&w, a, dst);
+        let (coord, agent) = (CtlAddr::coord(0), CtlAddr::agent(1));
+        if w.carrier.net().is_some() {
+            net_strays(&w, coord, agent);
         } else {
-            sim_strays(&mut w, a, dst);
+            sim_strays(&mut w, coord, agent);
         }
         let sent = [CtlMsg::Done { epoch: 1 }, CtlMsg::Durable { epoch: 2 }];
         let now = w.now;
         for msg in &sent {
-            w.ctl().send(0, a, dst, msg, now);
+            w.ctl().send(coord, agent, msg, now);
         }
         settle(&mut w);
 
-        let got = drain(&mut w, 1, b);
+        let got = drain(&mut w, agent);
         let msgs: Vec<CtlMsg> = got.iter().map(|&(_, m)| m).collect();
         assert_eq!(msgs, sent, "strays skipped, each frame exactly once");
-        let from = got[0].0;
-        assert_eq!(from.node, 0);
-        assert_eq!(got[1].0, from);
+        assert_eq!(got[0].0, coord);
+        assert_eq!(got[1].0, coord);
 
         let reply = CtlMsg::Pong { seq: 5 };
-        w.ctl().send(1, b, from, &reply, now);
+        w.ctl().send(agent, coord, &reply, now);
         settle(&mut w);
-        assert_eq!(drain(&mut w, 0, a), [(dst, reply)]);
+        assert_eq!(drain(&mut w, coord), [(agent, reply)]);
+        assert_eq!(
+            drain(&mut w, CtlAddr::agent(0)),
+            [],
+            "one endpoint's frames"
+        );
 
-        w.ctl().send(0, a, dst, &sent[0], now);
-        settle(&mut w);
-        w.ctl().close(1, b, now);
-        assert_eq!(w.ctl().recv(1, b), None, "a closed socket reads nothing");
+        // Fail-stop: the world's own fabric on the sim carrier, closed
+        // sockets on the loopback carrier.
+        w.crash_node(1);
+        for at in [agent, CtlAddr::coord(1)] {
+            w.ctl().send(coord, at, &sent[0], now);
+        }
+        if w.carrier.net().is_some() {
+            settle(&mut w);
+        } else {
+            w.kick_node(0);
+            w.run_for(SimDuration::from_millis(5));
+        }
+        assert_eq!(drain(&mut w, agent), [], "a crashed node reads nothing");
+        assert_eq!(drain(&mut w, CtlAddr::coord(1)), []);
     }
 
     #[test]

@@ -33,17 +33,17 @@ use zap::Zap;
 
 use cruz::agent::Agent;
 use cruz::error::CruzError;
-use cruz::proto::{ProtocolMode, AGENT_PORT};
-use cruz::replog::{ReplicaFaults, ReplicatedStore, ScrubReport};
+use cruz::proto::ProtocolMode;
+use cruz::replog::{ReplicaFaults, ReplicatedStore};
 
 use crate::events::Event;
 use crate::fault::{FaultPlan, ProtocolPoint};
 use crate::jobs::{JobRuntime, JobSpec};
-use crate::node::{CtlSock, MAX_NODES};
+use crate::node::MAX_NODES;
 use crate::params::ClusterParams;
 use crate::recovery::RecoveryReport;
 use crate::state::FaultState;
-use crate::transport::{Ctl, NetCtl, SimnetCtl};
+use crate::transport::{Carrier, Ctl, NetCtl, SimnetCtl};
 
 pub use crate::node::Node;
 pub use crate::ops::OpReport;
@@ -99,13 +99,13 @@ impl World {
     /// [`MAX_NODES`].
     pub fn new(n: usize, params: ClusterParams) -> World {
         // cruz-lint: allow(silent-unwrap)
-        World::with_carrier(n, params, None).expect("agent port free on a fresh stack")
+        World::with_carrier(n, params, false).expect("control ports free on a fresh stack")
     }
 
-    /// Builds the same cluster on the loopback carrier: every control
-    /// endpoint is a real non-blocking UDP socket on `127.0.0.1`, and
-    /// [`World::step`] serves them until the wall clock reaches the next
-    /// event, so `now` reads wall-clock time since construction. After a
+    /// Builds the same cluster on the loopback carrier: each node's two
+    /// control endpoints are real non-blocking UDP sockets on `127.0.0.1`,
+    /// and [`World::step`] serves them until the wall clock reaches the
+    /// next event, so `now` reads wall-clock time since construction. After a
     /// fixed wall budget the world stops stepping, so a wedged socket
     /// path fails its run loop instead of hanging it.
     ///
@@ -114,14 +114,13 @@ impl World {
     /// [`ClusterError::Protocol`] when the host refuses loopback sockets
     /// (probe with [`crate::transport::loopback_available`]).
     pub fn new_loopback(n: usize, params: ClusterParams) -> Result<World, ClusterError> {
-        Ok(World::with_carrier(n, params, Some(NetCtl::new()?))?)
+        Ok(World::with_carrier(n, params, true)?)
     }
 
-    fn with_carrier(
-        n: usize,
-        params: ClusterParams,
-        net: Option<NetCtl>,
-    ) -> Result<World, CruzError> {
+    /// Builds the nodes, then binds each node's agent and coordinator
+    /// endpoints on the chosen carrier: the only control binds a world
+    /// makes.
+    fn with_carrier(n: usize, params: ClusterParams, loopback: bool) -> Result<World, CruzError> {
         assert!(n > 0, "a cluster needs at least one node");
         assert!(
             n <= MAX_NODES,
@@ -143,7 +142,6 @@ impl World {
                 kernel,
                 zap,
                 agent: Agent::new(),
-                agent_sock: CtlSock::UNBOUND,
                 agent_coord_addr: None,
                 alive: true,
                 run_scheduled: false,
@@ -151,9 +149,14 @@ impl World {
                 ctl_cpu_free: SimTime::ZERO,
             });
         }
-        let mut w = World {
+        let carrier = if loopback {
+            Carrier::Net(NetCtl::new(n)?)
+        } else {
+            Carrier::Sim(SimnetCtl::bind(&mut nodes)?)
+        };
+        Ok(World {
             now: SimTime::ZERO,
-            net,
+            carrier,
             queue: EventQueue::new(),
             nodes,
             switch: Switch::new(n),
@@ -175,12 +178,7 @@ impl World {
             recoveries: BTreeMap::new(),
             crash_log: Vec::new(),
             soft_faults: Vec::new(),
-            scrub_reports: Vec::new(),
-        };
-        for i in 0..n {
-            w.nodes[i].agent_sock = w.ctl().bind(i, AGENT_PORT)?;
-        }
-        Ok(w)
+        })
     }
 
     /// The IP of node `i`: `10.0.0.(i+1)`.
@@ -189,14 +187,11 @@ impl World {
     }
 
     /// The world's control-plane transport — its carrier's: every
-    /// protocol layer binds, sends and receives [`cruz::proto::CtlMsg`]
-    /// frames through it rather than touching a node's network stack or a
-    /// socket directly.
+    /// protocol layer sends and receives [`cruz::proto::CtlMsg`] frames
+    /// between the nodes' fixed endpoints through it rather than touching
+    /// a node's network stack or a socket directly.
     pub(crate) fn ctl(&mut self) -> Ctl<'_> {
-        match &mut self.net {
-            Some(net) => Ctl::Net(net),
-            None => Ctl::Sim(SimnetCtl::new(&mut self.nodes)),
-        }
+        Ctl::new(&mut self.carrier, &mut self.nodes)
     }
 
     /// Number of nodes.
@@ -262,7 +257,7 @@ impl World {
         if self.nodes[n].alive {
             self.nodes[n].alive = false;
             self.crash_log.push((n, self.now));
-            if let Some(net) = &mut self.net {
+            if let Carrier::Net(net) = &mut self.carrier {
                 net.close_node(n);
             }
         }
@@ -296,11 +291,6 @@ impl World {
     /// Every recovery pass the self-healing manager has run so far.
     pub fn recovery_reports(&self) -> &[RecoveryReport] {
         &self.recovery_reports
-    }
-
-    /// Every store scrub pass run so far: `(when, job, what it fixed)`.
-    pub fn scrub_reports(&self) -> &[(SimTime, String, ScrubReport)] {
-        &self.scrub_reports
     }
 
     /// Non-fatal control-plane failures recorded instead of discarded:
@@ -352,13 +342,16 @@ impl World {
     /// Processes one event. Returns false when the queue is empty, or on
     /// the loopback carrier once its wall budget is spent.
     pub fn step(&mut self) -> bool {
-        if self.net.is_some() && !self.pace() {
+        if self.carrier.net().is_some() && !self.pace() {
             return false;
         }
         let Some((at, ev)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(at >= self.now || self.net.is_some(), "time went backwards");
+        debug_assert!(
+            at >= self.now || self.carrier.net().is_some(),
+            "time went backwards"
+        );
         self.now = self.now.max(at);
         self.events_processed += 1;
         self.trace_digest = digest::fold_u64(self.trace_digest, at.as_nanos());
@@ -379,7 +372,9 @@ impl World {
     /// False when the queue is empty or the wall budget is spent.
     fn pace(&mut self) -> bool {
         loop {
-            let Some(net) = &self.net else { return false };
+            let Some(net) = self.carrier.net() else {
+                return false;
+            };
             if net.budget_spent() {
                 return false;
             }
@@ -389,7 +384,7 @@ impl World {
                     self.poll_ctl(n);
                 }
             }
-            let (Some(next), Some(net)) = (self.queue.peek_time(), &self.net) else {
+            let (Some(next), Some(net)) = (self.queue.peek_time(), self.carrier.net()) else {
                 return false;
             };
             if net.now() >= next {
@@ -669,12 +664,10 @@ impl World {
     }
 
     /// Drains control datagrams at a node-service point: the agent
-    /// endpoint, heartbeat sockets of jobs coordinated here, then
-    /// coordinator reply sockets — in that fixed order, so the event
-    /// schedule is identical run to run.
+    /// endpoint, then the coordinator endpoint — in that fixed order, so
+    /// the event schedule is identical run to run.
     fn poll_ctl(&mut self, n: usize) {
         self.pump_agent(n);
-        self.pump_heartbeat(n);
         self.pump_coord(n);
     }
 }

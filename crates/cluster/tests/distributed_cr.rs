@@ -992,3 +992,37 @@ fn a_chunk_deleted_between_prepare_and_put_fails_the_checkpoint_closed() {
     assert!(!w.fs.exists(&store.replica(0).manifest_path("server", ck2)));
     assert_eq!(store.latest_committed_epoch(), Some(ck1));
 }
+
+/// The `socks` count of a node stack's `Debug` view.
+fn stack_sockets(w: &World, node: usize) -> usize {
+    let view = format!("{:?}", w.kernel(node).net);
+    let count = view.split("socks: ").nth(1).expect("socks field");
+    count[..count.find(',').expect("more fields")]
+        .parse()
+        .expect("a count")
+}
+
+#[test]
+fn aborted_checkpoints_leave_no_socket_on_the_coordinator_node() {
+    // Every checkpoint times out before any agent can answer, so each is
+    // aborted by its coordinator. The coordinator node serves them all
+    // from its one fixed endpoint and holds no socket per operation.
+    let mut w = World::new(3, ClusterParams::default());
+    let at_construction = stack_sockets(&w, 2);
+    let (spec, _) = pingpong_job(5, 0, 1, 2);
+    w.launch_job(&spec).unwrap();
+    assert!(w.run_until_pred(5_000_000, |w| w.job_finished("pp")));
+    for _ in 0..100 {
+        let timeout = Some(SimDuration::from_nanos(1));
+        let op = w
+            .start_checkpoint("pp", ProtocolMode::Blocking, timeout)
+            .unwrap();
+        assert!(w.run_until_op(op, 1_000_000));
+        assert!(
+            w.op_report(op).unwrap().aborted,
+            "the timeout aborts op {op}"
+        );
+        w.run_for(SimDuration::from_millis(20));
+    }
+    assert_eq!(stack_sockets(&w, 2), at_construction);
+}

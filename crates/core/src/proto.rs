@@ -230,7 +230,9 @@ impl fmt::Display for CtlMsg {
 
 /// The UDP port agents listen on.
 pub const AGENT_PORT: u16 = 7770;
-/// The UDP port the coordinator listens on.
+/// The UDP port the coordinator listens on: every node binds it once,
+/// and every operation and heartbeat round coordinated on the node sends
+/// from it and receives its replies on it, told apart by epoch.
 pub const COORD_PORT: u16 = 7771;
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use std::rc::Rc;
 
 use des::SimTime;
 use simcpu::cpu::Cpu;
-use simnet::addr::MacAddr;
+use simnet::addr::{IpAddr, MacAddr};
 use simnet::stack::SocketId;
 use simnet::NetError;
 use simos::fd::{Desc, FdTable, PipeEnd, PipeId};
@@ -136,6 +136,15 @@ impl Zap {
     ///
     /// [`ZapError::IpInUse`] if the IP is already local to this node.
     pub fn create_pod(&self, kernel: &mut Kernel, cfg: PodConfig) -> Result<PodId, ZapError> {
+        let (ip, mac_mode) = (cfg.ip, cfg.mac_mode);
+        let id = self.add_pod(kernel, cfg)?;
+        announce(kernel, ip, &mac_mode);
+        Ok(id)
+    }
+
+    /// Creates a pod and its VIF without announcing the binding: a
+    /// restore announces it only once nothing can refuse the image.
+    fn add_pod(&self, kernel: &mut Kernel, cfg: PodConfig) -> Result<PodId, ZapError> {
         if kernel.net.is_local_ip(cfg.ip) {
             return Err(ZapError::IpInUse);
         }
@@ -147,7 +156,6 @@ impl Zap {
         kernel
             .net
             .add_iface(vif_name.clone(), vif_mac, vec![cfg.ip]);
-        kernel.net.send_gratuitous_arp(cfg.ip, vif_mac);
         st.pods.insert(id, Pod::new(id, cfg, vif_name));
         Ok(id)
     }
@@ -241,8 +249,7 @@ impl Zap {
         for pid in pids {
             let _ = kernel.signal(pid, sig::SIGCONT, now);
         }
-        let mac = vif_mac(&mode, kernel.net.primary_mac());
-        kernel.net.send_gratuitous_arp(ip, mac);
+        announce(kernel, ip, &mode);
         Ok(())
     }
 
@@ -531,7 +538,8 @@ impl Zap {
     /// created. A socket the network stack refuses ([`ZapError::Net`])
     /// fails the restore after the pod exists; it then tears down every
     /// socket restored so far and the pod, so a refused image leaves
-    /// nothing behind.
+    /// nothing behind. The pod's address is announced only after its last
+    /// socket is restored, so a refused image announces nothing.
     pub fn restart_pod(
         &self,
         kernel: &mut Kernel,
@@ -551,7 +559,7 @@ impl Zap {
             groups,
             procs,
         } = image;
-        let pod = self.create_pod(kernel, PodConfig { name, ip, mac_mode })?;
+        let pod = self.add_pod(kernel, PodConfig { name, ip, mac_mode })?;
 
         // Sockets (§4.1 restore) first: the one step that can still fail,
         // with only the pod and the sockets before it to undo.
@@ -572,6 +580,7 @@ impl Zap {
                 }
             }
         }
+        announce(kernel, ip, &mac_mode);
 
         // Kernel objects.
         let segs: Vec<_> = shm
@@ -800,6 +809,12 @@ impl ArmedPodCheckpoint {
             space.borrow_mut().cow_disarm();
         }
     }
+}
+
+/// Announces a pod's address binding with a gratuitous ARP from its VIF.
+fn announce(kernel: &mut Kernel, ip: IpAddr, mode: &MacMode) {
+    let mac = vif_mac(mode, kernel.net.primary_mac());
+    kernel.net.send_gratuitous_arp(ip, mac);
 }
 
 /// The MAC a pod's VIF transmits with.

@@ -6,7 +6,7 @@ use simcpu::asm::Asm;
 use simcpu::isa::{R1, R10, R2, R3, R6, R7, R8, R9};
 use simnet::addr::{IpAddr, MacAddr};
 use simnet::tcp::TcpConfig;
-use simnet::{NetError, NetStack, SockSnapshot};
+use simnet::{EthFrame, EthPayload, NetError, NetStack, SockSnapshot};
 use simos::fd::PipeId;
 use simos::guest::AsmOs;
 use simos::program::{Program, CODE_BASE, DATA_BASE};
@@ -971,6 +971,14 @@ fn unaccepted_connection_keeps_its_parked_bytes_across_a_second_checkpoint() {
     assert_eq!(serve(&mut k, &z, pod_s3, sv, now), vec!["queued"]);
 }
 
+/// True when a frame names `ip` as an ARP or IPv4 address.
+fn names(frame: &EthFrame, ip: IpAddr) -> bool {
+    match &frame.payload {
+        EthPayload::Arp(a) => a.sender_ip == ip || a.target_ip == ip,
+        EthPayload::Ipv4(p) => p.src == ip || p.dst == ip,
+    }
+}
+
 #[test]
 fn a_refused_image_leaves_nothing_behind() {
     // The server's image (a listener with a pending connection), given a
@@ -1044,8 +1052,10 @@ fn a_refused_image_leaves_nothing_behind() {
         assert_eq!(k2.shm_iter().count(), 0);
         assert_eq!(k2.sems.iter().count(), 0);
         assert!(k2.pipes.get(PipeId(0)).is_none());
-        // No socket, listener, connection or VIF left on the stack.
+        // No socket, listener, connection or VIF left on the stack, and
+        // no frame announcing the address the node does not hold.
         assert_eq!(format!("{:?}", k2.net), stack_before);
+        assert!(!k2.take_frames().iter().any(|f| names(f, image.ip)));
         z2.restart_pod(&mut k2, image.clone(), now).unwrap();
     }
 }
