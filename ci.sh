@@ -17,14 +17,17 @@
 #                         under vendor/ are not documented
 #   5. tests            — every suite, including the same-seed
 #                         byte-identical-images regression test
-#   6. repro            — the paper's figures as checked rows: one run of
+#   6. examples         — every program under examples/ runs to exit 0
+#                         in release mode: each drives a paper scenario
+#                         end to end and asserts its outcome
+#   7. repro            — the paper's figures as checked rows: one run of
 #                         the `repro` binary regenerates every
 #                         EXPERIMENTS.md table, checks each against the
 #                         paper's band, and fails if a table differs from
 #                         EXPERIMENTS.md by one byte (a simulated value
 #                         that moved); it prints to stdout and writes no
 #                         file
-#   7. loopback smoke   — the twin-carrier demo: one checkpoint →
+#   8. loopback smoke   — the twin-carrier demo: one checkpoint →
 #                         crash → restore cycle on the sim carrier and
 #                         the same engine on the loopback carrier (real
 #                         UDP sockets, wall clock) must restore the exact
@@ -32,7 +35,7 @@
 #                         latency and coordination overhead (the bin
 #                         prints SKIPPED and exits 0 where the sandbox
 #                         forbids even 127.0.0.1 sockets)
-#   8. ledger smoke     — the benchmark's own tests (BENCHMARK.json and
+#   9. ledger smoke     — the benchmark's own tests (BENCHMARK.json and
 #                         its code agree), then 2 s `compute`, `stream`,
 #                         `slm-stw` and `slm-dedup-cow` runs that must each
 #                         report "correct": true with no failed operation:
@@ -47,7 +50,7 @@
 #                         codec, the replicated log or the COW drain that
 #                         breaks the dedup store's rollback fails on
 #                         `slm-dedup-cow`
-#   9. clean tree       — the run changed no tracked file and left no new
+#  10. clean tree       — the run changed no tracked file and left no new
 #                         untracked one (a bin or test that writes into
 #                         the repository fails here)
 #
@@ -88,6 +91,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -q \
 
 echo "== cargo test"
 cargo test --offline --workspace -q
+
+echo "== examples (every examples/ program, release)"
+for example in examples/*.rs; do
+    cargo run --offline -q --release --example "$(basename "$example" .rs)"
+done
 
 echo "== repro (every EXPERIMENTS.md table, checked against the paper and pinned)"
 cargo run --offline -q --release -p bench --bin repro

@@ -146,6 +146,45 @@ impl World {
         Ok(())
     }
 
+    /// Evicts a job from its nodes: destroys each of its pods on a live
+    /// node and unbinds every placement from its pod, keeping its node for
+    /// a later [`World::start_restart`]. The job stays known and resumes
+    /// from any committed epoch — the paper's §1 grid scenario, where a
+    /// suspended job's nodes go to other work.
+    ///
+    /// # Errors
+    ///
+    /// [`ClusterError::NoSuchJob`], [`ClusterError::JobBusy`] while an
+    /// operation is in flight, or a Zap error from a pod that refused
+    /// teardown: the pods before it are destroyed, and no placement is
+    /// unbound.
+    pub fn evict_job(&mut self, job: &str) -> Result<(), ClusterError> {
+        if self.job_busy(job) {
+            return Err(ClusterError::JobBusy);
+        }
+        let live: Vec<(usize, PodId)> = self
+            .jobs
+            .get(job)
+            .ok_or(ClusterError::NoSuchJob)?
+            .placements
+            .iter()
+            .filter_map(|p| {
+                let pod_id = p.pod_id?;
+                self.nodes[p.node].alive.then_some((p.node, pod_id))
+            })
+            .collect();
+        for (node, pod_id) in live {
+            let slot = &mut self.nodes[node];
+            slot.zap.destroy_pod(&mut slot.kernel, pod_id)?;
+            self.postprocess(node);
+        }
+        let jr = self.jobs.get_mut(job).ok_or(ClusterError::NoSuchJob)?;
+        for p in jr.placements.iter_mut() {
+            p.pod_id = None;
+        }
+        Ok(())
+    }
+
     /// True once every process of every pod of the job has exited.
     pub fn job_finished(&self, job: &str) -> bool {
         let Some(jr) = self.jobs.get(job) else {

@@ -226,33 +226,15 @@ impl World {
         }
         // Tear down surviving pods first (restart-in-place, or rolling a
         // live job back to an earlier epoch): their addresses must be free
-        // before the restore recreates them.
-        let survivors: Vec<(usize, zap::pod::PodId)> = self
-            .jobs
-            .get(job)
-            .ok_or(ClusterError::NoSuchJob)?
-            .placements
-            .iter()
-            .filter_map(|p| {
-                let pod_id = p.pod_id?;
-                self.nodes[p.node].alive.then_some((p.node, pod_id))
-            })
-            .collect();
-        for (node, pod_id) in survivors {
-            // A survivor that refuses teardown would leave its addresses
-            // bound and wreck the restore; abort the restart instead.
-            let slot = &mut self.nodes[node];
-            slot.zap.destroy_pod(&mut slot.kernel, pod_id)?;
-            self.postprocess(node);
-        }
+        // before the restore recreates them, which binds the placements
+        // again. A survivor that refuses teardown would leave its
+        // addresses bound and wreck the restore; the restart is refused.
+        self.evict_job(job)?;
         let jr = self.jobs.get_mut(job).ok_or(ClusterError::NoSuchJob)?;
         for (pod, node) in placement {
             if let Some(p) = jr.placement_mut(pod) {
                 p.node = *node;
             }
-        }
-        for p in jr.placements.iter_mut() {
-            p.pod_id = None; // instantiated at restore time
         }
         let agents_nodes = jr.app_nodes();
         let coord_node = jr.coordinator_node;

@@ -160,7 +160,11 @@ impl World {
     }
 
     /// Seals a captured pod image, prepares its store write, and queues
-    /// the write-out on the node's disk `batch`. The seal names every chunk
+    /// the write-out on the node's disk `batch`. The image is written into
+    /// a buffer the shared filesystem lends ([`simos::fs::NetFs::lend`],
+    /// sized by its page payload, which it grows past only by its
+    /// metadata): a whole-image chunk keeps it as its file, and the
+    /// prepare gives it back otherwise. The seal names every chunk
     /// range of `StoreConfig::ranges` in its one hash pass, which the
     /// prepare runs beside its lookups and encodes, so it hashes nothing
     /// again and encodes only the chunks the store lacks. Capture
@@ -176,7 +180,8 @@ impl World {
         batch: &mut Vec<(SimTime, u64)>,
     ) -> PreparedChunked {
         let cfg = &self.params.store;
-        let (body, cuts) = img.unsealed();
+        let buf = self.fs.lend(img.page_payload_bytes() as usize);
+        let (body, cuts) = img.unsealed(buf);
         let prepared = store.prepare_sealed(body, |len| cfg.ranges(len, &cuts), cfg);
         let base = *serialized;
         for (raw_end, stored) in prepared.novel_writes() {
@@ -422,7 +427,11 @@ impl World {
                 }
             };
             total += stored;
-            match sealed.decode() {
+            let decoded = sealed.decode();
+            // The decoded image owns copies of everything it needs, so the
+            // read's lent buffer goes back for the next read or capture.
+            self.fs.give_back(sealed.into_bytes());
+            match decoded {
                 Ok(img) => images.push((p.name.clone(), img)),
                 Err(e) => {
                     self.fail_op(op, CruzError::BadImage(e));

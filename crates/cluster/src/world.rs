@@ -635,8 +635,14 @@ impl World {
         self.reschedule_timer(n);
     }
 
+    /// Puts a node's outgoing frames on its uplink — the one place frames
+    /// leave a node. A crashed node is silent: whatever its stack queued
+    /// (a coordinator's pending `Start`s, say) is dropped here.
     fn emit_frames(&mut self, n: usize, at: SimTime) {
         let frames = self.nodes[n].kernel.take_frames();
+        if !self.nodes[n].alive {
+            return;
+        }
         for frame in frames {
             let arrive = self.links_up[n].schedule(at, frame.wire_len(), &self.params.link);
             self.arm(

@@ -1026,3 +1026,75 @@ fn aborted_checkpoints_leave_no_socket_on_the_coordinator_node() {
     }
     assert_eq!(stack_sockets(&w, 2), at_construction);
 }
+
+#[test]
+fn a_steady_checkpoint_rollback_cycle_is_served_from_the_spare_buffers() {
+    // The slm ring's steady state: checkpoint, roll back to a base epoch,
+    // discard the new epoch. Capture writes each image into a buffer the
+    // shared filesystem lends and keeps it as the image's file; the
+    // restore assembles into a lent buffer and gives it back; the discard
+    // frees the images' files onto the spare list. After one warm-up
+    // cycle every loan is served from the list.
+    let slm = SlmConfig {
+        ranks: 2,
+        state_bytes: 2 * 1024 * 1024,
+        iters: 100_000,
+        compute_ns: 1_000_000,
+        halo_bytes: 1024,
+        port: 7100,
+        state_step_bytes: 0,
+    };
+    let mut w = World::new(3, ClusterParams::default());
+    w.launch_job(&slm.job_spec("slm", 2)).unwrap();
+    w.run_for(SimDuration::from_millis(20));
+    let base = w
+        .start_checkpoint("slm", ProtocolMode::Blocking, None)
+        .unwrap();
+    assert!(w.run_until_op(base, 20_000_000));
+    let cycle = |w: &mut World| {
+        w.run_for(SimDuration::from_millis(10));
+        let epoch = w
+            .start_checkpoint("slm", ProtocolMode::Blocking, None)
+            .unwrap();
+        assert!(w.run_until_op(epoch, 20_000_000));
+        assert!(w.store("slm").is_committed(epoch));
+        let rs = w
+            .start_restart("slm", base, &[], ProtocolMode::Blocking)
+            .unwrap();
+        assert!(w.run_until_op(rs, 20_000_000));
+        let report = w.op_report(rs).unwrap();
+        assert!(report.complete && !report.aborted);
+        w.store("slm").discard_epoch(epoch);
+    };
+    cycle(&mut w);
+    let warm = w.fs.lend_misses();
+    assert!(warm > 0, "the first captures found no spare");
+    cycle(&mut w);
+    cycle(&mut w);
+    assert_eq!(w.fs.lend_misses(), warm, "a steady cycle missed the spares");
+}
+
+#[test]
+fn a_crashed_coordinator_sends_nothing() {
+    // The coordinator node dies right after a checkpoint starts, before
+    // its CPU has sent the `Start`s. A dead node is silent: no agent hears
+    // of the operation, so none freezes its pods, and the job runs on.
+    let mut w = World::new(3, ClusterParams::default());
+    let (spec, _) = pingpong_job(2_000, 0, 1, 2);
+    w.launch_job(&spec).unwrap();
+    w.run_for(SimDuration::from_millis(5));
+    let first = w
+        .start_checkpoint("pp", ProtocolMode::Blocking, None)
+        .unwrap();
+    assert!(w.run_until_op(first, 5_000_000));
+    let op = w
+        .start_checkpoint("pp", ProtocolMode::Blocking, None)
+        .unwrap();
+    w.crash_node(2);
+    w.run_for(SimDuration::from_millis(200));
+    let report = w.op_report(op).unwrap();
+    assert_eq!(report.local_ops, [], "an agent heard the dead coordinator");
+    assert!(w.run_until_pred(50_000_000, |w| w.job_finished("pp")));
+    assert_eq!(w.pod_exit_code("pp", "server", 1), Some(0));
+    assert_eq!(w.pod_exit_code("pp", "client", 1), Some(0));
+}

@@ -50,13 +50,13 @@
 //! invalid byte — exactly the semantics a torn append needs.
 
 use simos::fs::NetFs;
-use zap::image::{ImageWriter, Sealed};
+use zap::image::ImageWriter;
 
 use crate::chunk::ChunkId;
 use crate::digest;
 use crate::pagecache::{DigestCache, PageHint};
 use crate::store::{
-    CheckpointStore, MissingChunk, PlannedPut, PreparedChunked, PreparedPut, ReadError, StoreConfig,
+    CheckpointStore, MissingChunk, PlannedPut, PreparedChunked, PreparedPut, StoreConfig,
 };
 
 /// Magic number of a replica operation log (`CRZL`).
@@ -68,6 +68,7 @@ pub const REPLOG_VERSION: u16 = 1;
 
 pub use crate::repfault::{ReplicaFault, ReplicaFaultKind, ReplicaFaults, StoreOpPoint};
 
+mod quorum;
 mod repair;
 
 // ---- operation log ----------------------------------------------------------
@@ -653,81 +654,7 @@ impl ReplicatedStore {
         self.primary().prepare_sealed(image, split, cfg)
     }
 
-    // ---- reads ----------------------------------------------------------
-
-    /// Quorum read of a pod image: the bytes [`ReplicatedStore::read_sealed`]
-    /// serves.
-    pub fn get_image(&self, pod_name: &str, epoch: u64) -> Option<Vec<u8>> {
-        self.read_sealed(pod_name, epoch)
-            .ok()
-            .map(Sealed::into_bytes)
-    }
-
-    /// Quorum read of a pod image: collect digest-sidecar votes from every
-    /// live replica, elect the majority digest (ties to the lowest
-    /// replica), and serve the first replica whose bytes verify against
-    /// it. Falls back to any live replica that self-verifies when no
-    /// majority copy is readable. Each replica's read is
-    /// [`CheckpointStore::read_sealed`], so the served image's checksum is
-    /// settled by the same pass that verified it.
-    ///
-    /// # Errors
-    ///
-    /// [`ReadError::Absent`] when no live replica holds anything for the
-    /// pod in `epoch`; [`ReadError::Corrupt`] when none of what they hold
-    /// verifies.
-    pub fn read_sealed(&self, pod_name: &str, epoch: u64) -> Result<Sealed, ReadError> {
-        self.read_stored(pod_name, epoch).map(|(image, _)| image)
-    }
-
-    /// [`ReplicatedStore::read_sealed`], together with the physical bytes
-    /// the serving replica read ([`CheckpointStore::read_stored`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`ReplicatedStore::read_sealed`].
-    pub fn read_stored(&self, pod_name: &str, epoch: u64) -> Result<(Sealed, u64), ReadError> {
-        let alive = self.alive_replicas();
-        let mut votes: Vec<(ChunkId, usize)> = Vec::new();
-        for &r in &alive {
-            if let Some(d) = self.replica(r).read_digest(pod_name, epoch) {
-                match votes.iter_mut().find(|(x, _)| *x == d) {
-                    Some((_, n)) => *n += 1,
-                    None => votes.push((d, 1)),
-                }
-            }
-        }
-        let mut winner = None;
-        for &(d, n) in &votes {
-            if winner.is_none_or(|(_, wn)| n > wn) {
-                winner = Some((d, n));
-            }
-        }
-        if let Some((want, _)) = winner {
-            for &r in &alive {
-                let rep = self.replica(r);
-                if rep.read_digest(pod_name, epoch) == Some(want) {
-                    // The store's own read path re-verifies chunk addresses
-                    // and the whole-image digest, so a corrupt copy under a
-                    // matching sidecar still falls through.
-                    if let Ok(image) = rep.read_stored(pod_name, epoch) {
-                        return Ok(image);
-                    }
-                }
-            }
-        }
-        // Without any sidecar vote no replica can verify; the pass below
-        // then only tells an absent image from an unverifiable one.
-        let mut err = ReadError::Absent;
-        for &r in &alive {
-            match self.replica(r).read_stored(pod_name, epoch) {
-                Ok(image) => return Ok(image),
-                Err(ReadError::Corrupt) => err = ReadError::Corrupt,
-                Err(ReadError::Absent) => {}
-            }
-        }
-        Err(err)
-    }
+    // ---- reads (the quorum reads are in `quorum`) ---------------------
 
     /// Logical image size, from the primary replica.
     pub fn image_len(&self, pod_name: &str, epoch: u64) -> Option<u64> {

@@ -335,17 +335,32 @@ impl CheckpointStore {
     /// [`ReadError::Absent`] when the epoch holds nothing for the pod;
     /// [`ReadError::Corrupt`] when what it holds does not verify.
     pub fn read_sealed(&self, pod_name: &str, epoch: u64) -> Result<Sealed, ReadError> {
-        self.read_stored(pod_name, epoch).map(|(image, _)| image)
+        self.read(pod_name, epoch, |_| Vec::new())
+            .map(|(image, _)| image)
     }
 
-    /// [`CheckpointStore::read_sealed`], together with the physical bytes
-    /// the read served: the manifest plus every distinct chunk it
-    /// references, counted from the one manifest read that drove it.
+    /// The restore read: [`CheckpointStore::read_sealed`], assembled into
+    /// a buffer the filesystem lends ([`NetFs::lend`]), together with the
+    /// physical bytes the read served: the manifest plus every distinct
+    /// chunk it references, counted from the one manifest read that drove
+    /// it. A caller done with the image gives its bytes back
+    /// ([`NetFs::give_back`]).
     ///
     /// # Errors
     ///
     /// As [`CheckpointStore::read_sealed`].
     pub fn read_stored(&self, pod_name: &str, epoch: u64) -> Result<(Sealed, u64), ReadError> {
+        self.read(pod_name, epoch, |len| self.fs.lend(len))
+    }
+
+    /// The verified read both public reads run, assembling into the buffer
+    /// `buf` returns for the image's declared length.
+    fn read(
+        &self,
+        pod_name: &str,
+        epoch: u64,
+        buf: impl FnOnce(usize) -> Vec<u8>,
+    ) -> Result<(Sealed, u64), ReadError> {
         let want = self.read_digest(pod_name, epoch);
         let Some(manifest) = self.fs.read_file(&self.manifest_path(pod_name, epoch)) else {
             return Err(if self.fs.exists(&self.digest_path(pod_name, epoch)) {
@@ -357,7 +372,7 @@ impl CheckpointStore {
         // Without a sidecar there is nothing to verify against, so the
         // chunks are not worth reading.
         let want = want.ok_or(ReadError::Corrupt)?;
-        let (image, stored) = self.reconstruct(&manifest).ok_or(ReadError::Corrupt)?;
+        let (image, stored) = self.reconstruct(&manifest, buf).ok_or(ReadError::Corrupt)?;
         if ChunkId::from(image.digest()) == want {
             Ok((image, stored))
         } else {

@@ -209,26 +209,36 @@ impl Plan {
     /// `pool` — except that an owned image whose one uncompressed range
     /// covers it becomes its own container in place
     /// ([`chunk::raw_container`]), with no second image-sized buffer.
+    /// Returns an owned image that did not become a container, for the
+    /// caller to reuse.
     fn encode(
         &mut self,
         raw: Cow<'_, [u8]>,
         work: Vec<(usize, (usize, usize))>,
         cfg: &StoreConfig,
         pool: Pool,
-    ) {
+    ) -> Option<Vec<u8>> {
         let raw_len = raw.len();
         let (slots, work): (Vec<usize>, Vec<(usize, usize)>) = work.into_iter().unzip();
-        let encoded = match raw {
+        let (encoded, left) = match raw {
             Cow::Owned(image) if !cfg.compress && work == [(0, raw_len)] => {
-                vec![chunk::raw_container(image)]
+                (vec![chunk::raw_container(image)], None)
             }
-            raw => pool.map_ordered(work, CodecScratch::new, |scratch, (start, len)| {
-                chunk::encode_range(&raw[start..start + len], cfg.compress, scratch)
-            }),
+            raw => {
+                let encoded = pool.map_ordered(work, CodecScratch::new, |scratch, (start, len)| {
+                    chunk::encode_range(&raw[start..start + len], cfg.compress, scratch)
+                });
+                let left = match raw {
+                    Cow::Owned(image) => Some(image),
+                    Cow::Borrowed(_) => None,
+                };
+                (encoded, left)
+            }
         };
         for (slot, c) in slots.into_iter().zip(encoded) {
             self.containers[slot] = Some(c);
         }
+        left
     }
 
     /// The prepared write of a `raw_len`-byte image named `raw_digest`,
@@ -311,7 +321,9 @@ impl CheckpointStore {
     /// encodes it if the store lacks it. The ranges that reach the
     /// checksum trailer are named and prepared after the join
     /// ([`ImageWriter::seal_rest`]); an uncompressed whole-image chunk is
-    /// built in the sealed image's own buffer. Byte-identical to
+    /// built in the sealed image's own buffer, which otherwise goes back
+    /// to the filesystem's spares ([`simos::fs::NetFs::give_back`]) once
+    /// its chunks are encoded. Byte-identical to
     /// [`CheckpointStore::prepare_chunked`] over the sealed bytes and the
     /// same ranges, at every width.
     ///
@@ -357,7 +369,9 @@ impl CheckpointStore {
         let digest = sealed.digest().into();
         let sealed = sealed.into_bytes();
         let raw_len = sealed.len();
-        plan.encode(Cow::Owned(sealed), work, cfg, pool);
+        if let Some(spare) = plan.encode(Cow::Owned(sealed), work, cfg, pool) {
+            self.fs.give_back(spare);
+        }
         plan.finish(raw_len, digest)
     }
 
@@ -478,8 +492,13 @@ impl CheckpointStore {
     /// sidecar (which closes the same hole for torn manifests) and the
     /// trailer verdict, together with the bytes the read served (the
     /// manifest and every distinct chunk). `None` on any structural
-    /// failure.
-    pub(super) fn reconstruct(&self, manifest: &[u8]) -> Option<(Sealed, u64)> {
+    /// failure. The image is assembled into the buffer `buf` returns for
+    /// its declared length ([`Assembler::over`]).
+    pub(super) fn reconstruct(
+        &self,
+        manifest: &[u8],
+        buf: impl FnOnce(usize) -> Vec<u8>,
+    ) -> Option<(Sealed, u64)> {
         let (raw_len, recs) = decode_manifest(manifest)?;
         if recs.iter().map(|r| u64::from(r.1)).sum::<u64>() != raw_len {
             return None;
@@ -491,7 +510,8 @@ impl CheckpointStore {
             .map(|&(_, _, len)| u64::from(len))
             .sum::<u64>()
             + manifest.len() as u64;
-        let mut image = Assembler::new(usize::try_from(raw_len).ok()?);
+        let len = usize::try_from(raw_len).ok()?;
+        let mut image = Assembler::over(buf(len), len);
         let dir = self.chunk_dir();
         let whole = self.fs.with_view(|files| {
             Pool::new(self.threads).pipeline(

@@ -71,9 +71,12 @@ impl DhcpMessage {
         Bytes::from(v)
     }
 
-    /// Parses a UDP payload produced by [`DhcpMessage::encode`].
+    /// Parses a UDP payload produced by [`DhcpMessage::encode`]. Only
+    /// canonical bytes decode — exactly 16, a known message type, and a
+    /// zero pad byte — so an accepted payload re-encodes to itself.
     pub fn decode(bytes: &[u8]) -> Option<DhcpMessage> {
-        if bytes.len() < 15 {
+        let bytes: &[u8; 16] = bytes.try_into().ok()?;
+        if bytes[15] != 0 {
             return None;
         }
         let op = match bytes[0] {

@@ -4,6 +4,11 @@
 //! file system reachable from every node, so an application checkpointed on
 //! one machine can be restarted on any other. The store is a single shared
 //! object; each node accesses it through its own handle.
+//!
+//! Like a filesystem's free-block list, it keeps the buffers of the large
+//! files it removes and lends them out for new contents
+//! ([`NetFs::lend`]), so a steady stream of checkpoint images reuses one
+//! working set of memory instead of freeing it and faulting it back in.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -31,7 +36,23 @@ pub struct NetFs {
     files: Rc<RefCell<BTreeMap<String, Vec<u8>>>>,
     /// Files removed so far; see [`NetFs::removals`].
     removals: Rc<Cell<u64>>,
+    /// Buffers of removed files and returned loans, kept for
+    /// [`NetFs::lend`]: at most [`SPARE_BUFFERS`], each of at least
+    /// [`SPARE_MIN_CAPACITY`] bytes.
+    spares: Rc<RefCell<Vec<Vec<u8>>>>,
+    /// Loans no spare could serve; see [`NetFs::lend_misses`].
+    lend_misses: Rc<Cell<u64>>,
 }
+
+/// How many spare buffers a [`NetFs`] keeps for [`NetFs::lend`]: enough
+/// for a checkpoint's images and a restore's assembly buffer of a job of a
+/// few pods.
+const SPARE_BUFFERS: usize = 8;
+
+/// The smallest buffer a [`NetFs`] keeps (1 MiB). Smaller ones are cheap
+/// for the allocator to serve again, and keeping them would only crowd
+/// image-sized buffers off the list.
+pub const SPARE_MIN_CAPACITY: usize = 1 << 20;
 
 /// A read-only view of a [`NetFs`]'s files, lent by [`NetFs::with_view`].
 #[derive(Debug, Clone, Copy)]
@@ -110,13 +131,63 @@ impl NetFs {
         self.files.borrow().contains_key(path)
     }
 
-    /// Removes a file; returns true if it existed.
+    /// Removes a file; returns true if it existed. Its buffer becomes a
+    /// spare ([`NetFs::give_back`]).
     pub fn remove(&self, path: &str) -> bool {
-        let existed = self.files.borrow_mut().remove(path).is_some();
-        if existed {
-            self.removals.set(self.removals.get() + 1);
+        let Some(buf) = self.files.borrow_mut().remove(path) else {
+            return false;
+        };
+        self.removals.set(self.removals.get() + 1);
+        self.give_back(buf);
+        true
+    }
+
+    /// Lends an empty buffer with room for at least `len` bytes, for
+    /// contents that will become a file or be given back: the smallest
+    /// spare that fits — of equals, the one given back last, whose memory
+    /// is the likeliest to still be cached — or, when none fits (a miss,
+    /// counted by [`NetFs::lend_misses`]), an empty buffer that allocates
+    /// as it grows. Never allocates itself, so `len` may be an untrusted
+    /// hint.
+    pub fn lend(&self, len: usize) -> Vec<u8> {
+        let mut spares = self.spares.borrow_mut();
+        // The list is in the order buffers came back, so the reversed
+        // scan's first minimum is the last one given back.
+        let fit = spares
+            .iter()
+            .enumerate()
+            .rev()
+            .filter(|(_, b)| b.capacity() >= len)
+            .min_by_key(|(_, b)| b.capacity())
+            .map(|(i, _)| i);
+        match fit {
+            Some(i) => {
+                let mut buf = spares.remove(i);
+                buf.clear();
+                buf
+            }
+            None => {
+                self.lend_misses.set(self.lend_misses.get() + 1);
+                Vec::new()
+            }
         }
-        existed
+    }
+
+    /// Takes back a buffer whose contents are no longer needed — a lent
+    /// one that did not become a file, or any other. It becomes a spare if
+    /// it is large enough and the list has room; otherwise it is freed.
+    pub fn give_back(&self, buf: Vec<u8>) {
+        let mut spares = self.spares.borrow_mut();
+        if buf.capacity() >= SPARE_MIN_CAPACITY && spares.len() < SPARE_BUFFERS {
+            spares.push(buf);
+        }
+    }
+
+    /// How many [`NetFs::lend`] calls, through any handle, found no spare
+    /// large enough. Once a steady workload's working set is on the list,
+    /// it stops growing.
+    pub fn lend_misses(&self) -> u64 {
+        self.lend_misses.get()
     }
 
     /// How many files [`NetFs::remove`] has removed from this filesystem,
@@ -214,6 +285,60 @@ mod tests {
         assert!(fs.remove("/b"));
         assert_eq!(fs.removals(), 2);
         assert_eq!(other.removals(), 2);
+    }
+
+    #[test]
+    fn removed_files_lend_their_buffers_smallest_fit_first() {
+        let fs = NetFs::new();
+        let other = fs.clone();
+        fs.write_file("/big", vec![7; 3 << 20]);
+        fs.write_file("/mid", vec![7; 2 << 20]);
+        fs.write_file("/tiny", vec![7; 16]);
+        assert!(fs.remove("/big") && fs.remove("/mid") && fs.remove("/tiny"));
+        let mid = other.lend(1 << 20);
+        assert!(mid.is_empty());
+        assert_eq!(mid.capacity(), 2 << 20);
+        assert_eq!(fs.lend((2 << 20) + 1).capacity(), 3 << 20);
+        assert_eq!(fs.lend_misses(), 0);
+        assert_eq!(fs.lend(1).capacity(), 0, "a small buffer is not kept");
+        assert_eq!(other.lend_misses(), 1);
+        other.give_back(mid);
+        assert_eq!(
+            fs.lend(5).capacity(),
+            2 << 20,
+            "a loan given back is lent again"
+        );
+    }
+
+    #[test]
+    fn of_equal_spares_the_last_given_back_is_lent_first() {
+        let fs = NetFs::new();
+        let bufs: Vec<Vec<u8>> = (0..3)
+            .map(|_| Vec::with_capacity(SPARE_MIN_CAPACITY))
+            .collect();
+        let at: Vec<*const u8> = bufs.iter().map(|b| b.as_ptr()).collect();
+        for buf in bufs {
+            fs.give_back(buf);
+        }
+        let last = fs.lend(1);
+        assert_eq!(last.as_ptr(), at[2]);
+        fs.give_back(last);
+        assert_eq!(fs.lend(1).as_ptr(), at[2]);
+        assert_eq!(fs.lend(1).as_ptr(), at[1]);
+    }
+
+    #[test]
+    fn the_spare_list_is_bounded() {
+        let fs = NetFs::new();
+        for _ in 0..SPARE_BUFFERS + 2 {
+            fs.give_back(Vec::with_capacity(SPARE_MIN_CAPACITY));
+        }
+        for _ in 0..SPARE_BUFFERS {
+            assert!(fs.lend(SPARE_MIN_CAPACITY).capacity() >= SPARE_MIN_CAPACITY);
+        }
+        assert_eq!(fs.lend_misses(), 0);
+        assert_eq!(fs.lend(0).capacity(), 0);
+        assert_eq!(fs.lend_misses(), 1);
     }
 
     /// A path over a five-letter alphabet, so random paths share prefixes.

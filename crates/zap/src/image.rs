@@ -206,7 +206,7 @@ impl PodImage {
     /// in one pass ([`ImageWriter::seal`]); the bytes equal
     /// [`PodImage::encode`]'s.
     pub fn seal(&self) -> Sealed {
-        self.write(&mut Vec::new()).seal()
+        self.write(Vec::new(), &mut Vec::new()).seal()
     }
 
     /// Serializes the image and reports the `(offset, len)` of every bulk
@@ -224,7 +224,7 @@ impl PodImage {
     /// [`PodImage::seal`].
     pub fn seal_with_page_cuts(&self) -> (Sealed, Vec<(usize, usize)>) {
         let mut cuts = Vec::new();
-        let sealed = self.write(&mut cuts).seal();
+        let sealed = self.write(Vec::new(), &mut cuts).seal();
         (sealed, cuts)
     }
 
@@ -233,17 +233,19 @@ impl PodImage {
     /// seals, for a caller that runs the sealing pass itself
     /// ([`ImageWriter::seal_named`], or
     /// `cruz::store::CheckpointStore::prepare_sealed`, which names the
-    /// chunk ranges in that pass).
-    pub fn unsealed(&self) -> (ImageWriter, Vec<(usize, usize)>) {
+    /// chunk ranges in that pass). The image is written into `buf`, whose
+    /// contents are discarded first; the bytes do not depend on what it
+    /// held or how large it is.
+    pub fn unsealed(&self, buf: Vec<u8>) -> (ImageWriter, Vec<(usize, usize)>) {
         let mut cuts = Vec::new();
-        let w = self.write(&mut cuts);
+        let w = self.write(buf, &mut cuts);
         (w, cuts)
     }
 
-    /// Serializes everything but the checksum trailer, recording the bulk
-    /// payload cuts.
-    fn write(&self, cuts: &mut Vec<(usize, usize)>) -> ImageWriter {
-        let mut w = ImageWriter::new();
+    /// Serializes everything but the checksum trailer into `buf`,
+    /// recording the bulk payload cuts.
+    fn write(&self, buf: Vec<u8>, cuts: &mut Vec<(usize, usize)>) -> ImageWriter {
+        let mut w = ImageWriter::over(buf);
         w.u32(MAGIC);
         w.u16(VERSION);
         // Reserved flag byte, always 0 (keeps image bytes stable).
@@ -399,7 +401,7 @@ impl PodImage {
     /// the body the encoder writes plus the 8-byte checksum trailer, with
     /// no checksum pass.
     pub fn encoded_len(&self) -> usize {
-        self.write(&mut Vec::new()).len() + 8
+        self.write(Vec::new(), &mut Vec::new()).len() + 8
     }
 
     /// Private-page payload bytes across all thread groups — the part of

@@ -58,6 +58,14 @@ impl ImageWriter {
         Self::default()
     }
 
+    /// Creates an empty writer over `buf`, a reused buffer: its contents
+    /// are discarded and its capacity is written into before the writer
+    /// allocates.
+    pub(crate) fn over(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        ImageWriter { buf }
+    }
+
     /// Appends a `u8`.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -404,8 +412,17 @@ impl Assembler {
     /// pieces, so at most 256 MiB (`ASSEMBLY_RESERVE`) are reserved for it up
     /// front; a longer image grows as its pieces arrive.
     pub fn new(len: usize) -> Assembler {
+        Assembler::over(Vec::new(), len)
+    }
+
+    /// [`Assembler::new`] into `buf`, a reused buffer: its contents are
+    /// discarded, and it grows only if its capacity falls short of the
+    /// same capped reserve.
+    pub fn over(mut buf: Vec<u8>, len: usize) -> Assembler {
+        buf.clear();
+        buf.reserve(len.min(ASSEMBLY_RESERVE));
         Assembler {
-            bytes: Vec::with_capacity(len.min(ASSEMBLY_RESERVE)),
+            bytes: buf,
             len,
             image: [OFFSET, OFFSET_ALT],
             sum: None,

@@ -42,15 +42,7 @@ fn main() {
         .start_checkpoint("batch", ProtocolMode::Blocking, None)
         .expect("suspend");
     assert!(world.run_until_op(epoch, 50_000_000));
-    for node in [0usize, 1] {
-        let zap = world.zap(node);
-        let pods = zap.pod_ids();
-        for pod in pods {
-            let kernel = world.kernel_mut(node);
-            zap.destroy_pod(kernel, pod).expect("evict");
-        }
-        world.kick_node(node);
-    }
+    world.evict_job("batch").expect("evict");
     let stored: u64 = {
         let store = world.store("batch");
         (0..2)

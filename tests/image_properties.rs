@@ -11,7 +11,7 @@ use cruz_repro::cruz::ReplicatedStore;
 use cruz_repro::simnet::addr::{IpAddr, MacAddr, SockAddr};
 use cruz_repro::simnet::tcp::{SeqNum, TcpSnapshot, TcpState};
 use cruz_repro::simnet::SockSnapshot;
-use cruz_repro::simos::fs::NetFs;
+use cruz_repro::simos::fs::{NetFs, SPARE_MIN_CAPACITY};
 use cruz_repro::simos::mem::{PageBuf, PAGE_SIZE};
 use cruz_repro::zap::image::{
     AreaImage, DescImage, GroupImage, ImageError, ImageReader, ImageWriter, MacMode, PipeImage,
@@ -589,7 +589,7 @@ proptest! {
     #[test]
     fn seal_named_names_every_range_in_the_sealing_pass(img in arb_image(), chunk in 1usize..300) {
         let (bytes, cuts) = img.encode_with_page_cuts();
-        let (body, body_cuts) = img.unsealed();
+        let (body, body_cuts) = img.unsealed(Vec::new());
         let (sealed, ranges, names) =
             body.seal_named(|len| split_ranges(len, &body_cuts, chunk));
         prop_assert_eq!(&sealed, &img.seal());
@@ -638,7 +638,7 @@ proptest! {
                 sealed_store.prepare_chunked(&bytes, &[], &cfg)
             }
             _ => {
-                let (body, cuts) = img.unsealed();
+                let (body, cuts) = img.unsealed(Vec::new());
                 sealed_store.prepare_sealed(body, |len| cfg.ranges(len, &cuts), &cfg)
             }
         };
@@ -678,7 +678,7 @@ proptest! {
                 store.prepare_chunked(&bytes, &cuts, &cfg)
             }
             _ => {
-                let (body, cuts) = img.unsealed();
+                let (body, cuts) = img.unsealed(Vec::new());
                 store.prepare_sealed(body, |len| split(len, &cuts), &cfg)
             }
         };
@@ -704,7 +704,7 @@ proptest! {
         let fs = NetFs::new();
         let rs = ReplicatedStore::new(fs.clone(), "j", 3);
         let cfg = StoreConfig::default();
-        let (body, cuts) = img.unsealed();
+        let (body, cuts) = img.unsealed(Vec::new());
         let put = rs.prepare_sealed(body, |len| cfg.ranges(len, &cuts), &cfg);
         let digest = put.image_digest();
         rs.put_prepared("p", 1, PreparedPut::Chunked(put)).unwrap();
@@ -716,5 +716,42 @@ proptest! {
         let load = rs.read_sealed("p", 1);
         prop_assert_eq!(load.as_ref().map(Sealed::decode).ok(), Some(Ok(img)));
         assert_load_matches_get(load, got)?;
+    }
+
+    /// Capture writes into a buffer the filesystem lends, and restore
+    /// assembles into one: a reused buffer, larger than needed and full of
+    /// another image's bytes, changes no byte, manifest or digest.
+    #[test]
+    fn reused_buffers_change_no_stored_or_read_byte(
+        img in arb_image(),
+        junk in any::<u8>(),
+        extra in 0usize..4096,
+        dedup in any::<bool>(),
+    ) {
+        let cfg = if dedup {
+            StoreConfig { chunk_bytes: 64, ..StoreConfig::dedup_compress() }
+        } else {
+            StoreConfig::default()
+        };
+        let fresh_fs = NetFs::new();
+        let fresh = CheckpointStore::new(fresh_fs.clone(), "j");
+        let (body, cuts) = img.unsealed(Vec::new());
+        let want = fresh.prepare_sealed(body, |len| cfg.ranges(len, &cuts), &cfg);
+        let fs = NetFs::new();
+        let store = CheckpointStore::new(fs.clone(), "j");
+        let (body, reused_cuts) = img.unsealed(vec![junk; img.encoded_len() + extra]);
+        prop_assert_eq!(&reused_cuts, &cuts);
+        let got = store.prepare_sealed(body, |len| cfg.ranges(len, &cuts), &cfg);
+        prop_assert_eq!(got.manifest(), want.manifest());
+        prop_assert_eq!(got.image_digest(), want.image_digest());
+        fresh.put_prepared("p", 1, PreparedPut::Chunked(want)).unwrap();
+        store.put_prepared("p", 1, PreparedPut::Chunked(got)).unwrap();
+        prop_assert_eq!(tree(&fs), tree(&fresh_fs));
+
+        fs.give_back(vec![junk; SPARE_MIN_CAPACITY + extra]);
+        let misses = fs.lend_misses();
+        let (lent, _) = store.read_stored("p", 1).unwrap();
+        prop_assert_eq!(fs.lend_misses(), misses, "the read assembles into the spare");
+        prop_assert_eq!(lent, store.read_sealed("p", 1).unwrap());
     }
 }
