@@ -5,8 +5,10 @@
 #   2. cruz-lint        — the determinism/architecture auditor: token
 #                         rules, layer graph, wire registry (DESIGN.md
 #                         §14); also emits lint-report.json for tooling
-#   3. release build    — the whole workspace compiles
-#   4. docs             — `cargo doc` of every first-party crate (the
+#   3. clippy           — every target of the workspace, tests included,
+#                         with every clippy and rustc warning an error
+#   4. release build    — the whole workspace compiles
+#   5. docs             — `cargo doc` of every first-party crate (the
 #                         engine's cluster, zap, simos, cruz, des, simnet
 #                         and simcpu, plus workloads, baseline, bench,
 #                         cruz-lint and the root cruz-repro package) stays
@@ -15,19 +17,19 @@
 #                         documented API, and a dangling or private
 #                         intra-doc link fails here; the vendored stubs
 #                         under vendor/ are not documented
-#   5. tests            — every suite, including the same-seed
+#   6. tests            — every suite, including the same-seed
 #                         byte-identical-images regression test
-#   6. examples         — every program under examples/ runs to exit 0
+#   7. examples         — every program under examples/ runs to exit 0
 #                         in release mode: each drives a paper scenario
 #                         end to end and asserts its outcome
-#   7. repro            — the paper's figures as checked rows: one run of
+#   8. repro            — the paper's figures as checked rows: one run of
 #                         the `repro` binary regenerates every
 #                         EXPERIMENTS.md table, checks each against the
 #                         paper's band, and fails if a table differs from
 #                         EXPERIMENTS.md by one byte (a simulated value
 #                         that moved); it prints to stdout and writes no
 #                         file
-#   8. loopback smoke   — the twin-carrier demo: one checkpoint →
+#   9. loopback smoke   — the twin-carrier demo: one checkpoint →
 #                         crash → restore cycle on the sim carrier and
 #                         the same engine on the loopback carrier (real
 #                         UDP sockets, wall clock) must restore the exact
@@ -35,7 +37,7 @@
 #                         latency and coordination overhead (the bin
 #                         prints SKIPPED and exits 0 where the sandbox
 #                         forbids even 127.0.0.1 sockets)
-#   9. ledger smoke     — the benchmark's own tests (BENCHMARK.json and
+#  10. ledger smoke     — the benchmark's own tests (BENCHMARK.json and
 #                         its code agree), then 2 s `compute`, `stream`,
 #                         `slm-stw` and `slm-dedup-cow` runs that must each
 #                         report "correct": true with no failed operation:
@@ -50,7 +52,7 @@
 #                         codec, the replicated log or the COW drain that
 #                         breaks the dedup store's rollback fails on
 #                         `slm-dedup-cow`
-#  10. clean tree       — the run changed no tracked file and left no new
+#  11. clean tree       — the run changed no tracked file and left no new
 #                         untracked one (a bin or test that writes into
 #                         the repository fails here)
 #
@@ -80,6 +82,9 @@ echo "== cruz-lint --workspace"
 # human-readable run, which is the actual gate.
 cargo run --offline -q -p cruz-lint -- --workspace --json > lint-report.json || true
 cargo run --offline -q -p cruz-lint -- --workspace
+
+echo "== cargo clippy (all targets, warnings denied)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== cargo build --release"
 cargo build --offline --release --workspace

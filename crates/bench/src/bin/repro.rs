@@ -120,7 +120,8 @@ fn pinned(id: &str, block: &str) -> Result<(), String> {
 /// Returns `Err(message)` from the enclosing check unless `cond` holds.
 macro_rules! ensure {
     ($cond:expr, $($msg:tt)+) => {
-        if !$cond {
+        let holds: bool = $cond;
+        if !holds {
             return Err(format!($($msg)+));
         }
     };

@@ -109,9 +109,6 @@ pub(crate) fn crash_and_heal(
         point: ProtocolPoint::LocalDoneToDurable,
         nth: 0,
     });
-    // Round-trip through the wire form: the plan's CRZF bytes drive the
-    // run, not just the in-memory value.
-    let plan = FaultPlan::decode(&plan.encode()).expect("plan round-trip");
     w.install_fault_plan(&plan);
     let op2 = w
         .start_checkpoint("pp", ProtocolMode::Blocking, None)
@@ -184,9 +181,7 @@ mod tests {
                 .start_checkpoint("pp", ProtocolMode::Blocking, None)
                 .expect("baseline checkpoint");
             assert!(w.run_until_op(op, 50_000_000));
-            let plan = FaultPlan::decode(&FaultPlan::random(plan_seed, 2).encode())
-                .expect("plan round-trip");
-            w.install_fault_plan(&plan);
+            w.install_fault_plan(&FaultPlan::random(plan_seed, 2));
             w.schedule_periodic_checkpoints(
                 "pp",
                 SimDuration::from_millis(4),

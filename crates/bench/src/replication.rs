@@ -139,7 +139,6 @@ mod tests {
                     },
                 });
             }
-            let plan = FaultPlan::decode(&plan.encode()).expect("plan round-trip");
             w.install_fault_plan(&plan);
             w.schedule_periodic_checkpoints(
                 "pp",

@@ -20,13 +20,15 @@
 //!   gigabit-Ethernet / 1 GHz-node / 2005-disk testbed, and the
 //!   per-checkpoint [`CkptOptions`];
 //! * [`jobs`] — job specifications and pod placement (the LSF analogue);
-//! * [`fault`] — seeded, replayable fault plans (protocol-point crashes,
-//!   disk-write faults, control-frame drop/duplicate/reorder);
+//! * [`fault`] — the fault plane: seeded, replayable fault plans
+//!   (protocol-point crashes, disk-write faults, control-frame
+//!   drop/duplicate/reorder, replica-store faults) and the one state that
+//!   decides when each strikes;
 //! * [`node`] — the base layer: one simulated node (kernel + Zap + agent)
 //!   and the node-index addressing of its two fixed control endpoints,
 //!   imported by everything above;
-//! * [`state`] — the shared cluster state: [`state::World`]'s fields,
-//!   [`state::ClusterError`] and the installed fault plane, sitting below
+//! * [`state`] — the shared cluster state: [`state::World`]'s fields and
+//!   [`state::ClusterError`], sitting below
 //!   the driver so the operation layers need not import upward;
 //! * [`transport`] — send/recv of control frames between the nodes'
 //!   fixed endpoints, on the simulated-UDP carrier or the loopback
@@ -71,6 +73,7 @@ pub use cruz::replog::{CompactReport, ReplicatedStore, ScrubReport};
 pub use cruz::store::StoreConfig;
 pub use fault::{
     CrashFault, DiskFault, FaultPlan, ProtocolPoint, ReplicaFault, ReplicaFaultKind, StoreOpPoint,
+    WriteFault,
 };
 pub use jobs::{JobRuntime, JobSpec, PodPlacement, PodSpec};
 pub use ops::OpReport;

@@ -22,8 +22,6 @@
 //!   the drain runs in the background at `CkptDrain`, racing the resumed
 //!   guests' writes, and the persist waits for `AgentDurable`.
 
-use simos::disk::WriteFault;
-
 use cruz::agent::AgentAction;
 use cruz::error::CruzError;
 use cruz::proto::{CtlMsg, OpKind};
@@ -35,7 +33,7 @@ use zap::ArmedPodCheckpoint;
 use des::SimTime;
 
 use crate::events::Event;
-use crate::fault::ProtocolPoint;
+use crate::fault::{ProtocolPoint, WriteFault};
 use crate::jobs::PodPlacement;
 use crate::node::CtlAddr;
 use crate::ops::NodeStage;
@@ -343,7 +341,7 @@ impl World {
             .kernel
             .disk
             .submit_write_batch(start, &batch);
-        if let Some(fault) = self.nodes[node].kernel.disk.take_write_fault() {
+        if let Some(fault) = self.fault.disk_write(node, &batch) {
             self.apply_ckpt_disk_fault(op, fault, images);
             return None;
         }

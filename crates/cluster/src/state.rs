@@ -1,11 +1,10 @@
-//! The engine's shared state: [`World`], its error type, and the
-//! installed fault plane.
+//! The engine's shared state: [`World`] and its error type.
 //!
-//! Only *definitions* live here — the struct, [`ClusterError`], and the
-//! fault plane's armed state. The module sits in the same layer of the
-//! cluster map as `ops`/`ops_agent`/`heartbeat`/`jobs` (DESIGN.md §14), so
-//! those impl-block modules can name [`World`] and [`ClusterError`]
-//! without importing the [`crate::world`] driver above them. Behavior —
+//! Only *definitions* live here — the struct and [`ClusterError`]. The
+//! module sits in the same layer of the cluster map as
+//! `ops`/`ops_agent`/`heartbeat`/`jobs` (DESIGN.md §14), so those
+//! impl-block modules can name [`World`] and [`ClusterError`] without
+//! importing the [`crate::world`] driver above them. Behavior —
 //! construction, the event loop, frame routing — stays in
 //! [`crate::world`], and each protocol layer extends [`World`] with its
 //! own `impl` block.
@@ -13,7 +12,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use des::{EventQueue, SimRng, SimTime};
+use des::{EventQueue, SimTime};
 use simnet::link::LinkState;
 use simnet::switch::Switch;
 use simos::fs::NetFs;
@@ -23,7 +22,7 @@ use cruz::error::CruzError;
 use cruz::replog::ReplicaFaults;
 
 use crate::events::Event;
-use crate::fault::FaultPlan;
+use crate::fault::FaultState;
 use crate::heartbeat::HeartbeatState;
 use crate::jobs::JobRuntime;
 use crate::node::Node;
@@ -82,15 +81,6 @@ impl From<CruzError> for ClusterError {
     }
 }
 
-/// An installed fault plan plus its dedicated RNG stream and per-point hit
-/// counters. The stream is the world's only randomness, so a faulted run
-/// and a clean run share every decision up to the first injected fault.
-pub(crate) struct FaultState {
-    pub(crate) plan: FaultPlan,
-    pub(crate) rng: SimRng,
-    pub(crate) crash_hits: BTreeMap<(usize, u8), u32>,
-}
-
 /// The cluster world: simulated nodes and switch, the protocol engine,
 /// and the carrier its control plane runs on.
 pub struct World {
@@ -124,8 +114,9 @@ pub struct World {
     pub(crate) trace_digest: u64,
     /// Per-job heartbeat state (present only while recovery watches a job).
     pub(crate) hb: BTreeMap<String, HeartbeatState>,
-    /// The installed fault plan, if any.
-    pub(crate) fault: Option<FaultState>,
+    /// The fault plane: the installed plan (empty by default) and every
+    /// decision about when one of its faults strikes.
+    pub(crate) fault: FaultState,
     /// The replica fault plane every job's store view shares: the plan's
     /// replica faults, their hit counters, and the replicas they crashed.
     pub(crate) replica_faults: ReplicaFaults,

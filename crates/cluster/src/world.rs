@@ -20,9 +20,8 @@
 
 use std::collections::BTreeMap;
 
-use des::{digest, EventQueue, SimDuration, SimRng, SimTime};
+use des::{digest, EventQueue, SimDuration, SimTime};
 use simnet::addr::{IpAddr, MacAddr};
-use simnet::fault::FrameFate;
 use simnet::link::LinkState;
 use simnet::switch::{PortId, Switch};
 use simnet::{EthFrame, NetStack};
@@ -37,12 +36,11 @@ use cruz::proto::ProtocolMode;
 use cruz::replog::{ReplicaFaults, ReplicatedStore};
 
 use crate::events::Event;
-use crate::fault::{FaultPlan, ProtocolPoint};
+use crate::fault::{FaultPlan, FaultState, FrameFate, ProtocolPoint};
 use crate::jobs::{JobRuntime, JobSpec};
 use crate::node::MAX_NODES;
 use crate::params::ClusterParams;
 use crate::recovery::RecoveryReport;
-use crate::state::FaultState;
 use crate::transport::{Carrier, Ctl, NetCtl, SimnetCtl};
 
 pub use crate::node::Node;
@@ -171,7 +169,7 @@ impl World {
             events_processed: 0,
             trace_digest: digest::OFFSET,
             hb: BTreeMap::new(),
-            fault: None,
+            fault: FaultState::new(&FaultPlan::none(0)),
             replica_faults: ReplicaFaults::default(),
             recovery_reports: Vec::new(),
             pending_recovery: BTreeMap::new(),
@@ -268,24 +266,16 @@ impl World {
         self.nodes.get(n).map(|x| x.alive).unwrap_or(false)
     }
 
-    /// Installs a fault plan: disk and replica-store faults are armed now
-    /// (on their nodes, and on the replica fault plane every job's store
-    /// shares, which also revives any crashed replica); crash and frame
-    /// faults strike as the run reaches them. The plan's own seed drives a
-    /// dedicated RNG stream, so the same plan against the same world seed
-    /// replays the identical trace.
+    /// Installs a fault plan in place of the one installed before, with
+    /// every hit counter back at zero: crash, disk and frame faults strike
+    /// as the run reaches them, and replica-store faults are armed now on
+    /// the replica fault plane every job's store shares (which also
+    /// revives any crashed replica). The plan's own seed drives a dedicated
+    /// RNG stream, so the same plan against the same world seed replays the
+    /// identical trace.
     pub fn install_fault_plan(&mut self, plan: &FaultPlan) {
-        for d in &plan.disk {
-            if let Some(node) = self.nodes.get_mut(d.node) {
-                node.kernel.disk.inject_write_fault(d.nth_write, d.fault);
-            }
-        }
         self.replica_faults.arm(&plan.replicas);
-        self.fault = Some(FaultState {
-            plan: plan.clone(),
-            rng: SimRng::from_seed(plan.seed),
-            crash_hits: BTreeMap::new(),
-        });
+        self.fault = FaultState::new(plan);
     }
 
     /// Every recovery pass the self-healing manager has run so far.
@@ -303,18 +293,7 @@ impl World {
     /// occurrence and kills the node when a [`crate::fault::CrashFault`]
     /// names it. Returns true when the node just died.
     pub(crate) fn maybe_crash(&mut self, node: usize, point: ProtocolPoint) -> bool {
-        let fire = match self.fault.as_mut() {
-            Some(f) => {
-                let hits = f.crash_hits.entry((node, point as u8)).or_insert(0);
-                let nth = *hits;
-                *hits += 1;
-                f.plan
-                    .crashes
-                    .iter()
-                    .any(|c| c.node == node && c.point == point && c.nth == nth)
-            }
-            None => false,
-        };
+        let fire = self.fault.crashes_at(node, point);
         if fire {
             self.crash_node(node);
         }
@@ -585,26 +564,22 @@ impl World {
         if !self.nodes[port].alive {
             return;
         }
-        if let Some(f) = self.fault.as_mut() {
-            if !f.plan.frames.is_none() {
-                match f.plan.frames.decide(&mut f.rng) {
-                    FrameFate::Deliver => {}
-                    FrameFate::Drop => return,
-                    FrameFate::Duplicate { delay } => {
-                        self.arm(
-                            self.now + delay,
-                            Event::FrameAtNodeInjected {
-                                port,
-                                frame: frame.clone(),
-                            },
-                        );
-                    }
-                    FrameFate::Reorder { delay } => {
-                        // Held back: later frames overtake it on the wire.
-                        self.arm(self.now + delay, Event::FrameAtNodeInjected { port, frame });
-                        return;
-                    }
-                }
+        match self.fault.frame_fate() {
+            FrameFate::Deliver => {}
+            FrameFate::Drop => return,
+            FrameFate::Duplicate { delay } => {
+                self.arm(
+                    self.now + delay,
+                    Event::FrameAtNodeInjected {
+                        port,
+                        frame: frame.clone(),
+                    },
+                );
+            }
+            FrameFate::Reorder { delay } => {
+                // Held back: later frames overtake it on the wire.
+                self.arm(self.now + delay, Event::FrameAtNodeInjected { port, frame });
+                return;
             }
         }
         self.deliver_frame(port, frame);

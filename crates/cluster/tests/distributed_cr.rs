@@ -2,14 +2,14 @@
 //! multi-node simulated cluster, the full Fig. 2 protocol over the wire.
 
 use cluster::{
-    CkptCaptureMode, CkptOptions, ClusterError, ClusterParams, JobSpec, PodSpec, RecoveryParams,
-    StoreConfig, World,
+    CkptCaptureMode, CkptOptions, ClusterError, ClusterParams, CrashFault, DiskFault, FaultPlan,
+    JobSpec, PodSpec, ProtocolPoint, RecoveryParams, ReplicaFault, ReplicaFaultKind, StoreConfig,
+    StoreOpPoint, World, WriteFault,
 };
 use cruz::error::CruzError;
 use cruz::proto::ProtocolMode;
 use des::SimDuration;
 use simnet::addr::{IpAddr, MacAddr};
-use simos::disk::WriteFault;
 use workloads::pingpong::PingPongConfig;
 use workloads::slm::SlmConfig;
 use workloads::ComputeConfig;
@@ -297,7 +297,13 @@ fn a_source_disk_fault_aborts_the_migration_and_the_pod_stays_home() {
     let (spec, _) = pingpong_job(500, 0, 1, 3);
     w.launch_job(&spec).unwrap();
     w.run_for(SimDuration::from_millis(6));
-    w.kernel_mut(0).disk.inject_write_fault(0, WriteFault::Fail);
+    let mut plan = FaultPlan::none(1);
+    plan.disk.push(DiskFault {
+        node: 0,
+        nth_write: 0,
+        fault: WriteFault::Fail,
+    });
+    w.install_fault_plan(&plan);
     let op = w.migrate_pod("pp", "server", 2).unwrap();
     assert!(w.run_until_op(op, 10_000_000));
     let report = w.op_report(op).unwrap();
@@ -317,6 +323,55 @@ fn a_source_disk_fault_aborts_the_migration_and_the_pod_stays_home() {
     assert!(w.run_until_pred(30_000_000, |w| w.job_finished("pp")));
     assert_eq!(w.pod_exit_code("pp", "server", 1), Some(0));
     assert_eq!(w.pod_exit_code("pp", "client", 1), Some(0));
+}
+
+#[test]
+fn a_second_fault_plan_replaces_every_fault_of_the_first() {
+    let params = ClusterParams {
+        store: StoreConfig {
+            replicas: 3,
+            ..StoreConfig::default()
+        },
+        ..ClusterParams::default()
+    };
+    let mut w = World::new(4, params);
+    let (spec, _) = pingpong_job(500, 0, 1, 3);
+    w.launch_job(&spec).unwrap();
+    w.run_for(SimDuration::from_millis(6));
+    // Each fault of this plan alone would spoil the next checkpoint: a
+    // failed first write on both nodes, a crash on the first start, every
+    // frame dropped, a replica store dead at its first put.
+    let mut first = FaultPlan::none(1);
+    for node in 0..2 {
+        first.disk.push(DiskFault {
+            node,
+            nth_write: 0,
+            fault: WriteFault::Fail,
+        });
+    }
+    first.crashes.push(CrashFault {
+        node: 1,
+        point: ProtocolPoint::CheckpointReceived,
+        nth: 0,
+    });
+    first.frames.drop = 1.0;
+    first.replicas.push(ReplicaFault {
+        replica: 1,
+        point: StoreOpPoint::Put,
+        nth: 0,
+        kind: ReplicaFaultKind::Crash,
+    });
+    w.install_fault_plan(&first);
+    w.install_fault_plan(&FaultPlan::none(2));
+    let op = w
+        .start_checkpoint("pp", ProtocolMode::Blocking, None)
+        .unwrap();
+    assert!(w.run_until_op(op, 10_000_000));
+    let report = w.op_report(op).unwrap();
+    assert!(report.complete && !report.aborted, "{:?}", w.op_error(op));
+    assert!(w.node_alive(0) && w.node_alive(1));
+    assert!(w.store("pp").is_committed(op));
+    assert_eq!(w.store("pp").alive_replicas(), [0, 1, 2]);
 }
 
 #[test]

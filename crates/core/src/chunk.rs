@@ -507,8 +507,7 @@ mod tests {
 
     #[test]
     fn round_trip_mixed_content() {
-        let mut data = Vec::new();
-        data.extend(std::iter::repeat(0u8).take(5000)); // zero run → RLE
+        let mut data = vec![0u8; 5000]; // zero run → RLE
         data.extend((0..4096u32).map(|i| (i % 251) as u8 | 1)); // periodic
         data.extend((0..700u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8)); // noisy
         let packed = compress(&data);

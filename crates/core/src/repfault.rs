@@ -19,33 +19,23 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum StoreOpPoint {
     /// A pod-image put (plain or chunked).
-    Put = 0,
+    Put,
     /// A commit-record write.
-    Commit = 1,
+    Commit,
     /// An epoch discard (including prune compaction).
-    Discard = 2,
+    Discard,
     /// An orphan-chunk garbage collection.
-    Gc = 3,
+    Gc,
 }
 
 impl StoreOpPoint {
-    /// Every point, in tag order.
+    /// Every point, in log order.
     pub const ALL: [StoreOpPoint; 4] = [
         StoreOpPoint::Put,
         StoreOpPoint::Commit,
         StoreOpPoint::Discard,
         StoreOpPoint::Gc,
     ];
-
-    /// The wire tag of this point.
-    pub fn tag(self) -> u8 {
-        self as u8
-    }
-
-    /// Parses a wire tag.
-    pub fn from_tag(t: u8) -> Option<StoreOpPoint> {
-        StoreOpPoint::ALL.into_iter().find(|p| p.tag() == t)
-    }
 }
 
 /// What happens to a replica when an armed fault fires.

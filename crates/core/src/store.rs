@@ -603,7 +603,7 @@ mod tests {
         for b in 0..reps {
             cuts.push((raw.len(), block));
             if b == hot {
-                raw.extend(std::iter::repeat(fill).take(block));
+                raw.extend(std::iter::repeat_n(fill, block));
             } else {
                 raw.extend((0..block).map(|i| (((b * 31) + (i % 7)) % 251) as u8 | 1));
             }

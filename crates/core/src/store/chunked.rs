@@ -539,10 +539,13 @@ pub(super) fn chunk_file(dir: &str, id: ChunkId) -> String {
     format!("{dir}/{}.c", id.hex())
 }
 
-/// Parses a manifest into `(raw_len, [(id, seg_len, stored_len)])`.
-pub(crate) fn decode_manifest(bytes: &[u8]) -> Option<(u64, Vec<(ChunkId, u32, u32)>)> {
+/// A parsed manifest: `(raw_len, [(id, seg_len, stored_len)])`.
+type Manifest = (u64, Vec<(ChunkId, u32, u32)>);
+
+/// Parses a manifest.
+pub(crate) fn decode_manifest(bytes: &[u8]) -> Option<Manifest> {
     let mut r = ImageReader::verify(bytes).ok()?;
-    let parsed = (|| -> Result<Option<(u64, Vec<(ChunkId, u32, u32)>)>, zap::image::ImageError> {
+    let parsed = (|| -> Result<Option<Manifest>, zap::image::ImageError> {
         if r.u32()? != MANIFEST_MAGIC || r.u16()? != STORE_VERSION {
             return Ok(None);
         }

@@ -108,7 +108,7 @@ pub fn analyze_source(sf: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
     rules::tokens::scan(sf, &mut findings);
     graph::scan(sf, &mut findings);
-    findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+    findings.sort_by_key(|f| (f.line, f.rule));
     findings
 }
 

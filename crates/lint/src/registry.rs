@@ -1,7 +1,7 @@
 //! The wire-format registry pass.
 //!
 //! Every persistent artifact in the reproduction — checkpoint stores,
-//! replica operation logs, fault plans, golden traces — embeds small
+//! replica operation logs, golden traces — embeds small
 //! integers the source code chooses: `CtlMsg` codec tags, the image's
 //! socket-kind tags, `LogOp` record tags, `Event` fingerprint tags,
 //! on-disk magics and versions, well-known ports. Renumbering any of them
@@ -149,7 +149,7 @@ pub fn canon(v: &str) -> String {
 }
 
 /// Extracts the wire numbers a file defines. Dispatches on the path, so
-/// only the six wire-bearing files cost anything.
+/// only the five wire-bearing files cost anything.
 pub fn extract(sf: &SourceFile) -> Vec<WireEntry> {
     let mut out = Vec::new();
     match sf.rel.as_str() {
@@ -166,7 +166,7 @@ pub fn extract(sf: &SourceFile) -> Vec<WireEntry> {
             extract_consts(sf, &mut out);
         }
         "crates/cluster/src/events.rs" => extract_events(sf, &mut out),
-        "crates/core/src/store.rs" | "crates/cluster/src/fault.rs" => extract_consts(sf, &mut out),
+        "crates/core/src/store.rs" => extract_consts(sf, &mut out),
         _ => {}
     }
     out
@@ -290,8 +290,8 @@ fn extract_codec(sf: &SourceFile, codec: &Codec, out: &mut Vec<WireEntry>) {
             .unwrap_or(lines.len());
         // Accepted decoder arms: (line, tag, same-line variant if any).
         let mut arms: Vec<(usize, String, Option<String>)> = Vec::new();
-        for i in ds + 1..dec_end {
-            let t = lines[i].trim_start();
+        for (i, line) in lines.iter().enumerate().take(dec_end).skip(ds + 1) {
+            let t = line.trim_start();
             let Some(tag) = leading_int(t) else { continue };
             let after_digits = t.trim_start_matches(|c: char| c.is_ascii_digit() || c == '_');
             let Some(rhs) = after_digits.trim_start().strip_prefix("=>") else {
@@ -955,7 +955,7 @@ impl Event {
     fn byte_string_and_hex_consts_are_extracted() {
         let src = "\
 pub const MANIFEST_MAGIC: u32 = 0x4352_5a4d;
-const MAGIC: &[u8; 4] = b\"CRZF\";
+const MAGIC: &[u8; 4] = b\"CRZT\";
 pub const STORE_VERSION: u16 = 1;
 const OTHER: usize = 9;
 ";
@@ -970,7 +970,7 @@ const OTHER: usize = 9;
                     "store.MANIFEST_MAGIC".to_string(),
                     0x4352_5a4du32.to_string()
                 ),
-                ("magic", "store.MAGIC".to_string(), "CRZF".to_string()),
+                ("magic", "store.MAGIC".to_string(), "CRZT".to_string()),
                 (
                     "version",
                     "store.STORE_VERSION".to_string(),
@@ -1015,7 +1015,7 @@ pub const VERSION: u16 = 1;
     #[test]
     fn canon_normalizes() {
         assert_eq!(canon("0x4352_5a4d"), canon("1129470541"));
-        assert_eq!(canon("b\"CRZF\""), "CRZF");
+        assert_eq!(canon("b\"CRZT\""), "CRZT");
         assert_eq!(canon(" 7_770 "), "7770");
     }
 }

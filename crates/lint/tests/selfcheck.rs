@@ -77,7 +77,7 @@ fn renumbered_ctlmsg_tag_fails_against_checked_in_registry() {
         "expected drift on Done, got {findings:?}"
     );
     // And the unmodified codec passes against the same registry (the
-    // events/store/fault entries are exercised by workspace_is_clean).
+    // events/store entries are exercised by workspace_is_clean).
     let sf = cruz_lint::SourceFile::new("crates/core/src/proto.rs", &proto);
     let clean: Vec<_> = registry::check(&registry::extract(&sf), &reg, "wire-registry.txt")
         .into_iter()

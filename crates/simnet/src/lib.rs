@@ -27,7 +27,6 @@
 pub mod addr;
 pub mod arp;
 pub mod dhcp;
-pub mod fault;
 pub mod filter;
 pub mod frame;
 pub mod link;
@@ -37,7 +36,6 @@ pub mod tcp;
 pub mod udp;
 
 pub use addr::{IpAddr, MacAddr, SockAddr};
-pub use fault::{FrameFate, FrameFaults};
 pub use frame::{EthFrame, EthPayload, Ipv4Packet, L4};
 pub use stack::{NetError, NetStack, RecvOutcome, SockEvent, SockSnapshot, SocketId};
 pub use tcp::buffer::take_front;

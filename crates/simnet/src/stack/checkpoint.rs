@@ -99,14 +99,17 @@ impl NetStack {
         }
     }
 
-    /// Recreates a socket from its snapshot. A connection comes up at the
-    /// saved sequence numbers with empty buffers, and its saved send data
-    /// is replayed with Nagle and CORK off — cork off, nodelay on, one send
-    /// per in-flight packet, the unsent bytes, then the saved flags — so
-    /// packet boundaries survive (§4.1). A listener comes back with its
-    /// pending children in its accept queue. Returns the socket's id and
-    /// every recreated connection's non-empty `recv_stream` by socket id,
-    /// for the caller to park and serve before the kernel queue.
+    /// Recreates a pod's sockets from their snapshots, in order. A
+    /// connection comes up at the saved sequence numbers with empty
+    /// buffers, and its saved send data is replayed with Nagle and CORK off
+    /// — cork off, nodelay on, one send per in-flight packet, the unsent
+    /// bytes, then the saved flags — so packet boundaries survive (§4.1).
+    /// A listener comes back with its pending children in its accept
+    /// queue. No connection replays until every socket is recreated, so a
+    /// refused restore has put nothing on the wire. Returns the sockets'
+    /// ids, in snapshot order, and every recreated connection's non-empty
+    /// `recv_stream` by socket id, for the caller to park and serve before
+    /// the kernel queue.
     ///
     /// # Errors
     ///
@@ -116,10 +119,43 @@ impl NetStack {
     /// send data back. A refused restore leaves no socket behind.
     pub fn restore(
         &mut self,
-        snap: SockSnapshot,
+        snaps: Vec<SockSnapshot>,
         now: SimTime,
-    ) -> Result<(SocketId, Undelivered), NetError> {
-        let mut undelivered = Vec::new();
+    ) -> Result<(Vec<SocketId>, Undelivered), NetError> {
+        let mut sids = Vec::with_capacity(snaps.len());
+        let mut conns = Vec::new();
+        let restored: Result<(), NetError> = snaps
+            .into_iter()
+            .try_for_each(|snap| {
+                sids.push(self.recreate(snap, &mut conns)?);
+                Ok(())
+            })
+            .and_then(|()| {
+                conns
+                    .iter()
+                    .try_for_each(|(sid, snap)| self.replay(*sid, snap, now))
+            });
+        if let Err(e) = restored {
+            for sid in sids {
+                self.tcp_discard(sid);
+            }
+            return Err(e);
+        }
+        let undelivered = conns
+            .into_iter()
+            .filter(|(_, snap)| !snap.recv_stream.is_empty())
+            .map(|(sid, snap)| (sid, snap.recv_stream))
+            .collect();
+        Ok((sids, undelivered))
+    }
+
+    /// Recreates one socket without replaying anything, adding each
+    /// connection it recreates to `conns` with its snapshot.
+    fn recreate(
+        &mut self,
+        snap: SockSnapshot,
+        conns: &mut Vec<(SocketId, TcpSnapshot)>,
+    ) -> Result<SocketId, NetError> {
         let sid = match snap {
             SockSnapshot::Listen {
                 local,
@@ -140,14 +176,14 @@ impl NetStack {
                 );
                 self.listen_index.insert(local, lsid);
                 for child in pending {
-                    if let Err(e) = self.recreate_conn(child, Some(lsid), &mut undelivered, now) {
+                    if let Err(e) = self.recreate_conn(child, Some(lsid), conns) {
                         self.tcp_discard(lsid);
                         return Err(e);
                     }
                 }
                 lsid
             }
-            SockSnapshot::Conn(snap) => self.recreate_conn(snap, None, &mut undelivered, now)?,
+            SockSnapshot::Conn(snap) => self.recreate_conn(snap, None, conns)?,
             SockSnapshot::Udp { bound, queue } => {
                 let sid = self.udp_socket();
                 if let Some(SockEntry::Udp { queue: q, .. }) = self.socks.get_mut(&sid) {
@@ -160,7 +196,7 @@ impl NetStack {
                 self.bind_restored(sid, bound)?
             }
         };
-        Ok((sid, undelivered))
+        Ok(sid)
     }
 
     /// Binds a just-restored fresh or UDP socket, removing it if the bind
@@ -180,20 +216,22 @@ impl NetStack {
     }
 
     /// Recreates one connection (into `listener`'s accept queue, if given)
-    /// and replays its send data; records its receive stream in
-    /// `undelivered`.
+    /// once it is sure to take its saved send data back, and adds it to
+    /// `conns`.
     fn recreate_conn(
         &mut self,
         snap: TcpSnapshot,
         listener: Option<SocketId>,
-        undelivered: &mut Undelivered,
-        now: SimTime,
+        conns: &mut Vec<(SocketId, TcpSnapshot)>,
     ) -> Result<SocketId, NetError> {
         let key = (snap.local, snap.remote);
         if self.conn_index.contains_key(&key) {
             return Err(NetError::AddrInUse);
         }
         let tcb = Tcb::restore(self.tcp_cfg.clone(), &snap);
+        if tcb.send_space() < snap.send_bytes() {
+            return Err(NetError::InvalidState);
+        }
         let sid = self.alloc_sock();
         self.socks.insert(sid, SockEntry::TcpConn(Box::new(tcb)));
         self.conn_index.insert(key, sid);
@@ -202,13 +240,7 @@ impl NetStack {
         {
             pending.push_back(sid);
         }
-        if let Err(e) = self.replay(sid, &snap, now) {
-            self.remove_conn(sid);
-            return Err(e);
-        }
-        if !snap.recv_stream.is_empty() {
-            undelivered.push((sid, snap.recv_stream));
-        }
+        conns.push((sid, snap));
         Ok(sid)
     }
 

@@ -386,7 +386,8 @@ fn checkpoint_snapshot_survives_stack_round_trip() {
     // sequence numbers with the §4.1 send replay, gratuitous ARP
     // announcement.
     w.stacks[2].add_iface("vif0", mac_new, vec![pod_ip]);
-    let (restored, undelivered) = w.stacks[2].restore(snap, w.now).unwrap();
+    let (restored, undelivered) = w.stacks[2].restore(vec![snap], w.now).unwrap();
+    let restored = restored[0];
     w.stacks[2].send_gratuitous_arp(pod_ip, mac_new);
     w.settle();
 
@@ -630,14 +631,13 @@ proptest! {
         prop_assert_eq!(queued, dgrams);
 
         let mut twin = NetStack::new(MacAddr::from_index(9), a_ip, 24, TcpConfig::default());
-        let mut handed_back = Vec::new();
-        for snap in &snaps {
-            let (sid, undelivered) = twin.restore(snap.clone(), now).unwrap();
-            handed_back.extend(undelivered.into_iter().map(|(_, d)| d));
+        let (restored, undelivered) = twin.restore(snaps.clone(), now).unwrap();
+        for (&sid, snap) in restored.iter().zip(&snaps) {
             let again = twin.snapshot(sid, &BTreeMap::new());
             prop_assert!(recv_streams(std::slice::from_ref(&again)).is_empty());
             prop_assert_eq!(restored_shape(&again), restored_shape(snap));
         }
+        let handed_back: Vec<_> = undelivered.into_iter().map(|(_, d)| d).collect();
         prop_assert_eq!(handed_back, recv_streams(&snaps));
     }
 }

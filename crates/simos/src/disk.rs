@@ -6,18 +6,6 @@
 //! bandwidth/seek model of the node's disk.
 
 use des::{SimDuration, SimTime};
-use std::collections::BTreeMap;
-
-/// An injected failure of one write operation (fault-injection plane).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteFault {
-    /// The write returns an I/O error; nothing reaches the platter.
-    Fail,
-    /// The write is torn: a prefix reaches the platter, the rest is lost.
-    /// The payload is the fraction of the payload that survives, in
-    /// 1/256ths (0 = nothing, 255 ≈ all but the tail).
-    Torn(u8),
-}
 
 /// Static parameters of a disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,12 +51,6 @@ pub struct Disk {
     busy_until: SimTime,
     bytes_written: u64,
     bytes_read: u64,
-    /// Ordinal of the next write operation (a batch counts as one).
-    write_ops: u64,
-    /// Injected faults keyed by the write ordinal they strike.
-    pending_faults: BTreeMap<u64, WriteFault>,
-    /// Fault consumed by the most recent write, if any.
-    last_fault: Option<WriteFault>,
 }
 
 impl Disk {
@@ -79,28 +61,7 @@ impl Disk {
             busy_until: SimTime::ZERO,
             bytes_written: 0,
             bytes_read: 0,
-            write_ops: 0,
-            pending_faults: BTreeMap::new(),
-            last_fault: None,
         }
-    }
-
-    /// Arms a fault against the `nth` write operation from now (0 = the
-    /// very next write). Timing is unaffected — the faulted write still
-    /// occupies the disk — only the durability outcome changes; the caller
-    /// learns of the strike via [`Disk::take_write_fault`].
-    pub fn inject_write_fault(&mut self, nth: u64, fault: WriteFault) {
-        self.pending_faults.insert(self.write_ops + nth, fault);
-    }
-
-    /// Returns and clears the fault consumed by the most recent write.
-    pub fn take_write_fault(&mut self) -> Option<WriteFault> {
-        self.last_fault.take()
-    }
-
-    fn consume_fault(&mut self) {
-        self.last_fault = self.pending_faults.remove(&self.write_ops);
-        self.write_ops += 1;
     }
 
     /// The disk parameters.
@@ -110,7 +71,6 @@ impl Disk {
 
     /// Submits a write of `bytes` at `now`; returns its completion time.
     pub fn submit_write(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        self.consume_fault();
         self.bytes_written += bytes;
         self.submit(now, bytes)
     }
@@ -139,7 +99,6 @@ impl Disk {
         let Some(&(first_ready, _)) = items.first() else {
             return now;
         };
-        self.consume_fault();
         let start = [now, first_ready, self.busy_until]
             .into_iter()
             .max()
@@ -149,7 +108,7 @@ impl Disk {
             if ready > t {
                 t = ready;
             }
-            t = t + self.params.transfer_time(bytes);
+            t += self.params.transfer_time(bytes);
             self.bytes_written += bytes;
         }
         self.busy_until = t;
@@ -285,27 +244,6 @@ mod tests {
         busy.submit_write(t0, 30_000); // busy until 35 ms
         let done = busy.submit_write_batch(t0, &items);
         assert_eq!(done, t0 + SimDuration::from_millis(42));
-    }
-
-    #[test]
-    fn injected_faults_strike_the_named_write() {
-        let mut d = Disk::new(DiskParams::era_2005());
-        let t0 = SimTime::ZERO;
-        d.inject_write_fault(1, WriteFault::Fail);
-        d.inject_write_fault(2, WriteFault::Torn(128));
-        d.submit_write(t0, 100);
-        assert_eq!(d.take_write_fault(), None);
-        d.submit_write(t0, 100);
-        assert_eq!(d.take_write_fault(), Some(WriteFault::Fail));
-        // A batch counts as one write op and can be struck too.
-        d.submit_write_batch(t0, &[(t0, 10), (t0, 10)]);
-        assert_eq!(d.take_write_fault(), Some(WriteFault::Torn(128)));
-        // take clears: asking again yields nothing.
-        assert_eq!(d.take_write_fault(), None);
-        // Reads never consume write faults.
-        d.inject_write_fault(5, WriteFault::Fail);
-        d.submit_read(t0, 100);
-        assert_eq!(d.take_write_fault(), None);
     }
 
     #[test]

@@ -323,8 +323,10 @@ mod tests {
         let last = fs.lend(1);
         assert_eq!(last.as_ptr(), at[2]);
         fs.give_back(last);
-        assert_eq!(fs.lend(1).as_ptr(), at[2]);
-        assert_eq!(fs.lend(1).as_ptr(), at[1]);
+        let again = fs.lend(1);
+        assert_eq!(again.as_ptr(), at[2]);
+        let next = fs.lend(1);
+        assert_eq!(next.as_ptr(), at[1]);
     }
 
     #[test]

@@ -1089,10 +1089,8 @@ impl Kernel {
                                 || matches!(w, WaitFor::PipeWritable(p) if *p == id)
                         });
                     }
-                    Desc::Socket(sid) => {
-                        if !self.socket_referenced_elsewhere(sid, &fds) {
-                            self.net.close(sid, now);
-                        }
+                    Desc::Socket(sid) if !self.socket_referenced_elsewhere(sid, &fds) => {
+                        self.net.close(sid, now);
                     }
                     _ => {}
                 }

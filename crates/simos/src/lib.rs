@@ -29,7 +29,7 @@ pub mod program;
 pub mod sem;
 pub mod syscall;
 
-pub use disk::{Disk, DiskParams, WriteFault};
+pub use disk::{Disk, DiskParams};
 pub use error::Errno;
 pub use fs::NetFs;
 pub use kernel::{Kernel, KernelParams, SliceOutcome};

@@ -627,7 +627,7 @@ fn forked_child_shares_sockets_until_last_close() {
     let prog = Program::from_asm(&a)
         .unwrap()
         .with_data(DATA_BASE, vec![0u8; 64])
-        .with_data(DATA_BASE as u64 + 64, b"from fork".to_vec());
+        .with_data(DATA_BASE + 64, b"from fork".to_vec());
     let mut k = kernel();
     let pid = k.spawn(&prog).unwrap();
     run(&mut k);

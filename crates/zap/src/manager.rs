@@ -562,24 +562,14 @@ impl Zap {
         let pod = self.add_pod(kernel, PodConfig { name, ip, mac_mode })?;
 
         // Sockets (§4.1 restore) first: the one step that can still fail,
-        // with only the pod and the sockets before it to undo.
-        let mut sock_ids = Vec::with_capacity(sockets.len());
-        let mut parked = Vec::new();
-        for snap in sockets {
-            match kernel.net.restore(snap, now) {
-                Ok((sid, undelivered)) => {
-                    sock_ids.push(sid);
-                    parked.extend(undelivered);
-                }
-                Err(e) => {
-                    for sid in sock_ids {
-                        kernel.net.tcp_discard(sid);
-                    }
-                    self.destroy_pod(kernel, pod)?;
-                    return Err(e.into());
-                }
+        // with only the pod to undo.
+        let (sock_ids, parked) = match kernel.net.restore(sockets, now) {
+            Ok(restored) => restored,
+            Err(e) => {
+                self.destroy_pod(kernel, pod)?;
+                return Err(e.into());
             }
-        }
+        };
         announce(kernel, ip, &mac_mode);
 
         // Kernel objects.

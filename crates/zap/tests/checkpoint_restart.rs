@@ -1034,8 +1034,26 @@ fn a_refused_image_leaves_nothing_behind() {
     two_listeners
         .sockets
         .push(listener.expect("listener captured").clone());
+    // The same, with bytes the first listener's pending child must send
+    // again: refusing the second listener must not leave that replay
+    // queued on the wire.
+    let mut replaying_listeners = two_listeners.clone();
+    let Some(SockSnapshot::Listen { pending, .. }) = replaying_listeners
+        .sockets
+        .iter_mut()
+        .find(|s| matches!(s, SockSnapshot::Listen { .. }))
+    else {
+        panic!("listener captured");
+    };
+    pending[0].unsent = b"replayed".to_vec();
 
-    for bad in [bad_pipe, bad_socket, bad_group, two_listeners] {
+    for bad in [
+        bad_pipe,
+        bad_socket,
+        bad_group,
+        two_listeners,
+        replaying_listeners,
+    ] {
         let (mut k2, z2) = node(2, 2, &fs);
         let stack_before = format!("{:?}", k2.net);
         let r = z2.restart_pod(&mut k2, bad, now);

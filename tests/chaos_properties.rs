@@ -201,10 +201,7 @@ fn chaos_run(world_seed: u64, plan_seed: u64) -> (u64, u64) {
         .start_checkpoint("pp", ProtocolMode::Blocking, None)
         .unwrap();
     assert!(w.run_until_op(op, 20_000_000));
-    // Round-trip the plan through its wire form: the replayed bytes must
-    // drive the run, not just the in-memory value.
-    let plan = FaultPlan::decode(&FaultPlan::random(plan_seed, 2).encode()).unwrap();
-    w.install_fault_plan(&plan);
+    w.install_fault_plan(&FaultPlan::random(plan_seed, 2));
     w.schedule_periodic_checkpoints("pp", SimDuration::from_millis(4), CkptOptions::default())
         .unwrap();
     w.run_for(SimDuration::from_millis(120));

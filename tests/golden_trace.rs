@@ -120,9 +120,7 @@ fn chaos_run(world_seed: u64, plan_seed: u64, threads: usize) -> Fingerprint {
         .start_checkpoint("pp", ProtocolMode::Blocking, None)
         .expect("baseline checkpoint starts");
     assert!(w.run_until_op(op, 20_000_000), "baseline checkpoint");
-    let plan =
-        FaultPlan::decode(&FaultPlan::random(plan_seed, 2).encode()).expect("plan round-trips");
-    w.install_fault_plan(&plan);
+    w.install_fault_plan(&FaultPlan::random(plan_seed, 2));
     w.schedule_periodic_checkpoints("pp", SimDuration::from_millis(4), CkptOptions::default())
         .expect("periodic driver arms");
     w.run_for(SimDuration::from_millis(120));

@@ -317,8 +317,7 @@ fn heal_run(replica_faults: &[ReplicaFault]) -> (World, BTreeMap<(u64, String), 
     assert!(!baseline.is_empty());
 
     // Node 1 dies in the durability window; the replica stores die at the
-    // same checkpoint's store traffic. Round-trip the plan through its
-    // wire form so the CRZF v2 replica section drives the run.
+    // same checkpoint's store traffic.
     let mut plan = FaultPlan::none(5);
     plan.crashes.push(CrashFault {
         node: 1,
@@ -326,7 +325,6 @@ fn heal_run(replica_faults: &[ReplicaFault]) -> (World, BTreeMap<(u64, String), 
         nth: 0,
     });
     plan.replicas.extend_from_slice(replica_faults);
-    let plan = FaultPlan::decode(&plan.encode()).unwrap();
     w.install_fault_plan(&plan);
 
     let _op2 = w
