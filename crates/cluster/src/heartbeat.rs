@@ -8,8 +8,6 @@
 //! like every other control frame, so detection latency includes real
 //! (simulated) network and control-CPU delays.
 
-use std::collections::BTreeMap;
-
 use des::SimTime;
 
 use cruz::error::CruzError;
@@ -19,13 +17,6 @@ use crate::events::Event;
 use crate::node::CtlAddr;
 use crate::recovery::{RecoveryCause, RecoveryOutcome, RecoveryReport};
 use crate::state::{ClusterError, World};
-
-/// Per-job heartbeat bookkeeping (ping sequence, last pong time per
-/// node).
-pub(crate) struct HeartbeatState {
-    seq: u64,
-    last_pong: BTreeMap<usize, SimTime>,
-}
 
 impl World {
     /// Puts a job under the self-healing recovery manager: the coordinator
@@ -45,13 +36,7 @@ impl World {
         if self.hb.contains_key(job) {
             return Ok(());
         }
-        self.hb.insert(
-            job.to_owned(),
-            HeartbeatState {
-                seq: 0,
-                last_pong: BTreeMap::new(),
-            },
-        );
+        self.hb.insert(job.to_owned(), 0);
         self.arm(
             self.now + self.params.recovery.heartbeat_interval,
             Event::Heartbeat {
@@ -78,7 +63,7 @@ impl World {
             Some(jr) => jr.coordinator_node,
             None => return,
         };
-        if !self.nodes[coord_node].alive {
+        if !self.nodes[coord_node].alive() {
             self.coordinator_failover(job);
             if !self.hb.contains_key(job) {
                 return; // failover gave up (no alive node to re-home to)
@@ -86,11 +71,11 @@ impl World {
         }
         let (seq, coord_node) = {
             let Some(jr) = self.jobs.get(job) else { return };
-            let Some(hb) = self.hb.get_mut(job) else {
+            let Some(seq) = self.hb.get_mut(job) else {
                 return;
             };
-            hb.seq += 1;
-            (hb.seq, jr.coordinator_node)
+            *seq += 1;
+            (*seq, jr.coordinator_node)
         };
         let pinged = self
             .jobs
@@ -120,25 +105,23 @@ impl World {
         );
     }
 
-    /// The deadline of one heartbeat round: pinged nodes that have not
-    /// ponged since the round was sent — and still host this job's pods —
-    /// are declared dead and handed to the recovery manager.
+    /// The deadline of one heartbeat round: pinged nodes whose pong the
+    /// job's coordinator node has not heard since the round was sent — and
+    /// that still host this job's pods — are declared dead and handed to
+    /// the recovery manager.
     pub(crate) fn on_heartbeat_timeout(&mut self, job: &str, sent_at: SimTime, pinged: Vec<usize>) {
-        let Some(hb) = self.hb.get(job) else {
-            return;
-        };
-        if !self.jobs.contains_key(job) || self.job_finished(job) {
+        if !self.hb.contains_key(job) || self.job_finished(job) {
             return;
         }
+        let Some(jr) = self.jobs.get(job) else {
+            return;
+        };
+        let pongs = &self.nodes[jr.coordinator_node].pongs;
         let dead: Vec<usize> = pinged
             .into_iter()
             .filter(|&n| {
-                let answered = hb.last_pong.get(&n).map(|&t| t >= sent_at).unwrap_or(false);
-                let hosting = self
-                    .jobs
-                    .get(job)
-                    .map(|jr| jr.placements.iter().any(|p| p.node == n))
-                    .unwrap_or(false);
+                let answered = pongs.get(&n).is_some_and(|&t| t >= sent_at);
+                let hosting = jr.placements.iter().any(|p| p.node == n);
                 !answered && hosting
             })
             .collect();
@@ -153,12 +136,7 @@ impl World {
     /// the store back to its last committed epoch, pick spares, restart.
     fn recover_job(&mut self, job: &str, dead: &[usize], sent_at: SimTime) {
         let detected_at = self.now;
-        let crashed_at = self
-            .crash_log
-            .iter()
-            .filter(|(n, _)| dead.contains(n))
-            .map(|&(_, t)| t)
-            .min();
+        let crashed_at = dead.iter().filter_map(|&n| self.nodes[n].crashed_at).min();
         let mut base_report = RecoveryReport {
             job: job.to_owned(),
             cause: RecoveryCause::HeartbeatTimeout,
@@ -188,7 +166,7 @@ impl World {
         let inflight: Vec<u64> = self
             .ops
             .iter()
-            .filter(|(_, o)| o.job == job && !o.complete && !o.aborted)
+            .filter(|(_, o)| o.job == job && !o.settled())
             .map(|(&id, _)| id)
             .collect();
         for &op in &inflight {
@@ -206,7 +184,7 @@ impl World {
                     .filter(|p| dead.contains(&p.node))
                     .filter_map(|p| {
                         let pid = p.pod_id?;
-                        self.nodes[p.node].alive.then_some((p.node, pid))
+                        self.nodes[p.node].alive().then_some((p.node, pid))
                     })
                     .collect()
             })
@@ -268,14 +246,12 @@ impl World {
         };
         match self.start_restart(job, rollback, &placement, ProtocolMode::Blocking) {
             Ok(restart_op) => {
-                let idx = self.recovery_reports.len();
                 self.recovery_reports.push(RecoveryReport {
                     aborted_ops: inflight,
                     rollback_epoch: Some(rollback),
                     restart_op: Some(restart_op),
                     ..base_report
                 });
-                self.pending_recovery.insert(restart_op, idx);
             }
             Err(_) => {
                 // e.g. a survivor that refused teardown; the next
@@ -307,7 +283,7 @@ impl World {
             .collect();
         let eligible: Vec<usize> = (0..self.nodes.len())
             .filter(|&n| {
-                self.nodes[n].alive && n != coord && !dead.contains(&n) && !occupied.contains(&n)
+                self.nodes[n].alive() && n != coord && !dead.contains(&n) && !occupied.contains(&n)
             })
             .collect();
         if eligible.is_empty() {
@@ -329,64 +305,47 @@ impl World {
 
     /// Re-homes a job's control plane after its coordinator node died: the
     /// lowest-index alive node coordinates its heartbeat, and every operation
-    /// orphaned by the dead coordinator is aborted from the new home so
-    /// frozen pods resume. The agents accept the abort because it carries
-    /// the orphaned op's epoch; a stale one arriving after a later restart
-    /// is ignored by their epoch guard.
+    /// orphaned by the dead coordinator is aborted through its coordinator,
+    /// whose abort broadcast leaves at once from the new home so frozen pods
+    /// resume. The agents accept the abort because it carries the orphaned
+    /// op's epoch; a stale one arriving after a later restart is ignored by
+    /// their epoch guard.
     fn coordinator_failover(&mut self, job: &str) {
         let Some(old) = self.jobs.get(job).map(|jr| jr.coordinator_node) else {
             return;
         };
-        let Some(new) = (0..self.nodes.len()).find(|&n| self.nodes[n].alive) else {
+        let Some(new) = (0..self.nodes.len()).find(|&n| self.nodes[n].alive()) else {
             self.hb.remove(job);
             return;
         };
         if let Some(jr) = self.jobs.get_mut(job) {
             jr.coordinator_node = new;
         }
-        if let Some(hb) = self.hb.get_mut(job) {
-            hb.last_pong.clear();
-        }
         let orphans: Vec<u64> = self
             .ops
             .iter()
-            .filter(|(_, o)| o.job == job && o.coord_node == old && !o.complete && !o.aborted)
+            .filter(|(_, o)| o.job == job && o.coord_node == old && !o.settled())
             .map(|(&id, _)| id)
             .collect();
+        let now = self.now;
         for &op in &orphans {
             let agents = self
                 .ops
                 .get(&op)
                 .map(|o| o.agents_nodes.clone())
                 .unwrap_or_default();
-            let now = self.now;
-            {
-                let abort = CtlMsg::Abort { epoch: op };
-                let mut ctl = self.ctl();
-                for n in agents {
-                    ctl.send(CtlAddr::coord(new), CtlAddr::agent(n), &abort, now);
-                }
+            let aborts = self.abort_op(op, CruzError::Protocol("coordinator failed over"));
+            let mut ctl = self.ctl();
+            for (a, msg) in aborts {
+                ctl.send(CtlAddr::coord(new), CtlAddr::agent(agents[a]), &msg, now);
             }
-            if let Some(o) = self.ops.get_mut(&op) {
-                o.aborted = true;
-                if o.error.is_none() {
-                    o.error = Some(CruzError::Protocol("coordinator failed over"));
-                }
-            }
-            self.op_aborted_cleanup(op);
         }
         self.postprocess(new);
-        let crashed_at = self
-            .crash_log
-            .iter()
-            .filter(|&&(n, _)| n == old)
-            .map(|&(_, t)| t)
-            .min();
         self.recovery_reports.push(RecoveryReport {
             job: job.to_owned(),
             cause: RecoveryCause::CoordinatorFailover,
             dead_nodes: vec![old],
-            crashed_at,
+            crashed_at: self.nodes[old].crashed_at,
             ping_sent_at: self.now,
             detected_at: self.now,
             aborted_ops: orphans,
@@ -396,19 +355,5 @@ impl World {
             recovered_at: Some(self.now),
             outcome: RecoveryOutcome::Recovered,
         });
-    }
-
-    /// A pong from node `from` reached node `n`'s coordinator endpoint: it
-    /// is `from`'s liveness for every job whose heartbeat `n` coordinates.
-    pub(crate) fn record_pong(&mut self, n: usize, from: usize) {
-        for (job, hb) in self.hb.iter_mut() {
-            if self
-                .jobs
-                .get(job)
-                .is_some_and(|jr| jr.coordinator_node == n)
-            {
-                hb.last_pong.insert(from, self.now);
-            }
-        }
     }
 }

@@ -170,7 +170,7 @@ impl World {
             .iter()
             .filter_map(|p| {
                 let pod_id = p.pod_id?;
-                self.nodes[p.node].alive.then_some((p.node, pod_id))
+                self.nodes[p.node].alive().then_some((p.node, pod_id))
             })
             .collect();
         for (node, pod_id) in live {

@@ -6,6 +6,8 @@
 //! control endpoints without creating a dependency that points up the
 //! stack at the world driver.
 
+use std::collections::BTreeMap;
+
 use des::SimTime;
 use simnet::addr::IpAddr;
 use simos::kernel::Kernel;
@@ -90,13 +92,25 @@ pub struct Node {
     pub zap: Zap,
     pub(crate) agent: Agent,
     pub(crate) agent_coord_addr: Option<CtlAddr>,
-    pub(crate) alive: bool,
+    /// When the node crashed; `None` while it is alive. A crashed node
+    /// never comes back.
+    pub(crate) crashed_at: Option<SimTime>,
+    /// When this node's coordinator endpoint last heard a pong from each
+    /// node: the liveness every heartbeat round coordinated here reads.
+    pub(crate) pongs: BTreeMap<usize, SimTime>,
     pub(crate) run_scheduled: bool,
     pub(crate) timer_scheduled: Option<SimTime>,
     /// When this node's control-plane CPU frees up: sending and processing
     /// coordination messages serialize here (the N-proportional component
     /// of Fig. 5(b)).
     pub(crate) ctl_cpu_free: SimTime,
+}
+
+impl Node {
+    /// Whether the node is alive (has not crashed).
+    pub(crate) fn alive(&self) -> bool {
+        self.crashed_at.is_none()
+    }
 }
 
 /// The IP of node `i`: `10.0.0.(i+1)`, for `i <` [`MAX_NODES`].

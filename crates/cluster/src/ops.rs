@@ -24,7 +24,7 @@ use cruz::store::PreparedChunked;
 use crate::events::Event;
 use crate::node::CtlAddr;
 use crate::params::{CkptCaptureMode, CkptOptions};
-use crate::recovery::RecoveryOutcome;
+use crate::recovery::{RecoveryOutcome, RecoveryReport};
 use crate::state::{ClusterError, World};
 
 /// Where one node stands in an operation's capture or restore pipeline
@@ -42,8 +42,9 @@ pub(crate) enum NodeStage {
 
 /// Per-operation state the engine tracks from install to completion.
 pub(crate) struct OpRuntime {
+    /// The op's protocol state machine: the one record of its kind and of
+    /// whether it completed or aborted.
     pub(crate) coord: Coordinator,
-    pub(crate) kind: OpKind,
     /// When this checkpoint's capture drains and persists.
     pub(crate) mode: CkptCaptureMode,
     pub(crate) job: String,
@@ -57,8 +58,6 @@ pub(crate) struct OpRuntime {
     pub(crate) cow_copied: BTreeMap<usize, u64>,
     pub(crate) local_ops: BTreeMap<usize, (SimTime, SimTime)>,
     pub(crate) resumed_at: BTreeMap<usize, SimTime>,
-    pub(crate) complete: bool,
-    pub(crate) aborted: bool,
     /// First control-plane failure hit while driving this operation; set
     /// when the op is force-aborted instead of panicking the world.
     pub(crate) error: Option<CruzError>,
@@ -68,9 +67,14 @@ pub(crate) struct OpRuntime {
 }
 
 impl OpRuntime {
+    /// True once the op's coordinator completed or aborted it.
+    pub(crate) fn settled(&self) -> bool {
+        self.coord.is_complete() || self.coord.is_aborted()
+    }
+
     fn report(&self) -> OpReport {
         OpReport {
-            kind: self.kind,
+            kind: self.coord.kind(),
             stats: self.coord.stats.clone(),
             local_ops: self
                 .local_ops
@@ -78,8 +82,8 @@ impl OpRuntime {
                 .map(|(&n, &(s, e))| (n, s, e))
                 .collect(),
             resumed_at: self.resumed_at.iter().map(|(&n, &t)| (n, t)).collect(),
-            complete: self.complete,
-            aborted: self.aborted,
+            complete: self.coord.is_complete(),
+            aborted: self.coord.is_aborted(),
             cow_copied_bytes: self.cow_copied.iter().map(|(&n, &b)| (n, b)).collect(),
         }
     }
@@ -316,7 +320,6 @@ impl World {
         self.ops.insert(
             op,
             OpRuntime {
-                kind: coord.kind(),
                 coord,
                 mode,
                 job: job.to_owned(),
@@ -327,17 +330,13 @@ impl World {
                 cow_copied: BTreeMap::new(),
                 local_ops: BTreeMap::new(),
                 resumed_at: BTreeMap::new(),
-                complete: false,
-                aborted: false,
                 error: None,
                 migration,
             },
         );
         self.start_round(op);
-        if let Some(p) = self.params.ctl_retry {
-            if let Some(d) = p.delay(0) {
-                self.arm(self.now + d, Event::CoordRetry { op, attempt: 0 });
-            }
+        if let Some(d) = self.params.ctl_retry.delay(0) {
+            self.arm(self.now + d, Event::CoordRetry { op, attempt: 0 });
         }
     }
 
@@ -395,7 +394,6 @@ impl World {
             return;
         };
         let capture = std::mem::replace(&mut o.coord, coord).stats;
-        o.kind = OpKind::Restart;
         o.agents_nodes = vec![dst];
         self.start_round(op);
         if let Some(o) = self.ops.get_mut(&op) {
@@ -438,7 +436,7 @@ impl World {
     /// True once the operation completed (successfully or by abort).
     pub fn op_finished(&self, op: u64) -> bool {
         match self.ops.get(&op) {
-            Some(o) => o.complete || o.aborted,
+            Some(o) => o.settled(),
             None => self.retired_ops.contains_key(&op),
         }
     }
@@ -451,46 +449,53 @@ impl World {
         }
     }
 
-    /// Force-aborts an operation on a control-plane failure: the op is
-    /// marked aborted, the error recorded, abort messages broadcast to
+    /// Force-aborts an operation on a control-plane failure: the error is
+    /// recorded, the op's coordinator aborts it and broadcasts the abort to
     /// every participant (so frozen pods resume rather than hang), and the
-    /// epoch's partial images discarded. One corrupt image or refused Zap
-    /// action kills one operation, not the whole world.
+    /// epoch's partial images are discarded. One corrupt image or refused
+    /// Zap action kills one operation, not the whole world.
     pub(crate) fn fail_op(&mut self, op: u64, err: CruzError) {
-        let msgs = {
-            let Some(o) = self.ops.get_mut(&op) else {
-                return;
-            };
-            if o.error.is_none() {
-                o.error = Some(err);
-            }
-            if o.complete || o.aborted {
-                return;
-            }
-            o.aborted = true;
-            o.coord.force_abort().0
-        };
+        let msgs = self.abort_op(op, err);
         self.schedule_coord_sends(op, msgs);
-        self.op_aborted_cleanup(op);
     }
 
-    /// Post-abort bookkeeping shared by every abort path: a checkpoint's
-    /// uncommitted epoch (a migration's spool, in either round) is
-    /// discarded; a pending recovery pass waiting on this op is marked
-    /// failed.
+    /// Aborts an op through its coordinator: records `err` unless the op
+    /// already has an error, and, if the op has not settled, aborts its
+    /// coordinator and runs the abort cleanup. Returns the coordinator's
+    /// `Abort`s, by agent index, for the caller to send.
+    pub(crate) fn abort_op(&mut self, op: u64, err: CruzError) -> Vec<(usize, CtlMsg)> {
+        let Some(o) = self.ops.get_mut(&op) else {
+            return Vec::new();
+        };
+        o.error.get_or_insert(err);
+        if o.settled() {
+            return Vec::new();
+        }
+        let msgs = o.coord.force_abort().0;
+        self.op_aborted_cleanup(op);
+        msgs
+    }
+
+    /// Post-abort bookkeeping shared by every abort path, run once when the
+    /// op's coordinator aborts it: a checkpoint's uncommitted epoch (a
+    /// migration's spool, in either round) is discarded; a recovery pass
+    /// waiting on this op is marked failed.
     pub(crate) fn op_aborted_cleanup(&mut self, op: u64) {
         if let Some(o) = self.ops.get(&op) {
-            if o.kind == OpKind::Checkpoint || o.migration.is_some() {
+            if o.coord.kind() == OpKind::Checkpoint || o.migration.is_some() {
                 self.discard_uncommitted(&o.job, o.image_epoch);
             }
         }
-        if let Some(idx) = self.pending_recovery.remove(&op) {
-            if let Some(r) = self.recovery_reports.get_mut(idx) {
-                if r.outcome == RecoveryOutcome::InProgress {
-                    r.outcome = RecoveryOutcome::Failed;
-                }
-            }
+        if let Some(r) = self.recovery_waiting_on(op) {
+            r.outcome = RecoveryOutcome::Failed;
         }
+    }
+
+    /// The recovery pass whose restart is `op`, while that restart runs.
+    fn recovery_waiting_on(&mut self, op: u64) -> Option<&mut RecoveryReport> {
+        self.recovery_reports
+            .iter_mut()
+            .find(|r| r.restart_op == Some(op) && r.outcome == RecoveryOutcome::InProgress)
     }
 
     /// Retires an operation that just completed (see [`RetiredOp`]),
@@ -508,11 +513,9 @@ impl World {
             };
             self.retired_ops.insert(op, retired);
         }
-        if let Some(idx) = self.pending_recovery.remove(&op) {
-            if let Some(r) = self.recovery_reports.get_mut(idx) {
-                r.recovered_at = Some(now);
-                r.outcome = RecoveryOutcome::Recovered;
-            }
+        if let Some(r) = self.recovery_waiting_on(op) {
+            r.recovered_at = Some(now);
+            r.outcome = RecoveryOutcome::Recovered;
         }
     }
 
@@ -570,7 +573,7 @@ impl World {
             return;
         };
         let (msgs, effects) = o.coord.on_message(from, msg, self.now);
-        let (job, image_epoch, kind) = (o.job.clone(), o.image_epoch, o.kind);
+        let (job, image_epoch, kind) = (o.job.clone(), o.image_epoch, o.coord.kind());
         let migration = o.migration.clone();
         self.schedule_coord_sends(op, msgs);
         for fx in effects {
@@ -597,18 +600,9 @@ impl World {
                         store.compact_logs();
                     }
                 }
-                (CoordEffect::Complete { .. }, _) => {
-                    if let Some(o) = self.ops.get_mut(&op) {
-                        o.complete = true;
-                    }
-                    self.op_completed(op);
-                }
-                (CoordEffect::Aborted { .. }, _) => {
-                    if let Some(o) = self.ops.get_mut(&op) {
-                        o.aborted = true;
-                    }
-                    self.op_aborted_cleanup(op);
-                }
+                (CoordEffect::Complete { .. }, _) => self.op_completed(op),
+                // Only `on_timeout` and `force_abort` abort an op.
+                (CoordEffect::Aborted { .. }, _) => {}
             }
         }
     }
@@ -625,23 +619,20 @@ impl World {
     }
 
     pub(crate) fn on_coord_retry(&mut self, op: u64, attempt: u32) {
-        let Some(policy) = self.params.ctl_retry else {
-            return;
-        };
         let msgs = {
             let Some(o) = self.ops.get_mut(&op) else {
                 return;
             };
             // An op that settled (or was force-aborted) stops retrying:
-            // backed-off retransmissions never outlive their operation.
-            if o.complete || o.aborted {
+            // retransmissions never outlive their operation.
+            if o.settled() {
                 return;
             }
             o.coord.on_retry(self.now)
         };
         self.schedule_coord_sends(op, msgs);
         let next = attempt + 1;
-        if let Some(d) = policy.delay(next) {
+        if let Some(d) = self.params.ctl_retry.delay(next) {
             self.arm(self.now + d, Event::CoordRetry { op, attempt: next });
         }
     }
@@ -652,35 +643,34 @@ impl World {
         };
         let (msgs, effects) = o.coord.on_timeout(self.now);
         self.schedule_coord_sends(op, msgs);
-        for fx in effects {
-            if let CoordEffect::Aborted { .. } = fx {
-                if let Some(o) = self.ops.get_mut(&op) {
-                    o.aborted = true;
-                }
-                self.op_aborted_cleanup(op);
-            }
+        if effects
+            .iter()
+            .any(|fx| matches!(fx, CoordEffect::Aborted { .. }))
+        {
+            self.op_aborted_cleanup(op);
         }
     }
 
     /// Drains a node's coordinator endpoint. A pong is its sender's
-    /// liveness (see [`World::record_pong`]) and costs nothing. Any other
-    /// frame is routed by its epoch, the op id, to the live op coordinated
-    /// here: from one of that op's agents it costs one control-CPU slot
-    /// and becomes an [`Event::CoordCtl`] firing. A frame for any other op,
+    /// liveness, stored on this node for the heartbeat rounds coordinated
+    /// here, and costs nothing. Any other frame is routed by its epoch, the
+    /// op id, to the live op coordinated here: from one of that op's agents
+    /// it costs one control-CPU slot and becomes an [`Event::CoordCtl`]
+    /// firing. A frame for any other op,
     /// or from a node that is not one of the op's agents, is dropped
     /// uncharged, like a frame lost in flight.
     pub(crate) fn pump_coord(&mut self, n: usize) {
         while let Some((from, msg)) = self.ctl().recv(CtlAddr::coord(n)) {
             let sender = from.node as usize;
             if let CtlMsg::Pong { .. } = msg {
-                self.record_pong(n, sender);
+                self.nodes[n].pongs.insert(sender, self.now);
                 continue;
             }
             let op = msg.epoch();
             let agent = self
                 .ops
                 .get(&op)
-                .filter(|o| o.coord_node == n && !o.complete && !o.aborted)
+                .filter(|o| o.coord_node == n && !o.settled())
                 .and_then(|o| o.agents_nodes.iter().position(|&an| an == sender));
             let Some(from) = agent else { continue };
             let at = self.ctl_slot(n);

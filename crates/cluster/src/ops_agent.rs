@@ -44,7 +44,7 @@ impl World {
     // ---- agent wiring -------------------------------------------------------
 
     pub(crate) fn on_agent_ctl(&mut self, node: usize, msg: CtlMsg, reply_to: CtlAddr) {
-        if !self.nodes[node].alive {
+        if !self.nodes[node].alive() {
             return;
         }
         // Liveness probes answer from the node itself — a pong proves the
@@ -76,7 +76,7 @@ impl World {
     }
 
     pub(crate) fn on_agent_durable(&mut self, node: usize, op: u64) {
-        if !self.nodes[node].alive || !self.persist_images(node, op) {
+        if !self.nodes[node].alive() || !self.persist_images(node, op) {
             return;
         }
         let actions = self.nodes[node].agent.on_local_durable(self.now);
@@ -85,12 +85,12 @@ impl World {
     }
 
     pub(crate) fn on_agent_local_done(&mut self, node: usize, op: u64) {
-        if !self.nodes[node].alive {
+        if !self.nodes[node].alive() {
             return;
         }
         // Materialize the pending work at its completion time.
         let (kind, mode) = match self.ops.get(&op) {
-            Some(o) => (o.kind, o.mode),
+            Some(o) => (o.coord.kind(), o.mode),
             None => return,
         };
         // Fault plan: kill the node right at the protocol point — local
@@ -284,7 +284,7 @@ impl World {
     /// after resumed guests have raced them with writes. An aborted op, or
     /// a node the fault plan kills mid-drain, drops them undrained.
     pub(crate) fn on_ckpt_drain(&mut self, node: usize, op: u64) {
-        if !self.nodes[node].alive {
+        if !self.nodes[node].alive() {
             return;
         }
         let (t_arm, armed, aborted) = {
@@ -294,7 +294,7 @@ impl World {
             let Some(NodeStage::Armed(t_arm, armed)) = o.stages.remove(&node) else {
                 return;
             };
-            (t_arm, armed, o.aborted)
+            (t_arm, armed, o.coord.is_aborted())
         };
         if aborted || self.maybe_crash(node, ProtocolPoint::CowDrain) {
             for (_, a) in armed {
@@ -367,7 +367,7 @@ impl World {
             Some(NodeStage::Prepared(images)) => images,
             _ => Vec::new(),
         };
-        if o.aborted {
+        if o.coord.is_aborted() {
             return false;
         }
         let (job, epoch) = (o.job.clone(), o.image_epoch);
@@ -458,7 +458,7 @@ impl World {
             Some(NodeStage::Restoring(images)) => images,
             _ => Vec::new(),
         };
-        if o.aborted {
+        if o.coord.is_aborted() {
             return false;
         }
         let job = o.job.clone();
@@ -508,7 +508,7 @@ impl World {
         // aborted *restart* is reading a committed epoch — discarding it
         // would destroy the very checkpoint recovery needs to retry from.
         let discard = match self.ops.get_mut(&op) {
-            Some(o) if o.kind == OpKind::Checkpoint => {
+            Some(o) if o.coord.kind() == OpKind::Checkpoint => {
                 if let Some(NodeStage::Armed(_, armed)) = o.stages.remove(&node) {
                     for (_, a) in armed {
                         a.cancel();

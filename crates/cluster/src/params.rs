@@ -56,52 +56,27 @@ impl Default for CkptOptions {
     }
 }
 
-/// Capped exponential backoff for control-plane retransmissions.
-///
-/// Attempt `n` (0-based) fires `min(base * 2^n, cap)` after the previous
-/// one, up to `max_attempts` total retries. Retries stop immediately once
-/// the operation completes or aborts.
+/// Fixed-interval control-plane retransmissions: each retry fires
+/// `interval` after the previous one, up to `max_attempts` retries in all.
+/// Retries stop at once when the operation completes or aborts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Delay before the first retry.
-    pub base: SimDuration,
-    /// Upper bound on the per-attempt delay.
-    pub cap: SimDuration,
-    /// Maximum number of retries (0 disables retrying entirely).
+    /// Delay between two retries, and before the first.
+    pub interval: SimDuration,
+    /// Maximum number of retries (0 disables retrying).
     pub max_attempts: u32,
 }
 
 impl RetryPolicy {
-    /// A policy that fires every `interval` without backoff growth — the
-    /// behavior of the old fixed-delay retry, bounded at `max_attempts`.
-    pub fn fixed(interval: SimDuration, max_attempts: u32) -> Self {
-        RetryPolicy {
-            base: interval,
-            cap: interval,
-            max_attempts,
-        }
-    }
+    /// No retries at all.
+    pub const NONE: RetryPolicy = RetryPolicy {
+        interval: SimDuration::ZERO,
+        max_attempts: 0,
+    };
 
     /// Delay before retry `attempt` (0-based), or `None` once exhausted.
     pub fn delay(&self, attempt: u32) -> Option<SimDuration> {
-        if attempt >= self.max_attempts {
-            return None;
-        }
-        let shifted = self
-            .base
-            .as_nanos()
-            .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX));
-        Some(SimDuration::from_nanos(shifted.min(self.cap.as_nanos())))
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            base: SimDuration::from_millis(50),
-            cap: SimDuration::from_millis(800),
-            max_attempts: 8,
-        }
+        (attempt < self.max_attempts).then_some(self.interval)
     }
 }
 
@@ -167,10 +142,11 @@ pub struct ClusterParams {
     /// Discard older committed epochs whenever a newer one commits (bounds
     /// checkpoint-store growth during long sweeps).
     pub prune_old_epochs: bool,
-    /// Control-plane retransmission policy for lossy fabrics. `None`
-    /// (default) disables retries: on a lossless LAN the four-message
-    /// exchange needs none, keeping the O(N) message count exact.
-    pub ctl_retry: Option<RetryPolicy>,
+    /// Control-plane retransmission policy for lossy fabrics. The default,
+    /// [`RetryPolicy::NONE`], disables retries: on a lossless LAN the
+    /// four-message exchange needs none, keeping the O(N) message count
+    /// exact.
+    pub ctl_retry: RetryPolicy,
     /// Self-healing recovery manager (heartbeat failure detection and
     /// automatic restart from the last committed epoch).
     pub recovery: RecoveryParams,
@@ -205,7 +181,7 @@ impl Default for ClusterParams {
             extract_bps: 2_000_000_000,
             seed: 42,
             prune_old_epochs: false,
-            ctl_retry: None,
+            ctl_retry: RetryPolicy::NONE,
             recovery: RecoveryParams::default(),
             store: StoreConfig::default(),
         }
@@ -231,29 +207,14 @@ mod tests {
     }
 
     #[test]
-    fn retry_backoff_doubles_up_to_cap_then_exhausts() {
-        let p = RetryPolicy {
-            base: SimDuration::from_millis(10),
-            cap: SimDuration::from_millis(35),
-            max_attempts: 4,
-        };
-        assert_eq!(p.delay(0), Some(SimDuration::from_millis(10)));
-        assert_eq!(p.delay(1), Some(SimDuration::from_millis(20)));
-        assert_eq!(p.delay(2), Some(SimDuration::from_millis(35)), "capped");
-        assert_eq!(p.delay(3), Some(SimDuration::from_millis(35)));
-        assert_eq!(p.delay(4), None, "attempts exhausted");
-        // Huge attempt numbers must not overflow the shift.
-        let wide = RetryPolicy {
-            max_attempts: u32::MAX,
-            ..p
-        };
-        assert_eq!(wide.delay(200), Some(SimDuration::from_millis(35)));
-    }
-
-    #[test]
     fn fixed_retry_policy_never_grows() {
-        let p = RetryPolicy::fixed(SimDuration::from_millis(100), 3);
+        let p = RetryPolicy {
+            interval: SimDuration::from_millis(100),
+            max_attempts: 3,
+        };
+        assert_eq!(p.delay(0), Some(p.interval));
         assert_eq!(p.delay(0), p.delay(2));
         assert_eq!(p.delay(3), None);
+        assert_eq!(RetryPolicy::NONE.delay(0), None);
     }
 }

@@ -23,7 +23,6 @@ use cruz::replog::ReplicaFaults;
 
 use crate::events::Event;
 use crate::fault::FaultState;
-use crate::heartbeat::HeartbeatState;
 use crate::jobs::JobRuntime;
 use crate::node::Node;
 use crate::ops::{OpRuntime, RetiredOp};
@@ -112,8 +111,9 @@ pub struct World {
     /// with the same seed must end with the same digest; a divergence
     /// pinpoints the first source of nondeterminism.
     pub(crate) trace_digest: u64,
-    /// Per-job heartbeat state (present only while recovery watches a job).
-    pub(crate) hb: BTreeMap<String, HeartbeatState>,
+    /// Per-job heartbeat ping sequence (present only while recovery
+    /// watches a job).
+    pub(crate) hb: BTreeMap<String, u64>,
     /// The fault plane: the installed plan (empty by default) and every
     /// decision about when one of its faults strikes.
     pub(crate) fault: FaultState,
@@ -122,14 +122,9 @@ pub struct World {
     pub(crate) replica_faults: ReplicaFaults,
     /// Every recovery pass the self-healing manager has run.
     pub(crate) recovery_reports: Vec<RecoveryReport>,
-    /// Restart op → index into `recovery_reports`, stamped on completion.
-    pub(crate) pending_recovery: BTreeMap<u64, usize>,
     /// Automatic recoveries performed per job (bounded by
     /// `RecoveryParams::max_recoveries`).
     pub(crate) recoveries: BTreeMap<String, u32>,
-    /// Every node crash the world has seen: (node, time). Lets recovery
-    /// reports measure detection latency from the true crash instant.
-    pub(crate) crash_log: Vec<(usize, SimTime)>,
     /// Non-fatal control-plane failures that would otherwise be silently
     /// discarded: (time, where, error). The swallowed-error lint forces
     /// every discard on a protocol path to either land here or carry a

@@ -141,7 +141,8 @@ impl World {
                 zap,
                 agent: Agent::new(),
                 agent_coord_addr: None,
-                alive: true,
+                crashed_at: None,
+                pongs: BTreeMap::new(),
                 run_scheduled: false,
                 timer_scheduled: None,
                 ctl_cpu_free: SimTime::ZERO,
@@ -172,9 +173,7 @@ impl World {
             fault: FaultState::new(&FaultPlan::none(0)),
             replica_faults: ReplicaFaults::default(),
             recovery_reports: Vec::new(),
-            pending_recovery: BTreeMap::new(),
             recoveries: BTreeMap::new(),
-            crash_log: Vec::new(),
             soft_faults: Vec::new(),
         })
     }
@@ -244,17 +243,14 @@ impl World {
     /// migration) is in flight for `job` — new operations are refused until
     /// it settles.
     pub fn job_busy(&self, job: &str) -> bool {
-        self.ops
-            .values()
-            .any(|o| o.job == job && !o.complete && !o.aborted)
+        self.ops.values().any(|o| o.job == job && !o.settled())
     }
 
     /// Marks a node dead: it stops processing events (fail-stop crash).
     /// On the loopback carrier its control endpoints close as well.
     pub fn crash_node(&mut self, n: usize) {
-        if self.nodes[n].alive {
-            self.nodes[n].alive = false;
-            self.crash_log.push((n, self.now));
+        if self.nodes[n].alive() {
+            self.nodes[n].crashed_at = Some(self.now);
             if let Carrier::Net(net) = &mut self.carrier {
                 net.close_node(n);
             }
@@ -263,7 +259,7 @@ impl World {
 
     /// Whether a node is alive (false for out-of-range indices).
     pub fn node_alive(&self, n: usize) -> bool {
-        self.nodes.get(n).map(|x| x.alive).unwrap_or(false)
+        self.nodes.get(n).is_some_and(Node::alive)
     }
 
     /// Installs a fault plan in place of the one installed before, with
@@ -359,7 +355,7 @@ impl World {
             }
             self.now = self.now.max(net.now());
             for n in 0..self.nodes.len() {
-                if self.nodes[n].alive {
+                if self.nodes[n].alive() {
                     self.poll_ctl(n);
                 }
             }
@@ -522,7 +518,7 @@ impl World {
 
     fn on_node_run(&mut self, n: usize) {
         self.nodes[n].run_scheduled = false;
-        if !self.nodes[n].alive {
+        if !self.nodes[n].alive() {
             return;
         }
         let out = self.nodes[n].kernel.run_slice(self.now);
@@ -538,7 +534,7 @@ impl World {
 
     fn on_node_tick(&mut self, n: usize) {
         self.nodes[n].timer_scheduled = None;
-        if !self.nodes[n].alive {
+        if !self.nodes[n].alive() {
             return;
         }
         self.nodes[n].kernel.on_tick(self.now);
@@ -561,7 +557,7 @@ impl World {
     }
 
     fn on_frame_at_node(&mut self, port: usize, frame: EthFrame) {
-        if !self.nodes[port].alive {
+        if !self.nodes[port].alive() {
             return;
         }
         match self.fault.frame_fate() {
@@ -586,7 +582,7 @@ impl World {
     }
 
     fn on_frame_injected(&mut self, port: usize, frame: EthFrame) {
-        if !self.nodes[port].alive {
+        if !self.nodes[port].alive() {
             return;
         }
         self.deliver_frame(port, frame);
@@ -615,7 +611,7 @@ impl World {
     /// (a coordinator's pending `Start`s, say) is dropped here.
     fn emit_frames(&mut self, n: usize, at: SimTime) {
         let frames = self.nodes[n].kernel.take_frames();
-        if !self.nodes[n].alive {
+        if !self.nodes[n].alive() {
             return;
         }
         for frame in frames {

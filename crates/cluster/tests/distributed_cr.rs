@@ -1153,3 +1153,51 @@ fn a_crashed_coordinator_sends_nothing() {
     assert_eq!(w.pod_exit_code("pp", "server", 1), Some(0));
     assert_eq!(w.pod_exit_code("pp", "client", 1), Some(0));
 }
+
+/// Total bytes of a job's replica logs.
+fn replica_log_bytes(w: &World, job: &str) -> u64 {
+    let store = w.store(job);
+    (0..store.replica_count())
+        .map(|r| w.fs.len_of(&store.log_path(r)).unwrap_or(0))
+        .sum()
+}
+
+#[test]
+fn a_failed_over_checkpoint_aborts_once() {
+    // The coordinator node dies while both agents are frozen mid-save. The
+    // heartbeat re-homes the control plane and aborts the orphan through
+    // its coordinator; when the orphan's own deadline fires later, the
+    // coordinator has already settled, so nothing aborts a second time.
+    let params = ClusterParams {
+        recovery: RecoveryParams {
+            enabled: true,
+            op_timeout: SimDuration::from_millis(300),
+            ..RecoveryParams::default()
+        },
+        store: StoreConfig {
+            dedup: true,
+            replicas: 3,
+            ..StoreConfig::default()
+        },
+        ..ClusterParams::default()
+    };
+    let mut w = World::new(3, params);
+    let (spec, _) = pingpong_job(2_000, 0, 1, 2);
+    w.launch_job(&spec).unwrap();
+    w.run_for(SimDuration::from_millis(5));
+    let op = w
+        .start_checkpoint("pp", ProtocolMode::Blocking, None)
+        .unwrap();
+    w.run_for(SimDuration::from_micros(600));
+    w.crash_node(2);
+    w.run_for(SimDuration::from_millis(100));
+    assert_ne!(w.job("pp").unwrap().coordinator_node, 2, "no failover");
+    let report = w.op_report(op).unwrap();
+    assert!(report.aborted);
+    assert_eq!(report.local_ops.len(), 2, "both agents froze");
+    assert_eq!(report.stats.msgs_sent, 4, "2 starts + 2 failover aborts");
+    let before = replica_log_bytes(&w, "pp");
+    w.run_for(SimDuration::from_millis(400));
+    assert_eq!(replica_log_bytes(&w, "pp"), before, "a second abort");
+    assert_eq!(w.op_report(op).unwrap().stats.msgs_sent, 4);
+}

@@ -27,6 +27,7 @@
 //! no longer match any finding are themselves errors, so the baseline only
 //! ever shrinks (`--update-baseline` rewrites it).
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -135,6 +136,21 @@ pub struct WorkspaceOutcome {
     pub stale: Vec<String>,
     /// Files scanned.
     pub scanned: usize,
+    /// Non-test lines (those the test mask does not mark) of each
+    /// first-party `src/` directory, keyed by its workspace-relative path
+    /// (see [`src_dir`]). Filled in workspace mode only.
+    pub src_lines: BTreeMap<String, usize>,
+}
+
+/// The `src/` directory a workspace-relative path sits under
+/// (`crates/cluster/src`, or `src` for the root package), if any.
+pub fn src_dir(rel: &str) -> Option<&str> {
+    let end = if rel.starts_with("src/") {
+        3
+    } else {
+        rel.find("/src/")? + 4
+    };
+    Some(&rel[..end])
 }
 
 /// Runs all three passes over the workspace rooted at `root`, applying
@@ -176,6 +192,7 @@ pub fn run_workspace_with(
     let mut raw: Vec<Finding> = Vec::new();
     let mut wires: Vec<registry::WireEntry> = Vec::new();
     let mut scanned = 0usize;
+    let mut src_lines: BTreeMap<String, usize> = BTreeMap::new();
     for path in collect_rs_files(root) {
         let rel = rel_to(root, &path);
         if rel.starts_with("vendor/") || rel.starts_with("target/") {
@@ -184,6 +201,10 @@ pub fn run_workspace_with(
         let src = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         scanned += 1;
         let sf = SourceFile::new(&rel, &src);
+        if let Some(dir) = src_dir(&rel).filter(|_| !sf.kind.is_test_code) {
+            *src_lines.entry(dir.to_string()).or_default() +=
+                sf.mask.iter().filter(|&&test| !test).count();
+        }
         raw.extend(analyze_source(&sf));
         wires.extend(registry::extract(&sf));
     }
@@ -199,6 +220,7 @@ pub fn run_workspace_with(
         baselined: applied.baselined,
         stale: applied.stale,
         scanned,
+        src_lines,
     })
 }
 

@@ -133,6 +133,7 @@ fn main() -> ExitCode {
         baselined: 0,
         stale: Vec::new(),
         scanned,
+        src_lines: Default::default(),
     };
     if json {
         report::out(&report::to_json(&outcome));

@@ -38,7 +38,9 @@ pub fn render_text(o: &WorkspaceOutcome) -> String {
 }
 
 /// The machine report consumed by CI (`lint-report.json`):
-/// `{"findings": [...], "stale": [...], "summary": {...}}`.
+/// `{"findings": [...], "stale": [...], "summary": {...}}`. The summary
+/// ends with `src_lines`, one `"<src dir>": <non-test lines>` entry per
+/// line, so a diff of the committed report shows each crate's line change.
 pub fn to_json(o: &WorkspaceOutcome) -> String {
     let mut s = String::from("{\n  \"findings\": [");
     for (i, f) in o.kept.iter().enumerate() {
@@ -67,12 +69,22 @@ pub fn to_json(o: &WorkspaceOutcome) -> String {
         s.push_str("\n  ");
     }
     s.push_str(&format!(
-        "],\n  \"summary\": {{\"findings\": {}, \"baselined\": {}, \"stale\": {}, \"scanned\": {}}}\n}}\n",
+        "],\n  \"summary\": {{\"findings\": {}, \"baselined\": {}, \"stale\": {}, \"scanned\": {}, \"src_lines\": {{",
         o.kept.len(),
         o.baselined,
         o.stale.len(),
         o.scanned
     ));
+    for (i, (dir, lines)) in o.src_lines.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        s.push_str(&format!("\n    {}: {lines}", json_str(dir)));
+    }
+    if !o.src_lines.is_empty() {
+        s.push_str("\n  ");
+    }
+    s.push_str("}}\n}\n");
     s
 }
 
@@ -113,6 +125,7 @@ mod tests {
             baselined: 2,
             stale: vec!["b.rs:9:silent-unwrap".to_string()],
             scanned: 41,
+            src_lines: [("crates/a/src".to_string(), 120), ("src".to_string(), 7)].into(),
         }
     }
 
@@ -129,10 +142,37 @@ mod tests {
         let j = to_json(&outcome());
         assert!(j.contains("\"rule\": \"wall-clock\""));
         assert!(j.contains("\\\"wall\\\" time\\tbreaks replay"));
-        assert!(j.contains(
-            "\"summary\": {\"findings\": 1, \"baselined\": 2, \"stale\": 1, \"scanned\": 41}"
-        ));
         // No raw control characters or unescaped quotes inside strings.
         assert!(!j.contains('\t'));
+    }
+
+    #[test]
+    fn json_report_shape_is_pinned() {
+        let mut o = outcome();
+        o.kept[0].message = "m".to_string();
+        assert_eq!(
+            to_json(&o),
+            r#"{
+  "findings": [
+    {"path": "crates/a/src/x.rs", "line": 3, "rule": "wall-clock", "message": "m"}
+  ],
+  "stale": [
+    "b.rs:9:silent-unwrap"
+  ],
+  "summary": {"findings": 1, "baselined": 2, "stale": 1, "scanned": 41, "src_lines": {
+    "crates/a/src": 120,
+    "src": 7
+  }}
+}
+"#
+        );
+        o.kept.clear();
+        o.stale.clear();
+        o.src_lines.clear();
+        assert_eq!(
+            to_json(&o),
+            "{\n  \"findings\": [],\n  \"stale\": [],\n  \"summary\": {\"findings\": 0, \
+             \"baselined\": 2, \"stale\": 0, \"scanned\": 41, \"src_lines\": {}}\n}\n"
+        );
     }
 }

@@ -7,7 +7,7 @@ use std::path::Path;
 
 use cruz_lint::rules::Rule;
 use cruz_lint::source::strip_source;
-use cruz_lint::{analyze_file, registry, run_workspace};
+use cruz_lint::{analyze_file, registry, run_workspace, src_dir};
 use proptest::prelude::*;
 
 fn repo_root() -> std::path::PathBuf {
@@ -34,6 +34,22 @@ fn workspace_is_clean() {
         outcome.stale
     );
     assert!(outcome.scanned > 100, "workspace walk looks broken");
+    assert!(outcome.src_lines["crates/cluster/src"] > 0);
+    assert!(outcome.src_lines["src"] > 0);
+}
+
+/// Line counts are keyed by each first-party `src/` directory; tests and
+/// examples sit under none.
+#[test]
+fn src_dirs_are_keyed_by_their_path() {
+    assert_eq!(
+        src_dir("crates/bench/src/bin/repro.rs"),
+        Some("crates/bench/src")
+    );
+    assert_eq!(src_dir("src/lib.rs"), Some("src"));
+    assert_eq!(src_dir("ledger/src/run.rs"), Some("ledger/src"));
+    assert_eq!(src_dir("tests/end_to_end.rs"), None);
+    assert_eq!(src_dir("examples/quickstart.rs"), None);
 }
 
 fn rules_at(rel: &str, src: &str) -> Vec<(usize, Rule)> {

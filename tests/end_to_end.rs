@@ -167,7 +167,10 @@ fn frame_loss_does_not_break_checkpointing() {
     // unreliable, so give the checkpoint a generous completion budget but
     // require the *application* to stay correct regardless.
     let params = ClusterParams {
-        ctl_retry: Some(RetryPolicy::fixed(SimDuration::from_millis(100), 16)),
+        ctl_retry: RetryPolicy {
+            interval: SimDuration::from_millis(100),
+            max_attempts: 16,
+        },
         ..ClusterParams::default()
     };
     let mut plan = FaultPlan::none(params.seed);
