@@ -15,6 +15,7 @@ use cruz::proto::{CtlMsg, ProtocolMode};
 
 use crate::events::Event;
 use crate::node::CtlAddr;
+use crate::params::MAX_RECOVERIES;
 use crate::recovery::{RecoveryCause, RecoveryOutcome, RecoveryReport};
 use crate::state::{ClusterError, World};
 
@@ -152,7 +153,7 @@ impl World {
             outcome: RecoveryOutcome::InProgress,
         };
         let spent = self.recoveries.entry(job.to_owned()).or_insert(0);
-        if *spent >= self.params.recovery.max_recoveries {
+        if *spent >= MAX_RECOVERIES {
             self.hb.remove(job);
             self.recovery_reports.push(RecoveryReport {
                 outcome: RecoveryOutcome::Unrecoverable,

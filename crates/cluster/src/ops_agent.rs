@@ -37,7 +37,7 @@ use crate::fault::{ProtocolPoint, WriteFault};
 use crate::jobs::PodPlacement;
 use crate::node::CtlAddr;
 use crate::ops::NodeStage;
-use crate::params::CkptCaptureMode;
+use crate::params::{extract_time, CkptCaptureMode, AGENT_OP_CPU};
 use crate::state::World;
 
 impl World {
@@ -183,10 +183,10 @@ impl World {
         let prepared = store.prepare_sealed(body, |len| cfg.ranges(len, &cuts), cfg);
         let base = *serialized;
         for (raw_end, stored) in prepared.novel_writes() {
-            batch.push((start + self.params.extract_time(base + raw_end), stored));
+            batch.push((start + extract_time(base + raw_end), stored));
         }
         *serialized += prepared.raw_len();
-        let image_done = start + self.params.extract_time(*serialized);
+        let image_done = start + extract_time(*serialized);
         batch.push((image_done, prepared.manifest_len()));
         prepared
     }
@@ -234,9 +234,6 @@ impl World {
             {
                 Ok(a) => armed.push((p.name, a)),
                 Err(e) => {
-                    for (_, a) in armed {
-                        a.cancel();
-                    }
                     self.fail_op(op, CruzError::Zap(e));
                     return;
                 }
@@ -250,8 +247,8 @@ impl World {
             // after resumed guests have raced it with writes.
             let arm_bytes: u64 = armed.iter().map(|(_, a)| a.arm_bytes()).sum();
             let page_bytes: u64 = armed.iter().map(|(_, a)| a.pending_page_bytes()).sum();
-            let t_arm = now + self.params.extract_time(arm_bytes);
-            let t_drain = t_arm + self.params.extract_time(page_bytes);
+            let t_arm = now + extract_time(arm_bytes);
+            let t_drain = t_arm + extract_time(page_bytes);
             if let Some(o) = self.ops.get_mut(&op) {
                 o.stages.insert(node, NodeStage::Armed(t_arm, armed));
                 o.local_ops.insert(node, (now, t_arm));
@@ -267,7 +264,7 @@ impl World {
         // §5.2 write-back: the blackout ends when the state is captured; the
         // disk write proceeds in the background and gates the commit.
         let local_done = if writeback {
-            now + self.params.extract_time(serialized)
+            now + extract_time(serialized)
         } else {
             durable_at
         };
@@ -297,9 +294,6 @@ impl World {
             (t_arm, armed, o.coord.is_aborted())
         };
         if aborted || self.maybe_crash(node, ProtocolPoint::CowDrain) {
-            for (_, a) in armed {
-                a.cancel();
-            }
             return;
         }
         if let Some((_, durable_at)) = self.drain_and_write(node, op, t_arm, armed) {
@@ -502,18 +496,15 @@ impl World {
     }
 
     fn roll_back(&mut self, node: usize, op: u64) {
-        // Abort path: drop the node's capture stage (disarming an undrained
-        // COW snapshot), resume pods, lift filters, discard this epoch's
-        // images. Only a checkpoint abort owns its epoch and its stage. An
-        // aborted *restart* is reading a committed epoch — discarding it
-        // would destroy the very checkpoint recovery needs to retry from.
+        // Abort path: drop the node's capture stage (releasing the pages an
+        // undrained COW checkpoint holds), resume pods, lift filters,
+        // discard this epoch's images. Only a checkpoint abort owns its
+        // epoch and its stage. An aborted *restart* is reading a committed
+        // epoch — discarding it would destroy the very checkpoint recovery
+        // needs to retry from.
         let discard = match self.ops.get_mut(&op) {
             Some(o) if o.coord.kind() == OpKind::Checkpoint => {
-                if let Some(NodeStage::Armed(_, armed)) = o.stages.remove(&node) {
-                    for (_, a) in armed {
-                        a.cancel();
-                    }
-                }
+                o.stages.remove(&node);
                 Some((o.job.clone(), o.image_epoch))
             }
             _ => None,
@@ -541,7 +532,7 @@ impl World {
             // Start/continue handling configures the packet filter and
             // signals pods before anything else runs.
             if matches!(msg, CtlMsg::Start { .. } | CtlMsg::Continue { .. }) {
-                at += self.params.agent_op_cpu;
+                at += AGENT_OP_CPU;
                 self.nodes[n].ctl_cpu_free = at;
             }
             self.arm(

@@ -56,6 +56,28 @@ impl Default for CkptOptions {
     }
 }
 
+/// Subnet prefix length of every node's stack (nodes and pods share one
+/// routing domain).
+pub(crate) const SUBNET_PREFIX: u8 = 16;
+
+/// Agent-side cost of acting on a `start`/`continue` message: netfilter
+/// rule configuration and pod signalling (kernel round trips on a
+/// 2005-era node). Sits on the coordination critical path but outside the
+/// measured local-save window, as in the paper.
+pub(crate) const AGENT_OP_CPU: SimDuration = SimDuration::from_micros(120);
+
+/// Memory bandwidth for serializing checkpoint state (bytes/second).
+const EXTRACT_BPS: u64 = 2_000_000_000;
+
+/// Maximum automatic recoveries per job before the recovery manager gives
+/// up on it.
+pub(crate) const MAX_RECOVERIES: u32 = 4;
+
+/// Time to serialize `bytes` of checkpoint state in memory.
+pub(crate) fn extract_time(bytes: u64) -> SimDuration {
+    SimDuration::from_nanos(bytes.saturating_mul(1_000_000_000) / EXTRACT_BPS)
+}
+
 /// Fixed-interval control-plane retransmissions: each retry fires
 /// `interval` after the previous one, up to `max_attempts` retries in all.
 /// Retries stop at once when the operation completes or aborts.
@@ -95,8 +117,6 @@ pub struct RecoveryParams {
     /// set its own: a crashed or wedged participant aborts the op instead
     /// of hanging it forever.
     pub op_timeout: SimDuration,
-    /// Maximum automatic recoveries per job before giving up.
-    pub max_recoveries: u32,
 }
 
 impl Default for RecoveryParams {
@@ -106,7 +126,6 @@ impl Default for RecoveryParams {
             heartbeat_interval: SimDuration::from_millis(20),
             heartbeat_timeout: SimDuration::from_millis(10),
             op_timeout: SimDuration::from_secs(30),
-            max_recoveries: 4,
         }
     }
 }
@@ -122,19 +141,10 @@ pub struct ClusterParams {
     pub disk: DiskParams,
     /// TCP configuration for every stack.
     pub tcp: TcpConfig,
-    /// Subnet prefix length (nodes and pods share one routing domain).
-    pub subnet_prefix: u8,
     /// CPU cost of sending or processing one control-plane message. The
     /// coordinator serializes sends, which is what produces the per-node
     /// slope of Fig. 5(b).
     pub ctl_msg_cpu: SimDuration,
-    /// Agent-side cost of acting on a `start`/`continue` message: netfilter
-    /// rule configuration and pod signalling (kernel round trips on a
-    /// 2005-era node). Sits on the coordination critical path but outside
-    /// the measured local-save window, as in the paper.
-    pub agent_op_cpu: SimDuration,
-    /// Memory bandwidth for serializing checkpoint state (bytes/second).
-    pub extract_bps: u64,
     /// Unused: nothing in the world draws from it (frame loss comes from an
     /// installed fault plan's own seed). Kept only because the benchmark
     /// harness still sets it.
@@ -175,10 +185,7 @@ impl Default for ClusterParams {
             kernel: KernelParams::default(),
             disk: DiskParams::era_2005(),
             tcp: TcpConfig::default(),
-            subnet_prefix: 16,
             ctl_msg_cpu: SimDuration::from_micros(35),
-            agent_op_cpu: SimDuration::from_micros(120),
-            extract_bps: 2_000_000_000,
             seed: 42,
             prune_old_epochs: false,
             ctl_retry: RetryPolicy::NONE,
@@ -188,22 +195,14 @@ impl Default for ClusterParams {
     }
 }
 
-impl ClusterParams {
-    /// Time to serialize `bytes` of checkpoint state in memory.
-    pub fn extract_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_nanos(bytes.saturating_mul(1_000_000_000) / self.extract_bps)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn extraction_scales_with_size() {
-        let p = ClusterParams::default();
-        assert_eq!(p.extract_time(2_000_000_000), SimDuration::from_secs(1));
-        assert_eq!(p.extract_time(0), SimDuration::ZERO);
+        assert_eq!(extract_time(2_000_000_000), SimDuration::from_secs(1));
+        assert_eq!(extract_time(0), SimDuration::ZERO);
     }
 
     #[test]

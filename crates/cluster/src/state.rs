@@ -123,7 +123,7 @@ pub struct World {
     /// Every recovery pass the self-healing manager has run.
     pub(crate) recovery_reports: Vec<RecoveryReport>,
     /// Automatic recoveries performed per job (bounded by
-    /// `RecoveryParams::max_recoveries`).
+    /// `params::MAX_RECOVERIES`).
     pub(crate) recoveries: BTreeMap<String, u32>,
     /// Non-fatal control-plane failures that would otherwise be silently
     /// discarded: (time, where, error). The swallowed-error lint forces

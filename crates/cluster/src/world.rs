@@ -39,7 +39,7 @@ use crate::events::Event;
 use crate::fault::{FaultPlan, FaultState, FrameFate, ProtocolPoint};
 use crate::jobs::{JobRuntime, JobSpec};
 use crate::node::MAX_NODES;
-use crate::params::ClusterParams;
+use crate::params::{ClusterParams, SUBNET_PREFIX};
 use crate::recovery::RecoveryReport;
 use crate::transport::{Carrier, Ctl, NetCtl, SimnetCtl};
 
@@ -130,7 +130,7 @@ impl World {
             let net = NetStack::new(
                 MacAddr::from_index(i as u32 + 1),
                 Self::node_ip(i),
-                params.subnet_prefix,
+                SUBNET_PREFIX,
                 params.tcp.clone(),
             );
             let mut kernel = Kernel::new(net, fs.clone(), Disk::new(params.disk), params.kernel);

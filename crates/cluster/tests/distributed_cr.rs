@@ -868,8 +868,8 @@ fn cow_capture_shrinks_freeze_to_arm_window() {
 
 #[test]
 fn cow_abort_cancels_armed_snapshots() {
-    // Abort while the drain is still pending: the rollback must disarm the
-    // snapshots and discard the epoch, and the late CkptDrain event must be
+    // Abort while the drain is still pending: the rollback must drop the
+    // armed checkpoints and discard the epoch, and the late CkptDrain event must be
     // a no-op — exactly the stop-the-world abort semantics.
     use cluster::CkptCaptureMode;
     let slm = SlmConfig {
@@ -901,7 +901,7 @@ fn cow_abort_cancels_armed_snapshots() {
     let rep = w.op_report(op).unwrap();
     assert!(rep.aborted, "dead agent must abort the 2PC");
     assert!(!w.store("slm").is_committed(op), "no commit record");
-    // Let the now-orphaned CkptDrain event fire against the cancelled arm.
+    // Let the now-orphaned CkptDrain event fire against the dropped arm.
     w.run_for(SimDuration::from_millis(20));
     assert!(
         w.store("slm").get_image("rank0", op).is_none(),

@@ -928,7 +928,7 @@ impl Kernel {
     ///
     /// [`Errno::Srch`] if the parent does not exist.
     pub fn fork_process(&mut self, parent: Pid) -> Result<Pid, Errno> {
-        let (mut mem_copy, fds_copy, mut cpu) = {
+        let (mem_copy, fds_copy, mut cpu) = {
             let p = self.procs.get(&parent).ok_or(Errno::Srch)?;
             (
                 p.mem.borrow().clone(),
@@ -936,9 +936,6 @@ impl Kernel {
                 p.cpu.clone(),
             )
         };
-        // Only the parent's drain reads its snapshot; a copy in the child
-        // would pin the arm-instant pages for nothing.
-        mem_copy.cow_disarm();
         // New references to shared pipe ends.
         for (_fd, desc) in fds_copy.iter() {
             if let Desc::Pipe { id, end } = desc {

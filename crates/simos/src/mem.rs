@@ -28,8 +28,9 @@ const SLOTS_PER_PAGE: usize = (PAGE_SIZE / INST_SIZE) as usize;
 type DecodedSlot = Option<Result<Inst, DecodeError>>;
 
 /// One page's bytes: a shared, reference-counted buffer. A fork, an armed
-/// copy-on-write snapshot, a drained image and a restored space all hold
-/// the same buffer until a write copies it (`Rc::make_mut`).
+/// copy-on-write checkpoint, a drained image and a restored space all hold
+/// the same buffer until a write copies it (`Rc::make_mut`), so a holder
+/// keeps the bytes as they were when it took the buffer.
 pub type PageBuf = Rc<[u8; PAGE_SIZE as usize]>;
 
 /// What backs a mapped area.
@@ -116,8 +117,6 @@ pub struct AddressSpace {
     areas: Vec<VmArea>,
     /// Private pages, keyed by page-aligned address.
     pages: BTreeMap<u64, Page>,
-    /// An armed copy-on-write snapshot, if a checkpoint drain is pending.
-    cow: Option<CowSnapshot>,
 }
 
 /// One resident private page.
@@ -138,7 +137,7 @@ struct Page {
 }
 
 /// True if any byte of the page is non-zero: the pages a checkpoint saves.
-fn nonzero(page: &PageBuf) -> bool {
+pub fn nonzero(page: &PageBuf) -> bool {
     page.iter().any(|&b| b != 0)
 }
 
@@ -147,20 +146,6 @@ fn find_area(areas: &[VmArea], addr: u64) -> Option<&VmArea> {
     let after = areas.partition_point(|a| a.start <= addr);
     let area = &areas[after.checked_sub(1)?];
     area.contains(addr).then_some(area)
-}
-
-/// An armed copy-on-write snapshot: a clone of the page table as it stood
-/// at [`AddressSpace::cow_arm`], sharing every page buffer with the live
-/// table. Nothing else is kept: a page the owner writes after the arm is
-/// copied by that write, so the snapshot's buffer keeps the arm-instant
-/// bytes (the write-protect fault of a real COW implementation).
-#[derive(Debug, Clone)]
-struct CowSnapshot {
-    /// The private pages at arm time, zero pages included.
-    pages: BTreeMap<u64, PageBuf>,
-    /// Bytes of page copies forced by post-arm writes to pages the
-    /// snapshot shares — the extra copy cost COW trades for a short freeze.
-    copied_bytes: u64,
 }
 
 /// Error mapping a region.
@@ -259,13 +244,16 @@ impl AddressSpace {
         find_area(&self.areas, addr)
     }
 
+    /// Iterates over every resident private page (page address, contents)
+    /// in address order, zero pages included.
+    pub fn pages(&self) -> impl Iterator<Item = (u64, &PageBuf)> {
+        self.pages.iter().map(|(&a, p)| (a, &p.bytes))
+    }
+
     /// Iterates over the resident private pages (page address, contents),
     /// skipping pages that are entirely zero — the checkpoint's page set.
     pub fn nonzero_pages(&self) -> impl Iterator<Item = (u64, &PageBuf)> {
-        self.pages
-            .iter()
-            .map(|(&a, p)| (a, &p.bytes))
-            .filter(|(_, p)| nonzero(p))
+        self.pages().filter(|(_, p)| nonzero(p))
     }
 
     /// Number of resident private pages (zero or not).
@@ -307,66 +295,6 @@ impl AddressSpace {
         Ok(buf)
     }
 
-    // ---- copy-on-write snapshots ---------------------------------------
-
-    /// Arms a copy-on-write snapshot of the private pages: clones the page
-    /// table, sharing every buffer, so no page is copied. From now until
-    /// [`AddressSpace::cow_disarm`], the first write to a page the snapshot
-    /// shares copies it, so the drain methods below return the pages
-    /// exactly as they are at this instant — however long the owner keeps
-    /// executing in between.
-    ///
-    /// Only private pages are covered: shared segments ([`SharedSeg`]) are
-    /// kernel objects visible to other processes and must be captured
-    /// eagerly while the whole pod is frozen. Re-arming replaces any
-    /// previous snapshot.
-    pub fn cow_arm(&mut self) {
-        let pages = self.pages.iter().map(|(&a, p)| (a, p.bytes.clone()));
-        self.cow = Some(CowSnapshot {
-            pages: pages.collect(),
-            copied_bytes: 0,
-        });
-    }
-
-    /// True while a snapshot is armed.
-    pub fn cow_armed(&self) -> bool {
-        self.cow.is_some()
-    }
-
-    /// Bytes of page copies the armed snapshot has forced.
-    pub fn cow_copied_bytes(&self) -> u64 {
-        self.cow.as_ref().map(|c| c.copied_bytes).unwrap_or(0)
-    }
-
-    /// Drops the armed snapshot (drain complete, or checkpoint aborted),
-    /// returning the page copy bytes it forced.
-    pub fn cow_disarm(&mut self) -> u64 {
-        self.cow.take().map(|c| c.copied_bytes).unwrap_or(0)
-    }
-
-    /// The non-zero pages as of arm time — the full-image counterpart of
-    /// [`AddressSpace::nonzero_pages`] — sharing the snapshot's buffers.
-    /// The snapshot stays armed; call [`AddressSpace::cow_disarm`] when
-    /// done with it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no snapshot is armed.
-    pub fn cow_snapshot_pages(&self) -> Vec<(u64, PageBuf)> {
-        let snap = self.cow.as_ref().expect("no armed snapshot to drain");
-        let pages = snap.pages.iter().filter(|(_, p)| nonzero(p));
-        pages.map(|(&a, p)| (a, p.clone())).collect()
-    }
-
-    /// Payload bytes a drain will produce — what the checkpoint scheduler
-    /// needs at arm time to plan the background encode.
-    pub fn cow_pending_bytes(&self) -> u64 {
-        let Some(snap) = &self.cow else {
-            return 0;
-        };
-        snap.pages.values().filter(|p| nonzero(p)).count() as u64 * PAGE_SIZE
-    }
-
     /// The page holding all of `[addr, addr + len)`, if that non-empty
     /// range lies in one page of a private area: the accesses the fast
     /// paths serve. Areas are page aligned, so the area holding `addr`
@@ -392,25 +320,13 @@ impl AddressSpace {
     }
 
     /// Writes `src` at offset `in_page` of a private page, allocating it on
-    /// first touch: copies the buffer first if anything else shares it
-    /// (counting the copy when that is the armed snapshot), and drops the
-    /// page's decoded instructions.
+    /// first touch: copies the buffer first if anything else shares it, and
+    /// drops the page's decoded instructions.
     fn write_private(&mut self, page_addr: u64, in_page: usize, src: &[u8]) {
         let page = self.pages.entry(page_addr).or_insert_with(|| Page {
             bytes: Rc::new([0; PAGE_SIZE as usize]),
             code: None,
         });
-        if Rc::strong_count(&page.bytes) > 1 {
-            if let Some(snap) = &mut self.cow {
-                if snap
-                    .pages
-                    .get(&page_addr)
-                    .is_some_and(|p| Rc::ptr_eq(p, &page.bytes))
-                {
-                    snap.copied_bytes += PAGE_SIZE;
-                }
-            }
-        }
         Rc::make_mut(&mut page.bytes)[in_page..in_page + src.len()].copy_from_slice(src);
         page.code = None;
     }
@@ -643,6 +559,8 @@ mod tests {
         s.store_u8(0x2000, 9).unwrap(); // nonzero
         let pages: Vec<u64> = s.nonzero_pages().map(|(a, _)| a).collect();
         assert_eq!(pages, vec![0x2000]);
+        let resident: Vec<u64> = s.pages().map(|(a, _)| a).collect();
+        assert_eq!(resident, vec![0x1000, 0x2000]);
     }
 
     #[test]
@@ -656,14 +574,29 @@ mod tests {
         assert_eq!(b.load_u64(0x20008).unwrap(), 777);
     }
 
-    /// The snapshot drained from an armed space must equal an eager capture
-    /// of the same instant, whatever happened in between.
-    fn assert_snapshot_matches(space: &AddressSpace, frozen: &AddressSpace) {
+    /// A copy-on-write snapshot: every resident page's buffer, held.
+    fn hold(space: &AddressSpace) -> Vec<(u64, PageBuf)> {
+        space.pages().map(|(a, p)| (a, p.clone())).collect()
+    }
+
+    /// The held pages a capture saves must equal an eager capture of the
+    /// same instant, whatever happened in between.
+    fn assert_snapshot_matches(held: &[(u64, PageBuf)], frozen: &AddressSpace) {
         let expect: Vec<(u64, PageBuf)> = frozen
             .nonzero_pages()
             .map(|(a, p)| (a, p.clone()))
             .collect();
-        assert_eq!(space.cow_snapshot_pages(), expect);
+        let saved: Vec<(u64, PageBuf)> = held.iter().filter(|(_, p)| nonzero(p)).cloned().collect();
+        assert_eq!(saved, expect);
+    }
+
+    /// Addresses of the held pages whose address now holds another buffer.
+    fn replaced(space: &AddressSpace, held: &[(u64, PageBuf)]) -> Vec<u64> {
+        let live: BTreeMap<u64, &PageBuf> = space.pages().collect();
+        held.iter()
+            .filter(|(a, p)| live.get(a).is_some_and(|l| !Rc::ptr_eq(l, p)))
+            .map(|&(a, _)| a)
+            .collect()
     }
 
     #[test]
@@ -673,20 +606,20 @@ mod tests {
         s.store_u64(0x1000, 0x11).unwrap();
         s.store_u64(0x2000, 0x22).unwrap();
         let frozen = s.clone();
-        s.cow_arm();
-        assert!(s.cow_armed());
-        // Overwrite an armed page, dirty a fresh one, and zero another.
+        let held = hold(&s);
+        // Overwrite a held page, dirty a fresh one, and zero another.
         s.store_u64(0x1000, 0x99).unwrap();
         s.store_u64(0x3000, 0x33).unwrap();
         s.store_u64(0x2000, 0).unwrap();
-        assert_snapshot_matches(&s, &frozen);
+        assert_snapshot_matches(&held, &frozen);
         // Live reads still see the new values.
         assert_eq!(s.load_u64(0x1000).unwrap(), 0x99);
-        // Only the two pre-existing pages forced a copy; the
-        // fresh page was demand-zero at arm.
-        assert_eq!(s.cow_copied_bytes(), 2 * PAGE_SIZE);
-        assert_eq!(s.cow_disarm(), 2 * PAGE_SIZE);
-        assert!(!s.cow_armed());
+        // Only the two held pages were copied; the fresh page was
+        // demand-zero when the snapshot was taken.
+        assert_eq!(replaced(&s, &held), vec![0x1000, 0x2000]);
+        // Dropping the snapshot leaves every live page unshared.
+        drop((held, frozen));
+        assert!(s.pages().all(|(_, p)| Rc::strong_count(p) == 1));
     }
 
     #[test]
@@ -694,38 +627,23 @@ mod tests {
         let mut s = AddressSpace::new();
         s.map(0x1000, PAGE_SIZE, "a").unwrap();
         s.map(0x5000, PAGE_SIZE, "b").unwrap();
+        s.map(0x9000, PAGE_SIZE, "c").unwrap();
         s.store_u8(0x1000, 7).unwrap();
         s.store_u8(0x5000, 8).unwrap();
+        s.store_u8(0x9000, 9).unwrap();
         let frozen = s.clone();
-        s.cow_arm();
-        // Unmap one armed area, remap it, and loader-install over the other.
+        let held = hold(&s);
+        // Unmap one held area and remap it, loader-install over another,
+        // and unmap the third for good.
         s.unmap(0x1000);
         s.map(0x1000, PAGE_SIZE, "a2").unwrap();
         s.store_u8(0x1000, 42).unwrap();
         s.install_page(0x5000, page(&[9, 9]));
-        assert_snapshot_matches(&s, &frozen);
-        // Neither replacing a page nor dropping one copies it.
-        assert_eq!(s.cow_copied_bytes(), 0);
-    }
-
-    #[test]
-    fn cow_pending_bytes_sizes_the_drain() {
-        let mut s = AddressSpace::new();
-        s.map(0x1000, PAGE_SIZE * 4, "data").unwrap();
-        assert_eq!(s.cow_pending_bytes(), 0, "nothing armed");
-        s.store_u8(0x1000, 1).unwrap();
-        s.store_u8(0x2000, 2).unwrap();
-        s.store_u8(0x4000, 0).unwrap(); // resident but zero: not drained
-        s.cow_arm();
-        s.store_u8(0x3000, 4).unwrap(); // post-arm: excluded
-        assert_eq!(s.cow_pending_bytes(), 2 * PAGE_SIZE);
-        assert_eq!(
-            s.cow_pending_bytes(),
-            s.cow_snapshot_pages()
-                .iter()
-                .map(|(_, p)| p.len() as u64)
-                .sum::<u64>()
-        );
+        s.unmap(0x9000);
+        assert_snapshot_matches(&held, &frozen);
+        // A held address that holds another buffer counts; one that is no
+        // longer resident does not.
+        assert_eq!(replaced(&s, &held), vec![0x1000, 0x5000]);
     }
 
     #[test]

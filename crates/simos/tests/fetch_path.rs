@@ -7,8 +7,9 @@
 //! `AddressSpace`, and once through a wrapper that forwards only `load` and
 //! `store`, so the uncached reference fetch runs. Between bursts of steps
 //! the scripts rewrite code in every way the system can: guest stores into
-//! text, loader writes and page installs, copy-on-write arming, unmap and
-//! remap, fork-style clones, and another process writing a shared segment.
+//! text, loader writes and page installs, a held copy-on-write snapshot of
+//! the pages, unmap and remap, fork-style clones, and another process
+//! writing a shared segment.
 
 use std::rc::Rc;
 
@@ -16,7 +17,7 @@ use proptest::prelude::*;
 use simcpu::cpu::{Cpu, CpuFault, StepOutcome};
 use simcpu::isa::{INST_SIZE, R1, R2, R3, R4, SP};
 use simcpu::mem::{MemFault, Memory};
-use simos::mem::{AddressSpace, SharedSeg, PAGE_SIZE};
+use simos::mem::{nonzero, AddressSpace, PageBuf, SharedSeg, PAGE_SIZE};
 
 /// Two private text pages.
 const TEXT: u64 = 0x1_0000;
@@ -135,13 +136,14 @@ enum Action {
     /// A loader install of one page: over text, or (as a raw page-table
     /// write) under the shared segment or into a hole.
     Install(u64, Vec<u8>),
+    /// Hold every resident page buffer, as a copy-on-write checkpoint's
+    /// arm does.
     CowArm,
+    /// Release the held buffers.
     CowDisarm,
     /// Unmap the text area and map it again, reloading the original
     /// text or leaving it demand-zero.
-    Remap {
-        reload: bool,
-    },
+    Remap { reload: bool },
     /// Continue on a fork-style clone of the space.
     Fork,
     /// Another process writes the shared segment.
@@ -181,7 +183,7 @@ fn step<M: Memory>(side: &mut Side<M>) -> Result<StepOutcome, CpuFault> {
 /// Applies a non-`Run` action to one side's space.
 fn apply(space: &mut AddressSpace, seg: &SharedSeg, text: &[u8], act: &Action) {
     match act {
-        Action::Run(_) | Action::Jump(_) | Action::Fork => {}
+        Action::Run(_) | Action::Jump(_) | Action::Fork | Action::CowArm | Action::CowDisarm => {}
         Action::Write(a, d) | Action::Patch(a, d) => {
             let _ = space.write_bytes(*a, d);
         }
@@ -189,10 +191,6 @@ fn apply(space: &mut AddressSpace, seg: &SharedSeg, text: &[u8], act: &Action) {
             let mut page = [0; PAGE_SIZE as usize];
             page[..d.len()].copy_from_slice(d);
             space.install_page(*p, Rc::new(page));
-        }
-        Action::CowArm => space.cow_arm(),
-        Action::CowDisarm => {
-            space.cow_disarm();
         }
         Action::Remap { reload } => {
             assert!(space.unmap(TEXT));
@@ -215,6 +213,22 @@ fn pages(space: &AddressSpace) -> Vec<(u64, Vec<u8>)> {
         .collect()
 }
 
+fn hold(space: &AddressSpace) -> Vec<(u64, PageBuf)> {
+    space.pages().map(|(a, p)| (a, p.clone())).collect()
+}
+
+/// The held non-zero pages, and the held addresses that now hold another
+/// buffer: what a drain saves and what it counts as copied.
+fn drained(space: &AddressSpace, held: &[(u64, PageBuf)]) -> (Vec<(u64, PageBuf)>, Vec<u64>) {
+    let saved = held.iter().filter(|(_, p)| nonzero(p));
+    let live: std::collections::BTreeMap<u64, &PageBuf> = space.pages().collect();
+    let copied = held
+        .iter()
+        .filter(|(a, p)| live.get(a).is_some_and(|l| !Rc::ptr_eq(l, p)))
+        .map(|&(a, _)| a);
+    (saved.cloned().collect(), copied.collect())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -231,6 +245,8 @@ proptest! {
         let mut fast = Side { mem: space, seg, cpu: start_cpu() };
         let (space, seg) = build(&text, &shm_code);
         let mut slow = Side { mem: Reference(space), seg, cpu: start_cpu() };
+        // Each side's held copy-on-write snapshot, while armed.
+        let (mut fast_held, mut slow_held) = (None, None);
 
         for act in &script {
             match act {
@@ -249,6 +265,14 @@ proptest! {
                     fast.mem = fast.mem.clone();
                     slow.mem = slow.mem.clone();
                 }
+                Action::CowArm => {
+                    fast_held = Some(hold(&fast.mem));
+                    slow_held = Some(hold(&slow.mem.0));
+                }
+                Action::CowDisarm => {
+                    fast_held = None;
+                    slow_held = None;
+                }
                 _ => {
                     apply(&mut fast.mem, &fast.seg, &text, act);
                     apply(&mut slow.mem.0, &slow.seg, &text, act);
@@ -258,10 +282,8 @@ proptest! {
 
         let (f, s) = (&fast.mem, &slow.mem.0);
         prop_assert_eq!(pages(f), pages(s));
-        prop_assert_eq!(f.cow_armed(), s.cow_armed());
-        if f.cow_armed() {
-            prop_assert_eq!(f.cow_snapshot_pages(), s.cow_snapshot_pages());
-            prop_assert_eq!(f.cow_copied_bytes(), s.cow_copied_bytes());
+        if let (Some(fh), Some(sh)) = (&fast_held, &slow_held) {
+            prop_assert_eq!(drained(f, fh), drained(s, sh));
         }
         prop_assert_eq!(fast.seg.data.borrow().clone(), slow.seg.data.borrow().clone());
     }

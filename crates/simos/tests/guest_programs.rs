@@ -639,8 +639,9 @@ fn forked_child_shares_sockets_until_last_close() {
 }
 
 #[test]
-fn fork_while_armed_leaves_the_child_unarmed_and_the_snapshot_intact() {
+fn fork_while_armed_leaves_the_snapshot_intact() {
     use simcpu::mem::Memory;
+    use std::rc::Rc;
     let mut a = Asm::new(CODE_BASE);
     a.halt();
     let prog = Program::from_asm(&a)
@@ -651,28 +652,36 @@ fn fork_while_armed_leaves_the_child_unarmed_and_the_snapshot_intact() {
     let cell = DATA_BASE;
     let parent_mem = k.process(parent).unwrap().mem.clone();
     let frozen = parent_mem.borrow().clone();
-    parent_mem.borrow_mut().cow_arm();
+    // The snapshot a copy-on-write checkpoint holds: every page buffer.
+    let held: Vec<_> = parent_mem
+        .borrow()
+        .pages()
+        .map(|(a, p)| (a, p.clone()))
+        .collect();
 
     let child = k.fork_process(parent).unwrap();
     let child_mem = k.process(child).unwrap().mem.clone();
-    assert!(!child_mem.borrow().cow_armed(), "the child has no snapshot");
     child_mem.borrow_mut().store_u64(cell, 2).unwrap();
     parent_mem.borrow_mut().store_u64(cell, 1).unwrap();
     assert_eq!(child_mem.borrow_mut().load_u64(cell).unwrap(), 2);
     assert_eq!(parent_mem.borrow_mut().load_u64(cell).unwrap(), 1);
 
-    let mut parent_mem = parent_mem.borrow_mut();
     // Compared as plain bytes.
     let frozen: Vec<_> = frozen
         .nonzero_pages()
         .map(|(a, p)| (a, p.to_vec()))
         .collect();
-    let drained = parent_mem.cow_snapshot_pages();
-    let drained: Vec<_> = drained.iter().map(|(a, p)| (*a, p.to_vec())).collect();
+    let drained: Vec<_> = held
+        .iter()
+        .filter(|(_, p)| simos::mem::nonzero(p))
+        .map(|(a, p)| (*a, p.to_vec()))
+        .collect();
     assert_eq!(drained, frozen);
-    assert_eq!(
-        parent_mem.cow_disarm(),
-        simos::mem::PAGE_SIZE,
-        "one shared page written"
-    );
+    let parent_mem = parent_mem.borrow();
+    let copied = parent_mem
+        .pages()
+        .zip(&held)
+        .filter(|((_, live), (_, p))| !Rc::ptr_eq(live, p))
+        .count();
+    assert_eq!(copied, 1, "one held page written by the parent");
 }

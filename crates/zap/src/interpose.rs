@@ -169,40 +169,28 @@ impl SyscallHook for ZapState {
                 }
             }
             nr::RECV | nr::READ => {
-                // Restore-time alternate buffer delivery (§4.1).
-                let intercepting = self
-                    .pods
-                    .get(&pod_id)
-                    .map(|p| p.intercepting)
-                    .unwrap_or(false);
-                if !intercepting {
+                // Restore-time alternate buffer delivery (§4.1). Once every
+                // buffer has drained the map is empty and `recv` passes
+                // straight through.
+                let pod = self.pods.get_mut(&pod_id).expect("owner exists");
+                if pod.alt_recv.is_empty() {
                     return HookDecision::Pass;
                 }
                 let Some(sid) = kernel.socket_of(pid, args[0] as u32) else {
                     return HookDecision::Pass;
                 };
-                let pod = self.pods.get_mut(&pod_id).expect("owner exists");
-                let data: Vec<u8> = match pod.alt_recv.get_mut(&sid) {
-                    Some(q) if !q.is_empty() => {
-                        // Probe the destination before draining, so a
-                        // fault leaves the restored bytes queued.
-                        let n = q.len().min(args[2] as usize);
-                        if let Err(e) = kernel.check_guest(pid, args[1], n, true) {
-                            return HookDecision::Done(e.to_ret());
-                        }
-                        simnet::take_front(q, n)
-                    }
-                    _ => {
-                        // This socket's buffer is dry; deactivate the
-                        // interception once every buffer has drained.
-                        if !pod.any_alt_recv() {
-                            pod.intercepting = false;
-                        }
-                        return HookDecision::Pass;
-                    }
+                let Some(q) = pod.alt_recv.get_mut(&sid) else {
+                    return HookDecision::Pass;
                 };
-                if !pod.any_alt_recv() {
-                    pod.intercepting = false;
+                // Probe the destination before draining, so a fault leaves
+                // the restored bytes queued.
+                let n = q.len().min(args[2] as usize);
+                if let Err(e) = kernel.check_guest(pid, args[1], n, true) {
+                    return HookDecision::Done(e.to_ret());
+                }
+                let data = simnet::take_front(q, n);
+                if q.is_empty() {
+                    pod.alt_recv.remove(&sid);
                 }
                 match kernel.write_guest(pid, args[1], &data) {
                     Ok(()) => HookDecision::Done(data.len() as u64),

@@ -33,7 +33,7 @@ use simnet::stack::SocketId;
 use simnet::NetError;
 use simos::fd::{Desc, FdTable, PipeEnd, PipeId};
 use simos::kernel::Kernel;
-use simos::mem::{AddressSpace, MapError, PAGE_SIZE};
+use simos::mem::{nonzero, AddressSpace, MapError, PageBuf, PAGE_SIZE};
 use simos::proc::{PendingSyscall, Pid, ProcState, Process, WaitFor};
 use simos::program::{Program, ProgramError};
 use simos::syscall::sig;
@@ -276,10 +276,10 @@ impl Zap {
 
     /// The **arm** half of a copy-on-write checkpoint: freezes the pod,
     /// captures every piece of non-memory state (sockets, pipes, shared
-    /// memory, semaphores, descriptor tables, CPU state) and arms a COW
-    /// snapshot on each thread group's address space instead of copying
-    /// its pages. The freeze therefore costs O(non-memory state), not
-    /// O(image bytes). The pod is left stopped; resume it as soon as
+    /// memory, semaphores, descriptor tables, CPU state) and holds each
+    /// thread group's resident page buffers instead of copying its pages.
+    /// The freeze therefore costs O(non-memory state), not O(image
+    /// bytes). The pod is left stopped; resume it as soon as
     /// coordination allows and call [`ArmedPodCheckpoint::drain`] any time
     /// later — the drained image is the pod as of this instant, whatever
     /// it wrote in between. [`Zap::checkpoint_pod`] is this arm drained at
@@ -324,7 +324,7 @@ impl Zap {
 
         // Thread groups: unique address-space/fd-table pairs.
         let mut groups: Vec<GroupImage> = Vec::new();
-        let mut group_spaces: Vec<Rc<RefCell<AddressSpace>>> = Vec::new();
+        let mut held: Vec<HeldSpace> = Vec::new();
         let mut group_index_by_leader: BTreeMap<Pid, u32> = BTreeMap::new();
         let mut pipe_index: BTreeMap<PipeId, u32> = BTreeMap::new();
         let mut pipe_images: Vec<PipeImage> = Vec::new();
@@ -343,8 +343,7 @@ impl Zap {
             group_index_by_leader.insert(proc.group, gidx);
 
             // Address space.
-            let mem_rc = proc.mem.clone();
-            let mut mem = mem_rc.borrow_mut();
+            let mem = proc.mem.borrow();
             let mut areas = Vec::new();
             for a in mem.areas() {
                 let shm_index = match &a.backing {
@@ -362,10 +361,11 @@ impl Zap {
                     shm_index,
                 });
             }
-            // No page copied here: the snapshot stands in for them.
-            mem.cow_arm();
+            // No page copied here: a write copies any page held here, so
+            // the held buffers keep the arm-instant bytes.
+            let pages = mem.pages().map(|(a, p)| (a, p.clone())).collect();
             drop(mem);
-            group_spaces.push(mem_rc.clone());
+            held.push((proc.mem.clone(), pages));
 
             // Descriptor table.
             let fds_rc = proc.fds.clone();
@@ -480,7 +480,7 @@ impl Zap {
                 groups,
                 procs: proc_images,
             },
-            spaces: group_spaces,
+            held,
         })
     }
 
@@ -628,7 +628,6 @@ impl Zap {
                 .into_iter()
                 .map(|(sid, data)| (sid, VecDeque::from(data))),
         );
-        pod_entry.intercepting = pod_entry.any_alt_recv();
         let mut group_leader_pid: BTreeMap<u32, Pid> = BTreeMap::new();
         let mut links = Vec::with_capacity(procs.len());
         for pi in procs {
@@ -736,19 +735,22 @@ fn check_refs(image: &PodImage) -> Result<(), ZapError> {
     Ok(())
 }
 
+/// A thread group's live address space and the page buffers it held at
+/// the arm, zero pages included, in address order.
+type HeldSpace = (Rc<RefCell<AddressSpace>>, Vec<(u64, PageBuf)>);
+
 /// A pod checkpoint whose arm phase has completed: the non-memory state is
-/// captured in a page-less skeleton image, and every thread group's address
-/// space carries an armed COW snapshot standing in for its pages. Produced
-/// by [`Zap::checkpoint_pod_arm`]; finish with
-/// [`ArmedPodCheckpoint::drain`] or discard with
-/// [`ArmedPodCheckpoint::cancel`] (the abort path) — either way the
-/// snapshots are disarmed exactly once.
+/// captured in a page-less skeleton image, and every thread group's
+/// resident page buffers, as they stood at the arm, are held in place of
+/// its pages. Produced by [`Zap::checkpoint_pod_arm`]; finish with
+/// [`ArmedPodCheckpoint::drain`], or drop it to abandon the checkpoint
+/// (the abort path), which releases the held pages.
 #[derive(Debug)]
 pub struct ArmedPodCheckpoint {
     /// Everything except private pages, captured at freeze time.
     skeleton: PodImage,
-    /// Armed address spaces, aligned with `skeleton.groups`.
-    spaces: Vec<Rc<RefCell<AddressSpace>>>,
+    /// Held address spaces, aligned with `skeleton.groups`.
+    held: Vec<HeldSpace>,
 }
 
 impl ArmedPodCheckpoint {
@@ -759,46 +761,46 @@ impl ArmedPodCheckpoint {
     }
 
     /// Page payload bytes the drain will emit, computable at arm time
-    /// without copying anything (the COW snapshot pins the page set): what
+    /// without copying anything (the held buffers pin the page set): what
     /// the background encode/write-out schedule is planned from.
     pub fn pending_page_bytes(&self) -> u64 {
-        self.spaces
-            .iter()
-            .map(|s| s.borrow().cow_pending_bytes())
-            .sum()
+        let pages = self.held.iter().flat_map(|(_, pages)| pages);
+        pages.filter(|(_, p)| nonzero(p)).count() as u64 * PAGE_SIZE
     }
 
-    /// Page copy bytes forced so far by post-resume writes.
-    pub fn copied_bytes(&self) -> u64 {
-        self.spaces
-            .iter()
-            .map(|s| s.borrow().cow_copied_bytes())
-            .sum()
-    }
-
-    /// The **drain** half: hands each group's arm-instant pages from its
-    /// COW snapshot to the image (shared, not copied), disarms the
-    /// snapshots, and returns the completed image plus the page copy bytes
-    /// the snapshot window cost. Byte-identical to a drain at the arm
-    /// instant.
+    /// The **drain** half: hands each group's held non-zero pages to the
+    /// image (shared, not copied), and returns the completed image plus
+    /// the page copy bytes the snapshot window cost. Byte-identical to a
+    /// drain at the arm instant.
     pub fn drain(self) -> (PodImage, u64) {
         let mut image = self.skeleton;
         let mut copied = 0;
-        for (group, space) in image.groups.iter_mut().zip(&self.spaces) {
-            let mut mem = space.borrow_mut();
-            group.pages = mem.cow_snapshot_pages();
-            copied += mem.cow_disarm();
+        for (group, (space, mut pages)) in image.groups.iter_mut().zip(self.held) {
+            copied += copied_bytes(&space.borrow(), &pages);
+            pages.retain(|(_, p)| nonzero(p));
+            group.pages = pages;
         }
         (image, copied)
     }
+}
 
-    /// Abandons the checkpoint (abort path): disarms every snapshot
-    /// without materializing any page.
-    pub fn cancel(self) {
-        for space in &self.spaces {
-            space.borrow_mut().cow_disarm();
+/// Page copy bytes forced by writes since the arm: a page for each held
+/// page whose address now holds another buffer. Both tables are in address
+/// order, so one lockstep walk pairs them; an address that is no longer
+/// resident counts nothing.
+fn copied_bytes(space: &AddressSpace, held: &[(u64, PageBuf)]) -> u64 {
+    let mut live = space.pages().peekable();
+    let mut copied = 0;
+    for (addr, buf) in held {
+        while live.next_if(|&(a, _)| a < *addr).is_some() {}
+        if live
+            .peek()
+            .is_some_and(|&(a, p)| a == *addr && !Rc::ptr_eq(p, buf))
+        {
+            copied += PAGE_SIZE;
         }
     }
+    copied
 }
 
 /// Announces a pod's address binding with a gratuitous ARP from its VIF.

@@ -51,11 +51,10 @@ pub struct Pod {
     pub next_vpid: Vpid,
     /// Restore-time alternate receive buffers, keyed by socket (§4.1): data
     /// delivered through the interposed `recv` before the real kernel
-    /// buffers are consulted.
+    /// buffers are consulted. A socket's entry goes when its queue drains,
+    /// so an empty map switches the interception off (the paper's
+    /// optimization).
     pub alt_recv: BTreeMap<SocketId, VecDeque<u8>>,
-    /// Whether the `recv` interception fast-path check is active. Cleared
-    /// once every alternate buffer has drained (the paper's optimization).
-    pub intercepting: bool,
     /// Shared-memory keys this pod has used (tracked by the interposer so
     /// checkpoint knows what to save).
     pub shm_keys: BTreeSet<u64>,
@@ -74,7 +73,6 @@ impl Pod {
             pid_to_vpid: BTreeMap::new(),
             next_vpid: 1,
             alt_recv: BTreeMap::new(),
-            intercepting: false,
             shm_keys: BTreeSet::new(),
             sem_keys: BTreeSet::new(),
         }
@@ -116,11 +114,6 @@ impl Pod {
         if let Some(vpid) = self.pid_to_vpid.remove(&pid) {
             self.vpid_to_pid.remove(&vpid);
         }
-    }
-
-    /// True if any alternate receive buffer still holds data.
-    pub fn any_alt_recv(&self) -> bool {
-        self.alt_recv.values().any(|q| !q.is_empty())
     }
 }
 
@@ -168,14 +161,5 @@ mod tests {
         p.forget(100);
         assert_eq!(p.pid_of(1), None);
         assert_eq!(p.vpid_of(100), None);
-    }
-
-    #[test]
-    fn alt_recv_tracking() {
-        let mut p = pod();
-        assert!(!p.any_alt_recv());
-        p.alt_recv
-            .insert(simnet::stack::SocketId(1), VecDeque::from(vec![1u8]));
-        assert!(p.any_alt_recv());
     }
 }

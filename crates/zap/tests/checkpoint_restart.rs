@@ -1292,8 +1292,7 @@ fn cow_arm_drain_matches_eager_capture() {
     // The arm phase hands back only the image skeleton: far smaller than the
     // full image, with the page payload still pending.
     assert!(armed.arm_bytes() < eager.encoded_len() as u64 / 4);
-    assert!(armed.pending_page_bytes() >= eager.page_payload_bytes());
-    assert_eq!(armed.copied_bytes(), 0, "no writes raced yet");
+    assert_eq!(armed.pending_page_bytes(), eager.page_payload_bytes());
 
     // Resume the armed pod and let the guest scribble over snapshot pages.
     z2.resume_pod(&mut k2, pod2, now2).unwrap();
@@ -1321,7 +1320,7 @@ fn cow_arm_drain_matches_eager_capture() {
 }
 
 #[test]
-fn cow_arm_cancel_leaves_pod_running() {
+fn cow_arm_drop_leaves_pod_running() {
     let fs = NetFs::new();
     let (mut k, z) = node(1, 1, &fs);
     let pod = z.create_pod(&mut k, pod_cfg("job", 50)).unwrap();
@@ -1334,10 +1333,34 @@ fn cow_arm_cancel_leaves_pod_running() {
     let armed = z.checkpoint_pod_arm(&mut k, pod, now).unwrap();
     z.resume_pod(&mut k, pod, now).unwrap();
     now += k.run_slice(now).elapsed;
-    armed.cancel();
+    drop(armed);
     assert!(run_until(&mut k, &mut now, 2_000_000, |k| {
         zombie_code(k, &z, pod, vpid).is_some()
     }));
     let expected = (n as u64) * (n as u64 + 1) / 2;
     assert_eq!(zombie_code(&k, &z, pod, vpid), Some(expected));
+}
+
+#[test]
+fn dropped_cow_checkpoint_pins_no_page() {
+    // An armed checkpoint abandoned without a drain (the abort path) must
+    // release the arm-instant pages: once the guest writes on, every
+    // resident page has exactly one owner, its address space.
+    let fs = NetFs::new();
+    let (mut k, z) = node(1, 1, &fs);
+    let pod = z.create_pod(&mut k, pod_cfg("job", 50)).unwrap();
+    let vpid = z
+        .spawn_in_pod(&mut k, pod, &scribbling_program(50_000))
+        .unwrap();
+    let mut now = SimTime::ZERO;
+    for _ in 0..3 {
+        now += k.run_slice(now).elapsed;
+    }
+    drop(z.checkpoint_pod_arm(&mut k, pod, now).unwrap());
+    z.resume_pod(&mut k, pod, now).unwrap();
+    now += k.run_slice(now).elapsed;
+    let pid = z.real_pid(pod, vpid).unwrap();
+    let mem = k.process(pid).unwrap().mem.borrow();
+    assert!(mem.resident_pages() > 1);
+    assert!(mem.pages().all(|(_, p)| std::rc::Rc::strong_count(p) == 1));
 }

@@ -2,11 +2,13 @@
 //! races the drain, what drains out is byte-identical to a stop-the-world
 //! capture of the same frozen instant.
 //!
-//! Two layers are checked. At the memory layer, an armed
-//! [`AddressSpace`] snapshot subjected to arbitrary post-arm writes,
-//! page installs, unmaps, remaps and forks must drain exactly the pages
-//! the space held at the arm, count one copy per page it shared that was
-//! then written, and keep each side of a fork blind to the other's writes.
+//! Two layers are checked. At the memory layer, a snapshot is what a COW
+//! checkpoint's arm takes: a clone of [`AddressSpace::pages`], every
+//! resident page buffer held. Through arbitrary later writes, page
+//! installs, unmaps, remaps and forks, its non-zero pages must be exactly
+//! the pages the space held at the arm; the copies counted must be one per
+//! held page whose address now holds another buffer; and each side of a
+//! fork must stay blind to the other's writes.
 //! At the cluster layer, worlds checkpointing the same instant under each
 //! `CkptCaptureMode` — stop-the-world, write-back and COW — must commit
 //! byte-identical epochs while every job runs to a correct finish.
@@ -19,7 +21,7 @@ use cruz_repro::cluster::{CkptCaptureMode, ClusterParams, JobSpec, PodSpec, Worl
 use cruz_repro::cruz::proto::ProtocolMode;
 use cruz_repro::des::SimDuration;
 use cruz_repro::simnet::addr::{IpAddr, MacAddr};
-use cruz_repro::simos::mem::{AddressSpace, PAGE_SIZE};
+use cruz_repro::simos::mem::{nonzero, AddressSpace, PageBuf, PAGE_SIZE};
 use cruz_repro::workloads::pingpong::PingPongConfig;
 use cruz_repro::zap::image::MacMode;
 use proptest::prelude::*;
@@ -41,8 +43,8 @@ enum MemOp {
     UnmapB,
     /// Map area B again (demand-zero).
     RemapB,
-    /// Fork: a clone of the space, disarmed as `fork` leaves a child, that
-    /// keeps running beside the guest.
+    /// Fork: a clone of the space, holding no snapshot, that keeps running
+    /// beside the guest.
     Fork,
     /// A store by the latest fork child, in area A (which no op unmaps).
     ChildWrite { addr: u64, val: u8, len: usize },
@@ -103,12 +105,11 @@ struct Side {
     b_mapped: bool,
     /// Addresses of the resident pages.
     resident: BTreeSet<u64>,
-    /// Pages resident at the arm that no op has written, replaced or
-    /// dropped since: the pages the snapshot still shares.
+    /// Pages resident at the arm: the addresses the snapshot holds.
+    held: BTreeSet<u64>,
+    /// Held pages that no op has written, replaced or dropped since: the
+    /// pages whose address still holds the snapshot's buffer.
     untouched: BTreeSet<u64>,
-    /// The copy bytes the armed snapshot must have counted: one page for
-    /// each page first written while `untouched`.
-    copies: u64,
 }
 
 impl Side {
@@ -123,9 +124,18 @@ impl Side {
         }
     }
 
-    fn arm(&mut self) {
-        self.space.cow_arm();
+    /// Takes the snapshot: every resident page buffer.
+    fn arm(&mut self) -> Vec<(u64, PageBuf)> {
+        self.held = self.resident.clone();
         self.untouched = self.resident.clone();
+        self.space.pages().map(|(a, p)| (a, p.clone())).collect()
+    }
+
+    /// The copy bytes a drain must count: one page for each held address
+    /// that is resident again but no longer holds the snapshot's buffer.
+    fn copies(&self) -> u64 {
+        let copied = self.held.intersection(&self.resident);
+        copied.filter(|p| !self.untouched.contains(p)).count() as u64 * PAGE_SIZE
     }
 
     /// Applies one op of this side's own (`Fork` and `ChildWrite` are the
@@ -141,9 +151,7 @@ impl Side {
                     .expect("write to mapped area");
                 let page = addr - addr % PAGE_SIZE;
                 self.resident.insert(page);
-                if self.untouched.remove(&page) {
-                    self.copies += PAGE_SIZE;
-                }
+                self.untouched.remove(&page);
             }
             MemOp::Install { page, fill } => {
                 if page >= AREA_B && !self.b_mapped {
@@ -196,7 +204,7 @@ fn run(guest: &mut Side, children: &mut Vec<Child>, ops: &[MemOp]) {
         match *op {
             MemOp::Fork => {
                 let mut side = guest.clone();
-                side.space.cow_disarm();
+                side.held.clear();
                 side.untouched.clear();
                 let expect = bytes_of(&guest.space);
                 children.push(Child { side, expect });
@@ -273,10 +281,10 @@ fn checkpoint_at(at_us: u64, seed: u64, opts: CkptOptions) -> (Vec<(String, Vec<
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// An armed snapshot drains the frozen instant byte-for-byte, no matter
+    /// A held snapshot drains the frozen instant byte-for-byte, no matter
     /// what the owner writes, installs, unmaps, remaps or forks in between;
-    /// it counts one copy per page it shared that was written after the
-    /// arm; the live space keeps the post-arm state; and each side of a
+    /// it counts one copy per held page whose address now holds another
+    /// buffer; the live space keeps the post-arm state; and each side of a
     /// fork sees only its own writes.
     #[test]
     fn cow_drain_matches_frozen_clone_under_arbitrary_writes(
@@ -291,27 +299,25 @@ proptest! {
         // and its pages copied out as plain bytes.
         let frozen = guest.clone();
         let full = bytes_of(&frozen.space);
-        guest.arm();
+        let held = guest.arm();
         run(&mut guest, &mut children, &post);
 
-        let drained: BTreeMap<u64, Vec<u8>> = guest
-            .space
-            .cow_snapshot_pages()
+        let drained: BTreeMap<u64, Vec<u8>> = held
             .iter()
+            .filter(|(_, p)| nonzero(p))
             .map(|(a, p)| (*a, p.to_vec()))
             .collect();
         prop_assert_eq!(&drained, &full);
-        prop_assert_eq!(
-            guest.space.cow_pending_bytes(),
-            full.len() as u64 * PAGE_SIZE
-        );
         prop_assert_eq!(guest.space.resident_pages(), guest.resident.len());
-        prop_assert_eq!(guest.space.cow_copied_bytes(), guest.copies);
+        let live: BTreeMap<u64, &PageBuf> = guest.space.pages().collect();
+        let copied = held
+            .iter()
+            .filter(|(a, p)| live.get(a).is_some_and(|l| !Rc::ptr_eq(l, p)))
+            .count() as u64
+            * PAGE_SIZE;
+        prop_assert_eq!(copied, guest.copies());
 
-        // Disarming frees the snapshot but not the live (post-arm) pages.
-        let copied = guest.space.cow_disarm();
-        prop_assert_eq!(copied, guest.copies);
-        prop_assert!(!guest.space.cow_armed());
+        // The live space keeps the post-arm state.
         let mut replay = frozen;
         for op in &post {
             replay.apply(op);
@@ -319,7 +325,6 @@ proptest! {
         prop_assert_eq!(bytes_of(&guest.space), bytes_of(&replay.space));
 
         for child in &children {
-            prop_assert!(!child.side.space.cow_armed());
             let mut expect = child.expect.clone();
             expect.retain(|_, p| p.iter().any(|&b| b != 0));
             prop_assert_eq!(bytes_of(&child.side.space), expect);
