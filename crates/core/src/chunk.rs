@@ -90,7 +90,20 @@ impl ChunkId {
 
     /// Fixed-width lowercase-hex rendering (the chunk's file name stem).
     pub fn hex(&self) -> String {
-        format!("{:016x}{:016x}", self.0, self.1)
+        let mut hex = String::with_capacity(32);
+        self.push_hex(&mut hex);
+        hex
+    }
+
+    /// Appends [`ChunkId::hex`]'s 32 digits to `out`, written by hand: a
+    /// chunk path is built on every chunk lookup.
+    pub(crate) fn push_hex(&self, out: &mut String) {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        for word in [self.0, self.1] {
+            for nibble in (0..16).rev() {
+                out.push(char::from(DIGITS[(word >> (nibble * 4)) as usize & 0xf]));
+            }
+        }
     }
 }
 
@@ -390,7 +403,49 @@ fn decompress_with_capacity(data: &[u8], cap: usize) -> Result<Vec<u8>, CodecErr
                 return Err(CodecError::BadDistance);
             }
             let start = out.len() - dist;
-            // Byte-by-byte: matches may overlap their own output (RLE).
+            // Block copies from `start`. A match no longer than its
+            // distance is one copy. A longer one overlaps its own output
+            // (RLE) and repeats the `dist` bytes at `start`: copying the
+            // window from `start` keeps that period, and each pass doubles
+            // the window.
+            let mut left = len;
+            while left > 0 {
+                let n = left.min(out.len() - start);
+                out.extend_from_within(start..start + n);
+                left -= n;
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// [`decompress_with_capacity`] as it was first written, one match byte at
+/// a time: the reference the block copies are checked against.
+#[cfg(test)]
+fn decompress_bytewise(data: &[u8]) -> Result<Vec<u8>, CodecError> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < data.len() {
+        let c = data[i];
+        i += 1;
+        if c & 0x80 == 0 {
+            let n = c as usize + 1;
+            if i + n > data.len() {
+                return Err(CodecError::Truncated);
+            }
+            out.extend_from_slice(&data[i..i + n]);
+            i += n;
+        } else {
+            let len = (c & 0x7f) as usize + MIN_MATCH;
+            if i + 2 > data.len() {
+                return Err(CodecError::Truncated);
+            }
+            let dist = u16::from_le_bytes([data[i], data[i + 1]]) as usize;
+            i += 2;
+            if dist == 0 || dist > out.len() {
+                return Err(CodecError::BadDistance);
+            }
+            let start = out.len() - dist;
             for k in 0..len {
                 let b = out[start + k];
                 out.push(b);
@@ -653,6 +708,110 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a, ChunkId::of(b"hello"), "hash is a pure function");
         assert_eq!(a.hex().len(), 32);
+    }
+
+    #[test]
+    fn hex_is_two_padded_lowercase_words() {
+        for id in [
+            ChunkId(0, 0),
+            ChunkId(u64::MAX, 1),
+            ChunkId(0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210),
+            ChunkId::of(b"hello"),
+        ] {
+            assert_eq!(id.hex(), format!("{:016x}{:016x}", id.0, id.1));
+        }
+    }
+
+    /// One token of a [`compress`]-format stream, valid or not.
+    #[derive(Debug, Clone)]
+    enum Token {
+        Literal(Vec<u8>),
+        /// Match length and distance; a distance of 0 or past the output
+        /// start is corrupt.
+        Match(usize, u16),
+        /// Bytes that need not parse as tokens at all.
+        Raw(Vec<u8>),
+    }
+
+    /// A literal, or a match reaching back at most 127 bytes.
+    fn token() -> impl proptest::strategy::Strategy<Value = Token> {
+        use proptest::prelude::*;
+        prop_oneof![
+            3 => proptest::collection::vec(any::<u8>(), 1..=128).prop_map(Token::Literal),
+            4 => (MIN_MATCH..=MAX_MATCH, 1u16..8).prop_map(|(l, d)| Token::Match(l, d)),
+            4 => (MIN_MATCH..=MAX_MATCH, 1u16..128).prop_map(|(l, d)| Token::Match(l, d)),
+        ]
+    }
+
+    /// A [`token`], or a match from anywhere in `u16`, or stray bytes.
+    fn any_token() -> impl proptest::strategy::Strategy<Value = Token> {
+        use proptest::prelude::*;
+        prop_oneof![
+            10 => token(),
+            1 => (MIN_MATCH..=MAX_MATCH, any::<u16>()).prop_map(|(l, d)| Token::Match(l, d)),
+            1 => proptest::collection::vec(any::<u8>(), 1..6).prop_map(Token::Raw),
+        ]
+    }
+
+    fn stream(tokens: &[Token]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for t in tokens {
+            match t {
+                Token::Literal(b) => {
+                    out.push((b.len() - 1) as u8);
+                    out.extend_from_slice(b);
+                }
+                Token::Match(len, dist) => {
+                    out.push(0x80 | (len - MIN_MATCH) as u8);
+                    out.extend_from_slice(&dist.to_le_bytes());
+                }
+                Token::Raw(b) => out.extend_from_slice(b),
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// The block-copying decoder returns exactly what the byte loop
+        /// does, output or error, on token streams with overlapping and
+        /// distant matches, bad distances, stray bytes and truncation, at
+        /// any preallocated capacity.
+        #[test]
+        fn block_copy_decode_matches_the_byte_loop(
+            lead in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=128),
+            tokens in proptest::prop_oneof![
+                proptest::collection::vec(token(), 0..24),
+                proptest::collection::vec(any_token(), 0..24),
+            ],
+            cut in proptest::option::of(0usize..1024),
+            cap in 0usize..4096,
+        ) {
+            // Most streams open with a literal, so that most matches
+            // have output to copy from.
+            let lead = (!lead.is_empty()).then_some(Token::Literal(lead));
+            let mut data = stream(&[lead.into_iter().collect(), tokens].concat());
+            if let Some(cut) = cut {
+                data.truncate(cut);
+            }
+            let expect = decompress_bytewise(&data);
+            proptest::prop_assert_eq!(decompress_with_capacity(&data, cap), expect.clone());
+            proptest::prop_assert_eq!(decompress(&data), expect);
+        }
+
+        /// The same on streams the compressor wrote, over runs and
+        /// repeats that make long overlapping matches.
+        #[test]
+        fn block_copy_decode_round_trips_compressed_runs(
+            parts in proptest::collection::vec((proptest::prelude::any::<u8>(), 1usize..600, 1usize..9), 1..12),
+        ) {
+            let data: Vec<u8> = parts
+                .iter()
+                .flat_map(|&(b, run, period)| (0..run).map(move |i| b.wrapping_add((i % period) as u8)))
+                .collect();
+            let packed = compress(&data);
+            proptest::prop_assert_eq!(decompress_bytewise(&packed), Ok(data.clone()));
+            proptest::prop_assert_eq!(decompress(&packed), Ok(data));
+        }
     }
 
     #[test]

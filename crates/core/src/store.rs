@@ -232,7 +232,7 @@ impl CheckpointStore {
 
     /// Path of a chunk file.
     pub fn chunk_path(&self, id: ChunkId) -> String {
-        chunked::chunk_file(&self.chunk_dir(), id)
+        chunked::chunk_file(&[&self.root, "/ckpt/", &self.job, "/chunks"], id)
     }
 
     /// Directory of the chunk files.
@@ -543,6 +543,18 @@ mod tests {
         w.u64(0);
         w.u32(u32::MAX);
         assert_eq!(decode_manifest(&w.finish()), None);
+    }
+
+    #[test]
+    fn chunk_paths_are_the_chunk_dir_and_the_hex_id() {
+        let id = ChunkId(0x0123_4567_89ab_cdef, 7);
+        for s in [
+            CheckpointStore::new(NetFs::new(), "j"),
+            CheckpointStore::new(NetFs::new(), "slm").with_root("/rep2"),
+        ] {
+            let expect = format!("{}/{:016x}{:016x}.c", s.chunk_dir(), id.0, id.1);
+            assert_eq!(s.chunk_path(id), expect);
+        }
     }
 
     #[test]

@@ -518,7 +518,7 @@ impl CheckpointStore {
                 recs,
                 |(id, seg_len, _)| {
                     let raw = files
-                        .file(&chunk_file(&dir, id))
+                        .file(&chunk_file(&[&dir], id))
                         .and_then(|stored| chunk::decode_chunk_cow(stored).ok())
                         .filter(|raw| raw.len() == seg_len as usize);
                     (id, raw)
@@ -534,9 +534,17 @@ impl CheckpointStore {
     }
 }
 
-/// Path of chunk `id`'s file under the chunk directory `dir`.
-pub(super) fn chunk_file(dir: &str, id: ChunkId) -> String {
-    format!("{dir}/{}.c", id.hex())
+/// Path of chunk `id`'s file under the chunk directory whose path is the
+/// concatenation of `dir`: built in one buffer, without `format!`, since
+/// every chunk lookup builds one.
+pub(super) fn chunk_file(dir: &[&str], id: ChunkId) -> String {
+    let len = dir.iter().map(|part| part.len()).sum::<usize>() + "/.c".len() + 32;
+    let mut path = String::with_capacity(len);
+    dir.iter().for_each(|part| path.push_str(part));
+    path.push('/');
+    id.push_hex(&mut path);
+    path.push_str(".c");
+    path
 }
 
 /// A parsed manifest: `(raw_len, [(id, seg_len, stored_len)])`.

@@ -24,8 +24,17 @@ pub const SHM_MAX_BYTES: u64 = 64 << 20;
 /// Decoded-instruction slots per page: one per 16-byte-aligned PC.
 const SLOTS_PER_PAGE: usize = (PAGE_SIZE / INST_SIZE) as usize;
 
-/// The decode of one aligned PC, once the instruction there was fetched.
-type DecodedSlot = Option<Result<Inst, DecodeError>>;
+/// One page's decoded instructions, one per aligned PC, decode errors
+/// included. Built whole from the page's bytes on the first fetch from
+/// the page and never changed after: a write to the page drops it, and a
+/// fork shares it with the bytes it was decoded from.
+type DecodedPage = Rc<[Result<Inst, DecodeError>; SLOTS_PER_PAGE]>;
+
+/// The bits of a PC that [`AddressSpace`]'s fetch memo matches on: the page
+/// number and the in-slot offset. A PC is served from the memo when this
+/// part of it equals the memo's page address, that is, when it is aligned
+/// and lies in the memo's page.
+const MEMO_MASK: u64 = !(PAGE_SIZE - 1) | (INST_SIZE - 1);
 
 /// One page's bytes: a shared, reference-counted buffer. A fork, an armed
 /// copy-on-write checkpoint, a drained image and a restored space all hold
@@ -117,6 +126,11 @@ pub struct AddressSpace {
     areas: Vec<VmArea>,
     /// Private pages, keyed by page-aligned address.
     pages: BTreeMap<u64, Page>,
+    /// The last page fetched from and its decoded instructions: the same
+    /// `Rc` as that page's `code`. Dropped wherever the page's code can
+    /// change (a write to it, its unmap, an install over it), so while it
+    /// is set it always agrees with the page table.
+    memo: Option<(u64, DecodedPage)>,
 }
 
 /// One resident private page.
@@ -129,16 +143,29 @@ struct Page {
     /// The page's bytes: all a checkpoint ever reads of it. A thin
     /// pointer, so an entry stays two words; a clone shares it.
     bytes: PageBuf,
-    /// Decoded instructions at the page's aligned PCs, filled by
+    /// Decoded instructions at the page's aligned PCs, built by
     /// [`Memory::fetch`] and dropped by every write to the page. Derived
     /// from `bytes` only and kept outside the shared buffer: a clone
-    /// copies it, and an installed page starts without it.
-    code: Option<Box<[DecodedSlot; SLOTS_PER_PAGE]>>,
+    /// shares it, and an installed page starts without it.
+    code: Option<DecodedPage>,
 }
 
 /// True if any byte of the page is non-zero: the pages a checkpoint saves.
+/// Word-at-a-time: 4096 is a multiple of 8, so the check is at most 512
+/// `u64` compares with no tail loop.
 pub fn nonzero(page: &PageBuf) -> bool {
-    page.iter().any(|&b| b != 0)
+    page.chunks_exact(8).any(|w| w != [0u8; 8])
+}
+
+/// Decodes every aligned instruction of a page.
+fn decode_page(bytes: &[u8; PAGE_SIZE as usize]) -> DecodedPage {
+    let at = |i: usize| i * INST_SIZE as usize;
+    Rc::new(std::array::from_fn(|i| {
+        let raw = bytes[at(i)..at(i + 1)]
+            .try_into()
+            .expect("an aligned instruction lies in one page");
+        Inst::decode(raw)
+    }))
 }
 
 /// The area of `areas` (sorted, disjoint) that contains `addr`.
@@ -231,6 +258,7 @@ impl AddressSpace {
         };
         let area = self.areas.remove(pos);
         self.pages.retain(|&a, _| !area.contains(a));
+        self.memo = None;
         true
     }
 
@@ -271,6 +299,7 @@ impl AddressSpace {
     pub fn install_page(&mut self, page_addr: u64, bytes: PageBuf) {
         assert_eq!(page_addr % PAGE_SIZE, 0, "page address must be aligned");
         self.pages.insert(page_addr, Page { bytes, code: None });
+        self.drop_memo(page_addr);
     }
 
     /// Bulk-writes `data` at `addr` ignoring area bounds checks per byte
@@ -328,7 +357,47 @@ impl AddressSpace {
             code: None,
         });
         Rc::make_mut(&mut page.bytes)[in_page..in_page + src.len()].copy_from_slice(src);
-        page.code = None;
+        if page.code.take().is_some() {
+            self.drop_memo(page_addr);
+        }
+    }
+
+    /// Forgets the fetch memo if it serves the page at `page_addr`.
+    fn drop_memo(&mut self, page_addr: u64) {
+        if self.memo.as_ref().is_some_and(|(a, _)| *a == page_addr) {
+            self.memo = None;
+        }
+    }
+
+    /// [`Memory::fetch`] past the memo: the decode of an aligned PC in a
+    /// resident private page, from the page's decoded instructions (built
+    /// whole on the page's first fetch), which become the memo. `None` for
+    /// everything else (unaligned PCs, demand-zero pages, shared segments,
+    /// faults): those take [`fetch_uncached`], which the cache must always
+    /// agree with.
+    ///
+    /// It returns the 16-byte decode, not a `Result<Inst, CpuFault>`: the
+    /// decode comes back in registers, so `fetch` merges it with the memo's
+    /// in registers too. Merged with a result returned through memory, each
+    /// instruction was copied through the stack by overlapping stores that
+    /// defeat store forwarding, which doubled the cost of a memo hit.
+    fn fetch_page(&mut self, pc: u64) -> Option<Result<Inst, DecodeError>> {
+        let in_page = pc & (PAGE_SIZE - 1);
+        if !in_page.is_multiple_of(INST_SIZE) {
+            return None;
+        }
+        let page_addr = pc - in_page;
+        let page = self.pages.get_mut(&page_addr)?;
+        // A page gets a cache only once its area was checked to be private,
+        // and unmapping drops the page with its cache.
+        let private = |a: &VmArea| matches!(a.backing, AreaBacking::Private);
+        if page.code.is_none() && !find_area(&self.areas, pc).is_some_and(private) {
+            return None;
+        }
+        let code = Rc::clone(page.code.get_or_insert_with(|| decode_page(&page.bytes)));
+        let decoded = code[(in_page / INST_SIZE) as usize];
+        self.memo = Some((page_addr, code));
+        Some(decoded)
     }
 
     /// Checks that every byte of `[addr, addr + len)` is mapped, faulting
@@ -423,38 +492,29 @@ impl Memory for AddressSpace {
         Ok(())
     }
 
-    /// Serves aligned PCs in resident private pages from the page's
-    /// decoded-instruction cache, decoding on a miss. Everything else
-    /// (unaligned PCs, demand-zero pages, shared segments, faults) takes
-    /// [`fetch_uncached`], which the cache must always agree with.
+    /// Serves an aligned PC in the memo's page with one compare and one
+    /// index; every other PC takes the page-table walk, which moves the
+    /// memo to the PC's page when that page is cached.
+    #[inline]
     fn fetch(&mut self, pc: u64) -> Result<Inst, CpuFault> {
-        let in_page = pc & (PAGE_SIZE - 1);
-        if !in_page.is_multiple_of(INST_SIZE) {
-            return fetch_uncached(self, pc);
-        }
-        let Some(page) = self.pages.get_mut(&(pc - in_page)) else {
-            return fetch_uncached(self, pc);
+        let decoded = match &self.memo {
+            Some((page_addr, code)) if pc & MEMO_MASK == *page_addr => {
+                code[(pc & (PAGE_SIZE - 1)) as usize / INST_SIZE as usize]
+            }
+            _ => match self.fetch_page(pc) {
+                Some(decoded) => decoded,
+                None => return fetch_uncached(self, pc),
+            },
         };
-        // A page gets a cache only once its area was checked to be private,
-        // and unmapping drops the page with its cache.
-        let private = |a: &VmArea| matches!(a.backing, AreaBacking::Private);
-        if page.code.is_none() && !find_area(&self.areas, pc).is_some_and(private) {
-            return fetch_uncached(self, pc);
-        }
-        let code = page
-            .code
-            .get_or_insert_with(|| Box::new([None; SLOTS_PER_PAGE]));
-        let at = in_page as usize;
-        let decoded = *code[at / INST_SIZE as usize].get_or_insert_with(|| {
-            let raw = page.bytes[at..at + INST_SIZE as usize]
-                .try_into()
-                .expect("an aligned instruction lies in one page");
-            Inst::decode(raw)
-        });
-        decoded.map_err(|e| CpuFault::BadInstruction {
-            pc,
-            opcode: e.opcode,
-        })
+        decoded.map_err(|e| bad_instruction(pc, e))
+    }
+}
+
+/// The fault of an undecodable instruction at `pc`.
+fn bad_instruction(pc: u64, e: DecodeError) -> CpuFault {
+    CpuFault::BadInstruction {
+        pc,
+        opcode: e.opcode,
     }
 }
 
@@ -644,6 +704,125 @@ mod tests {
         // A held address that holds another buffer counts; one that is no
         // longer resident does not.
         assert_eq!(replaced(&s, &held), vec![0x1000, 0x5000]);
+    }
+
+    /// True if the fetch memo, when set, is its page's decoded cache.
+    fn memo_is_its_pages_cache(s: &AddressSpace) -> bool {
+        s.memo.as_ref().is_none_or(|(a, memo)| {
+            let code = s.pages.get(a).and_then(|p| p.code.as_ref());
+            code.is_some_and(|code| Rc::ptr_eq(code, memo))
+        })
+    }
+
+    #[test]
+    fn a_decoded_page_is_one_page_of_memory() {
+        assert_eq!(
+            std::mem::size_of::<[Result<Inst, DecodeError>; SLOTS_PER_PAGE]>(),
+            PAGE_SIZE as usize
+        );
+    }
+
+    #[test]
+    fn a_live_memo_is_always_its_pages_cache() {
+        use simcpu::isa::R1;
+        let text = 0x1000;
+        let program: Vec<u8> = [Inst::Movi { rd: R1, imm: 1 }, Inst::Nop, Inst::Halt]
+            .iter()
+            .flat_map(|i| i.encode())
+            .collect();
+        let load = |s: &mut AddressSpace| {
+            s.map(text, 2 * PAGE_SIZE, "text").unwrap();
+            s.write_bytes(text, &program).unwrap();
+            s.write_bytes(text + PAGE_SIZE, &program).unwrap();
+        };
+        let mut s = AddressSpace::new();
+        load(&mut s);
+        let second = text + PAGE_SIZE;
+        type Step<'a> = (&'a str, Box<dyn Fn(&mut AddressSpace) + 'a>);
+        let steps: Vec<Step> = vec![
+            (
+                "fetch",
+                Box::new(|s| {
+                    let _ = s.fetch(text);
+                }),
+            ),
+            (
+                "fetch other page",
+                Box::new(|s| {
+                    let _ = s.fetch(second);
+                }),
+            ),
+            (
+                "unaligned fetch",
+                Box::new(|s| {
+                    let _ = s.fetch(text + 3);
+                }),
+            ),
+            (
+                "store into memo page",
+                Box::new(|s| s.store_u8(text + 16, 0).unwrap()),
+            ),
+            (
+                "store elsewhere",
+                Box::new(|s| s.store_u8(second + 40, 1).unwrap()),
+            ),
+            (
+                "install over memo page",
+                Box::new(|s| s.install_page(text, page(&program))),
+            ),
+            (
+                "install elsewhere",
+                Box::new(|s| s.install_page(second, page(&program))),
+            ),
+            (
+                "unmap and remap",
+                Box::new(|s| {
+                    s.unmap(text);
+                    load(s);
+                }),
+            ),
+            (
+                "fork and write",
+                Box::new(|s| {
+                    let twin = s.clone();
+                    s.store_u8(text, 0).unwrap();
+                    assert!(memo_is_its_pages_cache(&twin));
+                }),
+            ),
+        ];
+        // Every step after every other, each from a warm memo on one page.
+        for (first, a) in &steps {
+            for (then, b) in &steps {
+                for warm in [text, second] {
+                    let _ = s.fetch(warm);
+                    a(&mut s);
+                    b(&mut s);
+                    assert!(memo_is_its_pages_cache(&s), "{first} then {then}");
+                    // The memo serves exactly what the reference fetch does.
+                    for pc in [text, text + 16, text + 32, second, second + 16] {
+                        let cached = s.fetch(pc);
+                        assert!(memo_is_its_pages_cache(&s));
+                        assert_eq!(cached, fetch_uncached(&mut s, pc), "{first} then {then}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The word-wise check agrees with a bytewise scan on pages with a
+        /// few bytes set anywhere, zero values included.
+        #[test]
+        fn nonzero_matches_a_bytewise_scan(
+            set in proptest::collection::vec((0..PAGE_SIZE as usize, 0u8..4), 0..4),
+        ) {
+            let mut bytes = [0; PAGE_SIZE as usize];
+            for (at, value) in set {
+                bytes[at] = value << 6;
+            }
+            let p = Rc::new(bytes);
+            proptest::prop_assert_eq!(nonzero(&p), p.iter().any(|&b| b != 0));
+        }
     }
 
     #[test]

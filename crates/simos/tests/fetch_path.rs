@@ -10,6 +10,11 @@
 //! text, loader writes and page installs, a held copy-on-write snapshot of
 //! the pages, unmap and remap, fork-style clones, and another process
 //! writing a shared segment.
+//!
+//! The address space also keeps a memo of the last page fetched from, so
+//! the scripts include refetch steps: fetch a slot, change its page, and
+//! fetch the same slot again. A memo that outlives a change to its page
+//! serves the old instruction on the second fetch.
 
 use std::rc::Rc;
 
@@ -124,6 +129,23 @@ fn code(max: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(inst_bytes(), 1..max).prop_map(|v| v.concat())
 }
 
+/// A change to the page of a slot just fetched, between two fetches of it.
+#[derive(Debug, Clone, Copy)]
+enum Change {
+    /// A store through `Memory::store`, the path a guest `st` takes.
+    GuestStore,
+    /// A loader or `write_guest`-style `write_bytes`.
+    WriteBytes,
+    /// A loader install of the whole page.
+    Install,
+    /// Unmap the text area and map it again, reloading the text with the
+    /// new slot.
+    Remap,
+    /// Fork, then write the slot in the child (`true`) or the parent; both
+    /// twins fetch again, and the script goes on in the child.
+    ForkWrite(bool),
+}
+
 /// Something that happens to both sides between bursts of steps.
 #[derive(Debug, Clone)]
 enum Action {
@@ -150,6 +172,27 @@ enum Action {
     PeerShm(u64, Vec<u8>),
     /// Move the PC.
     Jump(u64),
+    /// Fetch the slot at this PC, give it these bytes by this change, and
+    /// fetch it again.
+    Refetch(u64, Change, Vec<u8>),
+}
+
+fn change() -> impl Strategy<Value = Change> {
+    prop_oneof![
+        Just(Change::GuestStore),
+        Just(Change::WriteBytes),
+        Just(Change::Install),
+        Just(Change::Remap),
+        any::<bool>().prop_map(Change::ForkWrite),
+    ]
+}
+
+/// A slot the refetch steps rewrite: a hot one, or any slot of text.
+fn slot() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        3 => (0..HOT_SLOTS).prop_map(|i| TEXT + i * INST_SIZE),
+        1 => (0..TEXT_LEN / INST_SIZE).prop_map(|i| TEXT + i * INST_SIZE),
+    ]
 }
 
 fn action() -> impl Strategy<Value = Action> {
@@ -167,6 +210,7 @@ fn action() -> impl Strategy<Value = Action> {
         1 => Just(Action::Fork),
         1 => (0..PAGE_SIZE - 16, inst_bytes()).prop_map(|(o, d)| Action::PeerShm(o, d)),
         2 => target().prop_map(Action::Jump),
+        3 => (slot(), change(), inst_bytes()).prop_map(|(pc, c, d)| Action::Refetch(pc, c, d)),
     ]
 }
 
@@ -183,7 +227,12 @@ fn step<M: Memory>(side: &mut Side<M>) -> Result<StepOutcome, CpuFault> {
 /// Applies a non-`Run` action to one side's space.
 fn apply(space: &mut AddressSpace, seg: &SharedSeg, text: &[u8], act: &Action) {
     match act {
-        Action::Run(_) | Action::Jump(_) | Action::Fork | Action::CowArm | Action::CowDisarm => {}
+        Action::Run(_)
+        | Action::Jump(_)
+        | Action::Fork
+        | Action::CowArm
+        | Action::CowDisarm
+        | Action::Refetch(..) => {}
         Action::Write(a, d) | Action::Patch(a, d) => {
             let _ = space.write_bytes(*a, d);
         }
@@ -202,6 +251,34 @@ fn apply(space: &mut AddressSpace, seg: &SharedSeg, text: &[u8], act: &Action) {
         Action::PeerShm(o, d) => {
             let at = *o as usize;
             seg.data.borrow_mut()[at..at + d.len()].copy_from_slice(d);
+        }
+    }
+}
+
+/// Gives the slot at `pc` the bytes `d` by `change`, on a space that has
+/// no fork (`ForkWrite` is the caller's).
+fn rewrite(space: &mut AddressSpace, pc: u64, change: Change, d: &[u8]) {
+    match change {
+        Change::GuestStore => space.store(pc, d).unwrap(),
+        Change::WriteBytes | Change::ForkWrite(_) => space.write_bytes(pc, d).unwrap(),
+        Change::Install => {
+            let page_addr = pc & !(PAGE_SIZE - 1);
+            let mut page: [u8; PAGE_SIZE as usize] = space
+                .read_bytes(page_addr, PAGE_SIZE as usize)
+                .unwrap()
+                .try_into()
+                .unwrap();
+            let at = (pc - page_addr) as usize;
+            page[at..at + d.len()].copy_from_slice(d);
+            space.install_page(page_addr, Rc::new(page));
+        }
+        Change::Remap => {
+            let mut reload = space.read_bytes(TEXT, TEXT_LEN as usize).unwrap();
+            let at = (pc - TEXT) as usize;
+            reload[at..at + d.len()].copy_from_slice(d);
+            assert!(space.unmap(TEXT));
+            space.map(TEXT, TEXT_LEN, "text").unwrap();
+            space.write_bytes(TEXT, &reload).unwrap();
         }
     }
 }
@@ -272,6 +349,28 @@ proptest! {
                 Action::CowDisarm => {
                     fast_held = None;
                     slow_held = None;
+                }
+                Action::Refetch(pc, change, d) => {
+                    prop_assert_eq!(fast.mem.fetch(*pc), slow.mem.fetch(*pc));
+                    if let Change::ForkWrite(in_child) = *change {
+                        let (mut fast_child, mut slow_child) =
+                            (fast.mem.clone(), slow.mem.clone());
+                        let (f, s) = if in_child {
+                            (&mut fast_child, &mut slow_child.0)
+                        } else {
+                            (&mut fast.mem, &mut slow.mem.0)
+                        };
+                        rewrite(f, *pc, *change, d);
+                        rewrite(s, *pc, *change, d);
+                        prop_assert_eq!(fast.mem.fetch(*pc), slow.mem.fetch(*pc), "parent");
+                        prop_assert_eq!(fast_child.fetch(*pc), slow_child.fetch(*pc), "child");
+                        fast.mem = fast_child;
+                        slow.mem = slow_child;
+                    } else {
+                        rewrite(&mut fast.mem, *pc, *change, d);
+                        rewrite(&mut slow.mem.0, *pc, *change, d);
+                        prop_assert_eq!(fast.mem.fetch(*pc), slow.mem.fetch(*pc));
+                    }
                 }
                 _ => {
                     apply(&mut fast.mem, &fast.seg, &text, act);

@@ -363,9 +363,10 @@ impl Zap {
             }
             // No page copied here: a write copies any page held here, so
             // the held buffers keep the arm-instant bytes.
-            let pages = mem.pages().map(|(a, p)| (a, p.clone())).collect();
+            let pages: Vec<(u64, PageBuf)> = mem.pages().map(|(a, p)| (a, p.clone())).collect();
             drop(mem);
-            held.push((proc.mem.clone(), pages));
+            let saved = pages.iter().map(|(_, p)| nonzero(p)).collect();
+            held.push((proc.mem.clone(), pages, saved));
 
             // Descriptor table.
             let fds_rc = proc.fds.clone();
@@ -735,9 +736,11 @@ fn check_refs(image: &PodImage) -> Result<(), ZapError> {
     Ok(())
 }
 
-/// A thread group's live address space and the page buffers it held at
-/// the arm, zero pages included, in address order.
-type HeldSpace = (Rc<RefCell<AddressSpace>>, Vec<(u64, PageBuf)>);
+/// A thread group's live address space, the page buffers it held at the
+/// arm, zero pages included, in address order, and which of them the image
+/// saves (the non-zero ones). A held buffer never changes, so that verdict,
+/// taken once at the arm, still holds at the drain.
+type HeldSpace = (Rc<RefCell<AddressSpace>>, Vec<(u64, PageBuf)>, Vec<bool>);
 
 /// A pod checkpoint whose arm phase has completed: the non-memory state is
 /// captured in a page-less skeleton image, and every thread group's
@@ -764,8 +767,8 @@ impl ArmedPodCheckpoint {
     /// without copying anything (the held buffers pin the page set): what
     /// the background encode/write-out schedule is planned from.
     pub fn pending_page_bytes(&self) -> u64 {
-        let pages = self.held.iter().flat_map(|(_, pages)| pages);
-        pages.filter(|(_, p)| nonzero(p)).count() as u64 * PAGE_SIZE
+        let saved = self.held.iter().flat_map(|(_, _, saved)| saved);
+        saved.filter(|&&s| s).count() as u64 * PAGE_SIZE
     }
 
     /// The **drain** half: hands each group's held non-zero pages to the
@@ -775,9 +778,10 @@ impl ArmedPodCheckpoint {
     pub fn drain(self) -> (PodImage, u64) {
         let mut image = self.skeleton;
         let mut copied = 0;
-        for (group, (space, mut pages)) in image.groups.iter_mut().zip(self.held) {
+        for (group, (space, mut pages, saved)) in image.groups.iter_mut().zip(self.held) {
             copied += copied_bytes(&space.borrow(), &pages);
-            pages.retain(|(_, p)| nonzero(p));
+            let mut saved = saved.into_iter();
+            pages.retain(|_| saved.next() == Some(true));
             group.pages = pages;
         }
         (image, copied)
