@@ -89,13 +89,19 @@ impl OpRuntime {
     }
 }
 
+/// How many completed operations keep their reports: the newest, by id. A
+/// report is read right after its operation finishes; keeping every one
+/// would grow memory with the number of operations a world runs.
+pub(crate) const RETIRED_OPS_KEPT: usize = 64;
+
 /// What the engine keeps of a completed operation: its report. A settled
 /// coordinator ignores every further message, retry and timeout, and every
 /// agent has resumed, so nothing else of the operation is read again; a
 /// retransmission still arriving for it names no live operation, and the
 /// coordinator endpoint drops it like a frame lost in flight. Retiring
 /// keeps a long-running world's memory from growing with the number of
-/// operations it has run.
+/// operations it has run; so does keeping only the newest
+/// [`RETIRED_OPS_KEPT`] of them.
 pub(crate) struct RetiredOp {
     report: OpReport,
     error: Option<CruzError>,
@@ -425,7 +431,10 @@ impl World {
         }
     }
 
-    /// A report of an operation's progress/outcome.
+    /// A report of an operation's progress/outcome. `None` for an id never
+    /// issued, and for a completed operation whose report was evicted: the
+    /// world keeps the reports of its newest 64 completed operations only
+    /// (`RETIRED_OPS_KEPT`).
     pub fn op_report(&self, op: u64) -> Option<OpReport> {
         match self.ops.get(&op) {
             Some(o) => Some(o.report()),
@@ -437,11 +446,15 @@ impl World {
     pub fn op_finished(&self, op: u64) -> bool {
         match self.ops.get(&op) {
             Some(o) => o.settled(),
-            None => self.retired_ops.contains_key(&op),
+            // Every issued id went into `ops` and leaves it only when the
+            // op completes, whether or not its report is still kept.
+            None => (1..self.next_op).contains(&op),
         }
     }
 
     /// The control-plane error that force-aborted an operation, if any.
+    /// `None` too for a completed operation whose report was evicted (see
+    /// [`World::op_report`]).
     pub fn op_error(&self, op: u64) -> Option<&CruzError> {
         match self.ops.get(&op) {
             Some(o) => o.error.as_ref(),
@@ -512,6 +525,9 @@ impl World {
                 error: o.error,
             };
             self.retired_ops.insert(op, retired);
+            if self.retired_ops.len() > RETIRED_OPS_KEPT {
+                self.retired_ops.pop_first();
+            }
         }
         if let Some(r) = self.recovery_waiting_on(op) {
             r.recovered_at = Some(now);
@@ -676,5 +692,55 @@ impl World {
             let at = self.ctl_slot(n);
             self.arm(at, Event::CoordCtl { op, from, msg });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ClusterParams, JobSpec, PodSpec};
+    use simnet::addr::{IpAddr, MacAddr};
+    use workloads::ComputeConfig;
+    use zap::image::MacMode;
+
+    #[test]
+    fn retired_reports_are_bounded_and_evicted_ops_stay_finished() {
+        let mut w = World::new(2, ClusterParams::default());
+        let cfg = ComputeConfig {
+            outer: 1 << 40,
+            inner: 100,
+        };
+        let job = JobSpec {
+            name: "c".into(),
+            coordinator_node: 1,
+            pods: vec![PodSpec {
+                name: "p".into(),
+                ip: IpAddr::from_octets([10, 0, 1, 1]),
+                mac_mode: MacMode::Dedicated(MacAddr::from_index(2001)),
+                node: 0,
+                programs: vec![cfg.program()],
+            }],
+        };
+        w.launch_job(&job).unwrap();
+        let mut ops = Vec::new();
+        for _ in 0..RETIRED_OPS_KEPT + 3 {
+            let op = w
+                .start_checkpoint("c", ProtocolMode::Blocking, None)
+                .unwrap();
+            assert!(w.run_until_op(op, 1_000_000), "checkpoint {op} finishes");
+            assert!(w.op_report(op).is_some_and(|r| r.complete));
+            w.store("c").discard_epoch(op);
+            ops.push(op);
+            assert!(w.retired_ops.len() <= RETIRED_OPS_KEPT);
+        }
+        assert_eq!(w.retired_ops.len(), RETIRED_OPS_KEPT);
+        let (first, last) = (ops[0], ops[ops.len() - 1]);
+        assert!(w.op_finished(first), "an evicted op is still finished");
+        assert!(w.op_report(first).is_none() && w.op_error(first).is_none());
+        assert!(w.op_report(last).is_some(), "the newest report is kept");
+        assert!(
+            !w.op_finished(0) && !w.op_finished(last + 1),
+            "never issued"
+        );
     }
 }

@@ -15,6 +15,7 @@ use std::fmt;
 use des::{EventQueue, SimTime};
 use simnet::link::LinkState;
 use simnet::switch::Switch;
+use simnet::EthFrame;
 use simos::fs::NetFs;
 use zap::ZapError;
 
@@ -130,6 +131,9 @@ pub struct World {
     /// every discard on a protocol path to either land here or carry a
     /// reasoned `allow`.
     pub(crate) soft_faults: Vec<(SimTime, &'static str, ClusterError)>,
+    /// Scratch for the frames one node hands its uplink, reused call to
+    /// call.
+    pub(crate) frames: Vec<EthFrame>,
 }
 
 impl fmt::Debug for World {

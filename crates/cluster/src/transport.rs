@@ -415,15 +415,10 @@ mod tests {
         }
         let now = w.now;
         loop {
-            let frames: Vec<(usize, EthFrame)> = (0..w.node_count())
-                .flat_map(|n| {
-                    w.nodes[n]
-                        .kernel
-                        .take_frames()
-                        .into_iter()
-                        .map(move |f| (n, f))
-                })
-                .collect();
+            let mut frames: Vec<(usize, EthFrame)> = Vec::new();
+            for n in 0..w.node_count() {
+                frames.extend(w.nodes[n].kernel.take_frames().map(|f| (n, f)));
+            }
             if frames.is_empty() {
                 return;
             }

@@ -175,6 +175,7 @@ impl World {
             recovery_reports: Vec::new(),
             recoveries: BTreeMap::new(),
             soft_faults: Vec::new(),
+            frames: Vec::new(),
         })
     }
 
@@ -542,18 +543,23 @@ impl World {
     }
 
     fn on_frame_at_switch(&mut self, from_port: usize, frame: EthFrame) {
-        let outs = self.switch.forward(PortId(from_port), &frame);
-        for PortId(p) in outs {
-            let deliver =
-                self.links_down[p].schedule(self.now, frame.wire_len(), &self.params.link);
-            self.arm(
-                deliver,
-                Event::FrameAtNode {
-                    port: p,
-                    frame: frame.clone(),
-                },
-            );
+        let mut outs = self.switch.forward(PortId(from_port), &frame);
+        let Some(PortId(mut port)) = outs.next() else {
+            return;
+        };
+        // Every output port but the last gets a copy; the last takes the
+        // frame.
+        for PortId(next) in outs {
+            self.send_down(port, frame.clone());
+            port = next;
         }
+        self.send_down(port, frame);
+    }
+
+    /// Puts a frame on the switch's downlink to node `port`.
+    fn send_down(&mut self, port: usize, frame: EthFrame) {
+        let deliver = self.links_down[port].schedule(self.now, frame.wire_len(), &self.params.link);
+        self.arm(deliver, Event::FrameAtNode { port, frame });
     }
 
     fn on_frame_at_node(&mut self, port: usize, frame: EthFrame) {
@@ -610,11 +616,12 @@ impl World {
     /// leave a node. A crashed node is silent: whatever its stack queued
     /// (a coordinator's pending `Start`s, say) is dropped here.
     fn emit_frames(&mut self, n: usize, at: SimTime) {
-        let frames = self.nodes[n].kernel.take_frames();
+        let mut frames = std::mem::take(&mut self.frames);
+        frames.extend(self.nodes[n].kernel.take_frames());
         if !self.nodes[n].alive() {
-            return;
+            frames.clear();
         }
-        for frame in frames {
+        for frame in frames.drain(..) {
             let arrive = self.links_up[n].schedule(at, frame.wire_len(), &self.params.link);
             self.arm(
                 arrive,
@@ -624,6 +631,7 @@ impl World {
                 },
             );
         }
+        self.frames = frames;
     }
 
     fn reschedule_timer(&mut self, n: usize) {

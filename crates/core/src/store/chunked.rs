@@ -85,8 +85,8 @@ impl PreparedChunked {
     /// The serialized manifest. The manifest fixes every chunk id, segment
     /// length, and stored length, so byte-equality of two manifests over
     /// the same image proves two prepare paths did identical work — the
-    /// equivalence check the hot-path benchmarks and twin-path property
-    /// tests pin.
+    /// equivalence the twin-path property tests
+    /// (`tests/hotpath_properties.rs`) pin.
     pub fn manifest(&self) -> &[u8] {
         &self.manifest
     }

@@ -55,8 +55,7 @@ pub fn fold(mut h: u64, data: &[u8]) -> u64 {
 
 /// The straight-line byte-at-a-time reference fold. Semantically identical
 /// to [`fold`]; kept as the auditable definition the optimized word loop is
-/// property-tested against, and as the baseline the hot-path benches
-/// measure the unrolled fold over.
+/// tested against.
 #[must_use]
 pub fn fold_bytewise(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
@@ -161,9 +160,10 @@ fn fold2_word(mut h1: u64, mut h2: u64, x: u64) -> (u64, u64) {
 }
 
 /// One fully-unrolled word step: folds the eight little-endian bytes of
-/// `x` into `h` in byte order.
+/// `x` into `h` in byte order. A `const fn`, so a fold of constants (an
+/// event tag from [`OFFSET`]) can happen at compile time.
 #[inline]
-fn fold_word(mut h: u64, x: u64) -> u64 {
+const fn fold_word(mut h: u64, x: u64) -> u64 {
     h = (h ^ (x & 0xff)).wrapping_mul(PRIME);
     h = (h ^ ((x >> 8) & 0xff)).wrapping_mul(PRIME);
     h = (h ^ ((x >> 16) & 0xff)).wrapping_mul(PRIME);
@@ -178,9 +178,9 @@ fn fold_word(mut h: u64, x: u64) -> u64 {
 /// Folds one `u64` into the running digest as its eight little-endian
 /// bytes — the word-granular variant the event-trace digest uses on its
 /// hot path. Takes the unrolled word step directly, with no byte
-/// round-trip.
+/// round-trip, and is usable in `const` items.
 #[must_use]
-pub fn fold_u64(h: u64, word: u64) -> u64 {
+pub const fn fold_u64(h: u64, word: u64) -> u64 {
     fold_word(h, word)
 }
 

@@ -13,6 +13,12 @@ use crate::time::SimTime;
 /// Ties on the timestamp are broken by insertion order (FIFO), so a run is a
 /// pure function of the sequence of `push` calls.
 ///
+/// The binary heap holds only `(key, slot)` pairs; payloads sit in a slab
+/// whose popped slots a free list hands to the next push. A cluster event
+/// carries an inline Ethernet frame of ~100 bytes, so the heap sifts
+/// 32-byte entries instead, and the slab grows only to the peak number of
+/// pending events.
+///
 /// # Examples
 ///
 /// ```
@@ -28,22 +34,49 @@ use crate::time::SimTime;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Entry<T>>,
+    /// The pending keys, each naming the slab slot of its payload.
+    heap: BinaryHeap<Pending>,
+    /// Payload slab: `Some` while its key is in the heap.
+    slots: Vec<Option<T>>,
+    /// Slots whose payload was popped, ready for the next push.
+    free: Vec<u32>,
     seq: u64,
 }
 
-/// Heap entry with the ordering key packed into one `u128`:
-/// `(timestamp_nanos << 64) | seq`. Comparing the packed key is a single
-/// wide compare instead of a two-field lexicographic chain, and it orders
-/// identically — timestamps occupy the high bits, the per-push sequence
-/// number the low bits, and `seq` is a monotone `u64` that never wraps
-/// within a run.
-#[derive(Debug, Clone)]
-struct Entry<T> {
+/// One heap entry: an event's ordering key and the slab slot holding its
+/// payload. Only the key orders entries; keys are unique.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
     key: u128,
-    payload: T,
+    slot: u32,
 }
 
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl Eq for Pending {}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap; invert so the earliest (then first-pushed)
+        // entry surfaces first.
+        other.key.cmp(&self.key)
+    }
+}
+
+/// The ordering key packed into one `u128`: `(timestamp_nanos << 64) |
+/// seq`. Comparing the packed key is a single wide compare instead of a
+/// two-field lexicographic chain, and it orders identically — timestamps
+/// occupy the high bits, the per-push sequence number the low bits, and
+/// `seq` is a monotone `u64` that never wraps within a run.
 fn pack_key(at: SimTime, seq: u64) -> u128 {
     ((at.as_nanos() as u128) << 64) | seq as u128
 }
@@ -52,32 +85,13 @@ fn key_time(key: u128) -> SimTime {
     SimTime::from_nanos((key >> 64) as u64)
 }
 
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl<T> Eq for Entry<T> {}
-
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (then first-pushed)
-        // entry surfaces first.
-        other.key.cmp(&self.key)
-    }
-}
-
 impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             seq: 0,
         }
     }
@@ -86,20 +100,36 @@ impl<T> EventQueue<T> {
     pub fn push(&mut self, at: SimTime, payload: T) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                debug_assert!(self.slots[slot as usize].is_none(), "slot still live");
+                self.slots[slot as usize] = Some(payload);
+                slot
+            }
+            None => {
+                self.slots.push(Some(payload));
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 pending events")
+            }
+        };
+        self.heap.push(Pending {
             key: pack_key(at, seq),
-            payload,
+            slot,
         });
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|e| (key_time(e.key), e.payload))
+        let Pending { key, slot } = self.heap.pop()?;
+        let payload = self.slots[slot as usize]
+            .take()
+            .expect("a queued key names a live slot");
+        self.free.push(slot);
+        Some((key_time(key), payload))
     }
 
     /// Returns the timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| key_time(e.key))
+        self.heap.peek().map(|p| key_time(p.key))
     }
 
     /// Returns the number of pending events.
@@ -115,6 +145,8 @@ impl<T> EventQueue<T> {
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.slots.clear();
+        self.free.clear();
     }
 }
 

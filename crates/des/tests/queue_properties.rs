@@ -63,4 +63,45 @@ proptest! {
             }
         }
     }
+    /// Payload slots are reused many times over: pushes, pops and clears
+    /// interleave on a small working set, and every pop must hand back
+    /// exactly the payload the sorted `(time, arm order)` reference names.
+    /// A slot reused while its payload is still queued would surface
+    /// another event's payload here.
+    #[test]
+    fn slab_slots_are_reused_without_aliasing(
+        ops in proptest::collection::vec((0u8..10, 0u64..16), 1..400),
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference: Vec<(u64, u64)> = Vec::new();
+        let mut arm = 0u64;
+        for (op, t) in ops {
+            match op {
+                // Pushes and pops balance, so the queue stays small and
+                // its slots turn over; a clear now and then empties it.
+                0..=4 => {
+                    q.push(SimTime::from_nanos(t), arm);
+                    reference.push((t, arm));
+                    arm += 1;
+                }
+                5..=8 => {
+                    let want = reference
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|&(_, &key)| key)
+                        .map(|(i, _)| i)
+                        .map(|i| reference.remove(i));
+                    let got = q.pop().map(|(at, id)| (at.as_nanos(), id));
+                    prop_assert_eq!(got, want);
+                }
+                _ => {
+                    q.clear();
+                    reference.clear();
+                }
+            }
+            prop_assert_eq!(q.len(), reference.len());
+            let earliest = reference.iter().map(|&(t, _)| t).min();
+            prop_assert_eq!(q.peek_time().map(SimTime::as_nanos), earliest);
+        }
+    }
 }

@@ -145,6 +145,9 @@ pub struct NetStack {
 
     out: Vec<EthFrame>,
     wakes: Vec<SockEvent>,
+    /// Scratch for the segments one TCB call emits, reused call to call
+    /// (taken while a call runs, put back once they are routed).
+    segs: Vec<TcpSegment>,
     /// Unresolved destinations: last ARP request time and queued packets.
     pending_arp: BTreeMap<IpAddr, (SimTime, Vec<Ipv4Packet>)>,
     loopback: VecDeque<Ipv4Packet>,
@@ -187,6 +190,7 @@ impl NetStack {
             next_iss: 1000,
             out: Vec::new(),
             wakes: Vec::new(),
+            segs: Vec::new(),
             pending_arp: BTreeMap::new(),
             loopback: VecDeque::new(),
             egress_drops: 0,
@@ -271,14 +275,15 @@ impl NetStack {
 
     // ---- host-facing queues ----------------------------------------------
 
-    /// Drains frames queued for transmission on the physical link.
-    pub fn take_outgoing(&mut self) -> Vec<EthFrame> {
-        std::mem::take(&mut self.out)
+    /// Drains frames queued for transmission on the physical link, in
+    /// queue order. The queue keeps its capacity for the next frames.
+    pub fn take_outgoing(&mut self) -> std::vec::Drain<'_, EthFrame> {
+        self.out.drain(..)
     }
 
-    /// Drains readiness transitions since the last call.
-    pub fn take_wakes(&mut self) -> Vec<SockEvent> {
-        std::mem::take(&mut self.wakes)
+    /// Drains readiness transitions since the last call, in order.
+    pub fn take_wakes(&mut self) -> std::vec::Drain<'_, SockEvent> {
+        self.wakes.drain(..)
     }
 
     /// The earliest pending protocol timer across all sockets.
@@ -305,20 +310,22 @@ impl NetStack {
                 _ => None,
             })
             .collect();
+        let mut segs = std::mem::take(&mut self.segs);
         for sid in due {
-            let (segs, local, remote, before, after) = {
+            let (local, remote, before, after) = {
                 let Some(SockEntry::TcpConn(tcb)) = self.socks.get_mut(&sid) else {
                     continue;
                 };
                 let before = readiness(tcb);
-                let segs = tcb.on_timer(now);
+                tcb.on_timer(now, &mut segs);
                 let after = readiness(tcb);
-                (segs, tcb.local(), tcb.remote(), before, after)
+                (tcb.local(), tcb.remote(), before, after)
             };
             self.push_readiness_wakes(sid, before, after);
-            self.route_segments(local, remote, segs, now);
+            self.route_segments(local, remote, &mut segs, now);
             self.reap_closed(sid);
         }
+        self.segs = segs;
         self.drain_loopback(now);
     }
 
@@ -377,23 +384,18 @@ impl NetStack {
         let remote = SockAddr::new(src_ip, seg.src_port);
         // Established connection?
         if let Some(&sid) = self.conn_index.get(&(local, remote)) {
-            let (replies, l, r, before, after, newly_connected) = {
+            let mut replies = std::mem::take(&mut self.segs);
+            let (l, r, before, after, newly_connected) = {
                 let Some(SockEntry::TcpConn(tcb)) = self.socks.get_mut(&sid) else {
+                    self.segs = replies;
                     return;
                 };
                 let before = readiness(tcb);
                 let was_connected = tcb.is_connected();
-                let replies = tcb.on_segment(&seg, now);
+                tcb.on_segment(&seg, now, &mut replies);
                 let after = readiness(tcb);
                 let newly_connected = !was_connected && tcb.is_connected();
-                (
-                    replies,
-                    tcb.local(),
-                    tcb.remote(),
-                    before,
-                    after,
-                    newly_connected,
-                )
+                (tcb.local(), tcb.remote(), before, after, newly_connected)
             };
             self.push_readiness_wakes(sid, before, after);
             if newly_connected {
@@ -401,7 +403,8 @@ impl NetStack {
                 // Notify the parent listener, if this was a pending child.
                 self.promote_pending_child(sid);
             }
-            self.route_segments(l, r, replies, now);
+            self.route_segments(l, r, &mut replies, now);
+            self.segs = replies;
             self.reap_closed(sid);
             return;
         }
@@ -461,14 +464,14 @@ impl NetStack {
             return; // silently drop the SYN; client will retransmit
         }
         let iss = self.alloc_iss();
-        let (tcb, segs) = Tcb::accept_syn(self.tcp_cfg.clone(), local, remote, iss, syn, now);
+        let (tcb, mut segs) = Tcb::accept_syn(self.tcp_cfg.clone(), local, remote, iss, syn, now);
         let sid = self.alloc_sock();
         self.socks.insert(sid, SockEntry::TcpConn(Box::new(tcb)));
         self.conn_index.insert((local, remote), sid);
         if let Some(SockEntry::TcpListen { pending, .. }) = self.socks.get_mut(&lsid) {
             pending.push_back(sid);
         }
-        self.route_segments(local, remote, segs, now);
+        self.route_segments(local, remote, &mut segs, now);
     }
 
     /// When a pending child completes its handshake, wake accepters.
@@ -531,9 +534,11 @@ impl NetStack {
         };
         match entry {
             SockEntry::TcpConn(tcb) => {
-                let segs = tcb.close(now);
+                let mut segs = std::mem::take(&mut self.segs);
+                tcb.close(now, &mut segs);
                 let (l, r) = (tcb.local(), tcb.remote());
-                self.route_segments(l, r, segs, now);
+                self.route_segments(l, r, &mut segs, now);
+                self.segs = segs;
                 self.reap_closed(sid);
             }
             SockEntry::TcpListen { local, .. } => {
@@ -717,10 +722,10 @@ impl NetStack {
             return Err(NetError::AddrInUse);
         }
         let iss = self.alloc_iss();
-        let (tcb, segs) = Tcb::connect(self.tcp_cfg.clone(), local, remote, iss, now);
+        let (tcb, mut segs) = Tcb::connect(self.tcp_cfg.clone(), local, remote, iss, now);
         self.socks.insert(sid, SockEntry::TcpConn(Box::new(tcb)));
         self.conn_index.insert((local, remote), sid);
-        self.route_segments(local, remote, segs, now);
+        self.route_segments(local, remote, &mut segs, now);
         self.drain_loopback(now);
         Ok(())
     }
@@ -737,17 +742,12 @@ impl NetStack {
         data: &[u8],
         now: SimTime,
     ) -> Result<usize, NetError> {
-        let (n, segs, l, r) = {
-            let tcb = self.conn_mut(sid)?;
+        self.with_conn(sid, now, |tcb, segs| {
             if tcb.is_reset() {
                 return Err(NetError::ConnectionReset);
             }
-            let (n, segs) = tcb.write(data, now);
-            (n, segs, tcb.local(), tcb.remote())
-        };
-        self.route_segments(l, r, segs, now);
-        self.drain_loopback(now);
-        Ok(n)
+            Ok(tcb.write(data, now, segs))
+        })
     }
 
     /// How many bytes [`NetStack::tcp_send`] would accept now (0 for
@@ -769,23 +769,18 @@ impl NetStack {
         max: usize,
         now: SimTime,
     ) -> Result<RecvOutcome, NetError> {
-        let (out, segs, l, r) = {
-            let tcb = self.conn_mut(sid)?;
-            let (data, segs) = tcb.read(max, now);
-            let outcome = if !data.is_empty() {
-                RecvOutcome::Data(data)
+        self.with_conn(sid, now, |tcb, segs| {
+            let data = tcb.read(max, now, segs);
+            if !data.is_empty() {
+                Ok(RecvOutcome::Data(data))
             } else if tcb.is_reset() {
-                return Err(NetError::ConnectionReset);
+                Err(NetError::ConnectionReset)
             } else if tcb.state().peer_closed() {
-                RecvOutcome::Eof
+                Ok(RecvOutcome::Eof)
             } else {
-                RecvOutcome::WouldBlock
-            };
-            (outcome, segs, tcb.local(), tcb.remote())
-        };
-        self.route_segments(l, r, segs, now);
-        self.drain_loopback(now);
-        Ok(out)
+                Ok(RecvOutcome::WouldBlock)
+            }
+        })
     }
 
     /// Sets `TCP_NODELAY`.
@@ -799,14 +794,10 @@ impl NetStack {
         on: bool,
         now: SimTime,
     ) -> Result<(), NetError> {
-        let (segs, l, r) = {
-            let tcb = self.conn_mut(sid)?;
-            let segs = tcb.set_nodelay(on, now);
-            (segs, tcb.local(), tcb.remote())
-        };
-        self.route_segments(l, r, segs, now);
-        self.drain_loopback(now);
-        Ok(())
+        self.with_conn(sid, now, |tcb, segs| {
+            tcb.set_nodelay(on, now, segs);
+            Ok(())
+        })
     }
 
     /// Sets `TCP_CORK`.
@@ -815,14 +806,10 @@ impl NetStack {
     ///
     /// [`NetError::InvalidState`] if not a connection.
     pub fn tcp_set_cork(&mut self, sid: SocketId, on: bool, now: SimTime) -> Result<(), NetError> {
-        let (segs, l, r) = {
-            let tcb = self.conn_mut(sid)?;
-            let segs = tcb.set_cork(on, now);
-            (segs, tcb.local(), tcb.remote())
-        };
-        self.route_segments(l, r, segs, now);
-        self.drain_loopback(now);
-        Ok(())
+        self.with_conn(sid, now, |tcb, segs| {
+            tcb.set_cork(on, now, segs);
+            Ok(())
+        })
     }
 
     /// Readiness and status of a TCP connection.
@@ -938,6 +925,29 @@ impl NetStack {
         }
     }
 
+    /// Runs an application call on connection `sid`, handing it the
+    /// reusable segment buffer; on success routes what the call emitted
+    /// and delivers any loopback traffic. An error routes nothing.
+    fn with_conn<R>(
+        &mut self,
+        sid: SocketId,
+        now: SimTime,
+        call: impl FnOnce(&mut Tcb, &mut Vec<TcpSegment>) -> Result<R, NetError>,
+    ) -> Result<R, NetError> {
+        let mut segs = std::mem::take(&mut self.segs);
+        let done = self
+            .conn_mut(sid)
+            .and_then(|tcb| Ok((call(tcb, &mut segs)?, tcb.local(), tcb.remote())));
+        if let Ok((_, l, r)) = done {
+            self.route_segments(l, r, &mut segs, now);
+        }
+        debug_assert!(segs.is_empty(), "a failed call emitted segments");
+        self.segs = segs;
+        let (out, _, _) = done?;
+        self.drain_loopback(now);
+        Ok(out)
+    }
+
     fn alloc_sock(&mut self) -> SocketId {
         let sid = SocketId(self.next_sock);
         self.next_sock += 1;
@@ -977,15 +987,16 @@ impl NetStack {
         }
     }
 
-    /// Wraps segments of a connection into IPv4 packets and routes them.
+    /// Wraps segments of a connection into IPv4 packets and routes them,
+    /// in order, leaving `segs` empty.
     fn route_segments(
         &mut self,
         local: SockAddr,
         remote: SockAddr,
-        segs: Vec<TcpSegment>,
+        segs: &mut Vec<TcpSegment>,
         now: SimTime,
     ) {
-        for seg in segs {
+        for seg in segs.drain(..) {
             self.send_ip(
                 Ipv4Packet {
                     src: local.ip,
@@ -1001,15 +1012,18 @@ impl NetStack {
     /// ARP resolution, frame emission.
     fn send_ip(&mut self, pkt: Ipv4Packet, now: SimTime) {
         // Egress filter — built from the same rules as ingress, so a drop
-        // rule really silences the pod in both directions.
-        let probe = EthFrame::new(
-            MacAddr::default(),
-            MacAddr::default(),
-            EthPayload::Ipv4(pkt.clone()),
-        );
-        if self.filter.check(&probe) == Verdict::Drop {
-            self.egress_drops += 1;
-            return;
+        // rule really silences the pod in both directions. An empty rule
+        // set accepts everything, so only a set with rules needs the probe.
+        if self.filter.has_rules() {
+            let probe = EthFrame::new(
+                MacAddr::default(),
+                MacAddr::default(),
+                EthPayload::Ipv4(pkt.clone()),
+            );
+            if self.filter.check(&probe) == Verdict::Drop {
+                self.egress_drops += 1;
+                return;
+            }
         }
         let src_mac = self.mac_for_ip(pkt.src);
         if pkt.dst.is_broadcast() {

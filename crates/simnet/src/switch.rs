@@ -44,24 +44,38 @@ impl Switch {
     }
 
     /// Processes a frame arriving on `in_port`; returns the output ports the
-    /// frame is forwarded to.
+    /// frame is forwarded to, in port order.
     ///
     /// # Panics
     ///
     /// Panics if `in_port` is out of range.
-    pub fn forward(&mut self, in_port: PortId, frame: &EthFrame) -> Vec<PortId> {
+    pub fn forward(&mut self, in_port: PortId, frame: &EthFrame) -> Egress {
         assert!(in_port.0 < self.ports, "input port out of range");
         // Learn the source binding (moves override, handling migration).
         if !frame.src.is_broadcast() {
             self.table.insert(frame.src, in_port);
         }
+        let flood = Egress {
+            next: 0,
+            end: self.ports,
+            skip: in_port.0,
+        };
         if frame.dst.is_broadcast() {
-            return self.flood(in_port);
+            return flood;
         }
         match self.table.get(&frame.dst) {
-            Some(&p) if p == in_port => Vec::new(), // would hairpin; drop
-            Some(&p) => vec![p],
-            None => self.flood(in_port),
+            // Would hairpin: drop.
+            Some(&p) if p == in_port => Egress {
+                next: 0,
+                end: 0,
+                skip: 0,
+            },
+            Some(&PortId(p)) => Egress {
+                next: p,
+                end: p + 1,
+                skip: usize::MAX,
+            },
+            None => flood,
         }
     }
 
@@ -69,12 +83,31 @@ impl Switch {
     pub fn learned_port(&self, mac: MacAddr) -> Option<PortId> {
         self.table.get(&mac).copied()
     }
+}
 
-    fn flood(&self, in_port: PortId) -> Vec<PortId> {
-        (0..self.ports)
-            .filter(|&p| p != in_port.0)
-            .map(PortId)
-            .collect()
+/// The output ports of one forwarding decision, in port order: the one
+/// learned port, every port but the input (a flood), or none (a hairpin).
+/// Computed, never allocated.
+#[derive(Debug, Clone)]
+pub struct Egress {
+    next: usize,
+    end: usize,
+    /// The input port a flood passes over.
+    skip: usize,
+}
+
+impl Iterator for Egress {
+    type Item = PortId;
+
+    fn next(&mut self) -> Option<PortId> {
+        if self.next == self.skip {
+            self.next += 1;
+        }
+        if self.next >= self.end {
+            return None;
+        }
+        self.next += 1;
+        Some(PortId(self.next - 1))
     }
 }
 
@@ -106,20 +139,23 @@ mod tests {
         let mut sw = Switch::new(4);
         // Unknown destination: flood.
         let out = sw.forward(PortId(0), &frame(mac(1), mac(2)));
-        assert_eq!(out, vec![PortId(1), PortId(2), PortId(3)]);
+        assert_eq!(out.collect::<Vec<_>>(), [PortId(1), PortId(2), PortId(3)]);
         // mac(2) answers from port 2.
         let out = sw.forward(PortId(2), &frame(mac(2), mac(1)));
-        assert_eq!(out, vec![PortId(0)], "mac(1) was learned");
+        assert_eq!(out.collect::<Vec<_>>(), [PortId(0)], "mac(1) was learned");
         // Now mac(2) is known too.
         let out = sw.forward(PortId(0), &frame(mac(1), mac(2)));
-        assert_eq!(out, vec![PortId(2)]);
+        assert_eq!(out.collect::<Vec<_>>(), [PortId(2)]);
     }
 
     #[test]
     fn broadcast_floods_always() {
         let mut sw = Switch::new(3);
         let out = sw.forward(PortId(1), &frame(mac(1), MacAddr::BROADCAST));
-        assert_eq!(out, vec![PortId(0), PortId(2)]);
+        assert_eq!(out.collect::<Vec<_>>(), [PortId(0), PortId(2)]);
+        // The last port's flood skips nothing past the end.
+        let out = sw.forward(PortId(2), &frame(mac(2), MacAddr::BROADCAST));
+        assert_eq!(out.collect::<Vec<_>>(), [PortId(0), PortId(1)]);
     }
 
     #[test]
@@ -138,8 +174,8 @@ mod tests {
         sw.forward(PortId(0), &frame(mac(1), MacAddr::BROADCAST));
         sw.forward(PortId(0), &frame(mac(2), MacAddr::BROADCAST));
         // Destination known on the same port the frame came from.
-        let out = sw.forward(PortId(0), &frame(mac(1), mac(2)));
-        assert!(out.is_empty());
+        let mut out = sw.forward(PortId(0), &frame(mac(1), mac(2)));
+        assert_eq!(out.next(), None);
     }
 
     #[test]

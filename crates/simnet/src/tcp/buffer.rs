@@ -38,6 +38,9 @@ pub struct AckResult {
 #[derive(Debug, Clone, Default)]
 pub struct SendBuffer {
     inflight: VecDeque<SentSegment>,
+    /// Payload bytes across `inflight`, kept as packets are recorded and
+    /// acknowledged rather than summed on every query.
+    inflight_bytes: usize,
     unsent: VecDeque<u8>,
     capacity: usize,
 }
@@ -48,6 +51,7 @@ impl SendBuffer {
     pub fn new(capacity: usize) -> Self {
         SendBuffer {
             inflight: VecDeque::new(),
+            inflight_bytes: 0,
             unsent: VecDeque::new(),
             capacity,
         }
@@ -65,7 +69,7 @@ impl SendBuffer {
 
     /// Bytes transmitted but not yet acknowledged.
     pub fn inflight_len(&self) -> usize {
-        self.inflight.iter().map(|s| s.data.len()).sum()
+        self.inflight_bytes
     }
 
     /// Bytes accepted from the application but not yet transmitted.
@@ -88,11 +92,19 @@ impl SendBuffer {
 
     /// Removes up to `max` unsent bytes for transmission as one packet.
     /// Returns `None` if nothing is unsent or `max == 0`.
+    ///
+    /// The packet is copied once, straight out of the ring's (at most two)
+    /// contiguous halves into its shared buffer.
     pub fn take_packet(&mut self, max: usize) -> Option<Bytes> {
         if self.unsent.is_empty() || max == 0 {
             return None;
         }
-        Some(Bytes::from(take_front(&mut self.unsent, max)))
+        let n = self.unsent.len().min(max);
+        let (head, tail) = self.unsent.as_slices();
+        let from_head = n.min(head.len());
+        let data = Bytes::copy_from_two(&head[..from_head], &tail[..n - from_head]);
+        self.unsent.drain(..n);
+        Some(data)
     }
 
     /// Records a packet as transmitted (in flight) at `now`.
@@ -109,6 +121,7 @@ impl SendBuffer {
                 "in-flight packets must be contiguous"
             );
         }
+        self.inflight_bytes += data.len();
         self.inflight.push_back(SentSegment {
             seq,
             data,
@@ -127,13 +140,15 @@ impl SendBuffer {
                 if let Some(at) = head.sent_at {
                     res.rtt_sample_from = Some(at);
                 }
+                self.inflight_bytes -= head.data.len();
                 self.inflight.pop_front();
             } else if head.seq < ack {
-                // Partial ack of the head packet.
+                // Partial ack of the head packet: the rest shares its
+                // storage.
                 let n = ack - head.seq;
                 res.acked_bytes += n;
-                let rest = head.data.slice(n as usize..);
-                head.data = rest;
+                self.inflight_bytes -= n as usize;
+                head.data = head.data.slice(n as usize..);
                 head.seq = ack;
                 head.sent_at = None; // boundary changed; no RTT sample
                 break;
@@ -246,6 +261,12 @@ impl RecvBuffer {
         if data.is_empty() {
             return 0;
         }
+        // In order with no hole behind it: straight onto the stream. The
+        // map would hand it back at once, unchanged.
+        if start_off == 0 && self.ooo.is_empty() {
+            self.ordered.extend(data.iter());
+            return data.len() as u32;
+        }
         // Stash into the out-of-order map (in-order data is offset 0).
         insert_trimmed(&mut self.ooo, start_off, data);
         // Pull contiguous data at offset 0 into the ordered stream.
@@ -284,9 +305,8 @@ impl RecvBuffer {
 /// Removes up to `max` bytes from the front of `queue` and returns them,
 /// copying slice-wise out of the ring's (at most two) contiguous halves.
 ///
-/// Every byte queue on the guest data path drains through this: the TCP
-/// send and receive buffers here, the kernel's pipes and Zap's alternate
-/// receive buffers.
+/// The byte queues the guest reads drain through this: the TCP receive
+/// buffer here, the kernel's pipes and Zap's alternate receive buffers.
 pub fn take_front(queue: &mut VecDeque<u8>, max: usize) -> Vec<u8> {
     let n = queue.len().min(max);
     let (head, tail) = queue.as_slices();

@@ -1,8 +1,9 @@
 //! The TCP connection state machine (transmission control block).
 //!
 //! The TCB is a pure, time-explicit state machine: segments and timer
-//! expirations go in, segments to transmit come out. It implements the
-//! pieces of TCP the Cruz paper's correctness argument (§5.1) relies on —
+//! expirations go in, segments to transmit come out — appended, in emission
+//! order, to a buffer the caller owns and reuses. It implements the pieces
+//! of TCP the Cruz paper's correctness argument (§5.1) relies on —
 //! cumulative acknowledgements, sender-side buffering of unacked data with
 //! stable packet boundaries, retransmission with exponential backoff — plus
 //! the connection-management machinery (handshake, FIN teardown, RST,
@@ -388,83 +389,78 @@ impl Tcb {
     // ---- application-facing operations ----------------------------------
 
     /// Sets `TCP_NODELAY` (disables the Nagle algorithm). Enabling it flushes
-    /// any data Nagle was holding back.
-    pub fn set_nodelay(&mut self, on: bool, now: SimTime) -> Vec<TcpSegment> {
+    /// any data Nagle was holding back into `out`.
+    pub fn set_nodelay(&mut self, on: bool, now: SimTime, out: &mut Vec<TcpSegment>) {
         self.nodelay = on;
         if on {
-            self.pump(now)
-        } else {
-            Vec::new()
+            self.pump(now, out);
         }
     }
 
-    /// Sets `TCP_CORK`. Clearing it flushes pending partial segments.
-    pub fn set_cork(&mut self, on: bool, now: SimTime) -> Vec<TcpSegment> {
+    /// Sets `TCP_CORK`. Clearing it flushes pending partial segments into
+    /// `out`.
+    pub fn set_cork(&mut self, on: bool, now: SimTime, out: &mut Vec<TcpSegment>) {
         self.cork = on;
-        if on {
-            Vec::new()
-        } else {
-            self.pump(now)
+        if !on {
+            self.pump(now, out);
         }
     }
 
-    /// Submits application data, returning how many bytes were accepted and
-    /// any segments to transmit.
-    pub fn write(&mut self, data: &[u8], now: SimTime) -> (usize, Vec<TcpSegment>) {
+    /// Submits application data, returning how many bytes were accepted;
+    /// appends any segments to transmit to `out`.
+    pub fn write(&mut self, data: &[u8], now: SimTime, out: &mut Vec<TcpSegment>) -> usize {
         if !self.state.can_send() || self.close_pending {
-            return (0, Vec::new());
+            return 0;
         }
         let n = self.send_buf.push(data);
-        let segs = self.pump(now);
-        (n, segs)
+        self.pump(now, out);
+        n
     }
 
-    /// Reads up to `max` bytes of in-order data. May emit a window-update
-    /// ACK when the read reopens a closed window.
-    pub fn read(&mut self, max: usize, _now: SimTime) -> (Vec<u8>, Vec<TcpSegment>) {
+    /// Reads up to `max` bytes of in-order data. May append a
+    /// window-update ACK to `out` when the read reopens a closed window.
+    pub fn read(&mut self, max: usize, _now: SimTime, out: &mut Vec<TcpSegment>) -> Vec<u8> {
         let window_was_zero = self.recv_buf.window() == 0;
         let data = self.recv_buf.read(max);
         self.delivered += data.len() as u64;
-        let mut segs = Vec::new();
         if window_was_zero && !data.is_empty() && self.recv_buf.window() > 0 {
-            segs.push(self.make_segment(TcpFlags::ACK, self.snd_nxt, Bytes::new()));
+            out.push(self.make_segment(TcpFlags::ACK, self.snd_nxt, Bytes::new()));
         }
-        (data, segs)
+        data
     }
 
-    /// Initiates a graceful close. The FIN is emitted once the send buffer
-    /// has drained.
-    pub fn close(&mut self, now: SimTime) -> Vec<TcpSegment> {
+    /// Initiates a graceful close. The FIN is emitted (into `out`) once the
+    /// send buffer has drained.
+    pub fn close(&mut self, now: SimTime, out: &mut Vec<TcpSegment>) {
         match self.state {
             TcpState::SynSent | TcpState::Closed => {
                 self.state = TcpState::Closed;
                 self.clear_timers();
-                Vec::new()
             }
             TcpState::Established | TcpState::SynRcvd | TcpState::CloseWait => {
                 self.close_pending = true;
-                self.pump(now)
+                self.pump(now, out);
             }
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
-    /// Aborts the connection, emitting a RST.
-    pub fn abort(&mut self) -> Vec<TcpSegment> {
+    /// Aborts the connection, returning the RST to transmit.
+    pub fn abort(&mut self) -> TcpSegment {
         let rst = self.make_segment(TcpFlags::RST, self.snd_nxt, Bytes::new());
         self.state = TcpState::Closed;
         self.reset = true;
         self.clear_timers();
-        vec![rst]
+        rst
     }
 
     // ---- network-facing operations ---------------------------------------
 
-    /// Processes an incoming segment addressed to this connection.
-    pub fn on_segment(&mut self, seg: &TcpSegment, now: SimTime) -> Vec<TcpSegment> {
-        let mut out = Vec::new();
+    /// Processes an incoming segment addressed to this connection,
+    /// appending the segments it provokes to `out`.
+    pub fn on_segment(&mut self, seg: &TcpSegment, now: SimTime, out: &mut Vec<TcpSegment>) {
         if self.state == TcpState::Closed {
-            return out;
+            return;
         }
         if seg.flags.rst {
             // Accept a RST only if it is plausibly in-window.
@@ -473,19 +469,18 @@ impl Tcb {
                 self.reset = true;
                 self.clear_timers();
             }
-            return out;
+            return;
         }
         match self.state {
-            TcpState::SynSent => self.on_segment_syn_sent(seg, now, &mut out),
+            TcpState::SynSent => self.on_segment_syn_sent(seg, now, out),
             TcpState::TimeWait => {
                 // Re-ack anything that arrives (likely a retransmitted FIN).
                 if seg.flags.fin {
                     out.push(self.make_segment(TcpFlags::ACK, self.snd_nxt, Bytes::new()));
                 }
             }
-            _ => self.on_segment_common(seg, now, &mut out),
+            _ => self.on_segment_common(seg, now, out),
         }
-        out
     }
 
     fn on_segment_syn_sent(&mut self, seg: &TcpSegment, now: SimTime, out: &mut Vec<TcpSegment>) {
@@ -501,7 +496,7 @@ impl Tcb {
             self.retries = 0;
             self.rtx_deadline = None;
             out.push(self.make_segment(TcpFlags::ACK, self.snd_nxt, Bytes::new()));
-            out.extend(self.pump(now));
+            self.pump(now, out);
         } else if seg.flags.syn {
             // Simultaneous open.
             self.rcv_nxt = seg.seq + 1;
@@ -564,7 +559,7 @@ impl Tcb {
                     self.rtx_deadline = None;
                     self.recovery_point = None;
                 }
-                out.extend(self.pump(now));
+                self.pump(now, out);
             } else if ack == self.snd_una {
                 self.peer_window = self.peer_window.max(seg.window);
                 if seg.payload.is_empty() && self.send_buf.inflight_len() > 0 {
@@ -580,7 +575,7 @@ impl Tcb {
                 } else if seg.payload.is_empty() {
                     // Window update while nothing is in flight.
                     self.peer_window = seg.window;
-                    out.extend(self.pump(now));
+                    self.pump(now, out);
                 }
             }
         }
@@ -640,34 +635,34 @@ impl Tcb {
         self.time_wait_deadline = Some(now + self.cfg.time_wait);
     }
 
-    /// Processes timer expirations at `now`. Drives retransmission (with
-    /// exponential backoff), zero-window probing, connection-abort on retry
-    /// exhaustion, and TIME-WAIT expiry.
-    pub fn on_timer(&mut self, now: SimTime) -> Vec<TcpSegment> {
-        let mut out = Vec::new();
+    /// Processes timer expirations at `now`, appending any retransmission
+    /// to `out`. Drives retransmission (with exponential backoff),
+    /// zero-window probing, connection-abort on retry exhaustion, and
+    /// TIME-WAIT expiry.
+    pub fn on_timer(&mut self, now: SimTime, out: &mut Vec<TcpSegment>) {
         if let Some(tw) = self.time_wait_deadline {
             if now >= tw {
                 self.state = TcpState::Closed;
                 self.clear_timers();
-                return out;
+                return;
             }
         }
         let Some(deadline) = self.rtx_deadline else {
-            return out;
+            return;
         };
         if now < deadline {
-            return out;
+            return;
         }
         if !self.outstanding() {
             self.rtx_deadline = None;
-            return out;
+            return;
         }
         self.retries += 1;
         if self.retries > self.cfg.max_retries {
             self.state = TcpState::Closed;
             self.reset = true;
             self.clear_timers();
-            return out;
+            return;
         }
         self.rto.backoff();
         match self.state {
@@ -689,7 +684,6 @@ impl Tcb {
             }
         }
         self.arm_rtx(now);
-        out
     }
 
     // ---- checkpoint support ----------------------------------------------
@@ -758,9 +752,8 @@ impl Tcb {
 
     /// Transmits as much buffered data as MSS, the peer window, Nagle and
     /// CORK permit; then emits the FIN if a close is pending and the buffer
-    /// has drained.
-    fn pump(&mut self, now: SimTime) -> Vec<TcpSegment> {
-        let mut out = Vec::new();
+    /// has drained. Appends the segments to `out`.
+    fn pump(&mut self, now: SimTime, out: &mut Vec<TcpSegment>) {
         if !matches!(
             self.state,
             TcpState::Established
@@ -769,7 +762,7 @@ impl Tcb {
                 | TcpState::Closing
                 | TcpState::LastAck
         ) {
-            return out;
+            return;
         }
         loop {
             if self.send_buf.unsent_len() == 0 {
@@ -827,7 +820,6 @@ impl Tcb {
             out.push(self.make_segment(TcpFlags::FIN_ACK, fin_seq, Bytes::new()));
             self.arm_rtx(now);
         }
-        out
     }
 }
 

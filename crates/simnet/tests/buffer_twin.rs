@@ -36,8 +36,12 @@ impl RefSend {
         }
     }
 
+    fn inflight_len(&self) -> usize {
+        self.inflight.iter().map(|s| s.1.len()).sum()
+    }
+
     fn len(&self) -> usize {
-        self.inflight.iter().map(|s| s.1.len()).sum::<usize>() + self.unsent.len()
+        self.inflight_len() + self.unsent.len()
     }
 
     fn push(&mut self, data: &[u8]) -> usize {
@@ -188,6 +192,7 @@ fn recv_op() -> impl Strategy<Value = RecvOp> {
 }
 
 fn assert_send_twins(real: &SendBuffer, model: &RefSend) {
+    assert_eq!(real.inflight_len(), model.inflight_len());
     assert_eq!(real.len(), model.len());
     assert_eq!(
         real.unsent_bytes(),
@@ -272,6 +277,42 @@ proptest! {
                 }
                 RecvOp::Read(max) => prop_assert_eq!(real.read(max), model.read(max)),
             }
+            assert_recv_twins(&real, &model);
+        }
+    }
+
+    /// In-order segments with nothing held out of order take the direct
+    /// path onto the stream; a segment arriving ahead of a hole takes the
+    /// reassembly map until the hole is filled. Alternating the two, with
+    /// reads in between, every return value, the window and the stream
+    /// match the model after every operation. The sender goes back to the
+    /// first missing byte after each step, as a retransmission would.
+    #[test]
+    fn recv_direct_path_and_hole_fills_match_model(
+        capacity in 8usize..96,
+        irs in (u32::MAX - 200)..u32::MAX,
+        steps in proptest::collection::vec((1u32..24, any::<bool>(), 0usize..32), 1..120),
+    ) {
+        let mut real = RecvBuffer::new(capacity);
+        let mut model = RefRecv::new(capacity);
+        let mut rcv_nxt = SeqNum::new(irs);
+        // Stream bytes are a function of their sequence number, so a
+        // retransmitted byte is always the same byte.
+        let segment = |seq: SeqNum, len: u32| -> Vec<u8> {
+            (0..len).map(|i| (seq.raw().wrapping_add(i) % 251) as u8).collect()
+        };
+        for (len, hole_first, read) in steps {
+            let here = rcv_nxt;
+            let ahead = here + len;
+            let order = if hole_first { [ahead, here] } else { [here, ahead] };
+            for seq in order {
+                let data = segment(seq, len);
+                let got = real.insert(seq, &Bytes::from(data.clone()), rcv_nxt);
+                prop_assert_eq!(got, model.insert(i64::from(seq - rcv_nxt), &data));
+                rcv_nxt += got;
+                assert_recv_twins(&real, &model);
+            }
+            prop_assert_eq!(real.read(read), model.read(read));
             assert_recv_twins(&real, &model);
         }
     }

@@ -7,6 +7,20 @@ use simnet::addr::{IpAddr, SockAddr};
 use simnet::tcp::seq::SeqNum;
 use simnet::tcp::{Tcb, TcpConfig, TcpSegment};
 
+/// The segments one TCB call appends to a fresh buffer.
+fn emitted(call: impl FnOnce(&mut Vec<TcpSegment>)) -> Vec<TcpSegment> {
+    let mut out = Vec::new();
+    call(&mut out);
+    out
+}
+
+/// A TCB call's result and the segments it appends to a fresh buffer.
+fn emitted_with<R>(call: impl FnOnce(&mut Vec<TcpSegment>) -> R) -> (R, Vec<TcpSegment>) {
+    let mut out = Vec::new();
+    let r = call(&mut out);
+    (r, out)
+}
+
 /// What the adversarial network does with one transmitted segment.
 #[derive(Debug, Clone, Copy)]
 enum Fate {
@@ -139,30 +153,30 @@ impl Harness {
             };
             match ev {
                 Ev::Seg(Dir::AtoB, seg) => {
-                    let out = self.b.on_segment(&seg, self.now);
+                    let out = emitted(|o| self.b.on_segment(&seg, self.now, o));
                     for s in out {
                         self.transmit(Dir::BtoA, s);
                     }
                 }
                 Ev::Seg(Dir::BtoA, seg) => {
-                    let out = self.a.on_segment(&seg, self.now);
+                    let out = emitted(|o| self.a.on_segment(&seg, self.now, o));
                     for s in out {
                         self.transmit(Dir::AtoB, s);
                     }
                 }
                 Ev::Tick => {
-                    let out = self.a.on_timer(self.now);
+                    let out = emitted(|o| self.a.on_timer(self.now, o));
                     for s in out {
                         self.transmit(Dir::AtoB, s);
                     }
-                    let out = self.b.on_timer(self.now);
+                    let out = emitted(|o| self.b.on_timer(self.now, o));
                     for s in out {
                         self.transmit(Dir::BtoA, s);
                     }
                 }
             }
             // Application on B: read greedily.
-            let (data, acks) = self.b.read(usize::MAX, self.now);
+            let (data, acks) = emitted_with(|o| self.b.read(usize::MAX, self.now, o));
             self.received.extend_from_slice(&data);
             for s in acks {
                 self.transmit(Dir::BtoA, s);
@@ -174,7 +188,7 @@ impl Harness {
         let mut off = 0;
         let mut guard = 0;
         while off < data.len() {
-            let (n, segs) = self.a.write(&data[off..], self.now);
+            let (n, segs) = emitted_with(|o| self.a.write(&data[off..], self.now, o));
             off += n;
             for s in segs {
                 self.transmit(Dir::AtoB, s);
@@ -242,7 +256,7 @@ proptest! {
         // network churn briefly, then cut.
         let cut = cut_after.min(payload.len());
         let accepted = {
-            let (n, segs) = h.a.write(&payload[..cut], h.now);
+            let (n, segs) = emitted_with(|o| h.a.write(&payload[..cut], h.now, o));
             for s in segs { h.transmit(Dir::AtoB, s); }
             n
         };
@@ -275,18 +289,18 @@ proptest! {
         replay_received.extend_from_slice(&bsnap.recv_stream);
 
         // Replay A's saved send data packet-by-packet (nodelay on).
-        let _ = h2.a.set_nodelay(true, h2.now);
+        let _ = emitted(|o| h2.a.set_nodelay(true, h2.now, o));
         for pkt in &asnap.inflight {
-            let (n, segs) = h2.a.write(pkt, h2.now);
+            let (n, segs) = emitted_with(|o| h2.a.write(pkt, h2.now, o));
             prop_assert_eq!(n, pkt.len());
             for s in segs { h2.transmit(Dir::AtoB, s); }
         }
         {
-            let (n, segs) = h2.a.write(&asnap.unsent, h2.now);
+            let (n, segs) = emitted_with(|o| h2.a.write(&asnap.unsent, h2.now, o));
             prop_assert_eq!(n, asnap.unsent.len());
             for s in segs { h2.transmit(Dir::AtoB, s); }
         }
-        let _ = h2.a.set_nodelay(asnap.nodelay, h2.now);
+        let _ = emitted(|o| h2.a.set_nodelay(asnap.nodelay, h2.now, o));
         // Write the rest of the payload after restart.
         h2.write_all(&payload[accepted..]);
         h2.run(400_000);

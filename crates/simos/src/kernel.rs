@@ -110,6 +110,9 @@ pub struct Kernel {
     next_pid: Pid,
     params: KernelParams,
     hook: Option<Rc<RefCell<dyn SyscallHook>>>,
+    /// Scratch for the readiness events one wake pass handles, reused pass
+    /// to pass.
+    wakes: Vec<SockEvent>,
 }
 
 impl std::fmt::Debug for Kernel {
@@ -139,6 +142,7 @@ impl Kernel {
             next_pid: 1,
             params,
             hook: None,
+            wakes: Vec::new(),
         }
     }
 
@@ -329,14 +333,16 @@ impl Kernel {
         self.process_net_wakes();
     }
 
-    /// Drains frames the stack queued for transmission.
-    pub fn take_frames(&mut self) -> Vec<simnet::EthFrame> {
+    /// Drains frames the stack queued for transmission, in order.
+    pub fn take_frames(&mut self) -> std::vec::Drain<'_, simnet::EthFrame> {
         self.net.take_outgoing()
     }
 
     /// Converts network readiness events into process wakeups.
     pub fn process_net_wakes(&mut self) {
-        for ev in self.net.take_wakes() {
+        let mut wakes = std::mem::take(&mut self.wakes);
+        wakes.extend(self.net.take_wakes());
+        for &ev in &wakes {
             let matches = |w: &WaitFor| match (ev, w) {
                 (SockEvent::Readable(s), WaitFor::SockReadable(t)) => s == *t,
                 (SockEvent::Writable(s), WaitFor::SockWritable(t)) => s == *t,
@@ -346,19 +352,18 @@ impl Kernel {
             };
             self.wake_matching(&matches);
         }
+        wakes.clear();
+        self.wakes = wakes;
     }
 
+    /// Makes every process blocked on a wait `pred` accepts ready, in pid
+    /// order.
     fn wake_matching(&mut self, pred: &dyn Fn(&WaitFor) -> bool) {
-        let pids: Vec<Pid> = self
-            .procs
-            .iter()
-            .filter_map(|(&pid, p)| match &p.state {
-                ProcState::Blocked(w) if pred(w) => Some(pid),
-                _ => None,
-            })
-            .collect();
-        for pid in pids {
-            self.make_ready(pid);
+        for (&pid, p) in self.procs.iter_mut() {
+            if matches!(&p.state, ProcState::Blocked(w) if pred(w)) {
+                p.state = ProcState::Ready;
+                self.run_queue.push_back(pid);
+            }
         }
     }
 

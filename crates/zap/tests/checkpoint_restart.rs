@@ -1073,7 +1073,7 @@ fn a_refused_image_leaves_nothing_behind() {
         // No socket, listener, connection or VIF left on the stack, and
         // no frame announcing the address the node does not hold.
         assert_eq!(format!("{:?}", k2.net), stack_before);
-        assert!(!k2.take_frames().iter().any(|f| names(f, image.ip)));
+        assert!(!k2.take_frames().any(|f| names(&f, image.ip)));
         z2.restart_pod(&mut k2, image.clone(), now).unwrap();
     }
 }
